@@ -12,8 +12,9 @@
 //!    `Matrix::zeros(` resolves to the `Matrix` impl rather than every
 //!    `zeros` in the workspace.
 //! 2. The reachable set is marked from the declared [`HOT_ROOTS`] — the
-//!    five reuse phases (im2col, hash, cluster, centroid-GEMM, scatter,
-//!    covered by `im2col`, `hash_all`, `matmul`, and `reuse_forward`), the
+//!    five reuse forward phases (im2col, hash, cluster, centroid-GEMM,
+//!    scatter, covered by `im2col`, `hash_all`, `matmul`, and
+//!    `reuse_forward`), the reuse backward pass (`reuse_backward`), the
 //!    persistent worker pool's dispatch loop (`scope_run`, which every
 //!    fan-out funnels through), and the serving batch loops
 //!    (`Engine::poll`, `Gateway::poll`).
@@ -65,6 +66,7 @@ pub const HOT_ROOTS: &[(&str, &str, &str)] = &[
     ("crates/reuse/src/hashpack.rs", "hash_all", "hash"),
     ("crates/tensor/src/matrix.rs", "matmul", "gemm"),
     ("crates/reuse/src/forward.rs", "reuse_forward", "reuse_forward"),
+    ("crates/reuse/src/backward.rs", "reuse_backward", "reuse_backward"),
     // The persistent worker pool executes every fan-out's closures; its
     // dispatch loop is as hot as the kernels it runs.
     ("crates/tensor/src/kernels/pool.rs", "scope_run", "pool"),

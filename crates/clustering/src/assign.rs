@@ -6,8 +6,8 @@ use adr_tensor::Matrix;
 ///
 /// Invariants (checked by [`ClusterTable::validate`] and the property tests):
 /// every row has exactly one cluster in `0..num_clusters`, cluster sizes sum
-/// to `N`, and no cluster is empty.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// to `N`, and no cluster is empty. The default is the empty table (no rows).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClusterTable {
     assignments: Vec<u32>,
     counts: Vec<u32>,
@@ -22,16 +22,35 @@ impl ClusterTable {
     /// # Panics
     /// Panics if any cluster in the dense range is empty.
     pub fn new(assignments: Vec<u32>) -> Self {
-        let num = assignments.iter().map(|&a| a as usize + 1).max().unwrap_or(0);
-        let mut counts = vec![0u32; num];
-        for &a in &assignments {
-            counts[a as usize] += 1;
+        let mut table = Self { assignments, counts: Vec::new() };
+        table.recount();
+        table
+    }
+
+    /// Replaces the assignments in place, reusing both heap buffers — the
+    /// arena form of [`ClusterTable::new`] for a table that is re-clustered
+    /// every batch.
+    ///
+    /// # Panics
+    /// Panics if any cluster in the dense range is empty.
+    pub fn assign(&mut self, ids: impl Iterator<Item = u32>) {
+        self.assignments.clear();
+        self.assignments.extend(ids);
+        self.recount();
+    }
+
+    /// Rebuilds `counts` from `assignments`, checking density.
+    fn recount(&mut self) {
+        let num = self.assignments.iter().map(|&a| a as usize + 1).max().unwrap_or(0);
+        self.counts.clear();
+        self.counts.resize(num, 0);
+        for &a in &self.assignments {
+            self.counts[a as usize] += 1;
         }
         assert!(
-            counts.iter().all(|&c| c > 0),
+            self.counts.iter().all(|&c| c > 0),
             "cluster ids must be dense: found an empty cluster among {num}"
         );
-        Self { assignments, counts }
     }
 
     /// Builds a table from arbitrary (possibly sparse) cluster labels,
@@ -129,10 +148,20 @@ impl ClusterTable {
     /// # Panics
     /// Panics on row-count mismatch or an out-of-bounds window.
     pub fn centroids_range(&self, data: &Matrix, start: usize, end: usize) -> Matrix {
+        let mut sums = Matrix::default();
+        self.centroids_range_into(data, start, end, &mut sums);
+        sums
+    }
+
+    /// [`ClusterTable::centroids_range`] into a caller-owned matrix, which
+    /// is reshaped to `|C| × (end − start)` with its heap buffer reused.
+    ///
+    /// # Panics
+    /// Panics on row-count mismatch or an out-of-bounds window.
+    pub fn centroids_range_into(&self, data: &Matrix, start: usize, end: usize, sums: &mut Matrix) {
         assert_eq!(data.rows(), self.num_rows(), "centroids: row count mismatch");
         assert!(start <= end && end <= data.cols(), "centroid window out of bounds");
-        let l = end - start;
-        let mut sums = Matrix::zeros(self.num_clusters(), l);
+        sums.reset(self.num_clusters(), end - start);
         for (row, &c) in self.assignments.iter().enumerate() {
             let src = &data.row(row)[start..end];
             let dst = sums.row_mut(c as usize);
@@ -146,7 +175,6 @@ impl ClusterTable {
                 *v *= inv;
             }
         }
-        sums
     }
 
     /// Scatters per-cluster rows back to per-member rows:
@@ -176,16 +204,26 @@ impl ClusterTable {
     /// # Panics
     /// Panics when `data` has a different row count than this table.
     pub fn gather_sum(&self, data: &Matrix) -> Matrix {
-        assert_eq!(data.rows(), self.num_rows(), "gather: row count mismatch");
-        let mut out = Matrix::zeros(self.num_clusters(), data.cols());
+        let mut out = Matrix::default();
+        self.gather_sum_into(data.as_slice(), data.cols(), &mut out);
+        out
+    }
+
+    /// [`ClusterTable::gather_sum`] over a borrowed row-major slice of
+    /// `cols`-wide rows, into a caller-owned matrix that is reshaped to
+    /// `|C| × cols` with its heap buffer reused.
+    ///
+    /// # Panics
+    /// Panics when `data` does not hold exactly `num_rows()` rows.
+    pub fn gather_sum_into(&self, data: &[f32], cols: usize, out: &mut Matrix) {
+        assert_eq!(data.len(), self.num_rows() * cols, "gather: row count mismatch");
+        out.reset(self.num_clusters(), cols);
         for (row, &c) in self.assignments.iter().enumerate() {
-            let src = data.row(row);
-            let dst = out.row_mut(c as usize);
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
+            let src = &data[row * cols..(row + 1) * cols];
+            for (d, s) in out.row_mut(c as usize).iter_mut().zip(src) {
                 *d += s;
             }
         }
-        out
     }
 
     /// Gathers member rows into per-cluster *means* — the paper's
@@ -219,6 +257,27 @@ mod tests {
         assert_eq!(t.counts(), &[2, 3]);
         assert!((t.remaining_ratio() - 0.4).abs() < 1e-12);
         t.validate().unwrap();
+    }
+
+    #[test]
+    fn assign_replaces_the_table_in_place() {
+        let mut t = table();
+        t.assign([1u32, 0, 1].into_iter());
+        assert_eq!(t, ClusterTable::new(vec![1, 0, 1]));
+        t.validate().unwrap();
+        t.assign(std::iter::empty());
+        assert_eq!(t, ClusterTable::default());
+    }
+
+    #[test]
+    fn into_variants_reshape_dirty_outputs_and_match_the_allocating_ones() {
+        let t = table();
+        let data = Matrix::from_fn(5, 6, |r, c| (r * 6 + c) as f32 * 0.5);
+        let mut out = Matrix::filled(9, 9, f32::NAN);
+        t.centroids_range_into(&data, 2, 5, &mut out);
+        assert_eq!(out, t.centroids_range(&data, 2, 5));
+        t.gather_sum_into(data.as_slice(), 6, &mut out);
+        assert_eq!(out, t.gather_sum(&data));
     }
 
     #[test]

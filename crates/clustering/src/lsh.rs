@@ -158,59 +158,89 @@ impl LshTable {
     }
 }
 
+/// Recycled lookup state for [`cluster_from_signatures_into`]: the
+/// direct-index table of the narrow-signature path and the hash map of the
+/// wide one. Both keep their heap capacity between calls.
+#[derive(Debug, Default)]
+pub struct GroupScratch {
+    lut: Vec<u32>,
+    map: SignatureMap<u32>,
+}
+
 /// Groups a signature stream into a dense [`ClusterTable`]: equal
 /// signatures share a cluster, ids assigned in first-appearance order.
 /// Returns the table plus the forming signature of each cluster.
-// Cluster ids are u32 by design; row counts stay far below 2^32.
-#[allow(clippy::cast_possible_truncation)]
-pub fn cluster_from_signatures(sigs: impl Iterator<Item = u64>) -> (ClusterTable, Vec<u64>) {
-    let mut map: SignatureMap<u32> = SignatureMap::default();
-    let mut assignments = Vec::new();
-    let mut cluster_sigs = Vec::new();
-    for s in sigs {
-        let next = map.len() as u32;
-        let id = *map.entry(s).or_insert_with(|| {
-            cluster_sigs.push(s);
-            next
-        });
-        assignments.push(id);
-    }
-    (ClusterTable::new(assignments), cluster_sigs)
+pub fn cluster_from_signatures(
+    sigs: impl ExactSizeIterator<Item = u64>,
+) -> (ClusterTable, Vec<u64>) {
+    cluster_from_signatures_with_bits(sigs, u64::BITS as usize)
 }
 
-/// [`cluster_from_signatures`] specialised for signatures known to fit in
-/// `sig_bits` bits: uses a direct-index table instead of a hash map, which
-/// is several times faster on the reuse hot path where `H ≤ 16`.
-///
-/// Falls back to the hash-map path for wider signatures.
+/// [`cluster_from_signatures`] for signatures known to fit in `sig_bits`
+/// bits, which lets narrow signatures take the direct-index path of
+/// [`cluster_from_signatures_into`].
 ///
 /// # Panics
 /// Panics (in debug builds) if a signature exceeds `sig_bits`.
-// Cluster ids are u32; the LUT path only runs for signatures under 17 bits.
-#[allow(clippy::cast_possible_truncation)]
 pub fn cluster_from_signatures_with_bits(
     sigs: impl ExactSizeIterator<Item = u64>,
     sig_bits: usize,
 ) -> (ClusterTable, Vec<u64>) {
-    // The LUT pays 2^bits of zeroing up front; only profitable while that
+    let mut table = ClusterTable::new(Vec::with_capacity(sigs.len()));
+    let mut cluster_sigs = Vec::with_capacity(sigs.len());
+    let mut scratch = GroupScratch::default();
+    cluster_from_signatures_into(sigs, sig_bits, &mut scratch, &mut table, &mut cluster_sigs);
+    (table, cluster_sigs)
+}
+
+/// [`cluster_from_signatures_with_bits`] into caller-owned state: `table`
+/// is re-assigned in place, `cluster_sigs` is cleared and refilled with the
+/// forming signature of each cluster, and `scratch` carries the lookup
+/// tables — so a steady-state call allocates nothing.
+///
+/// Signatures of at most 16 bits use a direct-index table instead of a hash
+/// map, which is several times faster on the reuse hot path; wider ones (or
+/// tables that would dwarf the row count) fall back to the map.
+///
+/// # Panics
+/// Panics (in debug builds) if a signature exceeds `sig_bits`.
+// Cluster ids are u32 by design; row counts stay far below 2^32.
+#[allow(clippy::cast_possible_truncation)]
+pub fn cluster_from_signatures_into(
+    sigs: impl ExactSizeIterator<Item = u64>,
+    sig_bits: usize,
+    scratch: &mut GroupScratch,
+    table: &mut ClusterTable,
+    cluster_sigs: &mut Vec<u64>,
+) {
+    cluster_sigs.clear();
+    // The LUT pays 2^bits of filling up front; only profitable while that
     // stays proportionate to the number of rows being clustered.
     if sig_bits > 16 || (1usize << sig_bits) > 4 * sigs.len().max(1) {
-        return cluster_from_signatures(sigs);
+        let map = &mut scratch.map;
+        map.clear();
+        table.assign(sigs.map(|s| {
+            let next = map.len() as u32;
+            *map.entry(s).or_insert_with(|| {
+                cluster_sigs.push(s);
+                next
+            })
+        }));
+        return;
     }
     const UNSEEN: u32 = u32::MAX;
-    let mut lut = vec![UNSEEN; 1usize << sig_bits];
-    let mut assignments = Vec::new();
-    let mut cluster_sigs = Vec::new();
-    for s in sigs {
+    let lut = &mut scratch.lut;
+    lut.clear();
+    lut.resize(1usize << sig_bits, UNSEEN);
+    table.assign(sigs.map(|s| {
         debug_assert!((s as usize) < lut.len(), "signature wider than sig_bits");
         let slot = &mut lut[s as usize];
         if *slot == UNSEEN {
             *slot = cluster_sigs.len() as u32;
             cluster_sigs.push(s);
         }
-        assignments.push(*slot);
-    }
-    (ClusterTable::new(assignments), cluster_sigs)
+        *slot
+    }));
 }
 
 #[cfg(test)]
@@ -326,6 +356,27 @@ mod tests {
         // fails for an exactly-zero projection.
         let big = Matrix::from_fn(200, 6, |_, _| 1.0);
         assert!(t.signatures(&big).iter().all(|&s| s == 0));
+    }
+
+    #[test]
+    fn recycled_grouping_state_matches_fresh_grouping_on_both_paths() {
+        // 6-bit signatures take the direct-index table, 40-bit ones the map;
+        // dirty scratch, table and signature list must not leak into either.
+        let mut scratch = GroupScratch::default();
+        let mut table = ClusterTable::new(vec![0, 0, 1]);
+        let mut cluster_sigs = vec![99u64; 5];
+        for (round, bits) in [6usize, 40, 6, 40].into_iter().enumerate() {
+            let mask = (1u64 << bits) - 1;
+            let sigs: Vec<u64> = (0..50u64)
+                .map(|r| (r % (7 + round as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask)
+                .collect();
+            let iter = sigs.iter().copied();
+            cluster_from_signatures_into(iter, bits, &mut scratch, &mut table, &mut cluster_sigs);
+            let (fresh_table, fresh_sigs) = cluster_from_signatures(sigs.iter().copied());
+            assert_eq!(table, fresh_table, "round {round}");
+            assert_eq!(cluster_sigs, fresh_sigs, "round {round}");
+            assert_eq!(table.num_clusters(), 7 + round);
+        }
     }
 
     #[test]

@@ -10,112 +10,142 @@
 //! * **Input delta** (Eqs. 13–18): per-cluster *means* `δy_{c,I,sa}` are
 //!   multiplied by `W_Iᵀ` to get centroid input-gradients, which every
 //!   member of the cluster then shares.
+//!
+//! Sub-matrices are independent until the very end, so the pass runs as two
+//! fan-outs over the persistent pool: one over sub-matrices (cluster sums,
+//! `∇W_I`, `δx_{c,I}`), then one over rows (every member row of `δx`
+//! gathers its cluster's gradient). All buffers either phase writes are
+//! sized on the dispatching thread first — pool workers never allocate.
 
-use adr_clustering::assign::ClusterTable;
-use adr_tensor::matrix::Matrix;
+use adr_tensor::matrix::{column_sums_into, gemm_ta_rows, gemm_tb_rows, Matrix};
+use adr_tensor::par::{compute_threads, memory_threads, run_row_blocks};
 
+use crate::forward::ReuseArena;
 use crate::subvec::SubVecSplit;
 
-/// Gradients produced by the reuse backward pass.
-#[derive(Debug)]
-pub struct BackwardOutcome {
-    /// `K × M` weight gradient.
-    pub weight_grad: Matrix,
-    /// Length-`M` bias gradient.
-    pub bias_grad: Vec<f32>,
-    /// `N × K` gradient w.r.t. the unfolded input (fold with `col2im`).
-    pub delta_x_unf: Matrix,
-    /// Multiply–adds actually performed.
-    pub flops: u64,
-}
-
-/// Runs the reuse backward pass from the forward clustering.
+/// Runs the reuse backward pass from the forward clustering held in `arena`
+/// (left there by [`crate::forward::reuse_forward_with`]), writing the
+/// gradients into caller-owned buffers so a steady-state step allocates no
+/// matrix.
 ///
-/// * `tables`/`centroids` — per-sub-matrix clustering recorded by
-///   [`crate::forward::reuse_forward`].
 /// * `split` — the same sub-vector partition used forward.
-/// * `weight` — the `K × M` weight matrix.
-/// * `delta_y` — the `N × M` output gradient.
+/// * `weight` — the `K × M` weight matrix; its row bands are read in place.
+/// * `delta_y` — the `N × M` output gradient, row-major.
+/// * `weight_grad` — receives the `K × M` weight gradient (every element
+///   overwritten).
+/// * `bias_grad` — receives the length-`M` bias gradient.
+/// * `delta_x_unf` — reshaped to `N × K` and overwritten with the gradient
+///   w.r.t. the unfolded input (fold with `col2im`).
+///
+/// Returns the multiply–adds actually performed.
 ///
 /// # Panics
-/// Panics on dimension disagreements.
+/// Panics on dimension disagreements, including an arena whose clustering
+/// was not produced under `split`.
 pub fn reuse_backward(
-    tables: &[ClusterTable],
-    centroids: &[Matrix],
+    arena: &mut ReuseArena,
     split: &SubVecSplit,
     weight: &Matrix,
-    delta_y: &Matrix,
-) -> BackwardOutcome {
-    let (n, m) = delta_y.shape();
-    let k = split.k();
-    assert_eq!(weight.shape(), (k, m), "weight shape disagrees with split/delta_y");
-    assert_eq!(tables.len(), split.num_sub_vectors(), "one table per sub-matrix required");
-    assert_eq!(centroids.len(), tables.len(), "one centroid matrix per sub-matrix required");
+    delta_y: &[f32],
+    weight_grad: &mut Matrix,
+    bias_grad: &mut [f32],
+    delta_x_unf: &mut Matrix,
+) -> u64 {
+    let (k, m) = weight.shape();
+    let num_subs = split.num_sub_vectors();
+    assert_eq!(k, split.k(), "weight shape disagrees with split");
+    assert!(m > 0, "a reuse layer has at least one filter");
+    assert_eq!(weight_grad.shape(), (k, m), "weight gradient shape disagrees with weight");
+    assert_eq!(bias_grad.len(), m, "bias gradient length disagrees with M");
+    assert_eq!(arena.tables.len(), num_subs, "one table per sub-matrix required");
+    assert_eq!(arena.centroids.len(), num_subs, "one centroid matrix per sub-matrix required");
+    assert_eq!(arena.cluster_outputs.len(), num_subs, "one output block per sub-matrix required");
+    let n = arena.tables[0].num_rows();
+    assert_eq!(delta_y.len(), n * m, "delta_y shape disagrees with the forward clustering");
+    adr_tensor::checked_finite!(delta_y, "reuse backward: delta_y");
 
-    adr_tensor::checked_finite!(delta_y.as_slice(), "reuse backward: delta_y");
-    let mut weight_grad = Matrix::zeros(k, m);
-    let mut delta_x_unf = Matrix::zeros(n, k);
+    // One task per sub-matrix: its band of ∇W and its scratch, every buffer
+    // sized here, before dispatch. Sub-vectors are `L` wide except a shorter
+    // tail, which is exactly how `chunks_mut` cuts the row bands of the
+    // `K × M` gradient. The cluster gradients δy_c land in the forward
+    // pass's cluster-output blocks: same `|C_I| × M` shape, and dead since
+    // the forward scatter.
+    let (tables, centroids) = (&arena.tables, &arena.centroids);
+    arena.centroid_grads.resize_with(num_subs, Matrix::default);
+    let bands = weight_grad.as_mut_slice().chunks_mut(split.l() * m);
+    let scratch = arena.cluster_outputs.iter_mut().zip(&mut arena.centroid_grads);
+    let mut tasks = Vec::with_capacity(num_subs);
     let mut flops = 0u64;
+    for (i, (w_grad_band, (dy, dx_c))) in bands.zip(scratch).enumerate() {
+        let (num_clusters, width) = (tables[i].num_clusters(), split.width(i));
+        assert_eq!(tables[i].num_rows(), n, "table {i} row count disagrees with delta_y");
+        assert_eq!(centroids[i].shape(), (num_clusters, width), "centroid {i} shape mismatch");
+        dy.resize_for_overwrite(num_clusters, m);
+        dx_c.resize_for_overwrite(num_clusters, width);
+        flops += ((n - num_clusters) * m + 2 * num_clusters * width * m) as u64;
+        tasks.push((w_grad_band, dy, dx_c));
+    }
+    delta_x_unf.resize_for_overwrite(n, k);
 
-    for (i, &(start, end)) in split.ranges().iter().enumerate() {
-        let width = end - start;
-        let table = &tables[i];
-        assert_eq!(table.num_rows(), n, "table {i} row count disagrees with delta_y");
-        let cent = &centroids[i];
-        assert_eq!(cent.shape(), (table.num_clusters(), width), "centroid {i} shape mismatch");
-        let num_clusters = table.num_clusters();
+    // Phase 1, sub-matrix-parallel.
+    let threads = compute_threads(usize::try_from(flops).unwrap_or(usize::MAX));
+    run_row_blocks(&mut tasks, 1, num_subs, threads, |sub0, _, block| {
+        for (offset, (w_grad_band, dy, dx_c)) in block.iter_mut().enumerate() {
+            let i = sub0 + offset;
+            let (table, cent) = (&tables[i], &centroids[i]);
+            let (start, end) = split.ranges()[i];
+            let (num_clusters, width) = cent.shape();
 
-        // δy_{c,s}: per-cluster sums of δy rows (Eq. 8).
-        let dy_sum = table.gather_sum(delta_y);
-        adr_tensor::checked_shape!(
-            dy_sum.shape(),
-            (num_clusters, m),
-            "reuse backward: sub-matrix {i} gathered delta shape"
-        );
-        flops += ((n - num_clusters) * m) as u64;
+            // δy_{c,s}: per-cluster sums of δy rows (Eq. 8).
+            table.gather_sum_into(delta_y, m, dy);
 
-        // ∇W_I = x_{c,I}ᵀ · δy_{c,I,s} (Eq. 10).
-        let w_grad_block = cent.matmul_t_a(&dy_sum);
-        adr_tensor::checked_finite_rows!(
-            w_grad_block.as_slice(),
-            m,
-            "reuse backward: sub-matrix {i} weight-gradient block"
-        );
-        flops += (num_clusters * width * m) as u64;
-        weight_grad.set_row_slice(start, &w_grad_block);
+            // ∇W_I = x_{c,I}ᵀ · δy_{c,I,s} (Eq. 10).
+            w_grad_band.fill(0.0);
+            gemm_ta_rows(cent.as_slice(), dy.as_slice(), w_grad_band, num_clusters, width, m);
+            adr_tensor::checked_finite_rows!(
+                &**w_grad_band,
+                m,
+                "reuse backward: sub-matrix {i} weight-gradient block"
+            );
 
-        // δy_{c,sa}: per-cluster means (divide the sums by cluster size).
-        let mut dy_mean = dy_sum;
-        for c in 0..num_clusters {
-            // Cluster ids are u32 by design; num_clusters fits.
-            #[allow(clippy::cast_possible_truncation)]
-            let inv = 1.0 / table.count(c as u32) as f32;
-            for v in dy_mean.row_mut(c) {
-                *v *= inv;
+            // δy_{c,sa}: per-cluster means (divide the sums by cluster size).
+            for (c, &count) in table.counts().iter().enumerate() {
+                let inv = 1.0 / count as f32;
+                for v in dy.row_mut(c) {
+                    *v *= inv;
+                }
+            }
+
+            // δx_{c,I} = δy_{c,I,sa} · W_Iᵀ (Eq. 18), on W's row band in place.
+            let w_band = &weight.as_slice()[start * m..end * m];
+            gemm_tb_rows(dy.as_slice(), w_band, dx_c.as_mut_slice(), num_clusters, m, width);
+            adr_tensor::checked_finite_rows!(
+                dx_c.as_slice(),
+                width,
+                "reuse backward: sub-matrix {i} centroid input-gradients (row = cluster id)"
+            );
+        }
+    });
+    drop(tasks);
+
+    // Phase 2, row-parallel: every member inherits its cluster centroid's
+    // input gradient, one whole contiguous row of δx at a time.
+    let centroid_grads = &arena.centroid_grads;
+    let threads = memory_threads(n * k);
+    run_row_blocks(delta_x_unf.as_mut_slice(), k, n, threads, |row0, rows_here, chunk| {
+        for r in 0..rows_here {
+            let dst = &mut chunk[r * k..(r + 1) * k];
+            let subs = tables.iter().zip(centroid_grads).zip(split.ranges());
+            for ((table, dx_c), &(start, end)) in subs {
+                dst[start..end].copy_from_slice(dx_c.row(table.cluster_of(row0 + r) as usize));
             }
         }
+    });
 
-        // δx_{c,I} = δy_{c,I,sa} · W_Iᵀ (Eq. 18).
-        let w_i = weight.row_slice(start, end);
-        let dx_c = dy_mean.matmul_t_b(&w_i);
-        adr_tensor::checked_finite_rows!(
-            dx_c.as_slice(),
-            width,
-            "reuse backward: sub-matrix {i} centroid input-gradients (row = cluster id)"
-        );
-        flops += (num_clusters * width * m) as u64;
-
-        // Every member inherits its cluster centroid's input gradient.
-        for row in 0..n {
-            let c = table.cluster_of(row) as usize;
-            delta_x_unf.row_mut(row)[start..end].copy_from_slice(dx_c.row(c));
-        }
-    }
-
-    let bias_grad = delta_y.column_sums();
+    column_sums_into(delta_y, bias_grad);
     adr_tensor::checked_finite!(weight_grad.as_slice(), "reuse backward: weight gradient");
     adr_tensor::checked_finite!(delta_x_unf.as_slice(), "reuse backward: input delta");
-    BackwardOutcome { weight_grad, bias_grad, delta_x_unf, flops }
+    flops
 }
 
 #[cfg(test)]
@@ -124,7 +154,32 @@ mod tests {
     use adr_clustering::lsh::LshTable;
     use adr_tensor::rng::AdrRng;
 
-    use crate::forward::reuse_forward;
+    use crate::forward::{reuse_forward, reuse_forward_with};
+    use crate::hashpack::PackedHasher;
+
+    /// Gradients of one backward pass, in freshly sized buffers.
+    struct Grads {
+        weight_grad: Matrix,
+        bias_grad: Vec<f32>,
+        delta_x_unf: Matrix,
+        flops: u64,
+    }
+
+    fn backward(arena: &mut ReuseArena, split: &SubVecSplit, w: &Matrix, dy: &Matrix) -> Grads {
+        let mut weight_grad = Matrix::filled(w.rows(), w.cols(), f32::NAN);
+        let mut bias_grad = vec![f32::NAN; w.cols()];
+        let mut delta_x_unf = Matrix::default();
+        let flops = reuse_backward(
+            arena,
+            split,
+            w,
+            dy.as_slice(),
+            &mut weight_grad,
+            &mut bias_grad,
+            &mut delta_x_unf,
+        );
+        Grads { weight_grad, bias_grad, delta_x_unf, flops }
+    }
 
     fn setup(
         n: usize,
@@ -149,11 +204,11 @@ mod tests {
     #[test]
     fn exact_when_clusters_are_singletons() {
         let (x, w, b, split, lsh) = setup(12, 8, 4, 8, 40, 1);
-        let fwd = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
-        assert_eq!(fwd.tables[0].num_clusters(), 12, "need singleton clusters");
+        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        assert_eq!(fwd.tables()[0].num_clusters(), 12, "need singleton clusters");
         let mut rng = AdrRng::seeded(2);
         let dy = Matrix::from_fn(12, 4, |_, _| rng.gauss());
-        let out = reuse_backward(&fwd.tables, &fwd.centroids, &split, &w, &dy);
+        let out = backward(&mut fwd, &split, &w, &dy);
         let dense_wgrad = x.matmul_t_a(&dy);
         let dense_dx = dy.matmul_t_b(&w);
         assert!(out.weight_grad.max_abs_diff(&dense_wgrad) < 1e-3);
@@ -172,10 +227,10 @@ mod tests {
         let b = vec![0.0; 5];
         let split = SubVecSplit::new(6, 6);
         let lsh = vec![LshTable::new(6, 12, &mut rng)];
-        let fwd = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
-        assert_eq!(fwd.tables[0].num_clusters(), 3);
+        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        assert_eq!(fwd.tables()[0].num_clusters(), 3);
         let dy = Matrix::from_fn(30, 5, |_, _| rng.gauss());
-        let out = reuse_backward(&fwd.tables, &fwd.centroids, &split, &w, &dy);
+        let out = backward(&mut fwd, &split, &w, &dy);
         let dense_wgrad = x.matmul_t_a(&dy);
         assert!(out.weight_grad.max_abs_diff(&dense_wgrad) < 1e-3);
     }
@@ -190,12 +245,12 @@ mod tests {
         let w = Matrix::from_fn(8, 3, |_, _| rng.gauss());
         let split = SubVecSplit::new(8, 8);
         let lsh = vec![LshTable::new(8, 14, &mut rng)];
-        let fwd = reuse_forward(&x, &w, &[0.0; 3], &split, &lsh, None, None);
+        let (_, mut fwd) = reuse_forward(&x, &w, &[0.0; 3], &split, &lsh, None, None);
         let dy = Matrix::from_fn(20, 3, |_, _| rng.gauss());
-        let out = reuse_backward(&fwd.tables, &fwd.centroids, &split, &w, &dy);
+        let out = backward(&mut fwd, &split, &w, &dy);
         let dense_dx = dy.matmul_t_b(&w);
         // Members of a cluster share identical rows equal to the mean.
-        let table = &fwd.tables[0];
+        let table = &fwd.tables()[0];
         for c in 0..table.num_clusters() {
             let members: Vec<usize> =
                 (0..20).filter(|&r| table.cluster_of(r) == u32::try_from(c).unwrap()).collect();
@@ -219,10 +274,10 @@ mod tests {
     #[test]
     fn sub_vector_blocks_fill_whole_weight_gradient() {
         let (x, w, b, split, lsh) = setup(16, 12, 4, 5, 30, 5);
-        let fwd = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
         let mut rng = AdrRng::seeded(6);
         let dy = Matrix::from_fn(16, 4, |_, _| rng.gauss());
-        let out = reuse_backward(&fwd.tables, &fwd.centroids, &split, &w, &dy);
+        let out = backward(&mut fwd, &split, &w, &dy);
         // Every weight row received a (generically) non-zero gradient.
         for r in 0..12 {
             let norm: f32 = out.weight_grad.row(r).iter().map(|v| v * v).sum();
@@ -233,25 +288,52 @@ mod tests {
     #[test]
     fn flops_scale_with_cluster_count() {
         let (x, w, b, split, lsh) = setup(64, 8, 4, 8, 2, 7);
-        let fwd_coarse = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (_, mut fwd_coarse) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
         let dy = Matrix::filled(64, 4, 1.0);
-        let coarse = reuse_backward(&fwd_coarse.tables, &fwd_coarse.centroids, &split, &w, &dy);
+        let coarse = backward(&mut fwd_coarse, &split, &w, &dy);
         let (x2, w2, b2, split2, lsh2) = setup(64, 8, 4, 8, 40, 7);
-        let fwd_fine = reuse_forward(&x2, &w2, &b2, &split2, &lsh2, None, None);
-        let fine = reuse_backward(&fwd_fine.tables, &fwd_fine.centroids, &split2, &w2, &dy);
+        let (_, mut fwd_fine) = reuse_forward(&x2, &w2, &b2, &split2, &lsh2, None, None);
+        let fine = backward(&mut fwd_fine, &split2, &w2, &dy);
         assert!(
-            fwd_coarse.tables[0].num_clusters() < fwd_fine.tables[0].num_clusters(),
+            fwd_coarse.tables()[0].num_clusters() < fwd_fine.tables()[0].num_clusters(),
             "precondition: H controls cluster count"
         );
         assert!(coarse.flops < fine.flops);
+    }
+
+    /// One arena carried across steps whose inputs cluster differently (a
+    /// handful of prototypes, then all-distinct rows) must give bitwise the
+    /// gradients of a fresh arena: every recycled buffer is re-sized and
+    /// fully rewritten, never read stale.
+    #[test]
+    fn recycled_arena_matches_a_fresh_one_across_changing_cluster_counts() {
+        let (x_fine, w, b, split, lsh) = setup(40, 13, 5, 4, 10, 11); // widths 4,4,4,1
+        let x_coarse = Matrix::from_fn(40, 13, |r, c| x_fine[(r % 3, c)]);
+        let hasher = PackedHasher::new(&split, &lsh);
+        let mut rng = AdrRng::seeded(12);
+        let mut recycled = ReuseArena::default();
+        let mut clusters = Vec::new();
+        for x in [&x_coarse, &x_fine, &x_coarse] {
+            let dy = Matrix::from_fn(40, 5, |_, _| rng.gauss());
+            reuse_forward_with(x, &w, &b, &split, &lsh, &hasher, None, None, &mut recycled);
+            clusters.push(recycled.tables()[0].num_clusters());
+            let got = backward(&mut recycled, &split, &w, &dy);
+            let (_, mut fresh) = reuse_forward(x, &w, &b, &split, &lsh, None, None);
+            let want = backward(&mut fresh, &split, &w, &dy);
+            assert_eq!(got.weight_grad.as_slice(), want.weight_grad.as_slice());
+            assert_eq!(got.delta_x_unf.as_slice(), want.delta_x_unf.as_slice());
+            assert_eq!(got.bias_grad, want.bias_grad);
+            assert_eq!(got.flops, want.flops);
+        }
+        assert!(clusters[0] < clusters[1], "precondition: cluster counts change ({clusters:?})");
     }
 
     #[test]
     #[should_panic(expected = "one table per sub-matrix")]
     fn wrong_table_count_panics() {
         let (x, w, b, split, lsh) = setup(8, 8, 2, 4, 8, 9);
-        let fwd = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
         let dy = Matrix::zeros(8, 2);
-        reuse_backward(&fwd.tables[..1], &fwd.centroids[..1], &split, &w, &dy);
+        backward(&mut fwd, &SubVecSplit::new(8, 8), &w, &dy);
     }
 }

@@ -17,7 +17,7 @@
 //! `H << M(1 − r_c)` trades against.
 
 use adr_clustering::assign::ClusterTable;
-use adr_clustering::lsh::{cluster_from_signatures_with_bits, LshTable};
+use adr_clustering::lsh::{cluster_from_signatures_into, GroupScratch, LshTable};
 use adr_clustering::reuse_cache::ReuseCache;
 use adr_tensor::matrix::Matrix;
 use adr_tensor::par::matmul_rows_range_into;
@@ -26,50 +26,72 @@ use crate::hashpack::PackedHasher;
 use crate::stats::ReuseStats;
 use crate::subvec::SubVecSplit;
 
-/// Recycled scratch buffers for the reuse forward pass.
+/// Recycled buffers of one reuse layer, shared by its forward and backward
+/// passes.
 ///
 /// Every buffer here is sized on first use and *reused* — heap capacity kept,
 /// contents reset — on every later call, so a steady-state training step's
-/// hash/centroid/scatter machinery allocates nothing. The arena owns only
-/// scratch: everything [`ForwardOutcome`] returns (output, tables, centroids)
-/// is still freshly allocated because the caller keeps it for the backward
-/// pass.
-#[derive(Debug)]
+/// hash/cluster/centroid/scatter machinery allocates nothing; the one thing a
+/// forward pass still allocates is the output it returns. Besides scratch,
+/// the arena holds the forward clustering ([`ReuseArena::tables`],
+/// [`ReuseArena::centroids`]) that [`crate::backward::reuse_backward`]
+/// consumes: it stays valid until the next forward pass through this arena.
+#[derive(Debug, Default)]
 pub struct ReuseArena {
     /// Row-major packed signatures, `N × num_subs`.
     sig_all: Vec<u64>,
+    /// Signature → cluster lookup tables of the grouping step.
+    group: GroupScratch,
+    /// Forming signature of each cluster, one sub-matrix at a time.
+    cluster_sigs: Vec<u64>,
+    /// Per-sub-matrix clustering of the latest forward pass.
+    pub(crate) tables: Vec<ClusterTable>,
+    /// Per-sub-matrix centroid matrices `x_c^(I)` (`|C_I| × L_I`).
+    pub(crate) centroids: Vec<Matrix>,
     /// Cluster ids whose signature missed the CR cache, one sub at a time.
     miss_rows: Vec<usize>,
     /// Gathered centroid rows of the cache misses (`|miss| × L_I`).
     miss_cent: Matrix,
     /// GEMM output for the cache misses (`|miss| × M`).
     miss_out: Matrix,
-    /// Per-sub-matrix cluster outputs `y_c^(I)` (`|C_I| × M`).
-    cluster_outputs: Vec<Matrix>,
+    /// Per-sub-matrix cluster outputs `y_c^(I)` (`|C_I| × M`). Dead once
+    /// the forward pass has scattered them, so the backward pass gathers
+    /// the same-shaped cluster gradients `δy_c^(I)` into these buffers.
+    pub(crate) cluster_outputs: Vec<Matrix>,
+    /// Per-sub-matrix centroid input-gradients `δx_c^(I)` (`|C_I| × L_I`).
+    pub(crate) centroid_grads: Vec<Matrix>,
 }
 
-impl Default for ReuseArena {
-    fn default() -> Self {
-        Self {
-            sig_all: Vec::new(),
-            miss_rows: Vec::new(),
-            miss_cent: Matrix::zeros(0, 0),
-            miss_out: Matrix::zeros(0, 0),
-            cluster_outputs: Vec::new(),
-        }
+impl ReuseArena {
+    /// Per-sub-matrix clustering of the input rows, as of the latest
+    /// forward pass through this arena.
+    pub fn tables(&self) -> &[ClusterTable] {
+        &self.tables
+    }
+
+    /// Per-sub-matrix centroid matrices `x_c^(I)` (`|C_I| × L_I`), as of the
+    /// latest forward pass through this arena.
+    pub fn centroids(&self) -> &[Matrix] {
+        &self.centroids
+    }
+
+    /// Frees the clustering (tables and centroids), keeping the scratch.
+    /// The clustering is state *for the backward pass*; after a forward
+    /// pass that none will follow — evaluation, serving — holding it only
+    /// pins one batch's worth of tables per layer in memory, and an
+    /// evaluation batch is often several times the training batch.
+    pub fn release_clustering(&mut self) {
+        self.tables.clear();
+        self.centroids.clear();
     }
 }
 
-/// Everything a reuse forward pass produces: the output plus the clustering
-/// state the backward pass will consume.
+/// What a reuse forward pass returns; the clustering state the backward
+/// pass consumes stays in the [`ReuseArena`].
 #[derive(Debug)]
 pub struct ForwardOutcome {
     /// `N × M` layer output (bias already added).
     pub output: Matrix,
-    /// Per-sub-matrix clustering of the input rows.
-    pub tables: Vec<ClusterTable>,
-    /// Per-sub-matrix centroid matrices `x_c^(I)` (`|C_I| × L_I`).
-    pub centroids: Vec<Matrix>,
     /// Observability snapshot.
     pub stats: ReuseStats,
 }
@@ -89,6 +111,9 @@ pub struct ForwardOutcome {
 ///   rows `i` and `j` may only share a cluster when `i/p == j/p` (§III-B).
 ///   `None` is the single-batch scope.
 ///
+/// Returns the outcome together with the freshly built arena holding the
+/// clustering, ready for [`crate::backward::reuse_backward`].
+///
 /// # Panics
 /// Panics on any dimension disagreement between the inputs, or when
 /// single-input scope is combined with caches (contradictory scopes).
@@ -100,15 +125,26 @@ pub fn reuse_forward(
     lsh: &[LshTable],
     caches: Option<&mut [ReuseCache]>,
     rows_per_image: Option<usize>,
-) -> ForwardOutcome {
+) -> (ForwardOutcome, ReuseArena) {
     let hasher = PackedHasher::new(split, lsh);
     let mut arena = ReuseArena::default();
-    reuse_forward_with(x_unf, weight, bias, split, lsh, &hasher, caches, rows_per_image, &mut arena)
+    let outcome = reuse_forward_with(
+        x_unf,
+        weight,
+        bias,
+        split,
+        lsh,
+        &hasher,
+        caches,
+        rows_per_image,
+        &mut arena,
+    );
+    (outcome, arena)
 }
 
 /// [`reuse_forward`] with a caller-owned [`PackedHasher`] and [`ReuseArena`]
 /// — the steady-state entry point. [`reuse_forward`] rebuilds the hasher and
-/// scratch buffers on every call; a training loop that owns both (the reuse
+/// every buffer on each call; a training loop that owns both (the reuse
 /// layer does) pays those allocations once per reconfiguration instead of
 /// once per batch.
 ///
@@ -150,12 +186,13 @@ pub fn reuse_forward_with(
     adr_tensor::checked_finite!(x_unf.as_slice(), "reuse forward: unfolded input");
     adr_tensor::checked_finite!(weight.as_slice(), "reuse forward: weight");
 
+    // Exactly one table / centroid matrix / output block per sub-matrix: a
+    // retune to fewer sub-matrices must not leave stale clusterings behind
+    // for the backward pass to find.
     let num_subs = split.num_sub_vectors();
-    let mut tables = Vec::with_capacity(num_subs);
-    let mut centroids = Vec::with_capacity(num_subs);
-    if arena.cluster_outputs.len() < num_subs {
-        arena.cluster_outputs.resize_with(num_subs, || Matrix::zeros(0, 0));
-    }
+    arena.tables.resize_with(num_subs, ClusterTable::default);
+    arena.centroids.resize_with(num_subs, Matrix::default);
+    arena.cluster_outputs.resize_with(num_subs, Matrix::default);
     let mut stats = ReuseStats { rows: n, num_sub_vectors: num_subs, ..Default::default() };
     let mut cluster_total = 0usize;
     let mut reuse_rate_sum = 0.0f64;
@@ -167,30 +204,40 @@ pub fn reuse_forward_with(
         hasher.hash_all_into(x_unf, &mut arena.sig_all);
     }
     let sig_all = &arena.sig_all;
+    let h_bits = hasher.num_hashes();
 
     for (i, &(start, end)) in split.ranges().iter().enumerate() {
         let width = end - start;
+        let table = &mut arena.tables[i];
+        let sigs = &mut arena.cluster_sigs;
         // Single-input scope folds the image index into the cluster key so
         // clusters never span images; the signature itself stays the pure
         // LSH output (what the CR cache would key on).
-        let h_bits = hasher.num_hashes();
         let cluster_span = adr_obs::span_phase(adr_obs::Phase::Cluster);
-        let (table, sigs) = match rows_per_image {
-            None => {
-                cluster_from_signatures_with_bits((0..n).map(|r| sig_all[r * num_subs + i]), h_bits)
-            }
+        match rows_per_image {
+            None => cluster_from_signatures_into(
+                (0..n).map(|r| sig_all[r * num_subs + i]),
+                h_bits,
+                &mut arena.group,
+                table,
+                sigs,
+            ),
             Some(p) => {
                 let img_bits = usize::BITS as usize - (n / p - 1).leading_zeros() as usize;
-                cluster_from_signatures_with_bits(
+                cluster_from_signatures_into(
                     (0..n).map(|r| sig_all[r * num_subs + i] | (((r / p) as u64) << h_bits)),
                     (h_bits + img_bits).min(64),
-                )
+                    &mut arena.group,
+                    table,
+                    sigs,
+                );
             }
-        };
+        }
         drop(cluster_span);
         stats.hash_flops += lsh[i].hashing_flops(n);
         let gemm_span = adr_obs::span_phase(adr_obs::Phase::CentroidGemm);
-        let cent = table.centroids_range(x_unf, start, end);
+        let cent = &mut arena.centroids[i];
+        table.centroids_range_into(x_unf, start, end, cent);
         adr_tensor::checked_finite_rows!(
             cent.as_slice(),
             width,
@@ -236,7 +283,7 @@ pub fn reuse_forward_with(
             }
             None => {
                 stats.gemm_flops += (num_clusters * width * m) as u64;
-                matmul_rows_range_into(&cent, weight, (start, end), y_c);
+                matmul_rows_range_into(cent, weight, (start, end), y_c);
             }
         }
         drop(gemm_span);
@@ -252,13 +299,11 @@ pub fn reuse_forward_with(
             "reuse forward: sub-matrix {i} cluster outputs (row = cluster id)"
         );
         stats.add_flops += (n * m) as u64;
-        tables.push(table);
-        centroids.push(cent);
     }
 
     // Row-parallel reconstruction: out[r] = bias + Σ_I y_c^(I)[cluster_I(r)].
     let scatter_span = adr_obs::span_phase(adr_obs::Phase::Scatter);
-    let output = reconstruct(n, m, bias, &tables, &arena.cluster_outputs[..num_subs]);
+    let output = reconstruct(n, m, bias, &arena.tables, &arena.cluster_outputs);
     drop(scatter_span);
     adr_tensor::checked_finite!(output.as_slice(), "reuse forward: reconstructed output");
 
@@ -267,7 +312,7 @@ pub fn reuse_forward_with(
     if caches.is_some() {
         stats.reuse_rate = reuse_rate_sum / num_subs as f64;
     }
-    ForwardOutcome { output, tables, centroids, stats }
+    ForwardOutcome { output, stats }
 }
 
 /// Sums the per-sub-matrix cluster outputs into the `N × M` layer output,
@@ -328,11 +373,11 @@ mod tests {
         let (x, w, b) = random_problem(24, 12, 5, 1);
         let split = SubVecSplit::new(12, 12);
         let lsh = lsh_families(&split, 40, 2);
-        let out = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
         let mut dense = x.matmul(&w);
         dense.add_row_bias(&b);
         // Random Gaussian rows almost surely land in distinct clusters.
-        assert_eq!(out.tables[0].num_clusters(), 24);
+        assert_eq!(arena.tables()[0].num_clusters(), 24);
         assert!(out.output.max_abs_diff(&dense) < 1e-3);
     }
 
@@ -346,8 +391,8 @@ mod tests {
         let w = Matrix::from_fn(8, 6, |_, _| rng.gauss());
         let split = SubVecSplit::new(8, 8);
         let lsh = lsh_families(&split, 16, 4);
-        let out = reuse_forward(&x, &w, &[0.0; 6], &split, &lsh, None, None);
-        assert_eq!(out.tables[0].num_clusters(), 4);
+        let (out, arena) = reuse_forward(&x, &w, &[0.0; 6], &split, &lsh, None, None);
+        assert_eq!(arena.tables()[0].num_clusters(), 4);
         assert!((out.stats.avg_remaining_ratio - 4.0 / 32.0).abs() < 1e-12);
         // Exactness: centroids of identical rows are the rows themselves.
         let dense = x.matmul(&w);
@@ -360,14 +405,14 @@ mod tests {
         let (x, w, b) = random_problem(16, 10, 4, 5);
         let split = SubVecSplit::new(10, 4); // ranges 0..4, 4..8, 8..10
         let lsh = lsh_families(&split, 40, 6);
-        let out = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
         let mut dense = x.matmul(&w);
         dense.add_row_bias(&b);
-        if out.tables.iter().all(|t| t.num_clusters() == 16) {
+        if arena.tables().iter().all(|t| t.num_clusters() == 16) {
             assert!(out.output.max_abs_diff(&dense) < 1e-3);
         }
-        assert_eq!(out.tables.len(), 3);
-        assert_eq!(out.centroids[2].cols(), 2);
+        assert_eq!(arena.tables().len(), 3);
+        assert_eq!(arena.centroids()[2].cols(), 2);
     }
 
     #[test]
@@ -378,10 +423,10 @@ mod tests {
         let (x, w, b) = random_problem(512, 24, 16, 13);
         let split = SubVecSplit::new(24, 8);
         let lsh = lsh_families(&split, 48, 14);
-        let out = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
         let mut dense = x.matmul(&w);
         dense.add_row_bias(&b);
-        if out.tables.iter().all(|t| t.num_clusters() == 512) {
+        if arena.tables().iter().all(|t| t.num_clusters() == 512) {
             assert!(out.output.max_abs_diff(&dense) < 1e-2);
         } else {
             // Even with some collisions the output must stay finite & close.
@@ -402,7 +447,7 @@ mod tests {
         let split = SubVecSplit::new(16, 16);
         let err = |h: usize| {
             let lsh = lsh_families(&split, h, 11);
-            let out = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+            let (out, _) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
             out.output.max_abs_diff(&dense)
         };
         let coarse = err(2);
@@ -415,13 +460,13 @@ mod tests {
         let (x, w, b) = random_problem(20, 12, 6, 8);
         let split = SubVecSplit::new(12, 4);
         let lsh = lsh_families(&split, 8, 9);
-        let out = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
         // hash: N * K * H  (all sub-matrices together hash every element).
         assert_eq!(out.stats.hash_flops, (20 * 12 * 8) as u64);
         // adds: N * M per sub-matrix.
         assert_eq!(out.stats.add_flops, (3 * 20 * 6) as u64);
         // gemm: sum over sub-matrices of |C_I| * L_I * M.
-        let expect: u64 = out.tables.iter().map(|t| (t.num_clusters() * 4 * 6) as u64).sum();
+        let expect: u64 = arena.tables().iter().map(|t| (t.num_clusters() * 4 * 6) as u64).sum();
         assert_eq!(out.stats.gemm_flops, expect);
     }
 
@@ -432,12 +477,12 @@ mod tests {
         let lsh = lsh_families(&split, 10, 11);
         let mut caches = vec![ReuseCache::new(5)];
         caches[0].begin_batch();
-        let first = reuse_forward(&x, &w, &b, &split, &lsh, Some(&mut caches), None);
+        let (first, _) = reuse_forward(&x, &w, &b, &split, &lsh, Some(&mut caches), None);
         let first_gemm = first.stats.gemm_flops;
         assert!(first_gemm > 0);
         // Same batch again: every signature is cached.
         caches[0].begin_batch();
-        let second = reuse_forward(&x, &w, &b, &split, &lsh, Some(&mut caches), None);
+        let (second, _) = reuse_forward(&x, &w, &b, &split, &lsh, Some(&mut caches), None);
         assert_eq!(second.stats.gemm_flops, 0, "all clusters reused");
         assert!(second.output.max_abs_diff(&first.output) < 1e-5);
         caches[0].begin_batch();
@@ -450,6 +495,6 @@ mod tests {
         let (x, w, b) = random_problem(4, 8, 2, 12);
         let split = SubVecSplit::new(8, 4);
         let lsh = lsh_families(&SubVecSplit::new(8, 8), 4, 13);
-        reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let _ = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
     }
 }

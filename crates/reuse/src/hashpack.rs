@@ -9,19 +9,29 @@
 //! sub-vector signature, parallelised over row chunks.
 
 use adr_clustering::lsh::LshTable;
+use adr_tensor::kernels::project::{project_signs, ROW_BLOCK};
 use adr_tensor::matrix::Matrix;
+use adr_tensor::simd::LANES;
 
 use crate::subvec::SubVecSplit;
+
+/// Rows handed to one kernel call: two register blocks.
+const ROW_BAND: usize = ROW_BLOCK;
 
 /// Hyperplanes of all sub-matrices packed for one streaming pass per row.
 #[derive(Clone, Debug)]
 pub struct PackedHasher {
     k: usize,
     h: usize,
-    /// End column of each sub-matrix, ascending.
-    boundaries: Vec<usize>,
-    /// `K·H` floats: `packed[k·H + j]` is hyperplane `j` of sub-matrix
-    /// `sub(k)` at local dimension `k − start(sub(k))`.
+    /// `H` rounded up to whole 8-lane chunks; the padding lanes are zero
+    /// hyperplanes, so every `H` in `1..=64` runs the same kernel.
+    lanes: usize,
+    /// Column range of each sub-matrix, ascending.
+    ranges: Vec<(usize, usize)>,
+    /// `K · lanes` floats. Sub-matrix `i` with columns `[start, end)` owns
+    /// `packed[start · lanes..end · lanes]`, laid out in the chunk-major
+    /// form [`project_signs`] reads: component `local` of hyperplane
+    /// `8·c + l` sits at `((c · (end − start)) + local) · 8 + l`.
     packed: Vec<f32>,
 }
 
@@ -44,26 +54,27 @@ impl PackedHasher {
         let h = lsh[0].num_hashes();
         assert!((1..=64).contains(&h), "H must be in 1..=64");
         let k = split.k();
-        let mut packed = vec![0.0f32; k * h];
-        let mut boundaries = Vec::with_capacity(lsh.len());
-        for (i, &(start, end)) in split.ranges().iter().enumerate() {
-            assert_eq!(lsh[i].dim(), end - start, "family {i} width mismatch");
-            assert_eq!(lsh[i].num_hashes(), h, "family {i} must share H");
-            let planes = lsh[i].hyperplanes(); // H × L_i
-            for local in 0..(end - start) {
-                let dst = &mut packed[(start + local) * h..(start + local) * h + h];
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = planes[(j, local)];
+        let lanes = h.div_ceil(LANES) * LANES;
+        let mut packed = vec![0.0f32; k * lanes];
+        for (i, (family, &(start, end))) in lsh.iter().zip(split.ranges()).enumerate() {
+            let width = end - start;
+            assert_eq!(family.dim(), width, "family {i} width mismatch");
+            assert_eq!(family.num_hashes(), h, "family {i} must share H");
+            let planes = family.hyperplanes(); // H × L_i
+            let block = &mut packed[start * lanes..end * lanes];
+            for j in 0..h {
+                let chunk = &mut block[(j / LANES) * width * LANES..][..width * LANES];
+                for (local, lane_row) in chunk.chunks_exact_mut(LANES).enumerate() {
+                    lane_row[j % LANES] = planes[(j, local)];
                 }
             }
-            boundaries.push(end);
         }
-        Self { k, h, boundaries, packed }
+        Self { k, h, lanes, ranges: split.ranges().to_vec(), packed }
     }
 
     /// Number of sub-matrices.
     pub fn num_subs(&self) -> usize {
-        self.boundaries.len()
+        self.ranges.len()
     }
 
     /// Hash count `H`.
@@ -106,41 +117,29 @@ impl PackedHasher {
     }
 
     /// Hashes rows `[row0, row0 + count)` into `out` (length `count · subs`).
+    ///
+    /// Walks one band of rows across all sub-matrices before moving down,
+    /// so `x` streams through the cache once and every row of the band is a
+    /// sequential read.
     fn hash_rows(&self, x: &Matrix, row0: usize, count: usize, out: &mut [u64]) {
         let subs = self.num_subs();
-        let h = self.h;
-        let mut acc = [0.0f32; 64];
-        for r in 0..count {
-            let row = x.row(row0 + r);
-            let sig_row = &mut out[r * subs..(r + 1) * subs];
-            let mut sub = 0usize;
-            acc[..h].fill(0.0);
-            for (k, &xv) in row.iter().enumerate() {
-                if k == self.boundaries[sub] {
-                    sig_row[sub] = pack_signs(&acc[..h]);
-                    acc[..h].fill(0.0);
-                    sub += 1;
-                }
-                let planes = &self.packed[k * h..k * h + h];
-                // Element-wise vector saxpy: bitwise identical to the scalar
-                // loop (one IEEE mul + add per projection, same order).
-                adr_tensor::kernels::saxpy(&mut acc[..h], xv, planes);
+        let x = &x.as_slice()[row0 * self.k..(row0 + count) * self.k];
+        for r in (0..count).step_by(ROW_BAND) {
+            let rows = ROW_BAND.min(count - r);
+            for (i, &(start, end)) in self.ranges.iter().enumerate() {
+                project_signs(
+                    &x[r * self.k + start..],
+                    self.k,
+                    rows,
+                    end - start,
+                    &self.packed[start * self.lanes..end * self.lanes],
+                    self.lanes / LANES,
+                    &mut out[r * subs + i..],
+                    subs,
+                );
             }
-            sig_row[sub] = pack_signs(&acc[..h]);
         }
     }
-}
-
-/// Eq. 4 sign-packing: bit `j` set iff `proj_j > 0`.
-#[inline]
-fn pack_signs(proj: &[f32]) -> u64 {
-    let mut sig = 0u64;
-    for (j, &v) in proj.iter().enumerate() {
-        if v > 0.0 {
-            sig |= 1 << j;
-        }
-    }
-    sig
 }
 
 #[cfg(test)]
@@ -151,6 +150,66 @@ mod tests {
     fn families(split: &SubVecSplit, h: usize, seed: u64) -> Vec<LshTable> {
         let mut rng = AdrRng::seeded(seed);
         split.ranges().iter().map(|&(a, b)| LshTable::new(b - a, h, &mut rng)).collect()
+    }
+
+    /// The scalar sign-dot loop of Eq. 4 — `acc += x · v` from `0.0` in
+    /// ascending column order — which the packed kernel must reproduce bit
+    /// for bit on every lane, block and chunk shape.
+    fn scalar_signature(family: &LshTable, window: &[f32]) -> u64 {
+        let mut sig = 0u64;
+        for j in 0..family.num_hashes() {
+            let mut acc = 0.0f32;
+            for (&xv, &pv) in window.iter().zip(family.hyperplanes().row(j)) {
+                acc += xv * pv;
+            }
+            if acc > 0.0 {
+                sig |= 1 << j;
+            }
+        }
+        sig
+    }
+
+    fn assert_matches_scalar(x: &Matrix, split: &SubVecSplit, lsh: &[LshTable], what: &str) {
+        let all = PackedHasher::new(split, lsh).hash_all(x);
+        let subs = split.num_sub_vectors();
+        assert_eq!(all.len(), x.rows() * subs, "{what}");
+        for r in 0..x.rows() {
+            for (i, &(a, b)) in split.ranges().iter().enumerate() {
+                let expect = scalar_signature(&lsh[i], &x.row(r)[a..b]);
+                assert_eq!(all[r * subs + i], expect, "{what}: row {r} sub {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn bitwise_equal_to_the_scalar_loop_across_h_l_and_row_shapes() {
+        const K: usize = 19;
+        let mut rng = AdrRng::seeded(21);
+        // 1 row, fewer rows than a register block, a whole block, ragged tails.
+        for rows in [1usize, 3, 4, 7, 13] {
+            let x = Matrix::from_fn(rows, K, |_, _| rng.gauss());
+            for h in [1usize, 5, 8, 9, 16, 33, 64] {
+                // L = 3 and L = 8 leave a short tail sub-vector (K % L != 0).
+                for l in [1usize, 3, 8, K] {
+                    let split = SubVecSplit::new(K, l);
+                    let lsh = families(&split, h, (h * 100 + l) as u64);
+                    assert_matches_scalar(&x, &split, &lsh, &format!("rows={rows} H={h} L={l}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_family_hashes_everything_to_zero() {
+        let mut rng = AdrRng::seeded(22);
+        let x = Matrix::from_fn(6, 10, |_, _| rng.gauss() * 1e6);
+        for h in [3usize, 8, 64] {
+            let split = SubVecSplit::new(10, 4); // widths 4,4,2
+            let lsh: Vec<LshTable> =
+                split.ranges().iter().map(|&(a, b)| LshTable::constant(b - a, h)).collect();
+            assert!(PackedHasher::new(&split, &lsh).hash_all(&x).iter().all(|&s| s == 0));
+            assert_matches_scalar(&x, &split, &lsh, &format!("constant family H={h}"));
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! `ReuseConv2d` — a drop-in deep-reuse replacement for `Conv2d`.
 
-use adr_clustering::assign::ClusterTable;
 use adr_clustering::lsh::LshTable;
 use adr_clustering::reuse_cache::ReuseCache;
 use adr_nn::flops::{FlopMeter, FlopReport};
@@ -18,14 +17,6 @@ use crate::hashpack::PackedHasher;
 use crate::stats::ReuseStats;
 use crate::subvec::SubVecSplit;
 use crate::{ClusterScope, DegenerateClustering, ReuseConfig};
-
-/// Forward-pass state the backward pass consumes (§IV: the backward pass
-/// reuses the forward clustering instead of re-clustering).
-struct CachedForward {
-    tables: Vec<ClusterTable>,
-    centroids: Vec<Matrix>,
-    batch: usize,
-}
 
 /// A convolutional layer that applies adaptive deep reuse.
 ///
@@ -59,15 +50,22 @@ pub struct ReuseConv2d {
     /// staleness. Inference forwards never invalidate (weights are frozen).
     cache_refresh_every: usize,
     train_batches_since_refresh: usize,
-    cached: Option<CachedForward>,
+    /// Batch size of the latest *training* forward pass, whose clustering
+    /// the arena holds for the backward pass (§IV: the backward pass reuses
+    /// the forward clustering instead of re-clustering). `None` once the
+    /// backward pass consumed it, or when the families changed under it.
+    cached_batch: Option<usize>,
     /// Packed form of the current `(split, lsh)` pair, rebuilt whenever the
     /// families are (config retune, degenerate-clustering injection, repair).
     /// `None` only during construction, before the first family build.
     hasher: Option<PackedHasher>,
-    /// Recycled forward-pass scratch (signatures, miss batches, cluster
-    /// outputs) — steady-state forwards reuse its heap capacity.
+    /// Recycled forward and backward buffers (signatures, clustering,
+    /// centroids, miss batches, cluster outputs, cluster gradients) —
+    /// steady-state steps reuse its heap capacity.
     arena: ReuseArena,
-    /// Recycled im2col output; sized on the first forward, reused after.
+    /// Recycled `N × K` buffer: the im2col output in the forward pass and,
+    /// once the clustering has replaced it, the unfolded input gradient in
+    /// the backward pass. Sized on the first forward, reused after.
     unfolded: Matrix,
     meter: FlopMeter,
     stats: ReuseStats,
@@ -103,7 +101,7 @@ impl ReuseConv2d {
             caches: Vec::new(),
             cache_refresh_every: 8,
             train_batches_since_refresh: 0,
-            cached: None,
+            cached_batch: None,
             hasher: None,
             arena: ReuseArena::default(),
             unfolded: Matrix::zeros(0, 0),
@@ -155,7 +153,7 @@ impl ReuseConv2d {
             Vec::new()
         };
         self.hasher = Some(PackedHasher::new(&self.split, &self.lsh));
-        self.cached = None;
+        self.cached_batch = None;
     }
 
     /// The active reuse configuration.
@@ -224,7 +222,7 @@ impl ReuseConv2d {
         } else {
             Vec::new()
         };
-        self.cached = None;
+        self.cached_batch = None;
     }
 
     /// Drops to the exact im2col GEMM path: one full-width sub-vector and
@@ -430,11 +428,10 @@ impl Layer for ReuseConv2d {
         let baseline = (n * k * self.out_channels) as u64;
         self.meter.add_forward(self.stats.total_forward_flops(), baseline);
         self.record_telemetry(baseline);
-        self.cached = (mode == Mode::Train).then_some(CachedForward {
-            tables: outcome.tables,
-            centroids: outcome.centroids,
-            batch: input.batch(),
-        });
+        self.cached_batch = (mode == Mode::Train).then_some(input.batch());
+        if self.cached_batch.is_none() {
+            self.arena.release_clustering();
+        }
         Tensor4::from_vec(
             input.batch(),
             self.geom.out_h(),
@@ -446,18 +443,21 @@ impl Layer for ReuseConv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let cached =
-            self.cached.take().expect("backward called without a preceding training forward");
-        let n = self.geom.rows_for_batch(cached.batch);
-        let delta_y = Matrix::from_vec(n, self.out_channels, grad_out.as_slice().to_vec())
-            .expect("grad_out shape mismatch");
-        let outcome =
-            reuse_backward(&cached.tables, &cached.centroids, &self.split, &self.weight, &delta_y);
+        let batch =
+            self.cached_batch.take().expect("backward called without a preceding training forward");
+        let n = self.geom.rows_for_batch(batch);
+        let flops = reuse_backward(
+            &mut self.arena,
+            &self.split,
+            &self.weight,
+            grad_out.as_slice(),
+            &mut self.weight_grad,
+            &mut self.bias_grad,
+            &mut self.unfolded,
+        );
         let baseline = (2 * n * self.geom.k() * self.out_channels) as u64;
-        self.meter.add_backward(outcome.flops, baseline);
-        self.weight_grad = outcome.weight_grad;
-        self.bias_grad = outcome.bias_grad;
-        col2im(&outcome.delta_x_unf, &self.geom, cached.batch)
+        self.meter.add_backward(flops, baseline);
+        col2im(&self.unfolded, &self.geom, batch)
     }
 
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
@@ -574,6 +574,21 @@ mod tests {
         let wnorm: f32 = layer.weight_grad.as_slice().iter().map(|v| v * v).sum();
         assert!(wnorm > 0.0);
         assert!(layer.bias_grad.iter().all(|&b| (b - 16.0).abs() < 1e-4));
+    }
+
+    #[test]
+    fn only_a_training_forward_keeps_its_clustering_for_backward() {
+        let mut layer = reuse_layer(6, 10, false, 4);
+        let x = Tensor4::from_fn(2, 6, 6, 2, |_, y, xx, c| ((y + xx + c) % 5) as f32 * 0.3);
+        layer.forward(&x, Mode::Train);
+        assert_eq!(layer.arena.tables().len(), 3);
+        assert_eq!(layer.arena.centroids().len(), 3);
+        // An evaluation pass has no backward: it frees the tables instead of
+        // pinning an evaluation batch's worth of them in every layer.
+        layer.forward(&x, Mode::Eval);
+        assert!(layer.arena.tables().is_empty() && layer.arena.centroids().is_empty());
+        layer.forward(&x, Mode::Train);
+        assert_eq!(layer.backward(&Tensor4::zeros(2, 4, 4, 4)).shape(), (2, 6, 6, 2));
     }
 
     #[test]

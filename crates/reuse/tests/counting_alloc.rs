@@ -5,9 +5,10 @@
 //! state hits them. A counting `#[global_allocator]` wraps the system
 //! allocator, threads are pinned to one (so no fan-out allocations), and
 //! no metrics sink is attached (so spans take the allocation-free
-//! disabled path). After warmup, every additional step of the exact and
-//! reuse forward paths must perform exactly the per-step allocation
-//! count pinned in `adr-check.budget`'s `[runtime]` section — a new
+//! disabled path). After warmup, every additional step of the exact
+//! forward, reuse forward and reuse backward paths must perform exactly the
+//! per-step allocation count pinned in `adr-check.budget`'s `[runtime]`
+//! section — a new
 //! allocation in the inner loop fails here even if a reviewer waves it
 //! through the static table.
 //!
@@ -24,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use adr_clustering::lsh::LshTable;
 use adr_clustering::reuse_cache::ReuseCache;
+use adr_reuse::backward::reuse_backward;
 use adr_reuse::forward::{reuse_forward_with, ReuseArena};
 use adr_reuse::hashpack::PackedHasher;
 use adr_reuse::subvec::SubVecSplit;
@@ -142,29 +144,19 @@ fn steady_state_allocation_counts_match_the_budget() {
     let mut arena = ReuseArena::default();
     let mut caches: Vec<ReuseCache> = (0..num_subs).map(|_| ReuseCache::new(4)).collect();
 
-    let mut reuse_step = |caches: &mut Vec<ReuseCache>| {
+    let reuse_step = |caches: &mut Vec<ReuseCache>, arena: &mut ReuseArena| {
         for c in caches.iter_mut() {
             c.begin_batch();
         }
-        reuse_forward_with(
-            &x_unf,
-            &weight,
-            &bias,
-            &split,
-            &lsh,
-            &hasher,
-            Some(caches),
-            None,
-            &mut arena,
-        )
+        reuse_forward_with(&x_unf, &weight, &bias, &split, &lsh, &hasher, Some(caches), None, arena)
     };
     for _ in 0..2 {
-        let _ = reuse_step(&mut caches); // warmup: fills cache and arena
+        let _ = reuse_step(&mut caches, &mut arena); // warmup: fills cache and arena
     }
     let expected = runtime_budget("reuse_forward_step");
     for step in 0..3 {
         let before = allocs();
-        let out = reuse_step(&mut caches);
+        let out = reuse_step(&mut caches, &mut arena);
         let after = allocs();
         assert_eq!(out.stats.gemm_flops, 0, "steady state must be all cache hits");
         assert_eq!(
@@ -172,6 +164,41 @@ fn steady_state_allocation_counts_match_the_budget() {
             expected,
             "reuse forward step {step}: allocation count drifted from \
              adr-check.budget `reuse_forward_step`"
+        );
+    }
+
+    // Reuse backward from the clustering the last forward left in the
+    // arena, into the long-lived gradient buffers a layer owns.
+    let n = x_unf.rows();
+    let delta_y = Matrix::from_fn(n, 4, |r, c| (r * 4 + c) as f32 * 0.001 - 0.1);
+    let mut weight_grad = Matrix::zeros(geom.k(), 4);
+    let mut bias_grad = [0.0f32; 4];
+    let mut delta_x_unf = Matrix::default();
+    let mut backward_step = |arena: &mut ReuseArena| {
+        reuse_backward(
+            arena,
+            &split,
+            &weight,
+            delta_y.as_slice(),
+            &mut weight_grad,
+            &mut bias_grad,
+            &mut delta_x_unf,
+        )
+    };
+    for _ in 0..2 {
+        backward_step(&mut arena); // warmup: sizes the gradient scratch
+    }
+    let expected = runtime_budget("reuse_backward_step");
+    for step in 0..3 {
+        let before = allocs();
+        let flops = backward_step(&mut arena);
+        let after = allocs();
+        assert!(flops > 0);
+        assert_eq!(
+            after - before,
+            expected,
+            "reuse backward step {step}: allocation count drifted from \
+             adr-check.budget `reuse_backward_step`"
         );
     }
 }

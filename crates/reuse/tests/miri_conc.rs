@@ -1,16 +1,18 @@
-//! Concurrency tests for the packed-hashing fan-out, curated for
-//! `cargo miri test`: tiny inputs, with the parallel path forced through
-//! [`adr_tensor::par::set_thread_override`] because no interpretable
+//! Concurrency tests for the packed-hashing and reuse-backward fan-outs,
+//! curated for `cargo miri test`: tiny inputs, with the parallel path forced
+//! through [`adr_tensor::par::set_thread_override`] because no interpretable
 //! problem size reaches the compute crossover under Miri.
 //!
 //! Signatures are `u64`s produced by an identical per-row accumulation in
-//! both paths, so serial and forced-parallel results must be *equal*, not
-//! merely close.
+//! both paths, and every gradient element is written by exactly one block in
+//! the same loop order, so serial and forced-parallel results must be
+//! *equal*, not merely close.
 
 // Test code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]
 
 use adr_clustering::lsh::LshTable;
+use adr_reuse::backward::reuse_backward;
 use adr_reuse::forward::{reuse_forward, reuse_forward_with, ReuseArena};
 use adr_reuse::hashpack::PackedHasher;
 use adr_reuse::subvec::SubVecSplit;
@@ -81,7 +83,7 @@ fn arena_forward_is_bitwise_equal_to_the_rebuilding_wrapper() {
     let split = SubVecSplit::new(12, 5); // widths 5,5,2
     let lsh = families(&split, 8, 42);
     set_thread_override(None);
-    let wrapper = reuse_forward(&x, &w, &bias, &split, &lsh, None, None);
+    let (wrapper, wrapper_arena) = reuse_forward(&x, &w, &bias, &split, &lsh, None, None);
     let hasher = PackedHasher::new(&split, &lsh);
     let mut arena = ReuseArena::default();
     set_thread_override(Some(2));
@@ -89,11 +91,64 @@ fn arena_forward_is_bitwise_equal_to_the_rebuilding_wrapper() {
         let with_arena =
             reuse_forward_with(&x, &w, &bias, &split, &lsh, &hasher, None, None, &mut arena);
         assert_eq!(with_arena.output.as_slice(), wrapper.output.as_slice(), "round {round}");
-        for (i, (a, b)) in with_arena.centroids.iter().zip(&wrapper.centroids).enumerate() {
+        for (i, (a, b)) in arena.centroids().iter().zip(wrapper_arena.centroids()).enumerate() {
             assert_eq!(a.as_slice(), b.as_slice(), "round {round} sub {i} centroids");
         }
     }
     set_thread_override(None);
+    shutdown();
+}
+
+/// Flattened gradients of one backward pass at the given forced worker count.
+fn backward_at(
+    threads: usize,
+    arena: &mut ReuseArena,
+    split: &SubVecSplit,
+    w: &Matrix,
+    dy: &Matrix,
+) -> Vec<u32> {
+    let mut weight_grad = Matrix::filled(w.rows(), w.cols(), f32::NAN);
+    let mut bias_grad = vec![f32::NAN; w.cols()];
+    let mut delta_x_unf = Matrix::default();
+    set_thread_override(Some(threads));
+    let flops = reuse_backward(
+        arena,
+        split,
+        w,
+        dy.as_slice(),
+        &mut weight_grad,
+        &mut bias_grad,
+        &mut delta_x_unf,
+    );
+    set_thread_override(None);
+    assert!(flops > 0);
+    assert_eq!(delta_x_unf.shape(), (dy.rows(), w.rows()));
+    let all = weight_grad.as_slice().iter().chain(&bias_grad).chain(delta_x_unf.as_slice());
+    all.map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn backward_fan_out_is_bitwise_serial_at_every_worker_count() {
+    // Both phases of the backward pass — sub-matrix tasks, then the row
+    // scatter — at one worker, two, and more workers than sub-matrices (and
+    // than rows per block): every block owns disjoint bands and scratch, so
+    // the gradients may not differ in a single bit.
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut rng = AdrRng::seeded(51);
+    // Few distinct rows, so clusters have several members each.
+    let protos = Matrix::from_fn(3, 11, |_, _| rng.gauss());
+    let x = Matrix::from_fn(9, 11, |r, c| protos[(r % 3, c)]);
+    let w = Matrix::from_fn(11, 3, |_, _| rng.gauss() * 0.3);
+    let dy = Matrix::from_fn(9, 3, |_, _| rng.gauss());
+    let split = SubVecSplit::new(11, 4); // widths 4,4,3
+    let lsh = families(&split, 6, 52);
+    set_thread_override(None);
+    let (_, mut arena) = reuse_forward(&x, &w, &[0.0; 3], &split, &lsh, None, None);
+    assert!(arena.tables()[0].num_clusters() < 9, "precondition: shared clusters");
+    let serial = backward_at(1, &mut arena, &split, &w, &dy);
+    for workers in [2usize, 5] {
+        assert_eq!(backward_at(workers, &mut arena, &split, &w, &dy), serial, "{workers} workers");
+    }
     shutdown();
 }
 
@@ -117,6 +172,24 @@ mod miri_only {
             assert_eq!(packed.hash_all(&x), reference, "{workers} workers");
         }
         set_thread_override(None);
+        shutdown();
+    }
+
+    #[test]
+    fn backward_tasks_are_race_free_at_every_worker_count() {
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut rng = AdrRng::seeded(61);
+        let x = Matrix::from_fn(6, 7, |r, _| (r % 2) as f32 + rng.gauss() * 1e-3);
+        let w = Matrix::from_fn(7, 2, |_, _| rng.gauss());
+        let dy = Matrix::from_fn(6, 2, |_, _| rng.gauss());
+        let split = SubVecSplit::new(7, 2); // widths 2,2,2,1
+        let lsh = families(&split, 3, 62);
+        set_thread_override(None);
+        let (_, mut arena) = reuse_forward(&x, &w, &[0.0; 2], &split, &lsh, None, None);
+        let reference = backward_at(1, &mut arena, &split, &w, &dy);
+        for workers in [2usize, 3, 4, 7] {
+            assert_eq!(backward_at(workers, &mut arena, &split, &w, &dy), reference);
+        }
         shutdown();
     }
 }

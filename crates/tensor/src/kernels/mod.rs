@@ -2,7 +2,7 @@
 //!
 //! The blocked GEMM ([`crate::matrix`]), the LSH sign-dot projection
 //! (`adr-reuse`'s packed hasher), and the parallel fan-out helpers all
-//! bottom out in the two primitives here, built on [`crate::simd::F32x8`]:
+//! bottom out in the primitives here, built on [`crate::simd::F32x8`]:
 //!
 //! * [`saxpy`] — `c[j] += a * b[j]`, element-wise. Bitwise identical to the
 //!   scalar loop for every lane width because each element still sees exactly
@@ -11,6 +11,8 @@
 //!   [`crate::simd::F32x8::hsum`] tree plus an in-order scalar tail. The
 //!   reduction shape is part of the determinism contract: it is identical on
 //!   every backend and every run, so two-run and serial-vs-parallel pins hold.
+//! * [`project_signs`] — the register-blocked sign-projection micro-kernel
+//!   behind LSH hashing ([`project`]).
 //!
 //! This directory (and [`crate::simd`]) are the only modules `adr-check conc`
 //! approves for unsafe kernel code; [`pool`] hosts the persistent worker pool
@@ -18,6 +20,9 @@
 //! sites.
 
 pub mod pool;
+pub mod project;
+
+pub use project::project_signs;
 
 use crate::simd::{F32x8, LANES};
 

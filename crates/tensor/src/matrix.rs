@@ -11,8 +11,9 @@ use std::ops::{Index, IndexMut};
 /// a multiple of typical cache-line size; chosen empirically on x86-64.
 const BLOCK: usize = 64;
 
-/// A dense, row-major matrix of `f32`.
-#[derive(Clone, PartialEq)]
+/// A dense, row-major matrix of `f32`. The default is the empty `0 × 0`
+/// matrix — the unsized state of a recycled buffer.
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -62,6 +63,20 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Reshapes to `rows × cols` *without* clearing: the heap buffer is kept
+    /// and only elements beyond the old length are zero-filled, so the
+    /// contents are unspecified (stale values from the previous shape). For
+    /// output buffers whose every element the caller overwrites — skips the
+    /// full-matrix memset [`Matrix::reset`] pays.
+    ///
+    /// # Shape
+    /// Output becomes `rows × cols`, row-major, contents unspecified.
+    pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
         self.data.resize(rows * cols, 0.0);
     }
 
@@ -279,19 +294,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.cols, other.cols);
-        // out[i][j] = sum_k self[k][i] * other[k][j]
-        // Loop k outermost: each k contributes rank-1 update rowA ⊗ rowB.
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = other.row(k);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let o = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                crate::kernels::saxpy(o, a, b_row);
-            }
-        }
+        gemm_ta_rows(&self.data, &other.data, &mut out.data, self.rows, self.cols, other.cols);
         out
     }
 
@@ -309,14 +312,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let o = &mut out.data[r * other.rows..(r + 1) * other.rows];
-            for (j, oj) in o.iter_mut().enumerate() {
-                let b_row = &other.data[j * other.cols..(j + 1) * other.cols];
-                *oj = dot(a_row, b_row);
-            }
-        }
+        gemm_tb_rows(&self.data, &other.data, &mut out.data, self.rows, self.cols, other.rows);
         out
     }
 
@@ -367,11 +363,7 @@ impl Matrix {
     /// Used for the bias gradient `∇b = Σ_rows δy`.
     pub fn column_sums(&self) -> Vec<f32> {
         let mut sums = vec![0.0f32; self.cols];
-        for r in 0..self.rows {
-            for (s, v) in sums.iter_mut().zip(self.row(r).iter()) {
-                *s += v;
-            }
-        }
+        column_sums_into(&self.data, &mut sums);
         sums
     }
 
@@ -450,6 +442,67 @@ pub fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     }
 }
 
+/// `c[m x n] += aᵀ · b` over raw row-major slices — the weight-gradient
+/// shape `∇W = xᵀ · δy` (Eq. 2/9) without materialising the transpose.
+///
+/// Row `r` of `a` and of `b` contribute the rank-1 update `a[r]ᵀ ⊗ b[r]`, in
+/// ascending `r`, so every output row accumulates in that order.
+///
+/// # Shape
+/// `a: rows × m`, `b: rows × n`, `c: m × n`, all row-major slices of exactly
+/// that many elements.
+pub fn gemm_ta_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, m: usize, n: usize) {
+    debug_assert_eq!(a.len(), rows * m);
+    debug_assert_eq!(b.len(), rows * n);
+    debug_assert_eq!(c.len(), m * n);
+    for r in 0..rows {
+        let a_row = &a[r * m..(r + 1) * m];
+        let b_row = &b[r * n..(r + 1) * n];
+        for (i, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            crate::kernels::saxpy(&mut c[i * n..(i + 1) * n], av, b_row);
+        }
+    }
+}
+
+/// `c[m x n] = a · bᵀ` over raw row-major slices — the input-delta shape
+/// `δx = δy · Wᵀ` (Eq. 3/17): one [`dot`] per output element, so `b` can be
+/// a row band of a larger matrix read in place.
+///
+/// # Shape
+/// `a: m × k`, `b: n × k`, `c: m × n`, all row-major slices of exactly that
+/// many elements.
+pub fn gemm_tb_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), n * k);
+    debug_assert_eq!(c.len(), m * n);
+    for r in 0..m {
+        let a_row = &a[r * k..(r + 1) * k];
+        for (j, cj) in c[r * n..(r + 1) * n].iter_mut().enumerate() {
+            *cj = dot(a_row, &b[j * k..(j + 1) * k]);
+        }
+    }
+}
+
+/// Sums each column of the row-major `data` (`sums.len()` columns) into
+/// `sums`, rows in ascending order — the bias gradient `∇b = Σ_rows δy`.
+///
+/// # Shape
+/// `data` holds a whole number of rows of `sums.len()` elements.
+pub fn column_sums_into(data: &[f32], sums: &mut [f32]) {
+    sums.fill(0.0);
+    if sums.is_empty() {
+        return;
+    }
+    for row in data.chunks_exact(sums.len()) {
+        for (s, v) in sums.iter_mut().zip(row) {
+            *s += v;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,6 +574,47 @@ mod tests {
         let direct = a.matmul_t_b(&b);
         let explicit = a.matmul(&b.transpose());
         assert!(direct.max_abs_diff(&explicit) < 1e-4);
+    }
+
+    #[test]
+    fn gemm_tb_rows_reads_a_row_band_in_place() {
+        // δx_c = δy_c · W_Iᵀ against rows [2, 5) of W, without copying them.
+        let a = Matrix::from_fn(4, 6, |r, c| (r as f32 - c as f32) * 0.25);
+        let w = Matrix::from_fn(7, 6, |r, c| ((r * 5 + c * 3) % 7) as f32 - 3.0);
+        let mut out = vec![f32::NAN; 4 * 3];
+        gemm_tb_rows(a.as_slice(), &w.as_slice()[2 * 6..5 * 6], &mut out, 4, 6, 3);
+        assert_eq!(out, a.matmul_t_b(&w.row_slice(2, 5)).into_vec());
+    }
+
+    #[test]
+    fn gemm_ta_rows_accumulates_into_the_output() {
+        let a = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f32 * 0.5 - 2.0);
+        let b = Matrix::from_fn(5, 2, |r, c| (r + c) as f32 - 1.5);
+        let mut out = vec![1.0f32; 3 * 2];
+        gemm_ta_rows(a.as_slice(), b.as_slice(), &mut out, 5, 3, 2);
+        let expect = a.matmul_t_a(&b);
+        for (o, e) in out.iter().zip(expect.as_slice()) {
+            assert_eq!(*o, 1.0 + e);
+        }
+    }
+
+    #[test]
+    fn resize_for_overwrite_keeps_the_buffer_and_zero_fills_only_growth() {
+        let mut m = Matrix::filled(2, 3, 7.0);
+        m.resize_for_overwrite(1, 2);
+        assert_eq!((m.shape(), m.as_slice()), ((1, 2), &[7.0, 7.0][..]));
+        m.resize_for_overwrite(2, 2);
+        assert_eq!(m.as_slice(), &[7.0, 7.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn column_sums_into_overwrites_and_handles_empty_shapes() {
+        let mut sums = [9.0f32; 2];
+        column_sums_into(&[1.0, 2.0, 3.0, 4.0], &mut sums);
+        assert_eq!(sums, [4.0, 6.0]);
+        column_sums_into(&[], &mut sums);
+        assert_eq!(sums, [0.0, 0.0]);
+        column_sums_into(&[], &mut []);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::prelude::*;
 use adr_obs::json::Json;
 use adr_obs::{Phase, Recorder, PHASE_TIME_METRIC};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Workload sizing for one `adr bench` invocation.
@@ -197,9 +198,14 @@ pub fn run_serve_bench(cfg: &BenchConfig) -> Result<Json, String> {
     let mut net = cifarnet::bench_scale(cfg.classes, ConvMode::reuse_default(), &mut rng);
 
     // The registry loads artifacts from disk, so the seeded weights make a
-    // round trip through a real checkpoint file.
-    let artifact =
-        std::env::temp_dir().join(format!("adr-bench-serve-{}.adr1", std::process::id()));
+    // round trip through a real checkpoint file — one per call, so benches
+    // running concurrently in one process never share (and delete) a path.
+    static ARTIFACT_SEQ: AtomicU64 = AtomicU64::new(0);
+    let artifact = std::env::temp_dir().join(format!(
+        "adr-bench-serve-{}-{}.adr1",
+        std::process::id(),
+        ARTIFACT_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     Checkpoint::capture(&mut net)
         .save(&artifact)
         .map_err(|e| format!("writing bench artifact: {e}"))?;
@@ -581,6 +587,28 @@ mod tests {
         // Round-trip through bytes, as CI does.
         let reparsed = Json::parse(&doc.render_pretty()).unwrap();
         adr_obs::bench::validate(&reparsed).unwrap();
+    }
+
+    /// Tier-1 flake pin: the serve benches used to share one artifact path
+    /// per process, so two running at once deleted each other's checkpoint
+    /// mid-run. Both start behind one barrier and must complete with the
+    /// same deterministic counters.
+    #[test]
+    fn serve_benches_running_concurrently_do_not_share_an_artifact() {
+        let barrier = std::sync::Barrier::new(2);
+        let run = || {
+            barrier.wait();
+            run_serve_bench(&BenchConfig::quick())
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let other = scope.spawn(run);
+            (run(), other.join().expect("concurrent serve bench panicked"))
+        });
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert_eq!(
+            a.get("counters").unwrap().render_pretty(),
+            b.get("counters").unwrap().render_pretty()
+        );
     }
 
     #[test]
