@@ -200,8 +200,16 @@ pub fn no_panic(file: &str, model: &FileModel) -> Vec<Finding> {
 }
 
 /// GEMM entry points whose multiply–adds the cost model must see.
-const GEMM_TOKENS: &[&str] =
-    &["matmul", "matmul_into", "matmul_t_a", "matmul_t_b", "matmul_par", "matmul_range_t_b_par"];
+const GEMM_TOKENS: &[&str] = &[
+    "matmul",
+    "matmul_into",
+    "matmul_t_a",
+    "matmul_t_b",
+    "matmul_par",
+    "matmul_range_t_b_par",
+    "gemm_ta_par",
+    "gemm_tb_par",
+];
 
 /// Substrings that count as a FLOP-meter update inside a function body.
 const FLOP_RECORD_MARKS: &[&str] = &["add_forward", "add_backward", "flops"];

@@ -190,17 +190,22 @@ fn parse_fn(raw: &str, cleaned: &str, fn_pos: usize) -> Option<FnSpan> {
         k += 1;
     }
     let params = cleaned[open_paren + 1..k.min(bytes.len())].to_string();
-    // Body: next `{` or `;` at the signature level.
+    // Body: next `{` or `;` at the signature level — a `;` inside the
+    // brackets of an array return type (`-> [f32; 8]`) is not one.
     let mut m = k + 1;
+    let mut brackets = 0usize;
     let body = loop {
         if m >= bytes.len() {
             break m..m;
         }
         match bytes[m] {
             b'{' => break m..match_brace(cleaned, m),
-            b';' => break m..m,
-            _ => m += 1,
+            b';' if brackets == 0 => break m..m,
+            b'[' => brackets += 1,
+            b']' => brackets = brackets.saturating_sub(1),
+            _ => {}
         }
+        m += 1;
     };
     // Visibility: tokens between the previous item boundary and `fn`.
     let prefix_start = cleaned[..fn_pos].rfind(['{', '}', ';']).map(|p| p + 1).unwrap_or(0);
@@ -282,6 +287,15 @@ mod tests {
     fn captures_params() {
         let model = FileModel::parse(SRC);
         assert_eq!(model.fns[0].params, "a: usize, b: usize");
+    }
+
+    #[test]
+    fn array_return_type_does_not_end_the_signature() {
+        let model =
+            FileModel::parse("fn tile(a: [f32; 8]) -> [f32; 8] { a.map(f) }\nfn f(v: f32) -> f32;");
+        let body = |i: usize| &model.cleaned[model.fns[i].body.clone()];
+        assert!(body(0).contains("a.map(f)"), "body was {:?}", body(0));
+        assert!(body(1).is_empty());
     }
 
     #[test]

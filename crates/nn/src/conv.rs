@@ -5,9 +5,9 @@
 //! The layer meters exactly `N·K·M` forward and `2·N·K·M` backward
 //! multiply–adds, matching the paper's complexity accounting (§II).
 
-use adr_tensor::im2col::{col2im, im2col, ConvGeom};
-use adr_tensor::matrix::Matrix;
-use adr_tensor::par::matmul_par;
+use adr_tensor::im2col::{col2im, im2col_into, ConvGeom};
+use adr_tensor::matrix::{column_sums_into, Matrix};
+use adr_tensor::par::{gemm_ta_par, gemm_tb_par, matmul_par};
 use adr_tensor::rng::AdrRng;
 use adr_tensor::Tensor4;
 
@@ -28,9 +28,13 @@ pub struct Conv2d {
     bias: Vec<f32>,
     bias_grad: Vec<f32>,
     bias_vel: Vec<f32>,
-    /// Cached unfolded input of the latest training forward pass.
-    cached_unfolded: Option<Matrix>,
-    cached_batch: usize,
+    /// Layer-owned `N × K` buffer, recycled across training steps: forward
+    /// unfolds the input into it, backward reads it for `∇W` and then
+    /// overwrites it with `δx` before folding. Released by an eval forward.
+    unfolded: Matrix,
+    /// Batch size of the latest training forward pass, until backward
+    /// consumes it; `None` after an eval forward.
+    cached_batch: Option<usize>,
     meter: FlopMeter,
 }
 
@@ -55,8 +59,8 @@ impl Conv2d {
             bias: vec![0.0; out_channels],
             bias_grad: vec![0.0; out_channels],
             bias_vel: vec![0.0; out_channels],
-            cached_unfolded: None,
-            cached_batch: 0,
+            unfolded: Matrix::default(),
+            cached_batch: None,
             meter: FlopMeter::new(),
         }
     }
@@ -104,21 +108,26 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
         adr_tensor::checked_finite!(input.as_slice(), "conv {}: forward input", self.name);
-        let unfolded = im2col(input, &self.geom);
-        let (n, k) = unfolded.shape();
+        im2col_into(input, &self.geom, &mut self.unfolded);
+        let (n, k) = self.unfolded.shape();
         adr_tensor::checked_shape!(
             (n, k),
             (self.geom.rows_for_batch(input.batch()), self.geom.k()),
             "conv {}: unfolded input vs geometry",
             self.name
         );
-        let mut y = matmul_par(&unfolded, &self.weight);
+        let mut y = matmul_par(&self.unfolded, &self.weight);
         y.add_row_bias(&self.bias);
         adr_tensor::checked_finite!(y.as_slice(), "conv {}: forward output", self.name);
         let work = (n * k * self.out_channels) as u64;
         self.meter.add_forward(work, work);
-        self.cached_batch = input.batch();
-        self.cached_unfolded = (mode == Mode::Train).then_some(unfolded);
+        self.cached_batch = (mode == Mode::Train).then_some(input.batch());
+        if self.cached_batch.is_none() {
+            // No backward pass will read the buffer: an eval forward (probe,
+            // serving) hands its memory back instead of pinning a batch's
+            // worth of unfolded input per layer.
+            self.unfolded = Matrix::default();
+        }
         Tensor4::from_vec(
             input.batch(),
             self.geom.out_h(),
@@ -130,35 +139,29 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let unfolded = self
-            .cached_unfolded
-            .take()
-            .expect("backward called without a preceding training forward");
-        let (n, k) = unfolded.shape();
-        adr_tensor::checked_finite!(grad_out.as_slice(), "conv {}: backward grad_out", self.name);
-        let delta_y = Matrix::from_vec(n, self.out_channels, grad_out.as_slice().to_vec())
-            .expect("grad_out shape mismatch");
-        // ∇W = xᵀ · δy  (Eq. 2)
-        self.weight_grad = unfolded.matmul_t_a(&delta_y);
-        adr_tensor::checked_shape!(
-            self.weight_grad.shape(),
-            self.weight.shape(),
-            "conv {}: weight gradient vs weight",
-            self.name
-        );
+        let batch =
+            self.cached_batch.take().expect("backward called without a preceding training forward");
+        let (n, k) = self.unfolded.shape();
+        let m = self.out_channels;
+        let delta_y = grad_out.as_slice();
+        assert_eq!(delta_y.len(), n * m, "conv {}: grad_out shape mismatch", self.name);
+        adr_tensor::checked_finite!(delta_y, "conv {}: backward grad_out", self.name);
+        // ∇W = xᵀ · δy  (Eq. 2), into the long-lived gradient.
+        gemm_ta_par(self.unfolded.as_slice(), delta_y, self.weight_grad.as_mut_slice(), n, k, m);
         adr_tensor::checked_finite!(
             self.weight_grad.as_slice(),
             "conv {}: weight gradient",
             self.name
         );
         // ∇b = Σ_rows δy
-        self.bias_grad = delta_y.column_sums();
-        // δx = δy · Wᵀ, folded back to input space (Eq. 3)
-        let delta_x_unf = delta_y.matmul_t_b(&self.weight);
-        adr_tensor::checked_finite!(delta_x_unf.as_slice(), "conv {}: input delta", self.name);
-        let work = (2 * n * k * self.out_channels) as u64;
+        column_sums_into(delta_y, &mut self.bias_grad);
+        // δx = δy · Wᵀ (Eq. 3) overwrites the unfolded input — same `N × K`
+        // shape, dead once ∇W is taken — and is folded back to input space.
+        gemm_tb_par(delta_y, self.weight.as_slice(), self.unfolded.as_mut_slice(), n, m, k);
+        adr_tensor::checked_finite!(self.unfolded.as_slice(), "conv {}: input delta", self.name);
+        let work = (2 * n * k * m) as u64;
         self.meter.add_backward(work, work);
-        col2im(&delta_x_unf, &self.geom, self.cached_batch)
+        col2im(&self.unfolded, &self.geom, batch)
     }
 
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
@@ -315,7 +318,8 @@ mod tests {
     fn eval_forward_does_not_cache() {
         let mut conv = small_conv(1);
         conv.forward(&Tensor4::zeros(1, 4, 4, 2), Mode::Eval);
-        assert!(conv.cached_unfolded.is_none());
+        assert!(conv.cached_batch.is_none());
+        assert_eq!(conv.unfolded.shape(), (0, 0));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! treated as `n` feature vectors of length `h·w·c`, and the output is
 //! `(n, 1, 1, units)`.
 
-use adr_tensor::matrix::Matrix;
-use adr_tensor::par::matmul_par;
+use adr_tensor::matrix::{column_sums_into, Matrix};
+use adr_tensor::par::{gemm_ta_par, gemm_tb_par, matmul_par};
 use adr_tensor::rng::AdrRng;
 use adr_tensor::Tensor4;
 
@@ -114,28 +114,26 @@ impl Layer for Dense {
         let x =
             self.cached_input.take().expect("backward called without a preceding training forward");
         let n = x.rows();
-        adr_tensor::checked_finite!(grad_out.as_slice(), "dense {}: backward grad_out", self.name);
-        let delta_y = Matrix::from_vec(n, self.units, grad_out.as_slice().to_vec())
-            .expect("grad_out shape mismatch");
-        self.weight_grad = x.matmul_t_a(&delta_y);
-        adr_tensor::checked_shape!(
-            self.weight_grad.shape(),
-            self.weight.shape(),
-            "dense {}: weight gradient vs weight",
-            self.name
-        );
+        let delta_y = grad_out.as_slice();
+        assert_eq!(delta_y.len(), n * self.units, "dense {}: grad_out shape mismatch", self.name);
+        adr_tensor::checked_finite!(delta_y, "dense {}: backward grad_out", self.name);
+        // ∇W = xᵀ · δy and ∇b = Σ_rows δy, into the long-lived gradients.
+        let weight_grad = self.weight_grad.as_mut_slice();
+        gemm_ta_par(x.as_slice(), delta_y, weight_grad, n, self.in_features, self.units);
         adr_tensor::checked_finite!(
             self.weight_grad.as_slice(),
             "dense {}: weight gradient",
             self.name
         );
-        self.bias_grad = delta_y.column_sums();
-        let delta_x = delta_y.matmul_t_b(&self.weight);
-        adr_tensor::checked_finite!(delta_x.as_slice(), "dense {}: input delta", self.name);
+        column_sums_into(delta_y, &mut self.bias_grad);
+        // δx = δy · Wᵀ, straight into the buffer the returned tensor owns.
+        let mut delta_x = vec![0.0f32; n * self.in_features];
+        gemm_tb_par(delta_y, self.weight.as_slice(), &mut delta_x, n, self.units, self.in_features);
+        adr_tensor::checked_finite!(&delta_x, "dense {}: input delta", self.name);
         let work = (2 * n * self.in_features * self.units) as u64;
         self.meter.add_backward(work, work);
         let (h, w, c) = self.in_shape;
-        Tensor4::from_vec(n, h, w, c, delta_x.into_vec()).expect("shape arithmetic is consistent")
+        Tensor4::from_vec(n, h, w, c, delta_x).expect("shape arithmetic is consistent")
     }
 
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {

@@ -101,7 +101,15 @@ pub fn reuse_backward(
 
             // ∇W_I = x_{c,I}ᵀ · δy_{c,I,s} (Eq. 10).
             w_grad_band.fill(0.0);
-            gemm_ta_rows(cent.as_slice(), dy.as_slice(), w_grad_band, num_clusters, width, m);
+            gemm_ta_rows(
+                cent.as_slice(),
+                width,
+                dy.as_slice(),
+                w_grad_band,
+                num_clusters,
+                width,
+                m,
+            );
             adr_tensor::checked_finite_rows!(
                 &**w_grad_band,
                 m,

@@ -13,15 +13,19 @@
 //!   every backend and every run, so two-run and serial-vs-parallel pins hold.
 //! * [`project_signs`] — the register-blocked sign-projection micro-kernel
 //!   behind LSH hashing ([`project`]).
+//! * [`gemm_tb()`] — the register-blocked `a · bᵀ` micro-kernel behind the
+//!   backward pass's input delta: a tile of [`dot`]s sharing their loads.
 //!
 //! This directory (and [`crate::simd`]) are the only modules `adr-check conc`
 //! approves for unsafe kernel code; [`pool`] hosts the persistent worker pool
 //! that replaces per-call `std::thread::scope` spawn+join at the fan-out
 //! sites.
 
+pub mod gemm_tb;
 pub mod pool;
 pub mod project;
 
+pub use gemm_tb::gemm_tb;
 pub use project::project_signs;
 
 use crate::simd::{F32x8, LANES};
@@ -95,27 +99,33 @@ mod tests {
         }
     }
 
+    /// Scalar emulation of the exact lane schedule every dot-form kernel
+    /// must follow: 8 independent accumulators over whole chunks, the fixed
+    /// hsum tree, then the in-order tail.
+    pub(crate) fn lane_reference_dot(a: &[f32], b: &[f32]) -> f32 {
+        let n = a.len();
+        let mut acc = [0.0f32; LANES];
+        let mut j = 0;
+        while j + LANES <= n {
+            for l in 0..LANES {
+                acc[l] += a[j + l] * b[j + l];
+            }
+            j += LANES;
+        }
+        let mut sum =
+            ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+        for k in j..n {
+            sum += a[k] * b[k];
+        }
+        sum
+    }
+
     #[test]
     fn dot_matches_lane_emulating_reference_bitwise() {
         for n in [0usize, 1, 7, 8, 9, 16, 23, 64, 100] {
             let a = ramp(n, 0.21, -0.4);
             let b = ramp(n, -0.53, 2.1);
-            // Scalar emulation of the exact lane schedule: 8 independent
-            // accumulators, fixed hsum tree, in-order tail.
-            let mut acc = [0.0f32; LANES];
-            let mut j = 0;
-            while j + LANES <= n {
-                for l in 0..LANES {
-                    acc[l] += a[j + l] * b[j + l];
-                }
-                j += LANES;
-            }
-            let mut expect =
-                ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-            for k in j..n {
-                expect += a[k] * b[k];
-            }
-            assert_eq!(dot(&a, &b).to_bits(), expect.to_bits(), "n={n}");
+            assert_eq!(dot(&a, &b).to_bits(), lane_reference_dot(&a, &b).to_bits(), "n={n}");
         }
     }
 

@@ -7,6 +7,8 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
+use crate::par::{gemm_ta_par, gemm_tb_par};
+
 /// Block edge used by the tiled GEMM kernels. 64 f32 values = 256 bytes,
 /// a multiple of typical cache-line size; chosen empirically on x86-64.
 const BLOCK: usize = 64;
@@ -283,7 +285,8 @@ impl Matrix {
     ///
     /// This is the shape of the weight-gradient computation
     /// `∇W = xᵀ · δy` (paper Eq. 2/9); implemented without materialising
-    /// the transpose.
+    /// the transpose, pooled over output-row bands
+    /// ([`crate::par::gemm_ta_par`]) above the compute crossover.
     ///
     /// # Panics
     /// Panics if `self.rows != other.rows`.
@@ -294,14 +297,16 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.cols, other.cols);
-        gemm_ta_rows(&self.data, &other.data, &mut out.data, self.rows, self.cols, other.cols);
+        gemm_ta_par(&self.data, &other.data, &mut out.data, self.rows, self.cols, other.cols);
         out
     }
 
     /// `self · otherᵀ`, allocating the result.
     ///
     /// This is the shape of the input-delta computation `δx = δy · Wᵀ`
-    /// (paper Eq. 3/17); implemented without materialising the transpose.
+    /// (paper Eq. 3/17); implemented without materialising the transpose,
+    /// pooled over row blocks of `self` ([`crate::par::gemm_tb_par`]) above
+    /// the compute crossover.
     ///
     /// # Panics
     /// Panics if `self.cols != other.cols`.
@@ -312,7 +317,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
-        gemm_tb_rows(&self.data, &other.data, &mut out.data, self.rows, self.cols, other.rows);
+        gemm_tb_par(&self.data, &other.data, &mut out.data, self.rows, self.cols, other.rows);
         out
     }
 
@@ -446,17 +451,33 @@ pub fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 /// shape `∇W = xᵀ · δy` (Eq. 2/9) without materialising the transpose.
 ///
 /// Row `r` of `a` and of `b` contribute the rank-1 update `a[r]ᵀ ⊗ b[r]`, in
-/// ascending `r`, so every output row accumulates in that order.
+/// ascending `r`, so every output row accumulates in that order — whichever
+/// column band of `a` (band of output rows) a call covers. Exact zeros in
+/// `a` (`0.0` and `-0.0`) skip their update, so a non-finite `b` row only
+/// reaches the output rows whose `a` entry is non-zero.
+///
+/// `a_stride` is the row stride of `a`: a column band `[i0, i0 + m)` of a
+/// wider matrix is `&a[i0..]` with the wide matrix's column count, and
+/// produces output rows `[i0, i0 + m)`.
 ///
 /// # Shape
-/// `a: rows × m`, `b: rows × n`, `c: m × n`, all row-major slices of exactly
-/// that many elements.
-pub fn gemm_ta_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, m: usize, n: usize) {
-    debug_assert_eq!(a.len(), rows * m);
+/// `a`: `rows` rows of `m` elements, `a_stride` apart (at least
+/// `(rows − 1) · a_stride + m` elements); `b: rows × n` and `c: m × n`,
+/// row-major slices of exactly that many elements.
+pub fn gemm_ta_rows(
+    a: &[f32],
+    a_stride: usize,
+    b: &[f32],
+    c: &mut [f32],
+    rows: usize,
+    m: usize,
+    n: usize,
+) {
+    debug_assert!(rows == 0 || a.len() >= (rows - 1) * a_stride + m);
     debug_assert_eq!(b.len(), rows * n);
     debug_assert_eq!(c.len(), m * n);
     for r in 0..rows {
-        let a_row = &a[r * m..(r + 1) * m];
+        let a_row = &a[r * a_stride..][..m];
         let b_row = &b[r * n..(r + 1) * n];
         for (i, &av) in a_row.iter().enumerate() {
             if av == 0.0 {
@@ -468,8 +489,14 @@ pub fn gemm_ta_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, m: usize, 
 }
 
 /// `c[m x n] = a · bᵀ` over raw row-major slices — the input-delta shape
-/// `δx = δy · Wᵀ` (Eq. 3/17): one [`dot`] per output element, so `b` can be
-/// a row band of a larger matrix read in place.
+/// `δx = δy · Wᵀ` (Eq. 3/17): every output element is bitwise one [`dot`],
+/// computed eight rows at a time by the register-blocked
+/// [`crate::kernels::gemm_tb()`]; `b` can be a row band of a larger matrix
+/// read in place.
+///
+/// Serial by design, like [`gemm_ta_rows`]: the reuse backward pass calls
+/// both from inside pool tasks. [`crate::par::gemm_tb_par`] is the pooled
+/// form.
 ///
 /// # Shape
 /// `a: m × k`, `b: n × k`, `c: m × n`, all row-major slices of exactly that
@@ -478,12 +505,7 @@ pub fn gemm_tb_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    for r in 0..m {
-        let a_row = &a[r * k..(r + 1) * k];
-        for (j, cj) in c[r * n..(r + 1) * n].iter_mut().enumerate() {
-            *cj = dot(a_row, &b[j * k..(j + 1) * k]);
-        }
-    }
+    crate::kernels::gemm_tb(a, k, b, k, c, n, m, k, n);
 }
 
 /// Sums each column of the row-major `data` (`sums.len()` columns) into
@@ -591,11 +613,43 @@ mod tests {
         let a = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f32 * 0.5 - 2.0);
         let b = Matrix::from_fn(5, 2, |r, c| (r + c) as f32 - 1.5);
         let mut out = vec![1.0f32; 3 * 2];
-        gemm_ta_rows(a.as_slice(), b.as_slice(), &mut out, 5, 3, 2);
+        gemm_ta_rows(a.as_slice(), 3, b.as_slice(), &mut out, 5, 3, 2);
         let expect = a.matmul_t_a(&b);
         for (o, e) in out.iter().zip(expect.as_slice()) {
             assert_eq!(*o, 1.0 + e);
         }
+    }
+
+    #[test]
+    fn gemm_ta_rows_band_form_equals_the_rows_of_the_full_product() {
+        // Output rows [2, 5) of aᵀ·b from columns [2, 5) of `a`, read in
+        // place through the row stride.
+        let a = Matrix::from_fn(9, 7, |r, c| ((r * 5 + c * 3) % 11) as f32 * 0.25 - 1.0);
+        let b = Matrix::from_fn(9, 4, |r, c| ((r * 7 + c) % 13) as f32 * 0.125 - 0.5);
+        let mut full = vec![0.0f32; 7 * 4];
+        gemm_ta_rows(a.as_slice(), 7, b.as_slice(), &mut full, 9, 7, 4);
+        let mut band = vec![0.0f32; 3 * 4];
+        gemm_ta_rows(&a.as_slice()[2..], 7, b.as_slice(), &mut band, 9, 3, 4);
+        for (got, want) in band.iter().zip(&full[2 * 4..5 * 4]) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn gemm_ta_rows_skips_exact_zeros_of_either_sign() {
+        // Row 1 of `b` is non-finite; only output rows whose `a[1][i]` is
+        // non-zero may see it. A skipped update also leaves a `-0.0`
+        // accumulator alone, where `-0.0 + 0.0 * x` would flip it to `+0.0`.
+        let a = [1.0f32, 2.0, 3.0, 0.0, -0.0, 0.5];
+        let b = [1.0f32, 1.0, f32::INFINITY, f32::NAN];
+        let mut c = [-0.0f32; 3 * 2];
+        gemm_ta_rows(&a, 3, &b, &mut c, 2, 3, 2);
+        assert_eq!(c[..4], [1.0, 1.0, 2.0, 2.0]);
+        assert_eq!(c[4], f32::INFINITY);
+        assert!(c[5].is_nan());
+        let mut untouched = [-0.0f32; 2];
+        gemm_ta_rows(&[0.0, -0.0], 1, &b, &mut untouched, 2, 1, 2);
+        assert!(untouched.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
     }
 
     #[test]

@@ -1,33 +1,42 @@
-//! Row-block parallelism for the GEMM kernel, on the persistent worker pool.
+//! Row-block parallelism for the GEMM kernels, on the persistent worker pool.
 //!
 //! The baseline convolution and the centroid GEMM of the reuse path both
-//! bottom out in [`matmul_par`]. Work is split into contiguous row blocks of
-//! the left operand via [`run_row_blocks`]; each block writes a disjoint
-//! `split_at_mut` slice of the output, so no synchronisation is needed beyond
-//! the completion barrier. Blocks are dispatched onto the process-wide
-//! [`crate::kernels::pool`] (the first block runs inline on the caller),
-//! which replaces the former per-call `std::thread::scope` spawn+join —
-//! ~10–20 µs of thread churn per fan-out — with a handful of channel sends.
+//! bottom out in [`matmul_par`]; every dense backward pass bottoms out in
+//! the two transposed products [`gemm_ta_par`] and [`gemm_tb_par`]. Work is
+//! split into contiguous row blocks of the *output* via [`run_row_blocks`];
+//! each block writes a disjoint `split_at_mut` slice, so no synchronisation
+//! is needed beyond the completion barrier. Blocks are dispatched onto the
+//! process-wide [`crate::kernels::pool`] (the first block runs inline on the
+//! caller), which replaces the former per-call `std::thread::scope`
+//! spawn+join with a handful of channel sends.
 
-use crate::matrix::{gemm_rows, Matrix};
+use crate::kernels::gemm_tb;
+use crate::matrix::{gemm_rows, gemm_ta_rows, Matrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-// Serial/parallel crossover thresholds, shared by every scoped-thread fan-out
-// in the workspace (GEMM and LSH hashing here and in `adr_reuse::hashpack`;
-// im2col/col2im/scatter in `im2col.rs` and `adr_reuse::forward`).
+// Serial/parallel crossover thresholds, shared by every pooled fan-out in the
+// workspace (the three GEMMs and the LSH projection here and in
+// `adr_reuse::hashpack`; im2col/col2im/scatter in `im2col.rs` and
+// `adr_reuse::forward`; both phases of `adr_reuse::backward`).
 //
-// Measurement rationale (x86-64, 8 hardware threads, release profile): a
-// `std::thread::scope` spawn+join round trip costs ~10–20 µs. Compute-bound
-// loops (blocked GEMM, hash projections) retire roughly one multiply–add per
-// cycle per lane, so ~1M multiply–adds ≈ 300 µs of work — comfortably above
-// the spawn cost, while smaller problems lose more to spawning than they
-// gain. Memory-bound loops (im2col gather, col2im scatter, cluster-output
-// reconstruction) move one element per couple of cycles but saturate DRAM
-// bandwidth well before the ALUs, so their break-even arrives earlier:
-// ~128K elements ≈ 512 KiB touched. Before this unification the same
-// crossover was written as three diverging literals (`1<<17`, `1<<18`,
-// `1<<20`) with no shared justification.
+// Measurement rationale (x86-64, release profile). What a fan-out pays is a
+// dispatch on the persistent pool: one boxed job and one channel send per
+// remote block, then a blocking wait for the completion tokens. An empty
+// two-way `run_row_blocks` round trip measures ~40 µs (p90 ~45 µs) on the
+// 2-vCPU benchmark host — the parked worker is woken through the kernel, and
+// the caller waits for the slowest block. Compute-bound loops (blocked GEMM,
+// the transposed products, hash projections) retire ~4 multiply–adds per
+// cycle per core on the portable SSE2 lanes, so the ~2M multiply–adds of the
+// smallest two-way split are ~200 µs of work, halved for one dispatch;
+// anything smaller gives most of the split back. On the bench-scale CifarNet
+// that keeps both `Dense` layers' backward products (fc3: 16·576·96 ≈ 0.88M,
+// logits: 16·96·10 ≈ 15K) on the serial path and sends both convolutions'
+// (19.7M and 80.3M) to the pool — pinned by
+// `dense_layer_backward_products_stay_serial`. Memory-bound loops (im2col
+// gather, col2im scatter, cluster-output reconstruction) move one element
+// per couple of cycles but saturate DRAM bandwidth well before the ALUs, so
+// their break-even arrives earlier: ~128K elements ≈ 512 KiB touched.
 
 /// Minimum per-thread work, in multiply–adds, for compute-bound fan-outs
 /// (GEMM row blocks, LSH signature projections).
@@ -204,10 +213,62 @@ pub fn matmul_rows_range_into(a: &Matrix, b: &Matrix, row_range: (usize, usize),
     });
 }
 
+/// `c[m × n] = a · bᵀ` over raw row-major slices, parallelised over row
+/// blocks of `a` — the pooled input-delta product `δx = δy · Wᵀ` (Eq. 3)
+/// behind [`Matrix::matmul_t_b`] and the dense layers' backward passes,
+/// which hand it a recycled output buffer. Every element is overwritten.
+///
+/// Bit-identical at every thread count: each output element is one
+/// [`crate::kernels::dot`]-ordered sum whichever block computes it.
+///
+/// # Shape
+/// `a: m × k`, `b: n × k`, `c: m × n`, all row-major slices of exactly that
+/// many elements.
+///
+/// # Panics
+/// Panics when a slice length disagrees with its shape.
+pub fn gemm_tb_par(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "gemm_tb_par: left operand is not m x k");
+    assert_eq!(b.len(), n * k, "gemm_tb_par: right operand is not n x k");
+    let threads = compute_threads(m * k * n);
+    run_row_blocks(c, n, m, threads, |row0, rows_here, chunk| {
+        gemm_tb(&a[row0 * k..], k, b, k, chunk, n, rows_here, k, n);
+    });
+}
+
+/// `c[m × n] = aᵀ · b` over raw row-major slices, parallelised over bands of
+/// output rows (column bands of `a`) — the pooled weight-gradient product
+/// `∇W = xᵀ · δy` (Eq. 2) behind [`Matrix::matmul_t_a`] and the dense
+/// layers' backward passes, which hand it their long-lived gradient matrix.
+/// Every element is overwritten.
+///
+/// Bit-identical at every thread count: each output row accumulates its
+/// rank-1 updates in ascending row order of `a` whichever band owns it, and
+/// exact zeros in `a` skip theirs ([`gemm_ta_rows`]).
+///
+/// # Shape
+/// `a: rows × m`, `b: rows × n`, `c: m × n`, all row-major slices of exactly
+/// that many elements.
+///
+/// # Panics
+/// Panics when a slice length disagrees with its shape.
+pub fn gemm_ta_par(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, m: usize, n: usize) {
+    assert_eq!(a.len(), rows * m, "gemm_ta_par: left operand is not rows x m");
+    assert_eq!(b.len(), rows * n, "gemm_ta_par: right operand is not rows x n");
+    let threads = compute_threads(rows * m * n);
+    run_row_blocks(c, n, m, threads, |i0, band_rows, band| {
+        band.fill(0.0);
+        if rows > 0 {
+            gemm_ta_rows(&a[i0..], m, b, band, rows, band_rows, n);
+        }
+    });
+}
+
 /// `a[:, cols] · bᵀ`, parallelised over row chunks of `a` — the tall-skinny
 /// product used for LSH projections (`n = b.rows()` is small, so the blocked
-/// saxpy kernel of [`matmul_par`] cannot vectorise its inner loop; per-row
-/// dot products against the contiguous rows of `b` are much faster here).
+/// saxpy kernel of [`matmul_par`] cannot vectorise its inner loop; the
+/// row-dot micro-kernel [`crate::kernels::gemm_tb()`], reading the column
+/// window of `a` in place through its row stride, is much faster here).
 ///
 /// `col_range` selects the slice of each `a` row to use; `b` must have that
 /// many columns.
@@ -229,13 +290,8 @@ pub fn matmul_range_t_b_par(a: &Matrix, col_range: (usize, usize), b: &Matrix) -
     let threads = compute_threads(m * width * n);
     let a_data = a.as_slice();
     run_row_blocks(out.as_mut_slice(), n, m, threads, |row0, rows_here, chunk| {
-        for r in 0..rows_here {
-            let row = &a_data[(row0 + r) * k + start..(row0 + r) * k + end];
-            let o = &mut chunk[r * n..(r + 1) * n];
-            for (j, oj) in o.iter_mut().enumerate() {
-                *oj = crate::matrix::dot(row, b.row(j));
-            }
-        }
+        let window = &a_data[row0 * k + start..];
+        gemm_tb(window, k, b.as_slice(), width, chunk, n, rows_here, width, n);
     });
     out
 }
@@ -261,6 +317,54 @@ mod tests {
         let got = matmul_range_t_b_par(&a, (0, 16), &b);
         let expect = a.matmul_t_b(&b);
         assert!(got.max_abs_diff(&expect) < 1e-4);
+    }
+
+    #[test]
+    fn range_t_b_is_bitwise_the_per_element_dot() {
+        // Row and chunk remainders on every side of the 8-row tile.
+        let a = Matrix::from_fn(21, 19, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.37 - 1.7);
+        let b = Matrix::from_fn(5, 11, |r, c| ((r * 5 + c * 2) % 7) as f32 * 0.21 - 0.6);
+        let got = matmul_range_t_b_par(&a, (4, 15), &b);
+        for r in 0..21 {
+            for j in 0..5 {
+                let expect = crate::kernels::dot(&a.row(r)[4..15], b.row(j));
+                assert_eq!(got[(r, j)].to_bits(), expect.to_bits(), "r={r} j={j}");
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_products_overwrite_a_recycled_output() {
+        let a = Matrix::from_fn(11, 6, |r, c| ((r * 3 + c * 5) % 9) as f32 * 0.5 - 2.0);
+        let b = Matrix::from_fn(11, 4, |r, c| ((r + c * 7) % 5) as f32 * 0.25 - 0.5);
+        let w = Matrix::from_fn(9, 4, |r, c| ((r * 2 + c) % 7) as f32 * 0.125 - 0.25);
+        let mut ta = vec![f32::NAN; 6 * 4];
+        gemm_ta_par(a.as_slice(), b.as_slice(), &mut ta, 11, 6, 4);
+        assert_eq!(ta, a.matmul_t_a(&b).into_vec());
+        let mut tb = vec![f32::NAN; 11 * 9];
+        gemm_tb_par(b.as_slice(), w.as_slice(), &mut tb, 11, 4, 9);
+        assert_eq!(tb, b.matmul_t_b(&w).into_vec());
+    }
+
+    #[test]
+    fn transposed_products_handle_empty_dimensions() {
+        let mut c = vec![f32::NAN; 3 * 2];
+        gemm_ta_par(&[], &[], &mut c, 0, 3, 2);
+        assert_eq!(c, [0.0; 6]);
+        gemm_tb_par(&[], &[], &mut c, 3, 0, 2);
+        assert_eq!(c, [0.0; 6]);
+        gemm_tb_par(&[1.0; 6], &[], &mut [], 3, 2, 0);
+    }
+
+    /// The crossover keeps the bench-scale CifarNet's `Dense` backward
+    /// products (fc3 and logits at batch 16) serial and pools both
+    /// convolutions' whenever a second hardware thread exists.
+    #[test]
+    fn dense_layer_backward_products_stay_serial() {
+        assert_eq!(compute_threads(16 * 576 * 96), 1);
+        assert_eq!(compute_threads(16 * 96 * 10), 1);
+        assert_eq!(compute_threads(4096 * 75 * 64), hardware_threads().min(18));
+        assert_eq!(compute_threads(784 * 1600 * 64), hardware_threads().min(76));
     }
 
     #[test]

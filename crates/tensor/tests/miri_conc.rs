@@ -16,7 +16,7 @@
 #![allow(clippy::unwrap_used)]
 
 use adr_tensor::im2col::{col2im, im2col, ConvGeom};
-use adr_tensor::matrix::Matrix;
+use adr_tensor::matrix::{gemm_ta_rows, gemm_tb_rows, Matrix};
 use adr_tensor::par::{matmul_par, matmul_range_t_b_par, set_thread_override};
 use adr_tensor::tensor4::Tensor4;
 use std::sync::Mutex;
@@ -119,6 +119,49 @@ fn matmul_range_t_b_par_forced_two_threads_is_bitwise_serial() {
         || matmul_range_t_b_par(&a, (2, 6), &b),
     );
     assert_eq!(serial.as_slice(), forced.as_slice());
+}
+
+/// `∇W = xᵀ·δy` fans out over bands of output rows (column bands of `x`):
+/// every band must reproduce the serial slice kernel's rows, including the
+/// exact-zero skips that keep a non-finite `δy` row out of untouched rows.
+#[test]
+fn matmul_t_a_forced_parallel_is_bitwise_serial_at_every_worker_count() {
+    let x = Matrix::from_fn(9, 7, |r, c| match (r * 7 + c) % 5 {
+        0 => 0.0,
+        1 => -0.0,
+        v => (v as f32 - 2.5) * 0.375,
+    });
+    let mut dy = Matrix::from_fn(9, 3, |r, c| (((r * 11 + c * 5) % 13) as f32 - 6.0) * 0.25);
+    dy[(4, 1)] = f32::INFINITY;
+    let slice_kernel = || {
+        let mut out = Matrix::zeros(7, 3);
+        gemm_ta_rows(x.as_slice(), 7, dy.as_slice(), out.as_mut_slice(), 9, 7, 3);
+        out
+    };
+    for workers in [1usize, 2, 5] {
+        let (serial, forced) = serial_vs_forced(workers, slice_kernel, || x.matmul_t_a(&dy));
+        for (f, s) in forced.as_slice().iter().zip(serial.as_slice()) {
+            assert_eq!(f.to_bits(), s.to_bits(), "{workers} workers");
+        }
+    }
+}
+
+/// `δx = δy·Wᵀ` fans out over row blocks of `δy`; blocks cut the 8-row
+/// register tiles at different rows, and every element must still be the
+/// one fixed-order dot product.
+#[test]
+fn matmul_t_b_forced_parallel_is_bitwise_serial_at_every_worker_count() {
+    let dy = Matrix::from_fn(19, 11, |r, c| (((r * 13 + c * 7) % 17) as f32 - 8.0) * 0.125);
+    let w = Matrix::from_fn(6, 11, |r, c| (((r * 5 + c * 3) % 11) as f32 - 5.0) * 0.25);
+    let slice_kernel = || {
+        let mut out = Matrix::zeros(19, 6);
+        gemm_tb_rows(dy.as_slice(), w.as_slice(), out.as_mut_slice(), 19, 11, 6);
+        out
+    };
+    for workers in [1usize, 2, 5] {
+        let (serial, forced) = serial_vs_forced(workers, slice_kernel, || dy.matmul_t_b(&w));
+        assert_eq!(forced.as_slice(), serial.as_slice(), "{workers} workers");
+    }
 }
 
 #[test]

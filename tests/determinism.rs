@@ -11,6 +11,12 @@
 use adaptive_deep_reuse::models::{cifarnet, ConvMode};
 use adaptive_deep_reuse::prelude::*;
 use adaptive_deep_reuse::serve::EngineReport;
+use adaptive_deep_reuse::tensor::par::set_thread_override;
+use std::sync::{PoisonError, RwLock};
+
+/// The worker-count override is process-global: the one test that flips it
+/// takes this for writing, every other training run for reading.
+static THREAD_OVERRIDE: RwLock<()> = RwLock::new(());
 
 /// One training run, reduced to bit patterns: per-step losses, every
 /// parameter of every layer, and per-reuse-layer cluster statistics.
@@ -20,11 +26,11 @@ struct RunTrace {
     cluster_counts: Vec<u64>,
 }
 
-/// Builds the reuse net from `seed`, trains it for three steps on a batch
-/// derived from the same seed, and snapshots everything that could drift.
-fn run(seed: u64) -> RunTrace {
+/// Builds the net from `seed`, trains it for three steps on a batch derived
+/// from the same seed, and snapshots everything that could drift.
+fn run(seed: u64, mode: ConvMode) -> RunTrace {
     let mut rng = AdrRng::seeded(seed);
-    let mut net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
+    let mut net = cifarnet::bench_scale(4, mode, &mut rng);
 
     // Synthetic batch from a split of the same generator: any entropy-order
     // change in network construction would shift this data too, which is
@@ -58,8 +64,9 @@ fn run(seed: u64) -> RunTrace {
 
 #[test]
 fn reuse_training_is_bitwise_reproducible() {
-    let a = run(42);
-    let b = run(42);
+    let _shared = THREAD_OVERRIDE.read().unwrap_or_else(PoisonError::into_inner);
+    let a = run(42, ConvMode::reuse_default());
+    let b = run(42, ConvMode::reuse_default());
 
     assert_eq!(a.loss_bits, b.loss_bits, "per-step losses diverged between identical runs");
     assert_eq!(
@@ -79,9 +86,33 @@ fn reuse_training_is_bitwise_reproducible() {
 fn different_seeds_actually_diverge() {
     // Guards against the trivial failure mode where everything above passes
     // because the snapshots are constant (e.g. all zeros).
-    let a = run(42);
-    let b = run(43);
+    let _shared = THREAD_OVERRIDE.read().unwrap_or_else(PoisonError::into_inner);
+    let a = run(42, ConvMode::reuse_default());
+    let b = run(43, ConvMode::reuse_default());
     assert_ne!(a.loss_bits, b.loss_bits, "different seeds produced identical losses");
+}
+
+/// Dense training must not depend on how many workers the backward GEMMs
+/// fan out over: `∇W = xᵀ·δy` splits into bands of output rows and
+/// `δx = δy·Wᵀ` into row blocks, and each element is still accumulated by
+/// one block in one fixed order. The override forces the pooled paths on
+/// this small net, where the crossover alone would keep conv1 serial.
+#[test]
+fn dense_training_is_bitwise_thread_count_invariant() {
+    let _exclusive = THREAD_OVERRIDE.write().unwrap_or_else(PoisonError::into_inner);
+    let traces: Vec<RunTrace> = [1usize, 2, 5]
+        .into_iter()
+        .map(|workers| {
+            set_thread_override(Some(workers));
+            run(42, ConvMode::Dense)
+        })
+        .collect();
+    set_thread_override(None);
+    for (workers, trace) in [2usize, 5].into_iter().zip(&traces[1..]) {
+        assert_eq!(trace.loss_bits, traces[0].loss_bits, "{workers} workers: losses diverged");
+        assert!(trace.weight_bits == traces[0].weight_bits, "{workers} workers: weights diverged");
+    }
+    assert!(traces[0].loss_bits[0] != traces[0].loss_bits[2], "loss never changed across steps");
 }
 
 /// One serving run against a fixed checkpoint, reduced to bit patterns:
@@ -116,6 +147,7 @@ fn serve_run(checkpoint: &std::path::Path) -> (Vec<u32>, EngineReport) {
 
 #[test]
 fn serving_the_same_stream_twice_is_bitwise_identical() {
+    let _shared = THREAD_OVERRIDE.read().unwrap_or_else(PoisonError::into_inner);
     // Checkpoint once; both runs load the same bytes.
     let path = std::env::temp_dir().join("adr_determinism_serving.adr1");
     let mut rng = AdrRng::seeded(42);
@@ -146,11 +178,12 @@ fn exported_telemetry_is_bitwise_reproducible() {
     let instrumented = |seed: u64| -> (String, RunTrace) {
         let recorder = obs::Recorder::new();
         let guard = obs::install(Rc::new(recorder.clone()));
-        let trace = run(seed);
+        let trace = run(seed, ConvMode::reuse_default());
         drop(guard);
         (recorder.to_json_lines(false), trace)
     };
 
+    let _shared = THREAD_OVERRIDE.read().unwrap_or_else(PoisonError::into_inner);
     let (lines_a, trace_a) = instrumented(42);
     let (lines_b, trace_b) = instrumented(42);
     assert!(!lines_a.is_empty(), "instrumented training exported no telemetry");
@@ -161,7 +194,7 @@ fn exported_telemetry_is_bitwise_reproducible() {
     );
 
     // The sink is an observer: the observed run must match an unobserved one.
-    let bare = run(42);
+    let bare = run(42, ConvMode::reuse_default());
     assert_eq!(trace_a.loss_bits, bare.loss_bits, "telemetry perturbed training losses");
     assert_eq!(trace_a.weight_bits, bare.weight_bits, "telemetry perturbed learned weights");
     assert_eq!(trace_b.cluster_counts, bare.cluster_counts);
