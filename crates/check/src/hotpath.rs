@@ -16,8 +16,8 @@
 //!    scatter, covered by `im2col`, `hash_all`, `matmul`, and
 //!    `reuse_forward`), the reuse backward pass (`reuse_backward`), the
 //!    persistent worker pool's dispatch loop (`scope_run`, which every
-//!    fan-out funnels through), and the serving batch loops
-//!    (`Engine::poll`, `Gateway::poll`).
+//!    fan-out funnels through), and the serving batch loop
+//!    (`Gateway::poll`, which runs the replica's `Engine::run`).
 //! 3. Three lints run over that set:
 //!    * `adr::hot_alloc` — heap-allocation sites (`Vec::with_capacity`,
 //!      `push`, `collect`, `to_vec`, `clone`, `vec!`, `format!`, ...) are
@@ -70,7 +70,6 @@ pub const HOT_ROOTS: &[(&str, &str, &str)] = &[
     // The persistent worker pool executes every fan-out's closures; its
     // dispatch loop is as hot as the kernels it runs.
     ("crates/tensor/src/kernels/pool.rs", "scope_run", "pool"),
-    ("crates/serve/src/engine.rs", "poll", "serve"),
     ("crates/serve/src/gateway.rs", "poll", "gateway"),
 ];
 

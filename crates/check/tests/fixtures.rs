@@ -266,7 +266,7 @@ fn hotpath_subcommand_is_clean_on_the_shipped_workspace() {
     let (code, text) = run_with_args(&["hotpath", "--root", &root.to_string_lossy()]);
     assert_eq!(code, 0, "shipped workspace must pass adr-check hotpath; output:\n{text}");
     // The committed budget was loaded and every phase is accounted for.
-    for phase in ["im2col", "hash", "gemm", "reuse_forward", "serve"] {
+    for phase in ["im2col", "hash", "gemm", "reuse_forward", "gateway"] {
         assert!(text.contains(&format!("phase `{phase}`")), "missing {phase} in dump:\n{text}");
     }
 }

@@ -19,8 +19,9 @@ pub const TRAIN_SCHEMA: &str = "adr-bench-train/v1";
 /// per-tenant and per-model attribution sections.
 pub const SERVE_SCHEMA: &str = "adr-bench-serve/v2";
 
-/// Gateway-wide counter names every serving BENCH file must carry
-/// (mirrors `GatewayReport::counters()`).
+/// Gateway-wide counter names every serving BENCH file must carry (the
+/// admission and batch totals of `ServeReport::counters()`, which also
+/// emits the ladder and sanitizer totals).
 pub const SERVE_COUNTER_NAMES: [&str; 9] = [
     "admitted",
     "completed",

@@ -1,15 +1,15 @@
-//! Injectable time source for the serving engine.
+//! Injectable time source for the serving gateway.
 //!
 //! Deadlines and the latency EMA need a clock, but a wall clock would make
-//! the engine non-reproducible — the one property every other component of
-//! this workspace pins with bitwise tests. The engine therefore reads time
+//! serving non-reproducible — the one property every other component of
+//! this workspace pins with bitwise tests. The gateway therefore reads time
 //! through [`ServeClock`]: production uses the monotonic [`MonotonicClock`],
 //! tests and the determinism suite use [`ManualClock`], where time only
 //! moves when a fault (or the test itself) advances it.
 
 use std::time::{Duration, Instant};
 
-/// The engine's time source. `now` is monotonic elapsed time since the
+/// The gateway's time source. `now` is monotonic elapsed time since the
 /// clock was created; `stall` models a slow batch (sleeps on the real
 /// clock, advances the virtual one).
 pub trait ServeClock {

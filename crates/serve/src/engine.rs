@@ -1,464 +1,107 @@
-//! The serving engine: admission, micro-batching, deadlines, degradation.
+//! The replica executor: one frozen network, one applied reuse policy.
 //!
-//! [`Engine`] wraps a frozen [`Network`] (every forward pass runs with
-//! `Mode::Eval` semantics via [`Network::infer`]) behind a bounded request
-//! queue. Each [`Engine::poll`] drains up to one micro-batch, applies the
-//! degradation ladder's current reuse policy to the network's reuse layers,
-//! runs the batch, sanitises the output, and answers every request in the
-//! batch with either logits or a typed [`RequestError`].
-//!
-//! The engine is synchronous and single-threaded by design: determinism is
-//! a workspace invariant, and a deterministic queue discipline (FIFO
-//! admission, FIFO batching) plus an injectable [`ServeClock`] is what lets
-//! `tests/determinism.rs` replay a request stream bitwise.
+//! An [`Engine`] is what a registry entry holds and what
+//! [`Gateway::poll`](crate::gateway::Gateway::poll) hands an assembled
+//! micro-batch to. It owns the frozen [`Network`] (every forward pass runs
+//! with `Mode::Eval` semantics via [`Network::infer`]), the stage policy
+//! currently applied to the network's reuse layers, the output sanitizer
+//! (NaN quarantine with one retry on the exact GEMM path) and the health
+//! streak. Admission, queues, deadlines, time, the ladders, the fault plan
+//! and the report all live in the gateway; the engine only reports back
+//! what one batch did ([`BatchRun`]).
 
-use std::fs;
-use std::path::Path;
-use std::time::Duration;
-
-use adr_core::faults::{ServeFaultKind, ServeFaultPlan};
-use adr_core::state::TrainState;
-use adr_nn::checkpoint::{Checkpoint, CheckpointError};
+use adr_nn::layer::Shape3;
 use adr_nn::network::Network;
-use adr_nn::sgd::Sgd;
 use adr_reuse::ReuseConv2d;
 use adr_tensor::sanitize::first_non_finite;
 use adr_tensor::Tensor4;
 
-use crate::clock::{MonotonicClock, ServeClock};
-use crate::error::{EngineError, RequestError};
-use crate::ladder::{DegradationLadder, LadderConfig, LadderMove, StagePolicy};
-use crate::report::{EngineReport, ServeEvent, ServeEventKind};
+use crate::error::RequestError;
+use crate::ladder::StagePolicy;
 
-/// Engine construction knobs.
-#[derive(Clone, Debug)]
-pub struct EngineConfig {
-    /// Maximum requests buffered before further submissions are shed.
-    pub queue_capacity: usize,
-    /// Maximum requests folded into one micro-batch.
-    pub max_batch: usize,
-    /// Latency budget assigned to requests submitted without one.
-    pub default_deadline: Duration,
-    /// Batch latency the ladder's pressure signal is normalised against.
-    pub target_batch_latency: Duration,
-    /// Degradation ladder shape and thresholds.
-    pub ladder: LadderConfig,
+/// What one [`Engine::run`] did.
+#[derive(Debug)]
+pub struct BatchRun {
+    /// The batch's logits, or the error every request in it is failed with.
+    pub outcome: Result<Tensor4, RequestError>,
+    /// The first non-finite `(flat index, value)` of the first forward's
+    /// output, when the sanitizer quarantined it and re-ran the batch on
+    /// the exact path.
+    pub quarantined: Option<(usize, f32)>,
+    /// Forward multiply–adds this batch actually performed (both passes of
+    /// a retried batch).
+    pub flops_actual: u64,
+    /// Forward multiply–adds the dense path would have performed.
+    pub flops_exact: u64,
 }
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            queue_capacity: 32,
-            max_batch: 8,
-            default_deadline: Duration::from_millis(250),
-            target_batch_latency: Duration::from_millis(50),
-            ladder: LadderConfig::default(),
-        }
-    }
-}
-
-/// One admitted, not-yet-served request.
-struct Pending {
-    id: u64,
-    image: Tensor4,
-    admitted_at: Duration,
-    deadline: Duration,
-}
-
-/// A successfully served request.
-#[derive(Clone, Debug, PartialEq)]
-pub struct InferResponse {
-    /// Request id returned by [`Engine::submit`].
-    pub id: u64,
-    /// Argmax class index.
-    pub class: usize,
-    /// Raw per-class logits.
-    pub logits: Vec<f32>,
-    /// Ladder stage the request's batch ran at (0 = exact).
-    pub stage: usize,
-    /// Admission-to-completion latency.
-    pub latency: Duration,
-}
-
-/// The deadline-aware, load-shedding inference engine.
+/// A frozen network behind the output sanitizer.
 pub struct Engine {
     net: Network,
-    cfg: EngineConfig,
-    ladder: DegradationLadder,
-    clock: Box<dyn ServeClock>,
-    queue: std::collections::VecDeque<Pending>,
-    faults: ServeFaultPlan,
-    report: EngineReport,
-    next_id: u64,
-    batch_index: usize,
     /// The stage policy currently applied to the network's reuse layers;
     /// `None` forces a re-apply on the next batch. Tracked by *value* so a
-    /// gateway driving per-tenant ladders through this engine never serves
+    /// gateway driving per-tenant ladders through one replica never serves
     /// one tenant's batch under another tenant's reuse configuration.
     applied: Option<StagePolicy>,
-    /// Latest observed per-batch drain time; seeds the `retry_after` hint
-    /// on [`RequestError::Overloaded`]. Starts at the configured latency
-    /// target until a real batch has been measured.
-    drain_estimate: Duration,
     consecutive_poisoned: u32,
 }
 
 impl Engine {
     /// Wraps an already-built (and already-restored) network.
-    ///
-    /// # Errors
-    /// Rejects a structurally invalid config (zero queue capacity, zero
-    /// micro-batch size, zero latency target) or an invalid ladder.
-    pub fn new(net: Network, cfg: EngineConfig) -> Result<Self, EngineError> {
-        Self::with_clock(net, cfg, Box::new(MonotonicClock::new()))
+    pub fn new(net: Network) -> Self {
+        Self { net, applied: None, consecutive_poisoned: 0 }
     }
 
-    /// [`Engine::new`] with an injected time source (tests use
-    /// [`crate::clock::ManualClock`] for reproducible deadlines).
+    /// Runs one assembled batch under `policy`, quarantining and retrying a
+    /// poisoned output on the exact GEMM path. `poison_output` is the fault
+    /// harness's hook: it overwrites the first logit of the first forward
+    /// with NaN.
     ///
-    /// # Errors
-    /// Same contract as [`Engine::new`].
-    pub fn with_clock(
-        net: Network,
-        cfg: EngineConfig,
-        clock: Box<dyn ServeClock>,
-    ) -> Result<Self, EngineError> {
-        if cfg.queue_capacity == 0 {
-            return Err(EngineError::BadConfig("queue capacity must be positive".into()));
-        }
-        if cfg.max_batch == 0 {
-            return Err(EngineError::BadConfig("micro-batch size must be positive".into()));
-        }
-        if cfg.target_batch_latency.is_zero() {
-            return Err(EngineError::BadConfig("target batch latency must be positive".into()));
-        }
-        let ladder = DegradationLadder::new(cfg.ladder.clone())?;
-        let report = EngineReport {
-            requests_per_stage: vec![0; ladder.num_stages()],
-            ..EngineReport::default()
-        };
-        let drain_estimate = cfg.target_batch_latency;
-        Ok(Self {
-            net,
-            cfg,
-            ladder,
-            clock,
-            queue: std::collections::VecDeque::new(),
-            faults: ServeFaultPlan::new(),
-            report,
-            next_id: 0,
-            batch_index: 0,
-            applied: None,
-            drain_estimate,
-            consecutive_poisoned: 0,
-        })
-    }
-
-    /// Restores an `ADR1` parameter checkpoint into `net`, then wraps it.
-    ///
-    /// # Errors
-    /// Propagates I/O and parse failures as [`EngineError::Checkpoint`],
-    /// plus [`Engine::new`]'s config contract.
-    pub fn load_checkpoint(
-        path: impl AsRef<Path>,
-        net: Network,
-        cfg: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        Self::load_checkpoint_with_faults(path, net, cfg, ServeFaultPlan::new())
-    }
-
-    /// [`Engine::load_checkpoint`] with a fault plan active during the load
-    /// itself, so an armed [`ServeFaultPlan::corrupt_checkpoint_load`] can
-    /// hit the bytes before parsing.
-    ///
-    /// # Errors
-    /// Same contract as [`Engine::load_checkpoint`].
-    pub fn load_checkpoint_with_faults(
-        path: impl AsRef<Path>,
-        mut net: Network,
-        cfg: EngineConfig,
-        mut faults: ServeFaultPlan,
-    ) -> Result<Self, EngineError> {
-        let mut bytes = fs::read(path.as_ref()).map_err(CheckpointError::from)?;
-        faults.corrupt_load(&mut bytes);
-        let checkpoint = Checkpoint::from_bytes(&bytes)?;
-        checkpoint.restore(&mut net)?;
-        let mut engine = Self::new(net, cfg)?;
-        engine.faults = faults;
-        Ok(engine)
-    }
-
-    /// Restores the model half of an `ADRS` train-state snapshot into
-    /// `net`, then wraps it. Optimiser state in the snapshot is ignored —
-    /// serving is frozen.
-    ///
-    /// # Errors
-    /// Propagates I/O and parse failures as [`EngineError::State`], plus
-    /// [`Engine::new`]'s config contract.
-    pub fn load_train_state(
-        path: impl AsRef<Path>,
-        mut net: Network,
-        cfg: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        let state = TrainState::load(path)?;
-        let mut throwaway = Sgd::constant(0.0);
-        state.restore_model(&mut net, &mut throwaway)?;
-        Self::new(net, cfg)
-    }
-
-    /// Installs a fault plan for subsequent submissions and batches.
-    pub fn set_fault_plan(&mut self, plan: ServeFaultPlan) {
-        self.faults = plan;
-    }
-
-    /// Submits one image with the configured default deadline.
-    ///
-    /// # Errors
-    /// See [`Engine::submit_with_deadline`].
-    pub fn submit(&mut self, image: &Tensor4) -> Result<u64, RequestError> {
-        self.submit_with_deadline(image, self.cfg.default_deadline)
-    }
-
-    /// Submits one image with an explicit latency budget, returning its
-    /// request id.
-    ///
-    /// Validation order is deliberate: malformed requests (wrong batch,
-    /// wrong shape, non-finite pixels) are rejected *before* the queue
-    /// check, so garbage cannot occupy capacity that healthy traffic needs.
-    ///
-    /// # Errors
-    /// [`RequestError::NotSingleImage`] / [`RequestError::ShapeMismatch`] /
-    /// [`RequestError::NonFiniteInput`] for malformed requests,
-    /// [`RequestError::Overloaded`] when the queue is full.
-    pub fn submit_with_deadline(
-        &mut self,
-        image: &Tensor4,
-        deadline: Duration,
-    ) -> Result<u64, RequestError> {
-        let mut image = image.clone();
-        if self.faults.take_request_poison() {
-            if let Some(first) = image.as_mut_slice().first_mut() {
-                *first = f32::NAN;
-            }
-            self.event(ServeEventKind::PoisonFault, "request poisoned with NaN pixel".into());
-        }
-        let (n, h, w, c) = image.shape();
-        if n != 1 {
-            self.report.rejected_shape += 1;
-            self.event(ServeEventKind::RejectedInput, format!("batch of {n} is not one image"));
-            return Err(RequestError::NotSingleImage { batch: n });
-        }
-        let expected = self.net.input_shape();
-        if (h, w, c) != expected {
-            self.report.rejected_shape += 1;
-            self.event(
-                ServeEventKind::RejectedInput,
-                format!("shape {h}x{w}x{c} rejected at admission"),
-            );
-            return Err(RequestError::ShapeMismatch { expected, found: (h, w, c) });
-        }
-        if let Some((index, value)) = first_non_finite(image.as_slice()) {
-            self.report.rejected_non_finite += 1;
-            self.event(
-                ServeEventKind::RejectedInput,
-                format!("non-finite pixel {value} at flat index {index}"),
-            );
-            return Err(RequestError::NonFiniteInput { index, value });
-        }
-        if self.queue.len() >= self.cfg.queue_capacity {
-            self.report.shed_overloaded += 1;
-            self.event(
-                ServeEventKind::Overloaded,
-                format!(
-                    "queue {}/{} full, request shed",
-                    self.queue.len(),
-                    self.cfg.queue_capacity
-                ),
-            );
-            return Err(RequestError::Overloaded {
-                depth: self.queue.len(),
-                capacity: self.cfg.queue_capacity,
-                retry_after: self.retry_after_hint(),
-            });
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        let admitted_at = self.clock.now();
-        self.queue.push_back(Pending { id, image, admitted_at, deadline });
-        self.report.admitted += 1;
-        Ok(id)
-    }
-
-    /// Serves the next micro-batch, answering each request in it.
-    ///
-    /// Returns `(request id, outcome)` pairs in admission order; an empty
-    /// vec when the queue is idle.
-    pub fn poll(&mut self) -> Vec<(u64, Result<InferResponse, RequestError>)> {
-        if self.queue.is_empty() {
-            return Vec::new();
-        }
-        let batch_index = self.batch_index;
-        self.batch_index += 1;
-        let t0 = self.clock.now();
-
-        let mut poison_output = false;
-        for fault in self.faults.take_due(batch_index) {
-            match fault {
-                ServeFaultKind::SlowBatch { stall_ms } => {
-                    self.event(
-                        ServeEventKind::SlowBatchFault,
-                        format!("injected {stall_ms} ms stall"),
-                    );
-                    self.clock.stall(Duration::from_millis(stall_ms));
-                }
-                ServeFaultKind::PoisonOutput => {
-                    self.event(ServeEventKind::PoisonFault, "batch output will be poisoned".into());
-                    poison_output = true;
-                }
-            }
-        }
-
-        let take = self.cfg.max_batch.min(self.queue.len());
-        let pending: Vec<Pending> = self.queue.drain(..take).collect();
-        let (h, w, c) = self.net.input_shape();
-        let mut batch = Tensor4::zeros(pending.len(), h, w, c);
-        {
-            let image_len = h * w * c;
-            let dst = batch.as_mut_slice();
-            for (i, p) in pending.iter().enumerate() {
-                dst[i * image_len..(i + 1) * image_len].copy_from_slice(p.image.as_slice());
-            }
-        }
-
-        let stage_at_batch = self.ladder.stage();
-        let policy = self.ladder.policy();
+    /// The outcome is [`RequestError::NonFiniteOutput`] when the batch stays
+    /// poisoned even on the exact retry, [`RequestError::ShapeMismatch`] if
+    /// the batch disagrees with the network (unreachable when the caller
+    /// validates at admission).
+    pub fn run(&mut self, batch: &Tensor4, policy: StagePolicy, poison_output: bool) -> BatchRun {
+        // The meters restart with every batch, so what they read afterwards
+        // is this batch's work alone — whatever ran through the network
+        // before (a swap's warm-verify probe, earlier batches) is not in it.
+        self.net.reset_flops();
         if self.applied != Some(policy) {
             self.apply_policy(policy);
             self.applied = Some(policy);
         }
-
-        let mut outcome = self.run_sanitized(&batch, poison_output, stage_at_batch);
-
-        let t1 = self.clock.now();
-        let batch_latency = t1.checked_sub(t0).unwrap_or_default();
-        if !batch_latency.is_zero() {
-            self.drain_estimate = batch_latency;
+        let mut quarantined = None;
+        let outcome = self.run_sanitized(batch, poison_output, &mut quarantined);
+        BatchRun {
+            outcome,
+            quarantined,
+            flops_actual: self.net.flops().forward,
+            flops_exact: self.net.baseline_flops().forward,
         }
-        self.report.batches += 1;
-        self.report.flops_actual = self.net.flops().forward;
-        self.report.flops_exact = self.net.baseline_flops().forward;
-
-        let latency_frac =
-            batch_latency.as_secs_f32() / self.cfg.target_batch_latency.as_secs_f32();
-        let queue_frac = self.queue.len() as f32 / self.cfg.queue_capacity as f32;
-        match self.ladder.observe(latency_frac, queue_frac) {
-            Some(LadderMove::Degraded { from, to }) => {
-                self.report.degraded_steps += 1;
-                self.event(
-                    ServeEventKind::Degraded,
-                    format!("stage {from} -> {to} (pressure {:.2})", self.ladder.pressure()),
-                );
-            }
-            Some(LadderMove::Recovered { from, to }) => {
-                self.report.recovered_steps += 1;
-                self.event(
-                    ServeEventKind::Recovered,
-                    format!("stage {from} -> {to} (pressure {:.2})", self.ladder.pressure()),
-                );
-            }
-            None => {}
-        }
-
-        if let Some(count) = self.report.requests_per_stage.get_mut(stage_at_batch) {
-            *count += u64::try_from(pending.len()).unwrap_or(u64::MAX);
-        }
-
-        let classes = {
-            let (oh, ow, oc) = self.net.output_shape();
-            oh * ow * oc
-        };
-        let mut results = Vec::with_capacity(pending.len());
-        for (i, p) in pending.iter().enumerate() {
-            let elapsed = t1.checked_sub(p.admitted_at).unwrap_or_default();
-            self.report.latency.record(elapsed);
-            let answer = match &mut outcome {
-                Ok(logits) => {
-                    if elapsed > p.deadline {
-                        self.report.deadline_missed += 1;
-                        let budget_ms = duration_ms(p.deadline);
-                        let elapsed_ms = duration_ms(elapsed);
-                        self.event(
-                            ServeEventKind::DeadlineMissed,
-                            format!("request {} budget {budget_ms} ms, took {elapsed_ms} ms", p.id),
-                        );
-                        Err(RequestError::DeadlineExceeded { budget_ms, elapsed_ms })
-                    } else {
-                        let row = logits.as_slice()[i * classes..(i + 1) * classes].to_vec();
-                        let class = row
-                            .iter()
-                            .enumerate()
-                            .max_by(|a, b| a.1.total_cmp(b.1))
-                            .map(|(idx, _)| idx)
-                            .unwrap_or(0);
-                        self.report.completed += 1;
-                        Ok(InferResponse {
-                            id: p.id,
-                            class,
-                            logits: row,
-                            stage: stage_at_batch,
-                            latency: elapsed,
-                        })
-                    }
-                }
-                Err(e) => Err(e.clone()),
-            };
-            results.push((p.id, answer));
-        }
-        results
     }
 
-    /// Runs the batch forward, quarantining and retrying a poisoned output
-    /// on the exact GEMM path. Returns logits or the error every request in
-    /// the batch is failed with.
     fn run_sanitized(
         &mut self,
         batch: &Tensor4,
         poison_output: bool,
-        stage_at_batch: usize,
+        quarantined: &mut Option<(usize, f32)>,
     ) -> Result<Tensor4, RequestError> {
-        let mut logits = match self.net.infer(batch) {
-            Ok(t) => t,
-            // Unreachable: admission pinned every image to the input shape.
-            Err(e) => {
-                return Err(RequestError::ShapeMismatch { expected: e.expected, found: e.found })
-            }
-        };
+        let mut logits = self.infer(batch)?;
         if poison_output {
             if let Some(first) = logits.as_mut_slice().first_mut() {
                 *first = f32::NAN;
             }
         }
-        let Some((index, value)) = first_non_finite(logits.as_slice()) else {
+        *quarantined = first_non_finite(logits.as_slice());
+        if quarantined.is_none() {
             self.consecutive_poisoned = 0;
             return Ok(logits);
-        };
-        self.report.quarantined_batches += 1;
-        self.event(
-            ServeEventKind::QuarantinedBatch,
-            format!("stage {stage_at_batch} output {value} at flat index {index}"),
-        );
+        }
         // Retry once on the exact path: if the poison came from aggressive
         // clustering state, the exact GEMM clears it.
-        self.report.retried_batches += 1;
-        self.event(ServeEventKind::RetriedExact, "re-running batch on exact GEMM".into());
         self.apply_policy(StagePolicy::Exact);
         self.applied = None;
-        let retried = match self.net.infer(batch) {
-            Ok(t) => t,
-            Err(e) => {
-                return Err(RequestError::ShapeMismatch { expected: e.expected, found: e.found })
-            }
-        };
+        let retried = self.infer(batch)?;
         match first_non_finite(retried.as_slice()) {
             None => {
                 self.consecutive_poisoned = 0;
@@ -469,94 +112,15 @@ impl Engine {
                 // inputs or weights, not the reuse approximation. Fail the
                 // batch rather than surface NaN.
                 self.consecutive_poisoned += 1;
-                self.report.failed_non_finite += u64::try_from(batch.shape().0).unwrap_or(u64::MAX);
                 Err(RequestError::NonFiniteOutput { index })
             }
         }
     }
 
-    /// Serves every queued request to completion.
-    pub fn drain(&mut self) -> Vec<(u64, Result<InferResponse, RequestError>)> {
-        let mut all = Vec::new();
-        while !self.queue.is_empty() {
-            all.extend(self.poll());
-        }
-        all
-    }
-
-    /// Convenience: submit a whole request stream and serve it, returning
-    /// one outcome per input in input order.
-    pub fn serve_all(&mut self, images: &[Tensor4]) -> Vec<Result<InferResponse, RequestError>> {
-        // Placeholder overwritten for every input below: each image either
-        // fails at submit or is answered by drain().
-        let mut out: Vec<Result<InferResponse, RequestError>> = vec![
-            Err(RequestError::Overloaded {
-                depth: 0,
-                capacity: 0,
-                retry_after: Duration::ZERO
-            });
-            images.len()
-        ];
-        let mut id_to_index: Vec<(u64, usize)> = Vec::with_capacity(images.len());
-        for (i, image) in images.iter().enumerate() {
-            match self.submit(image) {
-                Ok(id) => id_to_index.push((id, i)),
-                Err(e) => {
-                    if let Some(slot) = out.get_mut(i) {
-                        *slot = Err(e);
-                    }
-                }
-            }
-        }
-        for (id, result) in self.drain() {
-            if let Some(&(_, i)) = id_to_index.iter().find(|(known, _)| *known == id) {
-                if let Some(slot) = out.get_mut(i) {
-                    *slot = result;
-                }
-            }
-        }
-        out
-    }
-
-    /// Backoff hint for shed requests: batches left to drain the queue
-    /// times the last observed (or configured) per-batch latency.
-    fn retry_after_hint(&self) -> Duration {
-        let batches_left = self.queue.len().div_ceil(self.cfg.max_batch).max(1);
-        self.drain_estimate * u32::try_from(batches_left).unwrap_or(u32::MAX)
-    }
-
-    /// Runs one externally assembled batch under an externally chosen
-    /// policy. This is the gateway's execution hook: the gateway owns
-    /// admission, queueing, and the per-tenant ladders, and uses the engine
-    /// purely as a replica executor — policy application, NaN quarantine
-    /// with exact retry, and FLOP/batch accounting all behave exactly as in
-    /// [`Engine::poll`].
-    ///
-    /// # Errors
-    /// [`RequestError::NonFiniteOutput`] when the batch stays poisoned even
-    /// on the exact retry; [`RequestError::ShapeMismatch`] if the batch
-    /// disagrees with the network (unreachable when the gateway validates
-    /// at admission).
-    pub(crate) fn run_gateway_batch(
-        &mut self,
-        batch: &Tensor4,
-        policy: StagePolicy,
-        stage: usize,
-        poison_output: bool,
-    ) -> Result<Tensor4, RequestError> {
-        self.batch_index += 1;
-        if self.applied != Some(policy) {
-            self.apply_policy(policy);
-            self.applied = Some(policy);
-        }
-        let outcome = self.run_sanitized(batch, poison_output, stage);
-        self.report.batches += 1;
-        self.report.flops_actual = self.net.flops().forward;
-        self.report.flops_exact = self.net.baseline_flops().forward;
-        if let Some(count) = self.report.requests_per_stage.get_mut(stage) {
-            *count += u64::try_from(batch.shape().0).unwrap_or(u64::MAX);
-        }
-        outcome
+    fn infer(&mut self, batch: &Tensor4) -> Result<Tensor4, RequestError> {
+        self.net
+            .infer(batch)
+            .map_err(|e| RequestError::ShapeMismatch { expected: e.expected, found: e.found })
     }
 
     /// Applies a stage policy to every reuse layer in the network. Dense
@@ -576,13 +140,6 @@ impl Engine {
         }
     }
 
-    /// Readiness probe: the engine holds a restored network and can accept
-    /// traffic. Construction already validated everything, so this is
-    /// `true` for any live engine — the probe exists for the serving loop.
-    pub fn ready(&self) -> bool {
-        true
-    }
-
     /// Liveness/health probe: `false` once repeated batches stayed
     /// non-finite even on the exact path (poison is upstream of reuse, the
     /// instance needs its checkpoint investigated).
@@ -590,56 +147,27 @@ impl Engine {
         self.consecutive_poisoned < 3
     }
 
-    /// Current ladder stage (0 = exact/best quality).
-    pub fn stage(&self) -> usize {
-        self.ladder.stage()
-    }
-
-    /// Requests currently queued.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Accumulated telemetry.
-    pub fn report(&self) -> &EngineReport {
-        &self.report
-    }
-
-    /// Consumes the engine, returning its telemetry.
-    pub fn into_report(self) -> EngineReport {
-        self.report
-    }
-
     /// The frozen network's expected per-image input shape.
-    pub fn input_shape(&self) -> adr_nn::layer::Shape3 {
+    pub fn input_shape(&self) -> Shape3 {
         self.net.input_shape()
     }
 
     /// The frozen network's per-image output shape.
-    pub fn output_shape(&self) -> adr_nn::layer::Shape3 {
+    pub fn output_shape(&self) -> Shape3 {
         self.net.output_shape()
     }
-
-    fn event(&mut self, kind: ServeEventKind, detail: String) {
-        self.report.events.push(ServeEvent { batch: self.batch_index, kind, detail });
-    }
-}
-
-fn duration_ms(d: Duration) -> u64 {
-    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::clock::ManualClock;
     use adr_nn::conv::Conv2d;
     use adr_nn::dense::Dense;
     use adr_nn::relu::Relu;
     use adr_tensor::im2col::ConvGeom;
     use adr_tensor::rng::AdrRng;
 
-    fn tiny_net(seed: u64) -> Network {
+    pub(crate) fn tiny_net(seed: u64) -> Network {
         let mut rng = AdrRng::seeded(seed);
         let mut net = Network::new((6, 6, 1));
         let geom = ConvGeom::new(6, 6, 1, 3, 3, 1, 0).unwrap();
@@ -649,150 +177,35 @@ mod tests {
         net
     }
 
-    fn manual_engine(cfg: EngineConfig) -> Engine {
-        Engine::with_clock(tiny_net(9), cfg, Box::new(ManualClock::new())).unwrap()
-    }
-
-    fn image(seed: f32) -> Tensor4 {
+    pub(crate) fn image(seed: f32) -> Tensor4 {
         Tensor4::from_fn(1, 6, 6, 1, |_, y, x, _| seed + (y * 6 + x) as f32 * 0.01)
     }
 
     #[test]
-    fn invalid_configs_are_rejected_at_construction() {
-        let cfg = EngineConfig { queue_capacity: 0, ..EngineConfig::default() };
-        assert!(matches!(
-            Engine::new(tiny_net(1), cfg),
-            Err(EngineError::BadConfig(msg)) if msg.contains("queue")
-        ));
-        let cfg = EngineConfig { max_batch: 0, ..EngineConfig::default() };
-        assert!(matches!(Engine::new(tiny_net(1), cfg), Err(EngineError::BadConfig(_))));
-        let cfg = EngineConfig { target_batch_latency: Duration::ZERO, ..EngineConfig::default() };
-        assert!(matches!(Engine::new(tiny_net(1), cfg), Err(EngineError::BadConfig(_))));
-    }
-
-    #[test]
-    fn admission_rejects_malformed_requests_before_the_queue() {
-        let mut engine = manual_engine(EngineConfig::default());
-        let two_images = Tensor4::zeros(2, 6, 6, 1);
-        assert_eq!(engine.submit(&two_images), Err(RequestError::NotSingleImage { batch: 2 }));
-        let wrong_shape = Tensor4::zeros(1, 4, 4, 1);
-        assert!(matches!(
-            engine.submit(&wrong_shape),
-            Err(RequestError::ShapeMismatch { expected: (6, 6, 1), found: (4, 4, 1) })
-        ));
-        let mut nan = image(0.0);
-        nan.as_mut_slice()[7] = f32::NAN;
-        assert!(matches!(engine.submit(&nan), Err(RequestError::NonFiniteInput { index: 7, .. })));
-        assert_eq!(engine.report().admitted, 0);
-        assert_eq!(engine.report().rejected_shape, 2);
-        assert_eq!(engine.report().rejected_non_finite, 1);
-        assert_eq!(engine.report().events_of(ServeEventKind::RejectedInput), 3);
-    }
-
-    #[test]
-    fn full_queue_sheds_with_typed_backpressure() {
-        let cfg = EngineConfig { queue_capacity: 2, ..EngineConfig::default() };
-        let mut engine = manual_engine(cfg);
-        assert!(engine.submit(&image(0.1)).is_ok());
-        assert!(engine.submit(&image(0.2)).is_ok());
-        match engine.submit(&image(0.3)) {
-            Err(RequestError::Overloaded { depth: 2, capacity: 2, retry_after }) => {
-                // No batch has run yet, so the drain estimate is the
-                // configured target latency; 2 queued / max_batch 8 = one
-                // batch left to drain.
-                assert_eq!(retry_after, EngineConfig::default().target_batch_latency);
-            }
-            other => panic!("expected typed shed, got {other:?}"),
-        }
-        assert_eq!(engine.report().shed_overloaded, 1);
-        assert_eq!(engine.queue_depth(), 2);
-    }
-
-    #[test]
-    fn poll_micro_batches_fifo_and_answers_every_request() {
-        let cfg = EngineConfig { max_batch: 2, ..EngineConfig::default() };
-        let mut engine = manual_engine(cfg);
-        let ids: Vec<u64> =
-            (0..3).map(|i| engine.submit(&image(i as f32 * 0.1)).unwrap()).collect();
-        let first = engine.poll();
-        assert_eq!(first.len(), 2, "micro-batch caps at max_batch");
-        assert_eq!(first[0].0, ids[0]);
-        assert_eq!(first[1].0, ids[1]);
-        let second = engine.poll();
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].0, ids[2]);
-        assert!(engine.poll().is_empty(), "idle engine serves nothing");
-        for (_, r) in first.iter().chain(second.iter()) {
-            let resp = r.as_ref().unwrap();
-            assert!(resp.logits.iter().all(|v| v.is_finite()));
-            assert_eq!(resp.logits.len(), 3);
-            assert_eq!(resp.stage, 0);
-        }
-        assert_eq!(engine.report().completed, 3);
-        assert_eq!(engine.report().batches, 2);
-        assert_eq!(engine.report().requests_per_stage[0], 3);
-    }
-
-    #[test]
-    fn deadlines_are_enforced_from_admission_time() {
-        let mut engine = manual_engine(EngineConfig::default());
-        let id = engine.submit_with_deadline(&image(0.5), Duration::from_millis(10)).unwrap();
-        // A fault stalls the batch past the request's budget.
-        engine.set_fault_plan(
-            ServeFaultPlan::new().inject_at_batch(0, ServeFaultKind::SlowBatch { stall_ms: 40 }),
-        );
-        let results = engine.poll();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].0, id);
-        assert_eq!(
-            results[0].1,
-            Err(RequestError::DeadlineExceeded { budget_ms: 10, elapsed_ms: 40 })
-        );
-        assert_eq!(engine.report().deadline_missed, 1);
-        assert_eq!(engine.report().events_of(ServeEventKind::SlowBatchFault), 1);
-        assert_eq!(engine.report().events_of(ServeEventKind::DeadlineMissed), 1);
-    }
-
-    #[test]
     fn poisoned_output_is_quarantined_and_never_surfaces() {
-        let mut engine = manual_engine(EngineConfig::default());
-        engine
-            .set_fault_plan(ServeFaultPlan::new().inject_at_batch(0, ServeFaultKind::PoisonOutput));
-        engine.submit(&image(0.3)).unwrap();
-        let results = engine.poll();
-        // The poison is re-injected only once (one-shot); the exact retry
-        // comes back clean, so the caller still gets finite logits... but
-        // the quarantine + retry are on the record.
-        // Note: PoisonOutput fires pre-forward as a flag and poisons the
-        // first forward's logits; the retry forward is clean.
-        let resp = results[0].1.as_ref().unwrap();
-        assert!(resp.logits.iter().all(|v| v.is_finite()));
-        assert_eq!(engine.report().quarantined_batches, 1);
-        assert_eq!(engine.report().retried_batches, 1);
-        assert_eq!(engine.report().events_of(ServeEventKind::QuarantinedBatch), 1);
-        assert_eq!(engine.report().events_of(ServeEventKind::RetriedExact), 1);
+        let mut engine = Engine::new(tiny_net(9));
+        // The poison hits the first forward's logits only; the exact retry
+        // comes back clean, so the caller still gets finite logits — but
+        // the quarantine is on the record.
+        let run = engine.run(&image(0.3), StagePolicy::Exact, true);
+        assert!(run.outcome.unwrap().as_slice().iter().all(|v| v.is_finite()));
+        assert!(matches!(run.quarantined, Some((0, v)) if v.is_nan()));
         assert!(engine.healthy());
+        let clean = engine.run(&image(0.3), StagePolicy::Exact, false);
+        assert_eq!(clean.quarantined, None);
+        assert_eq!(run.flops_exact, 2 * clean.flops_exact, "a retried batch meters both passes");
     }
 
     #[test]
-    fn serve_all_preserves_input_order() {
-        let cfg = EngineConfig { queue_capacity: 2, max_batch: 2, ..EngineConfig::default() };
-        let mut engine = manual_engine(cfg);
-        let images = vec![image(0.1), image(0.2), image(0.3)];
-        let results = engine.serve_all(&images);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_ok());
-        // Third submission arrives while two are queued: shed.
-        assert!(matches!(results[2], Err(RequestError::Overloaded { .. })));
-    }
-
-    #[test]
-    fn probes_report_ready_and_healthy() {
-        let engine = manual_engine(EngineConfig::default());
-        assert!(engine.ready());
+    fn meters_read_as_one_batch_and_probes_report_the_network() {
+        let mut engine = Engine::new(tiny_net(9));
         assert!(engine.healthy());
-        assert_eq!(engine.stage(), 0);
         assert_eq!(engine.input_shape(), (6, 6, 1));
+        assert_eq!(engine.output_shape(), (1, 1, 3));
+        let first = engine.run(&image(0.1), StagePolicy::Exact, false);
+        let second = engine.run(&image(0.2), StagePolicy::Exact, false);
+        assert!(first.flops_exact > 0);
+        assert_eq!(first.flops_exact, second.flops_exact, "deltas, not running totals");
+        assert_eq!(first.flops_actual, second.flops_actual);
     }
 }

@@ -1,7 +1,12 @@
-//! The multi-tenant serving gateway: registry, admission, fair scheduling.
+//! The serving gateway: registry, admission, fair scheduling — the one
+//! request path.
 //!
 //! A [`Gateway`] fronts a [`ModelRegistry`] of independent engine replicas
-//! with per-tenant admission and *isolated* degradation:
+//! (pure batch executors) and owns everything between a submitted image and
+//! its answer: validation, rate limits, queues, deadlines, the degradation
+//! ladders, the fault plan and the [`ServeReport`]. Single-tenant serving is
+//! the same object with one model and one tenant whose token bucket never
+//! empties (`rate_per_sec` and `burst` at `u64::MAX`).
 //!
 //! * **Admission order** — `UnknownModel` / `UnknownTenant` first, then
 //!   request validation (shape, finiteness), then the tenant's token
@@ -15,18 +20,22 @@
 //!   bursting tenant can exhaust only its own slice.
 //! * **Lanes** — requests queue per `(model, tenant)` lane, and each lane
 //!   owns its own [`DegradationLadder`]. [`Gateway::poll`] serves one lane
-//!   per call, visiting non-empty lanes round-robin in key order; the
-//!   replica runs the batch under *that lane's* ladder policy. A bursting
-//!   tenant therefore walks only its own ladder down while a quiet
-//!   tenant's requests keep running the exact path — bitwise equal to a
-//!   dense forward (`tests/gateway.rs` pins this).
+//!   per call — a FIFO micro-batch of at most `max_batch` requests —
+//!   visiting non-empty lanes round-robin in key order; the replica runs
+//!   the batch under *that lane's* ladder policy. A bursting tenant
+//!   therefore walks only its own ladder down while a quiet tenant's
+//!   requests keep running the exact path — bitwise equal to a dense
+//!   forward (`tests/gateway.rs` pins this).
+//! * **Deadlines** — every request carries a latency budget measured from
+//!   admission; a response that would arrive late becomes a typed
+//!   [`RequestError::DeadlineExceeded`] instead of being silently served.
 //! * **Hot swap** — [`Gateway::swap`] delegates to the registry's
 //!   load-new → warm-verify → atomic-flip state machine. In-flight
 //!   requests live in the gateway's lanes, never inside a replica, so a
 //!   generation flip cannot drop them: zero-downtime by construction.
 //!
-//! Determinism mirrors the engine: all time flows through one injected
-//! [`ServeClock`], all per-tenant state lives in `BTreeMap`s, and
+//! Determinism mirrors the training loop: all time flows through one
+//! injected [`ServeClock`], all per-tenant state lives in `BTreeMap`s, and
 //! scheduling is a pure function of the queue contents — the same request
 //! stream against the same artifacts replays bitwise under `ManualClock`.
 
@@ -39,14 +48,10 @@ use adr_tensor::sanitize::first_non_finite;
 use adr_tensor::Tensor4;
 
 use crate::clock::{MonotonicClock, ServeClock};
-use crate::engine::{EngineConfig, InferResponse};
 use crate::error::{EngineError, RequestError, SwapError};
-use crate::ladder::DegradationLadder;
-use crate::ladder::LadderMove;
+use crate::ladder::{DegradationLadder, LadderMove};
 use crate::registry::{ArtifactKind, ModelRegistry, NetFactory};
-use crate::report::{
-    EngineReport, GatewayReport, ModelCounters, ServeEvent, ServeEventKind, TenantCounters,
-};
+use crate::report::{ModelCounters, ServeEvent, ServeEventKind, ServeReport, TenantCounters};
 use crate::tenant::{TenantConfig, TokenBucket};
 
 /// Gateway-level knobs; per-tenant policy lives in [`TenantConfig`].
@@ -66,8 +71,23 @@ impl Default for GatewayConfig {
     }
 }
 
-/// One admitted, not-yet-served gateway request.
-struct GwPending {
+/// A successfully served request.
+#[derive(Clone, Debug, PartialEq)]
+pub struct InferResponse {
+    /// Request id returned by [`Gateway::submit`].
+    pub id: u64,
+    /// Argmax class index.
+    pub class: usize,
+    /// Raw per-class logits.
+    pub logits: Vec<f32>,
+    /// Ladder stage the request's batch ran at (0 = exact).
+    pub stage: usize,
+    /// Admission-to-completion latency.
+    pub latency: Duration,
+}
+
+/// One admitted, not-yet-served request.
+struct Pending {
     id: u64,
     image: Tensor4,
     admitted_at: Duration,
@@ -76,7 +96,7 @@ struct GwPending {
 
 /// One `(model, tenant)` queue with its own degradation ladder.
 struct Lane {
-    queue: VecDeque<GwPending>,
+    queue: VecDeque<Pending>,
     ladder: DegradationLadder,
 }
 
@@ -96,11 +116,12 @@ pub struct Gateway {
     lanes: BTreeMap<String, BTreeMap<String, Lane>>,
     clock: Box<dyn ServeClock>,
     faults: ServeFaultPlan,
-    report: GatewayReport,
+    report: ServeReport,
     next_id: u64,
     batch_index: usize,
-    /// Last lane served, for deterministic round-robin across lanes.
-    last_served: Option<(String, String)>,
+    /// Position, in `(model, tenant)` key order, of the last lane served —
+    /// the deterministic round-robin cursor.
+    last_served: Option<usize>,
     /// Latest observed per-batch drain time, seeding `retry_after` hints.
     drain_estimate: Duration,
 }
@@ -138,7 +159,7 @@ impl Gateway {
             lanes: BTreeMap::new(),
             clock,
             faults: ServeFaultPlan::new(),
-            report: GatewayReport::default(),
+            report: ServeReport::default(),
             next_id: 0,
             batch_index: 0,
             last_served: None,
@@ -148,6 +169,8 @@ impl Gateway {
 
     /// Loads `path` as `kind` into a network built by `factory` and
     /// registers it under `name`, creating a lane for every known tenant.
+    /// An armed [`ServeFaultPlan::corrupt_checkpoint_load`] hits the bytes
+    /// of this load.
     ///
     /// # Errors
     /// Duplicate names and load failures, per
@@ -159,13 +182,7 @@ impl Gateway {
         path: impl AsRef<Path>,
         factory: NetFactory,
     ) -> Result<(), EngineError> {
-        let engine_cfg = EngineConfig {
-            queue_capacity: self.cfg.queue_capacity,
-            max_batch: self.cfg.max_batch,
-            target_batch_latency: self.cfg.target_batch_latency,
-            ..EngineConfig::default()
-        };
-        self.registry.register(name, kind, path, factory, engine_cfg)?;
+        self.registry.register(name, kind, path, factory, &mut self.faults)?;
         let mut lanes = BTreeMap::new();
         for (tenant, state) in &self.tenants {
             lanes.insert(
@@ -220,7 +237,8 @@ impl Gateway {
         Ok(())
     }
 
-    /// Installs a fault plan for subsequent submissions, batches and swaps.
+    /// Installs a fault plan for subsequent loads, submissions, batches and
+    /// swaps.
     pub fn set_fault_plan(&mut self, plan: ServeFaultPlan) {
         self.faults = plan;
     }
@@ -342,7 +360,7 @@ impl Gateway {
         }
         let id = self.next_id;
         self.next_id += 1;
-        lane.queue.push_back(GwPending { id, image, admitted_at: now, deadline });
+        lane.queue.push_back(Pending { id, image, admitted_at: now, deadline });
         if let Some(counters) = self.report.tenants.get_mut(tenant) {
             counters.admitted += 1;
         }
@@ -355,50 +373,55 @@ impl Gateway {
     /// Returns `(request id, outcome)` pairs in admission order; an empty
     /// vec when every lane is idle.
     pub fn poll(&mut self) -> Vec<(u64, Result<InferResponse, RequestError>)> {
-        let Some((model, tenant)) = self.next_lane() else {
+        let Some(position) = self.next_lane() else {
             return Vec::new();
         };
         let batch_index = self.batch_index;
-        self.batch_index += 1;
-        let t0 = self.clock.now();
+        let cap = self.per_tenant_cap();
+        let Self { cfg, registry, lanes, clock, faults, report, drain_estimate, .. } = self;
+        let ServeReport { tenants, models, batches, latency, events } = report;
+        let mut event =
+            |kind, detail: String| events.push(ServeEvent { batch: batch_index, kind, detail });
+        let lane = lanes
+            .iter_mut()
+            .flat_map(|(m, ts)| ts.iter_mut().map(move |(t, lane)| (m.as_str(), t.as_str(), lane)))
+            .nth(position);
+        // Unreachable `else`s: every lane is keyed by a registered model
+        // and tenant, and both got their counters when they registered.
+        let Some((model, tenant, lane)) = lane else {
+            return Vec::new();
+        };
+        let (Some(entry), Some(counters), Some(model_counters)) =
+            (registry.entry_mut(model), tenants.get_mut(tenant), models.get_mut(model))
+        else {
+            return Vec::new();
+        };
+        let t0 = clock.now();
 
         let mut poison_output = false;
-        for fault in self.faults.take_due(batch_index) {
+        for fault in faults.take_due(batch_index) {
             match fault {
                 ServeFaultKind::SlowBatch { stall_ms } => {
-                    self.event(
-                        ServeEventKind::SlowBatchFault,
-                        format!("injected {stall_ms} ms stall"),
-                    );
-                    self.clock.stall(Duration::from_millis(stall_ms));
+                    event(ServeEventKind::SlowBatchFault, format!("injected {stall_ms} ms stall"));
+                    clock.stall(Duration::from_millis(stall_ms));
                 }
                 ServeFaultKind::PoisonOutput => {
-                    self.event(ServeEventKind::PoisonFault, "batch output will be poisoned".into());
+                    event(ServeEventKind::PoisonFault, "batch output will be poisoned".into());
                     poison_output = true;
                 }
             }
         }
-        if self.faults.take_tenant_poison(&tenant) {
-            self.event(
+        if faults.take_tenant_poison(tenant) {
+            event(
                 ServeEventKind::PoisonFault,
                 format!("tenant '{tenant}' batch output will be poisoned"),
             );
             poison_output = true;
         }
 
-        let max_batch = self.cfg.max_batch;
-        let (pending, stage, policy) = match self.lane_mut(&model, &tenant) {
-            Some(lane) => {
-                let take = max_batch.min(lane.queue.len());
-                let pending: Vec<GwPending> = lane.queue.drain(..take).collect();
-                (pending, lane.ladder.stage(), lane.ladder.policy())
-            }
-            None => return Vec::new(),
-        };
-
-        let Some(entry) = self.registry.entry_mut(&model) else {
-            return Vec::new();
-        };
+        let take = cfg.max_batch.min(lane.queue.len());
+        let pending: Vec<Pending> = lane.queue.drain(..take).collect();
+        let (stage, policy) = (lane.ladder.stage(), lane.ladder.policy());
         let (h, w, c) = entry.engine.input_shape();
         let mut batch = Tensor4::zeros(pending.len(), h, w, c);
         {
@@ -408,67 +431,64 @@ impl Gateway {
                 dst[i * image_len..(i + 1) * image_len].copy_from_slice(p.image.as_slice());
             }
         }
-        let mut outcome = entry.engine.run_gateway_batch(&batch, policy, stage, poison_output);
+        let run = entry.engine.run(&batch, policy, poison_output);
+        if let Some((index, value)) = run.quarantined {
+            model_counters.quarantined_batches += 1;
+            event(
+                ServeEventKind::QuarantinedBatch,
+                format!("stage {stage} output {value} at flat index {index}"),
+            );
+            model_counters.retried_batches += 1;
+            event(ServeEventKind::RetriedExact, "re-running batch on exact GEMM".into());
+        }
         let classes = {
             let (oh, ow, oc) = entry.engine.output_shape();
             oh * ow * oc
         };
-        let generation = entry.generation;
-        let engine_report = entry.engine.report();
-        let (flops_actual, flops_exact) = (engine_report.flops_actual, engine_report.flops_exact);
 
-        let t1 = self.clock.now();
+        let t1 = clock.now();
         let batch_latency = t1.checked_sub(t0).unwrap_or_default();
         if !batch_latency.is_zero() {
-            self.drain_estimate = batch_latency;
+            *drain_estimate = batch_latency;
         }
-        self.report.batches += 1;
-        if let Some(m) = self.report.models.get_mut(&model) {
-            m.batches += 1;
-            m.generation = generation;
-            m.flops_actual = flops_actual;
-            m.flops_exact = flops_exact;
-        }
+        *batches += 1;
+        model_counters.batches += 1;
+        model_counters.generation = entry.generation;
+        model_counters.flops_actual += run.flops_actual;
+        model_counters.flops_exact += run.flops_exact;
 
-        let cap = self.per_tenant_cap();
-        let latency_frac =
-            batch_latency.as_secs_f32() / self.cfg.target_batch_latency.as_secs_f32();
-        let ladder_move = match self.lane_mut(&model, &tenant) {
-            Some(lane) => {
-                let queue_frac = lane.queue.len() as f32 / cap as f32;
-                lane.ladder.observe(latency_frac, queue_frac)
-            }
-            None => None,
-        };
-        match ladder_move {
-            Some(LadderMove::Degraded { from, to }) => {
-                self.event(
-                    ServeEventKind::Degraded,
-                    format!("tenant '{tenant}' on '{model}': stage {from} -> {to}"),
-                );
-            }
-            Some(LadderMove::Recovered { from, to }) => {
-                self.event(
-                    ServeEventKind::Recovered,
-                    format!("tenant '{tenant}' on '{model}': stage {from} -> {to}"),
-                );
-            }
-            None => {}
+        let latency_frac = batch_latency.as_secs_f32() / cfg.target_batch_latency.as_secs_f32();
+        let queue_frac = lane.queue.len() as f32 / cap as f32;
+        if let Some(ladder_move) = lane.ladder.observe(latency_frac, queue_frac) {
+            let (kind, steps, from, to) = match ladder_move {
+                LadderMove::Degraded { from, to } => {
+                    (ServeEventKind::Degraded, &mut counters.degraded_steps, from, to)
+                }
+                LadderMove::Recovered { from, to } => {
+                    (ServeEventKind::Recovered, &mut counters.recovered_steps, from, to)
+                }
+            };
+            *steps += 1;
+            event(
+                kind,
+                format!(
+                    "tenant '{tenant}' on '{model}': stage {from} -> {to} (pressure {:.2})",
+                    lane.ladder.pressure()
+                ),
+            );
         }
 
         let mut results = Vec::with_capacity(pending.len());
         for (i, p) in pending.iter().enumerate() {
             let elapsed = t1.checked_sub(p.admitted_at).unwrap_or_default();
-            self.report.latency.record(elapsed);
-            let answer = match &mut outcome {
+            latency.record(elapsed);
+            let answer = match &run.outcome {
                 Ok(logits) => {
                     if elapsed > p.deadline {
                         let budget_ms = duration_ms(p.deadline);
                         let elapsed_ms = duration_ms(elapsed);
-                        if let Some(counters) = self.report.tenants.get_mut(&tenant) {
-                            counters.deadline_missed += 1;
-                        }
-                        self.event(
+                        counters.deadline_missed += 1;
+                        event(
                             ServeEventKind::DeadlineMissed,
                             format!("request {} budget {budget_ms} ms, took {elapsed_ms} ms", p.id),
                         );
@@ -481,26 +501,23 @@ impl Gateway {
                             .max_by(|a, b| a.1.total_cmp(b.1))
                             .map(|(idx, _)| idx)
                             .unwrap_or(0);
-                        if let Some(counters) = self.report.tenants.get_mut(&tenant) {
-                            counters.completed += 1;
-                            if let Some(count) = counters.requests_per_stage.get_mut(stage) {
-                                *count += 1;
-                            }
+                        counters.completed += 1;
+                        if let Some(count) = counters.requests_per_stage.get_mut(stage) {
+                            *count += 1;
                         }
                         Ok(InferResponse { id: p.id, class, logits: row, stage, latency: elapsed })
                     }
                 }
                 Err(e) => {
-                    if let Some(counters) = self.report.tenants.get_mut(&tenant) {
-                        if matches!(e, RequestError::NonFiniteOutput { .. }) {
-                            counters.failed_non_finite += 1;
-                        }
+                    if matches!(e, RequestError::NonFiniteOutput { .. }) {
+                        counters.failed_non_finite += 1;
                     }
                     Err(e.clone())
                 }
             };
             results.push((p.id, answer));
         }
+        self.batch_index += 1;
         results
     }
 
@@ -562,55 +579,28 @@ impl Gateway {
         self.lanes.values().flat_map(|m| m.values()).map(|lane| lane.queue.len()).sum()
     }
 
-    fn lane_mut(&mut self, model: &str, tenant: &str) -> Option<&mut Lane> {
-        self.lanes.get_mut(model).and_then(|m| m.get_mut(tenant))
+    /// The position (in `(model, tenant)` key order) of the next non-empty
+    /// lane strictly after the last one served, wrapping to the first —
+    /// deterministic round-robin over whatever lanes currently hold work.
+    /// A lane registered mid-stream shifts the positions behind it, which
+    /// at most reorders one round.
+    fn next_lane(&mut self) -> Option<usize> {
+        let lanes = || self.lanes.values().flat_map(BTreeMap::values).enumerate();
+        let waiting = |(_, lane): &(usize, &Lane)| !lane.queue.is_empty();
+        let start = self.last_served.map_or(0, |last| last + 1);
+        let (next, _) = lanes().skip(start).find(waiting).or_else(|| lanes().find(waiting))?;
+        self.last_served = Some(next);
+        Some(next)
     }
 
-    /// The next non-empty lane strictly after the last one served (in
-    /// `(model, tenant)` key order), wrapping to the first — deterministic
-    /// round-robin over whatever lanes currently hold work.
-    fn next_lane(&mut self) -> Option<(String, String)> {
-        let mut first: Option<(&str, &str)> = None;
-        let mut after: Option<(&str, &str)> = None;
-        let last = self.last_served.as_ref().map(|(m, t)| (m.as_str(), t.as_str()));
-        for (model, tenants) in &self.lanes {
-            for (tenant, lane) in tenants {
-                if lane.queue.is_empty() {
-                    continue;
-                }
-                let key = (model.as_str(), tenant.as_str());
-                if first.is_none() {
-                    first = Some(key);
-                }
-                if after.is_none() {
-                    if let Some(last) = last {
-                        if key > last {
-                            after = Some(key);
-                        }
-                    }
-                }
-            }
-        }
-        let (model, tenant) = after.or(first)?;
-        let owned = (model.to_string(), tenant.to_string());
-        self.last_served = Some(owned.clone());
-        Some(owned)
-    }
-
-    /// Accumulated gateway telemetry.
-    pub fn report(&self) -> &GatewayReport {
+    /// Accumulated serving telemetry.
+    pub fn report(&self) -> &ServeReport {
         &self.report
     }
 
     /// Consumes the gateway, returning its telemetry.
-    pub fn into_report(self) -> GatewayReport {
+    pub fn into_report(self) -> ServeReport {
         self.report
-    }
-
-    /// The replica-level report of one model (batches, FLOPs, quarantine
-    /// and retry counts for that model's engine).
-    pub fn model_report(&self, model: &str) -> Option<&EngineReport> {
-        self.registry.engine(model).map(|e| e.report())
     }
 
     /// The live generation of `model` (0 until the first swap).
@@ -669,6 +659,122 @@ fn duration_ms(d: Duration) -> u64 {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::engine::tests::{image, tiny_net};
+    use adr_nn::checkpoint::Checkpoint;
+
+    /// The tiny net's weights as a real artifact (one path per test).
+    fn tiny_artifact(name: &str) -> std::path::PathBuf {
+        let artifact = std::env::temp_dir().join(format!("adr-gw-unit-{name}.adr1"));
+        Checkpoint::capture(&mut tiny_net(9)).save(&artifact).unwrap();
+        artifact
+    }
+
+    /// Single-tenant serving on the virtual clock: the tiny net as model
+    /// `"m"`, behind tenant `"t"` whose bucket never empties.
+    fn single_tenant(name: &str, cfg: GatewayConfig) -> Gateway {
+        let artifact = tiny_artifact(name);
+        let mut gw = Gateway::with_clock(cfg, Box::new(ManualClock::new())).unwrap();
+        let unlimited =
+            TenantConfig { rate_per_sec: u64::MAX, burst: u64::MAX, ..TenantConfig::default() };
+        gw.add_tenant("t", unlimited).unwrap();
+        gw.register_model("m", ArtifactKind::Adr1, &artifact, Box::new(|| tiny_net(9))).unwrap();
+        std::fs::remove_file(&artifact).ok();
+        gw
+    }
+
+    #[test]
+    fn full_lane_sheds_with_the_latency_target_as_the_first_retry_hint() {
+        let cfg = GatewayConfig { queue_capacity: 2, ..GatewayConfig::default() };
+        let mut gw = single_tenant("shed", cfg);
+        assert!(gw.submit("m", "t", &image(0.1)).is_ok());
+        assert!(gw.submit("m", "t", &image(0.2)).is_ok());
+        match gw.submit("m", "t", &image(0.3)) {
+            Err(RequestError::Overloaded { depth: 2, capacity: 2, retry_after }) => {
+                // No batch has run yet, so the drain estimate is the
+                // configured target latency; 2 queued / max_batch 8 = one
+                // batch left to drain.
+                assert_eq!(retry_after, GatewayConfig::default().target_batch_latency);
+            }
+            other => panic!("expected typed shed, got {other:?}"),
+        }
+        assert_eq!(gw.report().tenants["t"].shed_overloaded, 1);
+        assert_eq!(gw.queue_depth("m", "t"), Some(2));
+    }
+
+    #[test]
+    fn poll_micro_batches_fifo_and_answers_every_request() {
+        let cfg = GatewayConfig { max_batch: 2, ..GatewayConfig::default() };
+        let mut gw = single_tenant("fifo", cfg);
+        let ids: Vec<u64> =
+            (0..3).map(|i| gw.submit("m", "t", &image(i as f32 * 0.1)).unwrap()).collect();
+        let first = gw.poll();
+        assert_eq!(first.len(), 2, "micro-batch caps at max_batch");
+        assert_eq!(first[0].0, ids[0]);
+        assert_eq!(first[1].0, ids[1]);
+        let second = gw.poll();
+        assert_eq!(second.len(), 1);
+        assert_eq!(second[0].0, ids[2]);
+        assert!(gw.poll().is_empty(), "idle gateway serves nothing");
+        for (_, r) in first.iter().chain(second.iter()) {
+            let resp = r.as_ref().unwrap();
+            assert!(resp.logits.iter().all(|v| v.is_finite()));
+            assert_eq!(resp.logits.len(), 3);
+            assert_eq!(resp.stage, 0);
+        }
+        assert_eq!(gw.report().tenants["t"].completed, 3);
+        assert_eq!(gw.report().batches, 2);
+        assert_eq!(gw.report().tenants["t"].requests_per_stage[0], 3);
+    }
+
+    #[test]
+    fn in_batch_events_carry_their_own_batch_index() {
+        let mut gw = single_tenant("stamp", GatewayConfig::default());
+        gw.set_fault_plan(
+            ServeFaultPlan::new().inject_at_batch(0, ServeFaultKind::SlowBatch { stall_ms: 40 }),
+        );
+        gw.submit_with_deadline("m", "t", &image(0.5), Duration::from_millis(10)).unwrap();
+        let results = gw.poll();
+        assert_eq!(
+            results[0].1,
+            Err(RequestError::DeadlineExceeded { budget_ms: 10, elapsed_ms: 40 })
+        );
+        assert!(gw.submit("m", "t", &Tensor4::zeros(1, 4, 4, 1)).is_err());
+        let stamps: Vec<(ServeEventKind, usize)> =
+            gw.report().events.iter().map(|e| (e.kind, e.batch)).collect();
+        assert_eq!(
+            stamps,
+            vec![
+                (ServeEventKind::SlowBatchFault, 0),
+                (ServeEventKind::DeadlineMissed, 0),
+                (ServeEventKind::RejectedInput, 1),
+            ],
+            "batch 0's events are stamped 0; the next admission event belongs to batch 1"
+        );
+    }
+
+    #[test]
+    fn model_flops_accumulate_across_a_hot_swap_and_exclude_the_probe() {
+        let cfg = GatewayConfig { max_batch: 1, ..GatewayConfig::default() };
+        let mut gw = single_tenant("flops", cfg);
+        let artifact = tiny_artifact("flops-swap");
+        let serve_three = |gw: &mut Gateway| {
+            for i in 0..3 {
+                gw.submit("m", "t", &image(i as f32 * 0.1)).unwrap();
+            }
+            assert!(gw.drain().iter().all(|(_, r)| r.is_ok()));
+        };
+        serve_three(&mut gw);
+        let before = gw.report().models["m"].clone();
+        assert!(before.flops_exact > 0);
+        assert_eq!(gw.swap("m", &artifact).unwrap(), 1);
+        assert_eq!(gw.report().models["m"].flops_exact, before.flops_exact, "probe is not served");
+        serve_three(&mut gw);
+        let after = &gw.report().models["m"];
+        assert_eq!(after.flops_exact, 2 * before.flops_exact);
+        assert_eq!(after.flops_actual, 2 * before.flops_actual);
+        assert_eq!(after.batches, 6);
+        std::fs::remove_file(&artifact).ok();
+    }
 
     #[test]
     fn invalid_configs_are_rejected_at_construction() {

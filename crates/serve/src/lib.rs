@@ -7,49 +7,52 @@
 //! GEMM rows — instead of dropping requests, and recovers back toward the
 //! exact im2col GEMM when pressure subsides.
 //!
-//! The crate is organised around one type, [`engine::Engine`]:
+//! There is one request path, and [`gateway::Gateway`] is it:
 //!
-//! * **Admission** — requests enter through a bounded queue. Non-finite
-//!   pixels and shape mismatches are rejected with a typed
-//!   [`error::RequestError`] before they can touch the network; once the
+//! * **Admission** — requests enter per `(model, tenant)` lane. Unknown
+//!   names, non-finite pixels and shape mismatches are rejected with a
+//!   typed [`error::RequestError`] before they can touch a network; a
+//!   tenant over its token bucket gets
+//!   [`error::RequestError::RateLimited`], and once its fair share of the
 //!   queue is full, further requests are shed with
 //!   [`error::RequestError::Overloaded`] (backpressure, not buffering).
 //! * **Micro-batching** — admitted requests are compatible by construction
-//!   (admission pinned them to the network's input shape), so the engine
-//!   drains the queue FIFO into batches of at most `max_batch`.
+//!   (admission pinned them to the model's input shape), so each
+//!   `Gateway::poll` drains one lane FIFO into a batch of at most
+//!   `max_batch`, visiting lanes round-robin.
 //! * **Deadlines** — every request carries a latency budget measured from
 //!   admission. A response that would arrive late is converted into a typed
 //!   [`error::RequestError::DeadlineExceeded`] instead of silently served.
 //! * **Degradation ladder** — a latency/queue-depth EMA
-//!   ([`ladder::DegradationLadder`]) steps the reuse strategy between
-//!   stages, from the exact GEMM through increasingly aggressive reuse —
-//!   the trainer's guardrail tightening, mirrored.
-//! * **Output sanitation** — every batch output is scanned with
-//!   `adr_tensor::sanitize::first_non_finite`; a poisoned batch is
-//!   quarantined, retried once on the exact GEMM path, and recorded. A
-//!   caller never observes a non-finite value.
-//! * **Observability** — [`report::EngineReport`] accumulates per-stage
-//!   request counts, shed/degraded/retried totals, a latency histogram and
-//!   FLOPs saved versus the exact path; `Engine::{ready, healthy}` are the
-//!   probe surface.
-//!
-//! Above the single engine sits the multi-tenant layer:
-//!
-//! * **Registry** — [`registry::ModelRegistry`] holds named engine
+//!   ([`ladder::DegradationLadder`], one per lane) steps the reuse strategy
+//!   between stages, from the exact GEMM through increasingly aggressive
+//!   reuse — the trainer's guardrail tightening, mirrored. One tenant's
+//!   burst degrades only its own quality.
+//! * **Execution and output sanitation** — the batch runs on the model's
+//!   replica, an [`engine::Engine`]: a frozen network that applies the
+//!   lane's stage policy, scans every output with
+//!   `adr_tensor::sanitize::first_non_finite`, quarantines a poisoned
+//!   batch and retries it once on the exact GEMM path. A caller never
+//!   observes a non-finite value. The engine has no queue, clock or report
+//!   of its own; it tells the gateway what the batch did.
+//! * **Registry and hot swap** — [`registry::ModelRegistry`] holds the named
 //!   replicas loaded from `ADR1`/`ADRS` artifacts, each with a generation
 //!   counter and a zero-downtime hot-swap state machine (load-new →
 //!   warm-verify → atomic flip, typed [`error::SwapError`] rollback).
-//! * **Gateway** — [`gateway::Gateway`] fronts the registry with
-//!   per-tenant token buckets ([`error::RequestError::RateLimited`]),
-//!   fair-share queue slices, and one degradation ladder per
-//!   `(model, tenant)` lane, so one tenant's burst degrades only its own
-//!   quality while other tenants stay on the exact path.
+//! * **Observability** — one [`report::ServeReport`] accumulates per-tenant
+//!   admission, deadline, ladder and per-stage counts, per-model batch,
+//!   swap, sanitizer and FLOP counts, a latency histogram and the ordered
+//!   event log; `Gateway::{ready, healthy}` are the probe surface.
+//!
+//! Single-tenant serving is not a second mode: it is a gateway with one
+//! model and one tenant whose bucket never empties (`rate_per_sec` and
+//! `burst` at `u64::MAX`), which is what `adr serve --checkpoint` builds.
 //!
 //! Determinism mirrors the training loop: with the [`clock::ManualClock`]
 //! and no injected faults, the same request stream against the same
 //! checkpoint produces bitwise-identical outputs and an identical report
-//! (`tests/determinism.rs` pins this); the gateway adds no nondeterminism —
-//! scheduling is round-robin over `BTreeMap`-ordered lanes.
+//! (`tests/determinism.rs` pins this) — scheduling is round-robin over
+//! `BTreeMap`-ordered lanes and all time flows through the injected clock.
 
 #![warn(missing_docs)]
 // Tests assert on values they just constructed; unwrap there is the idiom.
@@ -65,13 +68,12 @@ pub mod report;
 pub mod tenant;
 
 pub use clock::{ManualClock, MonotonicClock, ServeClock};
-pub use engine::{Engine, EngineConfig, InferResponse};
+pub use engine::{BatchRun, Engine};
 pub use error::{EngineError, RequestError, SwapError};
-pub use gateway::{Gateway, GatewayConfig};
+pub use gateway::{Gateway, GatewayConfig, InferResponse};
 pub use ladder::{DegradationLadder, LadderConfig, LadderMove, StagePolicy};
 pub use registry::{ArtifactKind, ModelRegistry, NetFactory};
 pub use report::{
-    EngineReport, GatewayReport, LatencyHistogram, ModelCounters, ServeEvent, ServeEventKind,
-    TenantCounters,
+    LatencyHistogram, ModelCounters, ServeEvent, ServeEventKind, ServeReport, TenantCounters,
 };
 pub use tenant::TenantConfig;

@@ -1,10 +1,10 @@
 //! The model registry: named, hot-swappable engine replicas.
 //!
-//! A [`ModelRegistry`] maps model names to independent [`Engine`] replicas,
-//! each loaded from a named `ADR1` checkpoint or `ADRS` train-state
-//! artifact. Every entry carries a *generation* counter and the factory
-//! that rebuilds its network architecture, which is what makes zero-downtime
-//! hot swap possible:
+//! A [`ModelRegistry`] maps model names to independent [`Engine`] replicas
+//! (batch executors; the gateway owns every queue), each loaded from a
+//! named `ADR1` checkpoint or `ADRS` train-state artifact. Every entry
+//! carries a *generation* counter and the factory that rebuilds its network
+//! architecture, which is what makes zero-downtime hot swap possible:
 //!
 //! 1. **load-new** — read the replacement artifact and restore it into a
 //!    freshly built network (the live engine is untouched);
@@ -30,8 +30,7 @@ use adr_nn::sgd::Sgd;
 use adr_tensor::sanitize::first_non_finite;
 use adr_tensor::Tensor4;
 
-use crate::clock::ManualClock;
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::Engine;
 use crate::error::{EngineError, SwapError};
 
 /// Which artifact format a registry entry loads its weights from.
@@ -55,7 +54,6 @@ pub(crate) struct ModelEntry {
     pub(crate) generation: u64,
     kind: ArtifactKind,
     factory: NetFactory,
-    cfg: EngineConfig,
     probe: Tensor4,
 }
 
@@ -74,6 +72,10 @@ impl ModelRegistry {
     /// Loads `path` as `kind` into a network built by `factory` and
     /// registers it under `name` at generation 0.
     ///
+    /// `faults` is consulted for an armed
+    /// [`ServeFaultPlan::corrupt_checkpoint_load`], which flips a byte of
+    /// the artifact as read by this load.
+    ///
     /// # Errors
     /// [`EngineError::BadConfig`] for a duplicate name; load/restore
     /// failures as [`EngineError::Checkpoint`] / [`EngineError::State`].
@@ -83,23 +85,21 @@ impl ModelRegistry {
         kind: ArtifactKind,
         path: impl AsRef<Path>,
         factory: NetFactory,
-        cfg: EngineConfig,
+        faults: &mut ServeFaultPlan,
     ) -> Result<(), EngineError> {
         if self.models.contains_key(name) {
             return Err(EngineError::BadConfig(format!("model '{name}' already registered")));
         }
-        let bytes = fs::read(path.as_ref()).map_err(CheckpointError::from)?;
+        let mut bytes = fs::read(path.as_ref()).map_err(CheckpointError::from)?;
+        faults.corrupt_load(&mut bytes);
         let net = restore_into(factory(), kind, &bytes)?;
         let (h, w, c) = net.input_shape();
         // Deterministic finite probe batch for warm-verifying future swaps.
         let probe =
             Tensor4::from_fn(1, h, w, c, |_, y, x, ch| ((y * w + x) * c + ch) as f32 % 17.0 * 0.05);
-        // Replica engines never see requests directly — the gateway owns
-        // admission, queues, and time — so the engine clock is inert.
-        let engine = Engine::with_clock(net, cfg.clone(), Box::new(ManualClock::new()))?;
         self.models.insert(
             name.to_string(),
-            ModelEntry { engine, generation: 0, kind, factory, cfg, probe },
+            ModelEntry { engine: Engine::new(net), generation: 0, kind, factory, probe },
         );
         Ok(())
     }
@@ -144,11 +144,11 @@ impl ModelRegistry {
         if let Some((index, _)) = first_non_finite(logits.as_slice()) {
             return Err(SwapError::ProbeNonFinite { index });
         }
-        let engine = Engine::with_clock(net, entry.cfg.clone(), Box::new(ManualClock::new()))?;
         // atomic flip + drain-old: one assignment replaces the replica; the
         // old engine holds no queued requests (the gateway does), so
-        // dropping it is the drain.
-        entry.engine = engine;
+        // dropping it is the drain. The probe's forward is not served work:
+        // the engine's meters restart with its first batch.
+        entry.engine = Engine::new(net);
         entry.generation += 1;
         Ok(entry.generation)
     }

@@ -1,10 +1,12 @@
 //! Serving observability: counters, events, and the latency histogram.
 //!
 //! The serving counterpart of `adr_core::report::TrainReport`. Every
-//! robustness decision the engine makes — shedding, degrading, quarantining
-//! a poisoned batch, retrying on the exact path, failing a deadline — lands
-//! here as both a counter and an ordered [`ServeEvent`], so a fault-injected
-//! test (and an operator) can reconstruct exactly what happened and when.
+//! robustness decision the gateway makes — rate-limiting, shedding,
+//! degrading, quarantining a poisoned batch, retrying on the exact path,
+//! failing a deadline, swapping a model — lands in the one [`ServeReport`]
+//! as both a counter (attributed to its tenant or model) and an ordered
+//! [`ServeEvent`], so a fault-injected test (and an operator) can
+//! reconstruct exactly what happened and when.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -67,7 +69,7 @@ impl LatencyHistogram {
     }
 }
 
-/// What kind of robustness event the engine recorded.
+/// What kind of robustness event the gateway recorded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeEventKind {
     /// The ladder stepped toward more aggressive reuse.
@@ -102,8 +104,10 @@ pub enum ServeEventKind {
 /// One recorded event, in batch order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeEvent {
-    /// Micro-batch index the event belongs to (admission-time events carry
-    /// the index of the *next* batch).
+    /// Micro-batch index the event belongs to: events raised while a batch
+    /// runs (faults, sanitizer, ladder moves, deadline misses) carry that
+    /// batch's own index; admission and swap events carry the index of the
+    /// *next* batch.
     pub batch: usize,
     /// Event class.
     pub kind: ServeEventKind,
@@ -111,154 +115,7 @@ pub struct ServeEvent {
     pub detail: String,
 }
 
-/// Aggregated serving telemetry; the serving mirror of `TrainReport`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct EngineReport {
-    /// Requests admitted into the queue.
-    pub admitted: u64,
-    /// Requests answered with logits.
-    pub completed: u64,
-    /// Requests rejected for a wrong shape.
-    pub rejected_shape: u64,
-    /// Requests rejected for non-finite input values.
-    pub rejected_non_finite: u64,
-    /// Requests shed with `Overloaded`.
-    pub shed_overloaded: u64,
-    /// Requests whose response missed its deadline.
-    pub deadline_missed: u64,
-    /// Requests failed because the output stayed non-finite after retry.
-    pub failed_non_finite: u64,
-    /// Micro-batches processed.
-    pub batches: u64,
-    /// Ladder steps toward aggressive reuse.
-    pub degraded_steps: u64,
-    /// Ladder steps back toward exact.
-    pub recovered_steps: u64,
-    /// Batches quarantined by the output sanitizer.
-    pub quarantined_batches: u64,
-    /// Batches re-run on the exact GEMM path.
-    pub retried_batches: u64,
-    /// Requests processed per ladder stage (index = stage).
-    pub requests_per_stage: Vec<u64>,
-    /// Admission-to-completion latency distribution.
-    pub latency: LatencyHistogram,
-    /// Forward multiply–adds actually performed by the frozen network.
-    pub flops_actual: u64,
-    /// Forward multiply–adds the exact path would have performed.
-    pub flops_exact: u64,
-    /// Ordered robustness events.
-    pub events: Vec<ServeEvent>,
-}
-
-impl EngineReport {
-    /// Fraction of forward FLOPs saved versus the exact path, in `[0, 1]`.
-    pub fn flop_savings(&self) -> f64 {
-        if self.flops_exact == 0 {
-            return 0.0;
-        }
-        1.0 - self.flops_actual as f64 / self.flops_exact as f64
-    }
-
-    /// Number of recorded events of `kind`.
-    pub fn events_of(&self, kind: ServeEventKind) -> usize {
-        self.events.iter().filter(|e| e.kind == kind).count()
-    }
-
-    /// The counters as stable `(name, value)` pairs — what the determinism
-    /// suite compares across runs.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("admitted", self.admitted),
-            ("completed", self.completed),
-            ("rejected_shape", self.rejected_shape),
-            ("rejected_non_finite", self.rejected_non_finite),
-            ("shed_overloaded", self.shed_overloaded),
-            ("deadline_missed", self.deadline_missed),
-            ("failed_non_finite", self.failed_non_finite),
-            ("batches", self.batches),
-            ("degraded_steps", self.degraded_steps),
-            ("recovered_steps", self.recovered_steps),
-            ("quarantined_batches", self.quarantined_batches),
-            ("retried_batches", self.retried_batches),
-        ]
-    }
-
-    /// Re-exports this report through the unified telemetry schema
-    /// (DESIGN.md §11): every [`EngineReport::counters`] entry becomes an
-    /// `adr_serve_<name>` counter, plus per-stage request attribution,
-    /// cumulative latency buckets, and the FLOP actual/exact pair.
-    ///
-    /// Counters are *added* to the installed sink, so call this once per
-    /// report against a fresh recorder (as `adr bench` does); calling it
-    /// twice double-counts. No-op without an installed sink.
-    pub fn export_metrics(&self) {
-        if !adr_obs::is_active() {
-            return;
-        }
-        for (name, value) in self.counters() {
-            adr_obs::counter_add(&format!("adr_serve_{name}"), &[], value);
-        }
-        for (stage, &count) in self.requests_per_stage.iter().enumerate() {
-            let stage = stage.to_string();
-            adr_obs::counter_add("adr_serve_requests", &[("stage", &stage)], count);
-        }
-        for (i, &count) in self.latency.counts().iter().enumerate() {
-            let le = match LATENCY_BUCKET_BOUNDS_MS.get(i) {
-                Some(bound) => bound.to_string(),
-                None => "+Inf".to_string(),
-            };
-            adr_obs::counter_add("adr_serve_latency_ms_bucket", &[("le", &le)], count);
-        }
-        adr_obs::counter_add("adr_serve_flops_actual", &[], self.flops_actual);
-        adr_obs::counter_add("adr_serve_flops_exact", &[], self.flops_exact);
-        adr_obs::gauge_set("adr_serve_flop_savings", &[], self.flop_savings());
-    }
-
-    /// Multi-line human-readable summary.
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "serving report: {} admitted, {} completed over {} batches",
-            self.admitted, self.completed, self.batches
-        );
-        let _ = writeln!(
-            out,
-            "  rejected: {} shape, {} non-finite | shed: {} | deadline missed: {} | failed non-finite: {}",
-            self.rejected_shape,
-            self.rejected_non_finite,
-            self.shed_overloaded,
-            self.deadline_missed,
-            self.failed_non_finite
-        );
-        let _ = writeln!(
-            out,
-            "  ladder: {} degraded, {} recovered | sanitizer: {} quarantined, {} retried exact",
-            self.degraded_steps,
-            self.recovered_steps,
-            self.quarantined_batches,
-            self.retried_batches
-        );
-        let per_stage: Vec<String> = self
-            .requests_per_stage
-            .iter()
-            .enumerate()
-            .map(|(s, n)| format!("stage{s}:{n}"))
-            .collect();
-        let _ = writeln!(out, "  requests per stage: {}", per_stage.join(" "));
-        let _ = writeln!(
-            out,
-            "  forward flops: {} vs exact {} ({:.1}% saved)",
-            self.flops_actual,
-            self.flops_exact,
-            self.flop_savings() * 100.0
-        );
-        let _ = write!(out, "  latency: {}", self.latency.summary());
-        out
-    }
-}
-
-/// Per-tenant slice of the gateway's telemetry.
+/// Per-tenant slice of the serving telemetry.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TenantCounters {
     /// Requests admitted into this tenant's lanes.
@@ -277,12 +134,34 @@ pub struct TenantCounters {
     pub deadline_missed: u64,
     /// Requests failed because the output stayed non-finite after retry.
     pub failed_non_finite: u64,
+    /// Steps of this tenant's ladders toward aggressive reuse.
+    pub degraded_steps: u64,
+    /// Steps of this tenant's ladders back toward exact.
+    pub recovered_steps: u64,
     /// Requests served per ladder stage of *this tenant's* ladder
     /// (index = stage; length = the tenant's stage count).
     pub requests_per_stage: Vec<u64>,
 }
 
-/// Per-model slice of the gateway's telemetry.
+impl TenantCounters {
+    /// The scalar counters as stable `(name, value)` pairs.
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
+        [
+            ("admitted", self.admitted),
+            ("completed", self.completed),
+            ("rejected_shape", self.rejected_shape),
+            ("rejected_non_finite", self.rejected_non_finite),
+            ("shed_overloaded", self.shed_overloaded),
+            ("rate_limited", self.rate_limited),
+            ("deadline_missed", self.deadline_missed),
+            ("failed_non_finite", self.failed_non_finite),
+            ("degraded_steps", self.degraded_steps),
+            ("recovered_steps", self.recovered_steps),
+        ]
+    }
+}
+
+/// Per-model slice of the serving telemetry.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ModelCounters {
     /// Micro-batches this model's replica served.
@@ -293,18 +172,49 @@ pub struct ModelCounters {
     pub swaps_completed: u64,
     /// Hot swaps that failed verification and rolled back.
     pub swaps_rolled_back: u64,
-    /// Forward multiply–adds actually performed by the replica.
+    /// Batches quarantined by the output sanitizer.
+    pub quarantined_batches: u64,
+    /// Batches re-run on the exact GEMM path.
+    pub retried_batches: u64,
+    /// Forward multiply–adds actually performed serving requests, summed
+    /// over every generation of the model.
     pub flops_actual: u64,
     /// Forward multiply–adds the exact path would have performed.
     pub flops_exact: u64,
 }
 
-/// Aggregated multi-tenant gateway telemetry: the gateway mirror of
-/// [`EngineReport`], with every counter attributed to the tenant or model
-/// it belongs to. `BTreeMap` keys keep iteration (and therefore exported
-/// metrics and bench documents) deterministically ordered.
+impl ModelCounters {
+    /// The counters (everything but the generation gauge) as stable
+    /// `(name, value)` pairs.
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
+        [
+            ("batches", self.batches),
+            ("swaps_completed", self.swaps_completed),
+            ("swaps_rolled_back", self.swaps_rolled_back),
+            ("quarantined_batches", self.quarantined_batches),
+            ("retried_batches", self.retried_batches),
+            ("flops_actual", self.flops_actual),
+            ("flops_exact", self.flops_exact),
+        ]
+    }
+
+    /// Fraction of forward FLOPs saved versus the exact path; negative when
+    /// the served stages cost more than a dense forward (stage 0 hashes
+    /// with 64 functions on top of the full GEMM).
+    pub fn flop_savings(&self) -> f64 {
+        if self.flops_exact == 0 {
+            return 0.0;
+        }
+        1.0 - self.flops_actual as f64 / self.flops_exact as f64
+    }
+}
+
+/// Aggregated serving telemetry — the serving mirror of `TrainReport` —
+/// with every counter attributed to the tenant or model it belongs to.
+/// `BTreeMap` keys keep iteration (and therefore exported metrics and
+/// bench documents) deterministically ordered.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct GatewayReport {
+pub struct ServeReport {
     /// Counters per tenant, keyed by tenant name.
     pub tenants: BTreeMap<String, TenantCounters>,
     /// Counters per model, keyed by model name.
@@ -313,66 +223,52 @@ pub struct GatewayReport {
     pub batches: u64,
     /// Admission-to-completion latency distribution, all tenants.
     pub latency: LatencyHistogram,
-    /// Ordered robustness events (admission, ladder, swap, faults).
+    /// Ordered robustness events (admission, ladder, sanitizer, swap,
+    /// faults).
     pub events: Vec<ServeEvent>,
 }
 
-impl GatewayReport {
+impl ServeReport {
     /// Number of recorded events of `kind`.
     pub fn events_of(&self, kind: ServeEventKind) -> usize {
         self.events.iter().filter(|e| e.kind == kind).count()
     }
 
     /// Gateway-wide totals as stable `(name, value)` pairs — tenant
-    /// counters summed, plus the batch count. The determinism suite and
-    /// the serve bench compare these across runs.
+    /// counters summed, the batch count, and the sanitizer counters summed
+    /// over models. The determinism suite and the serve bench compare
+    /// these across runs.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut admitted = 0;
-        let mut completed = 0;
-        let mut rejected_shape = 0;
-        let mut rejected_non_finite = 0;
-        let mut shed_overloaded = 0;
-        let mut rate_limited = 0;
-        let mut deadline_missed = 0;
-        let mut failed_non_finite = 0;
+        let mut totals = TenantCounters::default().counters().to_vec();
         for c in self.tenants.values() {
-            admitted += c.admitted;
-            completed += c.completed;
-            rejected_shape += c.rejected_shape;
-            rejected_non_finite += c.rejected_non_finite;
-            shed_overloaded += c.shed_overloaded;
-            rate_limited += c.rate_limited;
-            deadline_missed += c.deadline_missed;
-            failed_non_finite += c.failed_non_finite;
+            for (total, (_, value)) in totals.iter_mut().zip(c.counters()) {
+                total.1 += value;
+            }
         }
-        vec![
-            ("admitted", admitted),
-            ("completed", completed),
-            ("rejected_shape", rejected_shape),
-            ("rejected_non_finite", rejected_non_finite),
-            ("shed_overloaded", shed_overloaded),
-            ("rate_limited", rate_limited),
-            ("deadline_missed", deadline_missed),
-            ("failed_non_finite", failed_non_finite),
-            ("batches", self.batches),
-        ]
+        let model_sum = |pick: fn(&ModelCounters) -> u64| self.models.values().map(pick).sum();
+        totals.push(("batches", self.batches));
+        totals.push(("quarantined_batches", model_sum(|m| m.quarantined_batches)));
+        totals.push(("retried_batches", model_sum(|m| m.retried_batches)));
+        totals
     }
 
-    /// Re-exports this report through the unified telemetry schema with
-    /// `tenant` / `model` labels. Same additive contract as
-    /// [`EngineReport::export_metrics`]: call once against a fresh sink.
+    /// Re-exports this report through the unified telemetry schema
+    /// (DESIGN.md §11): every tenant and model counter becomes an
+    /// `adr_gateway_<name>` counter under a `tenant` / `model` label, plus
+    /// per-stage request attribution, cumulative latency buckets, and the
+    /// generation and FLOP-savings gauges.
+    ///
+    /// Counters are *added* to the installed sink, so call this once per
+    /// report against a fresh recorder (as `adr bench` does); calling it
+    /// twice double-counts. No-op without an installed sink.
     pub fn export_metrics(&self) {
         if !adr_obs::is_active() {
             return;
         }
         for (tenant, c) in &self.tenants {
-            let labels = [("tenant", tenant.as_str())];
-            adr_obs::counter_add("adr_gateway_admitted", &labels, c.admitted);
-            adr_obs::counter_add("adr_gateway_completed", &labels, c.completed);
-            adr_obs::counter_add("adr_gateway_shed_overloaded", &labels, c.shed_overloaded);
-            adr_obs::counter_add("adr_gateway_rate_limited", &labels, c.rate_limited);
-            adr_obs::counter_add("adr_gateway_deadline_missed", &labels, c.deadline_missed);
-            adr_obs::counter_add("adr_gateway_failed_non_finite", &labels, c.failed_non_finite);
+            for (name, value) in c.counters() {
+                adr_obs::counter_add(&format!("adr_gateway_{name}"), &[("tenant", tenant)], value);
+            }
             for (stage, &count) in c.requests_per_stage.iter().enumerate() {
                 let stage = stage.to_string();
                 adr_obs::counter_add(
@@ -384,12 +280,11 @@ impl GatewayReport {
         }
         for (model, m) in &self.models {
             let labels = [("model", model.as_str())];
-            adr_obs::counter_add("adr_gateway_batches", &labels, m.batches);
-            adr_obs::counter_add("adr_gateway_swaps_completed", &labels, m.swaps_completed);
-            adr_obs::counter_add("adr_gateway_swaps_rolled_back", &labels, m.swaps_rolled_back);
-            adr_obs::counter_add("adr_gateway_flops_actual", &labels, m.flops_actual);
-            adr_obs::counter_add("adr_gateway_flops_exact", &labels, m.flops_exact);
+            for (name, value) in m.counters() {
+                adr_obs::counter_add(&format!("adr_gateway_{name}"), &labels, value);
+            }
             adr_obs::gauge_set("adr_gateway_generation", &labels, m.generation as f64);
+            adr_obs::gauge_set("adr_gateway_flop_savings", &labels, m.flop_savings());
         }
         for (i, &count) in self.latency.counts().iter().enumerate() {
             let le = match LATENCY_BUCKET_BOUNDS_MS.get(i) {
@@ -407,7 +302,7 @@ impl GatewayReport {
         let get = |name: &str| totals.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v);
         let _ = writeln!(
             out,
-            "gateway report: {} admitted, {} completed over {} batches",
+            "serving report: {} admitted, {} completed over {} batches",
             get("admitted"),
             get("completed"),
             self.batches
@@ -421,21 +316,37 @@ impl GatewayReport {
                 .collect();
             let _ = writeln!(
                 out,
-                "  tenant {tenant}: {} admitted, {} completed, {} shed, {} rate-limited, {} \
-                 deadline-missed | {}",
+                "  tenant {tenant}: {} admitted, {} completed | rejected: {} shape, {} non-finite \
+                 | shed: {} | rate-limited: {} | deadline missed: {} | failed non-finite: {} \
+                 | ladder: {} degraded, {} recovered | {}",
                 c.admitted,
                 c.completed,
+                c.rejected_shape,
+                c.rejected_non_finite,
                 c.shed_overloaded,
                 c.rate_limited,
                 c.deadline_missed,
+                c.failed_non_finite,
+                c.degraded_steps,
+                c.recovered_steps,
                 per_stage.join(" ")
             );
         }
         for (model, m) in &self.models {
             let _ = writeln!(
                 out,
-                "  model {model}: generation {}, {} batches, {} swaps ({} rolled back)",
-                m.generation, m.batches, m.swaps_completed, m.swaps_rolled_back
+                "  model {model}: generation {}, {} batches, {} swaps ({} rolled back) \
+                 | sanitizer: {} quarantined, {} retried exact \
+                 | forward flops: {} vs exact {} ({:.1}% saved)",
+                m.generation,
+                m.batches,
+                m.swaps_completed,
+                m.swaps_rolled_back,
+                m.quarantined_batches,
+                m.retried_batches,
+                m.flops_actual,
+                m.flops_exact,
+                m.flop_savings() * 100.0
             );
         }
         let _ = write!(out, "  latency: {}", self.latency.summary());
@@ -466,21 +377,22 @@ mod tests {
 
     #[test]
     fn flop_savings_is_zero_without_a_baseline() {
-        let report = EngineReport::default();
-        assert_eq!(report.flop_savings().to_bits(), 0.0f64.to_bits());
-        let report = EngineReport { flops_actual: 25, flops_exact: 100, ..EngineReport::default() };
-        assert!((report.flop_savings() - 0.75).abs() < 1e-12);
+        let model = ModelCounters::default();
+        assert_eq!(model.flop_savings().to_bits(), 0.0f64.to_bits());
+        let model = ModelCounters { flops_actual: 25, flops_exact: 100, ..Default::default() };
+        assert!((model.flop_savings() - 0.75).abs() < 1e-12);
     }
 
     #[test]
-    fn gateway_report_sums_tenant_counters_and_renders_attribution() {
-        let mut report = GatewayReport::default();
+    fn report_sums_tenant_and_model_counters_and_renders_attribution() {
+        let mut report = ServeReport::default();
         report.tenants.insert(
             "alpha".into(),
             TenantCounters {
                 admitted: 5,
                 completed: 4,
                 shed_overloaded: 1,
+                degraded_steps: 3,
                 requests_per_stage: vec![4, 0],
                 ..TenantCounters::default()
             },
@@ -497,7 +409,14 @@ mod tests {
         );
         report.models.insert(
             "cifarnet".into(),
-            ModelCounters { batches: 4, generation: 1, swaps_completed: 1, ..Default::default() },
+            ModelCounters {
+                batches: 4,
+                generation: 1,
+                swaps_completed: 1,
+                quarantined_batches: 1,
+                retried_batches: 1,
+                ..Default::default()
+            },
         );
         report.batches = 4;
         let totals = report.counters();
@@ -505,31 +424,16 @@ mod tests {
         assert_eq!(get("admitted"), Some(8));
         assert_eq!(get("rate_limited"), Some(2));
         assert_eq!(get("shed_overloaded"), Some(1));
+        assert_eq!(get("degraded_steps"), Some(3));
+        assert_eq!(get("retried_batches"), Some(1));
         assert_eq!(get("batches"), Some(4));
         let s = report.summary();
         assert!(s.contains("tenant alpha: 5 admitted"));
+        assert!(s.contains("shed: 1"), "{s}");
+        assert!(s.contains("3 degraded"), "{s}");
+        assert!(s.contains("stage0:1 stage1:2"), "{s}");
         assert!(s.contains("tenant beta"), "{s}");
         assert!(s.contains("model cifarnet: generation 1"));
-    }
-
-    #[test]
-    fn summary_and_counters_cover_the_robustness_counters() {
-        let report = EngineReport {
-            admitted: 10,
-            completed: 7,
-            shed_overloaded: 2,
-            degraded_steps: 3,
-            quarantined_batches: 1,
-            retried_batches: 1,
-            requests_per_stage: vec![4, 3],
-            ..EngineReport::default()
-        };
-        let s = report.summary();
-        assert!(s.contains("shed: 2"));
-        assert!(s.contains("3 degraded"));
-        assert!(s.contains("stage0:4 stage1:3"));
-        let names: Vec<&str> = report.counters().iter().map(|(n, _)| *n).collect();
-        assert!(names.contains(&"shed_overloaded"));
-        assert!(names.contains(&"retried_batches"));
+        assert!(s.contains("1 quarantined, 1 retried exact"), "{s}");
     }
 }

@@ -27,7 +27,8 @@ pub struct TenantConfig {
     /// Must be positive.
     pub rate_per_sec: u64,
     /// Burst capacity: the bucket holds at most this many whole tokens.
-    /// Must be positive.
+    /// Must be positive. With this and `rate_per_sec` at `u64::MAX` the
+    /// bucket never empties — single-tenant serving.
     pub burst: u64,
     /// Latency budget assigned to this tenant's requests submitted
     /// without an explicit deadline.
@@ -127,6 +128,24 @@ mod tests {
             bucket.try_take(Duration::from_secs(3600)).is_err(),
             "an hour idle still holds only `burst` tokens"
         );
+    }
+
+    /// Single-tenant serving is a tenant with `rate_per_sec` and `burst` at
+    /// `u64::MAX`: the arithmetic saturates instead of overflowing, so the
+    /// bucket admits whether time stands still or runs.
+    #[test]
+    fn a_max_bucket_admits_on_both_clocks() {
+        use crate::clock::{ManualClock, MonotonicClock, ServeClock};
+        let clocks: [Box<dyn ServeClock>; 2] =
+            [Box::new(ManualClock::new()), Box::new(MonotonicClock::new())];
+        for mut clock in clocks {
+            let mut bucket = TokenBucket::new(u64::MAX, u64::MAX, clock.now());
+            for _ in 0..10_000 {
+                assert_eq!(bucket.try_take(clock.now()), Ok(()));
+            }
+            clock.stall(Duration::from_millis(2));
+            assert_eq!(bucket.try_take(clock.now()), Ok(()), "refill saturates at capacity");
+        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Serve an already-trained model through the robust inference engine and
-//! watch the degradation ladder work — the serving counterpart of the
+//! Serve an already-trained model through the serving gateway and watch
+//! the degradation ladder work — the serving counterpart of the
 //! paper's §VI-A/§VI-B1 inference-reuse experiments.
 //!
 //! The script: train a dense CifarNet, checkpoint it, restore it into a
-//! reuse-mode network behind [`Engine`], then
+//! reuse-mode network behind a single-tenant [`Gateway`], then
 //!
 //! 1. serve a calm burst at the exact stage (bitwise-dense quality),
 //! 2. script an overload with injected slow-batch stalls and watch the
 //!    ladder shed quality instead of requests,
 //! 3. flood past queue capacity and watch typed load-shedding,
-//! 4. print the [`EngineReport`] — every degradation, shed, and retry is
+//! 4. print the [`ServeReport`] — every degradation, shed, and retry is
 //!    on the record.
 //!
 //! Run with: `cargo run --release --example inference_reuse`
@@ -56,20 +56,29 @@ fn main() {
     Checkpoint::capture(&mut net).save(&ckpt_path).unwrap();
     println!("trained dense model: probe accuracy {dense_acc:.3}, checkpointed\n");
 
-    // Restore the checkpoint into a reuse-mode network behind the engine.
-    // The virtual clock makes the whole demo reproducible: "load" below is
-    // scripted via injected stalls, not real machine speed.
-    let mut reuse_net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
-    Checkpoint::load(&ckpt_path).unwrap().restore(&mut reuse_net).unwrap();
-    let engine_cfg = EngineConfig {
+    // Register the checkpoint with a single-tenant gateway: one model, one
+    // tenant whose token bucket never empties. The registry restores it
+    // into a reuse-mode network. The virtual clock makes the whole demo
+    // reproducible: "load" below is scripted via injected stalls, not real
+    // machine speed.
+    const MODEL: &str = "cifarnet";
+    const TENANT: &str = "default";
+    let cfg = GatewayConfig {
         queue_capacity: 16,
         max_batch: 4,
-        default_deadline: Duration::from_secs(10),
         target_batch_latency: Duration::from_millis(50),
+    };
+    let mut gateway = Gateway::with_clock(cfg, Box::new(ManualClock::new())).unwrap();
+    let tenant = TenantConfig {
+        rate_per_sec: u64::MAX,
+        burst: u64::MAX,
+        default_deadline: Duration::from_secs(10),
         ladder: LadderConfig { alpha: 1.0, min_dwell: 1, ..LadderConfig::default() },
     };
-    let mut engine =
-        Engine::with_clock(reuse_net, engine_cfg, Box::new(ManualClock::new())).unwrap();
+    gateway.add_tenant(TENANT, tenant).unwrap();
+    let factory: NetFactory =
+        Box::new(|| cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut AdrRng::seeded(12)));
+    gateway.register_model(MODEL, ArtifactKind::Adr1, &ckpt_path, factory).unwrap();
 
     // Single images drawn from the probe split, served one request each.
     let (h, w, c) = (16, 16, 3);
@@ -87,8 +96,8 @@ fn main() {
     // Phase 1: calm burst — stays on the exact stage.
     let mut calm = Vec::new();
     for i in 0..16 {
-        let id = engine.submit(&request(i)).unwrap();
-        for (rid, outcome) in engine.poll() {
+        let id = gateway.submit(MODEL, TENANT, &request(i)).unwrap();
+        for (rid, outcome) in gateway.poll() {
             assert_eq!(rid, id);
             calm.push((i, outcome.unwrap()));
         }
@@ -103,19 +112,19 @@ fn main() {
     // target, and the ladder sheds *quality* instead of requests.
     // Phase 1 served 16 single-request batches, so the overload burst
     // starts at batch 16; stall its first three batches.
-    engine.set_fault_plan(
+    gateway.set_fault_plan(
         ServeFaultPlan::new()
             .inject_at_batch(16, ServeFaultKind::SlowBatch { stall_ms: 200 })
             .inject_at_batch(17, ServeFaultKind::SlowBatch { stall_ms: 200 })
             .inject_at_batch(18, ServeFaultKind::SlowBatch { stall_ms: 200 }),
     );
     for i in 0..12 {
-        engine.submit(&request(16 + i)).unwrap();
+        gateway.submit(MODEL, TENANT, &request(16 + i)).unwrap();
     }
     let mut degraded = Vec::new();
-    while engine.queue_depth() > 0 {
-        let stage_before = engine.stage();
-        for (_, outcome) in engine.poll() {
+    while gateway.queue_depth(MODEL, TENANT) > Some(0) {
+        let stage_before = gateway.stage(MODEL, TENANT).unwrap();
+        for (_, outcome) in gateway.poll() {
             degraded.push((stage_before, outcome.unwrap()));
         }
     }
@@ -132,25 +141,26 @@ fn main() {
     // Phase 3: flood past queue capacity — the excess sheds, typed.
     let mut shed = 0;
     for i in 0..24 {
-        match engine.submit(&request(28 + i)) {
+        match gateway.submit(MODEL, TENANT, &request(28 + i)) {
             Ok(_) => {}
             Err(RequestError::Overloaded { .. }) => shed += 1,
             Err(e) => panic!("unexpected rejection: {e}"),
         }
     }
-    engine.drain();
+    gateway.drain();
     println!("flood burst:    24 submitted into a 16-deep queue -> {shed} shed (typed)\n");
 
     // The record: every degradation, recovery, shed, and retry.
-    let report = engine.into_report();
+    let report = gateway.into_report();
     println!("{}\n", report.summary());
+    let (tenant, model) = (&report.tenants[TENANT], &report.models[MODEL]);
     println!(
         "degradation counters: {} degraded, {} recovered, {} shed, {} quarantined, {} retried",
-        report.degraded_steps,
-        report.recovered_steps,
-        report.shed_overloaded,
-        report.quarantined_batches,
-        report.retried_batches
+        tenant.degraded_steps,
+        tenant.recovered_steps,
+        tenant.shed_overloaded,
+        model.quarantined_batches,
+        model.retried_batches
     );
     println!("\nExpected: the overload burst walks the ladder down (rising FLOP savings),");
     println!("calm traffic recovers it, and overflow sheds typed instead of buffering.");

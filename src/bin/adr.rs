@@ -11,20 +11,19 @@
 //! * `adr similarity [--hashes H] [--sub-vector L]` — print the remaining
 //!   ratio LSH finds on a fresh synthetic batch (a one-shot Fig. 1 intuition
 //!   check).
-//! * `adr serve --checkpoint PATH [--model ...] [--classes N] [--seed N]
-//!   [--queue N] [--max-batch N] [--deadline-ms N] [--demo N] [--listen ADDR]`
-//!   — serve a checkpoint through the deadline-aware engine. By default a
-//!   line protocol on stdin (`predict <csv>`, `random`, `report`, `healthz`,
-//!   `readyz`, `quit`); `--demo N` runs a reproducible burst of N synthetic
-//!   requests instead, `--listen HOST:PORT` speaks the same protocol over
-//!   TCP, one connection at a time.
-//! * `adr serve --registry name=path[,name=path...] [--tenants t=rate:burst[,...]]
-//!   [--swap model=path]` — serve a *registry* of named artifacts through
-//!   the multi-tenant gateway instead of one engine. The line protocol
-//!   grows model/tenant addressing (`predict <model> <tenant> <csv>`,
-//!   `random <model> <tenant>`) plus `swap <model> <path>` for
-//!   zero-downtime hot swaps; rejections carry typed backoff hints
-//!   (`retry after N ms`). `--swap` performs one swap at startup.
+//! * `adr serve (--checkpoint PATH | --registry name=path[,name=path...])
+//!   [--tenants t=rate:burst[,...]] [--swap model=path] [--model ...]
+//!   [--classes N] [--seed N] [--queue N] [--max-batch N] [--deadline-ms N]
+//!   [--demo N] [--listen ADDR]` — serve named artifacts through the
+//!   gateway. `--checkpoint PATH` is sugar for `--registry default=PATH`
+//!   with one tenant `default` whose token bucket never empties. By default
+//!   a line protocol on stdin (`predict <model> <tenant> <csv>`,
+//!   `random <model> <tenant>`, `swap <model> <path>` for zero-downtime hot
+//!   swaps, `report`, `healthz`, `readyz`, `quit`); rejections carry typed
+//!   backoff hints (`retry after N ms`). `--demo N` runs a reproducible
+//!   burst of N synthetic requests instead, `--listen HOST:PORT` speaks the
+//!   same protocol over TCP, one connection at a time, and `--swap`
+//!   performs one swap at startup.
 //! * `adr bench [--quick] [--json] [--seed N] [--steps N] [--batch N]
 //!   [--requests N] [--out-dir DIR]` — run the seeded step-profile and
 //!   serving workloads and atomically emit schema-validated
@@ -39,8 +38,6 @@
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Duration;
-
-use adaptive_deep_reuse::serve::{Engine, EngineConfig, ManualClock};
 
 use adaptive_deep_reuse::adaptive::trainer::{BatchSource, Trainer, TrainerConfig};
 use adaptive_deep_reuse::adaptive::Strategy;
@@ -243,51 +240,6 @@ fn cmd_similarity(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One line of the serving protocol against a live engine. Returns the
-/// response text, or `None` when the client asked to quit.
-fn serve_line(engine: &mut Engine, rng: &mut AdrRng, line: &str) -> Option<String> {
-    let line = line.trim();
-    let (h, w, c) = engine.input_shape();
-    let answer = |outcome: Vec<Result<adaptive_deep_reuse::serve::InferResponse, _>>| -> String {
-        match outcome.into_iter().next() {
-            Some(Ok(resp)) => format!(
-                "class {} (stage {}, {} ms) logits {:?}",
-                resp.class,
-                resp.stage,
-                resp.latency.as_millis(),
-                resp.logits
-            ),
-            Some(Err(e)) => format!("rejected: {e}"),
-            None => "rejected: no response".to_string(),
-        }
-    };
-    if let Some(csv) = line.strip_prefix("predict ") {
-        let values: Result<Vec<f32>, _> = csv.split(',').map(|v| v.trim().parse()).collect();
-        let values = match values {
-            Ok(v) => v,
-            Err(e) => return Some(format!("rejected: bad float in request: {e}")),
-        };
-        let Some(image) = Tensor4::from_vec(1, h, w, c, values) else {
-            return Some(format!("rejected: expected {} values for {h}x{w}x{c}", h * w * c));
-        };
-        return Some(answer(engine.serve_all(&[image])));
-    }
-    match line {
-        "random" => {
-            let image = Tensor4::from_fn(1, h, w, c, |_, _, _, _| rng.uniform());
-            Some(answer(engine.serve_all(&[image])))
-        }
-        "report" => Some(engine.report().summary()),
-        "healthz" => Some(if engine.healthy() { "ok".into() } else { "unhealthy".into() }),
-        "readyz" => Some(if engine.ready() { "ready".into() } else { "not ready".into() }),
-        "quit" => None,
-        "" => Some(String::new()),
-        other => Some(format!(
-            "unknown command '{other}' (predict <csv> | random | report | healthz | readyz | quit)"
-        )),
-    }
-}
-
 /// Formats one gateway inference outcome for the line protocol. Typed
 /// rejections render through their `Display` impls, which carry the
 /// backoff hints (`retry after N ms` for rate-limited and overloaded).
@@ -304,7 +256,7 @@ fn gateway_answer(outcome: Result<InferResponse, RequestError>) -> String {
     }
 }
 
-/// One line of the multi-tenant serving protocol against a live gateway.
+/// One line of the serving protocol against a live gateway.
 /// Returns the response text, or `None` when the client asked to quit.
 fn gateway_line(gw: &mut Gateway, rng: &mut AdrRng, line: &str) -> Option<String> {
     let line = line.trim();
@@ -418,8 +370,20 @@ fn parse_tenants(
     Ok(out)
 }
 
-/// The multi-tenant serving mode: `adr serve --registry ... [--tenants ...]`.
-fn cmd_serve_gateway(args: &Args, spec: &str) -> Result<(), String> {
+/// `adr serve`: one gateway, one line protocol, one listen/stdin loop.
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    // `--checkpoint P` is single-tenant serving: one model and one tenant,
+    // both named `default`, whose token bucket never empties.
+    let (spec, default_tenants) =
+        match (args.options.get("registry"), args.options.get("checkpoint")) {
+            (Some(spec), _) => (spec.clone(), "default=100:8".to_string()),
+            (None, Some(path)) => {
+                (format!("default={path}"), format!("default={}:{}", u64::MAX, u64::MAX))
+            }
+            (None, None) => {
+                return Err("serve requires --checkpoint PATH or --registry NAME=PATH[,...]".into())
+            }
+        };
     let model = args.get_str("model", "cifarnet");
     let classes: usize = args.get("classes", 4)?;
     let seed: u64 = args.get("seed", 42)?;
@@ -443,7 +407,7 @@ fn cmd_serve_gateway(args: &Args, spec: &str) -> Result<(), String> {
     }
     .map_err(|e| format!("building gateway: {e}"))?;
 
-    for (name, path, kind) in parse_registry(spec)? {
+    for (name, path, kind) in parse_registry(&spec)? {
         let arch = model.clone();
         let factory: NetFactory = Box::new(move || {
             let mut rng = AdrRng::seeded(seed);
@@ -457,7 +421,7 @@ fn cmd_serve_gateway(args: &Args, spec: &str) -> Result<(), String> {
     }
     let default_deadline = Duration::from_millis(deadline_ms);
     for (name, tenant_cfg) in
-        parse_tenants(&args.get_str("tenants", "default=100:8"), default_deadline)?
+        parse_tenants(&args.get_str("tenants", &default_tenants), default_deadline)?
     {
         gateway
             .add_tenant(&name, tenant_cfg)
@@ -525,93 +489,6 @@ fn cmd_serve_gateway(args: &Args, spec: &str) -> Result<(), String> {
     for line in stdin.lock().lines() {
         let line = line.map_err(|e| format!("reading stdin: {e}"))?;
         match gateway_line(&mut gateway, &mut rng, &line) {
-            Some(reply) => println!("{reply}"),
-            None => break,
-        }
-    }
-    Ok(())
-}
-
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    if let Some(spec) = args.options.get("registry") {
-        let spec = spec.clone();
-        return cmd_serve_gateway(args, &spec);
-    }
-    let path = args.options.get("checkpoint").ok_or("serve requires --checkpoint PATH")?;
-    let model = args.get_str("model", "cifarnet");
-    let classes: usize = args.get("classes", 4)?;
-    let seed: u64 = args.get("seed", 42)?;
-    let queue: usize = args.get("queue", 32)?;
-    let max_batch: usize = args.get("max-batch", 8)?;
-    let deadline_ms: u64 = args.get("deadline-ms", 250)?;
-    let demo: usize = args.get("demo", 0)?;
-
-    let mut rng = AdrRng::seeded(seed);
-    // Reuse-mode layers give the engine its degradation dial; dense-trained
-    // checkpoints restore into them slot-for-slot.
-    let (net, _, _) = build_model(&model, classes, ConvMode::reuse_default(), &mut rng)?;
-    let cfg = EngineConfig {
-        queue_capacity: queue,
-        max_batch,
-        default_deadline: Duration::from_millis(deadline_ms),
-        ..EngineConfig::default()
-    };
-
-    if demo > 0 {
-        // Demo bursts run on the virtual clock so the printed report is
-        // reproducible for a given seed.
-        let mut demo_net = net;
-        Checkpoint::load(path)
-            .map_err(|e| format!("loading {path}: {e}"))?
-            .restore(&mut demo_net)
-            .map_err(|e| format!("restoring into {model}: {e}"))?;
-        let mut engine = Engine::with_clock(demo_net, cfg, Box::new(ManualClock::new()))
-            .map_err(|e| format!("building engine: {e}"))?;
-        let (h, w, c) = engine.input_shape();
-        let mut request_rng = rng.split(1);
-        let images: Vec<Tensor4> = (0..demo)
-            .map(|_| Tensor4::from_fn(1, h, w, c, |_, _, _, _| request_rng.uniform()))
-            .collect();
-        let served = engine.serve_all(&images).iter().filter(|r| r.is_ok()).count();
-        println!("demo burst: {served}/{demo} served");
-        println!("{}", engine.report().summary());
-        return Ok(());
-    }
-
-    let mut engine = Engine::load_checkpoint(path, net, cfg)
-        .map_err(|e| format!("loading {path} into {model}: {e}"))?;
-
-    if let Some(addr) = args.options.get("listen") {
-        let listener =
-            std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
-        println!("serving {model} from {path} on {addr}");
-        for stream in listener.incoming() {
-            let stream = stream.map_err(|e| format!("accepting connection: {e}"))?;
-            let mut writer = stream.try_clone().map_err(|e| format!("cloning connection: {e}"))?;
-            let reader = std::io::BufReader::new(stream);
-            for line in reader.lines() {
-                let line = match line {
-                    Ok(l) => l,
-                    Err(_) => break,
-                };
-                match serve_line(&mut engine, &mut rng, &line) {
-                    Some(reply) => {
-                        if writeln!(writer, "{reply}").is_err() {
-                            break;
-                        }
-                    }
-                    None => return Ok(()),
-                }
-            }
-        }
-        return Ok(());
-    }
-
-    println!("serving {model} from {path} on stdin (predict <csv> | random | report | healthz | readyz | quit)");
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("reading stdin: {e}"))?;
-        match serve_line(&mut engine, &mut rng, &line) {
             Some(reply) => println!("{reply}"),
             None => break,
         }
@@ -732,13 +609,12 @@ const USAGE: &str = "usage: adr <train|eval|similarity|serve|bench> [options]
                  [--checkpoint PATH]
   adr eval       --checkpoint PATH [--model M] [--classes N] [--seed N]
   adr similarity [--hashes H] [--sub-vector L] [--seed N]
-  adr serve      --checkpoint PATH [--model M] [--classes N] [--seed N]
+  adr serve      (--checkpoint PATH | --registry NAME=PATH[,NAME=PATH...])
+                 [--tenants T=RATE:BURST[,...]] [--swap MODEL=PATH]
+                 [--model M] [--classes N] [--seed N]
                  [--queue N] [--max-batch N] [--deadline-ms N]
                  [--demo N] [--listen HOST:PORT]
-  adr serve      --registry NAME=PATH[,NAME=PATH...] [--tenants T=RATE:BURST[,...]]
-                 [--swap MODEL=PATH] [--model M] [--classes N] [--seed N]
-                 [--queue N] [--max-batch N] [--deadline-ms N]
-                 [--demo N] [--listen HOST:PORT]
+                 (--checkpoint P = --registry default=P, one unlimited tenant `default`)
   adr bench      [--quick] [--json] [--seed N] [--steps N] [--batch N]
                  [--requests N] [--out-dir DIR] | --validate FILE
                  | --compare-baseline DIR --compare-fresh DIR [--tolerance F]";

@@ -14,9 +14,9 @@
 //!   the plateau-driven controller, and the three training strategies.
 //! * [`data`] — seeded synthetic datasets standing in for CIFAR-10/ImageNet.
 //! * [`models`] — CifarNet / AlexNet / VGG-19 builders.
-//! * [`serve`] — deadline-aware inference serving: bounded admission,
-//!   micro-batching, load-shedding, a reuse degradation ladder, and a
-//!   multi-tenant gateway with hot-swappable model replicas.
+//! * [`serve`] — deadline-aware inference serving through one gateway:
+//!   per-tenant admission, micro-batching, load-shedding, a reuse
+//!   degradation ladder per lane, and hot-swappable model replicas.
 //! * [`obs`] — deterministic telemetry: metric sinks, span timers,
 //!   Prometheus/JSON exporters, and the BENCH document schema.
 //! * [`bench`] — the seeded `adr bench` workloads that emit
@@ -72,9 +72,9 @@ pub mod prelude {
     pub use adr_reuse::layer::ReuseConv2d;
     pub use adr_reuse::{ClusterScope, ReuseConfig};
     pub use adr_serve::{
-        ArtifactKind, Engine, EngineConfig, EngineError, EngineReport, Gateway, GatewayConfig,
-        GatewayReport, InferResponse, LadderConfig, ManualClock, ModelRegistry, MonotonicClock,
-        NetFactory, RequestError, ServeEventKind, StagePolicy, SwapError, TenantConfig,
+        ArtifactKind, EngineError, Gateway, GatewayConfig, InferResponse, LadderConfig,
+        ManualClock, ModelRegistry, MonotonicClock, NetFactory, RequestError, ServeEventKind,
+        ServeReport, StagePolicy, SwapError, TenantConfig,
     };
     pub use adr_tensor::rng::AdrRng;
     pub use adr_tensor::{Matrix, Tensor4};

@@ -10,7 +10,6 @@
 
 use adaptive_deep_reuse::models::{cifarnet, ConvMode};
 use adaptive_deep_reuse::prelude::*;
-use adaptive_deep_reuse::serve::EngineReport;
 use adaptive_deep_reuse::tensor::par::set_thread_override;
 use std::sync::{PoisonError, RwLock};
 
@@ -116,17 +115,22 @@ fn dense_training_is_bitwise_thread_count_invariant() {
 }
 
 /// One serving run against a fixed checkpoint, reduced to bit patterns:
-/// every response's logits plus the full engine report (counters, events,
+/// every response's logits plus the full serving report (counters, events,
 /// per-stage attribution, latency histogram).
-fn serve_run(checkpoint: &std::path::Path) -> (Vec<u32>, EngineReport) {
-    let mut rng = AdrRng::seeded(42);
-    let mut net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
-    Checkpoint::load(checkpoint).unwrap().restore(&mut net).unwrap();
-    let cfg = EngineConfig { queue_capacity: 16, max_batch: 4, ..EngineConfig::default() };
-    let mut engine = Engine::with_clock(net, cfg, Box::new(ManualClock::new())).unwrap();
+fn serve_run(checkpoint: &std::path::Path) -> (Vec<u32>, ServeReport) {
+    // Single-tenant serving: one model, one tenant whose bucket never
+    // empties, everything else at its default.
+    let factory: NetFactory =
+        Box::new(|| cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut AdrRng::seeded(42)));
+    let cfg = GatewayConfig { queue_capacity: 16, max_batch: 4, ..GatewayConfig::default() };
+    let mut gw = Gateway::with_clock(cfg, Box::new(ManualClock::new())).unwrap();
+    let unlimited =
+        TenantConfig { rate_per_sec: u64::MAX, burst: u64::MAX, ..TenantConfig::default() };
+    gw.add_tenant("default", unlimited).unwrap();
+    gw.register_model("cifarnet", ArtifactKind::Adr1, checkpoint, factory).unwrap();
 
     // The request stream: mixed smooth images, one deliberately poisoned.
-    let mut data_rng = rng.split(2);
+    let mut data_rng = AdrRng::seeded(42).split(2);
     let images: Vec<Tensor4> = (0..12)
         .map(|i| {
             let mut pixels = vec![0.0f32; 16 * 16 * 3];
@@ -138,11 +142,16 @@ fn serve_run(checkpoint: &std::path::Path) -> (Vec<u32>, EngineReport) {
         })
         .collect();
 
-    let mut logits_bits = Vec::new();
-    for outcome in engine.serve_all(&images).into_iter().flatten() {
-        logits_bits.extend(outcome.logits.iter().map(|v| v.to_bits()));
+    for image in &images {
+        // The poisoned request is rejected at admission; that is on the
+        // report, not an error of the run.
+        let _ = gw.submit("cifarnet", "default", image);
     }
-    (logits_bits, engine.into_report())
+    let mut logits_bits = Vec::new();
+    for (_, outcome) in gw.drain() {
+        logits_bits.extend(outcome.unwrap().logits.iter().map(|v| v.to_bits()));
+    }
+    (logits_bits, gw.into_report())
 }
 
 #[test]
@@ -159,10 +168,10 @@ fn serving_the_same_stream_twice_is_bitwise_identical() {
 
     assert!(!logits_a.is_empty(), "no responses were served");
     assert_eq!(logits_a, logits_b, "served logits diverged between identical streams");
-    assert_eq!(report_a, report_b, "engine reports diverged between identical streams");
+    assert_eq!(report_a, report_b, "serving reports diverged between identical streams");
     // Sanity: the stream exercised both acceptance and rejection.
-    assert_eq!(report_a.admitted, 11);
-    assert_eq!(report_a.rejected_non_finite, 1);
+    assert_eq!(report_a.tenants["default"].admitted, 11);
+    assert_eq!(report_a.tenants["default"].rejected_non_finite, 1);
     std::fs::remove_file(&path).ok();
 }
 

@@ -339,7 +339,7 @@ fn tenant_scoped_poison_is_quarantined_without_touching_other_tenants() {
         assert!(resp.logits.iter().all(|v| v.is_finite()), "poison never surfaces");
     }
 
-    let model_report = gw.model_report("cifarnet").unwrap();
+    let model_report = &gw.report().models["cifarnet"];
     assert_eq!(model_report.quarantined_batches, 1, "exactly the victim's batch quarantined");
     assert_eq!(model_report.retried_batches, 1);
     let poison_events: Vec<&str> = gw

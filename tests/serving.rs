@@ -51,29 +51,102 @@ fn trained_checkpoint(name: &str, iterations: usize) -> (std::path::PathBuf, Syn
     (path, dataset)
 }
 
-/// Fresh reuse-mode net with the trained checkpoint restored into it.
-fn restored_reuse_net(path: &std::path::Path) -> Network {
-    let mut rng = AdrRng::seeded(7);
-    let mut net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
-    Checkpoint::load(path).unwrap().restore(&mut net).unwrap();
-    net
+/// The one model and the one tenant of every gateway in this suite.
+const MODEL: &str = "cifarnet";
+const TENANT: &str = "default";
+
+/// The construction knobs the single-tenant tests vary; the defaults are
+/// the gateway's and the tenant's own.
+struct ServeConfig {
+    queue_capacity: usize,
+    max_batch: usize,
+    default_deadline: Duration,
+    ladder: LadderConfig,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        let (gateway, tenant) = (GatewayConfig::default(), TenantConfig::default());
+        Self {
+            queue_capacity: gateway.queue_capacity,
+            max_batch: gateway.max_batch,
+            default_deadline: tenant.default_deadline,
+            ladder: tenant.ladder,
+        }
+    }
+}
+
+/// Saves a fresh (untrained, optionally tampered-with) reuse-mode CifarNet
+/// built from `seed`, so it can be served from its own artifact.
+fn untrained_checkpoint(
+    name: &str,
+    seed: u64,
+    tamper: impl FnOnce(&mut Network),
+) -> std::path::PathBuf {
+    let mut net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut AdrRng::seeded(seed));
+    tamper(&mut net);
+    let path = std::env::temp_dir().join(name);
+    Checkpoint::capture(&mut net).save(&path).unwrap();
+    path
+}
+
+/// A fresh reuse-mode CifarNet built from `seed`, for the registry to
+/// restore an artifact into.
+fn reuse_factory(seed: u64) -> NetFactory {
+    Box::new(move || cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut AdrRng::seeded(seed)))
+}
+
+/// Single-tenant serving on the virtual clock: the checkpoint at `path`
+/// restored into a reuse-mode net built from `seed`, as the one model of a
+/// gateway whose one tenant's token bucket never empties.
+fn single_tenant_gateway(path: &std::path::Path, seed: u64, cfg: ServeConfig) -> Gateway {
+    let gateway_cfg = GatewayConfig {
+        queue_capacity: cfg.queue_capacity,
+        max_batch: cfg.max_batch,
+        ..GatewayConfig::default()
+    };
+    let mut gw = Gateway::with_clock(gateway_cfg, Box::new(ManualClock::new())).unwrap();
+    let tenant = TenantConfig {
+        rate_per_sec: u64::MAX,
+        burst: u64::MAX,
+        default_deadline: cfg.default_deadline,
+        ladder: cfg.ladder,
+    };
+    gw.add_tenant(TENANT, tenant).unwrap();
+    gw.register_model(MODEL, ArtifactKind::Adr1, path, reuse_factory(seed)).unwrap();
+    gw
+}
+
+/// Submits a whole request stream and serves it, returning one outcome per
+/// input in input order.
+fn serve_all(gw: &mut Gateway, images: &[Tensor4]) -> Vec<Result<InferResponse, RequestError>> {
+    let submitted: Vec<Result<u64, RequestError>> =
+        images.iter().map(|image| gw.submit(MODEL, TENANT, image)).collect();
+    let mut served = gw.drain();
+    submitted
+        .into_iter()
+        .map(|outcome| {
+            let id = outcome?;
+            let at = served.iter().position(|(rid, _)| *rid == id).unwrap();
+            served.swap_remove(at).1
+        })
+        .collect()
 }
 
 #[test]
 fn overload_walks_the_ladder_and_sheds_with_typed_backpressure() {
     let dataset = synth_dataset(11, 32);
-    let mut rng = AdrRng::seeded(3);
-    let net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
-    let cfg = EngineConfig {
+    let path = untrained_checkpoint("adr_serving_overload.adr1", 3, |_| {});
+    assert_eq!(GatewayConfig::default().target_batch_latency, Duration::from_millis(50));
+    let cfg = ServeConfig {
         queue_capacity: 8,
         max_batch: 2,
         default_deadline: Duration::from_secs(10),
-        target_batch_latency: Duration::from_millis(50),
         ladder: LadderConfig { alpha: 1.0, min_dwell: 1, ..LadderConfig::default() },
     };
-    let mut engine = Engine::with_clock(net, cfg, Box::new(ManualClock::new())).unwrap();
+    let mut gw = single_tenant_gateway(&path, 3, cfg);
     // Three consecutive slow batches: pressure 4x the target each time.
-    engine.set_fault_plan(
+    gw.set_fault_plan(
         ServeFaultPlan::new()
             .inject_at_batch(0, ServeFaultKind::SlowBatch { stall_ms: 200 })
             .inject_at_batch(1, ServeFaultKind::SlowBatch { stall_ms: 200 })
@@ -82,10 +155,10 @@ fn overload_walks_the_ladder_and_sheds_with_typed_backpressure() {
 
     // Fill the queue, then keep pushing: the excess must shed, typed.
     for i in 0..8 {
-        engine.submit(&single_image(&dataset, i)).unwrap();
+        gw.submit(MODEL, TENANT, &single_image(&dataset, i)).unwrap();
     }
     for i in 8..11 {
-        let err = engine.submit(&single_image(&dataset, i)).unwrap_err();
+        let err = gw.submit(MODEL, TENANT, &single_image(&dataset, i)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -101,8 +174,8 @@ fn overload_walks_the_ladder_and_sheds_with_typed_backpressure() {
     let mut marginal_savings = Vec::new();
     let mut prev = (0u64, 0u64);
     for _ in 0..4 {
-        stages.push(engine.stage());
-        for (_, outcome) in engine.poll() {
+        stages.push(gw.stage(MODEL, TENANT).unwrap());
+        for (_, outcome) in gw.poll() {
             let resp = outcome.expect("no deadline was tight enough to miss");
             assert!(
                 resp.logits.iter().all(|v| v.is_finite()),
@@ -110,7 +183,7 @@ fn overload_walks_the_ladder_and_sheds_with_typed_backpressure() {
                 resp.stage
             );
         }
-        let report = engine.report();
+        let report = &gw.report().models[MODEL];
         let actual = report.flops_actual - prev.0;
         let exact = report.flops_exact - prev.1;
         prev = (report.flops_actual, report.flops_exact);
@@ -119,119 +192,118 @@ fn overload_walks_the_ladder_and_sheds_with_typed_backpressure() {
 
     // The ladder degraded one stage per hot batch: 0 -> 1 -> 2 -> 3.
     assert_eq!(stages, vec![0, 1, 2, 3], "ladder did not walk stage by stage");
-    let report = engine.report();
-    assert_eq!(report.degraded_steps, 3);
-    assert_eq!(report.shed_overloaded, 3);
-    assert_eq!(report.completed, 8);
+    let report = gw.report();
+    let tenant = &report.tenants[TENANT];
+    assert_eq!(tenant.degraded_steps, 3);
+    assert_eq!(tenant.shed_overloaded, 3);
+    assert_eq!(tenant.completed, 8);
     assert_eq!(report.events_of(ServeEventKind::SlowBatchFault), 3);
     assert_eq!(report.events_of(ServeEventKind::Degraded), 3);
     assert_eq!(report.events_of(ServeEventKind::Overloaded), 3);
-    assert_eq!(report.requests_per_stage, vec![2, 2, 2, 2]);
+    assert_eq!(tenant.requests_per_stage, vec![2, 2, 2, 2]);
 
     // Each degradation step buys more FLOPs: marginal savings rise with
     // the stage (stage 0 is the exact path, which *costs* hashing overhead).
     for window in marginal_savings.windows(2) {
         assert!(window[1] > window[0], "marginal FLOP savings did not rise: {marginal_savings:?}");
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn calm_traffic_recovers_back_toward_the_exact_stage() {
     let dataset = synth_dataset(12, 40);
-    let mut rng = AdrRng::seeded(4);
-    let net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
-    let cfg = EngineConfig {
+    let path = untrained_checkpoint("adr_serving_recover.adr1", 4, |_| {});
+    let cfg = ServeConfig {
         queue_capacity: 8,
         max_batch: 4,
         default_deadline: Duration::from_secs(10),
-        target_batch_latency: Duration::from_millis(50),
         ladder: LadderConfig { alpha: 1.0, min_dwell: 1, ..LadderConfig::default() },
     };
-    let mut engine = Engine::with_clock(net, cfg, Box::new(ManualClock::new())).unwrap();
-    engine.set_fault_plan(
+    let mut gw = single_tenant_gateway(&path, 4, cfg);
+    gw.set_fault_plan(
         ServeFaultPlan::new()
             .inject_at_batch(0, ServeFaultKind::SlowBatch { stall_ms: 300 })
             .inject_at_batch(1, ServeFaultKind::SlowBatch { stall_ms: 300 }),
     );
     // Two hot batches degrade; calm batches afterwards walk back to 0.
     for i in 0..32 {
-        engine.submit(&single_image(&dataset, i)).unwrap();
-        let _ = engine.poll();
+        gw.submit(MODEL, TENANT, &single_image(&dataset, i)).unwrap();
+        let _ = gw.poll();
     }
-    engine.drain();
-    assert_eq!(engine.stage(), 0, "engine did not recover to the exact stage");
-    let report = engine.report();
-    assert!(report.degraded_steps >= 2);
-    assert!(report.recovered_steps >= report.degraded_steps);
+    gw.drain();
+    assert_eq!(gw.stage(MODEL, TENANT), Some(0), "lane did not recover to the exact stage");
+    let report = gw.report();
+    assert!(report.tenants[TENANT].degraded_steps >= 2);
+    assert!(report.tenants[TENANT].recovered_steps >= report.tenants[TENANT].degraded_steps);
     assert!(report.events_of(ServeEventKind::Recovered) >= 2);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn poisoned_and_malformed_requests_are_rejected_at_admission() {
     let dataset = synth_dataset(13, 8);
-    let mut rng = AdrRng::seeded(5);
-    let net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
-    let mut engine =
-        Engine::with_clock(net, EngineConfig::default(), Box::new(ManualClock::new())).unwrap();
+    let path = untrained_checkpoint("adr_serving_admission.adr1", 5, |_| {});
+    let mut gw = single_tenant_gateway(&path, 5, ServeConfig::default());
     // The fault plan poisons the next two submissions before validation.
-    engine.set_fault_plan(ServeFaultPlan::new().poison_requests(2));
+    gw.set_fault_plan(ServeFaultPlan::new().poison_requests(2));
 
     for _ in 0..2 {
-        let err = engine.submit(&single_image(&dataset, 0)).unwrap_err();
+        let err = gw.submit(MODEL, TENANT, &single_image(&dataset, 0)).unwrap_err();
         assert!(matches!(err, RequestError::NonFiniteInput { index: 0, .. }), "got {err:?}");
     }
     // A directly poisoned pixel is caught the same way.
     let mut nan_image = single_image(&dataset, 1);
     nan_image.as_mut_slice()[42] = f32::NEG_INFINITY;
     assert!(matches!(
-        engine.submit(&nan_image),
+        gw.submit(MODEL, TENANT, &nan_image),
         Err(RequestError::NonFiniteInput { index: 42, .. })
     ));
     // Wrong shape and multi-image tensors never reach the queue either.
     assert!(matches!(
-        engine.submit(&Tensor4::zeros(1, 8, 8, 3)),
+        gw.submit(MODEL, TENANT, &Tensor4::zeros(1, 8, 8, 3)),
         Err(RequestError::ShapeMismatch { expected: (16, 16, 3), found: (8, 8, 3) })
     ));
     assert!(matches!(
-        engine.submit(&Tensor4::zeros(2, 16, 16, 3)),
+        gw.submit(MODEL, TENANT, &Tensor4::zeros(2, 16, 16, 3)),
         Err(RequestError::NotSingleImage { batch: 2 })
     ));
 
     // Clean traffic still flows afterwards, and nothing poisoned got logits.
-    let ok = engine.submit(&single_image(&dataset, 2)).unwrap();
-    let results = engine.drain();
+    let ok = gw.submit(MODEL, TENANT, &single_image(&dataset, 2)).unwrap();
+    let results = gw.drain();
     assert_eq!(results.len(), 1);
     assert_eq!(results[0].0, ok);
     assert!(results[0].1.as_ref().unwrap().logits.iter().all(|v| v.is_finite()));
-    let report = engine.report();
-    assert_eq!(report.admitted, 1);
-    assert_eq!(report.rejected_non_finite, 3);
-    assert_eq!(report.rejected_shape, 2);
+    let report = gw.report();
+    assert_eq!(report.tenants[TENANT].admitted, 1);
+    assert_eq!(report.tenants[TENANT].rejected_non_finite, 3);
+    assert_eq!(report.tenants[TENANT].rejected_shape, 2);
     assert_eq!(report.events_of(ServeEventKind::PoisonFault), 2);
     assert_eq!(report.events_of(ServeEventKind::RejectedInput), 5);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn injected_output_poison_is_quarantined_and_retried_on_the_exact_path() {
     let (path, dataset) = trained_checkpoint("adr_serving_quarantine.adr1", 10);
-    let net = restored_reuse_net(&path);
-    let cfg = EngineConfig { max_batch: 4, ..EngineConfig::default() };
-    let mut engine = Engine::with_clock(net, cfg, Box::new(ManualClock::new())).unwrap();
-    engine.set_fault_plan(ServeFaultPlan::new().inject_at_batch(0, ServeFaultKind::PoisonOutput));
+    let cfg = ServeConfig { max_batch: 4, ..ServeConfig::default() };
+    let mut gw = single_tenant_gateway(&path, 7, cfg);
+    gw.set_fault_plan(ServeFaultPlan::new().inject_at_batch(0, ServeFaultKind::PoisonOutput));
     for i in 0..4 {
-        engine.submit(&single_image(&dataset, i)).unwrap();
+        gw.submit(MODEL, TENANT, &single_image(&dataset, i)).unwrap();
     }
-    for (_, outcome) in engine.drain() {
+    for (_, outcome) in gw.drain() {
         let resp = outcome.expect("exact retry clears injected output poison");
         assert!(resp.logits.iter().all(|v| v.is_finite()), "poison surfaced to a caller");
     }
-    let report = engine.report();
-    assert_eq!(report.quarantined_batches, 1);
-    assert_eq!(report.retried_batches, 1);
-    assert_eq!(report.failed_non_finite, 0);
+    let report = gw.report();
+    assert_eq!(report.models[MODEL].quarantined_batches, 1);
+    assert_eq!(report.models[MODEL].retried_batches, 1);
+    assert_eq!(report.tenants[TENANT].failed_non_finite, 0);
     assert_eq!(report.events_of(ServeEventKind::QuarantinedBatch), 1);
     assert_eq!(report.events_of(ServeEventKind::RetriedExact), 1);
-    assert!(engine.healthy());
+    assert!(gw.healthy());
     std::fs::remove_file(&path).ok();
 }
 
@@ -242,85 +314,80 @@ fn injected_output_poison_is_quarantined_and_retried_on_the_exact_path() {
 #[test]
 fn persistent_weight_poison_fails_batches_typed_and_flips_the_health_probe() {
     let dataset = synth_dataset(14, 8);
-    let mut rng = AdrRng::seeded(6);
-    let mut net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
     // Poison the classifier head: no ReLU downstream launders it, so the
     // logits stay NaN even on the exact GEMM retry.
-    if let Some(last) = net.layers_mut().last_mut() {
-        for param in last.params_mut() {
-            if let Some(w) = param.data.first_mut() {
-                *w = f32::NAN;
+    let path = untrained_checkpoint("adr_serving_weight_poison.adr1", 6, |net| {
+        if let Some(last) = net.layers_mut().last_mut() {
+            for param in last.params_mut() {
+                if let Some(w) = param.data.first_mut() {
+                    *w = f32::NAN;
+                }
             }
         }
-    }
-    let mut engine =
-        Engine::with_clock(net, EngineConfig::default(), Box::new(ManualClock::new())).unwrap();
-    assert!(engine.healthy());
+    });
+    let mut gw = single_tenant_gateway(&path, 6, ServeConfig::default());
+    assert!(gw.healthy());
     for batch in 0..3 {
-        engine.submit(&single_image(&dataset, batch)).unwrap();
-        let results = engine.poll();
+        gw.submit(MODEL, TENANT, &single_image(&dataset, batch)).unwrap();
+        let results = gw.poll();
         assert!(
             matches!(results[0].1, Err(RequestError::NonFiniteOutput { .. })),
             "batch {batch}: poisoned output must fail typed, got {:?}",
             results[0].1
         );
     }
-    let report = engine.report();
-    assert_eq!(report.quarantined_batches, 3);
-    assert_eq!(report.retried_batches, 3);
-    assert_eq!(report.failed_non_finite, 3);
-    assert_eq!(report.completed, 0);
-    assert!(!engine.healthy(), "three consecutive poisoned batches must flip the health probe");
-    assert!(engine.ready(), "readiness is about construction, not health");
+    let report = gw.report();
+    assert_eq!(report.models[MODEL].quarantined_batches, 3);
+    assert_eq!(report.models[MODEL].retried_batches, 3);
+    assert_eq!(report.tenants[TENANT].failed_non_finite, 3);
+    assert_eq!(report.tenants[TENANT].completed, 0);
+    assert!(!gw.healthy(), "three consecutive poisoned batches must flip the health probe");
+    assert!(gw.ready(), "readiness is about construction, not health");
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn corrupt_checkpoint_bytes_fail_the_load_with_a_typed_error() {
     let (path, _) = trained_checkpoint("adr_serving_corrupt.adr1", 5);
-    let mut rng = AdrRng::seeded(8);
-    let net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
-    let err = Engine::load_checkpoint_with_faults(
-        &path,
-        net,
-        EngineConfig::default(),
-        ServeFaultPlan::new().corrupt_checkpoint_load(),
-    )
-    .err()
-    .expect("a flipped byte must not load");
+    let mut gw =
+        Gateway::with_clock(GatewayConfig::default(), Box::new(ManualClock::new())).unwrap();
+    gw.set_fault_plan(ServeFaultPlan::new().corrupt_checkpoint_load());
+    let err = gw
+        .register_model(MODEL, ArtifactKind::Adr1, &path, reuse_factory(8))
+        .expect_err("a flipped byte must not load");
     assert!(matches!(err, EngineError::Checkpoint(_)), "got {err:?}");
 
     // The same file loads fine without the fault: the corruption was
-    // injected, not real.
-    let mut rng = AdrRng::seeded(8);
-    let net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
-    assert!(Engine::load_checkpoint(&path, net, EngineConfig::default()).is_ok());
+    // injected (and one-shot), not real.
+    assert!(gw.register_model(MODEL, ArtifactKind::Adr1, &path, reuse_factory(8)).is_ok());
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn deadline_budgets_are_enforced_per_request() {
     let dataset = synth_dataset(15, 8);
-    let mut rng = AdrRng::seeded(9);
-    let net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
-    let cfg = EngineConfig { max_batch: 2, ..EngineConfig::default() };
-    let mut engine = Engine::with_clock(net, cfg, Box::new(ManualClock::new())).unwrap();
-    engine.set_fault_plan(
+    let path = untrained_checkpoint("adr_serving_deadline.adr1", 9, |_| {});
+    let cfg = ServeConfig { max_batch: 2, ..ServeConfig::default() };
+    let mut gw = single_tenant_gateway(&path, 9, cfg);
+    gw.set_fault_plan(
         ServeFaultPlan::new().inject_at_batch(0, ServeFaultKind::SlowBatch { stall_ms: 100 }),
     );
     // Same batch, different budgets: one misses, one survives.
-    let tight =
-        engine.submit_with_deadline(&single_image(&dataset, 0), Duration::from_millis(20)).unwrap();
-    let loose = engine
-        .submit_with_deadline(&single_image(&dataset, 1), Duration::from_millis(500))
+    let tight = gw
+        .submit_with_deadline(MODEL, TENANT, &single_image(&dataset, 0), Duration::from_millis(20))
         .unwrap();
-    let results = engine.poll();
+    let loose = gw
+        .submit_with_deadline(MODEL, TENANT, &single_image(&dataset, 1), Duration::from_millis(500))
+        .unwrap();
+    let results = gw.poll();
     let by_id = |id: u64| results.iter().find(|(rid, _)| *rid == id).unwrap();
     assert_eq!(
         by_id(tight).1,
         Err(RequestError::DeadlineExceeded { budget_ms: 20, elapsed_ms: 100 })
     );
     assert!(by_id(loose).1.is_ok());
-    assert_eq!(engine.report().deadline_missed, 1);
+    assert_eq!(gw.report().tenants[TENANT].deadline_missed, 1);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -349,14 +416,13 @@ fn exact_stage_matches_the_dense_forward_bitwise() {
     let dense_logits = dense.forward(&batch8, Mode::Eval);
 
     // Served: reuse net pinned to a single-stage exact ladder, one batch.
-    let net = restored_reuse_net(&path);
-    let cfg = EngineConfig {
+    let cfg = ServeConfig {
         max_batch: 8,
         ladder: LadderConfig { stages: vec![StagePolicy::Exact], ..LadderConfig::default() },
-        ..EngineConfig::default()
+        ..ServeConfig::default()
     };
-    let mut engine = Engine::with_clock(net, cfg, Box::new(ManualClock::new())).unwrap();
-    let responses = engine.serve_all(&images);
+    let mut gw = single_tenant_gateway(&path, 7, cfg);
+    let responses = serve_all(&mut gw, &images);
 
     for (i, outcome) in responses.iter().enumerate() {
         let resp = outcome.as_ref().unwrap();
@@ -377,15 +443,14 @@ fn most_aggressive_stage_loses_at_most_the_documented_accuracy_delta() {
     let labels: Vec<usize> = (0..eval_count).map(|i| dataset.labels()[i % dataset.len()]).collect();
 
     let accuracy_at = |stages: Vec<StagePolicy>| -> f32 {
-        let net = restored_reuse_net(&path);
-        let cfg = EngineConfig {
+        let cfg = ServeConfig {
             queue_capacity: eval_count,
             max_batch: 8,
             ladder: LadderConfig { stages, ..LadderConfig::default() },
-            ..EngineConfig::default()
+            ..ServeConfig::default()
         };
-        let mut engine = Engine::with_clock(net, cfg, Box::new(ManualClock::new())).unwrap();
-        let responses = engine.serve_all(&images);
+        let mut gw = single_tenant_gateway(&path, 7, cfg);
+        let responses = serve_all(&mut gw, &images);
         let correct = responses
             .iter()
             .zip(&labels)

@@ -11,7 +11,7 @@ use adaptive_deep_reuse::models::{cifarnet, ConvMode};
 use adaptive_deep_reuse::obs::{self, Recorder};
 use adaptive_deep_reuse::prelude::*;
 use adaptive_deep_reuse::serve::report::LATENCY_BUCKET_BOUNDS_MS;
-use adaptive_deep_reuse::serve::EngineReport;
+use adaptive_deep_reuse::serve::{ModelCounters, TenantCounters};
 
 /// Trains a small reuse net for `steps` with a recorder installed and
 /// returns the recorder plus the trained network.
@@ -106,41 +106,51 @@ fn exported_values_are_bitwise_identical_across_runs() {
     assert_eq!(strip_times(a.to_prometheus()), strip_times(b.to_prometheus()));
 }
 
-/// `EngineReport::export_metrics` mirrors every counter, per-stage count,
-/// and latency bucket into the installed sink under `adr_serve_*` names.
+/// `ServeReport::export_metrics` mirrors every tenant and model counter,
+/// per-stage count, and latency bucket into the installed sink under
+/// `adr_gateway_*` names, labelled by the tenant or model they belong to.
 #[test]
 fn serve_report_export_matches_the_report() {
-    let report = EngineReport {
+    let mut report = ServeReport { batches: 3, ..ServeReport::default() };
+    let tenant = TenantCounters {
         admitted: 10,
         completed: 7,
         shed_overloaded: 2,
         deadline_missed: 1,
-        batches: 3,
         degraded_steps: 2,
         requests_per_stage: vec![4, 3],
-        flops_actual: 25,
-        flops_exact: 100,
-        ..EngineReport::default()
+        ..TenantCounters::default()
     };
+    let model =
+        ModelCounters { batches: 3, flops_actual: 25, flops_exact: 100, ..Default::default() };
+    report.tenants.insert("default".into(), tenant.clone());
+    report.models.insert("cifarnet".into(), model.clone());
     let recorder = Recorder::new();
     {
         let _guard = obs::install(Rc::new(recorder.clone()));
         report.export_metrics();
     }
-    for (name, value) in report.counters() {
-        let exported = recorder.counter(&format!("adr_serve_{name}"), &[]);
-        assert_eq!(exported, Some(value), "counter {name} not mirrored");
+    let by_tenant = [("tenant", "default")];
+    for (name, value) in tenant.counters() {
+        let exported = recorder.counter(&format!("adr_gateway_{name}"), &by_tenant);
+        assert_eq!(exported, Some(value), "tenant counter {name} not mirrored");
     }
-    assert_eq!(recorder.counter("adr_serve_requests", &[("stage", "0")]), Some(4));
-    assert_eq!(recorder.counter("adr_serve_requests", &[("stage", "1")]), Some(3));
+    let by_model = [("model", "cifarnet")];
+    for (name, value) in model.counters() {
+        let exported = recorder.counter(&format!("adr_gateway_{name}"), &by_model);
+        assert_eq!(exported, Some(value), "model counter {name} not mirrored");
+    }
+    let stage = |s| [("tenant", "default"), ("stage", s)];
+    assert_eq!(recorder.counter("adr_gateway_requests", &stage("0")), Some(4));
+    assert_eq!(recorder.counter("adr_gateway_requests", &stage("1")), Some(3));
     let first_bound = LATENCY_BUCKET_BOUNDS_MS[0].to_string();
     assert_eq!(
-        recorder.counter("adr_serve_latency_ms_bucket", &[("le", first_bound.as_str())]),
+        recorder.counter("adr_gateway_latency_ms_bucket", &[("le", first_bound.as_str())]),
         Some(0),
         "empty buckets are still exported so scrapes have a stable shape"
     );
-    assert_eq!(recorder.counter("adr_serve_latency_ms_bucket", &[("le", "+Inf")]), Some(0));
-    let savings = recorder.gauge("adr_serve_flop_savings", &[]).unwrap();
+    assert_eq!(recorder.counter("adr_gateway_latency_ms_bucket", &[("le", "+Inf")]), Some(0));
+    let savings = recorder.gauge("adr_gateway_flop_savings", &by_model).unwrap();
     assert!((savings - 0.75).abs() < 1e-12);
 }
 
@@ -159,7 +169,7 @@ fn telemetry_is_a_noop_without_a_sink() {
     obs::begin_step();
     let step = net.train_batch(&images, &[0, 1], &mut sgd);
     assert!(step.loss.is_finite());
-    EngineReport::default().export_metrics();
+    ServeReport::default().export_metrics();
 
     // A recorder created but never installed stays empty.
     let recorder = Recorder::new();
