@@ -6,7 +6,8 @@
 //! the quantitative backdrop for the iteration-inflation discussion in
 //! EXPERIMENTS.md.
 
-use adr_bench::harness::{swap_in_reuse, synth_for, DatasetSource};
+use adaptive_deep_reuse::source::DatasetSource;
+use adr_bench::harness::{swap_in_reuse, synth_for};
 use adr_core::trainer::BatchSource;
 use adr_models::{cifarnet, ConvMode};
 use adr_nn::conv::Conv2d;

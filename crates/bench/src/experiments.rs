@@ -4,6 +4,7 @@
 //! counts for use in tests, `false` runs the full bench-scale experiment
 //! (what the `src/bin/*` binaries use).
 
+use adaptive_deep_reuse::source::DatasetSource;
 use adr_core::report::TrainReport;
 use adr_core::trainer::{Trainer, TrainerConfig};
 use adr_core::Strategy;
@@ -13,8 +14,7 @@ use adr_reuse::{ReuseConfig, ReuseConv2d};
 use adr_tensor::rng::AdrRng;
 
 use crate::harness::{
-    evaluate_with_kmeans_conv, reuse_stats, set_reuse_config, swap_in_reuse, train_dense,
-    DatasetSource, Scope,
+    evaluate_with_kmeans_conv, reuse_stats, set_reuse_config, swap_in_reuse, train_dense, Scope,
 };
 pub use crate::harness::{synth_custom, synth_for};
 

@@ -1,5 +1,6 @@
 //! Shared experiment plumbing.
 
+use adaptive_deep_reuse::source::DatasetSource;
 use adr_clustering::kmeans::{kmeans, KMeansConfig};
 use adr_core::trainer::BatchSource;
 use adr_nn::conv::Conv2d;
@@ -46,58 +47,6 @@ pub fn synth_for(
     rng: &mut AdrRng,
 ) -> SynthDataset {
     synth_custom(shape, num_images, num_classes, 2, 0.45, rng)
-}
-
-/// A [`BatchSource`] over a synthetic dataset: the head of the dataset is
-/// the cyclic training stream, the tail is the held-out probe batch.
-pub struct DatasetSource {
-    dataset: SynthDataset,
-    batch_size: usize,
-    train_len: usize,
-    probe: (Tensor4, Vec<usize>),
-}
-
-impl DatasetSource {
-    /// Splits off the last `probe_size` images as the probe batch.
-    ///
-    /// # Panics
-    /// Panics unless `probe_size >= 1` and at least one full training batch
-    /// remains.
-    pub fn new(dataset: SynthDataset, batch_size: usize, probe_size: usize) -> Self {
-        assert!(probe_size >= 1, "probe must be non-empty");
-        let train_len = dataset.len().checked_sub(probe_size).expect("dataset too small");
-        assert!(train_len >= batch_size, "not enough images for one training batch");
-        let probe_indices: Vec<usize> = (train_len..dataset.len()).collect();
-        let probe = dataset.gather(&probe_indices);
-        Self { dataset, batch_size, train_len, probe }
-    }
-
-    /// The training batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Borrow the underlying dataset.
-    pub fn dataset(&self) -> &SynthDataset {
-        &self.dataset
-    }
-}
-
-impl BatchSource for DatasetSource {
-    fn num_batches(&self) -> usize {
-        (self.train_len / self.batch_size).max(1)
-    }
-
-    fn batch(&mut self, index: usize) -> (Tensor4, Vec<usize>) {
-        let start = (index * self.batch_size) % self.train_len;
-        let indices: Vec<usize> =
-            (0..self.batch_size).map(|i| (start + i) % self.train_len).collect();
-        self.dataset.gather(&indices)
-    }
-
-    fn probe(&mut self) -> (Tensor4, Vec<usize>) {
-        self.probe.clone()
-    }
 }
 
 /// Trains a dense network for `iterations` SGD steps over the source's

@@ -3,9 +3,12 @@
 //! Each experiment lives in [`experiments`] as a pure function returning
 //! structured rows; the `src/bin/*.rs` binaries are thin wrappers that print
 //! the rows as aligned tables/CSV. [`harness`] holds the shared plumbing:
-//! dataset-backed [`adr_core::BatchSource`] adapters, model training to a
-//! checkpoint, layer surgery (swapping a dense conv for a reuse conv), and
-//! the k-means reference forward used by the Fig. 7 verification.
+//! synthetic datasets, model training to a checkpoint, layer surgery
+//! (swapping a dense conv for a reuse conv), and the k-means reference
+//! forward used by the Fig. 7 verification; batches come through the
+//! facade's `DatasetSource`, the same adapter `adr train` reads. [`timing`]
+//! serves the three ablation sweeps under `benches/` — it ranks
+//! configurations and is not a performance record (that is `benchmark/`).
 //!
 //! | Binary | Paper artefact |
 //! |---|---|

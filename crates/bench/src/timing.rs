@@ -1,12 +1,16 @@
-//! Minimal wall-clock micro-benchmark harness.
+//! Minimal wall-clock harness for the three ablation sweeps in `benches/`
+//! (`granularity`, `cost_model`, `kmeans_vs_lsh`).
 //!
-//! The workspace builds fully offline, so the `benches/` targets use this
-//! tiny criterion-style shim instead of an external harness: each benchmark
-//! runs a warm-up pass, then `samples` timed iterations, and prints the
-//! minimum / median / maximum per-iteration time. Results go to stdout as an
-//! aligned table; no statistics beyond order stats are attempted — these
-//! benches exist to rank configurations (e.g. the U-shaped granularity
-//! curve), not to detect 1% regressions.
+//! The workspace builds fully offline, so those targets use this tiny
+//! criterion-style shim instead of an external harness: each benchmark runs
+//! a warm-up pass, then `samples` timed iterations, and prints the minimum /
+//! median / maximum per-iteration time. It ranks configurations against
+//! each other within one run (the U-shaped granularity curve, the Eq. 5
+//! ordering) and nothing more: it is not a performance record, keeps no
+//! baseline, and no kernel PR is judged by it. Whether a change is faster
+//! is answered by `benchmark/` (BENCHMARK.json), whose per-layer metrics
+//! (`tensor.gemm*_ms_p50`, `reuse.hash_all_ms_p50`, `reuse.conv_{fwd,bwd}_ms`
+//! beside `nn.conv_{fwd,bwd}_ms`) time the kernels on every run.
 
 use std::hint::black_box;
 use std::time::Instant;

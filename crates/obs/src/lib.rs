@@ -9,8 +9,8 @@
 //!   collecting [`Recorder`] (counters / gauges / histograms / span times).
 //! * [`export`] — Prometheus text format and JSON-lines run logs, written
 //!   through `adr_nn::durable`'s atomic writer.
-//! * [`bench`] — the `BENCH_train.json` / `BENCH_serve.json` schema and its
-//!   validator (what `adr bench` emits and CI checks).
+//! * [`json`] — the byte-deterministic JSON value the exporters and the
+//!   golden `BENCH_*.json` counter documents render through.
 //!
 //! ## Install model
 //!
@@ -35,7 +35,6 @@
 // Tests assert on values they just constructed; unwrap there is the idiom.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod bench;
 pub mod export;
 pub mod json;
 pub mod sink;

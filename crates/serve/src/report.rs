@@ -259,8 +259,7 @@ impl ServeReport {
     /// generation and FLOP-savings gauges.
     ///
     /// Counters are *added* to the installed sink, so call this once per
-    /// report against a fresh recorder (as `adr bench` does); calling it
-    /// twice double-counts. No-op without an installed sink.
+    /// report against a fresh recorder; calling it twice double-counts. No-op without an installed sink.
     pub fn export_metrics(&self) {
         if !adr_obs::is_active() {
             return;

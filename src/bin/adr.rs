@@ -24,14 +24,11 @@
 //!   burst of N synthetic requests instead, `--listen HOST:PORT` speaks the
 //!   same protocol over TCP, one connection at a time, and `--swap`
 //!   performs one swap at startup.
-//! * `adr bench [--quick] [--json] [--seed N] [--steps N] [--batch N]
-//!   [--requests N] [--out-dir DIR]` — run the seeded step-profile and
-//!   serving workloads and atomically emit schema-validated
-//!   `BENCH_train.json` / `BENCH_serve.json` (DESIGN.md §11);
-//!   `--validate FILE` re-checks an existing document instead, and
-//!   `--compare-baseline DIR --compare-fresh DIR [--tolerance F]` gates a
-//!   fresh pair of documents against committed baselines (FLOP attribution
-//!   by relative difference, wall time by per-phase share of layer total).
+//! * `adr bench [--out-dir DIR]` — re-baseline: run the one seeded training
+//!   and serving workload and atomically write the two golden counter
+//!   documents `BENCH_train.json` / `BENCH_serve.json` (DESIGN.md §11.4)
+//!   that `cargo test --test bench_golden` compares byte for byte. No
+//!   times: wall time is measured by `benchmark/` (BENCHMARK.json).
 //!
 //! Everything is deterministic given `--seed`.
 
@@ -63,7 +60,7 @@ impl Args {
         while let Some(arg) = it.next() {
             if let Some(key) = arg.strip_prefix("--") {
                 // A `--key` followed by another option (or nothing) is a
-                // boolean flag: `adr bench --quick --json`.
+                // boolean flag; its value reads "true".
                 let value = match it.peek() {
                     Some(next) if !next.starts_with("--") => {
                         it.next().map_or_else(|| "true".to_string(), Clone::clone)
@@ -87,10 +84,6 @@ impl Args {
 
     fn get_str(&self, key: &str, default: &str) -> String {
         self.options.get(key).cloned().unwrap_or_else(|| default.to_string())
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.options.get(key).is_some_and(|v| v == "true")
     }
 }
 
@@ -497,108 +490,26 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &Args) -> Result<(), String> {
-    use adaptive_deep_reuse::bench::{run_serve_bench, run_train_bench, BenchConfig};
-    use adaptive_deep_reuse::obs;
+    use adaptive_deep_reuse::{bench, obs};
 
-    // `adr bench --validate FILE` re-checks an already emitted document —
-    // this is what CI runs against the uploaded artifacts.
-    if let Some(path) = args.options.get("validate") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let doc = obs::json::Json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        obs::bench::validate(&doc).map_err(|e| format!("{path}: schema violation: {e}"))?;
-        println!(
-            "{path}: ok ({})",
-            doc.get("schema").and_then(obs::json::Json::as_str).unwrap_or("?")
-        );
-        return Ok(());
+    // The documents pin one workload; a leftover `--seed 7` must not
+    // silently rewrite the seed-42 baseline.
+    if let Some(key) = args.options.keys().find(|k| *k != "out-dir") {
+        return Err(format!("bench takes --out-dir only (got --{key})"));
     }
-
-    // `adr bench --compare-baseline DIR --compare-fresh DIR [--tolerance F]`
-    // gates a fresh pair of BENCH documents against committed baselines —
-    // CI's perf-regression check.
-    if let Some(base_dir) = args.options.get("compare-baseline") {
-        let fresh_dir = args
-            .options
-            .get("compare-fresh")
-            .ok_or("--compare-baseline needs --compare-fresh <dir>")?;
-        let tolerance: f64 = args.get("tolerance", 0.15)?;
-        let load = |dir: &str, name: &str| -> Result<obs::json::Json, String> {
-            let path = std::path::Path::new(dir).join(name);
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            obs::json::Json::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
-        };
-        let mut violations = adaptive_deep_reuse::bench::compare_train(
-            &load(base_dir, "BENCH_train.json")?,
-            &load(fresh_dir, "BENCH_train.json")?,
-            tolerance,
-        );
-        violations.extend(adaptive_deep_reuse::bench::compare_serve(
-            &load(base_dir, "BENCH_serve.json")?,
-            &load(fresh_dir, "BENCH_serve.json")?,
-            tolerance,
-        ));
-        if violations.is_empty() {
-            println!(
-                "bench compare: {fresh_dir} matches {base_dir} within {:.0}% tolerance",
-                tolerance * 100.0
-            );
-            return Ok(());
-        }
-        for v in &violations {
-            eprintln!("bench compare: {v}");
-        }
-        return Err(format!(
-            "{} bench regression(s) beyond {:.0}% tolerance — if intentional, re-baseline by \
-             committing the fresh BENCH documents",
-            violations.len(),
-            tolerance * 100.0
-        ));
+    let out_dir = std::path::PathBuf::from(args.get_str("out-dir", "."));
+    let (train_doc, losses) = bench::train_document();
+    let serve_doc = bench::serve_document()?;
+    std::fs::create_dir_all(&out_dir)
+        .map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
+    for (name, doc) in [("BENCH_train.json", &train_doc), ("BENCH_serve.json", &serve_doc)] {
+        let path = out_dir.join(name);
+        obs::export::write_json(&path, doc)
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        println!("wrote {}", path.display());
     }
-
-    let mut cfg = if args.flag("quick") { BenchConfig::quick() } else { BenchConfig::full() };
-    cfg.seed = args.get("seed", cfg.seed)?;
-    cfg.steps = args.get("steps", cfg.steps)?;
-    cfg.batch = args.get("batch", cfg.batch)?;
-    cfg.requests = args.get("requests", cfg.requests)?;
-    let out_dir = args.get_str("out-dir", ".");
-
-    let train_doc = run_train_bench(&cfg);
-    obs::bench::validate(&train_doc).map_err(|e| format!("BENCH_train schema violation: {e}"))?;
-    let serve_doc = run_serve_bench(&cfg)?;
-    obs::bench::validate(&serve_doc).map_err(|e| format!("BENCH_serve schema violation: {e}"))?;
-
-    std::fs::create_dir_all(&out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
-    let train_path = std::path::Path::new(&out_dir).join("BENCH_train.json");
-    let serve_path = std::path::Path::new(&out_dir).join("BENCH_serve.json");
-    obs::export::write_json(&train_path, &train_doc)
-        .map_err(|e| format!("writing {}: {e}", train_path.display()))?;
-    obs::export::write_json(&serve_path, &serve_doc)
-        .map_err(|e| format!("writing {}: {e}", serve_path.display()))?;
-
-    if args.flag("json") {
-        println!("{}", train_doc.render_pretty());
-        println!("{}", serve_doc.render_pretty());
-    } else {
-        let savings = train_doc
-            .get("totals")
-            .and_then(|t| t.get("flop_savings"))
-            .and_then(obs::json::Json::as_f64)
-            .unwrap_or(0.0);
-        println!(
-            "train: {} steps, batch {}, seed {} -> {:.1}% forward FLOPs saved",
-            cfg.steps,
-            cfg.batch,
-            cfg.seed,
-            savings * 100.0
-        );
-        let completed = serve_doc
-            .get("counters")
-            .and_then(|c| c.get("completed"))
-            .and_then(obs::json::Json::as_u64)
-            .unwrap_or(0);
-        println!("serve: {completed}/{} requests completed", cfg.requests);
-        println!("wrote {} and {}", train_path.display(), serve_path.display());
+    if let (Some(first), Some(last)) = (losses.first(), losses.last()) {
+        println!("train: loss {first:.4} -> {last:.4} over {} steps", losses.len());
     }
     Ok(())
 }
@@ -615,9 +526,7 @@ const USAGE: &str = "usage: adr <train|eval|similarity|serve|bench> [options]
                  [--queue N] [--max-batch N] [--deadline-ms N]
                  [--demo N] [--listen HOST:PORT]
                  (--checkpoint P = --registry default=P, one unlimited tenant `default`)
-  adr bench      [--quick] [--json] [--seed N] [--steps N] [--batch N]
-                 [--requests N] [--out-dir DIR] | --validate FILE
-                 | --compare-baseline DIR --compare-fresh DIR [--tolerance F]";
+  adr bench      [--out-dir DIR]   (rewrites BENCH_train.json / BENCH_serve.json)";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();

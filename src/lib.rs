@@ -18,9 +18,10 @@
 //!   per-tenant admission, micro-batching, load-shedding, a reuse
 //!   degradation ladder per lane, and hot-swappable model replicas.
 //! * [`obs`] — deterministic telemetry: metric sinks, span timers,
-//!   Prometheus/JSON exporters, and the BENCH document schema.
-//! * [`bench`] — the seeded `adr bench` workloads that emit
-//!   `BENCH_train.json` / `BENCH_serve.json`.
+//!   Prometheus/JSON exporters.
+//! * [`bench`] — the two seeded workloads behind the golden counter
+//!   documents `BENCH_train.json` / `BENCH_serve.json` (no times: wall
+//!   time is `benchmark/`'s job).
 //!
 //! ## Quickstart
 //!
