@@ -89,7 +89,7 @@ pub const DETERMINISM_CRATES: &[&str] = &["tensor", "nn", "reuse", "clustering",
 /// Crates where exact float `==`/`!=` is denied outside tests.
 pub const FLOAT_EQ_CRATES: &[&str] = &["tensor", "nn", "reuse", "clustering", "core"];
 /// Crates whose `Layer` impls must appear in the gradient-check registry.
-pub const GRAD_COVERAGE_CRATES: &[&str] = &["nn"];
+pub const GRAD_COVERAGE_CRATES: &[&str] = &["nn", "reuse"];
 /// Crates whose file writes must go through the atomic durable helper.
 /// `serve` is here for its checkpoint-adjacent loading code: reads are
 /// never flagged, but any write it grows must be atomic from day one.

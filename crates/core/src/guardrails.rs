@@ -168,6 +168,11 @@ impl Guardrail {
             else {
                 continue;
             };
+            // A dense-mode layer (the exact fallback) clusters nothing: its
+            // stats describe N rows at r_c = 1 under an untouched config.
+            if reuse.is_dense() {
+                continue;
+            }
             let stats = reuse.stats();
             if stats.rows < self.config.min_cluster_rows {
                 continue;

@@ -1007,4 +1007,73 @@ mod tests {
         assert!(recaptured.params.iter().flatten().all(|v| v.is_finite()));
         assert!(report.final_accuracy > 0.6, "accuracy {}", report.final_accuracy);
     }
+
+    #[test]
+    fn exact_fallback_trains_on_as_a_dense_layer_without_retripping_the_guardrail() {
+        use adr_reuse::DegenerateClustering;
+        // H = 6 addresses 64 clusters; the all-singleton fault makes 96, the
+        // fixed strategy has no stage to tighten to, so the rollback lands
+        // on the exact fallback at iteration 30 and the run continues dense.
+        let run = |max_iterations: usize| {
+            let trainer = Trainer::new(TrainerConfig { max_iterations, ..quick_config() });
+            let mut net = reuse_net(12);
+            let mut sgd = Sgd::constant(0.05);
+            let mut plan = FaultPlan::new()
+                .inject_at(30, FaultKind::DegenerateClusters(DegenerateClustering::AllSingleton));
+            let options = TrainOptions {
+                guardrails: Some(crate::guardrails::GuardrailConfig {
+                    snapshot_every: 10,
+                    ..Default::default()
+                }),
+                faults: Some(&mut plan),
+                ..Default::default()
+            };
+            let report = trainer
+                .train_with(
+                    &mut net,
+                    Strategy::fixed(3, 6),
+                    &mut toy_source(120),
+                    &mut sgd,
+                    options,
+                )
+                .unwrap();
+            (report, net)
+        };
+        let (report, mut net) = run(60);
+        let kinds: Vec<_> = report.guardrail_events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                GuardrailEventKind::FaultInjected,
+                GuardrailEventKind::DegenerateClustering,
+                GuardrailEventKind::RolledBack,
+                GuardrailEventKind::ExactFallback,
+            ],
+            "a dense layer's N rows at r_c = 1 must not read as a second degenerate clustering"
+        );
+        assert!(report.guardrail_events.iter().all(|e| e.iteration == 30));
+        // Thirty more iterations on the dense path: finite, still learning.
+        let after: Vec<f32> =
+            report.loss_history.iter().skip_while(|(i, _)| *i < 30).map(|(_, l)| *l).collect();
+        assert!(after.len() >= 20 && after.iter().all(|l| l.is_finite()), "{after:?}");
+        let mean = |w: &[f32]| w.iter().sum::<f32>() / w.len() as f32;
+        assert!(
+            mean(&after[after.len() - 5..]) < mean(&after[..5]),
+            "loss did not fall: {after:?}"
+        );
+
+        // Every pass after the fallback meters actual == baseline: what a
+        // run twenty iterations (and two probe evaluations) shorter lacks is
+        // dense work only, and dense layers always meter the two equal.
+        let (shorter, _) = run(40);
+        let extra = |a: &TrainReport, b: &TrainReport| {
+            (
+                a.actual_flops.total() - b.actual_flops.total(),
+                a.baseline_flops.total() - b.baseline_flops.total(),
+            )
+        };
+        let (actual, baseline) = extra(&report, &shorter);
+        assert!(baseline > 0 && actual == baseline, "{actual} vs {baseline}");
+        Trainer::for_each_reuse(&mut net, |reuse| assert!(reuse.is_dense()));
+    }
 }

@@ -4,6 +4,11 @@
 //! `N×K · K×M`. Backward (Eqs. 2/3): `∇W = xᵀ·δy`, `δx = fold(δy·Wᵀ)`.
 //! The layer meters exactly `N·K·M` forward and `2·N·K·M` backward
 //! multiply–adds, matching the paper's complexity accounting (§II).
+//!
+//! The arithmetic between `im2col` and `col2im` lives in two free functions,
+//! [`gemm_forward`] and [`gemm_backward`], which `adr_reuse::ReuseConv2d`'s
+//! dense mode calls on its own buffers: the exact path of a reuse layer is
+//! this layer's code, not an emulation of it.
 
 use adr_tensor::im2col::{col2im, im2col_into, ConvGeom};
 use adr_tensor::matrix::{column_sums_into, Matrix};
@@ -14,6 +19,63 @@ use adr_tensor::Tensor4;
 use crate::flops::{FlopMeter, FlopReport};
 use crate::init::Init;
 use crate::layer::{Layer, Mode, ParamRefMut, Shape3};
+
+/// The dense forward product on an unfolded batch, `y = x·W + b` (Eq. 1),
+/// metering `N·K·M` multiply–adds as both actual and baseline work.
+///
+/// `layer` names the calling layer in checked-build diagnostics.
+///
+/// # Shape
+/// `unfolded: N × K`, `weight: K × M`, `bias: M`; returns `N × M`.
+#[cfg_attr(not(feature = "checked"), allow(unused_variables))]
+pub fn gemm_forward(
+    layer: &str,
+    unfolded: &Matrix,
+    weight: &Matrix,
+    bias: &[f32],
+    meter: &mut FlopMeter,
+) -> Matrix {
+    let mut y = matmul_par(unfolded, weight);
+    y.add_row_bias(bias);
+    adr_tensor::checked_finite!(y.as_slice(), "conv {layer}: forward output");
+    let work = (unfolded.rows() * unfolded.cols() * weight.cols()) as u64;
+    meter.add_forward(work, work);
+    y
+}
+
+/// The dense backward products (Eqs. 2/3) from the unfolded input a training
+/// [`gemm_forward`] read: `∇W = xᵀ·δy` and `∇b = Σ_rows δy` overwrite the
+/// caller's long-lived gradients, then `δx = δy·Wᵀ` overwrites `unfolded` —
+/// same shape, dead once `∇W` is taken — ready for `col2im`. Meters
+/// `2·N·K·M` multiply–adds as both actual and baseline work.
+///
+/// # Shape
+/// `delta_y: N × M` row-major, `weight` and `weight_grad: K × M`,
+/// `unfolded: N × K`, `bias_grad: M`.
+///
+/// # Panics
+/// Panics when `delta_y` is not `N × M`.
+pub fn gemm_backward(
+    layer: &str,
+    delta_y: &[f32],
+    weight: &Matrix,
+    unfolded: &mut Matrix,
+    weight_grad: &mut Matrix,
+    bias_grad: &mut [f32],
+    meter: &mut FlopMeter,
+) {
+    let (n, k) = unfolded.shape();
+    let m = weight.cols();
+    assert_eq!(delta_y.len(), n * m, "conv {layer}: grad_out shape mismatch");
+    adr_tensor::checked_finite!(delta_y, "conv {layer}: backward grad_out");
+    gemm_ta_par(unfolded.as_slice(), delta_y, weight_grad.as_mut_slice(), n, k, m);
+    adr_tensor::checked_finite!(weight_grad.as_slice(), "conv {layer}: weight gradient");
+    column_sums_into(delta_y, bias_grad);
+    gemm_tb_par(delta_y, weight.as_slice(), unfolded.as_mut_slice(), n, m, k);
+    adr_tensor::checked_finite!(unfolded.as_slice(), "conv {layer}: input delta");
+    let work = (2 * n * k * m) as u64;
+    meter.add_backward(work, work);
+}
 
 /// A standard 2-D convolution computed as im2col + GEMM.
 pub struct Conv2d {
@@ -116,11 +178,7 @@ impl Layer for Conv2d {
             "conv {}: unfolded input vs geometry",
             self.name
         );
-        let mut y = matmul_par(&self.unfolded, &self.weight);
-        y.add_row_bias(&self.bias);
-        adr_tensor::checked_finite!(y.as_slice(), "conv {}: forward output", self.name);
-        let work = (n * k * self.out_channels) as u64;
-        self.meter.add_forward(work, work);
+        let y = gemm_forward(&self.name, &self.unfolded, &self.weight, &self.bias, &mut self.meter);
         self.cached_batch = (mode == Mode::Train).then_some(input.batch());
         if self.cached_batch.is_none() {
             // No backward pass will read the buffer: an eval forward (probe,
@@ -141,26 +199,15 @@ impl Layer for Conv2d {
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
         let batch =
             self.cached_batch.take().expect("backward called without a preceding training forward");
-        let (n, k) = self.unfolded.shape();
-        let m = self.out_channels;
-        let delta_y = grad_out.as_slice();
-        assert_eq!(delta_y.len(), n * m, "conv {}: grad_out shape mismatch", self.name);
-        adr_tensor::checked_finite!(delta_y, "conv {}: backward grad_out", self.name);
-        // ∇W = xᵀ · δy  (Eq. 2), into the long-lived gradient.
-        gemm_ta_par(self.unfolded.as_slice(), delta_y, self.weight_grad.as_mut_slice(), n, k, m);
-        adr_tensor::checked_finite!(
-            self.weight_grad.as_slice(),
-            "conv {}: weight gradient",
-            self.name
+        gemm_backward(
+            &self.name,
+            grad_out.as_slice(),
+            &self.weight,
+            &mut self.unfolded,
+            &mut self.weight_grad,
+            &mut self.bias_grad,
+            &mut self.meter,
         );
-        // ∇b = Σ_rows δy
-        column_sums_into(delta_y, &mut self.bias_grad);
-        // δx = δy · Wᵀ (Eq. 3) overwrites the unfolded input — same `N × K`
-        // shape, dead once ∇W is taken — and is folded back to input space.
-        gemm_tb_par(delta_y, self.weight.as_slice(), self.unfolded.as_mut_slice(), n, m, k);
-        adr_tensor::checked_finite!(self.unfolded.as_slice(), "conv {}: input delta", self.name);
-        let work = (2 * n * k * m) as u64;
-        self.meter.add_backward(work, work);
         col2im(&self.unfolded, &self.geom, batch)
     }
 

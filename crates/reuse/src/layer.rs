@@ -2,6 +2,7 @@
 
 use adr_clustering::lsh::LshTable;
 use adr_clustering::reuse_cache::ReuseCache;
+use adr_nn::conv::{gemm_backward, gemm_forward};
 use adr_nn::flops::{FlopMeter, FlopReport};
 use adr_nn::init::Init;
 use adr_nn::layer::{Layer, Mode, ParamRefMut, Shape3};
@@ -26,6 +27,11 @@ use crate::{ClusterScope, DegenerateClustering, ReuseConfig};
 /// CR}` can be retuned at any time with [`ReuseConv2d::set_config`]; the
 /// adaptive controller in `adr-core` does exactly that between training
 /// stages.
+///
+/// The layer also has a *dense mode* ([`ReuseConv2d::exact_fallback`]) in
+/// which it bypasses hashing and clustering altogether and runs `Conv2d`'s
+/// own forward and backward GEMMs on its weights — the exact path, where
+/// reuse cannot pay (`H ≪ M·(1 − r_c)` fails at `r_c = 1`).
 pub struct ReuseConv2d {
     name: String,
     geom: ConvGeom,
@@ -37,6 +43,12 @@ pub struct ReuseConv2d {
     bias_grad: Vec<f32>,
     bias_vel: Vec<f32>,
     config: ReuseConfig,
+    /// Dense mode: forward and backward run `adr_nn::conv`'s GEMM pair
+    /// instead of the reuse machinery. Entered by
+    /// [`ReuseConv2d::exact_fallback`], left by [`ReuseConv2d::set_config`];
+    /// `config`, the families, the hasher and the CR caches sit untouched
+    /// underneath, so a visit costs nothing to enter or leave.
+    dense: bool,
     split: SubVecSplit,
     lsh: Vec<LshTable>,
     /// Base seed from which LSH families are derived; families are a pure
@@ -95,6 +107,7 @@ impl ReuseConv2d {
             bias_grad: vec![0.0; out_channels],
             bias_vel: vec![0.0; out_channels],
             config,
+            dense: false,
             split: SubVecSplit::new(k, config.sub_vector_len),
             lsh: Vec::new(),
             lsh_seed,
@@ -161,16 +174,29 @@ impl ReuseConv2d {
         self.config
     }
 
-    /// Retunes `{L, H, CR}`. The sub-vector length is clamped to `K`. All
-    /// LSH families are rebuilt and the cluster-reuse caches are cleared
-    /// (old signatures are meaningless under a new family).
+    /// Retunes `{L, H, CR}` and leaves dense mode. The sub-vector length is
+    /// clamped to `K`. A changed configuration rebuilds all LSH families and
+    /// clears the cluster-reuse caches (old signatures are meaningless under
+    /// a new family); the configuration the families were built for keeps
+    /// both, so returning from [`ReuseConv2d::exact_fallback`] is free.
     pub fn set_config(&mut self, mut config: ReuseConfig) {
         config.sub_vector_len = config.sub_vector_len.min(self.geom.k());
+        self.set_dense(false);
         if config == self.config {
             return;
         }
         self.config = config;
         self.rebuild_for_config();
+    }
+
+    /// Flips between the reuse and dense code paths. A training forward of
+    /// one mode cannot feed the other mode's backward, so a real change
+    /// drops the pending batch, as a family rebuild does.
+    fn set_dense(&mut self, dense: bool) {
+        if self.dense != dense {
+            self.dense = dense;
+            self.cached_batch = None;
+        }
     }
 
     /// Convenience wrapper over [`ReuseConv2d::set_config`].
@@ -225,15 +251,21 @@ impl ReuseConv2d {
         self.cached_batch = None;
     }
 
-    /// Drops to the exact im2col GEMM path: one full-width sub-vector and
-    /// maximally fine hashing, so every distinct row is its own cluster and
-    /// each centroid *is* its row — the guardrails' last resort when
-    /// tightening runs out of reuse stages.
+    /// Drops to the exact im2col GEMM path by entering dense mode: from the
+    /// next pass on the layer *is* a `Conv2d` over the same weights, bit for
+    /// bit, at exactly the dense FLOP count — serving's stage 0, the
+    /// sanitizer's retry, and the guardrails' last resort when tightening
+    /// runs out of reuse stages. A pure flip: `{L, H, CR}`, the LSH
+    /// families and the CR caches are kept for [`ReuseConv2d::set_config`]
+    /// to return to (use [`ReuseConv2d::rebuild_families`] to scrub them).
     pub fn exact_fallback(&mut self) {
-        self.set_config(ReuseConfig::new(self.geom.k(), 64, false));
-        // An injected-fault rollback may land here with the config already
-        // exact; force clean families either way.
-        self.rebuild_for_config();
+        self.set_dense(true);
+    }
+
+    /// Whether the layer is in dense mode (nothing is hashed or clustered;
+    /// [`ReuseConv2d::stats`] then describes a dense pass).
+    pub fn is_dense(&self) -> bool {
+        self.dense
     }
 
     /// The layer's convolution geometry.
@@ -253,11 +285,15 @@ impl ReuseConv2d {
 
     /// The paper's modelled relative training-step cost (Eqs. 5/6/12/20)
     /// evaluated with the *measured* remaining ratio and reuse rate of the
-    /// latest forward pass. `1.0` means "as expensive as dense"; returns
-    /// `None` before any forward pass has produced statistics.
+    /// latest forward pass. `1.0` means "as expensive as dense" — which is
+    /// what dense mode costs; returns `None` before any forward pass has
+    /// produced statistics.
     pub fn modelled_step_cost(&self) -> Option<f64> {
         if self.stats.rows == 0 {
             return None;
+        }
+        if self.dense {
+            return Some(1.0);
         }
         let p = CostParams {
             m: self.out_channels,
@@ -392,41 +428,59 @@ impl Layer for ReuseConv2d {
             im2col_into(input, &self.geom, &mut self.unfolded);
         }
         let (n, k) = self.unfolded.shape();
-        let caches = if self.config.cluster_reuse {
-            if mode == Mode::Train {
-                self.train_batches_since_refresh += 1;
-                if self.train_batches_since_refresh >= self.cache_refresh_every {
-                    self.train_batches_since_refresh = 0;
-                    for c in &mut self.caches {
-                        c.invalidate_outputs();
-                    }
+        let baseline = (n * k * self.out_channels) as u64;
+        if self.config.cluster_reuse && mode == Mode::Train {
+            // Weights move with every training step, dense or not, so dense
+            // batches age the cached outputs too.
+            self.train_batches_since_refresh += 1;
+            if self.train_batches_since_refresh >= self.cache_refresh_every {
+                self.train_batches_since_refresh = 0;
+                for c in &mut self.caches {
+                    c.invalidate_outputs();
                 }
             }
-            for c in &mut self.caches {
-                c.begin_batch();
-            }
-            Some(self.caches.as_mut_slice())
+        }
+        let output = if self.dense {
+            let _span = adr_obs::span_phase(adr_obs::Phase::CentroidGemm);
+            // Every row is its own "cluster": r_c = 1, nothing hashed,
+            // nothing scattered.
+            self.stats = ReuseStats {
+                rows: n,
+                num_sub_vectors: 1,
+                avg_clusters: n as f64,
+                avg_remaining_ratio: 1.0,
+                gemm_flops: baseline,
+                ..ReuseStats::default()
+            };
+            gemm_forward(&self.name, &self.unfolded, &self.weight, &self.bias, &mut self.meter)
         } else {
-            None
+            let caches = if self.config.cluster_reuse {
+                for c in &mut self.caches {
+                    c.begin_batch();
+                }
+                Some(self.caches.as_mut_slice())
+            } else {
+                None
+            };
+            let rows_per_image = match self.config.scope {
+                ClusterScope::SingleInput => Some(self.geom.rows_per_image()),
+                ClusterScope::SingleBatch => None,
+            };
+            let outcome = reuse_forward_with(
+                &self.unfolded,
+                &self.weight,
+                &self.bias,
+                &self.split,
+                &self.lsh,
+                self.hasher.as_ref().expect("families are built before any forward"),
+                caches,
+                rows_per_image,
+                &mut self.arena,
+            );
+            self.stats = outcome.stats;
+            self.meter.add_forward(self.stats.total_forward_flops(), baseline);
+            outcome.output
         };
-        let rows_per_image = match self.config.scope {
-            ClusterScope::SingleInput => Some(self.geom.rows_per_image()),
-            ClusterScope::SingleBatch => None,
-        };
-        let outcome = reuse_forward_with(
-            &self.unfolded,
-            &self.weight,
-            &self.bias,
-            &self.split,
-            &self.lsh,
-            self.hasher.as_ref().expect("families are built before any forward"),
-            caches,
-            rows_per_image,
-            &mut self.arena,
-        );
-        self.stats = outcome.stats;
-        let baseline = (n * k * self.out_channels) as u64;
-        self.meter.add_forward(self.stats.total_forward_flops(), baseline);
         self.record_telemetry(baseline);
         self.cached_batch = (mode == Mode::Train).then_some(input.batch());
         if self.cached_batch.is_none() {
@@ -437,7 +491,7 @@ impl Layer for ReuseConv2d {
             self.geom.out_h(),
             self.geom.out_w(),
             self.out_channels,
-            outcome.output.into_vec(),
+            output.into_vec(),
         )
         .expect("output shape arithmetic is consistent")
     }
@@ -445,18 +499,30 @@ impl Layer for ReuseConv2d {
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
         let batch =
             self.cached_batch.take().expect("backward called without a preceding training forward");
-        let n = self.geom.rows_for_batch(batch);
-        let flops = reuse_backward(
-            &mut self.arena,
-            &self.split,
-            &self.weight,
-            grad_out.as_slice(),
-            &mut self.weight_grad,
-            &mut self.bias_grad,
-            &mut self.unfolded,
-        );
-        let baseline = (2 * n * self.geom.k() * self.out_channels) as u64;
-        self.meter.add_backward(flops, baseline);
+        if self.dense {
+            gemm_backward(
+                &self.name,
+                grad_out.as_slice(),
+                &self.weight,
+                &mut self.unfolded,
+                &mut self.weight_grad,
+                &mut self.bias_grad,
+                &mut self.meter,
+            );
+        } else {
+            let flops = reuse_backward(
+                &mut self.arena,
+                &self.split,
+                &self.weight,
+                grad_out.as_slice(),
+                &mut self.weight_grad,
+                &mut self.bias_grad,
+                &mut self.unfolded,
+            );
+            let n = self.geom.rows_for_batch(batch);
+            let baseline = (2 * n * self.geom.k() * self.out_channels) as u64;
+            self.meter.add_backward(flops, baseline);
+        }
         col2im(&self.unfolded, &self.geom, batch)
     }
 
@@ -751,29 +817,87 @@ mod tests {
     }
 
     #[test]
-    fn exact_fallback_matches_dense_conv_bitwise_per_output() {
+    fn exact_fallback_is_the_dense_conv_bitwise_under_an_untouched_config() {
         let mut rng = AdrRng::seeded(44);
         let dense_proto = Conv2d::new("c", geom(), 4, &mut rng);
-        let mut layer =
-            ReuseConv2d::from_dense(&dense_proto, ReuseConfig::new(6, 4, false), &mut rng);
+        let config = ReuseConfig::new(6, 4, false);
+        let mut layer = ReuseConv2d::from_dense(&dense_proto, config, &mut rng);
         let mut dense = Conv2d::new("c", geom(), 4, &mut AdrRng::seeded(44));
         let mut xrng = AdrRng::seeded(45);
         let x = Tensor4::from_fn(2, 6, 6, 2, |_, _, _, _| xrng.gauss());
         layer.exact_fallback();
-        assert_eq!(layer.config().sub_vector_len, 18);
-        assert_eq!(layer.config().num_hashes, 64);
+        assert!(layer.is_dense());
+        assert_eq!(layer.config(), config, "dense mode sits beside the config, not in it");
         let y_reuse = layer.forward(&x, Mode::Eval);
         let y_dense = dense.forward(&x, Mode::Eval);
-        // Gaussian rows are distinct, so 64-bit signatures are singletons,
-        // each centroid is its own row, and the GEMM is the dense GEMM.
-        let max_diff = y_reuse
-            .as_slice()
-            .iter()
-            .zip(y_dense.as_slice())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_diff < 1e-4, "max diff {max_diff}");
-        assert!((layer.stats().avg_remaining_ratio - 1.0).abs() < 1e-9);
+        let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y_reuse), bits(&y_dense));
+        // A dense pass: N rows, r_c = 1, the dense GEMM and nothing else.
+        let (n, work) = (2 * 4 * 4, (2 * 4 * 4 * 18 * 4) as u64);
+        let stats = layer.stats();
+        assert_eq!((stats.rows, stats.avg_remaining_ratio.to_bits()), (n, 1.0f64.to_bits()));
+        assert_eq!((stats.hash_flops, stats.gemm_flops, stats.add_flops), (0, work, 0));
+        assert_eq!(layer.flops(), layer.baseline_flops());
+        assert_eq!(layer.flops(), dense.flops());
+        assert_eq!(layer.modelled_step_cost(), Some(1.0));
+    }
+
+    #[test]
+    fn a_dense_visit_keeps_families_and_cr_caches_for_the_same_config() {
+        let mut layer = reuse_layer(9, 8, true, 7);
+        let x = Tensor4::from_fn(2, 6, 6, 2, |_, y, xx, c| ((y * 2 + xx + c) % 4) as f32);
+        layer.forward(&x, Mode::Eval);
+        let first = layer.stats();
+        assert!(first.gemm_flops > 0);
+        layer.exact_fallback();
+        layer.forward(&x, Mode::Eval);
+        assert_eq!(layer.stats().gemm_flops, (32 * 18 * 4) as u64, "N·K·M, nothing hashed");
+        // Back to the configuration the families were built for: nothing is
+        // rebuilt, so the clustering repeats and every signature hits.
+        layer.set_config(layer.config());
+        assert!(!layer.is_dense());
+        layer.forward(&x, Mode::Eval);
+        let second = layer.stats();
+        assert_eq!(second.avg_clusters.to_bits(), first.avg_clusters.to_bits());
+        assert_eq!(second.gemm_flops, 0, "the caches survived the dense visit");
+        // A different configuration still rebuilds and starts cold.
+        layer.exact_fallback();
+        layer.set_reuse_params(9, 6, true);
+        layer.forward(&x, Mode::Eval);
+        assert!(layer.stats().gemm_flops > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called without")]
+    fn a_mode_change_between_forward_and_backward_drops_the_pending_batch() {
+        let mut layer = reuse_layer(6, 10, false, 4);
+        layer.forward(&Tensor4::zeros(1, 6, 6, 2), Mode::Train);
+        layer.exact_fallback();
+        layer.backward(&Tensor4::zeros(1, 4, 4, 4));
+    }
+
+    #[test]
+    fn dense_mode_trains_like_the_dense_conv() {
+        use adr_nn::Sgd;
+        let mut rng = AdrRng::seeded(46);
+        let mut dense = Conv2d::new("c", geom(), 4, &mut rng);
+        let mut layer =
+            ReuseConv2d::from_dense(&dense, ReuseConfig::new(6, 4, false), &mut AdrRng::seeded(47));
+        layer.exact_fallback();
+        let x = Tensor4::from_fn(2, 6, 6, 2, |_, _, _, _| rng.gauss());
+        let g = Tensor4::from_fn(2, 4, 4, 4, |_, _, _, _| rng.gauss());
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for _ in 0..2 {
+            dense.forward(&x, Mode::Train);
+            layer.forward(&x, Mode::Train);
+            assert_eq!(bits(layer.backward(&g).as_slice()), bits(dense.backward(&g).as_slice()));
+            Sgd::constant(0.1).apply(&mut dense.params_mut());
+            Sgd::constant(0.1).apply(&mut layer.params_mut());
+            assert_eq!(bits(layer.weight().as_slice()), bits(dense.weight().as_slice()));
+            assert_eq!(bits(layer.bias()), bits(dense.bias()));
+        }
+        assert_eq!(layer.flops(), dense.flops());
+        assert_eq!(layer.baseline_flops(), dense.flops());
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   the paper's key efficiency claim (§IV).
 //! * [`layer::ReuseConv2d`] — a drop-in replacement for `adr_nn::conv::Conv2d`
 //!   implementing `adr_nn::Layer`, retunable at runtime via
-//!   [`layer::ReuseConv2d::set_config`].
+//!   [`layer::ReuseConv2d::set_config`], with a dense mode
+//!   ([`layer::ReuseConv2d::exact_fallback`]) that runs `Conv2d`'s own GEMMs
+//!   where exactness is wanted and hashing cannot pay.
 //! * [`cost`] — the paper's complexity model (Eqs. 5, 6, 12, 20–23) used by
 //!   the adaptive controller to order candidate `{L, H}` settings.
 //! * [`stats`] — per-layer observability: remaining ratio `r_c`, cluster

@@ -6,9 +6,9 @@
 //! allocator, threads are pinned to one (so no fan-out allocations), and
 //! no metrics sink is attached (so spans take the allocation-free
 //! disabled path). After warmup, every additional step of the exact
-//! forward, reuse forward and reuse backward paths must perform exactly the
-//! per-step allocation count pinned in `adr-check.budget`'s `[runtime]`
-//! section — a new
+//! forward, reuse forward, reuse backward and layer-level dense-mode forward
+//! paths must perform exactly the per-step allocation count pinned in
+//! `adr-check.budget`'s `[runtime]` section — a new
 //! allocation in the inner loop fails here even if a reviewer waves it
 //! through the static table.
 //!
@@ -25,10 +25,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use adr_clustering::lsh::LshTable;
 use adr_clustering::reuse_cache::ReuseCache;
+use adr_nn::layer::{Layer, Mode};
 use adr_reuse::backward::reuse_backward;
 use adr_reuse::forward::{reuse_forward_with, ReuseArena};
 use adr_reuse::hashpack::PackedHasher;
 use adr_reuse::subvec::SubVecSplit;
+use adr_reuse::{ReuseConfig, ReuseConv2d};
 use adr_tensor::im2col::{im2col, ConvGeom};
 use adr_tensor::matrix::Matrix;
 use adr_tensor::par::{matmul_par, set_thread_override};
@@ -199,6 +201,28 @@ fn steady_state_allocation_counts_match_the_budget() {
             expected,
             "reuse backward step {step}: allocation count drifted from \
              adr-check.budget `reuse_backward_step`"
+        );
+    }
+
+    // Dense mode, at layer level: `ReuseConv2d` after `exact_fallback` runs
+    // the free-function baseline above on its own buffers, and because it
+    // recycles the unfolded input the one allocation left is the output.
+    let mut layer = ReuseConv2d::new("rc", geom, 4, ReuseConfig::new(9, 6, false), &mut rng);
+    layer.exact_fallback();
+    for _ in 0..2 {
+        let _ = layer.forward(&input, Mode::Eval); // warmup: sizes the unfolded buffer
+    }
+    let expected = runtime_budget("dense_mode_forward_step");
+    for step in 0..3 {
+        let before = allocs();
+        let y = layer.forward(&input, Mode::Eval);
+        let after = allocs();
+        assert!(y.as_slice().iter().all(|v| v.is_finite()));
+        assert_eq!(
+            after - before,
+            expected,
+            "dense-mode forward step {step}: allocation count drifted from \
+             adr-check.budget `dense_mode_forward_step`"
         );
     }
 }

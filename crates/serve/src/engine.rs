@@ -98,8 +98,11 @@ impl Engine {
             return Ok(logits);
         }
         // Retry once on the exact path: if the poison came from aggressive
-        // clustering state, the exact GEMM clears it.
+        // clustering state, the dense GEMM never reads it. Entering dense
+        // mode keeps that state, so scrub it here — a poisoned cached row or
+        // a corrupted family must not outlive the quarantine.
         self.apply_policy(StagePolicy::Exact);
+        self.reuse_layers().for_each(ReuseConv2d::rebuild_families);
         self.applied = None;
         let retried = self.infer(batch)?;
         match first_non_finite(retried.as_slice()) {
@@ -126,18 +129,21 @@ impl Engine {
     /// Applies a stage policy to every reuse layer in the network. Dense
     /// layers are unaffected — a dense-only network simply has no dial.
     fn apply_policy(&mut self, policy: StagePolicy) {
-        for layer in self.net.layers_mut() {
-            if let Some(any) = layer.as_any_mut() {
-                if let Some(reuse) = any.downcast_mut::<ReuseConv2d>() {
-                    match policy {
-                        StagePolicy::Exact => reuse.exact_fallback(),
-                        StagePolicy::Reuse { sub_vector_len, num_hashes, cluster_reuse } => {
-                            reuse.set_reuse_params(sub_vector_len, num_hashes, cluster_reuse);
-                        }
-                    }
+        for reuse in self.reuse_layers() {
+            match policy {
+                StagePolicy::Exact => reuse.exact_fallback(),
+                StagePolicy::Reuse { sub_vector_len, num_hashes, cluster_reuse } => {
+                    reuse.set_reuse_params(sub_vector_len, num_hashes, cluster_reuse);
                 }
             }
         }
+    }
+
+    fn reuse_layers(&mut self) -> impl Iterator<Item = &mut ReuseConv2d> {
+        self.net
+            .layers_mut()
+            .iter_mut()
+            .filter_map(|layer| layer.as_any_mut()?.downcast_mut::<ReuseConv2d>())
     }
 
     /// Liveness/health probe: `false` once repeated batches stayed
@@ -164,6 +170,7 @@ pub(crate) mod tests {
     use adr_nn::conv::Conv2d;
     use adr_nn::dense::Dense;
     use adr_nn::relu::Relu;
+    use adr_reuse::ReuseConfig;
     use adr_tensor::im2col::ConvGeom;
     use adr_tensor::rng::AdrRng;
 
@@ -179,6 +186,67 @@ pub(crate) mod tests {
 
     pub(crate) fn image(seed: f32) -> Tensor4 {
         Tensor4::from_fn(1, 6, 6, 1, |_, y, x, _| seed + (y * 6 + x) as f32 * 0.01)
+    }
+
+    /// [`tiny_net`] with a reuse convolution, the layer the policies dial.
+    fn tiny_reuse_net(seed: u64) -> Network {
+        let mut rng = AdrRng::seeded(seed);
+        let mut net = Network::new((6, 6, 1));
+        let geom = ConvGeom::new(6, 6, 1, 3, 3, 1, 0).unwrap();
+        let config = ReuseConfig::new(3, 4, false);
+        net.push(Box::new(ReuseConv2d::new("conv1", geom, 4, config, &mut rng)));
+        net.push(Box::new(Relu::new("relu1")));
+        net.push(Box::new(Dense::new("fc", 4 * 4 * 4, 3, &mut rng)));
+        net
+    }
+
+    const CR_RUNG: StagePolicy =
+        StagePolicy::Reuse { sub_vector_len: 3, num_hashes: 8, cluster_reuse: true };
+
+    /// Cluster count and across-batch hit rate of the engine's reuse layer,
+    /// as of its latest forward pass.
+    fn clusters_and_hit_rate(engine: &mut Engine) -> (f64, f64) {
+        let reuse = engine.reuse_layers().next().unwrap();
+        (reuse.stats().avg_clusters, reuse.mean_reuse_rate())
+    }
+
+    #[test]
+    fn a_stage_zero_visit_keeps_the_lanes_families_and_caches() {
+        let mut engine = Engine::new(tiny_reuse_net(9));
+        let batch = image(0.3);
+        let exact = engine.run(&batch, StagePolicy::Exact, false);
+        assert_eq!(exact.flops_actual, exact.flops_exact, "stage 0 is the dense GEMM");
+        engine.run(&batch, CR_RUNG, false);
+        let (first_clusters, first_hits) = clusters_and_hit_rate(&mut engine);
+        assert_eq!(first_hits.to_bits(), 0.0f64.to_bits(), "cold caches");
+        engine.run(&batch, StagePolicy::Exact, false);
+        engine.run(&batch, CR_RUNG, false);
+        let (second_clusters, second_hits) = clusters_and_hit_rate(&mut engine);
+        assert_eq!(second_clusters.to_bits(), first_clusters.to_bits(), "same families");
+        assert_eq!(second_hits.to_bits(), 1.0f64.to_bits(), "every signature was cached");
+    }
+
+    #[test]
+    fn a_quarantine_scrubs_the_reuse_state_the_dense_retry_kept() {
+        let mut engine = Engine::new(tiny_reuse_net(9));
+        let batch = image(0.3);
+        let warm = engine.run(&batch, CR_RUNG, false);
+        let poisoned = engine.run(&batch, CR_RUNG, true);
+        assert!(poisoned.quarantined.is_some());
+        assert!(poisoned.outcome.unwrap().as_slice().iter().all(|v| v.is_finite()));
+        assert_eq!(poisoned.flops_exact, 2 * warm.flops_exact, "both passes metered");
+        // The batch after the quarantine: rebuilt families (a pure function
+        // of the seed and `{L, H}`) and empty caches, as in a fresh engine.
+        engine.run(&batch, CR_RUNG, false);
+        let after = clusters_and_hit_rate(&mut engine);
+        let mut fresh = Engine::new(tiny_reuse_net(9));
+        fresh.run(&batch, CR_RUNG, false);
+        let reference = clusters_and_hit_rate(&mut fresh);
+        assert_eq!(after.0.to_bits(), reference.0.to_bits());
+        assert_eq!(
+            (after.1.to_bits(), reference.1.to_bits()),
+            (0.0f64.to_bits(), 0.0f64.to_bits())
+        );
     }
 
     #[test]

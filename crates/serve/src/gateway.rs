@@ -727,6 +727,30 @@ mod tests {
     }
 
     #[test]
+    fn the_event_record_is_bounded_and_its_totals_stay_exact() {
+        let mut gw = single_tenant("bounded", GatewayConfig::default());
+        // Each rejection names the flat index of its NaN pixel, so a
+        // retained event says which submission it came from.
+        let poisoned_at = |index: usize| {
+            let mut bad = image(0.5);
+            bad.as_mut_slice()[index] = f32::NAN;
+            bad
+        };
+        for i in 0..4999 {
+            assert!(gw.submit("m", "t", &poisoned_at(i % 35)).is_err());
+        }
+        assert!(gw.submit("m", "t", &poisoned_at(35)).is_err());
+        let report = gw.report();
+        assert_eq!(report.events.len(), 1024);
+        assert_eq!(report.events_of(ServeEventKind::RejectedInput), 5000);
+        assert_eq!(report.tenants["t"].rejected_non_finite, 5000);
+        let detail = |e: Option<&ServeEvent>| e.map(|e| e.detail.clone()).unwrap_or_default();
+        assert!(detail(report.events.iter().last()).ends_with("index 35"), "newest event last");
+        let oldest = format!("index {}", (5000 - 1024) % 35);
+        assert!(detail(report.events.iter().next()).ends_with(&oldest), "oldest retained first");
+    }
+
+    #[test]
     fn in_batch_events_carry_their_own_batch_index() {
         let mut gw = single_tenant("stamp", GatewayConfig::default());
         gw.set_fault_plan(

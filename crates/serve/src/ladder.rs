@@ -23,8 +23,9 @@ use crate::error::EngineError;
 /// One rung of the ladder: how the reuse layers should be configured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StagePolicy {
-    /// The exact im2col GEMM path (`L = K`, `H = 64`): every row is its own
-    /// cluster, outputs match a dense convolution bitwise.
+    /// The exact im2col GEMM path: the reuse layers' dense mode, which runs
+    /// the dense convolution's own code — bitwise-equal outputs at exactly
+    /// the dense FLOPs, nothing hashed.
     Exact,
     /// A reuse configuration; larger `L` / smaller `H` is more aggressive.
     Reuse {

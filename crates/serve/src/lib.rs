@@ -42,7 +42,8 @@
 //! * **Observability** — one [`report::ServeReport`] accumulates per-tenant
 //!   admission, deadline, ladder and per-stage counts, per-model batch,
 //!   swap, sanitizer and FLOP counts, a latency histogram and the ordered
-//!   event log; `Gateway::{ready, healthy}` are the probe surface.
+//!   event log (exact totals per kind, the newest 1 024 events in full);
+//!   `Gateway::{ready, healthy}` are the probe surface.
 //!
 //! Single-tenant serving is not a second mode: it is a gateway with one
 //! model and one tenant whose bucket never empties (`rate_per_sec` and
@@ -74,6 +75,7 @@ pub use gateway::{Gateway, GatewayConfig, InferResponse};
 pub use ladder::{DegradationLadder, LadderConfig, LadderMove, StagePolicy};
 pub use registry::{ArtifactKind, ModelRegistry, NetFactory};
 pub use report::{
-    LatencyHistogram, ModelCounters, ServeEvent, ServeEventKind, ServeReport, TenantCounters,
+    EventLog, LatencyHistogram, ModelCounters, ServeEvent, ServeEventKind, ServeReport,
+    TenantCounters,
 };
 pub use tenant::TenantConfig;

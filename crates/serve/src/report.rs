@@ -8,7 +8,7 @@
 //! [`ServeEvent`], so a fault-injected test (and an operator) can
 //! reconstruct exactly what happened and when.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -70,7 +70,7 @@ impl LatencyHistogram {
 }
 
 /// What kind of robustness event the gateway recorded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ServeEventKind {
     /// The ladder stepped toward more aggressive reuse.
     Degraded,
@@ -113,6 +113,48 @@ pub struct ServeEvent {
     pub kind: ServeEventKind,
     /// Human-readable specifics.
     pub detail: String,
+}
+
+/// How many of the newest events an [`EventLog`] keeps in full.
+const MAX_RETAINED_EVENTS: usize = 1024;
+
+/// The report's event record, bounded: an exact count per
+/// [`ServeEventKind`] over the gateway's whole life, and the newest 1 024
+/// events themselves, oldest first. A gateway under a steady trickle of
+/// malformed submissions records one event (with a formatted detail string)
+/// per rejection; the window keeps that from growing with the requests
+/// served.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EventLog {
+    recent: VecDeque<ServeEvent>,
+    totals: BTreeMap<ServeEventKind, usize>,
+}
+
+impl EventLog {
+    /// Records `event`, dropping the oldest retained one once the window is
+    /// full.
+    pub fn push(&mut self, event: ServeEvent) {
+        *self.totals.entry(event.kind).or_default() += 1;
+        if self.recent.len() == MAX_RETAINED_EVENTS {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(event);
+    }
+
+    /// The retained events, oldest first (the newest is last).
+    pub fn iter(&self) -> impl Iterator<Item = &ServeEvent> {
+        self.recent.iter()
+    }
+
+    /// Number of retained events, at most 1 024.
+    pub fn len(&self) -> usize {
+        self.recent.len()
+    }
+
+    /// Whether nothing was ever recorded.
+    pub fn is_empty(&self) -> bool {
+        self.recent.is_empty()
+    }
 }
 
 /// Per-tenant slice of the serving telemetry.
@@ -198,9 +240,10 @@ impl ModelCounters {
         ]
     }
 
-    /// Fraction of forward FLOPs saved versus the exact path; negative when
-    /// the served stages cost more than a dense forward (stage 0 hashes
-    /// with 64 functions on top of the full GEMM).
+    /// Fraction of forward FLOPs saved versus the exact path: `0.0` for
+    /// traffic served at stage 0 (the dense code path), positive once the
+    /// ladder degrades, negative only if a reuse rung's hashing outweighs
+    /// the GEMM work it removes (`H ≪ M·(1 − r_c)` violated).
     pub fn flop_savings(&self) -> f64 {
         if self.flops_exact == 0 {
             return 0.0;
@@ -224,14 +267,15 @@ pub struct ServeReport {
     /// Admission-to-completion latency distribution, all tenants.
     pub latency: LatencyHistogram,
     /// Ordered robustness events (admission, ladder, sanitizer, swap,
-    /// faults).
-    pub events: Vec<ServeEvent>,
+    /// faults): exact totals per kind, the newest in full.
+    pub events: EventLog,
 }
 
 impl ServeReport {
-    /// Number of recorded events of `kind`.
+    /// Number of events of `kind` ever recorded — exact, whether or not the
+    /// events themselves are still retained.
     pub fn events_of(&self, kind: ServeEventKind) -> usize {
-        self.events.iter().filter(|e| e.kind == kind).count()
+        self.events.totals.get(&kind).copied().unwrap_or(0)
     }
 
     /// Gateway-wide totals as stable `(name, value)` pairs — tenant

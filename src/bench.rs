@@ -144,9 +144,8 @@ pub fn train_document() -> (Json, Vec<f32>) {
 /// stage, a `burst` tenant with a two-token bucket has its tail
 /// rate-limited, and one hot swap (to the same artifact) with the whole
 /// burst still queued bumps the model generation without dropping
-/// anything. `flop_savings` is negative by design: stage 0 hashes with 64
-/// functions on top of the full GEMM (ROADMAP item 2) — recorded, not
-/// hidden.
+/// anything. Every batch runs at stage 0, the dense code path, so
+/// `flops_actual == flops_exact` and `flop_savings` is `0.0`.
 ///
 /// # Errors
 ///

@@ -48,7 +48,14 @@ fn train_document_matches_the_committed_baseline() {
 
 #[test]
 fn serve_document_matches_the_committed_baseline() {
-    let rendered = serve_document().unwrap().render_pretty();
+    let doc = serve_document().unwrap();
+    // Serving never does more multiply–adds than the dense network would:
+    // stage 0 is the dense code path and every other rung is below it.
+    for (name, model) in doc.get("models").and_then(Json::as_obj).unwrap() {
+        let field = |key: &str| model.get(key).and_then(Json::as_u64).unwrap();
+        assert!(field("flops_actual") <= field("flops_exact"), "model {name}: {model:?}");
+    }
+    let rendered = doc.render_pretty();
     assert_eq!(
         serve_document().unwrap().render_pretty(),
         rendered,

@@ -9,8 +9,8 @@
 //!
 //! This file doubles as the gradient-check registry consumed by
 //! `adr-check`'s `adr::grad_coverage` lint: every type implementing
-//! `Layer` with a `forward` in `crates/nn` must be named in a
-//! `grad-check: <Type>` comment next to the test that exercises its
+//! `Layer` with a `forward` in `crates/nn` or `crates/reuse` must be named
+//! in a `grad-check: <Type>` comment next to the test that exercises its
 //! backward pass. Removing a marker (or adding a layer without one) fails
 //! the lint.
 
@@ -55,6 +55,42 @@ fn check_input_gradient(net: &mut Network, x: &Tensor4, labels: &[usize], tol: f
     }
 }
 
+/// Checks dL/dθ of every parameter buffer against finite differences at a
+/// sample of positions.
+fn check_weight_gradients(net: &mut Network, x: &Tensor4, labels: &[usize], tol: f32) {
+    let logits = net.forward(x, Mode::Train);
+    let out = softmax_cross_entropy(&logits, labels);
+    net.backward(&out.grad);
+    let base = out.loss;
+
+    // Collect analytic gradients, then perturb weights one at a time.
+    let analytic: Vec<Vec<f32>> =
+        net.layers_mut().iter_mut().flat_map(|l| l.params_mut()).map(|p| p.grad.to_vec()).collect();
+    let eps = 1e-2;
+    for (pi, grads) in analytic.iter().enumerate() {
+        let stride = (grads.len() / 5).max(1);
+        for idx in (0..grads.len()).step_by(stride) {
+            {
+                let mut params: Vec<_> =
+                    net.layers_mut().iter_mut().flat_map(|l| l.params_mut()).collect();
+                params[pi].data[idx] += eps;
+            }
+            let lp = loss_of(net, x, labels);
+            {
+                let mut params: Vec<_> =
+                    net.layers_mut().iter_mut().flat_map(|l| l.params_mut()).collect();
+                params[pi].data[idx] -= eps;
+            }
+            let numeric = (lp - base) / eps;
+            assert!(
+                (numeric - grads[idx]).abs() < tol,
+                "param {pi} idx {idx}: numeric {numeric} vs analytic {}",
+                grads[idx]
+            );
+        }
+    }
+}
+
 // grad-check: Conv2d, Relu, Pool2d, Dense
 #[test]
 fn conv_relu_pool_dense_chain() {
@@ -68,6 +104,28 @@ fn conv_relu_pool_dense_chain() {
     let mut xrng = AdrRng::seeded(2);
     let x = Tensor4::from_fn(2, 8, 8, 2, |_, _, _, _| xrng.gauss() * 0.5);
     check_input_gradient(&mut net, &x, &[0, 2], 2e-2);
+}
+
+// The reuse convolution's *dense mode* is exact, so it checks out against
+// finite differences like `Conv2d`; its reuse modes approximate the gradient
+// by design (Eq. 9/10, 17/18) and are compared with dense in
+// `tests/reuse_equivalence.rs` instead.
+// grad-check: ReuseConv2d
+#[test]
+fn reuse_conv_in_dense_mode_chain() {
+    use adaptive_deep_reuse::reuse::{ReuseConfig, ReuseConv2d};
+    let mut rng = AdrRng::seeded(13);
+    let mut net = Network::new((9, 9, 2));
+    let geom = ConvGeom::new(9, 9, 2, 3, 3, 2, 1).unwrap(); // 9 -> 5
+    let mut conv = ReuseConv2d::new("conv", geom, 4, ReuseConfig::new(6, 4, false), &mut rng);
+    conv.exact_fallback();
+    net.push(Box::new(conv));
+    net.push(Box::new(Relu::new("relu")));
+    net.push(Box::new(Dense::new("fc", 5 * 5 * 4, 3, &mut rng)));
+    let mut xrng = AdrRng::seeded(14);
+    let x = Tensor4::from_fn(2, 9, 9, 2, |_, _, _, _| xrng.gauss() * 0.5);
+    check_input_gradient(&mut net, &x, &[0, 2], 2e-2);
+    check_weight_gradients(&mut net, &x, &[0, 2], 3e-2);
 }
 
 #[test]
@@ -112,37 +170,7 @@ fn weight_gradients_of_composed_network() {
     let x = Tensor4::from_fn(2, 6, 6, 1, |_, _, _, _| xrng.gauss() * 0.5);
     let labels = [0usize, 1];
 
-    let logits = net.forward(&x, Mode::Train);
-    let out = softmax_cross_entropy(&logits, &labels);
-    net.backward(&out.grad);
-    let base = out.loss;
-
-    // Collect analytic gradients, then perturb weights one at a time.
-    let analytic: Vec<Vec<f32>> =
-        net.layers_mut().iter_mut().flat_map(|l| l.params_mut()).map(|p| p.grad.to_vec()).collect();
-    let eps = 1e-2;
-    for (pi, grads) in analytic.iter().enumerate() {
-        let stride = (grads.len() / 5).max(1);
-        for idx in (0..grads.len()).step_by(stride) {
-            {
-                let mut params: Vec<_> =
-                    net.layers_mut().iter_mut().flat_map(|l| l.params_mut()).collect();
-                params[pi].data[idx] += eps;
-            }
-            let lp = loss_of(&mut net, &x, &labels);
-            {
-                let mut params: Vec<_> =
-                    net.layers_mut().iter_mut().flat_map(|l| l.params_mut()).collect();
-                params[pi].data[idx] -= eps;
-            }
-            let numeric = (lp - base) / eps;
-            assert!(
-                (numeric - grads[idx]).abs() < 3e-2,
-                "param {pi} idx {idx}: numeric {numeric} vs analytic {}",
-                grads[idx]
-            );
-        }
-    }
+    check_weight_gradients(&mut net, &x, &labels, 3e-2);
 }
 
 #[test]

@@ -203,7 +203,9 @@ fn overload_walks_the_ladder_and_sheds_with_typed_backpressure() {
     assert_eq!(tenant.requests_per_stage, vec![2, 2, 2, 2]);
 
     // Each degradation step buys more FLOPs: marginal savings rise with
-    // the stage (stage 0 is the exact path, which *costs* hashing overhead).
+    // the stage, from stage 0 — the dense code path, which costs exactly
+    // the dense FLOPs and saves nothing.
+    assert_eq!(marginal_savings[0].to_bits(), 0.0f64.to_bits());
     for window in marginal_savings.windows(2) {
         assert!(window[1] > window[0], "marginal FLOP savings did not rise: {marginal_savings:?}");
     }
@@ -392,45 +394,59 @@ fn deadline_budgets_are_enforced_per_request() {
 
 #[test]
 fn exact_stage_matches_the_dense_forward_bitwise() {
-    let (path, _) = trained_checkpoint("adr_serving_bitwise.adr1", 10);
-    // Gaussian requests: distinct im2col rows, so the exact stage's 64-hash
-    // clustering is all singletons and centroids reproduce rows exactly.
+    let (path, dataset) = trained_checkpoint("adr_serving_bitwise.adr1", 10);
+    // Two request sets. Gaussian images have pairwise distinct im2col rows.
+    // `SynthDataset` images are what the benchmark serves: smooth templates
+    // full of near-identical receptive fields — with one image sent twice,
+    // exact duplicates too — which is where anything that hashed or grouped
+    // rows at stage 0 would merge two of them.
     let mut data_rng = AdrRng::seeded(100);
-    let images: Vec<Tensor4> = (0..8)
+    let gaussian: Vec<Tensor4> = (0..8)
         .map(|_| {
             let mut pixels = vec![0.0f32; 16 * 16 * 3];
             data_rng.fill_gauss(&mut pixels);
             Tensor4::from_vec(1, 16, 16, 3, pixels).unwrap()
         })
         .collect();
+    let structured: Vec<Tensor4> = (0..16).map(|i| single_image(&dataset, i % 15)).collect();
 
-    // Reference: the same checkpoint in a plain dense net, batch of 8.
+    // Reference: the same checkpoint in a plain dense net.
     let mut rng = AdrRng::seeded(21);
     let mut dense = cifarnet::bench_scale(4, ConvMode::Dense, &mut rng);
     Checkpoint::load(&path).unwrap().restore(&mut dense).unwrap();
-    let mut batch8 = Tensor4::zeros(8, 16, 16, 3);
-    for (i, img) in images.iter().enumerate() {
-        let per = 16 * 16 * 3;
-        batch8.as_mut_slice()[i * per..(i + 1) * per].copy_from_slice(img.as_slice());
-    }
-    let dense_logits = dense.forward(&batch8, Mode::Eval);
 
-    // Served: reuse net pinned to a single-stage exact ladder, one batch.
-    let cfg = ServeConfig {
-        max_batch: 8,
-        ladder: LadderConfig { stages: vec![StagePolicy::Exact], ..LadderConfig::default() },
-        ..ServeConfig::default()
-    };
-    let mut gw = single_tenant_gateway(&path, 7, cfg);
-    let responses = serve_all(&mut gw, &images);
+    for (what, images) in [("gaussian", gaussian), ("structured", structured)] {
+        let mut batch = Tensor4::zeros(images.len(), 16, 16, 3);
+        for (i, img) in images.iter().enumerate() {
+            let per = 16 * 16 * 3;
+            batch.as_mut_slice()[i * per..(i + 1) * per].copy_from_slice(img.as_slice());
+        }
+        let dense_logits = dense.forward(&batch, Mode::Eval);
 
-    for (i, outcome) in responses.iter().enumerate() {
-        let resp = outcome.as_ref().unwrap();
-        assert_eq!(resp.stage, 0);
-        let reference = &dense_logits.as_slice()[i * 4..(i + 1) * 4];
-        let served_bits: Vec<u32> = resp.logits.iter().map(|v| v.to_bits()).collect();
-        let reference_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(served_bits, reference_bits, "request {i}: exact stage is not bitwise dense");
+        // Served: reuse net pinned to a single-stage exact ladder, batches
+        // of 8.
+        let cfg = ServeConfig {
+            queue_capacity: images.len(),
+            max_batch: 8,
+            ladder: LadderConfig { stages: vec![StagePolicy::Exact], ..LadderConfig::default() },
+            ..ServeConfig::default()
+        };
+        let mut gw = single_tenant_gateway(&path, 7, cfg);
+        let responses = serve_all(&mut gw, &images);
+
+        for (i, outcome) in responses.iter().enumerate() {
+            let resp = outcome.as_ref().unwrap();
+            assert_eq!(resp.stage, 0);
+            let reference = &dense_logits.as_slice()[i * 4..(i + 1) * 4];
+            let served_bits: Vec<u32> = resp.logits.iter().map(|v| v.to_bits()).collect();
+            let reference_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                served_bits, reference_bits,
+                "{what} request {i}: exact stage is not bitwise dense"
+            );
+        }
+        let model = &gw.report().models[MODEL];
+        assert_eq!(model.flops_actual, model.flops_exact, "stage 0 costs exactly dense FLOPs");
     }
     std::fs::remove_file(&path).ok();
 }

@@ -14,12 +14,20 @@ use adaptive_deep_reuse::serve::report::LATENCY_BUCKET_BOUNDS_MS;
 use adaptive_deep_reuse::serve::{ModelCounters, TenantCounters};
 
 /// Trains a small reuse net for `steps` with a recorder installed and
-/// returns the recorder plus the trained network.
-fn instrumented_run(seed: u64, steps: usize, mode: ConvMode) -> (Recorder, Network) {
+/// returns the recorder plus the trained network. `exact` first drops every
+/// reuse layer to its dense mode (`exact_fallback`).
+fn instrumented_run(seed: u64, steps: usize, mode: ConvMode, exact: bool) -> (Recorder, Network) {
     let recorder = Recorder::new();
     let guard = obs::install(Rc::new(recorder.clone()));
     let mut rng = AdrRng::seeded(seed);
     let mut net = cifarnet::bench_scale(4, mode, &mut rng);
+    if exact {
+        for layer in net.layers_mut() {
+            if let Some(reuse) = layer.as_any_mut().and_then(|a| a.downcast_mut::<ReuseConv2d>()) {
+                reuse.exact_fallback();
+            }
+        }
+    }
     let mut data_rng = rng.split(1);
     let batch = 4;
     let mut pixels = vec![0.0f32; batch * 16 * 16 * 3];
@@ -38,7 +46,8 @@ fn instrumented_run(seed: u64, steps: usize, mode: ConvMode) -> (Recorder, Netwo
 /// The attribution identity the BENCH documents lean on: the per-phase
 /// FLOP counters (hash + centroid-GEMM + scatter; im2col and clustering do
 /// no multiply–adds) sum *exactly* to the layer's `FlopMeter` forward
-/// total, for every reuse layer, across seeds and reuse configurations.
+/// total, for every reuse layer, across seeds and reuse configurations —
+/// and in dense mode, where the whole total is the one dense GEMM.
 #[test]
 fn phase_flop_attribution_sums_to_meter_totals() {
     let configs = [
@@ -46,9 +55,9 @@ fn phase_flop_attribution_sums_to_meter_totals() {
         ConvMode::Reuse(ReuseConfig::new(8, 6, false)),
         ConvMode::Reuse(ReuseConfig::new(12, 10, true)),
     ];
-    for seed in [7u64, 42, 1234] {
+    for (seed, exact) in [(7u64, false), (42, false), (1234, false), (42, true)] {
         for mode in configs {
-            let (recorder, mut net) = instrumented_run(seed, 2, mode);
+            let (recorder, mut net) = instrumented_run(seed, 2, mode, exact);
             let mut reuse_layers = 0;
             for layer in net.layers_mut() {
                 let name = layer.name().to_string();
@@ -81,6 +90,15 @@ fn phase_flop_attribution_sums_to_meter_totals() {
                     "seed {seed}, layer {name}: exported total diverges from the meter"
                 );
                 assert!(forward > 0, "seed {seed}, layer {name}: no forward work metered");
+                if exact {
+                    let counter = |metric: &str, labels: &[(&str, &str)]| {
+                        recorder.counter(metric, labels).unwrap_or(0)
+                    };
+                    let by_layer = [("layer", name.as_str())];
+                    assert_eq!(counter("adr_reuse_flops_exact", &by_layer), forward);
+                    let gemm = [("layer", name.as_str()), ("phase", "centroid_gemm")];
+                    assert_eq!(counter("adr_reuse_phase_flops", &gemm), forward);
+                }
             }
             assert_eq!(reuse_layers, 2, "expected both conv layers on the reuse path");
         }
@@ -92,8 +110,8 @@ fn phase_flop_attribution_sums_to_meter_totals() {
 /// `to_json_lines(false)` excludes them.
 #[test]
 fn exported_values_are_bitwise_identical_across_runs() {
-    let (a, _) = instrumented_run(42, 3, ConvMode::reuse_default());
-    let (b, _) = instrumented_run(42, 3, ConvMode::reuse_default());
+    let (a, _) = instrumented_run(42, 3, ConvMode::reuse_default(), false);
+    let (b, _) = instrumented_run(42, 3, ConvMode::reuse_default(), false);
     let lines_a = a.to_json_lines(false);
     let lines_b = b.to_json_lines(false);
     assert!(!lines_a.is_empty(), "instrumented run exported nothing");
