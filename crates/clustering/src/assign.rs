@@ -169,8 +169,19 @@ impl ClusterTable {
                 *d += s;
             }
         }
-        for c in 0..self.num_clusters() {
-            let inv = 1.0 / self.counts[c] as f32;
+        self.sums_to_means(sums);
+    }
+
+    /// Turns per-cluster row sums into per-cluster means in place: row `c`
+    /// is multiplied by `1 / count(c)` — the one scaling step behind the
+    /// centroids `x_c` and the cluster-mean gradients `δy_{c,sa}`.
+    ///
+    /// # Panics
+    /// Panics if `sums` does not have one row per cluster.
+    pub fn sums_to_means(&self, sums: &mut Matrix) {
+        assert_eq!(sums.rows(), self.num_clusters(), "sums_to_means: one row per cluster");
+        for (c, &count) in self.counts.iter().enumerate() {
+            let inv = 1.0 / count as f32;
             for v in sums.row_mut(c) {
                 *v *= inv;
             }
@@ -230,12 +241,7 @@ impl ClusterTable {
     /// `δy_{c,sa}` (Eq. 15/16).
     pub fn gather_mean(&self, data: &Matrix) -> Matrix {
         let mut out = self.gather_sum(data);
-        for c in 0..self.num_clusters() {
-            let inv = 1.0 / self.counts[c] as f32;
-            for v in out.row_mut(c) {
-                *v *= inv;
-            }
-        }
+        self.sums_to_means(&mut out);
         out
     }
 }

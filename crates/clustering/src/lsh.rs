@@ -198,14 +198,8 @@ pub fn cluster_from_signatures_with_bits(
 /// forming signature of each cluster, and `scratch` carries the lookup
 /// tables — so a steady-state call allocates nothing.
 ///
-/// Signatures of at most 16 bits use a direct-index table instead of a hash
-/// map, which is several times faster on the reuse hot path; wider ones (or
-/// tables that would dwarf the row count) fall back to the map.
-///
 /// # Panics
 /// Panics (in debug builds) if a signature exceeds `sig_bits`.
-// Cluster ids are u32 by design; row counts stay far below 2^32.
-#[allow(clippy::cast_possible_truncation)]
 pub fn cluster_from_signatures_into(
     sigs: impl ExactSizeIterator<Item = u64>,
     sig_bits: usize,
@@ -213,14 +207,52 @@ pub fn cluster_from_signatures_into(
     table: &mut ClusterTable,
     cluster_sigs: &mut Vec<u64>,
 ) {
+    let scope_rows = sigs.len().max(1);
+    cluster_scoped_signatures_into(sigs, sig_bits, scope_rows, scratch, table, cluster_sigs);
+}
+
+/// [`cluster_from_signatures_into`] with a *cluster scope*: the stream is
+/// cut into consecutive runs of `scope_rows` signatures (a short last run is
+/// allowed) and equal signatures share a cluster only within a run — the
+/// paper's single-input scope (§III-B) with one run per image. Each run is
+/// grouped on the pure signature with a freshly emptied lookup table while
+/// the id counter runs on, so ids are dense, in first-appearance order over
+/// the whole stream, and the key never has to carry the run index — any
+/// signature width up to 64 bits works. `cluster_sigs` then repeats a
+/// signature once per run it appears in.
+///
+/// Signatures of at most 16 bits use a direct-index table instead of a hash
+/// map, which is several times faster on the reuse hot path; wider ones (or
+/// tables that would dwarf a run's row count) fall back to the map.
+///
+/// # Panics
+/// Panics if `scope_rows == 0`, and (in debug builds) if a signature exceeds
+/// `sig_bits`.
+// Cluster ids are u32 by design; row counts stay far below 2^32.
+#[allow(clippy::cast_possible_truncation)]
+pub fn cluster_scoped_signatures_into(
+    sigs: impl ExactSizeIterator<Item = u64>,
+    sig_bits: usize,
+    scope_rows: usize,
+    scratch: &mut GroupScratch,
+    table: &mut ClusterTable,
+    cluster_sigs: &mut Vec<u64>,
+) {
+    assert!(scope_rows > 0, "a cluster scope holds at least one row");
     cluster_sigs.clear();
-    // The LUT pays 2^bits of filling up front; only profitable while that
-    // stays proportionate to the number of rows being clustered.
-    if sig_bits > 16 || (1usize << sig_bits) > 4 * sigs.len().max(1) {
+    // Rows left in the current run; zero opens the next one.
+    let mut left = 0usize;
+    // The LUT pays 2^bits of filling per run; only profitable while that
+    // stays proportionate to the number of rows a run clusters.
+    if sig_bits > 16 || (1usize << sig_bits) > 4 * scope_rows.min(sigs.len()).max(1) {
         let map = &mut scratch.map;
-        map.clear();
         table.assign(sigs.map(|s| {
-            let next = map.len() as u32;
+            if left == 0 {
+                map.clear();
+                left = scope_rows;
+            }
+            left -= 1;
+            let next = cluster_sigs.len() as u32;
             *map.entry(s).or_insert_with(|| {
                 cluster_sigs.push(s);
                 next
@@ -230,9 +262,13 @@ pub fn cluster_from_signatures_into(
     }
     const UNSEEN: u32 = u32::MAX;
     let lut = &mut scratch.lut;
-    lut.clear();
     lut.resize(1usize << sig_bits, UNSEEN);
     table.assign(sigs.map(|s| {
+        if left == 0 {
+            lut.fill(UNSEEN);
+            left = scope_rows;
+        }
+        left -= 1;
         debug_assert!((s as usize) < lut.len(), "signature wider than sig_bits");
         let slot = &mut lut[s as usize];
         if *slot == UNSEEN {
@@ -376,6 +412,39 @@ mod tests {
             assert_eq!(table, fresh_table, "round {round}");
             assert_eq!(cluster_sigs, fresh_sigs, "round {round}");
             assert_eq!(table.num_clusters(), 7 + round);
+        }
+    }
+
+    #[test]
+    fn scoped_grouping_is_per_run_grouping_with_a_running_id_counter() {
+        // Runs of 7 over 24 signatures (short last run), 5-bit signatures on
+        // the direct-index path and 64-bit ones — all bits in use — on the map.
+        let mut scratch = GroupScratch::default();
+        let mut table = ClusterTable::default();
+        let mut cluster_sigs = Vec::new();
+        for bits in [5usize, 64] {
+            let mask = u64::MAX >> (64 - bits);
+            let sigs: Vec<u64> =
+                (0..24u64).map(|r| !((r % 3).wrapping_mul(0x9E37_79B9_7F4A_7C15)) & mask).collect();
+            let iter = sigs.iter().copied();
+            cluster_scoped_signatures_into(
+                iter,
+                bits,
+                7,
+                &mut scratch,
+                &mut table,
+                &mut cluster_sigs,
+            );
+            let (mut want_ids, mut want_sigs) = (Vec::new(), Vec::new());
+            for run in sigs.chunks(7) {
+                let (run_table, run_sigs) = cluster_from_signatures(run.iter().copied());
+                let base = u32::try_from(want_sigs.len()).unwrap();
+                want_ids.extend(run_table.assignments().iter().map(|&id| base + id));
+                want_sigs.extend(run_sigs);
+            }
+            assert_eq!(table.assignments(), want_ids, "{bits} bits");
+            assert_eq!(cluster_sigs, want_sigs, "{bits} bits");
+            assert_eq!(table.num_clusters(), 3 * 3 + 3, "three full runs and a run of three");
         }
     }
 

@@ -19,8 +19,9 @@ pub struct Pool2d {
     kind: PoolKind,
     window: usize,
     stride: usize,
-    /// For max pooling: flat input index chosen per output element.
-    argmax: Vec<usize>,
+    /// For max pooling: flat input index chosen per output element (`u32`:
+    /// the forward pass checks the input has fewer than 2³² elements).
+    argmax: Vec<u32>,
     in_shape: Shape3,
     batch: usize,
 }
@@ -98,34 +99,52 @@ impl Layer for Pool2d {
             self.argmax.resize(n * oh * ow * c, 0);
         }
         let inv_area = 1.0 / (self.window * self.window) as f32;
-        for b in 0..n {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    for ch in 0..c {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        let mut sum = 0.0f32;
-                        for ky in 0..self.window {
-                            for kx in 0..self.window {
-                                let y = oy * self.stride + ky;
-                                let x = ox * self.stride + kx;
-                                let idx = input.offset(b, y, x, ch);
-                                let v = input.as_slice()[idx];
-                                sum += v;
-                                if v > best {
-                                    best = v;
-                                    best_idx = idx;
-                                }
-                            }
+        let x = input.as_slice();
+        assert!(
+            u32::try_from(x.len()).is_ok(),
+            "pool {}: input too large for 32-bit argmax indices",
+            self.name
+        );
+        // Per output pixel, the window is swept tap by tap with the channel
+        // loop innermost: NHWC keeps a tap's channels contiguous, and the
+        // output row (with, for max, its argmax row) is the running state.
+        for (pixel, out_row) in out.as_mut_slice().chunks_exact_mut(c.max(1)).enumerate() {
+            let (b, oy, ox) = (pixel / (oh * ow), pixel / ow % oh, pixel % ow);
+            let taps = (0..self.window * self.window).map(|t| {
+                let (ky, kx) = (t / self.window, t % self.window);
+                input.offset(b, oy * self.stride + ky, ox * self.stride + kx, 0)
+            });
+            match self.kind {
+                PoolKind::Max => {
+                    // The first maximum in (ky, kx) order wins (strict `>`);
+                    // a window with nothing above -inf keeps index 0.
+                    let idx_row = &mut self.argmax[pixel * c..(pixel + 1) * c];
+                    out_row.fill(f32::NEG_INFINITY);
+                    for base in taps {
+                        let tap =
+                            out_row.iter_mut().zip(idx_row.iter_mut()).zip(&x[base..base + c]);
+                        // `base + c <= x.len()` fits u32 (asserted above).
+                        #[allow(clippy::cast_possible_truncation)]
+                        for (at, ((best, idx), &v)) in (base as u32..).zip(tap) {
+                            // A bit-mask blend, not `if take { v } else { *best }`:
+                            // LLVM turns a select that keeps the old value
+                            // into one conditional store per lane (pool1,
+                            // 16×16×16×64, 3×3/2: 1.33 ms against 0.11 ms; the
+                            // per-output scan this replaces took 0.38 ms).
+                            let mask = u32::from(v > *best).wrapping_neg();
+                            *best = f32::from_bits((v.to_bits() & mask) | (best.to_bits() & !mask));
+                            *idx = (at & mask) | (*idx & !mask);
                         }
-                        let out_idx = out.offset(b, oy, ox, ch);
-                        match self.kind {
-                            PoolKind::Max => {
-                                out.as_mut_slice()[out_idx] = best;
-                                self.argmax[out_idx] = best_idx;
-                            }
-                            PoolKind::Avg => out.as_mut_slice()[out_idx] = sum * inv_area,
+                    }
+                }
+                PoolKind::Avg => {
+                    for base in taps {
+                        for (sum, &v) in out_row.iter_mut().zip(&x[base..base + c]) {
+                            *sum += v;
                         }
+                    }
+                    for sum in out_row {
+                        *sum *= inv_area;
                     }
                 }
             }
@@ -145,7 +164,7 @@ impl Layer for Pool2d {
                     self.name
                 );
                 for (out_idx, &g) in grad_out.as_slice().iter().enumerate() {
-                    grad_in.as_mut_slice()[self.argmax[out_idx]] += g;
+                    grad_in.as_mut_slice()[self.argmax[out_idx] as usize] += g;
                 }
             }
             PoolKind::Avg => {
@@ -235,6 +254,94 @@ mod tests {
         let y = pool.forward(&x, Mode::Eval);
         assert_eq!(y.get(0, 0, 0, 0), 3.0);
         assert_eq!(y.get(0, 0, 0, 1), 0.0);
+    }
+
+    /// The per-output-element window scan `forward` used before the window
+    /// sweep moved the channel loop inside: `(output, argmax)`.
+    fn scan_per_element(pool: &Pool2d, input: &Tensor4) -> (Tensor4, Vec<u32>) {
+        let (n, h, w, c) = input.shape();
+        let (oh, ow) = pool.out_hw(h, w);
+        let mut out = Tensor4::zeros(n, oh, ow, c);
+        let mut argmax = vec![0u32; n * oh * ow * c];
+        let inv_area = 1.0 / (pool.window * pool.window) as f32;
+        for b in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    for ch in 0..c {
+                        let mut best = f32::NEG_INFINITY;
+                        let mut best_idx = 0usize;
+                        let mut sum = 0.0f32;
+                        for ky in 0..pool.window {
+                            for kx in 0..pool.window {
+                                let (y, x) = (oy * pool.stride + ky, ox * pool.stride + kx);
+                                let idx = input.offset(b, y, x, ch);
+                                let v = input.as_slice()[idx];
+                                sum += v;
+                                if v > best {
+                                    best = v;
+                                    best_idx = idx;
+                                }
+                            }
+                        }
+                        let out_idx = out.offset(b, oy, ox, ch);
+                        match pool.kind {
+                            PoolKind::Max => {
+                                out.as_mut_slice()[out_idx] = best;
+                                argmax[out_idx] = u32::try_from(best_idx).unwrap();
+                            }
+                            PoolKind::Avg => out.as_mut_slice()[out_idx] = sum * inv_area,
+                        }
+                    }
+                }
+            }
+        }
+        (out, argmax)
+    }
+
+    /// Output bits, argmax indices (tie-break: first maximum in `(ky, kx)`
+    /// order) and the all-NaN / all-`-inf` window results must equal the
+    /// per-element scan, for max and avg, 3×3/2 and 2×2/2.
+    #[test]
+    fn forward_matches_the_per_element_scan_bitwise() {
+        let mut rng = adr_tensor::rng::AdrRng::seeded(17);
+        let nan = f32::NAN;
+        let ninf = f32::NEG_INFINITY;
+        // Random, heavily tied (three levels), and two poisoned inputs: one
+        // with scattered NaN / -inf, one where whole windows are NaN or -inf.
+        let random = Tensor4::from_fn(2, 7, 9, 5, |_, _, _, _| rng.gauss());
+        let tied = Tensor4::from_fn(2, 7, 9, 5, |_, _, _, _| (rng.next_u64() % 3) as f32 - 1.0);
+        let sprinkled = Tensor4::from_fn(2, 7, 9, 5, |_, _, _, _| match rng.next_u64() % 4 {
+            0 => nan,
+            1 => ninf,
+            _ => rng.gauss(),
+        });
+        let blanked = Tensor4::from_fn(2, 7, 9, 5, |_, y, x, c| match (y < 3 && x < 3, c % 2) {
+            (true, 0) => nan,
+            (true, _) => ninf,
+            _ => rng.gauss(),
+        });
+        let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (what, input) in
+            [("random", &random), ("tied", &tied), ("sprinkled", &sprinkled), ("blanked", &blanked)]
+        {
+            for kind in [PoolKind::Max, PoolKind::Avg] {
+                for (window, stride) in [(3, 2), (2, 2)] {
+                    let mut pool = Pool2d::new("p", kind, window, stride);
+                    let (want, want_argmax) = scan_per_element(&pool, input);
+                    let got = pool.forward(input, Mode::Train);
+                    let case = format!("{what} {kind:?} {window}x{window}/{stride}");
+                    assert_eq!(got.shape(), want.shape(), "{case}");
+                    assert_eq!(bits(&got), bits(&want), "{case}");
+                    if kind == PoolKind::Max {
+                        assert_eq!(pool.argmax, want_argmax, "{case}");
+                    }
+                }
+            }
+        }
+        // A fully NaN window yields -inf at index 0, as the scan always did.
+        let mut pool = Pool2d::max("p", 3, 2);
+        let y = pool.forward(&blanked, Mode::Train);
+        assert_eq!((y.get(0, 0, 0, 0), pool.argmax[0]), (ninf, 0));
     }
 
     #[test]

@@ -28,24 +28,16 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
-        let mut out = input.clone();
+        let x = input.as_slice();
+        // One branch-free select per element: NaN fails `<=` and passes
+        // through, `-0.0` and `0.0` both become `+0.0`.
+        let out = x.iter().map(|&v| if v <= 0.0 { 0.0 } else { v }).collect();
         if mode == Mode::Train {
             self.mask.clear();
-            self.mask.reserve(out.len());
-            for v in out.as_mut_slice() {
-                self.mask.push(*v > 0.0);
-                if *v <= 0.0 {
-                    *v = 0.0;
-                }
-            }
-        } else {
-            for v in out.as_mut_slice() {
-                if *v <= 0.0 {
-                    *v = 0.0;
-                }
-            }
+            self.mask.extend(x.iter().map(|&v| v > 0.0));
         }
-        out
+        let (n, h, w, c) = input.shape();
+        Tensor4::from_vec(n, h, w, c, out).expect("one output element per input element")
     }
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
@@ -55,13 +47,10 @@ impl Layer for Relu {
             "relu {}: backward called with mismatched shape or without training forward",
             self.name
         );
-        let mut grad = grad_out.clone();
-        for (g, &keep) in grad.as_mut_slice().iter_mut().zip(self.mask.iter()) {
-            if !keep {
-                *g = 0.0;
-            }
-        }
-        grad
+        let kept = grad_out.as_slice().iter().zip(&self.mask);
+        let grad = kept.map(|(&g, &keep)| if keep { g } else { 0.0 }).collect();
+        let (n, h, w, c) = grad_out.shape();
+        Tensor4::from_vec(n, h, w, c, grad).expect("one gradient element per output element")
     }
 }
 
@@ -94,6 +83,28 @@ mod tests {
         relu.forward(&Tensor4::from_vec(1, 1, 1, 1, vec![0.0]).unwrap(), Mode::Train);
         let gx = relu.backward(&Tensor4::from_vec(1, 1, 1, 1, vec![5.0]).unwrap());
         assert_eq!(gx.as_slice(), &[0.0]);
+    }
+
+    /// The scalar definition the vectorised passes must match bit for bit:
+    /// NaN propagates forward and is blocked backward, `-0.0` becomes
+    /// `+0.0`, and an exact zero is blocked.
+    #[test]
+    fn edge_cases_match_the_scalar_definition_bitwise() {
+        let nan = f32::from_bits(0x7fc0_1234); // a NaN with payload bits
+        let x = [nan, -0.0, 0.0, f32::MIN_POSITIVE, -f32::MIN_POSITIVE, f32::INFINITY, -1.5, 2.5];
+        let g = [3.0, 4.0, 5.0, 6.0, 7.0, -8.0, 9.0, nan];
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want_y: Vec<f32> = x.iter().map(|&v| if v <= 0.0 { 0.0 } else { v }).collect();
+        let want_g: Vec<f32> =
+            x.iter().zip(&g).map(|(&v, &g)| if v > 0.0 { g } else { 0.0 }).collect();
+        assert_eq!(bits(&want_y[..3]), bits(&[nan, 0.0, 0.0]));
+        assert_eq!(bits(&want_g[..3]), bits(&[0.0, 0.0, 0.0]));
+        let input = Tensor4::from_vec(1, 2, 2, 2, x.to_vec()).unwrap();
+        let grad = Tensor4::from_vec(1, 2, 2, 2, g.to_vec()).unwrap();
+        let mut relu = Relu::new("r");
+        assert_eq!(bits(relu.forward(&input, Mode::Eval).as_slice()), bits(&want_y));
+        assert_eq!(bits(relu.forward(&input, Mode::Train).as_slice()), bits(&want_y));
+        assert_eq!(bits(relu.backward(&grad).as_slice()), bits(&want_g));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use adr_tensor::matrix::{column_sums_into, gemm_ta_rows, gemm_tb_rows, Matrix};
 use adr_tensor::par::{compute_threads, memory_threads, run_row_blocks};
 
-use crate::forward::ReuseArena;
+use crate::forward::{ReuseArena, SubMatrix};
 use crate::subvec::SubVecSplit;
 
 /// Runs the reuse backward pass from the forward clustering held in `arena`
@@ -57,42 +57,39 @@ pub fn reuse_backward(
     assert!(m > 0, "a reuse layer has at least one filter");
     assert_eq!(weight_grad.shape(), (k, m), "weight gradient shape disagrees with weight");
     assert_eq!(bias_grad.len(), m, "bias gradient length disagrees with M");
-    assert_eq!(arena.tables.len(), num_subs, "one table per sub-matrix required");
-    assert_eq!(arena.centroids.len(), num_subs, "one centroid matrix per sub-matrix required");
-    assert_eq!(arena.cluster_outputs.len(), num_subs, "one output block per sub-matrix required");
-    let n = arena.tables[0].num_rows();
+    assert_eq!(arena.subs.len(), num_subs, "one sub-matrix state per sub-matrix required");
+    let n = arena.subs[0].table.num_rows();
     assert_eq!(delta_y.len(), n * m, "delta_y shape disagrees with the forward clustering");
     adr_tensor::checked_finite!(delta_y, "reuse backward: delta_y");
 
-    // One task per sub-matrix: its band of ∇W and its scratch, every buffer
+    // One task per sub-matrix: its band of ∇W and its state, every buffer
     // sized here, before dispatch. Sub-vectors are `L` wide except a shorter
     // tail, which is exactly how `chunks_mut` cuts the row bands of the
     // `K × M` gradient. The cluster gradients δy_c land in the forward
     // pass's cluster-output blocks: same `|C_I| × M` shape, and dead since
     // the forward scatter.
-    let (tables, centroids) = (&arena.tables, &arena.centroids);
-    arena.centroid_grads.resize_with(num_subs, Matrix::default);
     let bands = weight_grad.as_mut_slice().chunks_mut(split.l() * m);
-    let scratch = arena.cluster_outputs.iter_mut().zip(&mut arena.centroid_grads);
     let mut tasks = Vec::with_capacity(num_subs);
     let mut flops = 0u64;
-    for (i, (w_grad_band, (dy, dx_c))) in bands.zip(scratch).enumerate() {
-        let (num_clusters, width) = (tables[i].num_clusters(), split.width(i));
-        assert_eq!(tables[i].num_rows(), n, "table {i} row count disagrees with delta_y");
-        assert_eq!(centroids[i].shape(), (num_clusters, width), "centroid {i} shape mismatch");
-        dy.resize_for_overwrite(num_clusters, m);
-        dx_c.resize_for_overwrite(num_clusters, width);
+    for (i, (w_grad_band, sub)) in bands.zip(&mut arena.subs).enumerate() {
+        let (num_clusters, width) = (sub.table.num_clusters(), split.width(i));
+        assert_eq!(sub.table.num_rows(), n, "table {i} row count disagrees with delta_y");
+        assert_eq!(sub.centroids.shape(), (num_clusters, width), "centroid {i} shape mismatch");
+        sub.cluster_outputs.resize_for_overwrite(num_clusters, m);
+        sub.centroid_grads.resize_for_overwrite(num_clusters, width);
         flops += ((n - num_clusters) * m + 2 * num_clusters * width * m) as u64;
-        tasks.push((w_grad_band, dy, dx_c));
+        tasks.push((w_grad_band, sub));
     }
     delta_x_unf.resize_for_overwrite(n, k);
 
     // Phase 1, sub-matrix-parallel.
     let threads = compute_threads(usize::try_from(flops).unwrap_or(usize::MAX));
     run_row_blocks(&mut tasks, 1, num_subs, threads, |sub0, _, block| {
-        for (offset, (w_grad_band, dy, dx_c)) in block.iter_mut().enumerate() {
+        for (offset, (w_grad_band, sub)) in block.iter_mut().enumerate() {
             let i = sub0 + offset;
-            let (table, cent) = (&tables[i], &centroids[i]);
+            let SubMatrix {
+                table, centroids: cent, cluster_outputs: dy, centroid_grads: dx_c, ..
+            } = &mut **sub;
             let (start, end) = split.ranges()[i];
             let (num_clusters, width) = cent.shape();
 
@@ -117,12 +114,7 @@ pub fn reuse_backward(
             );
 
             // δy_{c,sa}: per-cluster means (divide the sums by cluster size).
-            for (c, &count) in table.counts().iter().enumerate() {
-                let inv = 1.0 / count as f32;
-                for v in dy.row_mut(c) {
-                    *v *= inv;
-                }
-            }
+            table.sums_to_means(dy);
 
             // δx_{c,I} = δy_{c,I,sa} · W_Iᵀ (Eq. 18), on W's row band in place.
             let w_band = &weight.as_slice()[start * m..end * m];
@@ -138,14 +130,14 @@ pub fn reuse_backward(
 
     // Phase 2, row-parallel: every member inherits its cluster centroid's
     // input gradient, one whole contiguous row of δx at a time.
-    let centroid_grads = &arena.centroid_grads;
+    let subs = &arena.subs;
     let threads = memory_threads(n * k);
     run_row_blocks(delta_x_unf.as_mut_slice(), k, n, threads, |row0, rows_here, chunk| {
         for r in 0..rows_here {
             let dst = &mut chunk[r * k..(r + 1) * k];
-            let subs = tables.iter().zip(centroid_grads).zip(split.ranges());
-            for ((table, dx_c), &(start, end)) in subs {
-                dst[start..end].copy_from_slice(dx_c.row(table.cluster_of(row0 + r) as usize));
+            for (sub, &(start, end)) in subs.iter().zip(split.ranges()) {
+                let dx_c = sub.centroid_grads.row(sub.table.cluster_of(row0 + r) as usize);
+                dst[start..end].copy_from_slice(dx_c);
             }
         }
     });
@@ -213,7 +205,7 @@ mod tests {
     fn exact_when_clusters_are_singletons() {
         let (x, w, b, split, lsh) = setup(12, 8, 4, 8, 40, 1);
         let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
-        assert_eq!(fwd.tables()[0].num_clusters(), 12, "need singleton clusters");
+        assert_eq!(fwd.sub_matrices()[0].table().num_clusters(), 12, "need singleton clusters");
         let mut rng = AdrRng::seeded(2);
         let dy = Matrix::from_fn(12, 4, |_, _| rng.gauss());
         let out = backward(&mut fwd, &split, &w, &dy);
@@ -236,7 +228,7 @@ mod tests {
         let split = SubVecSplit::new(6, 6);
         let lsh = vec![LshTable::new(6, 12, &mut rng)];
         let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
-        assert_eq!(fwd.tables()[0].num_clusters(), 3);
+        assert_eq!(fwd.sub_matrices()[0].table().num_clusters(), 3);
         let dy = Matrix::from_fn(30, 5, |_, _| rng.gauss());
         let out = backward(&mut fwd, &split, &w, &dy);
         let dense_wgrad = x.matmul_t_a(&dy);
@@ -258,7 +250,7 @@ mod tests {
         let out = backward(&mut fwd, &split, &w, &dy);
         let dense_dx = dy.matmul_t_b(&w);
         // Members of a cluster share identical rows equal to the mean.
-        let table = &fwd.tables()[0];
+        let table = &fwd.sub_matrices()[0].table();
         for c in 0..table.num_clusters() {
             let members: Vec<usize> =
                 (0..20).filter(|&r| table.cluster_of(r) == u32::try_from(c).unwrap()).collect();
@@ -303,7 +295,8 @@ mod tests {
         let (_, mut fwd_fine) = reuse_forward(&x2, &w2, &b2, &split2, &lsh2, None, None);
         let fine = backward(&mut fwd_fine, &split2, &w2, &dy);
         assert!(
-            fwd_coarse.tables()[0].num_clusters() < fwd_fine.tables()[0].num_clusters(),
+            fwd_coarse.sub_matrices()[0].table().num_clusters()
+                < fwd_fine.sub_matrices()[0].table().num_clusters(),
             "precondition: H controls cluster count"
         );
         assert!(coarse.flops < fine.flops);
@@ -324,7 +317,7 @@ mod tests {
         for x in [&x_coarse, &x_fine, &x_coarse] {
             let dy = Matrix::from_fn(40, 5, |_, _| rng.gauss());
             reuse_forward_with(x, &w, &b, &split, &lsh, &hasher, None, None, &mut recycled);
-            clusters.push(recycled.tables()[0].num_clusters());
+            clusters.push(recycled.sub_matrices()[0].table().num_clusters());
             let got = backward(&mut recycled, &split, &w, &dy);
             let (_, mut fresh) = reuse_forward(x, &w, &b, &split, &lsh, None, None);
             let want = backward(&mut fresh, &split, &w, &dy);
@@ -337,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one table per sub-matrix")]
+    #[should_panic(expected = "one sub-matrix state per sub-matrix")]
     fn wrong_table_count_panics() {
         let (x, w, b, split, lsh) = setup(8, 8, 2, 4, 8, 9);
         let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);

@@ -1,30 +1,86 @@
 //! The deep-reuse forward pass (Figs. 2 and 3, Algorithm 1).
 //!
-//! For each sub-matrix `x^(I)` of the unfolded input:
+//! One streaming pass hashes every sub-vector of every row. Then, for each
+//! sub-matrix `x^(I)` of the unfolded input:
 //!
-//! 1. hash every row with the sub-matrix's LSH family → clusters,
+//! 1. group rows with equal signatures into clusters,
 //! 2. compute the centroid matrix `x_c^(I)` (mean of raw member rows),
 //! 3. compute `y_c^(I) = x_c^(I) · W_I` — only `|C_I|` rows instead of `N`
 //!    (with `CR = 1`, rows whose signature was seen in an earlier batch are
 //!    fetched from the [`ReuseCache`] instead of computed),
-//! 4. reconstruct `y = Σ_I y^(I)` by scattering each `y_c^(I)` row to all
-//!    its member rows.
 //!
-//! Hashing and centroid extraction read column windows of the unfolded
-//! matrix in place (no sub-matrix copies), and the reconstruction runs one
-//! row-parallel pass over all sub-matrices at once — both matter because
-//! clustering overhead is exactly what the paper's profitability condition
-//! `H << M(1 − r_c)` trades against.
+//! and finally `y = Σ_I y^(I)` is reconstructed by adding each `y_c^(I)` row
+//! to all its member rows.
+//!
+//! Sub-matrices are independent until the reconstruction, so steps 1–3 run as
+//! **one fan-out over sub-matrices** on the persistent pool: a block owns a
+//! contiguous run of sub-matrices — a contiguous column band of the unfolded
+//! matrix — and accumulates all of their centroid sums in a single
+//! row-major sweep over that band, instead of walking the row-major matrix
+//! column-strided once per sub-matrix. The reconstruction is row-blocked for
+//! the same reason: a block of output rows visits each sub-matrix once.
+//! Both matter because clustering overhead is exactly what the paper's
+//! profitability condition `H << M(1 − r_c)` trades against. DESIGN.md §15.6
+//! has the ordering argument for why none of this changes a bit.
+
+use std::sync::OnceLock;
 
 use adr_clustering::assign::ClusterTable;
-use adr_clustering::lsh::{cluster_from_signatures_into, GroupScratch, LshTable};
+use adr_clustering::lsh::{cluster_scoped_signatures_into, GroupScratch, LshTable};
 use adr_clustering::reuse_cache::ReuseCache;
-use adr_tensor::matrix::Matrix;
-use adr_tensor::par::matmul_rows_range_into;
+use adr_tensor::matrix::{gemm_rows, Matrix};
+use adr_tensor::par::{memory_threads, run_blocks, run_row_blocks};
 
 use crate::hashpack::PackedHasher;
 use crate::stats::ReuseStats;
 use crate::subvec::SubVecSplit;
+
+/// Output rows reconstructed together by [`reconstruct`]: for one block,
+/// each sub-matrix is visited once — its ids read as one contiguous slice,
+/// its gathered `y_c` rows added to the block — instead of once per row.
+///
+/// Measured on the conv2 shape of the bench-scale CifarNet (784 × 1600 · 1600
+/// × 64, `{L=8, H=8}`: 200 sub-matrices, two threads, whole forward pass,
+/// best of 300, two runs each): 1 row 4.17 / 4.17 ms, 4 rows 3.72 / 3.74,
+/// 8 rows 3.51 / 3.63, 16 rows 3.46 / 3.59, 32 rows 3.48 / 3.48, 64 rows
+/// 3.40 / 3.50 — flat from 8 up, where the block (16 × 64 floats = 4 KiB)
+/// still sits in L1 beside the `y_c` rows it gathers. conv1 (4096 × 75, ten
+/// sub-matrices) does not move with it (0.82–0.88 ms throughout).
+const SCATTER_ROWS: usize = 16;
+
+/// One sub-matrix's share of a layer's reuse state: its clustering, and the
+/// per-cluster blocks the forward and backward passes compute from it.
+#[derive(Debug, Default)]
+pub struct SubMatrix {
+    /// Clustering of the input rows under this sub-matrix's LSH family.
+    pub(crate) table: ClusterTable,
+    /// Forming signature of each cluster (what the CR cache keys on).
+    cluster_sigs: Vec<u64>,
+    /// Centroid matrix `x_c^(I)` (`|C_I| × L_I`).
+    pub(crate) centroids: Matrix,
+    /// Cluster outputs `y_c^(I)` (`|C_I| × M`). Dead once the forward pass
+    /// has scattered them, so the backward pass gathers the same-shaped
+    /// cluster gradients `δy_c^(I)` into this buffer.
+    pub(crate) cluster_outputs: Matrix,
+    /// Centroid input-gradients `δx_c^(I)` (`|C_I| × L_I`).
+    pub(crate) centroid_grads: Matrix,
+    /// Centroid rows the latest forward pass multiplied by `W_I`: every
+    /// cluster, or with `CR = 1` only those that missed the cache.
+    multiplied: usize,
+}
+
+impl SubMatrix {
+    /// Clustering of the input rows, as of the latest forward pass.
+    pub fn table(&self) -> &ClusterTable {
+        &self.table
+    }
+
+    /// Centroid matrix `x_c^(I)` (`|C_I| × L_I`), as of the latest forward
+    /// pass.
+    pub fn centroids(&self) -> &Matrix {
+        &self.centroids
+    }
+}
 
 /// Recycled buffers of one reuse layer, shared by its forward and backward
 /// passes.
@@ -32,47 +88,28 @@ use crate::subvec::SubVecSplit;
 /// Every buffer here is sized on first use and *reused* — heap capacity kept,
 /// contents reset — on every later call, so a steady-state training step's
 /// hash/cluster/centroid/scatter machinery allocates nothing; the one thing a
-/// forward pass still allocates is the output it returns. Besides scratch,
-/// the arena holds the forward clustering ([`ReuseArena::tables`],
-/// [`ReuseArena::centroids`]) that [`crate::backward::reuse_backward`]
-/// consumes: it stays valid until the next forward pass through this arena.
+/// forward pass still allocates is the output it returns. The arena holds
+/// the signature matrix, one [`SubMatrix`] per sub-matrix — the unit both
+/// passes fan out over — and one grouping scratch per fan-out block. The
+/// clustering in the sub-matrix states is what
+/// [`crate::backward::reuse_backward`] consumes: it stays valid until the
+/// next forward pass through this arena.
 #[derive(Debug, Default)]
 pub struct ReuseArena {
     /// Row-major packed signatures, `N × num_subs`.
     sig_all: Vec<u64>,
-    /// Signature → cluster lookup tables of the grouping step.
-    group: GroupScratch,
-    /// Forming signature of each cluster, one sub-matrix at a time.
-    cluster_sigs: Vec<u64>,
-    /// Per-sub-matrix clustering of the latest forward pass.
-    pub(crate) tables: Vec<ClusterTable>,
-    /// Per-sub-matrix centroid matrices `x_c^(I)` (`|C_I| × L_I`).
-    pub(crate) centroids: Vec<Matrix>,
-    /// Cluster ids whose signature missed the CR cache, one sub at a time.
-    miss_rows: Vec<usize>,
-    /// Gathered centroid rows of the cache misses (`|miss| × L_I`).
-    miss_cent: Matrix,
-    /// GEMM output for the cache misses (`|miss| × M`).
-    miss_out: Matrix,
-    /// Per-sub-matrix cluster outputs `y_c^(I)` (`|C_I| × M`). Dead once
-    /// the forward pass has scattered them, so the backward pass gathers
-    /// the same-shaped cluster gradients `δy_c^(I)` into these buffers.
-    pub(crate) cluster_outputs: Vec<Matrix>,
-    /// Per-sub-matrix centroid input-gradients `δx_c^(I)` (`|C_I| × L_I`).
-    pub(crate) centroid_grads: Vec<Matrix>,
+    /// Per-sub-matrix state of the latest forward pass.
+    pub(crate) subs: Vec<SubMatrix>,
+    /// Signature → cluster lookup tables of the grouping step, one per
+    /// block of the sub-matrix fan-out.
+    group: Vec<GroupScratch>,
 }
 
 impl ReuseArena {
-    /// Per-sub-matrix clustering of the input rows, as of the latest
+    /// Per-sub-matrix state (clustering and centroids), as of the latest
     /// forward pass through this arena.
-    pub fn tables(&self) -> &[ClusterTable] {
-        &self.tables
-    }
-
-    /// Per-sub-matrix centroid matrices `x_c^(I)` (`|C_I| × L_I`), as of the
-    /// latest forward pass through this arena.
-    pub fn centroids(&self) -> &[Matrix] {
-        &self.centroids
+    pub fn sub_matrices(&self) -> &[SubMatrix] {
+        &self.subs
     }
 
     /// Frees the clustering (tables and centroids), keeping the scratch.
@@ -81,8 +118,10 @@ impl ReuseArena {
     /// pins one batch's worth of tables per layer in memory, and an
     /// evaluation batch is often several times the training batch.
     pub fn release_clustering(&mut self) {
-        self.tables.clear();
-        self.centroids.clear();
+        for sub in &mut self.subs {
+            sub.table = ClusterTable::default();
+            sub.centroids = Matrix::default();
+        }
     }
 }
 
@@ -142,6 +181,16 @@ pub fn reuse_forward(
     (outcome, arena)
 }
 
+/// What one block of the sub-matrix fan-out owns: a contiguous run of
+/// sub-matrix states starting at `sub0`, the CR caches of the same run, and
+/// a grouping scratch.
+struct ForwardBlock<'a> {
+    sub0: usize,
+    subs: &'a mut [SubMatrix],
+    caches: Option<&'a mut [ReuseCache]>,
+    group: &'a mut GroupScratch,
+}
+
 /// [`reuse_forward`] with a caller-owned [`PackedHasher`] and [`ReuseArena`]
 /// — the steady-state entry point. [`reuse_forward`] rebuilds the hasher and
 /// every buffer on each call; a training loop that owns both (the reuse
@@ -170,6 +219,7 @@ pub fn reuse_forward_with(
     let m = weight.cols();
     assert_eq!(k, split.k(), "split width disagrees with input");
     assert_eq!(weight.rows(), k, "weight rows disagree with K");
+    assert!(m > 0, "a reuse layer has at least one filter");
     assert_eq!(bias.len(), m, "bias length disagrees with M");
     assert_eq!(lsh.len(), split.num_sub_vectors(), "one LSH family per sub-matrix required");
     assert_eq!(hasher.num_subs(), split.num_sub_vectors(), "hasher disagrees with split");
@@ -186,16 +236,10 @@ pub fn reuse_forward_with(
     adr_tensor::checked_finite!(x_unf.as_slice(), "reuse forward: unfolded input");
     adr_tensor::checked_finite!(weight.as_slice(), "reuse forward: weight");
 
-    // Exactly one table / centroid matrix / output block per sub-matrix: a
-    // retune to fewer sub-matrices must not leave stale clusterings behind
-    // for the backward pass to find.
+    // Exactly one state per sub-matrix: a retune to fewer sub-matrices must
+    // not leave stale clusterings behind for the backward pass to find.
     let num_subs = split.num_sub_vectors();
-    arena.tables.resize_with(num_subs, ClusterTable::default);
-    arena.centroids.resize_with(num_subs, Matrix::default);
-    arena.cluster_outputs.resize_with(num_subs, Matrix::default);
-    let mut stats = ReuseStats { rows: n, num_sub_vectors: num_subs, ..Default::default() };
-    let mut cluster_total = 0usize;
-    let mut reuse_rate_sum = 0.0f64;
+    arena.subs.resize_with(num_subs, SubMatrix::default);
 
     // One streaming pass produces every sub-vector signature (row-major:
     // sig_all[r * num_subs + i]).
@@ -205,146 +249,188 @@ pub fn reuse_forward_with(
     }
     let sig_all = &arena.sig_all;
     let h_bits = hasher.num_hashes();
+    // Single-input scope groups each image's rows apart; the signature stays
+    // the pure LSH output either way (what the CR cache keys on).
+    let scope_rows = rows_per_image.unwrap_or(n).max(1);
+    let (x, w) = (x_unf.as_slice(), weight.as_slice());
 
-    for (i, &(start, end)) in split.ranges().iter().enumerate() {
-        let width = end - start;
-        let table = &mut arena.tables[i];
-        let sigs = &mut arena.cluster_sigs;
-        // Single-input scope folds the image index into the cluster key so
-        // clusters never span images; the signature itself stays the pure
-        // LSH output (what the CR cache would key on).
+    // The sub-matrix fan-out. Grouping and the centroid sweep touch every
+    // element of the unfolded matrix and its signature once — memory-bound,
+    // like the scatter — so that is what sizes the split. Each block takes a
+    // contiguous run of sub-matrix states, the same run of caches and one
+    // grouping scratch: all cut here, on the dispatching thread.
+    let threads = memory_threads(n * k).clamp(1, num_subs);
+    let per_block = num_subs.div_ceil(threads);
+    if arena.group.len() < threads {
+        arena.group.resize_with(threads, GroupScratch::default);
+    }
+    let mut cache_runs = caches.as_deref_mut().map(|c| c.chunks_mut(per_block));
+    let blocks = arena.subs.chunks_mut(per_block).zip(&mut arena.group).enumerate().map(
+        |(b, (subs, group))| ForwardBlock {
+            sub0: b * per_block,
+            subs,
+            caches: cache_runs.as_mut().and_then(Iterator::next),
+            group,
+        },
+    );
+    // Worker threads have no telemetry sink, so the phase spans are the
+    // dispatching thread's: `Cluster` around its own block's grouping,
+    // `CentroidGemm` from there until every block is done.
+    let gemm_span = OnceLock::new();
+    run_blocks(blocks, |ForwardBlock { sub0, subs, mut caches, group }| {
+        let ranges = &split.ranges()[sub0..sub0 + subs.len()];
+
+        // (A) Group equal signatures, one sub-matrix at a time.
         let cluster_span = adr_obs::span_phase(adr_obs::Phase::Cluster);
-        match rows_per_image {
-            None => cluster_from_signatures_into(
-                (0..n).map(|r| sig_all[r * num_subs + i]),
+        for (i, sub) in (sub0..).zip(subs.iter_mut()) {
+            cluster_scoped_signatures_into(
+                sig_all.iter().skip(i).step_by(num_subs).copied(),
                 h_bits,
-                &mut arena.group,
-                table,
-                sigs,
-            ),
-            Some(p) => {
-                let img_bits = usize::BITS as usize - (n / p - 1).leading_zeros() as usize;
-                cluster_from_signatures_into(
-                    (0..n).map(|r| sig_all[r * num_subs + i] | (((r / p) as u64) << h_bits)),
-                    (h_bits + img_bits).min(64),
-                    &mut arena.group,
-                    table,
-                    sigs,
-                );
-            }
+                scope_rows,
+                group,
+                &mut sub.table,
+                &mut sub.cluster_sigs,
+            );
         }
         drop(cluster_span);
-        stats.hash_flops += lsh[i].hashing_flops(n);
-        let gemm_span = adr_obs::span_phase(adr_obs::Phase::CentroidGemm);
-        let cent = &mut arena.centroids[i];
-        table.centroids_range_into(x_unf, start, end, cent);
-        adr_tensor::checked_finite_rows!(
-            cent.as_slice(),
-            width,
-            "reuse forward: sub-matrix {i} centroids (row = cluster id)"
-        );
-        let num_clusters = table.num_clusters();
-        cluster_total += num_clusters;
+        if sub0 == 0 {
+            let _ = gemm_span.set(adr_obs::span_phase(adr_obs::Phase::CentroidGemm));
+        }
 
-        // Both branches multiply centroid rows against the weight's
-        // `[start, end)` row band in place — no `row_slice` copy of the
-        // weight, no fresh output matrix: `y_c` is arena scratch.
-        let y_c = &mut arena.cluster_outputs[i];
-        match caches.as_deref_mut() {
-            Some(cache_slice) => {
-                let cache = &mut cache_slice[i];
-                y_c.reset(num_clusters, m);
-                arena.miss_rows.clear();
-                for (c, &sig) in sigs.iter().enumerate() {
-                    match cache.probe(sig) {
-                        Some(row) => y_c.row_mut(c).copy_from_slice(row),
-                        None => arena.miss_rows.push(c),
-                    }
+        // (B) Size every centroid matrix exactly, zeroed.
+        for (sub, &(start, end)) in subs.iter_mut().zip(ranges) {
+            sub.centroids.reset(sub.table.num_clusters(), end - start);
+        }
+
+        // (C) One row-major sweep over this block's column band sums every
+        // sub-matrix's member rows. A cluster still receives its members in
+        // ascending row order, as in a per-sub-matrix walk.
+        let (col0, col1) = (ranges[0].0, ranges[ranges.len() - 1].1);
+        for r in 0..n {
+            let mut band = &x[r * k + col0..r * k + col1];
+            for sub in subs.iter_mut() {
+                let (src, rest) = band.split_at(sub.centroids.cols());
+                band = rest;
+                let dst = sub.centroids.row_mut(sub.table.cluster_of(r) as usize);
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d += s;
                 }
-                if !arena.miss_rows.is_empty() {
-                    // Batch the misses into one GEMM.
-                    arena.miss_cent.reset(arena.miss_rows.len(), width);
-                    for (mi, &c) in arena.miss_rows.iter().enumerate() {
-                        arena.miss_cent.row_mut(mi).copy_from_slice(cent.row(c));
-                    }
-                    matmul_rows_range_into(
-                        &arena.miss_cent,
-                        weight,
-                        (start, end),
-                        &mut arena.miss_out,
-                    );
-                    stats.gemm_flops += (arena.miss_rows.len() * width * m) as u64;
-                    for (mi, &c) in arena.miss_rows.iter().enumerate() {
-                        y_c.row_mut(c).copy_from_slice(arena.miss_out.row(mi));
-                        cache.insert(sigs[c], arena.miss_out.row(mi));
-                    }
-                }
-                reuse_rate_sum += cache.mean_reuse_rate();
-            }
-            None => {
-                stats.gemm_flops += (num_clusters * width * m) as u64;
-                matmul_rows_range_into(cent, weight, (start, end), y_c);
             }
         }
-        drop(gemm_span);
 
-        adr_tensor::checked_shape!(
-            y_c.shape(),
-            (num_clusters, m),
-            "reuse forward: sub-matrix {i} cluster-output shape"
-        );
-        adr_tensor::checked_finite_rows!(
-            y_c.as_slice(),
-            m,
-            "reuse forward: sub-matrix {i} cluster outputs (row = cluster id)"
-        );
-        stats.add_flops += (n * m) as u64;
-    }
+        // (D) Sums to means, then `y_c = x_c · W_I` against the weight's
+        // `[start, end)` row band in place.
+        for (j, (sub, &(start, end))) in subs.iter_mut().zip(ranges).enumerate() {
+            let SubMatrix {
+                table,
+                cluster_sigs,
+                centroids: cent,
+                cluster_outputs: y_c,
+                multiplied,
+                ..
+            } = sub;
+            let (num_clusters, width) = cent.shape();
+            table.sums_to_means(cent);
+            adr_tensor::checked_finite_rows!(
+                cent.as_slice(),
+                width,
+                "reuse forward: sub-matrix {} centroids (row = cluster id)",
+                sub0 + j
+            );
+            let w_band = &w[start * m..end * m];
+            y_c.reset(num_clusters, m);
+            *multiplied = match caches.as_deref_mut() {
+                None => {
+                    gemm_rows(cent.as_slice(), w_band, y_c.as_mut_slice(), num_clusters, width, m);
+                    num_clusters
+                }
+                // Every output row of the GEMM depends on its own centroid
+                // row alone, so a miss is multiplied where it stands — the
+                // bits of batching all misses into one product.
+                Some(caches) => {
+                    let cache = &mut caches[j];
+                    let mut misses = 0;
+                    for (c, &sig) in cluster_sigs.iter().enumerate() {
+                        match cache.probe(sig) {
+                            Some(row) => y_c.row_mut(c).copy_from_slice(row),
+                            None => {
+                                gemm_rows(cent.row(c), w_band, y_c.row_mut(c), 1, width, m);
+                                cache.insert(sig, y_c.row(c));
+                                misses += 1;
+                            }
+                        }
+                    }
+                    misses
+                }
+            };
+            adr_tensor::checked_shape!(
+                y_c.shape(),
+                (num_clusters, m),
+                "reuse forward: sub-matrix {} cluster-output shape",
+                sub0 + j
+            );
+            adr_tensor::checked_finite_rows!(
+                y_c.as_slice(),
+                m,
+                "reuse forward: sub-matrix {} cluster outputs (row = cluster id)",
+                sub0 + j
+            );
+        }
+    });
+    drop(gemm_span);
 
     // Row-parallel reconstruction: out[r] = bias + Σ_I y_c^(I)[cluster_I(r)].
     let scatter_span = adr_obs::span_phase(adr_obs::Phase::Scatter);
-    let output = reconstruct(n, m, bias, &arena.tables, &arena.cluster_outputs);
+    let output = reconstruct(n, m, bias, &arena.subs);
     drop(scatter_span);
     adr_tensor::checked_finite!(output.as_slice(), "reuse forward: reconstructed output");
 
+    let mut stats = ReuseStats { rows: n, num_sub_vectors: num_subs, ..Default::default() };
+    let mut cluster_total = 0usize;
+    for (i, sub) in arena.subs.iter().enumerate() {
+        cluster_total += sub.table.num_clusters();
+        stats.hash_flops += lsh[i].hashing_flops(n);
+        stats.gemm_flops += (sub.multiplied * split.width(i) * m) as u64;
+        stats.add_flops += (n * m) as u64;
+    }
     stats.avg_clusters = cluster_total as f64 / num_subs as f64;
     stats.avg_remaining_ratio = stats.avg_clusters / n as f64;
-    if caches.is_some() {
+    if let Some(caches) = caches {
+        let mut reuse_rate_sum = 0.0f64;
+        for cache in caches.iter() {
+            reuse_rate_sum += cache.mean_reuse_rate();
+        }
         stats.reuse_rate = reuse_rate_sum / num_subs as f64;
     }
     ForwardOutcome { output, stats }
 }
 
 /// Sums the per-sub-matrix cluster outputs into the `N × M` layer output,
-/// parallelised over disjoint row chunks.
-fn reconstruct(
-    n: usize,
-    m: usize,
-    bias: &[f32],
-    tables: &[ClusterTable],
-    cluster_outputs: &[Matrix],
-) -> Matrix {
+/// parallelised over disjoint row chunks and, within a chunk, blocked over
+/// [`SCATTER_ROWS`] rows. Every output row is still `bias`, then one add per
+/// sub-matrix in ascending order.
+fn reconstruct(n: usize, m: usize, bias: &[f32], subs: &[SubMatrix]) -> Matrix {
     let mut output = Matrix::zeros(n, m);
     // Gather-and-add over cluster rows — memory-bound, like col2im.
-    let threads = adr_tensor::par::memory_threads(n * m * tables.len());
-    adr_tensor::par::run_row_blocks(
-        output.as_mut_slice(),
-        m,
-        n,
-        threads,
-        |row0, rows_here, chunk| {
-            for r in 0..rows_here {
-                let dst = &mut chunk[r * m..(r + 1) * m];
+    let threads = memory_threads(n * m * subs.len());
+    run_row_blocks(output.as_mut_slice(), m, n, threads, |row0, _, chunk| {
+        for (b, block) in chunk.chunks_mut(SCATTER_ROWS * m).enumerate() {
+            for dst in block.chunks_exact_mut(m) {
                 dst.copy_from_slice(bias);
-                for (table, y_c) in tables.iter().zip(cluster_outputs) {
-                    let src = y_c.row(table.cluster_of(row0 + r) as usize);
+            }
+            let first = row0 + b * SCATTER_ROWS;
+            for sub in subs {
+                let ids = &sub.table.assignments()[first..first + block.len() / m];
+                let y_c = sub.cluster_outputs.as_slice();
+                for (dst, &id) in block.chunks_exact_mut(m).zip(ids) {
+                    let src = &y_c[id as usize * m..][..m];
                     for (d, s) in dst.iter_mut().zip(src) {
                         *d += s;
                     }
                 }
             }
-        },
-    );
+        }
+    });
     output
 }
 
@@ -377,7 +463,7 @@ mod tests {
         let mut dense = x.matmul(&w);
         dense.add_row_bias(&b);
         // Random Gaussian rows almost surely land in distinct clusters.
-        assert_eq!(arena.tables()[0].num_clusters(), 24);
+        assert_eq!(arena.sub_matrices()[0].table().num_clusters(), 24);
         assert!(out.output.max_abs_diff(&dense) < 1e-3);
     }
 
@@ -392,7 +478,7 @@ mod tests {
         let split = SubVecSplit::new(8, 8);
         let lsh = lsh_families(&split, 16, 4);
         let (out, arena) = reuse_forward(&x, &w, &[0.0; 6], &split, &lsh, None, None);
-        assert_eq!(arena.tables()[0].num_clusters(), 4);
+        assert_eq!(arena.sub_matrices()[0].table().num_clusters(), 4);
         assert!((out.stats.avg_remaining_ratio - 4.0 / 32.0).abs() < 1e-12);
         // Exactness: centroids of identical rows are the rows themselves.
         let dense = x.matmul(&w);
@@ -408,11 +494,11 @@ mod tests {
         let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
         let mut dense = x.matmul(&w);
         dense.add_row_bias(&b);
-        if arena.tables().iter().all(|t| t.num_clusters() == 16) {
+        if arena.sub_matrices().iter().all(|s| s.table().num_clusters() == 16) {
             assert!(out.output.max_abs_diff(&dense) < 1e-3);
         }
-        assert_eq!(arena.tables().len(), 3);
-        assert_eq!(arena.centroids()[2].cols(), 2);
+        assert_eq!(arena.sub_matrices().len(), 3);
+        assert_eq!(arena.sub_matrices()[2].centroids().cols(), 2);
     }
 
     #[test]
@@ -426,7 +512,7 @@ mod tests {
         let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
         let mut dense = x.matmul(&w);
         dense.add_row_bias(&b);
-        if arena.tables().iter().all(|t| t.num_clusters() == 512) {
+        if arena.sub_matrices().iter().all(|s| s.table().num_clusters() == 512) {
             assert!(out.output.max_abs_diff(&dense) < 1e-2);
         } else {
             // Even with some collisions the output must stay finite & close.
@@ -466,7 +552,8 @@ mod tests {
         // adds: N * M per sub-matrix.
         assert_eq!(out.stats.add_flops, (3 * 20 * 6) as u64);
         // gemm: sum over sub-matrices of |C_I| * L_I * M.
-        let expect: u64 = arena.tables().iter().map(|t| (t.num_clusters() * 4 * 6) as u64).sum();
+        let expect: u64 =
+            arena.sub_matrices().iter().map(|s| (s.table().num_clusters() * 4 * 6) as u64).sum();
         assert_eq!(out.stats.gemm_flops, expect);
     }
 
@@ -487,6 +574,350 @@ mod tests {
         assert!(second.output.max_abs_diff(&first.output) < 1e-5);
         caches[0].begin_batch();
         assert!(caches[0].history().last().copied().unwrap() == 1.0);
+    }
+
+    /// What the differential tests compare: everything a forward pass
+    /// computes that the backward pass or the controller can observe.
+    struct Reference {
+        output: Matrix,
+        tables: Vec<ClusterTable>,
+        centroids: Vec<Matrix>,
+        stats: ReuseStats,
+    }
+
+    /// The serial per-sub-matrix loop the fan-out replaced — group, average
+    /// the window's member rows, multiply (with `CR = 1`: probe, batch the
+    /// misses into one product, insert), then reconstruct row by row —
+    /// written against the allocating clustering and matrix API. Grouping
+    /// keys on the `(image, signature)` pair, so single-input scope is right
+    /// at every `H`.
+    fn reference_forward(
+        x_unf: &Matrix,
+        weight: &Matrix,
+        bias: &[f32],
+        split: &SubVecSplit,
+        lsh: &[LshTable],
+        mut caches: Option<&mut [ReuseCache]>,
+        rows_per_image: Option<usize>,
+    ) -> Reference {
+        let (n, m) = (x_unf.rows(), weight.cols());
+        let num_subs = split.num_sub_vectors();
+        let sig_all = PackedHasher::new(split, lsh).hash_all(x_unf);
+        let mut stats = ReuseStats { rows: n, num_sub_vectors: num_subs, ..Default::default() };
+        let (mut tables, mut centroids, mut cluster_outputs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut cluster_total = 0usize;
+        let mut reuse_rate_sum = 0.0f64;
+        for (i, &(start, end)) in split.ranges().iter().enumerate() {
+            let keys: Vec<(usize, u64)> = (0..n)
+                .map(|r| (rows_per_image.map_or(0, |p| r / p), sig_all[r * num_subs + i]))
+                .collect();
+            let table = ClusterTable::from_sparse_ids(&keys);
+            let mut sigs = vec![0u64; table.num_clusters()];
+            for r in (0..n).rev() {
+                sigs[table.cluster_of(r) as usize] = keys[r].1;
+            }
+            stats.hash_flops += lsh[i].hashing_flops(n);
+            let cent = table.centroids_range(x_unf, start, end);
+            let num_clusters = table.num_clusters();
+            cluster_total += num_clusters;
+            let w_band = weight.row_slice(start, end);
+            let y_c = match caches.as_deref_mut() {
+                Some(cache_slice) => {
+                    let cache = &mut cache_slice[i];
+                    let mut y_c = Matrix::zeros(num_clusters, m);
+                    let mut miss_rows = Vec::new();
+                    for (c, &sig) in sigs.iter().enumerate() {
+                        match cache.probe(sig) {
+                            Some(row) => y_c.row_mut(c).copy_from_slice(row),
+                            None => miss_rows.push(c),
+                        }
+                    }
+                    if !miss_rows.is_empty() {
+                        let mut miss_cent = Matrix::zeros(miss_rows.len(), end - start);
+                        for (mi, &c) in miss_rows.iter().enumerate() {
+                            miss_cent.row_mut(mi).copy_from_slice(cent.row(c));
+                        }
+                        let miss_out = miss_cent.matmul(&w_band);
+                        stats.gemm_flops += (miss_rows.len() * (end - start) * m) as u64;
+                        for (mi, &c) in miss_rows.iter().enumerate() {
+                            y_c.row_mut(c).copy_from_slice(miss_out.row(mi));
+                            cache.insert(sigs[c], miss_out.row(mi));
+                        }
+                    }
+                    reuse_rate_sum += cache.mean_reuse_rate();
+                    y_c
+                }
+                None => {
+                    stats.gemm_flops += (num_clusters * (end - start) * m) as u64;
+                    cent.matmul(&w_band)
+                }
+            };
+            stats.add_flops += (n * m) as u64;
+            tables.push(table);
+            centroids.push(cent);
+            cluster_outputs.push(y_c);
+        }
+        let mut output = Matrix::zeros(n, m);
+        for r in 0..n {
+            let dst = output.row_mut(r);
+            dst.copy_from_slice(bias);
+            for (table, y_c) in tables.iter().zip(&cluster_outputs) {
+                for (d, s) in dst.iter_mut().zip(y_c.row(table.cluster_of(r) as usize)) {
+                    *d += s;
+                }
+            }
+        }
+        stats.avg_clusters = cluster_total as f64 / num_subs as f64;
+        stats.avg_remaining_ratio = stats.avg_clusters / n as f64;
+        if caches.is_some() {
+            stats.reuse_rate = reuse_rate_sum / num_subs as f64;
+        }
+        Reference { output, tables, centroids, stats }
+    }
+
+    /// The worker override is process-global; the differential tests flip it.
+    static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs `batches` in order through the fan-out at 1, 2 and 3 forced
+    /// workers — one recycled arena and, with `cluster_reuse`, one set of
+    /// caches per worker count — and through the reference, and demands
+    /// bitwise equality of everything after every batch.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_matches_reference(
+        case: &str,
+        batches: &[&Matrix],
+        weight: &Matrix,
+        bias: &[f32],
+        l: usize,
+        h: usize,
+        cluster_reuse: bool,
+        rows_per_image: Option<usize>,
+    ) {
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let split = SubVecSplit::new(weight.rows(), l);
+        let lsh = lsh_families(&split, h, 77);
+        let hasher = PackedHasher::new(&split, &lsh);
+        let m = weight.cols();
+        let fresh_caches = || -> Vec<ReuseCache> {
+            (0..split.num_sub_vectors()).map(|_| ReuseCache::new(m)).collect()
+        };
+        let mut want_caches = fresh_caches();
+        let want: Vec<Reference> = batches
+            .iter()
+            .map(|x| {
+                want_caches.iter_mut().for_each(ReuseCache::begin_batch);
+                let caches = cluster_reuse.then_some(want_caches.as_mut_slice());
+                reference_forward(x, weight, bias, &split, &lsh, caches, rows_per_image)
+            })
+            .collect();
+        for workers in [1usize, 2, 3] {
+            let mut arena = ReuseArena::default();
+            let mut caches = fresh_caches();
+            adr_tensor::par::set_thread_override(Some(workers));
+            for (b, (x, want)) in batches.iter().zip(&want).enumerate() {
+                let what = format!("{case}: batch {b}, {workers} workers");
+                caches.iter_mut().for_each(ReuseCache::begin_batch);
+                let got = reuse_forward_with(
+                    x,
+                    weight,
+                    bias,
+                    &split,
+                    &lsh,
+                    &hasher,
+                    cluster_reuse.then_some(caches.as_mut_slice()),
+                    rows_per_image,
+                    &mut arena,
+                );
+                assert_eq!(bits(got.output.as_slice()), bits(want.output.as_slice()), "{what}");
+                assert_eq!(arena.sub_matrices().len(), want.tables.len(), "{what}");
+                for (i, sub) in arena.sub_matrices().iter().enumerate() {
+                    assert_eq!(sub.table(), &want.tables[i], "{what}: table {i}");
+                    assert_eq!(sub.centroids().shape(), want.centroids[i].shape(), "{what}");
+                    assert_eq!(
+                        bits(sub.centroids().as_slice()),
+                        bits(want.centroids[i].as_slice()),
+                        "{what}: centroids {i}"
+                    );
+                }
+                let (g, w) = (got.stats, want.stats);
+                assert_eq!((g.rows, g.num_sub_vectors), (w.rows, w.num_sub_vectors), "{what}");
+                assert_eq!(
+                    (g.hash_flops, g.gemm_flops, g.add_flops),
+                    (w.hash_flops, w.gemm_flops, w.add_flops),
+                    "{what}"
+                );
+                assert_eq!(
+                    [g.avg_clusters, g.avg_remaining_ratio, g.reuse_rate].map(f64::to_bits),
+                    [w.avg_clusters, w.avg_remaining_ratio, w.reuse_rate].map(f64::to_bits),
+                    "{what}"
+                );
+            }
+            adr_tensor::par::set_thread_override(None);
+            // The caches saw the same probes and inserts in the same order.
+            caches.iter_mut().for_each(ReuseCache::begin_batch);
+            let mut twin = want_caches.clone();
+            twin.iter_mut().for_each(ReuseCache::begin_batch);
+            for (i, (got, want)) in caches.iter_mut().zip(&mut twin).enumerate() {
+                let what = format!("{case}: cache {i}, {workers} workers");
+                assert_eq!(got.history(), want.history(), "{what}");
+                assert_eq!(got.len(), want.len(), "{what}");
+                for sig in 0..(1u64 << h.min(10)) {
+                    assert_eq!(
+                        got.probe(sig).map(bits),
+                        want.probe(sig).map(bits),
+                        "{what}: signature {sig}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `n` rows over `k` columns drawn from five prototypes, every third row
+    /// an exact copy of its prototype and the others a slightly perturbed
+    /// one, so clusters have several members at any `H`.
+    fn clustered_rows(n: usize, k: usize, seed: u64) -> Matrix {
+        let mut rng = AdrRng::seeded(seed);
+        let protos = Matrix::from_fn(5, k, |_, _| rng.gauss());
+        Matrix::from_fn(n, k, |r, c| {
+            let noise = if r % 3 == 0 { 0.0 } else { 0.05 * rng.gauss() };
+            protos[((r * 7) % 5, c)] + noise
+        })
+    }
+
+    #[test]
+    fn fan_out_matches_the_serial_reference_bitwise_across_shapes() {
+        // (case, N, K, M, L, H): tail shorter than L; K below L (clamped to
+        // one sub-matrix); one row; fewer rows than workers; one and two
+        // sub-matrices against three workers; the direct-index grouping
+        // (H = 4) and the hash-map one (H = 20, 40).
+        for (case, n, k, m, l, h) in [
+            ("tail < L", 40, 13, 5, 5, 6),
+            ("K < L", 30, 5, 4, 8, 6),
+            ("one row", 1, 13, 3, 4, 6),
+            ("N < workers", 2, 13, 3, 4, 6),
+            ("one sub-matrix", 40, 12, 5, 12, 6),
+            ("two sub-matrices", 40, 12, 5, 6, 6),
+            ("H = 4", 60, 20, 6, 4, 4),
+            ("H = 20", 60, 20, 6, 4, 20),
+            ("H = 40", 60, 20, 6, 4, 40),
+        ] {
+            let x = clustered_rows(n, k, 31);
+            let (_, w, b) = random_problem(n, k, m, 32);
+            assert_matches_reference(case, &[&x], &w, &b, l, h, false, None);
+        }
+    }
+
+    #[test]
+    fn fan_out_matches_the_serial_reference_under_single_input_scope() {
+        // Four images of ten rows; images 1 and 3 repeat image 0, so batch
+        // scope would merge what single-input scope must keep apart.
+        let one = clustered_rows(10, 13, 33);
+        let other = clustered_rows(10, 13, 34);
+        let x = Matrix::from_fn(40, 13, |r, c| {
+            if r / 10 == 2 {
+                other[(r % 10, c)]
+            } else {
+                one[(r % 10, c)]
+            }
+        });
+        let (_, w, b) = random_problem(40, 13, 5, 35);
+        for h in [4usize, 20, 64] {
+            assert_matches_reference("single input", &[&x], &w, &b, 5, h, false, Some(10));
+        }
+    }
+
+    #[test]
+    fn fan_out_matches_the_serial_reference_across_cr_batches() {
+        // All-miss (cold caches), mixed (half the rows are new), all-hit
+        // (the first batch again), then a second arena-recycling round.
+        let first = clustered_rows(40, 13, 36);
+        let fresh = clustered_rows(40, 13, 37);
+        let mixed =
+            Matrix::from_fn(40, 13, |r, c| if r % 2 == 0 { first[(r, c)] } else { fresh[(r, c)] });
+        let (_, w, b) = random_problem(40, 13, 5, 38);
+        for h in [4usize, 8, 20] {
+            let batches = [&first, &mixed, &first, &mixed];
+            assert_matches_reference("cluster reuse", &batches, &w, &b, 5, h, true, None);
+        }
+        // The sequence really is all-miss, mixed, all-hit.
+        let split = SubVecSplit::new(13, 5);
+        let lsh = lsh_families(&split, 8, 77);
+        let mut caches: Vec<ReuseCache> = (0..3).map(|_| ReuseCache::new(5)).collect();
+        let mut rates = Vec::new();
+        for x in [&first, &mixed, &first] {
+            caches.iter_mut().for_each(ReuseCache::begin_batch);
+            reuse_forward(x, &w, &b, &split, &lsh, Some(&mut caches), None);
+            rates.push(caches[0].current_batch_rate().unwrap());
+        }
+        assert!(
+            rates[0] == 0.0 && rates[1] > 0.0 && rates[1] < 1.0 && rates[2] == 1.0,
+            "{rates:?}"
+        );
+    }
+
+    /// Metamorphic: appending a copy of a row moves only the centroids of
+    /// the multi-member clusters that row is in, so no row outside them
+    /// changes by a bit; and when the row was alone in every cluster, nothing
+    /// changes and the copy's output is the original's (the centroid of
+    /// `{x, x}` is `x` exactly).
+    #[test]
+    fn duplicating_a_row_leaves_unrelated_rows_bitwise_unchanged() {
+        let (n, k, m) = (36usize, 12usize, 5usize);
+        let mut x = clustered_rows(n, k, 39);
+        let mut rng = AdrRng::seeded(40);
+        for c in 0..k {
+            x[(n - 1, c)] = 3.0 * rng.gauss(); // a loner: its own cluster everywhere
+        }
+        let (_, w, b) = random_problem(n, k, m, 41);
+        let split = SubVecSplit::new(k, 4);
+        let lsh = lsh_families(&split, 12, 42);
+        let (base, base_arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        for dup in [4usize, n - 1] {
+            let grown = Matrix::from_fn(n + 1, k, |r, c| x[(if r == n { dup } else { r }, c)]);
+            let (out, _) = reuse_forward(&grown, &w, &b, &split, &lsh, None, None);
+            let tables = base_arena.sub_matrices().iter().map(SubMatrix::table);
+            let related: Vec<bool> = (0..n)
+                .map(|r| {
+                    let shared = |t: &ClusterTable| {
+                        t.cluster_of(r) == t.cluster_of(dup) && t.count(t.cluster_of(dup)) > 1
+                    };
+                    tables.clone().any(shared)
+                })
+                .collect();
+            for r in (0..n).filter(|&r| !related[r]) {
+                assert_eq!(bits(out.output.row(r)), bits(base.output.row(r)), "dup {dup} row {r}");
+            }
+            if dup == n - 1 {
+                assert!(
+                    related.iter().all(|&shared| !shared),
+                    "precondition: row {dup} is a loner"
+                );
+                assert_eq!(bits(out.output.row(n)), bits(base.output.row(dup)));
+            } else {
+                assert!(
+                    related.iter().any(|&shared| shared),
+                    "precondition: row {dup} has company"
+                );
+            }
+        }
+    }
+
+    /// Metamorphic: when every signature is distinct the pass multiplies
+    /// every row itself, so it is the dense product up to summation order.
+    #[test]
+    fn all_distinct_signatures_give_the_dense_product() {
+        let (x, w, b) = random_problem(48, 24, 6, 43);
+        let split = SubVecSplit::new(24, 8);
+        let lsh = lsh_families(&split, 48, 44);
+        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        assert!(arena.sub_matrices().iter().all(|s| s.table().num_clusters() == 48));
+        let mut dense = x.matmul(&w);
+        dense.add_row_bias(&b);
+        assert!(out.output.max_abs_diff(&dense) < 1e-3);
     }
 
     #[test]

@@ -71,9 +71,10 @@ pub struct ReuseConv2d {
     /// families are (config retune, degenerate-clustering injection, repair).
     /// `None` only during construction, before the first family build.
     hasher: Option<PackedHasher>,
-    /// Recycled forward and backward buffers (signatures, clustering,
-    /// centroids, miss batches, cluster outputs, cluster gradients) —
-    /// steady-state steps reuse its heap capacity.
+    /// Recycled forward and backward buffers (signatures, one state per
+    /// sub-matrix — clustering, centroids, cluster outputs, cluster
+    /// gradients — and the grouping scratch) — steady-state steps reuse its
+    /// heap capacity.
     arena: ReuseArena,
     /// Recycled `N × K` buffer: the im2col output in the forward pass and,
     /// once the clustering has replaced it, the unfolded input gradient in
@@ -647,12 +648,14 @@ mod tests {
         let mut layer = reuse_layer(6, 10, false, 4);
         let x = Tensor4::from_fn(2, 6, 6, 2, |_, y, xx, c| ((y + xx + c) % 5) as f32 * 0.3);
         layer.forward(&x, Mode::Train);
-        assert_eq!(layer.arena.tables().len(), 3);
-        assert_eq!(layer.arena.centroids().len(), 3);
+        let subs = layer.arena.sub_matrices();
+        assert_eq!(subs.len(), 3);
+        assert!(subs.iter().all(|s| s.table().num_rows() == 32 && s.centroids().cols() == 6));
         // An evaluation pass has no backward: it frees the tables instead of
         // pinning an evaluation batch's worth of them in every layer.
         layer.forward(&x, Mode::Eval);
-        assert!(layer.arena.tables().is_empty() && layer.arena.centroids().is_empty());
+        let subs = layer.arena.sub_matrices();
+        assert!(subs.iter().all(|s| s.table().num_rows() == 0 && s.centroids().rows() == 0));
         layer.forward(&x, Mode::Train);
         assert_eq!(layer.backward(&Tensor4::zeros(2, 4, 4, 4)).shape(), (2, 6, 6, 2));
     }
@@ -741,6 +744,36 @@ mod tests {
             input_clusters > batch_clusters * 1.5,
             "input {input_clusters} vs batch {batch_clusters}"
         );
+
+        // Wide signatures: the scope is kept by grouping each image's rows
+        // apart, not by widening the key with the image index — which had no
+        // bits left for it at H = 63 (images 0/2 and 1/3 silently merged: 32
+        // clusters) and overflowed the shift at H = 64.
+        let mut four = Tensor4::zeros(4, 6, 6, 2);
+        for image in four.as_mut_slice().chunks_exact_mut(per) {
+            image.copy_from_slice(one.as_slice());
+        }
+        for h in [62usize, 63, 64] {
+            let mut layer = ReuseConv2d::new(
+                "rc",
+                geom(),
+                4,
+                ReuseConfig::new(9, h, false).with_scope(ClusterScope::SingleInput),
+                &mut AdrRng::seeded(22),
+            );
+            layer.forward(&four, Mode::Train);
+            // 16 distinct rows per image, four images, nothing shared.
+            assert_eq!(layer.stats().avg_clusters, 64.0, "H = {h}");
+            for sub in layer.arena.sub_matrices() {
+                let ids = sub.table().assignments();
+                let images: Vec<&[u32]> = ids.chunks(16).collect();
+                for (a, ids_a) in images.iter().enumerate() {
+                    for ids_b in &images[a + 1..] {
+                        assert!(ids_a.iter().all(|id| !ids_b.contains(id)), "H = {h}: shared id");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,29 +33,45 @@ use adr_reuse::subvec::SubVecSplit;
 use adr_reuse::{ReuseConfig, ReuseConv2d};
 use adr_tensor::im2col::{im2col, ConvGeom};
 use adr_tensor::matrix::Matrix;
-use adr_tensor::par::{matmul_par, set_thread_override};
+use adr_tensor::par::{matmul_par, run_row_blocks, set_thread_override};
 use adr_tensor::rng::AdrRng;
 use adr_tensor::tensor4::Tensor4;
 
 /// Counts allocation *events* (not bytes): `alloc`, `alloc_zeroed`, and
-/// `realloc` each bump the counter once. Deallocation is free.
+/// `realloc` each bump the counter once. Deallocation is free. Events on any
+/// thread but the test's own — the pool workers — are also counted apart.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static WORKER_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set by the test on its own thread. Const-initialised and without a
+    /// destructor, so reading it inside the allocator neither allocates nor
+    /// outlives the thread's TLS.
+    static IS_TEST_THREAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+fn count() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if !IS_TEST_THREAD.try_with(std::cell::Cell::get).unwrap_or(true) {
+        WORKER_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: delegates every operation verbatim to `System`; the counter is
 // a relaxed atomic with no effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -68,6 +84,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+fn worker_allocs() -> u64 {
+    WORKER_ALLOCS.load(Ordering::Relaxed)
 }
 
 /// Reads one `[runtime]` pin from the workspace `adr-check.budget`.
@@ -98,6 +118,7 @@ fn runtime_budget(key: &str) -> u64 {
 
 #[test]
 fn steady_state_allocation_counts_match_the_budget() {
+    IS_TEST_THREAD.with(|flag| flag.set(true));
     set_thread_override(Some(1));
 
     // Exact path: unfold + GEMM, the baseline the reuse path replaces.
@@ -225,4 +246,40 @@ fn steady_state_allocation_counts_match_the_budget() {
              adr-check.budget `dense_mode_forward_step`"
         );
     }
+
+    // Two workers: every fan-out of the reuse step now crosses to the pool.
+    // What a pool worker allocates per dispatch is the dispatcher's own
+    // completion message (calibrated on an empty fan-out, not assumed); the
+    // tasks themselves — grouping, sweep, GEMM, CR probes, scatter; cluster
+    // sums and both backward products — must add nothing to it, because every
+    // buffer they touch was sized in an earlier step or on this thread.
+    set_thread_override(Some(2));
+    for _ in 0..2 {
+        let _ = reuse_step(&mut caches, &mut arena); // warmup: spawns the pool
+        backward_step(&mut arena);
+    }
+    let before = worker_allocs();
+    run_row_blocks(&mut [0u8; 2], 1, 2, 2, |_, _, _| {});
+    let per_dispatch = worker_allocs() - before;
+    for step in 0..3 {
+        let before = worker_allocs();
+        let out = reuse_step(&mut caches, &mut arena);
+        let after_forward = worker_allocs();
+        backward_step(&mut arena);
+        let after_backward = worker_allocs();
+        assert_eq!(out.stats.gemm_flops, 0, "steady state must be all cache hits");
+        assert_eq!(
+            after_forward - before,
+            3 * per_dispatch,
+            "reuse forward step {step}: a task of the hash, sub-matrix or scatter fan-out \
+             allocated on a pool worker"
+        );
+        assert_eq!(
+            after_backward - after_forward,
+            2 * per_dispatch,
+            "reuse backward step {step}: a task of the sub-matrix or row fan-out allocated \
+             on a pool worker"
+        );
+    }
+    set_thread_override(None);
 }

@@ -1,4 +1,5 @@
-//! Concurrency tests for the packed-hashing and reuse-backward fan-outs,
+//! Concurrency tests for the packed-hashing, reuse-forward and
+//! reuse-backward fan-outs,
 //! curated for `cargo miri test`: tiny inputs, with the parallel path forced
 //! through [`adr_tensor::par::set_thread_override`] because no interpretable
 //! problem size reaches the compute crossover under Miri.
@@ -11,7 +12,9 @@
 // Test code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]
 
+use adr_clustering::assign::ClusterTable;
 use adr_clustering::lsh::LshTable;
+use adr_clustering::reuse_cache::ReuseCache;
 use adr_reuse::backward::reuse_backward;
 use adr_reuse::forward::{reuse_forward, reuse_forward_with, ReuseArena};
 use adr_reuse::hashpack::PackedHasher;
@@ -91,11 +94,86 @@ fn arena_forward_is_bitwise_equal_to_the_rebuilding_wrapper() {
         let with_arena =
             reuse_forward_with(&x, &w, &bias, &split, &lsh, &hasher, None, None, &mut arena);
         assert_eq!(with_arena.output.as_slice(), wrapper.output.as_slice(), "round {round}");
-        for (i, (a, b)) in arena.centroids().iter().zip(wrapper_arena.centroids()).enumerate() {
-            assert_eq!(a.as_slice(), b.as_slice(), "round {round} sub {i} centroids");
+        let subs = arena.sub_matrices().iter().zip(wrapper_arena.sub_matrices());
+        for (i, (a, b)) in subs.enumerate() {
+            assert_eq!(a.table(), b.table(), "round {round} sub {i} table");
+            assert_eq!(a.centroids().as_slice(), b.centroids().as_slice(), "round {round} sub {i}");
         }
     }
     set_thread_override(None);
+    shutdown();
+}
+
+/// What a forward pass at the given forced worker count leaves behind:
+/// output bits, every table, every centroid matrix's bits, `gemm_flops`.
+type ForwardState = (Vec<u32>, Vec<ClusterTable>, Vec<Vec<u32>>, u64);
+
+#[allow(clippy::too_many_arguments)]
+fn forward_at(
+    threads: usize,
+    x: &Matrix,
+    w: &Matrix,
+    split: &SubVecSplit,
+    lsh: &[LshTable],
+    caches: Option<&mut [ReuseCache]>,
+    rows_per_image: Option<usize>,
+    arena: &mut ReuseArena,
+) -> ForwardState {
+    let hasher = PackedHasher::new(split, lsh);
+    let bias = vec![0.25f32; w.cols()];
+    set_thread_override(Some(threads));
+    let out = reuse_forward_with(x, w, &bias, split, lsh, &hasher, caches, rows_per_image, arena);
+    set_thread_override(None);
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let subs = arena.sub_matrices();
+    (
+        bits(&out.output),
+        subs.iter().map(|s| s.table().clone()).collect(),
+        subs.iter().map(|s| bits(s.centroids())).collect(),
+        out.stats.gemm_flops,
+    )
+}
+
+/// One forward pass per scope and, with cluster reuse, two batches through
+/// the same caches (cold, then all hits), at each worker count in turn.
+fn forward_sweep(workers: &[usize], x: &Matrix, w: &Matrix, split: &SubVecSplit, lsh: &[LshTable]) {
+    let fresh_caches =
+        || (0..split.num_sub_vectors()).map(|_| ReuseCache::new(w.cols())).collect::<Vec<_>>();
+    let run = |threads: usize| {
+        let mut arena = ReuseArena::default();
+        let mut caches = fresh_caches();
+        let batch = forward_at(threads, x, w, split, lsh, None, None, &mut arena);
+        let image = forward_at(threads, x, w, split, lsh, None, Some(3), &mut arena);
+        let mut with_cr = || {
+            caches.iter_mut().for_each(ReuseCache::begin_batch);
+            forward_at(threads, x, w, split, lsh, Some(&mut caches), None, &mut arena)
+        };
+        let (cold, warm) = (with_cr(), with_cr());
+        assert!(cold.3 > 0 && warm.3 == 0, "second CR batch is all hits");
+        [batch, image, cold, warm]
+    };
+    let serial = run(1);
+    assert!(serial[0].1[0].num_clusters() < x.rows(), "precondition: shared clusters");
+    assert!(serial[1].1[0].num_clusters() > serial[0].1[0].num_clusters(), "scopes differ");
+    for &threads in workers {
+        assert_eq!(run(threads), serial, "{threads} workers");
+    }
+}
+
+#[test]
+fn forward_fan_out_is_bitwise_serial_at_every_worker_count() {
+    // The sub-matrix fan-out — grouping, the row sweep, the centroid GEMM
+    // and the CR probe/insert of each block's own caches — and the
+    // row-blocked scatter, at two workers and at more workers than
+    // sub-matrices: blocks own disjoint sub-matrix states, caches and
+    // scratch, so nothing may differ in a single bit.
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut rng = AdrRng::seeded(71);
+    let protos = Matrix::from_fn(3, 11, |_, _| rng.gauss());
+    let x = Matrix::from_fn(9, 11, |r, c| protos[(r % 3, c)]);
+    let w = Matrix::from_fn(11, 3, |_, _| rng.gauss() * 0.3);
+    let split = SubVecSplit::new(11, 4); // widths 4,4,3
+    forward_sweep(&[2, 5], &x, &w, &split, &families(&split, 6, 72));
     shutdown();
 }
 
@@ -144,7 +222,7 @@ fn backward_fan_out_is_bitwise_serial_at_every_worker_count() {
     let lsh = families(&split, 6, 52);
     set_thread_override(None);
     let (_, mut arena) = reuse_forward(&x, &w, &[0.0; 3], &split, &lsh, None, None);
-    assert!(arena.tables()[0].num_clusters() < 9, "precondition: shared clusters");
+    assert!(arena.sub_matrices()[0].table().num_clusters() < 9, "precondition: shared clusters");
     let serial = backward_at(1, &mut arena, &split, &w, &dy);
     for workers in [2usize, 5] {
         assert_eq!(backward_at(workers, &mut arena, &split, &w, &dy), serial, "{workers} workers");
@@ -172,6 +250,17 @@ mod miri_only {
             assert_eq!(packed.hash_all(&x), reference, "{workers} workers");
         }
         set_thread_override(None);
+        shutdown();
+    }
+
+    #[test]
+    fn forward_blocks_are_race_free_at_every_worker_count() {
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut rng = AdrRng::seeded(81);
+        let x = Matrix::from_fn(6, 7, |r, _| (r % 2) as f32 + rng.gauss() * 1e-3);
+        let w = Matrix::from_fn(7, 2, |_, _| rng.gauss());
+        let split = SubVecSplit::new(7, 2); // widths 2,2,2,1
+        forward_sweep(&[2, 3, 4, 7], &x, &w, &split, &families(&split, 3, 82));
         shutdown();
     }
 

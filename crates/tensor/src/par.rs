@@ -1,14 +1,14 @@
 //! Row-block parallelism for the GEMM kernels, on the persistent worker pool.
 //!
-//! The baseline convolution and the centroid GEMM of the reuse path both
-//! bottom out in [`matmul_par`]; every dense backward pass bottoms out in
-//! the two transposed products [`gemm_ta_par`] and [`gemm_tb_par`]. Work is
-//! split into contiguous row blocks of the *output* via [`run_row_blocks`];
-//! each block writes a disjoint `split_at_mut` slice, so no synchronisation
-//! is needed beyond the completion barrier. Blocks are dispatched onto the
-//! process-wide [`crate::kernels::pool`] (the first block runs inline on the
-//! caller), which replaces the former per-call `std::thread::scope`
-//! spawn+join with a handful of channel sends.
+//! The baseline convolution and the dense mode of the reuse layer bottom out
+//! in [`matmul_par`]; every dense backward pass bottoms out in the two
+//! transposed products [`gemm_ta_par`] and [`gemm_tb_par`]. Work is split
+//! into contiguous row blocks of the *output* via [`run_row_blocks`]; each
+//! block writes a disjoint `split_at_mut` slice, so no synchronisation is
+//! needed beyond the completion barrier. Blocks are dispatched by
+//! [`run_blocks`] onto the process-wide [`crate::kernels::pool`] (the first
+//! block runs inline on the caller), which replaces the former per-call
+//! `std::thread::scope` spawn+join with a handful of channel sends.
 
 use crate::kernels::gemm_tb;
 use crate::matrix::{gemm_rows, gemm_ta_rows, Matrix};
@@ -17,8 +17,9 @@ use std::sync::OnceLock;
 
 // Serial/parallel crossover thresholds, shared by every pooled fan-out in the
 // workspace (the three GEMMs and the LSH projection here and in
-// `adr_reuse::hashpack`; im2col/col2im/scatter in `im2col.rs` and
-// `adr_reuse::forward`; both phases of `adr_reuse::backward`).
+// `adr_reuse::hashpack`; im2col/col2im in `im2col.rs`; the sub-matrix fan-out
+// and the scatter of `adr_reuse::forward`; both phases of
+// `adr_reuse::backward`).
 //
 // Measurement rationale (x86-64, release profile). What a fan-out pays is a
 // dispatch on the persistent pool: one boxed job and one channel send per
@@ -100,14 +101,15 @@ pub fn memory_threads(elems: usize) -> usize {
 /// runs `f(first_row, num_rows, block)` once per block — remote blocks on the
 /// persistent worker pool, the first block inline on the calling thread.
 ///
-/// This is the single fan-out primitive behind every hot-path parallel site
-/// (matmul, im2col/col2im, `hash_all`, reconstruct). `threads` is clamped to
-/// the row count here — **at the fan-out site** — so callers can pass the raw
-/// crossover estimate and tall-skinny shapes can never produce empty row
-/// ranges or excess dispatches. `threads <= 1` (or fewer than two rows) runs
-/// the whole range as one inline call, which is bitwise identical to the
-/// parallel decomposition because every output element is written by exactly
-/// one block in the same loop order either way.
+/// This is the fan-out primitive behind every hot-path parallel site that
+/// writes one row-major buffer (matmul, im2col/col2im, `hash_all`,
+/// reconstruct); it cuts the blocks and hands them to [`run_blocks`].
+/// `threads` is clamped to the row count here — **at the fan-out site** — so
+/// callers can pass the raw crossover estimate and tall-skinny shapes can
+/// never produce empty row ranges or excess dispatches. `threads <= 1` (or
+/// fewer than two rows) runs the whole range as one inline call, which is
+/// bitwise identical to the parallel decomposition because every output
+/// element is written by exactly one block in the same loop order either way.
 ///
 /// # Shape
 /// `out` holds `rows × unit` elements, row-major; each callback block is a
@@ -129,18 +131,41 @@ where
         return;
     }
     let rows_per = rows.div_ceil(threads);
-    let (first, mut rest) = out.split_at_mut(rows_per * unit);
-    let f_ref = &f;
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(threads - 1);
-    let mut row0 = rows_per;
-    while row0 < rows {
+    let mut rest = out;
+    let blocks = (0..rows).step_by(rows_per).map(|row0| {
         let rows_here = rows_per.min(rows - row0);
-        let (chunk, tail) = rest.split_at_mut(rows_here * unit);
+        let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(rows_here * unit);
         rest = tail;
-        tasks.push(Box::new(move || f_ref(row0, rows_here, chunk)));
-        row0 += rows_here;
+        (row0, rows_here, chunk)
+    });
+    run_blocks(blocks, |(row0, rows_here, chunk)| f(row0, rows_here, chunk));
+}
+
+/// Runs `f` once per item of `blocks` — the first on the calling thread, the
+/// rest on the persistent worker pool — and returns when all have finished.
+///
+/// The one place work crosses to the pool. [`run_row_blocks`] feeds it the
+/// row blocks of a single buffer; a caller whose blocks own pieces of
+/// *several* buffers (the reuse forward pass: a run of per-sub-matrix states,
+/// the matching run of CR caches, one grouping scratch) zips the
+/// `chunks_mut` of each into the items itself, so no task list is built and
+/// every piece is disjoint by construction. The caller also picks the block
+/// count — one item is one dispatch — typically from [`compute_threads`] or
+/// [`memory_threads`]. A single item runs inline without touching the pool.
+pub fn run_blocks<B, F>(blocks: impl IntoIterator<Item = B>, f: F)
+where
+    B: Send,
+    F: Fn(B) + Sync,
+{
+    let mut blocks = blocks.into_iter();
+    let Some(first) = blocks.next() else { return };
+    let f = &f;
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
+        blocks.map(|block| Box::new(move || f(block)) as Box<dyn FnOnce() + Send + '_>).collect();
+    if tasks.is_empty() {
+        return f(first);
     }
-    crate::kernels::pool::with_pool(|pool| pool.scope_run(tasks, || f_ref(0, rows_per, first)));
+    crate::kernels::pool::with_pool(|pool| pool.scope_run(tasks, || f(first)));
 }
 
 /// `a · b`, parallelised over row blocks of `a`.
@@ -174,43 +199,6 @@ pub fn matmul_par(a: &Matrix, b: &Matrix) -> Matrix {
         gemm_rows(a_block, b_data, chunk, rows_here, k, n);
     });
     out
-}
-
-/// `a · b[start..end, :]` without materialising the row slice of `b` — the
-/// centroid-times-weight product of the reuse forward pass, where `b` is the
-/// full `K × M` weight matrix and `[start, end)` is one sub-vector's row
-/// band. Equivalent to `a.matmul(&b.row_slice(start, end))` bit for bit
-/// (the row band is the same contiguous memory the copy would make), minus
-/// the copy.
-///
-/// # Panics
-/// Panics when the row range is out of bounds or `a.cols() != end - start`.
-pub fn matmul_rows_range_par(a: &Matrix, b: &Matrix, row_range: (usize, usize)) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
-    matmul_rows_range_into(a, b, row_range, &mut out);
-    out
-}
-
-/// [`matmul_rows_range_par`] into a caller-owned output matrix, which is
-/// reshaped (capacity reused) and zeroed before accumulation — the arena
-/// variant used by the reuse forward pass to kill per-step allocation.
-///
-/// # Panics
-/// Panics when the row range is out of bounds or `a.cols() != end - start`.
-pub fn matmul_rows_range_into(a: &Matrix, b: &Matrix, row_range: (usize, usize), out: &mut Matrix) {
-    let (start, end) = row_range;
-    assert!(start <= end && end <= b.rows(), "row range out of bounds");
-    let width = end - start;
-    assert_eq!(a.cols(), width, "a width disagrees with row range");
-    let (m, n) = (a.rows(), b.cols());
-    out.reset(m, n);
-    let a_data = a.as_slice();
-    let b_block = &b.as_slice()[start * n..end * n];
-    let threads = compute_threads(m * width * n);
-    run_row_blocks(out.as_mut_slice(), n, m, threads, |row0, rows_here, chunk| {
-        let a_block = &a_data[row0 * width..(row0 + rows_here) * width];
-        gemm_rows(a_block, b_block, chunk, rows_here, width, n);
-    });
 }
 
 /// `c[m × n] = a · bᵀ` over raw row-major slices, parallelised over row
@@ -441,36 +429,5 @@ mod tests {
             visited.store(rows_here, Ordering::Relaxed);
         });
         assert_eq!(visited.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn rows_range_matches_row_slice_copy_bitwise() {
-        let b = Matrix::from_fn(40, 9, |r, c| (((r * 13 + c * 5) % 17) as f32 - 8.0) * 0.25);
-        let a = Matrix::from_fn(12, 16, |r, c| (((r * 7 + c * 3) % 11) as f32 - 5.0) * 0.5);
-        let got = matmul_rows_range_par(&a, &b, (20, 36));
-        let expect = a.matmul(&b.row_slice(20, 36));
-        assert_eq!(got.shape(), expect.shape());
-        for (g, e) in got.as_slice().iter().zip(expect.as_slice().iter()) {
-            assert_eq!(g.to_bits(), e.to_bits());
-        }
-    }
-
-    #[test]
-    fn rows_range_into_reuses_and_reshapes_the_output() {
-        let a = Matrix::from_fn(6, 4, |r, c| (r + c) as f32 * 0.5);
-        let b = Matrix::from_fn(10, 3, |r, c| (r * c % 7) as f32 - 3.0);
-        let mut out = Matrix::from_fn(50, 50, |_, _| f32::NAN);
-        matmul_rows_range_into(&a, &b, (2, 6), &mut out);
-        assert_eq!(out.shape(), (6, 3));
-        let expect = a.matmul(&b.row_slice(2, 6));
-        assert!(out.max_abs_diff(&expect) == 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "row range out of bounds")]
-    fn rows_range_rejects_bad_range() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(4, 2);
-        matmul_rows_range_par(&a, &b, (2, 5));
     }
 }

@@ -95,16 +95,31 @@ fn pool_survives_many_fanouts_and_a_shutdown() {
     assert_eq!(respawned.as_slice(), reference.as_slice());
 }
 
+/// `run_blocks` with items that own pieces of two buffers at once (zipped
+/// `chunks_mut`, the shape of the reuse forward fan-out): every item is
+/// handed to exactly one call, on whichever thread, and nothing runs for an
+/// empty item list.
 #[test]
-fn matmul_rows_range_par_forced_parallel_is_bitwise_row_slice() {
-    let a = Matrix::from_fn(5, 4, |r, c| (((r * 7 + c * 13) % 15) as f32 - 7.0) * 0.25);
-    let b = Matrix::from_fn(9, 6, |r, c| (((r * 11 + c) % 17) as f32 - 8.0) * 0.125);
-    let (serial, forced) = serial_vs_forced(
-        2,
-        || a.matmul(&b.row_slice(3, 7)),
-        || adr_tensor::par::matmul_rows_range_par(&a, &b, (3, 7)),
-    );
-    assert_eq!(serial.as_slice(), forced.as_slice());
+fn run_blocks_dispatches_zipped_chunks_of_several_buffers() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    adr_tensor::par::run_blocks(std::iter::empty::<&mut [u32]>(), |_| panic!("no items"));
+    for per_block in [1usize, 2, 3, 7] {
+        let mut squares = vec![0u32; 7];
+        let mut halves = vec![0.0f32; 14];
+        let blocks = squares.chunks_mut(per_block).zip(halves.chunks_mut(2 * per_block));
+        adr_tensor::par::run_blocks(blocks.enumerate(), |(b, (ints, floats))| {
+            for (j, v) in ints.iter_mut().enumerate() {
+                *v += u32::try_from((b * per_block + j).pow(2)).unwrap();
+            }
+            for (j, v) in floats.iter_mut().enumerate() {
+                *v += (b * 2 * per_block + j) as f32 * 0.5;
+            }
+        });
+        assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36], "{per_block} per block");
+        let want: Vec<f32> = (0..14).map(|i| i as f32 * 0.5).collect();
+        assert_eq!(halves, want, "{per_block} per block");
+    }
+    adr_tensor::kernels::pool::shutdown_pool();
 }
 
 #[test]
