@@ -9,14 +9,11 @@
 //! sub-vector signature, parallelised over row chunks.
 
 use adr_clustering::lsh::LshTable;
-use adr_tensor::kernels::project::{project_signs, ROW_BLOCK};
+use adr_tensor::kernels::project_signs;
 use adr_tensor::matrix::Matrix;
 use adr_tensor::simd::LANES;
 
 use crate::subvec::SubVecSplit;
-
-/// Rows handed to one kernel call: two register blocks.
-const ROW_BAND: usize = ROW_BLOCK;
 
 /// Hyperplanes of all sub-matrices packed for one streaming pass per row.
 #[derive(Clone, Debug)]
@@ -116,29 +113,13 @@ impl PackedHasher {
         });
     }
 
-    /// Hashes rows `[row0, row0 + count)` into `out` (length `count · subs`).
-    ///
-    /// Walks one band of rows across all sub-matrices before moving down,
-    /// so `x` streams through the cache once and every row of the band is a
-    /// sequential read.
+    /// Hashes rows `[row0, row0 + count)` into `out` (length `count · subs`):
+    /// one kernel call per row block, which walks a register block of rows
+    /// across all sub-matrices before moving down, so `x` streams through
+    /// the cache once and every row of the block is a sequential read.
     fn hash_rows(&self, x: &Matrix, row0: usize, count: usize, out: &mut [u64]) {
-        let subs = self.num_subs();
         let x = &x.as_slice()[row0 * self.k..(row0 + count) * self.k];
-        for r in (0..count).step_by(ROW_BAND) {
-            let rows = ROW_BAND.min(count - r);
-            for (i, &(start, end)) in self.ranges.iter().enumerate() {
-                project_signs(
-                    &x[r * self.k + start..],
-                    self.k,
-                    rows,
-                    end - start,
-                    &self.packed[start * self.lanes..end * self.lanes],
-                    self.lanes / LANES,
-                    &mut out[r * subs + i..],
-                    subs,
-                );
-            }
-        }
+        project_signs(x, self.k, count, &self.ranges, &self.packed, self.lanes / LANES, out);
     }
 }
 
@@ -170,7 +151,8 @@ mod tests {
     }
 
     fn assert_matches_scalar(x: &Matrix, split: &SubVecSplit, lsh: &[LshTable], what: &str) {
-        let all = PackedHasher::new(split, lsh).hash_all(x);
+        let hasher = PackedHasher::new(split, lsh);
+        let all = hasher.hash_all(x);
         let subs = split.num_sub_vectors();
         assert_eq!(all.len(), x.rows() * subs, "{what}");
         for r in 0..x.rows() {
@@ -178,6 +160,14 @@ mod tests {
                 let expect = scalar_signature(&lsh[i], &x.row(r)[a..b]);
                 assert_eq!(all[r * subs + i], expect, "{what}: row {r} sub {i}");
             }
+        }
+        // A pool block that starts and ends mid-matrix — one kernel call
+        // over rows `[1, rows − 1)` — writes exactly those rows' signatures.
+        if x.rows() > 2 {
+            let (row0, count) = (1, x.rows() - 2);
+            let mut block = vec![u64::MAX; count * subs];
+            hasher.hash_rows(x, row0, count, &mut block);
+            assert_eq!(block, all[row0 * subs..][..count * subs], "{what}: block at row {row0}");
         }
     }
 

@@ -16,7 +16,9 @@
 //! chunks in ascending order from `0.0`, then the fixed
 //! [`F32x8::hsum`] tree, then the scalar tail `sum += a[t] * b[t]` in order
 //! — the schedule of [`super::dot`], bit for bit, whatever the tile a row
-//! lands in, the lane backend or the thread split (DESIGN.md §15).
+//! lands in, the instruction width or the thread split (DESIGN.md §15). The
+//! kernel is one portable body instantiated twice and picked at run time
+//! (see [`super`]).
 
 use crate::simd::{F32x8, LANES};
 
@@ -78,6 +80,47 @@ fn dot_rows(a: [&[f32]; ROW_TILE], b: &[f32]) -> [f32; ROW_TILE] {
 /// Panics when a buffer is shorter than its shape requires.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_tb(
+    a: &[f32],
+    a_stride: usize,
+    b: &[f32],
+    b_stride: usize,
+    c: &mut [f32],
+    c_stride: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if super::avx_detected() {
+        // SAFETY: `avx_detected` has just observed the `avx` CPU feature,
+        // the only precondition of the clone.
+        return unsafe { gemm_tb_avx(a, a_stride, b, b_stride, c, c_stride, m, k, n) };
+    }
+    gemm_tb_portable(a, a_stride, b, b_stride, c, c_stride, m, k, n);
+}
+
+/// [`gemm_tb`] compiled with 256-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)]
+fn gemm_tb_avx(
+    a: &[f32],
+    a_stride: usize,
+    b: &[f32],
+    b_stride: usize,
+    c: &mut [f32],
+    c_stride: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm_tb_portable(a, a_stride, b, b_stride, c, c_stride, m, k, n);
+}
+
+/// The one body of [`gemm_tb`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_tb_portable(
     a: &[f32],
     a_stride: usize,
     b: &[f32],

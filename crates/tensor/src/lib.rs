@@ -16,8 +16,9 @@
 //! * [`par`] — row-block parallelism for the GEMM kernel, dispatched onto
 //!   the persistent worker pool in [`kernels::pool`].
 //! * [`simd`] / [`kernels`] — the 8-lane `f32` vector type and the
-//!   hand-vectorized saxpy/dot primitives every hot inner loop bottoms out
-//!   in (arch intrinsics behind the `simd` feature flag).
+//!   hand-vectorized lane kernels every hot inner loop bottoms out in: one
+//!   portable source each, compiled at 128 and at 256 bits and picked from
+//!   the CPU observed at run time ([`kernels::lanes`] says which).
 //! * [`sanitize`] — the feature-gated (`checked`) NaN/Inf sanitizer and
 //!   shape-contract checks threaded through the layer implementations.
 //!

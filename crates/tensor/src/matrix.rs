@@ -9,9 +9,10 @@ use std::ops::{Index, IndexMut};
 
 use crate::par::{gemm_ta_par, gemm_tb_par};
 
-/// Block edge used by the tiled GEMM kernels. 64 f32 values = 256 bytes,
-/// a multiple of typical cache-line size; chosen empirically on x86-64.
-const BLOCK: usize = 64;
+// The two saxpy-form slice kernels live with their run-time lane dispatch in
+// `kernels::gemm`; this is the path the rest of the workspace imports.
+use crate::kernels::gemm::BLOCK;
+pub use crate::kernels::gemm::{gemm_rows, gemm_ta_rows};
 
 /// A dense, row-major matrix of `f32`. The default is the empty `0 × 0`
 /// matrix — the unsized state of a recycled buffer.
@@ -409,83 +410,11 @@ impl IndexMut<(usize, usize)> for Matrix {
 ///
 /// Delegates to the 8-lane vector kernel [`crate::kernels::dot`], whose
 /// fixed-order lane reduction makes the value bitwise reproducible across
-/// runs, thread counts, and SIMD backends.
+/// runs, thread counts, and instruction widths.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     crate::kernels::dot(a, b)
-}
-
-/// Core GEMM over raw row-major slices: `c[m x n] += a[m x k] · b[k x n]`.
-///
-/// Exposed at the slice level so [`crate::par`] can run it over disjoint row
-/// blocks from multiple threads.
-///
-/// # Shape
-/// `a: m × k`, `b: k × n`, `c: m × n`, all row-major slices of exactly that
-/// many elements.
-pub fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    for kb in (0..k).step_by(BLOCK) {
-        let k_end = (kb + BLOCK).min(k);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for kk in kb..k_end {
-                let aik = a_row[kk];
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = &b[kk * n..(kk + 1) * n];
-                // Element-wise vector saxpy: bitwise identical to the scalar
-                // loop (one IEEE mul + add per element, same order).
-                crate::kernels::saxpy(c_row, aik, b_row);
-            }
-        }
-    }
-}
-
-/// `c[m x n] += aᵀ · b` over raw row-major slices — the weight-gradient
-/// shape `∇W = xᵀ · δy` (Eq. 2/9) without materialising the transpose.
-///
-/// Row `r` of `a` and of `b` contribute the rank-1 update `a[r]ᵀ ⊗ b[r]`, in
-/// ascending `r`, so every output row accumulates in that order — whichever
-/// column band of `a` (band of output rows) a call covers. Exact zeros in
-/// `a` (`0.0` and `-0.0`) skip their update, so a non-finite `b` row only
-/// reaches the output rows whose `a` entry is non-zero.
-///
-/// `a_stride` is the row stride of `a`: a column band `[i0, i0 + m)` of a
-/// wider matrix is `&a[i0..]` with the wide matrix's column count, and
-/// produces output rows `[i0, i0 + m)`.
-///
-/// # Shape
-/// `a`: `rows` rows of `m` elements, `a_stride` apart (at least
-/// `(rows − 1) · a_stride + m` elements); `b: rows × n` and `c: m × n`,
-/// row-major slices of exactly that many elements.
-pub fn gemm_ta_rows(
-    a: &[f32],
-    a_stride: usize,
-    b: &[f32],
-    c: &mut [f32],
-    rows: usize,
-    m: usize,
-    n: usize,
-) {
-    debug_assert!(rows == 0 || a.len() >= (rows - 1) * a_stride + m);
-    debug_assert_eq!(b.len(), rows * n);
-    debug_assert_eq!(c.len(), m * n);
-    for r in 0..rows {
-        let a_row = &a[r * a_stride..][..m];
-        let b_row = &b[r * n..(r + 1) * n];
-        for (i, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            crate::kernels::saxpy(&mut c[i * n..(i + 1) * n], av, b_row);
-        }
-    }
 }
 
 /// `c[m x n] = a · bᵀ` over raw row-major slices — the input-delta shape

@@ -21,16 +21,23 @@ use std::sync::OnceLock;
 // and the scatter of `adr_reuse::forward`; both phases of
 // `adr_reuse::backward`).
 //
-// Measurement rationale (x86-64, release profile). What a fan-out pays is a
+// Measurement rationale (x86-64, release profile; re-measured when the lane
+// kernels went to eight lanes, DESIGN.md §15.1). What a fan-out pays is a
 // dispatch on the persistent pool: one boxed job and one channel send per
 // remote block, then a blocking wait for the completion tokens. An empty
-// two-way `run_row_blocks` round trip measures ~40 µs (p90 ~45 µs) on the
+// two-way `run_row_blocks` round trip measures ~35 µs (p90 36–42 µs) on the
 // 2-vCPU benchmark host — the parked worker is woken through the kernel, and
 // the caller waits for the slowest block. Compute-bound loops (blocked GEMM,
-// the transposed products, hash projections) retire ~4 multiply–adds per
-// cycle per core on the portable SSE2 lanes, so the ~2M multiply–adds of the
-// smallest two-way split are ~200 µs of work, halved for one dispatch;
-// anything smaller gives most of the split back. On the bench-scale CifarNet
+// the transposed products, hash projections) retire ~7.5 multiply–adds per
+// nanosecond per core on dense operands with the AVX instantiation (~3.6 per
+// cycle at 2.1 GHz; the 4-lane instantiation measured 5.4 per nanosecond on
+// the same shapes), so the ~2M multiply–adds of the smallest two-way split
+// are ~270 µs of work: forced two-way, 128×256·256×64 measured 272 → 201 µs.
+// The threshold is on the cautious side of break-even — half that problem
+// still split profitably on an idle pair of cores (152 → 104 µs) — and
+// stays where it is: the measurement does not ask for a higher one, and a
+// lower one would pool work that, inside a training step, competes with the
+// fan-outs of the layers around it. On the bench-scale CifarNet
 // that keeps both `Dense` layers' backward products (fc3: 16·576·96 ≈ 0.88M,
 // logits: 16·96·10 ≈ 15K) on the serial path and sends both convolutions'
 // (19.7M and 80.3M) to the pool — pinned by

@@ -1,117 +1,43 @@
-//! Portable 8-lane `f32` SIMD abstraction (`wide`-style lane struct).
+//! Portable 8-lane `f32` vector (`wide`-style lane struct).
 //!
 //! [`F32x8`] is the single vector type behind every hand-vectorized inner
-//! loop in [`crate::kernels`]. It has two interchangeable backends:
-//!
-//! * **Portable** (default): a `[f32; 8]` with element-wise operations.
-//!   LLVM auto-vectorizes these loops for whatever the target supports.
-//! * **Intrinsic** (`--features simd` on x86-64 compiled with the `avx`
-//!   target feature, e.g. `RUSTFLAGS="-C target-feature=+avx2"`): the same
-//!   operations expressed as `core::arch` AVX intrinsics over a `__m256`.
+//! loop in [`crate::kernels`]: a `[f32; 8]` with element-wise operations, in
+//! safe Rust with no `core::arch` intrinsic. LLVM turns those loops into
+//! whatever vector instructions the *enclosing function* may use — 128-bit
+//! SSE2 pairs in an ordinary x86-64 function, one 256-bit operation inside a
+//! `#[target_feature(enable = "avx")]` function. The lane kernels exploit
+//! exactly that: one source body, compiled twice, picked at run time
+//! ([`crate::kernels`], DESIGN.md §15.1).
 //!
 //! # Determinism contract
 //!
-//! The two backends are **bitwise identical** by construction, which is what
+//! Whatever the instruction width, the **bits are the same**, which is what
 //! lets the workspace's pinned bitwise contracts (two-run determinism,
-//! serial-vs-parallel equality, the serving stage-0 dense-equality pin)
-//! survive the kernel overhaul:
+//! serial-vs-parallel equality, the serving stage-0 dense-equality pin, the
+//! absolute hashes in `tests/determinism.rs`) hold on every host:
 //!
-//! * Lane-wise `add`/`mul` are single IEEE-754 operations per element in
-//!   both backends — `vaddps`/`vmulps` round exactly like scalar `+`/`*`,
-//!   and no backend ever contracts a `mul` + `add` into an FMA.
+//! * Lane-wise `add`/`mul` are single IEEE-754 operations per element —
+//!   `addps`/`vaddps`/`mulps`/`vmulps` all round exactly like scalar
+//!   `+`/`*` — and Rust never contracts a separate `*` and `+` into an FMA
+//!   (nor does any instantiation enable the `fma` target feature).
 //! * [`F32x8::hsum`] always reduces through the same fixed-shape tree
-//!   (`((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`) on the extracted lanes, so
-//!   the horizontal reduction order does not depend on the backend either.
+//!   (`((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`), so the horizontal reduction
+//!   order is part of the source, not of the code generator.
 //!
-//! Everything `unsafe` in the workspace's vector code lives in this module
-//! and in `crates/tensor/src/kernels/` — the two locations `adr-check conc`
-//! sanctions for raw-pointer kernel code.
+//! This module contains no `unsafe`; the only `unsafe` in the workspace's
+//! vector code is the four run-time-dispatch call sites under
+//! `crates/tensor/src/kernels/`.
 
 /// Number of `f32` lanes in [`F32x8`].
 pub const LANES: usize = 8;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64", target_feature = "avx"))]
-use core::arch::x86_64::{
-    __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
-};
-
 /// Eight `f32` lanes, operated on element-wise.
 ///
-/// See the module docs for the portable/intrinsic backend split and the
-/// bitwise determinism contract between them.
+/// See the module docs for how one lane struct serves both instruction
+/// widths and for the bitwise determinism contract.
 #[derive(Clone, Copy, Debug)]
-pub struct F32x8(Repr);
+pub struct F32x8([f32; LANES]);
 
-#[cfg(all(feature = "simd", target_arch = "x86_64", target_feature = "avx"))]
-type Repr = __m256;
-#[cfg(not(all(feature = "simd", target_arch = "x86_64", target_feature = "avx")))]
-type Repr = [f32; LANES];
-
-#[cfg(all(feature = "simd", target_arch = "x86_64", target_feature = "avx"))]
-impl F32x8 {
-    /// Broadcasts `v` into every lane.
-    #[inline(always)]
-    pub fn splat(v: f32) -> Self {
-        // SAFETY: this impl only compiles when `avx` is statically enabled
-        // (see the cfg on the impl block), so the intrinsic is supported.
-        Self(unsafe { _mm256_set1_ps(v) })
-    }
-
-    /// Loads the first [`LANES`] elements of `s`.
-    ///
-    /// # Panics
-    /// Panics if `s.len() < LANES`.
-    #[inline(always)]
-    pub fn load(s: &[f32]) -> Self {
-        assert!(s.len() >= LANES, "F32x8::load needs {LANES} elements, got {}", s.len());
-        // SAFETY: `avx` is statically enabled (cfg on the impl block); the
-        // assert above guarantees LANES readable f32s behind the pointer,
-        // and `loadu` has no alignment requirement.
-        Self(unsafe { _mm256_loadu_ps(s.as_ptr()) })
-    }
-
-    /// Stores the lanes into the first [`LANES`] elements of `out`.
-    ///
-    /// # Panics
-    /// Panics if `out.len() < LANES`.
-    #[inline(always)]
-    pub fn store(self, out: &mut [f32]) {
-        assert!(out.len() >= LANES, "F32x8::store needs {LANES} elements, got {}", out.len());
-        // SAFETY: `avx` is statically enabled (cfg on the impl block); the
-        // assert above guarantees LANES writable f32s behind the pointer,
-        // and `storeu` has no alignment requirement.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), self.0) }
-    }
-
-    /// Extracts the lanes as an array, lane 0 first.
-    #[inline(always)]
-    pub fn to_array(self) -> [f32; LANES] {
-        let mut out = [0.0f32; LANES];
-        // SAFETY: `avx` is statically enabled (cfg on the impl block); the
-        // destination is a local [f32; LANES], so exactly LANES writable
-        // f32s, and `storeu` has no alignment requirement.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), self.0) };
-        out
-    }
-
-    /// Lane-wise IEEE-754 addition (`vaddps` — rounds exactly like scalar
-    /// `+`). Private: callers use the `+` operator, which delegates here.
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        // SAFETY: `avx` is statically enabled (cfg on the impl block).
-        Self(unsafe { _mm256_add_ps(self.0, rhs.0) })
-    }
-
-    /// Lane-wise IEEE-754 multiplication (`vmulps` — never an FMA).
-    /// Private: callers use the `*` operator, which delegates here.
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        // SAFETY: `avx` is statically enabled (cfg on the impl block).
-        Self(unsafe { _mm256_mul_ps(self.0, rhs.0) })
-    }
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64", target_feature = "avx")))]
 impl F32x8 {
     /// Broadcasts `v` into every lane.
     #[inline(always)]
@@ -147,37 +73,12 @@ impl F32x8 {
         self.0
     }
 
-    /// Lane-wise IEEE-754 addition (one scalar `+` per lane). Private:
-    /// callers use the `+` operator, which delegates here.
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        let mut out = self.0;
-        for (o, r) in out.iter_mut().zip(rhs.0.iter()) {
-            *o += r;
-        }
-        Self(out)
-    }
-
-    /// Lane-wise IEEE-754 multiplication (one scalar `*` per lane; Rust
-    /// never contracts a separate `*` and `+` into an FMA). Private:
-    /// callers use the `*` operator, which delegates here.
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        let mut out = self.0;
-        for (o, r) in out.iter_mut().zip(rhs.0.iter()) {
-            *o *= r;
-        }
-        Self(out)
-    }
-}
-
-impl F32x8 {
     /// Horizontal sum through a *fixed-shape* reduction tree:
     /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
     ///
-    /// Both backends extract the lanes and reduce with this exact scalar
-    /// expression, so the reduced value is bitwise identical across
-    /// portable and intrinsic builds — the determinism argument the pinned
+    /// The reduction is this exact scalar expression at every instruction
+    /// width, so the reduced value is bitwise identical in both
+    /// instantiations of a kernel — the determinism argument the pinned
     /// bitwise contracts rest on (DESIGN.md §15).
     #[inline(always)]
     pub fn hsum(self) -> f32 {
@@ -186,21 +87,32 @@ impl F32x8 {
     }
 }
 
+/// Lane-wise IEEE-754 addition: one scalar `+` per lane.
 impl std::ops::Add for F32x8 {
     type Output = Self;
 
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
-        F32x8::add(self, rhs)
+        let mut out = self.0;
+        for (o, r) in out.iter_mut().zip(rhs.0.iter()) {
+            *o += r;
+        }
+        Self(out)
     }
 }
 
+/// Lane-wise IEEE-754 multiplication: one scalar `*` per lane (Rust never
+/// contracts a separate `*` and `+` into an FMA).
 impl std::ops::Mul for F32x8 {
     type Output = Self;
 
     #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
-        F32x8::mul(self, rhs)
+        let mut out = self.0;
+        for (o, r) in out.iter_mut().zip(rhs.0.iter()) {
+            *o *= r;
+        }
+        Self(out)
     }
 }
 

@@ -45,6 +45,8 @@ use adaptive_deep_reuse::prelude::*;
 use adaptive_deep_reuse::reuse::ReuseConfig;
 use adaptive_deep_reuse::source::DatasetSource;
 use adaptive_deep_reuse::tensor::im2col::{im2col, ConvGeom};
+use adaptive_deep_reuse::tensor::kernels::lanes;
+use adaptive_deep_reuse::tensor::par::hardware_threads;
 
 /// Minimal `--key value` / `--flag` argument map.
 struct Args {
@@ -89,6 +91,14 @@ impl Args {
 
 /// A freshly built network plus its input shape and default batch size.
 type BuiltModel = (Network, (usize, usize, usize), usize);
+
+/// What a wall time measured by this process ran on: the worker-pool width
+/// and which instantiation of the lane kernels the CPU selected. Printed at
+/// start-up only — never into the golden `BENCH_*.json` documents, which
+/// are compared byte for byte across hosts.
+fn host_line() -> String {
+    format!("{} hardware threads, {} lanes", hardware_threads(), lanes())
+}
 
 fn build_model(
     name: &str,
@@ -164,7 +174,10 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     });
     let mut sgd =
         Sgd::new(LrSchedule::InverseTime { base: lr, rate: 0.005 }, 0.9, 0.0).with_clip_norm(5.0);
-    println!("training {model} with {strategy_name} for {iterations} iterations ...");
+    println!(
+        "training {model} with {strategy_name} for {iterations} iterations on {} ...",
+        host_line()
+    );
     let report = trainer
         .train(&mut net, strategy, &mut source, &mut sgd)
         .map_err(|e| format!("training failed: {e}"))?;
@@ -430,6 +443,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
     let models = gateway.models().join(", ");
     let tenants = gateway.tenant_names().join(", ");
+    println!("serving on {}", host_line());
     if demo > 0 {
         let mut request_rng = rng.split(1);
         let model_names: Vec<String> = gateway.models().iter().map(ToString::to_string).collect();

@@ -1,8 +1,9 @@
 //! The BENCH gate: both counter documents, rendered in-process, must equal
 //! the committed `BENCH_train.json` / `BENCH_serve.json` byte for byte
 //! (DESIGN.md §11.4). Equality subsumes schema and tolerance checks, and —
-//! run under the default, `checked` and `simd` builds — pins that every
-//! backend produces the same counters as the commit that wrote the files.
+//! run under the default and `checked` builds, on AVX hosts and (CI's
+//! `test-portable` job) on one without — pins that both instantiations of
+//! the lane kernels produce the counters of the commit that wrote the files.
 
 // Test code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]

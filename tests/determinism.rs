@@ -91,6 +91,47 @@ fn different_seeds_actually_diverge() {
     assert_ne!(a.loss_bits, b.loss_bits, "different seeds produced identical losses");
 }
 
+/// FNV-1a over the little-endian bytes of `bits`.
+fn fnv1a(bits: &[u32]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in bits.iter().flat_map(|b| b.to_le_bytes()) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The absolute arithmetic pin. Every other test in this file compares a run
+/// with itself, and `BENCH_train.json` holds counts, not losses — neither
+/// would notice the whole system computing *different* bits from one commit,
+/// lane width or host to the next. These are the FNV-1a hashes of the loss
+/// bits and final weight bits of `run(42, ·)`, derived at commit 8c538c5 on
+/// the 4-lane build, before the lane kernels were compiled a second time at
+/// 256 bits (DESIGN.md §15.1): the AVX instantiation, the portable one and
+/// every thread split must all land on them.
+///
+/// A PR that moves these constants must say why. A changed summation order
+/// does, and so would the `--features fma` idea in ROADMAP item 2; a faster
+/// kernel that keeps its loop order does not. (The losses pass through the
+/// host libm's `exp`/`ln`: if only a new platform trips the pin, look there
+/// before suspecting a kernel.)
+#[test]
+fn seeded_training_matches_the_pinned_arithmetic() {
+    const DENSE: (u64, u64) = (0xfbba_37eb_a406_1e74, 0xe194_135e_aecd_c143);
+    const REUSE: (u64, u64) = (0x636e_7f73_58fe_53ce, 0xc820_05d2_8143_3100);
+    let _shared = THREAD_OVERRIDE.read().unwrap_or_else(PoisonError::into_inner);
+    for (what, mode, pin) in
+        [("dense", ConvMode::Dense, DENSE), ("reuse_default", ConvMode::reuse_default(), REUSE)]
+    {
+        let trace = run(42, mode);
+        let got = (fnv1a(&trace.loss_bits), fnv1a(&trace.weight_bits));
+        assert_eq!(
+            got, pin,
+            "{what}: (loss, weight) hashes {:#018x}, {:#018x} moved off the pinned arithmetic",
+            got.0, got.1
+        );
+    }
+}
+
 /// Dense training must not depend on how many workers the backward GEMMs
 /// fan out over: `∇W = xᵀ·δy` splits into bands of output rows and
 /// `δx = δy·Wᵀ` into row blocks, and each element is still accumulated by
