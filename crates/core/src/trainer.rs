@@ -806,7 +806,11 @@ mod tests {
         let mut net = reuse_net(2);
         let mut source = toy_source(20);
         let mut sgd = Sgd::constant(0.05);
-        let report = trainer.train(&mut net, Strategy::fixed(3, 6), &mut source, &mut sgd).unwrap();
+        // H = 4 against M = 6 filters: at H = M hashing alone costs the dense
+        // forward product (§III-B wants H ≪ M·(1 − r_c)), and this net's only
+        // convolution is its first layer, whose input delta no trainer
+        // computes — there is no third product left to hide that behind.
+        let report = trainer.train(&mut net, Strategy::fixed(3, 4), &mut source, &mut sgd).unwrap();
         assert!(report.final_accuracy > 0.6, "accuracy {}", report.final_accuracy);
         assert!(
             report.actual_flops.total() < report.baseline_flops.total(),

@@ -5,10 +5,11 @@
 //! The layer meters exactly `N·K·M` forward and `2·N·K·M` backward
 //! multiply–adds, matching the paper's complexity accounting (§II).
 //!
-//! The arithmetic between `im2col` and `col2im` lives in two free functions,
-//! [`gemm_forward`] and [`gemm_backward`], which `adr_reuse::ReuseConv2d`'s
-//! dense mode calls on its own buffers: the exact path of a reuse layer is
-//! this layer's code, not an emulation of it.
+//! The arithmetic between `im2col` and `col2im` lives in three free
+//! functions, [`gemm_forward`], [`gemm_backward_params`] and
+//! [`gemm_backward_input`], which `adr_reuse::ReuseConv2d`'s dense mode calls
+//! on its own buffers: the exact path of a reuse layer is this layer's code,
+//! not an emulation of it.
 
 use adr_tensor::im2col::{col2im, im2col_into, ConvGeom};
 use adr_tensor::matrix::{column_sums_into, Matrix};
@@ -43,37 +44,59 @@ pub fn gemm_forward(
     y
 }
 
-/// The dense backward products (Eqs. 2/3) from the unfolded input a training
+/// The dense parameter gradients (Eq. 2) from the unfolded input a training
 /// [`gemm_forward`] read: `∇W = xᵀ·δy` and `∇b = Σ_rows δy` overwrite the
-/// caller's long-lived gradients, then `δx = δy·Wᵀ` overwrites `unfolded` —
-/// same shape, dead once `∇W` is taken — ready for `col2im`. Meters
-/// `2·N·K·M` multiply–adds as both actual and baseline work.
+/// caller's long-lived gradients. Meters `N·K·M` multiply–adds as both
+/// actual and baseline work.
 ///
 /// # Shape
-/// `delta_y: N × M` row-major, `weight` and `weight_grad: K × M`,
-/// `unfolded: N × K`, `bias_grad: M`.
+/// `delta_y: N × M` row-major, `unfolded: N × K`, `weight_grad: K × M`,
+/// `bias_grad: M`.
 ///
 /// # Panics
 /// Panics when `delta_y` is not `N × M`.
-pub fn gemm_backward(
+pub fn gemm_backward_params(
     layer: &str,
     delta_y: &[f32],
-    weight: &Matrix,
-    unfolded: &mut Matrix,
+    unfolded: &Matrix,
     weight_grad: &mut Matrix,
     bias_grad: &mut [f32],
     meter: &mut FlopMeter,
 ) {
     let (n, k) = unfolded.shape();
-    let m = weight.cols();
+    let m = weight_grad.cols();
     assert_eq!(delta_y.len(), n * m, "conv {layer}: grad_out shape mismatch");
     adr_tensor::checked_finite!(delta_y, "conv {layer}: backward grad_out");
     gemm_ta_par(unfolded.as_slice(), delta_y, weight_grad.as_mut_slice(), n, k, m);
     adr_tensor::checked_finite!(weight_grad.as_slice(), "conv {layer}: weight gradient");
     column_sums_into(delta_y, bias_grad);
+    let work = (n * k * m) as u64;
+    meter.add_backward(work, work);
+}
+
+/// The dense input delta (Eq. 3), after [`gemm_backward_params`] on the same
+/// `delta_y`: `δx = δy·Wᵀ` overwrites `unfolded` — same shape, dead once
+/// `∇W` is taken — ready for `col2im`. Meters another `N·K·M`. A layer whose
+/// input gradient nobody reads skips this call and the fold after it.
+///
+/// # Shape
+/// `delta_y: N × M` row-major, `weight: K × M`, `unfolded: N × K`.
+///
+/// # Panics
+/// Panics when `delta_y` is not `N × M`.
+#[cfg_attr(not(feature = "checked"), allow(unused_variables))]
+pub fn gemm_backward_input(
+    layer: &str,
+    delta_y: &[f32],
+    weight: &Matrix,
+    unfolded: &mut Matrix,
+    meter: &mut FlopMeter,
+) {
+    let (n, k) = unfolded.shape();
+    let m = weight.cols();
     gemm_tb_par(delta_y, weight.as_slice(), unfolded.as_mut_slice(), n, m, k);
     adr_tensor::checked_finite!(unfolded.as_slice(), "conv {layer}: input delta");
-    let work = (2 * n * k * m) as u64;
+    let work = (n * k * m) as u64;
     meter.add_backward(work, work);
 }
 
@@ -151,6 +174,22 @@ impl Conv2d {
     pub fn bias(&self) -> &[f32] {
         &self.bias
     }
+
+    /// Consumes the pending training forward and fills `∇W` and `∇b` from
+    /// it; returns its batch size.
+    fn param_grads(&mut self, grad_out: &Tensor4) -> usize {
+        let batch =
+            self.cached_batch.take().expect("backward called without a preceding training forward");
+        gemm_backward_params(
+            &self.name,
+            grad_out.as_slice(),
+            &self.unfolded,
+            &mut self.weight_grad,
+            &mut self.bias_grad,
+            &mut self.meter,
+        );
+        batch
+    }
 }
 
 impl Layer for Conv2d {
@@ -197,18 +236,14 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let batch =
-            self.cached_batch.take().expect("backward called without a preceding training forward");
-        gemm_backward(
-            &self.name,
-            grad_out.as_slice(),
-            &self.weight,
-            &mut self.unfolded,
-            &mut self.weight_grad,
-            &mut self.bias_grad,
-            &mut self.meter,
-        );
+        let batch = self.param_grads(grad_out);
+        let delta_y = grad_out.as_slice();
+        gemm_backward_input(&self.name, delta_y, &self.weight, &mut self.unfolded, &mut self.meter);
         col2im(&self.unfolded, &self.geom, batch)
+    }
+
+    fn backward_params_only(&mut self, grad_out: &Tensor4) {
+        self.param_grads(grad_out);
     }
 
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
@@ -352,6 +387,23 @@ mod tests {
         conv.backward(&Tensor4::zeros(2, 2, 2, 3));
         assert_eq!(conv.flops().backward, (2 * n * k * m) as u64);
         assert_eq!(conv.baseline_flops(), conv.flops());
+    }
+
+    #[test]
+    fn params_only_backward_fills_the_same_gradients_for_one_product() {
+        let (mut full, mut skip) = (small_conv(5), small_conv(5));
+        let x = Tensor4::from_fn(2, 4, 4, 2, |n, y, xx, c| ((n + y * 3 + xx + c) % 5) as f32 * 0.3);
+        let g = Tensor4::from_fn(2, 2, 2, 3, |n, y, xx, c| (n + y + xx * 2 + c) as f32 * 0.1 - 0.3);
+        full.forward(&x, Mode::Train);
+        skip.forward(&x, Mode::Train);
+        full.backward(&g);
+        skip.backward_params_only(&g);
+        assert_eq!(skip.weight_grad.as_slice(), full.weight_grad.as_slice());
+        assert_eq!(skip.bias_grad, full.bias_grad);
+        let nkm = (8 * 18 * 3) as u64;
+        assert_eq!(skip.flops().backward, nkm);
+        assert_eq!(skip.baseline_flops(), skip.flops());
+        assert!(skip.cached_batch.is_none(), "the pending batch is consumed");
     }
 
     #[test]

@@ -75,6 +75,15 @@ pub trait Layer {
     /// gradients as a side effect.
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4;
 
+    /// [`Layer::backward`] for a caller that will not read the input
+    /// gradient — a training step's first layer: parameter gradients are
+    /// filled as usual, and a layer that overrides this skips (and does not
+    /// meter) the work only the input gradient needs. The parameter
+    /// gradients are bitwise those of `backward`.
+    fn backward_params_only(&mut self, grad_out: &Tensor4) {
+        self.backward(grad_out);
+    }
+
     /// Mutable access to learnable parameters (empty for stateless layers).
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
         Vec::new()

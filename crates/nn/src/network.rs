@@ -118,8 +118,10 @@ impl Network {
 
     /// Forward pass through every layer.
     pub fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else { return input.clone() };
+        let mut x = first.forward(input, mode);
+        for layer in layers {
             x = layer.forward(&x, mode);
         }
         x
@@ -127,11 +129,7 @@ impl Network {
 
     /// Backward pass from the loss gradient down to the input gradient.
     pub fn backward(&mut self, grad: &Tensor4) -> Tensor4 {
-        let mut g = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        backward_through(&mut self.layers, grad).unwrap_or_else(|| grad.clone())
     }
 
     /// One SGD step on a labelled batch: forward, loss, backward, update.
@@ -140,6 +138,10 @@ impl Network {
     }
 
     /// [`Network::train_batch`] with any [`Optimizer`] (SGD, Adam, ...).
+    ///
+    /// Nothing reads the gradient with respect to the images, so the first
+    /// layer runs [`Layer::backward_params_only`]; every weight update is
+    /// bitwise that of a full [`Network::backward`].
     pub fn train_batch_with(
         &mut self,
         images: &Tensor4,
@@ -148,7 +150,10 @@ impl Network {
     ) -> StepResult {
         let logits = self.forward(images, Mode::Train);
         let loss_out = softmax_cross_entropy(&logits, labels);
-        self.backward(&loss_out.grad);
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            let grad = backward_through(rest, &loss_out.grad);
+            first.backward_params_only(grad.as_ref().unwrap_or(&loss_out.grad));
+        }
         let mut params: Vec<_> = self.layers.iter_mut().flat_map(|l| l.params_mut()).collect();
         optimizer.step(&mut params);
         let correct = loss_out.predictions.iter().zip(labels).filter(|(p, l)| p == l).count();
@@ -212,6 +217,17 @@ impl Network {
             l.reset_flops();
         }
     }
+}
+
+/// Runs `grad` backward through `layers`, last to first, and returns the
+/// gradient at their input; `None` for no layers (it passes through as is).
+fn backward_through(layers: &mut [Box<dyn Layer>], grad: &Tensor4) -> Option<Tensor4> {
+    let mut layers = layers.iter_mut().rev();
+    let mut g = layers.next()?.backward(grad);
+    for layer in layers {
+        g = layer.backward(&g);
+    }
+    Some(g)
 }
 
 #[cfg(test)]
@@ -286,6 +302,39 @@ mod tests {
         assert!(last < first * 0.5, "loss did not drop: {first} -> {last}");
         let eval = net.evaluate(&images, &labels);
         assert!(eval.accuracy > 0.99, "accuracy {}", eval.accuracy);
+    }
+
+    /// A training step skips the first layer's input gradient and nothing
+    /// else: same weights as forward + full backward + update, bit for bit,
+    /// for exactly conv1's `N·K·M` fewer metered multiply–adds.
+    #[test]
+    fn train_batch_skips_only_the_first_layers_input_gradient() {
+        let (mut stepped, mut by_hand) = (tiny_net(8), tiny_net(8));
+        let x = Tensor4::from_fn(3, 6, 6, 1, |n, y, xx, _| ((n * 5 + y * 3 + xx) % 7) as f32 * 0.2);
+        let labels = [0usize, 2, 1];
+        stepped.train_batch(&x, &labels, &mut Sgd::constant(0.05));
+        let logits = by_hand.forward(&x, Mode::Train);
+        let grad = softmax_cross_entropy(&logits, &labels).grad;
+        assert_eq!(by_hand.backward(&grad).shape(), x.shape());
+        let mut params: Vec<_> = by_hand.layers.iter_mut().flat_map(|l| l.params_mut()).collect();
+        Sgd::constant(0.05).step(&mut params);
+        drop(params);
+        let weights = |net: &mut Network| -> Vec<u32> {
+            let params = net.layers.iter_mut().flat_map(|l| l.params_mut());
+            params.flat_map(|p| p.data.iter().map(|w| w.to_bits()).collect::<Vec<_>>()).collect()
+        };
+        assert_eq!(weights(&mut stepped), weights(&mut by_hand));
+        let conv1_nkm = (3 * 4 * 4 * 9 * 4) as u64;
+        assert_eq!(by_hand.flops().backward - stepped.flops().backward, conv1_nkm);
+        assert_eq!(stepped.baseline_flops(), stepped.flops());
+    }
+
+    #[test]
+    fn an_empty_network_passes_tensors_through() {
+        let mut net = Network::new((2, 2, 1));
+        let x = Tensor4::from_fn(1, 2, 2, 1, |_, y, xx, _| (y * 2 + xx) as f32);
+        assert_eq!(net.forward(&x, Mode::Eval).as_slice(), x.as_slice());
+        assert_eq!(net.backward(&x).as_slice(), x.as_slice());
     }
 
     #[test]

@@ -35,7 +35,9 @@ use crate::subvec::SubVecSplit;
 ///   overwritten).
 /// * `bias_grad` — receives the length-`M` bias gradient.
 /// * `delta_x_unf` — reshaped to `N × K` and overwritten with the gradient
-///   w.r.t. the unfolded input (fold with `col2im`).
+///   w.r.t. the unfolded input (fold with `col2im`); `None` when nobody will
+///   read it (a training step's first layer), which skips the cluster means,
+///   the `δx_c` products and the whole row fan-out.
 ///
 /// Returns the multiply–adds actually performed.
 ///
@@ -49,7 +51,7 @@ pub fn reuse_backward(
     delta_y: &[f32],
     weight_grad: &mut Matrix,
     bias_grad: &mut [f32],
-    delta_x_unf: &mut Matrix,
+    delta_x_unf: Option<&mut Matrix>,
 ) -> u64 {
     let (k, m) = weight.shape();
     let num_subs = split.num_sub_vectors();
@@ -68,6 +70,7 @@ pub fn reuse_backward(
     // `K × M` gradient. The cluster gradients δy_c land in the forward
     // pass's cluster-output blocks: same `|C_I| × M` shape, and dead since
     // the forward scatter.
+    let want_input = delta_x_unf.is_some();
     let bands = weight_grad.as_mut_slice().chunks_mut(split.l() * m);
     let mut tasks = Vec::with_capacity(num_subs);
     let mut flops = 0u64;
@@ -76,11 +79,13 @@ pub fn reuse_backward(
         assert_eq!(sub.table.num_rows(), n, "table {i} row count disagrees with delta_y");
         assert_eq!(sub.centroids.shape(), (num_clusters, width), "centroid {i} shape mismatch");
         sub.cluster_outputs.resize_for_overwrite(num_clusters, m);
-        sub.centroid_grads.resize_for_overwrite(num_clusters, width);
-        flops += ((n - num_clusters) * m + 2 * num_clusters * width * m) as u64;
+        flops += ((n - num_clusters) * m + num_clusters * width * m) as u64;
+        if want_input {
+            sub.centroid_grads.resize_for_overwrite(num_clusters, width);
+            flops += (num_clusters * width * m) as u64;
+        }
         tasks.push((w_grad_band, sub));
     }
-    delta_x_unf.resize_for_overwrite(n, k);
 
     // Phase 1, sub-matrix-parallel.
     let threads = compute_threads(usize::try_from(flops).unwrap_or(usize::MAX));
@@ -90,7 +95,6 @@ pub fn reuse_backward(
             let SubMatrix {
                 table, centroids: cent, cluster_outputs: dy, centroid_grads: dx_c, ..
             } = &mut **sub;
-            let (start, end) = split.ranges()[i];
             let (num_clusters, width) = cent.shape();
 
             // δy_{c,s}: per-cluster sums of δy rows (Eq. 8).
@@ -113,10 +117,15 @@ pub fn reuse_backward(
                 "reuse backward: sub-matrix {i} weight-gradient block"
             );
 
+            if !want_input {
+                continue;
+            }
+
             // δy_{c,sa}: per-cluster means (divide the sums by cluster size).
             table.sums_to_means(dy);
 
             // δx_{c,I} = δy_{c,I,sa} · W_Iᵀ (Eq. 18), on W's row band in place.
+            let (start, end) = split.ranges()[i];
             let w_band = &weight.as_slice()[start * m..end * m];
             gemm_tb_rows(dy.as_slice(), w_band, dx_c.as_mut_slice(), num_clusters, m, width);
             adr_tensor::checked_finite_rows!(
@@ -127,24 +136,26 @@ pub fn reuse_backward(
         }
     });
     drop(tasks);
+    column_sums_into(delta_y, bias_grad);
+    adr_tensor::checked_finite!(weight_grad.as_slice(), "reuse backward: weight gradient");
 
     // Phase 2, row-parallel: every member inherits its cluster centroid's
     // input gradient, one whole contiguous row of δx at a time.
-    let subs = &arena.subs;
-    let threads = memory_threads(n * k);
-    run_row_blocks(delta_x_unf.as_mut_slice(), k, n, threads, |row0, rows_here, chunk| {
-        for r in 0..rows_here {
-            let dst = &mut chunk[r * k..(r + 1) * k];
-            for (sub, &(start, end)) in subs.iter().zip(split.ranges()) {
-                let dx_c = sub.centroid_grads.row(sub.table.cluster_of(row0 + r) as usize);
-                dst[start..end].copy_from_slice(dx_c);
+    if let Some(delta_x_unf) = delta_x_unf {
+        delta_x_unf.resize_for_overwrite(n, k);
+        let subs = &arena.subs;
+        let threads = memory_threads(n * k);
+        run_row_blocks(delta_x_unf.as_mut_slice(), k, n, threads, |row0, rows_here, chunk| {
+            for r in 0..rows_here {
+                let dst = &mut chunk[r * k..(r + 1) * k];
+                for (sub, &(start, end)) in subs.iter().zip(split.ranges()) {
+                    let dx_c = sub.centroid_grads.row(sub.table.cluster_of(row0 + r) as usize);
+                    dst[start..end].copy_from_slice(dx_c);
+                }
             }
-        }
-    });
-
-    column_sums_into(delta_y, bias_grad);
-    adr_tensor::checked_finite!(weight_grad.as_slice(), "reuse backward: weight gradient");
-    adr_tensor::checked_finite!(delta_x_unf.as_slice(), "reuse backward: input delta");
+        });
+        adr_tensor::checked_finite!(delta_x_unf.as_slice(), "reuse backward: input delta");
+    }
     flops
 }
 
@@ -176,7 +187,7 @@ mod tests {
             dy.as_slice(),
             &mut weight_grad,
             &mut bias_grad,
-            &mut delta_x_unf,
+            Some(&mut delta_x_unf),
         );
         Grads { weight_grad, bias_grad, delta_x_unf, flops }
     }

@@ -47,11 +47,23 @@ pub fn backward_input_cost(p: &CostParams) -> f64 {
     p.rc
 }
 
+/// Forward plus weight-gradient cost, the part every training layer pays.
+fn forward_and_weight_cost(p: &CostParams, cluster_reuse: bool) -> f64 {
+    let fwd = if cluster_reuse { forward_cost_with_reuse(p) } else { forward_cost(p) };
+    fwd + backward_weight_cost(p)
+}
+
 /// Total relative training-step cost (forward + both backward computations)
 /// against the dense cost `3·N·K·M`.
 pub fn training_step_cost(p: &CostParams, cluster_reuse: bool) -> f64 {
-    let fwd = if cluster_reuse { forward_cost_with_reuse(p) } else { forward_cost(p) };
-    (fwd + backward_weight_cost(p) + backward_input_cost(p)) / 3.0
+    (forward_and_weight_cost(p, cluster_reuse) + backward_input_cost(p)) / 3.0
+}
+
+/// [`training_step_cost`] of a layer whose input delta nobody reads — a
+/// network's first layer, dense or reuse: forward + weight gradient against
+/// the dense cost `2·N·K·M`.
+pub fn first_layer_step_cost(p: &CostParams, cluster_reuse: bool) -> f64 {
+    forward_and_weight_cost(p, cluster_reuse) / 2.0
 }
 
 /// Eq. 21 — the expected-time proxy used when ordering candidates:
@@ -123,6 +135,16 @@ mod tests {
         let p = params(100, 10, 0.1);
         let expect = (forward_cost(&p) + backward_weight_cost(&p) + backward_input_cost(&p)) / 3.0;
         assert!((training_step_cost(&p, false) - expect).abs() < 1e-15);
+    }
+
+    #[test]
+    fn first_layer_step_cost_drops_the_input_delta_from_both_sides() {
+        let p = params(100, 10, 0.1);
+        let expect = (forward_cost(&p) + backward_weight_cost(&p)) / 2.0;
+        assert!((first_layer_step_cost(&p, false) - expect).abs() < 1e-15);
+        // The overheads (hashing, scatter) are spread over two products
+        // instead of three, so the same layer models as relatively dearer.
+        assert!(first_layer_step_cost(&p, false) > training_step_cost(&p, false));
     }
 
     #[test]

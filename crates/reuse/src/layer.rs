@@ -2,7 +2,7 @@
 
 use adr_clustering::lsh::LshTable;
 use adr_clustering::reuse_cache::ReuseCache;
-use adr_nn::conv::{gemm_backward, gemm_forward};
+use adr_nn::conv::{gemm_backward_input, gemm_backward_params, gemm_forward};
 use adr_nn::flops::{FlopMeter, FlopReport};
 use adr_nn::init::Init;
 use adr_nn::layer::{Layer, Mode, ParamRefMut, Shape3};
@@ -12,7 +12,7 @@ use adr_tensor::rng::AdrRng;
 use adr_tensor::Tensor4;
 
 use crate::backward::reuse_backward;
-use crate::cost::{training_step_cost, CostParams};
+use crate::cost::{first_layer_step_cost, training_step_cost, CostParams};
 use crate::forward::{reuse_forward_with, ReuseArena};
 use crate::hashpack::PackedHasher;
 use crate::stats::ReuseStats;
@@ -67,6 +67,10 @@ pub struct ReuseConv2d {
     /// the forward clustering instead of re-clustering). `None` once the
     /// backward pass consumed it, or when the families changed under it.
     cached_batch: Option<usize>,
+    /// Whether the latest backward pass was [`Layer::backward_params_only`],
+    /// so that [`ReuseConv2d::modelled_step_cost`] models the products the
+    /// meters counted.
+    input_delta_skipped: bool,
     /// Packed form of the current `(split, lsh)` pair, rebuilt whenever the
     /// families are (config retune, degenerate-clustering injection, repair).
     /// `None` only during construction, before the first family build.
@@ -116,6 +120,7 @@ impl ReuseConv2d {
             cache_refresh_every: 8,
             train_batches_since_refresh: 0,
             cached_batch: None,
+            input_delta_skipped: false,
             hasher: None,
             arena: ReuseArena::default(),
             unfolded: Matrix::zeros(0, 0),
@@ -286,9 +291,11 @@ impl ReuseConv2d {
 
     /// The paper's modelled relative training-step cost (Eqs. 5/6/12/20)
     /// evaluated with the *measured* remaining ratio and reuse rate of the
-    /// latest forward pass. `1.0` means "as expensive as dense" — which is
-    /// what dense mode costs; returns `None` before any forward pass has
-    /// produced statistics.
+    /// latest forward pass, over the products the latest backward pass ran
+    /// (Eq. 20 drops out, on both sides of the ratio, after a
+    /// [`Layer::backward_params_only`]). `1.0` means "as expensive as dense"
+    /// — which is what dense mode costs; returns `None` before any forward
+    /// pass has produced statistics.
     pub fn modelled_step_cost(&self) -> Option<f64> {
         if self.stats.rows == 0 {
             return None;
@@ -303,7 +310,9 @@ impl ReuseConv2d {
             rc: self.stats.avg_remaining_ratio,
             reuse_rate: self.mean_reuse_rate(),
         };
-        Some(training_step_cost(&p, self.config.cluster_reuse))
+        let cost =
+            if self.input_delta_skipped { first_layer_step_cost } else { training_step_cost };
+        Some(cost(&p, self.config.cluster_reuse))
     }
 
     /// Pushes the latest forward pass's reuse statistics into the installed
@@ -403,6 +412,51 @@ impl ReuseConv2d {
     pub fn bias_mut(&mut self) -> &mut Vec<f32> {
         &mut self.bias
     }
+
+    /// Consumes the pending training forward: fills `∇W` and `∇b` in the
+    /// layer's mode and, when `want_input`, leaves `δx` unfolded in
+    /// `self.unfolded` for `col2im`. Meters what ran against what a dense
+    /// layer would have run for the same request. Returns the batch size.
+    fn backward_unfolded(&mut self, grad_out: &Tensor4, want_input: bool) -> usize {
+        let batch =
+            self.cached_batch.take().expect("backward called without a preceding training forward");
+        self.input_delta_skipped = !want_input;
+        let delta_y = grad_out.as_slice();
+        if self.dense {
+            gemm_backward_params(
+                &self.name,
+                delta_y,
+                &self.unfolded,
+                &mut self.weight_grad,
+                &mut self.bias_grad,
+                &mut self.meter,
+            );
+            if want_input {
+                gemm_backward_input(
+                    &self.name,
+                    delta_y,
+                    &self.weight,
+                    &mut self.unfolded,
+                    &mut self.meter,
+                );
+            }
+        } else {
+            let flops = reuse_backward(
+                &mut self.arena,
+                &self.split,
+                &self.weight,
+                delta_y,
+                &mut self.weight_grad,
+                &mut self.bias_grad,
+                want_input.then_some(&mut self.unfolded),
+            );
+            let products = if want_input { 2 } else { 1 };
+            let n = self.geom.rows_for_batch(batch);
+            let baseline = (products * n * self.geom.k() * self.out_channels) as u64;
+            self.meter.add_backward(flops, baseline);
+        }
+        batch
+    }
 }
 
 impl Layer for ReuseConv2d {
@@ -498,33 +552,12 @@ impl Layer for ReuseConv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let batch =
-            self.cached_batch.take().expect("backward called without a preceding training forward");
-        if self.dense {
-            gemm_backward(
-                &self.name,
-                grad_out.as_slice(),
-                &self.weight,
-                &mut self.unfolded,
-                &mut self.weight_grad,
-                &mut self.bias_grad,
-                &mut self.meter,
-            );
-        } else {
-            let flops = reuse_backward(
-                &mut self.arena,
-                &self.split,
-                &self.weight,
-                grad_out.as_slice(),
-                &mut self.weight_grad,
-                &mut self.bias_grad,
-                &mut self.unfolded,
-            );
-            let n = self.geom.rows_for_batch(batch);
-            let baseline = (2 * n * self.geom.k() * self.out_channels) as u64;
-            self.meter.add_backward(flops, baseline);
-        }
+        let batch = self.backward_unfolded(grad_out, true);
         col2im(&self.unfolded, &self.geom, batch)
+    }
+
+    fn backward_params_only(&mut self, grad_out: &Tensor4) {
+        self.backward_unfolded(grad_out, false);
     }
 
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
@@ -931,6 +964,42 @@ mod tests {
         }
         assert_eq!(layer.flops(), dense.flops());
         assert_eq!(layer.baseline_flops(), dense.flops());
+    }
+
+    /// `backward_params_only` in both modes: the parameter gradients are
+    /// bitwise those of `backward`, the input-delta product leaves the meters
+    /// on both sides, and the modelled cost follows what ran.
+    #[test]
+    fn params_only_backward_matches_backward_and_meters_what_ran() {
+        let mut rng = AdrRng::seeded(48);
+        let x = Tensor4::from_fn(2, 6, 6, 2, |_, _, _, _| rng.gauss());
+        let g = Tensor4::from_fn(2, 4, 4, 4, |_, _, _, _| rng.gauss());
+        let nkm = (2 * 4 * 4 * 18 * 4) as u64;
+        for dense in [false, true] {
+            let mut full = reuse_layer(6, 10, false, 49);
+            let mut skip = reuse_layer(6, 10, false, 49);
+            if dense {
+                full.exact_fallback();
+                skip.exact_fallback();
+            }
+            full.forward(&x, Mode::Train);
+            skip.forward(&x, Mode::Train);
+            full.backward(&g);
+            skip.backward_params_only(&g);
+            let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(skip.weight_grad.as_slice()), bits(full.weight_grad.as_slice()));
+            assert_eq!(bits(&skip.bias_grad), bits(&full.bias_grad));
+            assert_eq!(full.baseline_flops().backward, 2 * nkm, "dense = {dense}");
+            assert_eq!(skip.baseline_flops().backward, nkm, "dense = {dense}");
+            // What left the actual side is the product that did not run:
+            // N·K·M in dense mode, Σ |C_I|·L_I·M (= the centroid GEMM's
+            // count) in reuse mode.
+            let skipped = if dense { nkm } else { full.stats().gemm_flops };
+            assert_eq!(full.flops().backward - skip.flops().backward, skipped, "dense = {dense}");
+            assert!(skip.modelled_step_cost() >= full.modelled_step_cost(), "dense = {dense}");
+            // The pending batch is consumed either way.
+            assert!(skip.cached_batch.is_none());
+        }
     }
 
     #[test]

@@ -205,7 +205,7 @@ fn steady_state_allocation_counts_match_the_budget() {
             delta_y.as_slice(),
             &mut weight_grad,
             &mut bias_grad,
-            &mut delta_x_unf,
+            Some(&mut delta_x_unf),
         )
     };
     for _ in 0..2 {

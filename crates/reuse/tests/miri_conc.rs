@@ -196,7 +196,7 @@ fn backward_at(
         dy.as_slice(),
         &mut weight_grad,
         &mut bias_grad,
-        &mut delta_x_unf,
+        Some(&mut delta_x_unf),
     );
     set_thread_override(None);
     assert!(flops > 0);

@@ -7,6 +7,32 @@
 //! fan-out) and reuses them for the life of the process; a fan-out becomes a
 //! handful of channel sends plus an inline chunk on the calling thread.
 //!
+//! # Handoff
+//!
+//! Both waits of a fan-out — a worker's for its next job, the caller's for
+//! its completion tokens — go through [`recv_spinning`]: poll the channel
+//! for [`SPIN_WINDOW`], then block on it. A thread blocked in `recv` is
+//! parked, and waking it goes through the kernel to a halted core: 35–40 µs
+//! for an empty two-way round trip on the benchmark host back to back, 55–110
+//! after 2 ms idle. A polling thread sees the message as soon as it is
+//! sent: 1.7 µs for the same round trip. Inside a training step the next
+//! fan-out always follows within the window, so the step never waits for a
+//! wake-up; an idle process parks every worker one window after its last
+//! fan-out and costs nothing from then on.
+//!
+//! The poll yields (`yield_now`) between looks instead of pausing. With the
+//! peer on another core the yield returns at once and costs nothing
+//! measurable (1.7 µs either way). With the peer on the *same* core — the
+//! scheduler's first placement of a new worker, an affinity mask narrowed
+//! after start-up, `cargo test`'s own threads crowding two cores — the yield
+//! is what lets the peer run: a pause loop there holds the core for its
+//! whole window while the thread it waits for cannot run, and the same round
+//! trip read 404 µs (2 × the window) where the yielding loop reads 2–5 µs.
+//!
+//! The protocol is the channel's own — polling adds no shared state, so the
+//! join barrier, the panic replay and shutdown (a disconnect, which
+//! `try_recv` reports like `recv`) are what they were.
+//!
 //! # Lifecycle
 //!
 //! * [`with_pool`] lazily creates the global pool under an `RwLock` and hands
@@ -32,11 +58,39 @@
 //! panics are caught, carried back as payloads, and re-raised on the caller.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send>;
+
+/// How long a thread with nothing to do polls its channel before it parks.
+///
+/// Sized as a few of the kernel wake-ups it avoids (35–80 µs each), not
+/// tuned: `train_vgg_reuse` reads the same from 200 µs to 2 ms and is within
+/// 10 % of that at 20 µs (DESIGN.md §15.7). The serial stretches between the
+/// fan-outs of one training step (ReLU, pooling, the small layers) are
+/// shorter than this. An idle process burns one window per worker after its
+/// last fan-out and nothing after that.
+const SPIN_WINDOW: Duration = Duration::from_micros(200);
+
+/// `rx.recv()` that polls for [`SPIN_WINDOW`] before blocking, yielding the
+/// core between looks (module docs: a peer that shares it must get to run).
+/// Returns what `recv` would: a message, or `RecvError` once every sender is
+/// gone — seen by the polling phase too, so a disconnect never waits out the
+/// window.
+fn recv_spinning<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(message) => return Ok(message),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) if start.elapsed() < SPIN_WINDOW => std::thread::yield_now(),
+            Err(TryRecvError::Empty) => return rx.recv(),
+        }
+    }
+}
 
 thread_local! {
     /// Set inside `worker_loop`. A pooled job that itself reaches a fan-out
@@ -53,9 +107,9 @@ pub struct WorkerPool {
     handles: Vec<JoinHandle<()>>,
 }
 
-fn worker_loop(rx: std::sync::mpsc::Receiver<Job>) {
+fn worker_loop(rx: Receiver<Job>) {
     IS_POOL_WORKER.with(|f| f.set(true));
-    while let Ok(job) = rx.recv() {
+    while let Ok(job) = recv_spinning(&rx) {
         job();
     }
 }
@@ -137,7 +191,7 @@ impl WorkerPool {
         let inline_result = catch_unwind(AssertUnwindSafe(inline));
         let mut first_task_panic: Option<Box<dyn std::any::Any + Send>> = None;
         for _ in 0..count {
-            match done_rx.recv() {
+            match recv_spinning(&done_rx) {
                 Ok(Ok(())) => {}
                 Ok(Err(payload)) => {
                     if first_task_panic.is_none() {
@@ -228,9 +282,118 @@ mod tests {
         assert_eq!(parts, vec![10, 20, 30, 40]);
     }
 
+    /// Element `i` of every fill below; the serial result in closed form.
+    fn value(i: u32, seed: u32) -> u32 {
+        i.wrapping_mul(2_654_435_761).wrapping_add(seed)
+    }
+
+    /// One fan-out that fills eight elements, the upper half on the worker
+    /// and the lower half inline.
+    fn fill_halves(pool: &WorkerPool, seed: u32) -> [u32; 8] {
+        let mut out = [0u32; 8];
+        let (lo, hi) = out.split_at_mut(4);
+        let fill = |row0: u32, half: &mut [u32]| {
+            for (i, v) in (row0..).zip(half) {
+                *v = value(i, seed);
+            }
+        };
+        pool.scope_run(vec![Box::new(move || fill(4, hi))], || fill(0, lo));
+        out
+    }
+
+    #[test]
+    fn fan_outs_reach_a_polling_worker_and_a_parked_one() {
+        let pool = WorkerPool::spawn(1);
+        let serial = |seed: u32| [0, 1, 2, 3, 4, 5, 6, 7].map(|i| value(i, seed));
+        // Back to back: each fan-out finds the worker inside the window it
+        // opened after the previous job.
+        for seed in 0..64 {
+            assert_eq!(fill_halves(&pool, seed), serial(seed), "polling worker, round {seed}");
+        }
+        // Several windows later the worker has parked on its channel; the
+        // blocking tail of the same loop must pick the job up.
+        for seed in 64..67 {
+            std::thread::sleep(SPIN_WINDOW * 5);
+            assert_eq!(fill_halves(&pool, seed), serial(seed), "parked worker, round {seed}");
+        }
+    }
+
+    #[test]
+    fn recv_spinning_returns_what_recv_would() {
+        let (tx, rx) = channel::<u32>();
+        tx.send(7).unwrap();
+        assert_eq!(recv_spinning(&rx), Ok(7), "a queued message is seen by the first poll");
+        // A message that arrives only after the window closed: the blocking
+        // tail receives it.
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(SPIN_WINDOW * 5);
+            tx.send(8).unwrap();
+        });
+        assert_eq!(recv_spinning(&rx), Ok(8));
+        late.join().unwrap();
+        // Every sender gone: the polling phase reports the disconnect itself.
+        assert_eq!(recv_spinning(&rx), Err(RecvError));
+    }
+
+    #[test]
+    fn drop_joins_a_worker_inside_its_polling_window() {
+        // The job has just finished, so the worker is polling, not blocked:
+        // the disconnect must end the poll loop or this join never returns.
+        for _ in 0..8 {
+            let pool = WorkerPool::spawn(2);
+            assert_eq!(fill_halves(&pool, 1)[4], value(4, 1));
+            drop(pool);
+        }
+    }
+
+    #[test]
+    fn nested_fan_out_from_a_pooled_job_runs_on_that_worker() {
+        let pool = WorkerPool::spawn(2);
+        let ids = std::sync::Mutex::new(Vec::new());
+        let note = || ids.lock().unwrap().push(std::thread::current().id());
+        let outer: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(|| {
+            note();
+            let inner: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(note), Box::new(note)];
+            pool.scope_run(inner, note);
+        })];
+        pool.scope_run(outer, || {});
+        let ids = ids.into_inner().unwrap();
+        assert_eq!(ids.len(), 4);
+        assert_ne!(ids[0], std::thread::current().id(), "the outer task ran on a worker");
+        assert!(ids.iter().all(|id| *id == ids[0]), "nested tasks left their worker: {ids:?}");
+    }
+
+    /// The spin is bounded: one window after its last job a worker is parked
+    /// and an idle pool costs no CPU. Read from the worker's own
+    /// `/proc/<pid>/task/<tid>/stat` (utime + stime, in 10 ms ticks), so the
+    /// other tests running in this process do not count.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn an_idle_worker_parks_instead_of_spinning() {
+        fn cpu_ticks(task: &std::path::Path) -> u64 {
+            let stat = std::fs::read_to_string(task.join("stat")).unwrap();
+            // Fields after the parenthesised command name: state is the
+            // first, utime and stime the 12th and 13th.
+            let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 2..].split(' ').collect();
+            fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+        }
+        let pool = WorkerPool::spawn(1);
+        let mut task_dir = None;
+        let find_self = || task_dir = std::fs::read_link("/proc/thread-self").ok();
+        pool.scope_run(vec![Box::new(find_self)], || {});
+        let task_dir = std::path::Path::new("/proc").join(task_dir.expect("procfs is mounted"));
+        let before = cpu_ticks(&task_dir);
+        std::thread::sleep(Duration::from_millis(100));
+        let spent = cpu_ticks(&task_dir) - before;
+        // A worker that never parked would have burnt the whole sleep: 10.
+        assert!(spent <= 2, "idle worker used {spent} ticks of CPU during a 100 ms sleep");
+    }
+
     #[test]
     fn task_panic_propagates_after_all_tasks_finish() {
         let pool = WorkerPool::spawn(2);
+        // Leave both workers polling, as they are in the middle of a step.
+        pool.scope_run(vec![Box::new(|| {}), Box::new(|| {})], || {});
         let finished = std::sync::atomic::AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
             let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![

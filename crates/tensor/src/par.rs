@@ -8,7 +8,8 @@
 //! needed beyond the completion barrier. Blocks are dispatched by
 //! [`run_blocks`] onto the process-wide [`crate::kernels::pool`] (the first
 //! block runs inline on the caller), which replaces the former per-call
-//! `std::thread::scope` spawn+join with a handful of channel sends.
+//! `std::thread::scope` spawn+join with a handful of channel sends to
+//! workers that are, inside a training step, still polling for them.
 
 use crate::kernels::gemm_tb;
 use crate::matrix::{gemm_rows, gemm_ta_rows, Matrix};
@@ -21,38 +22,57 @@ use std::sync::OnceLock;
 // and the scatter of `adr_reuse::forward`; both phases of
 // `adr_reuse::backward`).
 //
-// Measurement rationale (x86-64, release profile; re-measured when the lane
-// kernels went to eight lanes, DESIGN.md §15.1). What a fan-out pays is a
-// dispatch on the persistent pool: one boxed job and one channel send per
-// remote block, then a blocking wait for the completion tokens. An empty
-// two-way `run_row_blocks` round trip measures ~35 µs (p90 36–42 µs) on the
-// 2-vCPU benchmark host — the parked worker is woken through the kernel, and
-// the caller waits for the slowest block. Compute-bound loops (blocked GEMM,
-// the transposed products, hash projections) retire ~7.5 multiply–adds per
-// nanosecond per core on dense operands with the AVX instantiation (~3.6 per
-// cycle at 2.1 GHz; the 4-lane instantiation measured 5.4 per nanosecond on
-// the same shapes), so the ~2M multiply–adds of the smallest two-way split
-// are ~270 µs of work: forced two-way, 128×256·256×64 measured 272 → 201 µs.
-// The threshold is on the cautious side of break-even — half that problem
-// still split profitably on an idle pair of cores (152 → 104 µs) — and
-// stays where it is: the measurement does not ask for a higher one, and a
-// lower one would pool work that, inside a training step, competes with the
-// fan-outs of the layers around it. On the bench-scale CifarNet
-// that keeps both `Dense` layers' backward products (fc3: 16·576·96 ≈ 0.88M,
-// logits: 16·96·10 ≈ 15K) on the serial path and sends both convolutions'
-// (19.7M and 80.3M) to the pool — pinned by
-// `dense_layer_backward_products_stay_serial`. Memory-bound loops (im2col
-// gather, col2im scatter, cluster-output reconstruction) move one element
-// per couple of cycles but saturate DRAM bandwidth well before the ALUs, so
-// their break-even arrives earlier: ~128K elements ≈ 512 KiB touched.
+// Measurement rationale (x86-64, release profile, the 2-vCPU benchmark host;
+// tables and method in DESIGN.md §15.7). What a fan-out pays is a dispatch on
+// the persistent pool: one boxed job and one channel send per remote block,
+// then a wait for the completion tokens. Both sides of that handoff poll
+// before they park (`kernels::pool::recv_spinning`), so the price depends on
+// how long ago the previous fan-out was: an empty two-way `run_row_blocks`
+// round trip reads 1.7 µs (p90 2.4) when it follows the last one within the
+// pool's 200 µs window — every fan-out inside a training step does — and
+// 33–70 µs (p90 57–120) when the worker has parked and must be woken through
+// the kernel, which is what *every* fan-out paid before the pool polled.
+//
+// The thresholds are sized for the polling price, at roughly ten round trips
+// of work per lane, and checked against the parked one:
+//
+// * Compute-bound loops (blocked GEMM, the transposed products, hash
+//   projections) retire ~7.5 multiply–adds per nanosecond per core with the
+//   AVX instantiation, so `1 << 17` is ~17 µs per lane. The smallest split
+//   it allows, 2 × 131072 multiply–adds, measured 33 → 21 µs two-way with
+//   the worker polling and 72 µs with it parked; half that problem still
+//   gains (18 → 12 µs) but is inside the noise of a busy step. A parked
+//   worker therefore costs the first fan-out after an idle gap up to ~50 µs
+//   over serial, once per gap — the old `1 << 20` avoided that loss by also
+//   refusing every split below ~270 µs of work.
+// * Memory-bound loops share one estimate across passes of very different
+//   weight per element: im2col moves an element in ~0.6 ns and, with its
+//   serial zero-fill, breaks even two-way only near 100K elements (74K:
+//   45 → 48 µs; 147K: 112 → 80 µs), while the same `N · K` also sizes the
+//   reuse forward's sub-matrix fan-out (group, centroid sweep, centroid
+//   GEMM) and the backward row gather, and a reuse layer as a whole spends
+//   ~9 ns per element of it. `1 << 14` is set by those: a whole VGG conv4
+//   layer (`N · K` = 74K) reads 657 → 428 µs forward + backward two-way,
+//   conv3 (221K) 1278 → 814 µs; the few µs im2col gives back between 32K
+//   and 100K are inside those figures. One step lower would pool conv5 (`N · K` = 18K),
+//   where im2col loses outright (8 → 13 µs) and the layer as a whole is a
+//   wash (214 → 173 and 222 → 242 µs in two sessions).
+//
+// End to end the step is what decides (`train_vgg_reuse` `step_ms`, the
+// handoff already polling): 28.5 at the old constants, 24.0 at ÷4, 23.3 at
+// ÷8 — these — and 23.1 at ÷16. On the bench-scale networks that sends every
+// convolution of VGG-19 blocks 1–4 and CifarNet's fc3 backward products
+// (16·576·96 ≈ 0.88M) to the pool and keeps VGG block 5's unfold and
+// sub-matrix passes and CifarNet's logits (16·96·10 ≈ 15K) serial — pinned
+// by `crossovers_pool_vgg_blocks_three_and_four_and_leave_block_five_serial`.
 
 /// Minimum per-thread work, in multiply–adds, for compute-bound fan-outs
 /// (GEMM row blocks, LSH signature projections).
-pub const COMPUTE_FLOPS_PER_THREAD: usize = 1 << 20;
+pub const COMPUTE_FLOPS_PER_THREAD: usize = 1 << 17;
 
 /// Minimum per-thread work, in elements moved, for memory-bound fan-outs
 /// (im2col/col2im copies, cluster-output reconstruction).
-pub const MEMORY_ELEMS_PER_THREAD: usize = 1 << 17;
+pub const MEMORY_ELEMS_PER_THREAD: usize = 1 << 14;
 
 /// Available hardware parallelism, queried once per process.
 ///
@@ -351,15 +371,43 @@ mod tests {
         gemm_tb_par(&[1.0; 6], &[], &mut [], 3, 2, 0);
     }
 
-    /// The crossover keeps the bench-scale CifarNet's `Dense` backward
-    /// products (fc3 and logits at batch 16) serial and pools both
-    /// convolutions' whenever a second hardware thread exists.
+    /// What the crossovers decide for the two bench-scale networks wherever a
+    /// second hardware thread exists (DESIGN.md §15.7 has the measurements):
+    /// every convolution of VGG-19 blocks 1–4 fans out, block 5 (`N = 32`)
+    /// keeps its unfold and sub-matrix passes serial, and of CifarNet's two
+    /// `Dense` layers fc3 pools its backward products and the logits do not.
     #[test]
-    fn dense_layer_backward_products_stay_serial() {
-        assert_eq!(compute_threads(16 * 576 * 96), 1);
-        assert_eq!(compute_threads(16 * 96 * 10), 1);
-        assert_eq!(compute_threads(4096 * 75 * 64), hardware_threads().min(18));
-        assert_eq!(compute_threads(784 * 1600 * 64), hardware_threads().min(76));
+    fn crossovers_pool_vgg_blocks_three_and_four_and_leave_block_five_serial() {
+        let two_way = hardware_threads().min(2);
+        // (what, estimate handed to the crossover, fans out)
+        let compute = [
+            ("cifarnet conv1 GEMMs, batch 16", 4096 * 75 * 64, true),
+            ("cifarnet conv2 GEMMs", 784 * 1600 * 64, true),
+            ("cifarnet fc3 backward products", 16 * 576 * 96, true),
+            ("cifarnet logits backward products", 16 * 96 * 10, false),
+            ("vgg conv3_x hashing, batch 8, H = 8", 512 * 432 * 8, true),
+            ("vgg conv4_x hashing", 128 * 576 * 8, true),
+            ("vgg conv5_x hashing", 32 * 576 * 8, false),
+        ];
+        for (what, flops, fans_out) in compute {
+            let want = if fans_out { two_way } else { 1 };
+            assert_eq!(compute_threads(flops).min(2), want, "{what}");
+        }
+        // `N · K` sizes im2col, col2im, the reuse forward's sub-matrix
+        // fan-out and the reuse backward's row gather; `N · M · K/L` the
+        // reuse forward's scatter.
+        let memory = [
+            ("vgg conv3_1 N*K", 512 * 288, true),
+            ("vgg conv3_x N*K", 512 * 432, true),
+            ("vgg conv4_1 N*K", 128 * 432, true),
+            ("vgg conv4_x N*K", 128 * 576, true),
+            ("vgg conv5_x N*K", 32 * 576, false),
+            ("vgg conv5_x scatter", 32 * 64 * 72, true),
+        ];
+        for (what, elems, fans_out) in memory {
+            let want = if fans_out { two_way } else { 1 };
+            assert_eq!(memory_threads(elems).min(2), want, "{what}");
+        }
     }
 
     #[test]

@@ -95,6 +95,39 @@ fn pool_survives_many_fanouts_and_a_shutdown() {
     assert_eq!(respawned.as_slice(), reference.as_slice());
 }
 
+/// The handoff (DESIGN.md §15.7): a worker polls its channel for a bounded
+/// window after each job and then parks on it. A fan-out must get the same
+/// bits from a worker it finds polling (back to back), from one that parked
+/// (several windows later — the sleep is what makes that state reachable, the
+/// assertion holds whichever state the worker is really in), and from inside
+/// a pooled job, where it degrades to serial. `shutdown_pool` right after a
+/// fan-out — here and in `serial_vs_forced` after every forced run — joins a
+/// worker that is still polling.
+#[test]
+fn pool_hands_over_to_a_polling_a_parked_and_a_nested_worker() {
+    let a = Matrix::from_fn(6, 5, |r, c| (((r * 7 + c * 11) % 13) as f32 - 6.0) * 0.25);
+    let b = Matrix::from_fn(5, 4, |r, c| (((r * 3 + c * 5) % 7) as f32 - 3.0) * 0.5);
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    set_thread_override(None);
+    let reference = a.matmul(&b);
+    set_thread_override(Some(2));
+    for round in 0..6 {
+        assert_eq!(matmul_par(&a, &b).as_slice(), reference.as_slice(), "polling, round {round}");
+    }
+    for round in 0..2 {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert_eq!(matmul_par(&a, &b).as_slice(), reference.as_slice(), "parked, round {round}");
+    }
+    // Nested: each block of an outer fan-out runs a forced fan-out of its own.
+    let mut nested = [Matrix::default(), Matrix::default(), Matrix::default()];
+    adr_tensor::par::run_blocks(nested.iter_mut(), |out| *out = matmul_par(&a, &b));
+    for (block, out) in nested.iter().enumerate() {
+        assert_eq!(out.as_slice(), reference.as_slice(), "nested in block {block}");
+    }
+    set_thread_override(None);
+    adr_tensor::kernels::pool::shutdown_pool();
+}
+
 /// `run_blocks` with items that own pieces of two buffers at once (zipped
 /// `chunks_mut`, the shape of the reuse forward fan-out): every item is
 /// handed to exactly one call, on whichever thread, and nothing runs for an

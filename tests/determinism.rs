@@ -8,7 +8,7 @@
 // Test/example code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]
 
-use adaptive_deep_reuse::models::{cifarnet, ConvMode};
+use adaptive_deep_reuse::models::{cifarnet, vgg19, ConvMode};
 use adaptive_deep_reuse::prelude::*;
 use adaptive_deep_reuse::tensor::par::set_thread_override;
 use std::sync::{PoisonError, RwLock};
@@ -25,20 +25,26 @@ struct RunTrace {
     cluster_counts: Vec<u64>,
 }
 
-/// Builds the net from `seed`, trains it for three steps on a batch derived
-/// from the same seed, and snapshots everything that could drift.
+/// Builds the bench-scale CifarNet from `seed`, trains it for three steps on
+/// a batch derived from the same seed, and snapshots everything that could
+/// drift.
 fn run(seed: u64, mode: ConvMode) -> RunTrace {
     let mut rng = AdrRng::seeded(seed);
-    let mut net = cifarnet::bench_scale(4, mode, &mut rng);
+    let net = cifarnet::bench_scale(4, mode, &mut rng);
+    train_three_steps(net, rng, 16)
+}
 
+/// Three training steps of `net` on a batch of eight `size × size` images,
+/// reduced to a [`RunTrace`]; `rng` is the generator that built the net.
+fn train_three_steps(mut net: Network, mut rng: AdrRng, size: usize) -> RunTrace {
     // Synthetic batch from a split of the same generator: any entropy-order
     // change in network construction would shift this data too, which is
     // exactly what the test should detect.
     let mut data_rng = rng.split(1);
     let batch = 8;
-    let mut pixels = vec![0.0f32; batch * 16 * 16 * 3];
+    let mut pixels = vec![0.0f32; batch * size * size * 3];
     data_rng.fill_gauss(&mut pixels);
-    let images = Tensor4::from_vec(batch, 16, 16, 3, pixels).unwrap();
+    let images = Tensor4::from_vec(batch, size, size, 3, pixels).unwrap();
     let labels: Vec<usize> = (0..batch).map(|_| data_rng.below(4)).collect();
 
     let mut sgd = Sgd::new(LrSchedule::Constant(0.05), 0.9, 0.0);
@@ -152,6 +158,32 @@ fn dense_training_is_bitwise_thread_count_invariant() {
         assert_eq!(trace.loss_bits, traces[0].loss_bits, "{workers} workers: losses diverged");
         assert!(trace.weight_bits == traces[0].weight_bits, "{workers} workers: weights diverged");
     }
+    assert!(traces[0].loss_bits[0] != traces[0].loss_bits[2], "loss never changed across steps");
+}
+
+/// The bench-scale VGG-19 at the default reuse setting is where the pool's
+/// crossovers decide (`adr_tensor::par`): blocks 3 and 4 fan out wherever a
+/// second hardware thread exists and stay serial where none does, block 5
+/// stays serial on both. One thread and two forced threads bracket every
+/// path a host can take, and all of it — losses, weights, clusterings — must
+/// be the same bits.
+#[test]
+fn vgg_reuse_training_is_bitwise_thread_count_invariant() {
+    let _exclusive = THREAD_OVERRIDE.write().unwrap_or_else(PoisonError::into_inner);
+    let traces: Vec<RunTrace> = [1usize, 2]
+        .into_iter()
+        .map(|workers| {
+            set_thread_override(Some(workers));
+            let mut rng = AdrRng::seeded(42);
+            let net = vgg19::bench_scale(4, ConvMode::reuse_default(), &mut rng);
+            train_three_steps(net, rng, 32)
+        })
+        .collect();
+    set_thread_override(None);
+    assert_eq!(traces[1].loss_bits, traces[0].loss_bits, "losses diverged");
+    assert!(traces[1].weight_bits == traces[0].weight_bits, "weights diverged");
+    assert_eq!(traces[1].cluster_counts, traces[0].cluster_counts, "clusterings diverged");
+    assert_eq!(traces[0].cluster_counts.len(), 32, "stats from all sixteen reuse convs");
     assert!(traces[0].loss_bits[0] != traces[0].loss_bits[2], "loss never changed across steps");
 }
 
