@@ -1,126 +1,15 @@
-//! Seeded concurrency violations: one per conc lint, next to compliant
-//! twins that must stay quiet.
+//! Fixture: seeded `adr::atomic_ordering` violation.
+//! Not compiled — scanned by the adr-check integration test.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Shared trainer state guarded by two locks and an epoch counter.
-pub struct Shared {
-    pub table: Mutex<Vec<f32>>,
-    pub journal: Mutex<Vec<u64>>,
-    pub epoch: AtomicU64,
+/// An explicit ordering with no `ordering-*` audit in the (absent)
+/// allowlist: a violation, whatever the ordering.
+pub fn current_epoch(epoch: &AtomicU64) -> u64 {
+    epoch.load(Ordering::Relaxed)
 }
 
-// --- adr::unsafe_contract: missing SAFETY comment ------------------------
-
-pub fn first_element(v: &[f32]) -> f32 {
-    unsafe { *v.as_ptr() }
-}
-
-// --- adr::unsafe_contract: raw access outside the kernel modules ---------
-
-pub fn scale_unchecked(v: &[f32], n: usize) -> f32 {
-    let mut total = 0.0;
-    for i in 0..n {
-        // SAFETY: the caller asserted n <= v.len().
-        total += unsafe { *v.get_unchecked(i) };
-    }
-    total
-}
-
-// --- adr::atomic_ordering: Relaxed read near float accumulation ----------
-
-pub fn staleness_weighted_sum(shared: &Shared, vs: &[f32]) -> f32 {
-    let age = shared.epoch.load(Ordering::Relaxed) as f32;
-    let mut total = 0.0;
-    for v in vs {
-        total += v * age;
-    }
-    total
-}
-
-// --- adr::lock_order: table -> journal (via call) vs journal -> table ----
-
-pub fn publish(shared: &Shared, update: &[f32]) {
-    if let Ok(mut table) = shared.table.lock() {
-        table.extend_from_slice(update);
-        flush_journal(shared, update.len() as u64);
-    }
-}
-
-fn flush_journal(shared: &Shared, entries: u64) {
-    if let Ok(mut journal) = shared.journal.lock() {
-        journal.push(entries);
-    }
-}
-
-pub fn rollback(shared: &Shared, entries: usize) {
-    if let Ok(mut journal) = shared.journal.lock() {
-        let dropped = journal.pop();
-        if let Ok(mut table) = shared.table.lock() {
-            let keep = table.len().saturating_sub(entries);
-            table.truncate(keep);
-        }
-        let _ = dropped;
-    }
-}
-
-// --- adr::scoped_capture: non-disjoint &mut across the spawn boundary ----
-
-pub fn scatter_shared(deltas: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    std::thread::scope(|scope| {
-        for (i, d) in deltas.iter().enumerate() {
-            scope.spawn(move || {
-                out[i % n] = *d;
-            });
-        }
-    });
-}
-
-// Compliant twin: provably disjoint halves may cross the boundary.
-pub fn scatter_disjoint(deltas: &[f32], out: &mut [f32]) {
-    let mid = out.len() / 2;
-    let (lo, hi) = out.split_at_mut(mid);
-    std::thread::scope(|scope| {
-        scope.spawn(move || fill_half(lo, deltas));
-        scope.spawn(move || fill_half(hi, deltas));
-    });
-}
-
-fn fill_half(half: &mut [f32], deltas: &[f32]) {
-    for (h, d) in half.iter_mut().zip(deltas) {
-        *h = *d;
-    }
-}
-
-// --- adr::par_reduction: lock-guarded float accumulation in a spawn ------
-
-pub fn par_total(chunks: &[Vec<f32>], total: &Mutex<f32>) {
-    std::thread::scope(|scope| {
-        for chunk in chunks {
-            scope.spawn(move || {
-                let partial: f32 = chunk.iter().sum();
-                if let Ok(mut t) = total.lock() {
-                    *t += partial;
-                }
-            });
-        }
-    });
-}
-
-// Compliant twin: per-thread partials in disjoint slots, sequential fold.
-pub fn par_total_fixed_order(chunks: &[Vec<f32>], partials: &mut [f32]) -> f32 {
-    std::thread::scope(|scope| {
-        for (chunk, slot) in chunks.iter().zip(partials.chunks_mut(1)) {
-            scope.spawn(move || {
-                slot[0] = chunk.iter().sum();
-            });
-        }
-    });
-    let mut total = 0.0;
-    for p in partials.iter() {
-        total += p;
-    }
-    total
+/// `cmp::Ordering` is not a memory ordering: fine.
+pub fn epoch_is_behind(a: u64, b: u64) -> bool {
+    a.cmp(&b) == std::cmp::Ordering::Less
 }

@@ -1,31 +1,5 @@
-//! Fixture: seeded `adr::flop_coverage` and `adr::durable_io` violations.
+//! Fixture: seeded `adr::durable_io` violation.
 //! Not compiled — scanned by the adr-check integration test.
-
-pub struct Layer {
-    pub weights: Matrix,
-}
-
-pub struct Matrix;
-
-impl Matrix {
-    pub fn matmul(&self, _other: &Matrix) -> Matrix {
-        Matrix
-    }
-}
-
-impl Layer {
-    /// GEMM with no FLOP-meter update in the same function: a violation.
-    pub fn forward_unmetered(&self, input: &Matrix) -> Matrix {
-        input.matmul(&self.weights)
-    }
-
-    /// GEMM paired with a meter update: fine.
-    pub fn forward_metered(&self, input: &Matrix, gemm_flops: &mut u64) -> Matrix {
-        let y = input.matmul(&self.weights);
-        *gemm_flops += 1; // stands in for meter.add_forward(actual, baseline)
-        y
-    }
-}
 
 /// Bare write with no temp + fsync + rename protocol: a violation — a
 /// crash mid-write leaves a torn checkpoint at `path`.

@@ -1,17 +1,14 @@
-//! Fixture: seeded `adr::no_panic` and `adr::shape_docs` violations.
+//! Fixture: seeded `adr::no_panic` violation.
 //! Not compiled — scanned by the adr-check integration test.
 
-/// Builds a matrix. Deliberately missing its shape-contract doc section.
+/// `.unwrap()` in library code: a violation.
 pub fn make_matrix(rows: usize, cols: usize) -> Vec<f32> {
     vec![0.0; rows.checked_mul(cols).unwrap()]
 }
 
-/// Fine: documented shape contract.
-///
-/// # Shape
-/// Output has `rows × cols` entries.
-pub fn make_matrix_documented(rows: usize, cols: usize) -> Vec<f32> {
-    vec![0.0; rows * cols]
+/// `unwrap_or` handles the case: fine.
+pub fn make_matrix_saturating(rows: usize, cols: usize) -> Vec<f32> {
+    vec![0.0; rows.checked_mul(cols).unwrap_or(usize::MAX)]
 }
 
 #[cfg(test)]

@@ -26,25 +26,13 @@
 /// The audit categories an allowlist comment may open with. Adding a new
 /// category is a reviewed change to this list plus DESIGN.md.
 pub const KNOWN_CATEGORIES: &[&str] = &[
-    // Sequential-lint audits (PR 2).
+    // Panic-site audits (`adr::no_panic`).
     "layer-protocol",
     "internal-invariant",
-    "caller-shape",
-    "exact-zero-guard",
     "checked-feature",
-    // Concurrency audits (PR 6). The `ordering-*` pair gates
-    // `adr::atomic_ordering`; the rest gate their same-named lints.
+    // The pair that gates `adr::atomic_ordering`.
     "ordering-counter",
     "ordering-handoff",
-    "lock-order-audited",
-    "capture-disjoint",
-    "reduction-fixed-order",
-    "kernel-unsafe",
-    // Hot-path resource audits (PR 7). The `alloc-*` pair gates
-    // `adr::hot_alloc`: `alloc-init` for one-time/setup allocations,
-    // `alloc-amortized` for amortized or conditional ones.
-    "alloc-init",
-    "alloc-amortized",
 ];
 
 /// One allowlist entry.
@@ -180,7 +168,7 @@ mod tests {
     fn parses_and_matches() {
         let list = Allowlist::parse(
             "# comment\ncrates/a/src/x.rs: foo.unwrap()  # internal-invariant: audited\n\n\
-             crates/b/src/y.rs: bar(  # caller-shape",
+             crates/b/src/y.rs: bar(  # layer-protocol",
         )
         .expect("well-formed allowlist");
         assert!(list.allows("crates/a/src/x.rs", "    foo.unwrap();"));

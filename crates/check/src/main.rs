@@ -4,10 +4,7 @@
 //! cargo run -p adr-check                      # lint the current workspace
 //! cargo run -p adr-check -- --root some/workspace
 //! cargo run -p adr-check -- --format sarif > adr-check.sarif
-//! cargo run -p adr-check -- conc              # concurrency lints + lock graph
-//! cargo run -p adr-check -- hotpath           # hot-path resource lints + dump
 //! cargo run -p adr-check -- shapes            # verify the built-in model specs
-//! cargo run -p adr-check -- shapes --spec f.spec   # verify a text spec file
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings, stale or uncategorized allowlist
@@ -28,17 +25,6 @@ fn main() -> ExitCode {
         args.next();
         return run_shapes(args);
     }
-    let subcommand = match args.peek().map(String::as_str) {
-        Some("conc") => {
-            args.next();
-            Some("conc")
-        }
-        Some("hotpath") => {
-            args.next();
-            Some("hotpath")
-        }
-        _ => None,
-    };
 
     let mut root = PathBuf::from(".");
     let mut sarif = false;
@@ -66,11 +52,8 @@ fn main() -> ExitCode {
                 };
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: adr-check [conc|hotpath] [--root <workspace-root>] \
-                     [--format human|sarif]"
-                );
-                println!("       adr-check shapes [--spec <spec-file>]");
+                println!("usage: adr-check [--root <workspace-root>] [--format human|sarif]");
+                println!("       adr-check shapes");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -80,12 +63,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let run = match subcommand {
-        Some("conc") => adr_check::run_conc,
-        Some("hotpath") => adr_check::run_hotpath,
-        _ => adr_check::run_checks,
-    };
-    let report = match run(&root) {
+    let report = match adr_check::run_checks(&root) {
         Ok(report) => report,
         Err(message) => {
             eprintln!("error: {message}");
@@ -103,17 +81,6 @@ fn main() -> ExitCode {
         return if report.is_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
-    if subcommand == Some("conc") {
-        println!("lock-order graph ({} edge(s)):", report.lock_graph.len());
-        for edge in &report.lock_graph {
-            println!("  {edge}");
-        }
-    }
-    if subcommand == Some("hotpath") {
-        for line in &report.hotpath_dump {
-            println!("{line}");
-        }
-    }
     for finding in &report.findings {
         println!("error[{}]: {}", finding.lint.name(), finding.message);
         println!("  --> {}:{}", finding.file, finding.line);
@@ -141,50 +108,21 @@ fn main() -> ExitCode {
     }
 }
 
-/// `adr-check shapes [--spec <file>]`: verifies either the built-in model
-/// specs from `adr-models` or one parsed text spec.
+/// `adr-check shapes`: verifies the built-in model specs from `adr-models`.
 fn run_shapes(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut spec_file: Option<PathBuf> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--spec" => {
-                let Some(value) = args.next() else {
-                    eprintln!("error: --spec needs a path");
-                    return ExitCode::from(2);
-                };
-                spec_file = Some(PathBuf::from(value));
-            }
-            "--help" | "-h" => {
-                println!("usage: adr-check shapes [--spec <spec-file>]");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("error: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
+    match args.next().as_deref() {
+        None => {}
+        Some("--help" | "-h") => {
+            println!("usage: adr-check shapes");
+            return ExitCode::SUCCESS;
+        }
+        Some(other) => {
+            eprintln!("error: unknown argument `{other}`");
+            return ExitCode::from(2);
         }
     }
 
-    let specs = match spec_file {
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("error: reading {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match adr_check::shapegraph::parse_spec(&text) {
-                Ok(spec) => vec![spec],
-                Err(message) => {
-                    eprintln!("error: {}: {message}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => adr_models::all_net_specs(),
-    };
-
+    let specs = adr_models::all_net_specs();
     let mut failures = 0usize;
     for spec in &specs {
         let report = adr_check::shapegraph::verify(spec);

@@ -1,38 +1,17 @@
-//! Item/expression-level facts on top of the lexical [`crate::scan`] model.
-//!
-//! The v1 lints were purely token-pairing checks. The dataflow lints
-//! (`adr::determinism`, `adr::float_eq`) need slightly more structure:
-//! which names a file imports (`use` paths), which locals/fields carry
-//! hash-map/-set types, which locals carry floats, and whether a function
-//! body accumulates floating-point values. This module extracts those facts
-//! from the cleaned source with a hand-rolled scanner — still zero
-//! dependencies, still running on the comment/literal-blanked text, but now
-//! tracking *names through bindings* instead of bare tokens.
-//!
-//! Known imprecision (accepted, see DESIGN.md §8): types are propagated one
-//! binding deep (params, `let` annotations/initialisers, same-file struct
-//! fields), not through function returns or cross-file inference. The lints
-//! built on these facts therefore under-approximate; the allowlist covers
-//! the audited remainder.
+//! `use`-path resolution on the cleaned source: which local names a file
+//! imports, and from where. The atomics audit ([`crate::conc`]) needs it to
+//! tell a bare `Relaxed` imported from `std::sync::atomic::Ordering` from
+//! an unrelated identifier of the same name.
 
-use crate::scan::{is_word_at, FileModel, FnSpan};
-
-/// Unordered-collection type names whose iteration order is a
-/// nondeterminism hazard for float accumulation. `SignatureMap`/
-/// `SignatureSet` are this workspace's `FxHasher` aliases — deterministic
-/// within one build, but their order still shifts with capacity and
-/// insertion history, which breaks the cross-run comparability the paper's
-/// accuracy-vs-savings curves depend on.
-pub const MAP_TYPE_NAMES: &[&str] =
-    &["HashMap", "HashSet", "FxHashMap", "FxHashSet", "SignatureMap", "SignatureSet"];
+use crate::scan::is_word_at;
 
 /// One resolved `use` import: the name it binds locally and the full path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseEntry {
+#[derive(Debug)]
+struct UseEntry {
     /// Local binding (the leaf segment, or the `as` alias).
-    pub name: String,
+    name: String,
     /// Full `::`-joined path as written.
-    pub path: String,
+    path: String,
 }
 
 /// All `use` imports of a file.
@@ -48,7 +27,6 @@ impl UseMap {
     /// (`use a::{B, C as D};`) — the forms this workspace uses.
     pub fn collect(cleaned: &str) -> UseMap {
         let mut entries = Vec::new();
-        let bytes = cleaned.as_bytes();
         let mut i = 0usize;
         while let Some(pos) = cleaned[i..].find("use").map(|p| p + i) {
             i = pos + 3;
@@ -62,18 +40,12 @@ impl UseMap {
             parse_use_item(item, &mut entries);
             i = end + 1;
         }
-        let _ = bytes;
         UseMap { entries }
     }
 
     /// The resolved full path a local `name` was imported from, if any.
     pub fn path_of(&self, name: &str) -> Option<&str> {
         self.entries.iter().find(|e| e.name == name).map(|e| e.path.as_str())
-    }
-
-    /// All entries, for diagnostics.
-    pub fn entries(&self) -> &[UseEntry] {
-        &self.entries
     }
 }
 
@@ -119,266 +91,9 @@ fn push_use_leaf(prefix: &str, leaf: &str, entries: &mut Vec<UseEntry>) {
     entries.push(UseEntry { name: bound.to_string(), path });
 }
 
-/// True when local name `name` denotes an unordered hash collection, either
-/// directly or through this file's imports.
-pub fn is_map_type_name(name: &str, uses: &UseMap) -> bool {
-    if MAP_TYPE_NAMES.contains(&name) {
-        return true;
-    }
-    uses.path_of(name).is_some_and(|path| {
-        let leaf = path.rsplit("::").next().unwrap_or(path);
-        MAP_TYPE_NAMES.contains(&leaf)
-    })
-}
-
-/// True when type text `ty` mentions an unordered hash collection.
-pub fn type_mentions_map(ty: &str, uses: &UseMap) -> bool {
-    words_of(ty).any(|w| is_map_type_name(w, uses))
-}
-
-/// Iterator over identifier-like words of `text`.
-pub(crate) fn words_of(text: &str) -> impl Iterator<Item = &str> {
-    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).filter(|w| !w.is_empty())
-}
-
-/// Per-function dataflow facts used by the determinism and float-eq lints.
-#[derive(Debug, Default)]
-pub struct FnFacts {
-    /// Names (params, `let` locals) bound to `HashMap`/`HashSet`-like types.
-    pub map_locals: Vec<String>,
-    /// Names (params, `let` locals) bound to `f32`/`f64`.
-    pub float_locals: Vec<String>,
-    /// Whether the body performs floating-point accumulation.
-    pub accumulates_float: bool,
-}
-
-/// Float-carrying workspace types: a function whose signature or body
-/// mentions one of these operates on `f32` data even when the token `f32`
-/// never appears (e.g. `&Matrix` parameters).
-const FLOAT_CARRIERS: &[&str] = &["f32", "f64", "Matrix", "Tensor4"];
-
-/// Computes dataflow facts for one function.
-pub fn fn_facts(model: &FileModel, f: &FnSpan, uses: &UseMap) -> FnFacts {
-    let mut facts = FnFacts::default();
-    collect_typed_names(&f.params, uses, &mut facts);
-    let body = &model.cleaned[f.body.clone()];
-    collect_let_bindings(body, uses, &mut facts);
-    facts.accumulates_float = body_accumulates_float(&f.params, body);
-    facts
-}
-
-/// True when the function touches floating-point accumulation: it both
-/// sees float data (directly or through a float-carrying type) and performs
-/// an accumulation operation.
-fn body_accumulates_float(params: &str, body: &str) -> bool {
-    let sees_float = FLOAT_CARRIERS
-        .iter()
-        .any(|t| words_of(params).any(|w| w == *t) || words_of(body).any(|w| w == *t))
-        || contains_float_literal(body);
-    let accumulates = body.contains("+=")
-        || body.contains("-=")
-        || body.contains(".sum(")
-        || body.contains(".sum::")
-        || body.contains(".product(")
-        || body.contains("mul_add(");
-    sees_float && accumulates
-}
-
-/// True when `text` contains a floating-point literal (`1.0`, `3.5e-2`,
-/// `1f32`). A bare `1.` followed by an identifier (`1.max(..)`) is integer
-/// method syntax and does not count.
-pub fn contains_float_literal(text: &str) -> bool {
-    let bytes = text.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'.' || i == 0 || !bytes[i - 1].is_ascii_digit() {
-            continue;
-        }
-        // digits '.' — float when followed by a digit or a non-identifier.
-        match bytes.get(i + 1) {
-            Some(n) if n.is_ascii_digit() => return true,
-            Some(n) if n.is_ascii_alphabetic() || *n == b'_' || *n == b'.' => {}
-            _ => return true,
-        }
-    }
-    text.contains("f32") || text.contains("f64")
-}
-
-/// Extracts `name: Type` pairs from a parameter list (or struct-field body)
-/// and classifies each binding.
-fn collect_typed_names(params: &str, uses: &UseMap, facts: &mut FnFacts) {
-    for piece in split_top_level(params, ',') {
-        let Some((pat, ty)) = split_top_level_once(piece, ':') else {
-            continue;
-        };
-        let name = pat.trim().trim_start_matches("mut ").trim();
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            continue;
-        }
-        classify_binding(name, ty, uses, facts);
-    }
-}
-
-/// Classifies one `name: Type` (or `name = init`) binding into the fact sets.
-fn classify_binding(name: &str, ty: &str, uses: &UseMap, facts: &mut FnFacts) {
-    let ty = ty.trim().trim_start_matches('&').trim_start_matches("mut ").trim();
-    if type_mentions_map(ty, uses) {
-        facts.map_locals.push(name.to_string());
-    }
-    if ty.starts_with("f32") || ty.starts_with("f64") {
-        facts.float_locals.push(name.to_string());
-    }
-}
-
-/// Walks `let` statements in a (cleaned) body, typing each bound name from
-/// its annotation or initialiser.
-fn collect_let_bindings(body: &str, uses: &UseMap, facts: &mut FnFacts) {
-    let mut i = 0usize;
-    while let Some(pos) = body[i..].find("let").map(|p| p + i) {
-        i = pos + 3;
-        if !is_word_at(body, pos, "let") {
-            continue;
-        }
-        let rest = &body[pos + 3..];
-        let Some(stmt_end) = find_top_level(rest, b';') else {
-            continue;
-        };
-        let stmt = &rest[..stmt_end];
-        // Pattern: a single identifier (possibly `mut x`); destructuring
-        // patterns are skipped — the lints under-approximate by design.
-        let (pat, after) = match split_top_level_once(stmt, '=') {
-            Some((lhs, rhs)) => (lhs, Some(rhs)),
-            None => (stmt, None),
-        };
-        let (pat, annot) = match split_top_level_once(pat, ':') {
-            Some((p, t)) => (p, Some(t)),
-            None => (pat, None),
-        };
-        let name = pat.trim().trim_start_matches("mut ").trim();
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            continue;
-        }
-        if let Some(ty) = annot {
-            classify_binding(name, ty, uses, facts);
-        }
-        if let Some(init) = after {
-            let init = init.trim();
-            if type_mentions_map(init, uses) && !facts.map_locals.iter().any(|n| n == name) {
-                facts.map_locals.push(name.to_string());
-            }
-            let is_float_init = init
-                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '.' || c == '_'))
-                .next()
-                .is_some_and(|first| !first.is_empty() && contains_float_literal(first))
-                || init.ends_with("as f32")
-                || init.ends_with("as f64");
-            if is_float_init && !facts.float_locals.iter().any(|n| n == name) {
-                facts.float_locals.push(name.to_string());
-            }
-        }
-    }
-}
-
-/// Map/set-typed struct fields declared in this file (so `self.cache.iter()`
-/// is traceable one file deep).
-pub fn map_fields(model: &FileModel, uses: &UseMap) -> Vec<String> {
-    let cleaned = &model.cleaned;
-    let mut fields = Vec::new();
-    let mut i = 0usize;
-    while let Some(pos) = cleaned[i..].find("struct").map(|p| p + i) {
-        i = pos + 6;
-        if !is_word_at(cleaned, pos, "struct") {
-            continue;
-        }
-        let Some(open) = cleaned[pos..].find(['{', ';']).map(|p| p + pos) else {
-            break;
-        };
-        if cleaned.as_bytes()[open] != b'{' {
-            continue; // unit/tuple struct
-        }
-        let Some(close) = find_top_level(&cleaned[open + 1..], b'}').map(|p| p + open + 1) else {
-            break;
-        };
-        let body = &cleaned[open + 1..close];
-        let mut facts = FnFacts::default();
-        collect_typed_names(body, uses, &mut facts);
-        fields.extend(facts.map_locals);
-        i = close;
-    }
-    fields.sort_unstable();
-    fields.dedup();
-    fields
-}
-
-/// Splits `text` at `sep` occurrences that sit at bracket depth 0.
-pub(crate) fn split_top_level(text: &str, sep: char) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut start = 0usize;
-    for (i, c) in text.char_indices() {
-        match c {
-            '(' | '[' | '{' | '<' => depth += 1,
-            ')' | ']' | '}' | '>' => depth -= 1,
-            c if c == sep && depth == 0 => {
-                out.push(&text[start..i]);
-                start = i + c.len_utf8();
-            }
-            _ => {}
-        }
-    }
-    out.push(&text[start..]);
-    out
-}
-
-/// Splits at the first depth-0 occurrence of `sep`, skipping `::`, `==`,
-/// `=>`, `<=`, `>=` and `!=` when `sep` is `:` or `=`.
-pub(crate) fn split_top_level_once(text: &str, sep: char) -> Option<(&str, &str)> {
-    let bytes = text.as_bytes();
-    let mut depth = 0i32;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'(' | b'[' | b'{' | b'<' => depth += 1,
-            b')' | b']' | b'}' | b'>' => depth -= 1,
-            _ if depth == 0 && b as char == sep => {
-                let prev = i.checked_sub(1).map(|j| bytes[j]);
-                let next = bytes.get(i + 1).copied();
-                let doubled = prev == Some(b) || next == Some(b);
-                let comparison = sep == '='
-                    && (prev == Some(b'!')
-                        || prev == Some(b'<')
-                        || prev == Some(b'>')
-                        || next == Some(b'>'));
-                if !doubled && !comparison {
-                    return Some((&text[..i], &text[i + 1..]));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Finds the first depth-0 occurrence of byte `target`. The target check
-/// runs before depth tracking so a closing bracket can itself be the target
-/// (e.g. the `}` that ends a struct body).
-pub(crate) fn find_top_level(text: &str, target: u8) -> Option<usize> {
-    let mut depth = 0i32;
-    for (i, &b) in text.as_bytes().iter().enumerate() {
-        if b == target && depth == 0 {
-            return Some(i);
-        }
-        match b {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            _ => {}
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::FileModel;
 
     #[test]
     fn use_map_resolves_leaves_groups_and_aliases() {
@@ -390,60 +105,5 @@ mod tests {
         assert_eq!(uses.path_of("Tree"), Some("std::collections::BTreeMap"));
         assert_eq!(uses.path_of("SignatureMap"), Some("crate::hasher::SignatureMap"));
         assert_eq!(uses.path_of("BTreeMap"), None);
-    }
-
-    #[test]
-    fn map_type_detection_sees_aliases_and_paths() {
-        let uses = UseMap::collect("use std::collections::HashMap as Cache;");
-        assert!(is_map_type_name("Cache", &uses));
-        assert!(is_map_type_name("SignatureSet", &uses));
-        assert!(!is_map_type_name("Vec", &uses));
-        assert!(type_mentions_map("std::collections::HashMap<u64, f32>", &uses));
-        assert!(!type_mentions_map("Vec<f32>", &uses));
-    }
-
-    #[test]
-    fn fn_facts_type_params_and_lets() {
-        let src = "fn f(weights: &Matrix, rate: f32, seen: &HashMap<u64, u32>) {\n\
-                   let mut acc: f32 = 0.0;\n\
-                   let table = HashMap::new();\n\
-                   let n = 3usize;\n\
-                   acc += rate;\n}";
-        let model = FileModel::parse(src);
-        let uses = UseMap::collect("use std::collections::HashMap;");
-        let facts = fn_facts(&model, &model.fns[0], &uses);
-        assert_eq!(facts.map_locals, vec!["seen", "table"]);
-        assert_eq!(facts.float_locals, vec!["rate", "acc"]);
-        assert!(facts.accumulates_float);
-    }
-
-    #[test]
-    fn accumulation_requires_float_context() {
-        let int_only = "fn f(counts: &mut [u32]) { counts[0] += 1; }";
-        let model = FileModel::parse(int_only);
-        let facts = fn_facts(&model, &model.fns[0], &UseMap::default());
-        assert!(!facts.accumulates_float);
-
-        let float = "fn g(m: &Matrix) -> f32 { let mut s = 0.0; s += m.get(0,0); s }";
-        let model = FileModel::parse(float);
-        let facts = fn_facts(&model, &model.fns[0], &UseMap::default());
-        assert!(facts.accumulates_float);
-    }
-
-    #[test]
-    fn float_literal_detection() {
-        assert!(contains_float_literal("x + 1.0"));
-        assert!(contains_float_literal("2.5e-3"));
-        assert!(contains_float_literal("1f32"));
-        assert!(!contains_float_literal("v.len() + 1"));
-        assert!(!contains_float_literal("1.max(2)"));
-    }
-
-    #[test]
-    fn struct_fields_are_tracked() {
-        let src = "use std::collections::HashMap;\npub struct Cache {\n  map: HashMap<u64, u32>,\n  rows: Vec<f32>,\n}\npub struct Plain(u32);";
-        let model = FileModel::parse(src);
-        let uses = UseMap::collect(src);
-        assert_eq!(map_fields(&model, &uses), vec!["map"]);
     }
 }

@@ -222,8 +222,6 @@ mod tests {
             ],
             bad_category: vec!["adr-check.allow:9: unknown audit category `vibes`".to_string()],
             files_scanned: 1,
-            lock_graph: Vec::new(),
-            hotpath_dump: Vec::new(),
         }
     }
 
@@ -287,8 +285,6 @@ mod tests {
             unused_allow: Vec::new(),
             bad_category: Vec::new(),
             files_scanned: 0,
-            lock_graph: Vec::new(),
-            hotpath_dump: Vec::new(),
         };
         let doc = to_sarif(&report);
         validate_sarif(&doc).expect("empty report renders valid SARIF");

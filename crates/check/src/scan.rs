@@ -77,7 +77,7 @@ pub fn is_word_at(text: &str, i: usize, word: &str) -> bool {
     before_ok && after_ok
 }
 
-fn is_ident_byte(b: u8) -> bool {
+pub(crate) fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 

@@ -201,142 +201,6 @@ fn step(layer: &LayerSpec, state: State) -> Result<(State, String), String> {
     }
 }
 
-/// Parses the fixture text format into a [`NetSpec`].
-///
-/// One layer per line; `#` starts a comment. Grammar:
-///
-/// ```text
-/// net <name>
-/// input <h> <w> <c>
-/// conv <name> <in_h> <in_w> <in_c> <kh> <kw> <stride> <pad> <out_c> [reuse <L> <H>]
-/// pool <name> <size> <stride>
-/// relu <name>
-/// lrn <name>
-/// batchnorm <name> <channels>
-/// dropout <name> <rate>
-/// flatten
-/// dense <name> <in_features> <out_features>
-/// ```
-///
-/// # Errors
-/// Returns a `line N: ...` message for unknown directives, arity mistakes,
-/// unparsable numbers, or a conv geometry with no output pixel.
-pub fn parse_spec(text: &str) -> Result<NetSpec, String> {
-    use adr_models::ReuseSpec;
-    use adr_tensor::im2col::ConvGeom;
-
-    let mut name = String::from("unnamed");
-    let mut input = None;
-    let mut layers = Vec::new();
-    for (idx, raw_line) in text.lines().enumerate() {
-        let n = idx + 1;
-        let line = raw_line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let directive = parts.next().unwrap_or("");
-        let rest: Vec<&str> = parts.collect();
-        let num = |s: &str| -> Result<usize, String> {
-            s.parse::<usize>().map_err(|_| format!("line {n}: `{s}` is not a number"))
-        };
-        match directive {
-            "net" => name = rest.join(" "),
-            "input" => {
-                let [h, w, c] = arity(n, "input", &rest)?;
-                input = Some((num(h)?, num(w)?, num(c)?));
-            }
-            "conv" => {
-                if rest.len() != 9 && rest.len() != 12 {
-                    return Err(format!(
-                        "line {n}: conv needs 9 fields (or 12 with `reuse L H`), got {}",
-                        rest.len()
-                    ));
-                }
-                let geom = ConvGeom::new(
-                    num(rest[1])?,
-                    num(rest[2])?,
-                    num(rest[3])?,
-                    num(rest[4])?,
-                    num(rest[5])?,
-                    num(rest[6])?,
-                    num(rest[7])?,
-                )
-                .ok_or_else(|| format!("line {n}: conv geometry has no output pixel"))?;
-                let reuse = if rest.len() == 12 {
-                    if rest[9] != "reuse" {
-                        return Err(format!("line {n}: expected `reuse L H`, got `{}`", rest[9]));
-                    }
-                    Some(ReuseSpec { sub_vector_len: num(rest[10])?, num_hashes: num(rest[11])? })
-                } else {
-                    None
-                };
-                layers.push(LayerSpec::Conv {
-                    name: rest[0].to_string(),
-                    geom,
-                    out_channels: num(rest[8])?,
-                    reuse,
-                });
-            }
-            "pool" => {
-                let [lname, size, stride] = arity(n, "pool", &rest)?;
-                layers.push(LayerSpec::Pool {
-                    name: lname.to_string(),
-                    size: num(size)?,
-                    stride: num(stride)?,
-                });
-            }
-            "relu" => {
-                let [lname] = arity(n, "relu", &rest)?;
-                layers.push(LayerSpec::Relu { name: lname.to_string() });
-            }
-            "lrn" => {
-                let [lname] = arity(n, "lrn", &rest)?;
-                layers.push(LayerSpec::Lrn { name: lname.to_string() });
-            }
-            "batchnorm" => {
-                let [lname, channels] = arity(n, "batchnorm", &rest)?;
-                layers.push(LayerSpec::BatchNorm {
-                    name: lname.to_string(),
-                    channels: num(channels)?,
-                });
-            }
-            "dropout" => {
-                let [lname, rate] = arity(n, "dropout", &rest)?;
-                let rate =
-                    rate.parse::<f32>().map_err(|_| format!("line {n}: `{rate}` is not a rate"))?;
-                layers.push(LayerSpec::Dropout { name: lname.to_string(), rate });
-            }
-            "flatten" => layers.push(LayerSpec::Flatten),
-            "dense" => {
-                let [lname, inf, outf] = arity(n, "dense", &rest)?;
-                layers.push(LayerSpec::Dense {
-                    name: lname.to_string(),
-                    in_features: num(inf)?,
-                    out_features: num(outf)?,
-                });
-            }
-            other => return Err(format!("line {n}: unknown directive `{other}`")),
-        }
-    }
-    let input = input.ok_or("spec has no `input h w c` line")?;
-    Ok(NetSpec { name, input, layers })
-}
-
-/// Checks a directive's field count and returns the fields as an array.
-fn arity<'a, const A: usize>(
-    line: usize,
-    directive: &str,
-    rest: &[&'a str],
-) -> Result<[&'a str; A], String> {
-    if rest.len() != A {
-        return Err(format!("line {line}: {directive} needs {A} field(s), got {}", rest.len()));
-    }
-    let mut out = [""; A];
-    out.copy_from_slice(rest);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,35 +310,5 @@ mod tests {
         };
         let err = verify(&spec).error.expect("8 != 3 channels");
         assert!(err.message.contains("propagated C=3"), "{}", err.message);
-    }
-
-    #[test]
-    fn parse_round_trips_the_grammar() {
-        let text = "\
-# a tiny chain
-net tiny
-input 8 8 3
-conv conv1 8 8 3 3 3 1 1 4 reuse 3 8
-relu relu1
-batchnorm bn1 4
-pool pool1 2 2
-dropout drop1 0.5
-flatten
-dense fc 64 10
-";
-        let spec = parse_spec(text).expect("grammar parses");
-        assert_eq!(spec.name, "tiny");
-        assert_eq!(spec.input, (8, 8, 3));
-        assert_eq!(spec.layers.len(), 7);
-        let report = verify(&spec);
-        assert!(report.is_ok(), "{:?}", report.error);
-    }
-
-    #[test]
-    fn parse_rejects_bad_lines() {
-        assert!(parse_spec("input 8 8").unwrap_err().contains("3 field(s)"));
-        assert!(parse_spec("input 8 8 3\nwarp w").unwrap_err().contains("unknown directive"));
-        assert!(parse_spec("conv c 8 8 3 9 9 1 0 4").unwrap_err().contains("no output pixel"));
-        assert!(parse_spec("flatten").unwrap_err().contains("no `input"));
     }
 }

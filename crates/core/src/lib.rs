@@ -33,6 +33,9 @@
 #![warn(missing_docs)]
 // Tests assert on values they just constructed; unwrap there is the idiom.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+// Exact float `==`/`!=` outside tests is a bug: compare against a tolerance.
+// Typed, and `x == 0.0` IEEE special-case guards are exempt by clippy's design.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod candidates;
 pub mod controller;

@@ -1,10 +1,9 @@
-//! Runtime cross-check of the dense baseline's backward allocation budget.
+//! The dense baseline's backward allocation budget, under a real allocator.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and threads
 //! are pinned to one (so no fan-out allocations). After warmup, every
 //! further [`Conv2d::backward`] / [`Dense::backward`] must perform exactly
-//! the `dense_backward_step` count pinned in `adr-check.budget`'s
-//! `[runtime]` section: the gradients land in the layer's long-lived
+//! the count pinned in `DENSE_BACKWARD_STEP` below: the gradients land in the layer's long-lived
 //! buffers, so the input-gradient tensor the layer returns is the only
 //! allocation — a `to_vec` or a fresh gradient matrix creeping back into
 //! the pass fails here.
@@ -13,6 +12,9 @@
 //! deliberately trades allocations for diagnostics, so this harness is
 //! compiled out under that feature.
 #![cfg(not(feature = "checked"))]
+// The `#[global_allocator]` below is one of the three `unsafe` sites outside
+// `adr_tensor::kernels`; the workspace denies `unsafe_code` everywhere else.
+#![allow(unsafe_code)]
 //!
 //! One `#[test]` per binary: the counter is process-global, so parallel
 //! tests would double-count each other's allocations.
@@ -39,17 +41,23 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`,
+        // which reaches `System` unchanged.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`: same contract, `layout` unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`;
+        // the caller guarantees that and a valid `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -61,31 +69,12 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// Reads one `[runtime]` pin from the workspace `adr-check.budget`.
-/// Deliberately tiny and duplicated per test binary — the tests must not
-/// depend on `adr-check` (a dev-dependency cycle through the tool that
-/// audits them).
-fn runtime_budget(key: &str) -> u64 {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../adr-check.budget");
-    let text = std::fs::read_to_string(path).expect("workspace adr-check.budget exists");
-    let mut in_runtime = false;
-    for line in text.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.starts_with('[') {
-            in_runtime = line == "[runtime]";
-            continue;
-        }
-        if !in_runtime {
-            continue;
-        }
-        if let Some((k, v)) = line.split_once('=') {
-            if k.trim() == key {
-                return v.trim().parse().expect("budget count parses");
-            }
-        }
-    }
-    panic!("adr-check.budget [runtime] is missing `{key}`");
-}
+/// Steady-state allocations of one dense backward (`Conv2d::backward`, and
+/// likewise `Dense::backward`), pinned where it is asserted: ∇W and ∇b land
+/// in the layer's long-lived gradients and δx overwrites the layer-owned
+/// unfolded buffer, so the one allocation is the input-gradient tensor the
+/// layer returns.
+const DENSE_BACKWARD_STEP: u64 = 1;
 
 /// Warms `layer` up with two training steps, then asserts that each of
 /// three more backward passes allocates exactly `expected` times.
@@ -105,7 +94,7 @@ fn assert_steady_backward(layer: &mut dyn Layer, input: &Tensor4, grad: &Tensor4
             after - before,
             expected,
             "{} backward step {step}: allocation count drifted from \
-             adr-check.budget `dense_backward_step`",
+             `DENSE_BACKWARD_STEP`",
             layer.name()
         );
     }
@@ -114,7 +103,6 @@ fn assert_steady_backward(layer: &mut dyn Layer, input: &Tensor4, grad: &Tensor4
 #[test]
 fn dense_backward_allocation_count_matches_the_budget() {
     set_thread_override(Some(1));
-    let expected = runtime_budget("dense_backward_step");
     let mut rng = AdrRng::seeded(42);
 
     let geom = ConvGeom::new(8, 8, 2, 3, 3, 1, 1).expect("valid geometry");
@@ -125,9 +113,9 @@ fn dense_backward_allocation_count_matches_the_budget() {
     let grad = Tensor4::from_fn(2, 8, 8, 4, |n, y, x, c| {
         (n * 17 + y * 5 + x * 3 + c) as f32 * 0.002 - 0.1
     });
-    assert_steady_backward(&mut conv, &input, &grad, expected);
+    assert_steady_backward(&mut conv, &input, &grad, DENSE_BACKWARD_STEP);
 
     let mut fc = Dense::new("fc", 8 * 8 * 2, 5, &mut rng);
     let grad = Tensor4::from_fn(2, 1, 1, 5, |n, _, _, c| (n * 5 + c) as f32 * 0.01 - 0.02);
-    assert_steady_backward(&mut fc, &input, &grad, expected);
+    assert_steady_backward(&mut fc, &input, &grad, DENSE_BACKWARD_STEP);
 }

@@ -37,10 +37,11 @@
 //! out-of-line copy is compiled without `avx`, and a clone that *called* it
 //! would run 128-bit code behind a 256-bit name.
 //!
-//! This directory (and [`crate::simd`]) are the only modules `adr-check conc`
-//! approves for unsafe kernel code. The four dispatch call sites here are the
-//! only `unsafe` in the workspace's vector code; [`pool`] hosts the
-//! persistent worker pool behind the fan-out sites.
+//! This module is the only library code where `unsafe` compiles: the
+//! workspace denies `unsafe_code` and `lib.rs` allows it on `kernels` alone.
+//! The four dispatch call sites here are the only `unsafe` in the
+//! workspace's vector code; [`pool`] hosts the persistent worker pool
+//! behind the fan-out sites.
 
 pub mod gemm;
 pub mod gemm_tb;

@@ -28,8 +28,15 @@
 #![warn(missing_docs)]
 // Tests assert on values they just constructed; unwrap there is the idiom.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+// Exact float `==`/`!=` outside tests is a bug: compare against a tolerance.
+// Typed, and `x == 0.0` IEEE special-case guards are exempt by clippy's design.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod im2col;
+// The workspace's only home for `unsafe` (`unsafe_code` is denied everywhere
+// else): run-time dispatch into `#[target_feature]` clones and the pool's
+// scoped-job lifetime erasure.
+#[allow(unsafe_code)]
 pub mod kernels;
 pub mod matrix;
 pub mod par;
