@@ -10,8 +10,8 @@
 use std::fmt;
 
 use adr_nn::metrics::{PlateauDetector, PlateauState};
-use adr_nn::{Network, Sgd};
-use adr_reuse::{ReuseConfig, ReuseConv2d};
+use adr_nn::Network;
+use adr_reuse::{reuse_layers, ReuseConfig, ReuseConv2d};
 use adr_tensor::Tensor4;
 
 use crate::candidates::CandidateList;
@@ -32,6 +32,10 @@ pub enum ControllerError {
         /// Last stage this controller's schedule reaches.
         max_stage: usize,
     },
+    /// A snapshot's schedule cursor belongs to a different strategy than
+    /// the one the run's schedule was started with (the strategies
+    /// themselves matched: the snapshot was assembled by hand).
+    ScheduleMismatch,
 }
 
 impl fmt::Display for ControllerError {
@@ -42,6 +46,9 @@ impl fmt::Display for ControllerError {
             }
             Self::StageOutOfRange { stage, max_stage } => {
                 write!(f, "snapshot stage {stage} exceeds the schedule's max stage {max_stage}")
+            }
+            Self::ScheduleMismatch => {
+                write!(f, "snapshot carries another strategy's schedule cursor")
             }
         }
     }
@@ -92,7 +99,6 @@ pub struct AdaptiveController {
     stage: usize,
     max_stage: usize,
     plateau: PlateauDetector,
-    cluster_reuse: bool,
 }
 
 impl AdaptiveController {
@@ -105,7 +111,6 @@ impl AdaptiveController {
     /// * `patience`/`min_delta` — plateau detection (§V-A(c)).
     /// * `warmup` — observations after each switch during which the plateau
     ///   detector stays quiet (early-phase loss is noise, not a plateau).
-    /// * `cluster_reuse` — whether layers should run with `CR = 1`.
     ///
     /// # Errors
     /// Returns [`ControllerError::NoReuseLayers`] when the network has no
@@ -117,7 +122,6 @@ impl AdaptiveController {
         patience: usize,
         min_delta: f32,
         warmup: usize,
-        cluster_reuse: bool,
     ) -> Result<Self, ControllerError> {
         let mut plans = Vec::new();
         let mut first_conv = true;
@@ -141,7 +145,6 @@ impl AdaptiveController {
             stage: 0,
             max_stage,
             plateau: PlateauDetector::new(patience, min_delta).with_warmup(warmup),
-            cluster_reuse,
         };
         controller.apply_stage(net, 0);
         Ok(controller)
@@ -216,14 +219,12 @@ impl AdaptiveController {
         self.plateau.observe(loss)
     }
 
-    /// Applies stage `stage` (clamped per layer) to all reuse layers.
+    /// Applies stage `stage` (clamped per layer) to all reuse layers —
+    /// `for_network` made one plan per reuse layer, in layer order.
     fn apply_stage(&self, net: &mut Network, stage: usize) {
-        for plan in &self.plans {
+        for (plan, reuse) in self.plans.iter().zip(reuse_layers(net)) {
             let (l, h) = plan.candidates.get_clamped(stage);
-            let layer = &mut net.layers_mut()[plan.layer_index];
-            let any = layer.as_any_mut().expect("plan points at a reuse layer");
-            let reuse = any.downcast_mut::<ReuseConv2d>().expect("plan points at a reuse layer");
-            reuse.set_config(ReuseConfig::new(l, h, self.cluster_reuse));
+            reuse.set_config(ReuseConfig::new(l, h, false));
         }
     }
 
@@ -287,24 +288,6 @@ impl AdaptiveController {
         self.plateau.reset();
         AdvanceOutcome::Switched { stage, rule }
     }
-
-    /// Turns cluster reuse on/off for every planned layer (used by
-    /// Strategy 3) without touching `{L, H}`.
-    pub fn set_cluster_reuse(&mut self, net: &mut Network, enabled: bool) {
-        self.cluster_reuse = enabled;
-        self.apply_stage(net, self.stage);
-    }
-
-    /// Convenience: one SGD step is sometimes needed inside tests to make a
-    /// probe batch meaningful; exposed as a free helper for symmetry.
-    pub fn train_probe_step(
-        net: &mut Network,
-        sgd: &mut Sgd,
-        images: &Tensor4,
-        labels: &[usize],
-    ) -> f32 {
-        net.train_batch(images, labels, sgd).loss
-    }
 }
 
 #[cfg(test)]
@@ -351,7 +334,7 @@ mod tests {
     #[test]
     fn controller_discovers_both_reuse_layers() {
         let mut net = reuse_net(1);
-        let c = AdaptiveController::for_network(&mut net, 8, 6, 3, 0.01, 0, false).unwrap();
+        let c = AdaptiveController::for_network(&mut net, 8, 6, 3, 0.01, 0).unwrap();
         assert_eq!(c.plans().len(), 2);
         assert_eq!(c.plans()[0].layer_index, 0);
         assert_eq!(c.plans()[1].layer_index, 2);
@@ -360,7 +343,7 @@ mod tests {
     #[test]
     fn initial_stage_is_most_aggressive() {
         let mut net = reuse_net(2);
-        let c = AdaptiveController::for_network(&mut net, 8, 6, 3, 0.01, 0, false).unwrap();
+        let c = AdaptiveController::for_network(&mut net, 8, 6, 3, 0.01, 0).unwrap();
         for (layer_idx, (l, h)) in c.current_settings() {
             let plan = c.plans().iter().find(|p| p.layer_index == layer_idx).unwrap();
             assert_eq!((l, h), plan.candidates.settings()[0]);
@@ -375,7 +358,7 @@ mod tests {
     #[test]
     fn plateau_detection_fires_on_flat_loss() {
         let mut net = reuse_net(3);
-        let mut c = AdaptiveController::for_network(&mut net, 8, 6, 2, 0.01, 0, false).unwrap();
+        let mut c = AdaptiveController::for_network(&mut net, 8, 6, 2, 0.01, 0).unwrap();
         assert!(!c.observe_loss(1.0));
         assert!(!c.observe_loss(1.0));
         assert!(c.observe_loss(1.0));
@@ -384,7 +367,7 @@ mod tests {
     #[test]
     fn advance_moves_forward_and_eventually_exhausts() {
         let mut net = reuse_net(4);
-        let mut c = AdaptiveController::for_network(&mut net, 8, 4, 2, 0.01, 0, false).unwrap();
+        let mut c = AdaptiveController::for_network(&mut net, 8, 4, 2, 0.01, 0).unwrap();
         let (images, labels) = probe(5);
         let mut stages = vec![c.stage()];
         for _ in 0..64 {
@@ -405,7 +388,7 @@ mod tests {
     #[test]
     fn advance_applies_configs_to_layers() {
         let mut net = reuse_net(6);
-        let mut c = AdaptiveController::for_network(&mut net, 8, 4, 2, 0.01, 0, false).unwrap();
+        let mut c = AdaptiveController::for_network(&mut net, 8, 4, 2, 0.01, 0).unwrap();
         let (images, labels) = probe(7);
         c.advance(&mut net, &images, &labels, 0.2);
         let settings = c.current_settings();
@@ -415,22 +398,11 @@ mod tests {
     }
 
     #[test]
-    fn set_cluster_reuse_propagates() {
-        let mut net = reuse_net(8);
-        let mut c = AdaptiveController::for_network(&mut net, 8, 4, 2, 0.01, 0, true).unwrap();
-        let any = net.layers_mut()[0].as_any_mut().unwrap();
-        assert!(any.downcast_mut::<ReuseConv2d>().unwrap().config().cluster_reuse);
-        c.set_cluster_reuse(&mut net, false);
-        let any = net.layers_mut()[0].as_any_mut().unwrap();
-        assert!(!any.downcast_mut::<ReuseConv2d>().unwrap().config().cluster_reuse);
-    }
-
-    #[test]
     fn dense_only_network_is_a_typed_error() {
         let mut rng = AdrRng::seeded(9);
         let mut net = Network::new((4, 4, 1));
         net.push(Box::new(Dense::new("fc", 16, 2, &mut rng)));
-        let err = AdaptiveController::for_network(&mut net, 8, 4, 2, 0.01, 0, false).unwrap_err();
+        let err = AdaptiveController::for_network(&mut net, 8, 4, 2, 0.01, 0).unwrap_err();
         assert_eq!(err, ControllerError::NoReuseLayers);
         assert!(err.to_string().contains("no ReuseConv2d"), "{err}");
     }
@@ -438,7 +410,7 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_stage_and_plateau() {
         let mut net = reuse_net(10);
-        let mut c = AdaptiveController::for_network(&mut net, 8, 4, 3, 0.01, 0, false).unwrap();
+        let mut c = AdaptiveController::for_network(&mut net, 8, 4, 3, 0.01, 0).unwrap();
         let (images, labels) = probe(11);
         c.advance(&mut net, &images, &labels, 0.7);
         c.observe_loss(1.0);
@@ -446,7 +418,7 @@ mod tests {
         let snap = c.snapshot();
 
         let mut net2 = reuse_net(10);
-        let mut c2 = AdaptiveController::for_network(&mut net2, 8, 4, 3, 0.01, 0, false).unwrap();
+        let mut c2 = AdaptiveController::for_network(&mut net2, 8, 4, 3, 0.01, 0).unwrap();
         c2.restore(&mut net2, &snap).unwrap();
         assert_eq!(c2.stage(), c.stage());
         assert_eq!(c2.current_settings(), c.current_settings());
@@ -463,7 +435,7 @@ mod tests {
     #[test]
     fn restore_rejects_out_of_range_stage() {
         let mut net = reuse_net(12);
-        let mut c = AdaptiveController::for_network(&mut net, 8, 4, 3, 0.01, 0, false).unwrap();
+        let mut c = AdaptiveController::for_network(&mut net, 8, 4, 3, 0.01, 0).unwrap();
         let bad = ControllerState {
             stage: c.max_stage() + 5,
             plateau: PlateauState { smoothed: None, best: f32::INFINITY, stale: 0, seen: 0 },
@@ -476,7 +448,7 @@ mod tests {
     #[test]
     fn tighten_walks_to_exhaustion_then_declines() {
         let mut net = reuse_net(13);
-        let mut c = AdaptiveController::for_network(&mut net, 8, 4, 3, 0.01, 0, false).unwrap();
+        let mut c = AdaptiveController::for_network(&mut net, 8, 4, 3, 0.01, 0).unwrap();
         let mut last = 0;
         while let Some(stage) = c.tighten(&mut net) {
             assert_eq!(stage, last + 1);

@@ -12,8 +12,9 @@
 //! [`GuardrailEvent`] in the training report.
 
 use adr_nn::metrics::RunningMean;
+use adr_nn::Layer;
 use adr_nn::Network;
-use adr_reuse::ReuseConv2d;
+use adr_reuse::reuse_layers;
 
 /// Detection thresholds and rollback budget of a [`Guardrail`].
 #[derive(Clone, Debug)]
@@ -162,12 +163,8 @@ impl Guardrail {
     }
 
     fn scan_clusters(&self, net: &mut Network) -> Option<String> {
-        for layer in net.layers_mut() {
-            let name = layer.name().to_string();
-            let Some(reuse) = layer.as_any_mut().and_then(|a| a.downcast_mut::<ReuseConv2d>())
-            else {
-                continue;
-            };
+        for reuse in reuse_layers(net) {
+            let name = reuse.name().to_string();
             // A dense-mode layer (the exact fallback) clusters nothing: its
             // stats describe N rows at r_c = 1 under an untouched config.
             if reuse.is_dense() {

@@ -18,11 +18,15 @@
 //! * [`strategy`] — the three training strategies compared in Table IV:
 //!   fixed `{L, H}` (Strategy 1), adaptive `{L, H}` (Strategy 2), and the
 //!   cluster-reuse on→off schedule (Strategy 3), plus the dense baseline.
-//! * [`trainer`] — the training loop wiring strategies into an
-//!   `adr_nn::Network`, with FLOP/time/iteration accounting.
+//! * [`schedule`] — what a strategy applies to the reuse layers, as one
+//!   value: the only writer of `{L, H, CR}` during a run, the guardrails'
+//!   one-way exact fallback, and the resumable cursor (`ScheduleState`).
+//! * [`trainer`] — the training loop: one run state, captured and restored
+//!   one way for checkpoints, resume and rollback alike, with
+//!   FLOP/time/iteration accounting.
 //! * [`report`] — the per-run summary used to regenerate Table IV.
 //! * [`state`] — full-run snapshots (`TrainState`): crash-safe persistence
-//!   of parameters, momentum, controller cursors, FLOP totals and the
+//!   of parameters, momentum, the schedule cursor, FLOP totals and the
 //!   batch-source position, enabling bitwise-identical resume.
 //! * [`guardrails`] — runtime health checks (non-finite loss/params, loss
 //!   spikes, degenerate clusterings) with rollback + stage tightening.
@@ -43,6 +47,7 @@ pub mod faults;
 pub mod guardrails;
 pub mod policy;
 pub mod report;
+pub mod schedule;
 pub mod state;
 pub mod strategy;
 pub mod trainer;
@@ -53,8 +58,9 @@ pub use faults::{FaultKind, FaultPlan, ServeFaultKind, ServeFaultPlan};
 pub use guardrails::{Guardrail, GuardrailConfig, GuardrailEvent, GuardrailEventKind};
 pub use policy::{HRange, LRange};
 pub use report::TrainReport;
+pub use schedule::ScheduleState;
 pub use state::{StateError, TrainState};
-pub use strategy::{Strategy, StrategyKind};
+pub use strategy::Strategy;
 pub use trainer::{
     BatchSource, CheckpointPolicy, FnBatchSource, TrainError, TrainOptions, Trainer, TrainerConfig,
 };

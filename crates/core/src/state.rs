@@ -2,8 +2,9 @@
 //!
 //! A parameter checkpoint (`adr_nn::checkpoint`) is enough to *reuse* a
 //! model but not to *resume* a run: bitwise-identical continuation also
-//! needs the optimiser's momentum buffers and step counter, the adaptive
-//! controller's stage cursor and plateau window, the epoch meter, the FLOP
+//! needs the optimiser's momentum buffers and step counter, the schedule's
+//! cursor ([`ScheduleState`]: Strategy 2's stage and plateau window, or
+//! Strategy 3's plateau window and `CR` flag), the epoch meter, the FLOP
 //! totals, and the batch source's position. [`TrainState`] captures all of
 //! it, and its on-disk format follows the same fail-closed discipline as
 //! the parameter checkpoint: magic + version, fixed-order tagged sections
@@ -15,7 +16,10 @@
 //! across-batch cluster-reuse caches (`CR = 1`) are *not* captured — both
 //! are transient acceleration state whose loss changes timing, not
 //! correctness, and the kill-and-resume determinism guarantee is stated
-//! for `CR = 0` strategies.
+//! for `CR = 0` strategies. Nor is what the guardrails learned in one
+//! process: their rollback budget and loss EMA, and the schedule's one-way
+//! exact-fallback bit. A resumed run starts with fresh guardrails and its
+//! reuse layers on the reuse path.
 
 use std::fmt;
 use std::io;
@@ -27,7 +31,8 @@ use adr_nn::metrics::{EpochMeterState, PlateauState};
 use adr_nn::{Network, Sgd};
 
 use crate::controller::ControllerState;
-use crate::strategy::{Strategy, StrategyKind};
+use crate::schedule::ScheduleState;
+use crate::strategy::Strategy;
 
 const MAGIC: &[u8; 4] = b"ADRS";
 const VERSION: u32 = 1;
@@ -169,7 +174,7 @@ pub struct LayerFlopState {
 
 /// Everything a training run needs to continue bitwise-identically after a
 /// crash: model parameters and layer state, SGD momentum and step counter,
-/// controller/plateau cursors, the epoch meter, per-layer FLOP totals, and
+/// the schedule cursor, the epoch meter, per-layer FLOP totals, and
 /// the batch source's opaque cursor.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrainState {
@@ -178,7 +183,7 @@ pub struct TrainState {
     /// Optimiser step counter (drives the learning-rate schedule).
     pub sgd_step: usize,
     /// Strategy the run was using; resume refuses a different one.
-    pub strategy: StrategyKind,
+    pub strategy: Strategy,
     /// Learnable parameters, one slot per `ParamRefMut` in layer order.
     pub params: Vec<Vec<f32>>,
     /// SGD momentum buffers, parallel to `params`.
@@ -187,12 +192,8 @@ pub struct TrainState {
     pub state_bufs: Vec<Vec<f32>>,
     /// Cumulative FLOP totals, one entry per layer.
     pub flops: Vec<LayerFlopState>,
-    /// Adaptive-controller cursor (Strategy 2 runs only).
-    pub controller: Option<ControllerState>,
-    /// Strategy 3's CR plateau-detector window, when one exists.
-    pub cr_plateau: Option<PlateauState>,
-    /// Strategy 3's CR flag at capture time.
-    pub cr_active: Option<bool>,
+    /// Where the strategy's schedule stood (Strategies 2 and 3).
+    pub schedule: ScheduleState,
     /// Running epoch meter (smoothed training accuracy feeds Amendment
     /// rule selection, so it must survive a restart).
     pub meter: EpochMeterState,
@@ -203,8 +204,8 @@ pub struct TrainState {
 impl TrainState {
     /// Captures the model-side state (parameters, velocity, layer state,
     /// FLOP totals, SGD step) of `net`. The trainer fills in the
-    /// loop-side fields (`controller`, `cr_plateau`, `cr_active`, `meter`,
-    /// `source_state`) before persisting.
+    /// loop-side fields (`schedule`, `meter`, `source_state`) before
+    /// persisting.
     pub fn capture(net: &mut Network, sgd: &Sgd, strategy: Strategy, iteration: usize) -> Self {
         let mut params = Vec::new();
         let mut velocity = Vec::new();
@@ -228,14 +229,12 @@ impl TrainState {
         Self {
             iteration,
             sgd_step: sgd.step_count(),
-            strategy: strategy.kind,
+            strategy,
             params,
             velocity,
             state_bufs,
             flops,
-            controller: None,
-            cr_plateau: None,
-            cr_active: None,
+            schedule: ScheduleState::Unset,
             meter: EpochMeterState::default(),
             source_state: Vec::new(),
         }
@@ -248,11 +247,11 @@ impl TrainState {
     /// fixed-`{L, H}` snapshot under the adaptive schedule (or vice versa)
     /// would silently train a different experiment.
     pub fn verify_strategy(&self, strategy: Strategy) -> Result<(), StateError> {
-        if self.strategy == strategy.kind {
+        if self.strategy == strategy {
             Ok(())
         } else {
             Err(StateError::StrategyMismatch {
-                expected: format!("{:?}", strategy.kind),
+                expected: format!("{strategy:?}"),
                 found: format!("{:?}", self.strategy),
             })
         }
@@ -351,8 +350,26 @@ impl TrainState {
     }
 
     /// Serialises to the on-disk layout: magic, version, then nine tagged
-    /// sections in fixed order, each carrying its own payload CRC32.
+    /// sections in fixed order, each carrying its own payload CRC32. The
+    /// schedule cursor is spread over the v1 layout's three slots: a `META`
+    /// flag (Strategy 3's `CR`), `CTRL` (Strategy 2) and `CRPL` (Strategy
+    /// 3's plateau window).
     pub fn to_bytes(&self) -> Vec<u8> {
+        // Presence byte first; 0 = absent.
+        let (mut ctrl, mut crpl, mut cr_flag) = (vec![0u8], vec![0u8], 0u8);
+        match &self.schedule {
+            ScheduleState::Unset => {}
+            ScheduleState::Adaptive(c) => {
+                ctrl[0] = 1;
+                ctrl.extend_from_slice(&(c.stage as u64).to_le_bytes());
+                push_plateau(&mut ctrl, &c.plateau);
+            }
+            ScheduleState::ClusterReuse { plateau, active } => {
+                cr_flag = 1 + u8::from(*active);
+                crpl[0] = 1;
+                push_plateau(&mut crpl, plateau);
+            }
+        }
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
@@ -364,11 +381,7 @@ impl TrainState {
         meta.push(kind);
         meta.extend_from_slice(&l.to_le_bytes());
         meta.extend_from_slice(&h.to_le_bytes());
-        meta.push(match self.cr_active {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        });
+        meta.push(cr_flag);
         push_section(&mut buf, b"META", &meta);
 
         push_section(&mut buf, b"PRMS", &encode_f32_slots(&self.params));
@@ -385,25 +398,7 @@ impl TrainState {
         }
         push_section(&mut buf, b"FLOP", &flop);
 
-        let mut ctrl = Vec::new();
-        match &self.controller {
-            None => ctrl.push(0),
-            Some(c) => {
-                ctrl.push(1);
-                ctrl.extend_from_slice(&(c.stage as u64).to_le_bytes());
-                push_plateau(&mut ctrl, &c.plateau);
-            }
-        }
         push_section(&mut buf, b"CTRL", &ctrl);
-
-        let mut crpl = Vec::new();
-        match &self.cr_plateau {
-            None => crpl.push(0),
-            Some(p) => {
-                crpl.push(1);
-                push_plateau(&mut crpl, p);
-            }
-        }
         push_section(&mut buf, b"CRPL", &crpl);
 
         let mut epoc = Vec::new();
@@ -427,8 +422,9 @@ impl TrainState {
     ///
     /// # Errors
     /// Fails closed on bad magic, unsupported versions, truncation,
-    /// out-of-order sections, per-section checksum mismatches, and
-    /// trailing garbage — nothing is partially decoded.
+    /// out-of-order sections, per-section checksum mismatches, trailing
+    /// garbage, and a `META` flag / `CTRL` / `CRPL` combination that is no
+    /// [`ScheduleState`] — nothing is partially decoded.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StateError> {
         if bytes.len() < 4 {
             return Err(StateError::Truncated("magic"));
@@ -453,12 +449,7 @@ impl TrainState {
         let l = f.u64()?;
         let h = f.u64()?;
         let strategy = strategy_from_tag(kind, l, h)?;
-        let cr_active = match f.u8()? {
-            0 => None,
-            1 => Some(false),
-            2 => Some(true),
-            _ => return Err(StateError::Malformed("META: cr_active flag")),
-        };
+        let cr_flag = f.u8()?;
         f.done()?;
 
         let params = decode_f32_slots(sections.section(b"PRMS", "PRMS")?, "PRMS")?;
@@ -518,6 +509,14 @@ impl TrainState {
         f.done()?;
 
         sections.done()?;
+        let schedule = match (controller, cr_plateau, cr_flag) {
+            (None, None, 0) => ScheduleState::Unset,
+            (Some(cursor), None, 0) => ScheduleState::Adaptive(cursor),
+            (None, Some(plateau), 1 | 2) => {
+                ScheduleState::ClusterReuse { plateau, active: cr_flag == 2 }
+            }
+            _ => return Err(StateError::Malformed("schedule cursor: CTRL / CRPL / CR flag")),
+        };
         Ok(Self {
             iteration,
             sgd_step,
@@ -526,9 +525,7 @@ impl TrainState {
             velocity,
             state_bufs,
             flops,
-            controller,
-            cr_plateau,
-            cr_active,
+            schedule,
             meter,
             source_state,
         })
@@ -572,23 +569,23 @@ impl TrainState {
     }
 }
 
-fn strategy_tag(kind: StrategyKind) -> (u8, u64, u64) {
-    match kind {
-        StrategyKind::Baseline => (0, 0, 0),
-        StrategyKind::FixedLh { l, h } => (1, l as u64, h as u64),
-        StrategyKind::AdaptiveLh => (2, 0, 0),
-        StrategyKind::ClusterReuseSchedule { l, h } => (3, l as u64, h as u64),
+fn strategy_tag(strategy: Strategy) -> (u8, u64, u64) {
+    match strategy {
+        Strategy::Baseline => (0, 0, 0),
+        Strategy::FixedLh { l, h } => (1, l as u64, h as u64),
+        Strategy::AdaptiveLh => (2, 0, 0),
+        Strategy::ClusterReuseSchedule { l, h } => (3, l as u64, h as u64),
     }
 }
 
-fn strategy_from_tag(kind: u8, l: u64, h: u64) -> Result<StrategyKind, StateError> {
+fn strategy_from_tag(kind: u8, l: u64, h: u64) -> Result<Strategy, StateError> {
     let l = usize::try_from(l).map_err(|_| StateError::SectionOverflow)?;
     let h = usize::try_from(h).map_err(|_| StateError::SectionOverflow)?;
     match kind {
-        0 => Ok(StrategyKind::Baseline),
-        1 => Ok(StrategyKind::FixedLh { l, h }),
-        2 => Ok(StrategyKind::AdaptiveLh),
-        3 => Ok(StrategyKind::ClusterReuseSchedule { l, h }),
+        0 => Ok(Strategy::Baseline),
+        1 => Ok(Strategy::FixedLh { l, h }),
+        2 => Ok(Strategy::AdaptiveLh),
+        3 => Ok(Strategy::ClusterReuseSchedule { l, h }),
         _ => Err(StateError::Malformed("META: strategy kind")),
     }
 }
@@ -807,21 +804,45 @@ mod tests {
         let mut s = TrainState::capture(&mut n, &sgd, Strategy::fixed(3, 6), 3);
         s.meter = EpochMeterState { loss_sum: 3.5, hits: 7, examples: 12, batches: 3 };
         s.source_state = vec![1, 2, 3];
-        s.cr_plateau = Some(PlateauState { smoothed: Some(1.2), best: 1.1, stale: 2, seen: 9 });
-        s.controller = Some(ControllerState {
+        s.schedule = ScheduleState::ClusterReuse {
+            plateau: PlateauState { smoothed: Some(1.2), best: 1.1, stale: 2, seen: 9 },
+            active: true,
+        };
+        (n, sgd, s)
+    }
+
+    fn adaptive_cursor() -> ScheduleState {
+        ScheduleState::Adaptive(ControllerState {
             stage: 2,
             plateau: PlateauState { smoothed: None, best: f32::INFINITY, stale: 0, seen: 0 },
-        });
-        s.cr_active = Some(true);
-        (n, sgd, s)
+        })
     }
 
     #[test]
     fn byte_round_trip_is_lossless() {
-        let (_, _, s) = trained_state(1);
-        let bytes = s.to_bytes();
-        let back = TrainState::from_bytes(&bytes).unwrap();
-        assert_eq!(back, s);
+        let (_, _, mut s) = trained_state(1);
+        let cluster_reuse_off = ScheduleState::ClusterReuse {
+            plateau: PlateauState { smoothed: None, best: 0.7, stale: 0, seen: 40 },
+            active: false,
+        };
+        for cursor in [s.schedule, cluster_reuse_off, adaptive_cursor(), ScheduleState::Unset] {
+            s.schedule = cursor;
+            assert_eq!(TrainState::from_bytes(&s.to_bytes()).unwrap(), s, "{cursor:?}");
+        }
+    }
+
+    /// The ADRS v1 bytes are a compatibility surface: files written before
+    /// the schedule cursor became one enum must keep loading, and files
+    /// written now must load there. Both constants are the CRC32 of
+    /// `to_bytes()` computed at commit 63ca90f (the last with three
+    /// `Option` fields) from `cr_plateau` + `cr_active = Some(true)`,
+    /// resp. `controller`, set to the values below.
+    #[test]
+    fn v1_bytes_are_the_ones_the_three_option_layout_wrote() {
+        let (_, _, mut s) = trained_state(1);
+        assert_eq!(durable::crc32(&s.to_bytes()), 0xed59_425d, "ClusterReuse cursor");
+        s.schedule = adaptive_cursor();
+        assert_eq!(durable::crc32(&s.to_bytes()), 0xffd0_d294, "Adaptive cursor");
     }
 
     #[test]

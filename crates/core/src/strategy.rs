@@ -3,7 +3,7 @@
 /// Which of the paper's strategies (plus the dense baseline) a training run
 /// uses.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum StrategyKind {
+pub enum Strategy {
     /// Dense convolution everywhere; no clustering (the paper's reference
     /// TensorFlow training).
     Baseline,
@@ -28,47 +28,40 @@ pub enum StrategyKind {
     },
 }
 
-/// A named strategy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Strategy {
-    /// The behaviour.
-    pub kind: StrategyKind,
-}
-
 impl Strategy {
     /// Dense baseline.
     pub fn baseline() -> Self {
-        Self { kind: StrategyKind::Baseline }
+        Self::Baseline
     }
 
     /// Strategy 1 with fixed `{L, H}`.
     pub fn fixed(l: usize, h: usize) -> Self {
-        Self { kind: StrategyKind::FixedLh { l, h } }
+        Self::FixedLh { l, h }
     }
 
     /// Strategy 2 (adaptive `{L, H}`).
     pub fn adaptive() -> Self {
-        Self { kind: StrategyKind::AdaptiveLh }
+        Self::AdaptiveLh
     }
 
     /// Strategy 3 (cluster-reuse on→off schedule).
     pub fn cluster_reuse(l: usize, h: usize) -> Self {
-        Self { kind: StrategyKind::ClusterReuseSchedule { l, h } }
+        Self::ClusterReuseSchedule { l, h }
     }
 
     /// Short display name matching the paper's tables.
     pub fn name(&self) -> &'static str {
-        match self.kind {
-            StrategyKind::Baseline => "baseline",
-            StrategyKind::FixedLh { .. } => "strategy1-fixed",
-            StrategyKind::AdaptiveLh => "strategy2-adaptive",
-            StrategyKind::ClusterReuseSchedule { .. } => "strategy3-cluster-reuse",
+        match self {
+            Self::Baseline => "baseline",
+            Self::FixedLh { .. } => "strategy1-fixed",
+            Self::AdaptiveLh => "strategy2-adaptive",
+            Self::ClusterReuseSchedule { .. } => "strategy3-cluster-reuse",
         }
     }
 
     /// Whether the network should be built with reuse convolutions.
     pub fn uses_reuse(&self) -> bool {
-        !matches!(self.kind, StrategyKind::Baseline)
+        !matches!(self, Self::Baseline)
     }
 }
 
@@ -91,7 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn reuse_flag_matches_kind() {
+    fn reuse_flag_matches_strategy() {
         assert!(!Strategy::baseline().uses_reuse());
         assert!(Strategy::fixed(5, 10).uses_reuse());
         assert!(Strategy::adaptive().uses_reuse());

@@ -7,17 +7,18 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use adr_nn::durable::{IoFault, NoFaults, RetryPolicy};
-use adr_nn::metrics::{EpochMeter, PlateauDetector};
+use adr_nn::metrics::EpochMeter;
 use adr_nn::{Network, Sgd};
-use adr_reuse::{ReuseConfig, ReuseConv2d};
+use adr_reuse::reuse_layers;
 use adr_tensor::Tensor4;
 
-use crate::controller::{AdaptiveController, AdvanceOutcome, ControllerError};
+use crate::controller::ControllerError;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::guardrails::{Guardrail, GuardrailEvent, GuardrailEventKind};
 use crate::report::{SwitchEvent, TrainReport};
+use crate::schedule::Schedule;
 use crate::state::{StateError, TrainState};
-use crate::strategy::{Strategy, StrategyKind};
+use crate::strategy::Strategy;
 
 /// Supplies labelled training batches plus a held-out probe batch.
 ///
@@ -176,7 +177,7 @@ pub struct TrainOptions<'a> {
 /// Why a training run could not start or continue.
 #[derive(Debug)]
 pub enum TrainError {
-    /// The adaptive controller could not be built or restored.
+    /// The strategy's schedule could not be built or restored.
     Controller(ControllerError),
     /// The resume state was rejected (wrong strategy, architecture
     /// mismatch, or a batch source that refused its cursor).
@@ -206,6 +207,42 @@ pub struct Trainer {
     config: TrainerConfig,
 }
 
+/// Everything one training run mutates, so that there is one way to
+/// snapshot it ([`Run::capture`]) and one way back ([`Run::restore`]) —
+/// shared by resume and by guardrail rollback.
+struct Run<'a> {
+    net: &'a mut Network,
+    sgd: &'a mut Sgd,
+    source: &'a mut dyn BatchSource,
+    strategy: Strategy,
+    schedule: Schedule,
+    meter: EpochMeter,
+}
+
+impl Run<'_> {
+    /// Captures a complete [`TrainState`] for `iteration`.
+    fn capture(&mut self, iteration: usize) -> TrainState {
+        let mut state = TrainState::capture(self.net, self.sgd, self.strategy, iteration);
+        state.schedule = self.schedule.snapshot();
+        state.meter = self.meter.snapshot();
+        state.source_state = self.source.snapshot_state();
+        state
+    }
+
+    /// Puts model, optimiser, schedule (and through it the reuse layers'
+    /// knobs), meter and source cursor back to `state`. The strategy is
+    /// checked before the first write.
+    fn restore(&mut self, state: &TrainState) -> Result<(), TrainError> {
+        state.verify_strategy(self.strategy).map_err(TrainError::Resume)?;
+        state.restore_model(self.net, self.sgd).map_err(TrainError::Resume)?;
+        self.schedule.restore(self.net, &state.schedule).map_err(TrainError::Controller)?;
+        self.meter.restore(&state.meter);
+        self.source
+            .restore_state(&state.source_state)
+            .map_err(|e| TrainError::Resume(StateError::SourceState(e)))
+    }
+}
+
 impl Trainer {
     /// Creates a trainer.
     ///
@@ -215,31 +252,6 @@ impl Trainer {
         assert!(config.max_iterations > 0, "max_iterations must be positive");
         assert!(config.eval_every > 0, "eval_every must be positive");
         Self { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.config
-    }
-
-    /// Applies a fixed `{L, H, CR}` to every reuse layer in the network.
-    fn apply_fixed(net: &mut Network, l: usize, h: usize, cr: bool) {
-        for layer in net.layers_mut() {
-            if let Some(any) = layer.as_any_mut() {
-                if let Some(reuse) = any.downcast_mut::<ReuseConv2d>() {
-                    reuse.set_config(ReuseConfig::new(l, h, cr));
-                }
-            }
-        }
-    }
-
-    /// Runs `f` over every reuse layer.
-    fn for_each_reuse(net: &mut Network, mut f: impl FnMut(&mut ReuseConv2d)) {
-        for layer in net.layers_mut() {
-            if let Some(reuse) = layer.as_any_mut().and_then(|a| a.downcast_mut::<ReuseConv2d>()) {
-                f(reuse);
-            }
-        }
     }
 
     /// Trains `net` with `strategy` on batches from `source` using `sgd`,
@@ -271,7 +283,8 @@ impl Trainer {
     ///
     /// # Errors
     /// Returns [`TrainError::Controller`] when an adaptive strategy is
-    /// used on a network without reuse layers, and [`TrainError::Resume`]
+    /// used on a network without reuse layers or a resume state carries
+    /// another strategy's schedule cursor, and [`TrainError::Resume`]
     /// when `options.resume` does not fit the run (strategy mismatch,
     /// different architecture, or a rejected batch-source cursor).
     #[allow(clippy::too_many_lines)]
@@ -284,73 +297,19 @@ impl Trainer {
         options: TrainOptions<'_>,
     ) -> Result<TrainReport, TrainError> {
         let cfg = &self.config;
-        let batch_size_hint = source.probe().1.len();
+        let probe = source.probe();
+        let schedule =
+            Schedule::start(net, strategy, cfg, probe.1.len()).map_err(TrainError::Controller)?;
+        let mut run = Run { net, sgd, source, strategy, schedule, meter: EpochMeter::new() };
 
-        // Strategy-specific setup.
-        let mut controller = match strategy.kind {
-            StrategyKind::AdaptiveLh => Some(
-                AdaptiveController::for_network(
-                    net,
-                    batch_size_hint,
-                    cfg.max_h_values,
-                    cfg.plateau_patience,
-                    cfg.plateau_min_delta,
-                    cfg.plateau_warmup,
-                    false,
-                )
-                .map_err(TrainError::Controller)?,
-            ),
-            StrategyKind::FixedLh { l, h } => {
-                Self::apply_fixed(net, l, h, false);
-                None
-            }
-            StrategyKind::ClusterReuseSchedule { l, h } => {
-                Self::apply_fixed(net, l, h, true);
-                None
-            }
-            StrategyKind::Baseline => None,
-        };
-        // Strategy 3 needs its own plateau detector; Strategy 2's lives in
-        // the controller.
-        let mut cr_plateau = matches!(strategy.kind, StrategyKind::ClusterReuseSchedule { .. })
-            .then(|| {
-                PlateauDetector::new(cfg.plateau_patience, cfg.plateau_min_delta)
-                    .with_warmup(cfg.plateau_warmup)
-            });
-        let mut cr_active = matches!(strategy.kind, StrategyKind::ClusterReuseSchedule { .. });
-
-        let mut running = EpochMeter::new();
         let mut start_iter = 0;
-
-        // Resume: validate everything before the first mutation, then
-        // restore model, optimiser, controller cursors and source cursor.
         if let Some(state) = &options.resume {
-            state.verify_strategy(strategy).map_err(TrainError::Resume)?;
-            state.restore_model(net, sgd).map_err(TrainError::Resume)?;
-            if let (Some(ctrl), Some(cs)) = (controller.as_mut(), state.controller.as_ref()) {
-                ctrl.restore(net, cs).map_err(TrainError::Controller)?;
-            }
-            if let (Some(det), Some(ps)) = (cr_plateau.as_mut(), state.cr_plateau.as_ref()) {
-                det.restore(ps);
-            }
-            if let Some(active) = state.cr_active {
-                cr_active = active;
-                if !active {
-                    if let StrategyKind::ClusterReuseSchedule { l, h } = strategy.kind {
-                        Self::apply_fixed(net, l, h, false);
-                    }
-                }
-            }
-            running.restore(&state.meter);
-            source
-                .restore_state(&state.source_state)
-                .map_err(|e| TrainError::Resume(StateError::SourceState(e)))?;
+            run.restore(state)?;
             start_iter = state.iteration;
         } else {
-            net.reset_flops();
+            run.net.reset_flops();
         }
 
-        let (probe_images, probe_labels) = source.probe();
         let mut switches = Vec::new();
         let mut loss_history = Vec::new();
         let mut accuracy_history = Vec::new();
@@ -363,19 +322,7 @@ impl Trainer {
         let mut guardrail = options.guardrails.map(Guardrail::new);
         let mut disarm_logged = false;
         // The rollback target: the last state known healthy.
-        let mut last_good = guardrail.as_ref().map(|_| {
-            Self::capture_state(
-                net,
-                sgd,
-                strategy,
-                start_iter,
-                controller.as_ref(),
-                cr_plateau.as_ref(),
-                cr_active,
-                &running,
-                source,
-            )
-        });
+        let mut last_good = guardrail.as_ref().map(|_| run.capture(start_iter));
 
         let start = Instant::now();
         let mut iterations_run = start_iter;
@@ -383,12 +330,12 @@ impl Trainer {
         while iter < cfg.max_iterations {
             iterations_run = iter + 1;
             adr_obs::begin_step();
-            let (mut images, labels) = source.batch(iter % source.num_batches());
+            let (mut images, labels) = run.source.batch(iter % run.source.num_batches());
 
             // Scheduled fault injection (one-shot per fault).
             if let Some(plan) = faults.as_deref_mut() {
                 for kind in plan.take_due(iter) {
-                    let detail = Self::apply_fault(net, &mut images, kind);
+                    let detail = Self::apply_fault(run.net, &mut images, kind);
                     guardrail_events.push(GuardrailEvent {
                         iteration: iter,
                         kind: GuardrailEventKind::FaultInjected,
@@ -397,8 +344,8 @@ impl Trainer {
                 }
             }
 
-            let step = net.train_batch(&images, &labels, sgd);
-            running.record(step.loss, step.correct, step.batch_size);
+            let step = run.net.train_batch(&images, &labels, run.sgd);
+            run.meter.record(step.loss, step.correct, step.batch_size);
             adr_obs::counter_add("adr_train_steps", &[], 1);
             adr_obs::gauge_set("adr_train_loss", &[], f64::from(step.loss));
             adr_obs::histogram_record("adr_train_loss_per_step", &[], f64::from(step.loss));
@@ -408,7 +355,7 @@ impl Trainer {
 
             // Guardrails: detect, roll back, tighten.
             if let Some(g) = guardrail.as_mut() {
-                if let Some((kind, detail)) = g.check(step.loss, net) {
+                if let Some((kind, detail)) = g.check(step.loss, run.net) {
                     guardrail_events.push(GuardrailEvent { iteration: iter, kind, detail });
                     if g.disarmed() {
                         if !disarm_logged {
@@ -422,123 +369,38 @@ impl Trainer {
                                 ),
                             });
                         }
-                    } else if let Some(state) = last_good.clone() {
+                    } else if let Some(state) = last_good.take() {
                         g.note_rollback();
-                        state.restore_model(net, sgd).map_err(TrainError::Resume)?;
-                        if let (Some(ctrl), Some(cs)) =
-                            (controller.as_mut(), state.controller.as_ref())
-                        {
-                            ctrl.restore(net, cs).map_err(TrainError::Controller)?;
-                        }
-                        if let (Some(det), Some(ps)) =
-                            (cr_plateau.as_mut(), state.cr_plateau.as_ref())
-                        {
-                            det.restore(ps);
-                        }
-                        if let Some(active) = state.cr_active {
-                            cr_active = active;
-                        }
-                        running.restore(&state.meter);
-                        source
-                            .restore_state(&state.source_state)
-                            .map_err(|e| TrainError::Resume(StateError::SourceState(e)))?;
-                        // Injected degenerate LSH families live outside the
-                        // snapshot; rebuild them from the (restored) config.
-                        Self::for_each_reuse(net, ReuseConv2d::rebuild_families);
+                        run.restore(&state)?;
                         adr_obs::counter_add("adr_train_rollbacks", &[], 1);
                         guardrail_events.push(GuardrailEvent {
                             iteration: iter,
                             kind: GuardrailEventKind::RolledBack,
                             detail: format!("restored snapshot @ {}", state.iteration),
                         });
-
                         // Tighten one stage toward exact computation.
-                        let tightened = controller
-                            .as_mut()
-                            .and_then(|ctrl| ctrl.tighten(net).map(|s| (s, ctrl.max_stage())));
-                        match tightened {
-                            Some((stage, max_stage)) => {
-                                guardrail_events.push(GuardrailEvent {
-                                    iteration: iter,
-                                    kind: GuardrailEventKind::StageTightened,
-                                    detail: format!("stage {stage}/{max_stage}"),
-                                });
-                            }
-                            None => {
-                                Self::for_each_reuse(net, ReuseConv2d::exact_fallback);
-                                guardrail_events.push(GuardrailEvent {
-                                    iteration: iter,
-                                    kind: GuardrailEventKind::ExactFallback,
-                                    detail: "all reuse layers switched to exact im2col GEMM".into(),
-                                });
-                            }
-                        }
-
+                        let (kind, detail) = run.schedule.tighten(run.net);
+                        guardrail_events.push(GuardrailEvent { iteration: iter, kind, detail });
                         // The snapshot now reflects the tightened knobs, so
                         // a second trip through the same fault does not
                         // re-loosen them.
-                        last_good = Some(Self::capture_state(
-                            net,
-                            sgd,
-                            strategy,
-                            state.iteration,
-                            controller.as_ref(),
-                            cr_plateau.as_ref(),
-                            cr_active,
-                            &running,
-                            source,
-                        ));
+                        last_good = Some(run.capture(state.iteration));
                         iter = state.iteration;
                         continue;
                     }
                 }
             }
 
-            // Strategy-specific plateau handling.
-            match strategy.kind {
-                // The controller/detector is always `Some` for its own
-                // strategy (set up above); `if let` keeps the training
-                // loop panic-free regardless.
-                StrategyKind::AdaptiveLh => {
-                    if let Some(ctrl) = controller.as_mut() {
-                        if ctrl.observe_loss(step.loss) && !ctrl.is_exhausted() {
-                            let train_acc = running.accuracy();
-                            match ctrl.advance(net, &probe_images, &probe_labels, train_acc) {
-                                AdvanceOutcome::Switched { stage, rule } => {
-                                    switches.push(SwitchEvent {
-                                        iteration: iter,
-                                        description: format!(
-                                            "stage {stage}/{} (rule {rule}): {:?}",
-                                            ctrl.max_stage(),
-                                            ctrl.current_settings()
-                                        ),
-                                    });
-                                    running.reset();
-                                }
-                                AdvanceOutcome::Exhausted => {}
-                            }
-                        }
-                    }
-                }
-                StrategyKind::ClusterReuseSchedule { l, h } => {
-                    if let (true, Some(det)) = (cr_active, cr_plateau.as_mut()) {
-                        if det.observe(step.loss) {
-                            Self::apply_fixed(net, l, h, false);
-                            cr_active = false;
-                            switches.push(SwitchEvent {
-                                iteration: iter,
-                                description: "cluster reuse off (CR 1 -> 0)".into(),
-                            });
-                        }
-                    }
-                }
-                StrategyKind::Baseline | StrategyKind::FixedLh { .. } => {}
+            if let Some(description) =
+                run.schedule.after_step(run.net, step.loss, &probe, &mut run.meter)
+            {
+                switches.push(SwitchEvent { iteration: iter, description });
             }
 
             // Periodic probe evaluation + target stop rule.
             let boundary = iter + 1;
             if boundary % cfg.eval_every == 0 {
-                let eval = net.evaluate(&probe_images, &probe_labels);
+                let eval = run.net.evaluate(&probe.0, &probe.1);
                 accuracy_history.push((iter, eval.accuracy));
                 if let Some(target) = cfg.target_accuracy {
                     if eval.accuracy >= target && iterations_to_target.is_none() {
@@ -552,32 +414,12 @@ impl Trainer {
             // counters match an uninterrupted run bit for bit.
             if let Some(g) = guardrail.as_ref() {
                 if boundary % g.config().snapshot_every == 0 {
-                    last_good = Some(Self::capture_state(
-                        net,
-                        sgd,
-                        strategy,
-                        boundary,
-                        controller.as_ref(),
-                        cr_plateau.as_ref(),
-                        cr_active,
-                        &running,
-                        source,
-                    ));
+                    last_good = Some(run.capture(boundary));
                 }
             }
             if let Some(policy) = &options.checkpoint {
                 if boundary % policy.every == 0 {
-                    let state = Self::capture_state(
-                        net,
-                        sgd,
-                        strategy,
-                        boundary,
-                        controller.as_ref(),
-                        cr_plateau.as_ref(),
-                        cr_active,
-                        &running,
-                        source,
-                    );
+                    let state = run.capture(boundary);
                     let mut no_faults = NoFaults;
                     let sink: &mut dyn IoFault = match faults.as_deref_mut() {
                         Some(plan) => plan,
@@ -616,15 +458,15 @@ impl Trainer {
         }
         let wall_time = start.elapsed();
 
-        let final_eval = net.evaluate(&probe_images, &probe_labels);
+        let final_eval = run.net.evaluate(&probe.0, &probe.1);
         Ok(TrainReport {
             strategy: strategy.name().to_string(),
             iterations_run,
             iterations_to_target,
             final_loss: final_eval.loss,
             final_accuracy: final_eval.accuracy,
-            actual_flops: net.flops(),
-            baseline_flops: net.baseline_flops(),
+            actual_flops: run.net.flops(),
+            baseline_flops: run.net.baseline_flops(),
             wall_time,
             switches,
             loss_history,
@@ -632,29 +474,6 @@ impl Trainer {
             guardrail_events,
             interrupted,
         })
-    }
-
-    /// Captures a complete [`TrainState`] for `iteration`.
-    #[allow(clippy::too_many_arguments)]
-    fn capture_state(
-        net: &mut Network,
-        sgd: &Sgd,
-        strategy: Strategy,
-        iteration: usize,
-        controller: Option<&AdaptiveController>,
-        cr_plateau: Option<&PlateauDetector>,
-        cr_active: bool,
-        running: &EpochMeter,
-        source: &dyn BatchSource,
-    ) -> TrainState {
-        let mut state = TrainState::capture(net, sgd, strategy, iteration);
-        state.controller = controller.map(AdaptiveController::snapshot);
-        state.cr_plateau = cr_plateau.map(PlateauDetector::snapshot);
-        state.cr_active =
-            matches!(strategy.kind, StrategyKind::ClusterReuseSchedule { .. }).then_some(cr_active);
-        state.meter = running.snapshot();
-        state.source_state = source.snapshot_state();
-        state
     }
 
     /// Applies one injected fault; returns the report detail line.
@@ -681,11 +500,8 @@ impl Trainer {
                 "NaN weight fault found no parameters to poison".into()
             }
             FaultKind::DegenerateClusters(mode) => {
-                let mut hit = 0usize;
-                Self::for_each_reuse(net, |reuse| {
-                    reuse.inject_degenerate_clustering(mode);
-                    hit += 1;
-                });
+                let hit =
+                    reuse_layers(net).map(|reuse| reuse.inject_degenerate_clustering(mode)).count();
                 format!("{mode:?} clustering injected into {hit} reuse layer(s)")
             }
         }
@@ -695,8 +511,10 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::ScheduleState;
     use adr_nn::dense::Dense;
     use adr_nn::relu::Relu;
+    use adr_reuse::{ReuseConfig, ReuseConv2d};
     use adr_tensor::im2col::ConvGeom;
     use adr_tensor::rng::AdrRng;
 
@@ -895,57 +713,84 @@ mod tests {
     #[test]
     fn halt_after_interrupts_and_resume_matches_uninterrupted() {
         let cfg = TrainerConfig { max_iterations: 40, ..quick_config() };
+        halt_and_resume(dense_net, Strategy::baseline(), cfg, 20);
+        // Strategy 3 halted *after* its CR switch (iteration 71 with these
+        // seeds): the resume must put `CR = 0` back on the layers and not
+        // report the switch again.
+        let cfg = TrainerConfig {
+            max_iterations: 100,
+            plateau_patience: 3,
+            plateau_min_delta: 0.02,
+            ..quick_config()
+        };
+        halt_and_resume(reuse_net, Strategy::cluster_reuse(3, 6), cfg, 80);
+    }
+
+    fn halt_and_resume(
+        make_net: fn(u64) -> Network,
+        strategy: Strategy,
+        cfg: TrainerConfig,
+        halt: usize,
+    ) {
+        let total = cfg.max_iterations;
         let trainer = Trainer::new(cfg);
         let mut sgd_a = Sgd::constant(0.05);
-        let mut net_a = dense_net(8);
-        let mut source_a = toy_source(80);
-        let full =
-            trainer.train(&mut net_a, Strategy::baseline(), &mut source_a, &mut sgd_a).unwrap();
+        let mut net_a = make_net(8);
+        let full = trainer.train(&mut net_a, strategy, &mut toy_source(80), &mut sgd_a).unwrap();
 
-        // Interrupted twin: halt at 20, capture, resume to the end.
+        // Interrupted twin: halt, capture, resume to the end.
         let mut sgd_b = Sgd::constant(0.05);
-        let mut net_b = dense_net(8);
-        let mut source_b = toy_source(80);
-        let dir = std::env::temp_dir().join("adr_trainer_halt_resume");
+        let mut net_b = make_net(8);
+        let dir = std::env::temp_dir().join(format!("adr_trainer_halt_resume_{}", full.strategy));
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("state.bin");
         let first = trainer
             .train_with(
                 &mut net_b,
-                Strategy::baseline(),
-                &mut source_b,
+                strategy,
+                &mut toy_source(80),
                 &mut sgd_b,
                 TrainOptions {
                     checkpoint: Some(CheckpointPolicy::new(&ckpt, 10)),
-                    halt_after: Some(20),
+                    halt_after: Some(halt),
                     ..Default::default()
                 },
             )
             .unwrap();
         assert!(first.interrupted);
-        assert_eq!(first.iterations_run, 20);
+        assert_eq!(first.iterations_run, halt);
+        assert_eq!(first.switches, full.switches, "every switch precedes the halt");
 
         // Fresh process simulation: new net/sgd, state from disk.
         let state = TrainState::load(&ckpt).unwrap();
-        assert_eq!(state.iteration, 20);
+        assert_eq!(state.iteration, halt);
         let mut sgd_c = Sgd::constant(0.05);
-        let mut net_c = dense_net(8);
-        let mut source_c = toy_source(80);
+        let mut net_c = make_net(8);
         let resumed = trainer
             .train_with(
                 &mut net_c,
-                Strategy::baseline(),
-                &mut source_c,
+                strategy,
+                &mut toy_source(80),
                 &mut sgd_c,
-                TrainOptions { resume: Some(state), ..Default::default() },
+                TrainOptions { resume: Some(state.clone()), ..Default::default() },
             )
             .unwrap();
         assert!(!resumed.interrupted);
         assert_eq!(resumed.iterations_run, full.iterations_run);
+        assert!(resumed.switches.is_empty(), "{:?}", resumed.switches);
+        if let Strategy::ClusterReuseSchedule { .. } = strategy {
+            assert_eq!(full.switches.len(), 1, "{:?}", full.switches);
+            assert!(
+                matches!(state.schedule, ScheduleState::ClusterReuse { active: false, .. }),
+                "{:?}",
+                state.schedule
+            );
+            assert!(reuse_layers(&mut net_c).all(|reuse| !reuse.config().cluster_reuse));
+        }
 
         // Bitwise-identical weights and FLOP counters.
-        let w_full = TrainState::capture(&mut net_a, &sgd_a, Strategy::baseline(), 40);
-        let w_res = TrainState::capture(&mut net_c, &sgd_c, Strategy::baseline(), 40);
+        let w_full = TrainState::capture(&mut net_a, &sgd_a, strategy, total);
+        let w_res = TrainState::capture(&mut net_c, &sgd_c, strategy, total);
         assert_eq!(w_full.params, w_res.params);
         assert_eq!(w_full.velocity, w_res.velocity);
         assert_eq!(w_full.flops, w_res.flops);
@@ -958,17 +803,22 @@ mod tests {
         let mut net = dense_net(9);
         let mut sgd = Sgd::constant(0.05);
         let state = TrainState::capture(&mut net, &sgd, Strategy::fixed(3, 6), 10);
-        let mut source = toy_source(90);
-        let err = trainer
-            .train_with(
-                &mut net,
-                Strategy::baseline(),
-                &mut source,
-                &mut sgd,
-                TrainOptions { resume: Some(state), ..Default::default() },
-            )
-            .unwrap_err();
+        let mut resume = |strategy, state| {
+            let options = TrainOptions { resume: Some(state), ..Default::default() };
+            trainer
+                .train_with(&mut net, strategy, &mut toy_source(90), &mut sgd, options)
+                .unwrap_err()
+        };
+        let err = resume(Strategy::baseline(), state.clone());
         assert!(matches!(err, TrainError::Resume(StateError::StrategyMismatch { .. })), "{err}");
+
+        // The right strategy carrying another strategy's schedule cursor is
+        // refused as well, typed, rather than resumed with the cursor skipped.
+        let plateau =
+            adr_nn::metrics::PlateauState { smoothed: None, best: 1.0, stale: 0, seen: 1 };
+        let foreign = ScheduleState::ClusterReuse { plateau, active: true };
+        let err = resume(Strategy::fixed(3, 6), TrainState { schedule: foreign, ..state });
+        assert!(matches!(err, TrainError::Controller(ControllerError::ScheduleMismatch)), "{err}");
     }
 
     // Under `--features checked` the invariant layer panics on the injected
@@ -1078,6 +928,6 @@ mod tests {
         };
         let (actual, baseline) = extra(&report, &shorter);
         assert!(baseline > 0 && actual == baseline, "{actual} vs {baseline}");
-        Trainer::for_each_reuse(&mut net, |reuse| assert!(reuse.is_dense()));
+        assert!(reuse_layers(&mut net).all(|reuse| reuse.is_dense()));
     }
 }

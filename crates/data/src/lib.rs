@@ -13,11 +13,6 @@
 // Tests assert on values they just constructed; unwrap there is the idiom.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod augment;
-pub mod batcher;
-pub mod split;
 pub mod synth;
 
-pub use augment::{augment_batch, AugmentConfig};
-pub use batcher::{BatchError, Batcher};
 pub use synth::{SynthConfig, SynthDataset};

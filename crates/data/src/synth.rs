@@ -243,12 +243,6 @@ impl SynthDataset {
         &self.images
     }
 
-    /// Mutable access to the image tensor — the fault-injection surface
-    /// (tests poison pixels to exercise validated batching and admission).
-    pub fn images_mut(&mut self) -> &mut Tensor4 {
-        &mut self.images
-    }
-
     /// Copies the images at `indices` into a batch.
     ///
     /// # Panics

@@ -6,6 +6,7 @@ use adr_nn::conv::{gemm_backward_input, gemm_backward_params, gemm_forward};
 use adr_nn::flops::{FlopMeter, FlopReport};
 use adr_nn::init::Init;
 use adr_nn::layer::{Layer, Mode, ParamRefMut, Shape3};
+use adr_nn::Network;
 use adr_tensor::im2col::{col2im, im2col_into, ConvGeom};
 use adr_tensor::matrix::Matrix;
 use adr_tensor::rng::AdrRng;
@@ -18,6 +19,20 @@ use crate::hashpack::PackedHasher;
 use crate::stats::ReuseStats;
 use crate::subvec::SubVecSplit;
 use crate::{ClusterScope, DegenerateClustering, ReuseConfig};
+
+/// Training batches between cache invalidations when `CR = 1`. Cached
+/// outputs reflect the weights at insertion time; unbounded reuse (a faithful
+/// Algorithm 1) destabilised training at our learning rates, so during
+/// training the layer drops them every eighth batch — the staleness bound
+/// that makes Strategy 3 trainable here (EXPERIMENTS.md, deviation 3).
+/// Inference forwards never invalidate (weights are frozen).
+const CACHE_REFRESH_EVERY: usize = 8;
+
+/// Every [`ReuseConv2d`] of `net`, in layer order — the one place that knows
+/// how a reuse layer is found behind `dyn Layer`.
+pub fn reuse_layers(net: &mut Network) -> impl Iterator<Item = &mut ReuseConv2d> {
+    net.layers_mut().iter_mut().filter_map(|layer| layer.as_any_mut()?.downcast_mut())
+}
 
 /// A convolutional layer that applies adaptive deep reuse.
 ///
@@ -56,11 +71,8 @@ pub struct ReuseConv2d {
     /// a requirement of across-batch cluster reuse (§III-B).
     lsh_seed: u64,
     caches: Vec<ReuseCache>,
-    /// Training batches between cache invalidations when `CR = 1`: cached
-    /// outputs reflect the weights at insertion time, so during training the
-    /// layer drops them every `cache_refresh_every` batches to bound
-    /// staleness. Inference forwards never invalidate (weights are frozen).
-    cache_refresh_every: usize,
+    /// Training batches since the CR caches were last invalidated (see
+    /// [`CACHE_REFRESH_EVERY`]).
     train_batches_since_refresh: usize,
     /// Batch size of the latest *training* forward pass, whose clustering
     /// the arena holds for the backward pass (§IV: the backward pass reuses
@@ -117,7 +129,6 @@ impl ReuseConv2d {
             lsh: Vec::new(),
             lsh_seed,
             caches: Vec::new(),
-            cache_refresh_every: 8,
             train_batches_since_refresh: 0,
             cached_batch: None,
             input_delta_skipped: false,
@@ -369,16 +380,6 @@ impl ReuseConv2d {
         sum / self.caches.len() as f64
     }
 
-    /// Sets how many *training* batches may reuse cached outputs before the
-    /// caches are invalidated (staleness bound). Has no effect on inference.
-    ///
-    /// # Panics
-    /// Panics if `every == 0`.
-    pub fn set_cache_refresh_every(&mut self, every: usize) {
-        assert!(every > 0, "refresh interval must be positive");
-        self.cache_refresh_every = every;
-    }
-
     /// Per-batch reuse rates averaged across sub-matrix caches: entry `b` is
     /// the mean hit fraction of completed batch `b`. Empty when CR = 0.
     pub fn reuse_rate_history(&self) -> Vec<f64> {
@@ -406,11 +407,6 @@ impl ReuseConv2d {
     /// Borrows the bias.
     pub fn bias(&self) -> &[f32] {
         &self.bias
-    }
-
-    /// Mutably borrows the bias (model surgery).
-    pub fn bias_mut(&mut self) -> &mut Vec<f32> {
-        &mut self.bias
     }
 
     /// Consumes the pending training forward: fills `∇W` and `∇b` in the
@@ -488,7 +484,7 @@ impl Layer for ReuseConv2d {
             // Weights move with every training step, dense or not, so dense
             // batches age the cached outputs too.
             self.train_batches_since_refresh += 1;
-            if self.train_batches_since_refresh >= self.cache_refresh_every {
+            if self.train_batches_since_refresh >= CACHE_REFRESH_EVERY {
                 self.train_batches_since_refresh = 0;
                 for c in &mut self.caches {
                     c.invalidate_outputs();

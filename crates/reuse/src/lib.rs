@@ -57,7 +57,7 @@ pub mod layer;
 pub mod stats;
 pub mod subvec;
 
-pub use layer::ReuseConv2d;
+pub use layer::{reuse_layers, ReuseConv2d};
 pub use stats::ReuseStats;
 
 /// Ways the fault-injection harness can corrupt a layer's LSH families —

@@ -12,7 +12,7 @@
 
 use adr_nn::layer::Shape3;
 use adr_nn::network::Network;
-use adr_reuse::ReuseConv2d;
+use adr_reuse::{reuse_layers, ReuseConv2d};
 use adr_tensor::sanitize::first_non_finite;
 use adr_tensor::Tensor4;
 
@@ -102,7 +102,7 @@ impl Engine {
         // mode keeps that state, so scrub it here — a poisoned cached row or
         // a corrupted family must not outlive the quarantine.
         self.apply_policy(StagePolicy::Exact);
-        self.reuse_layers().for_each(ReuseConv2d::rebuild_families);
+        reuse_layers(&mut self.net).for_each(ReuseConv2d::rebuild_families);
         self.applied = None;
         let retried = self.infer(batch)?;
         match first_non_finite(retried.as_slice()) {
@@ -129,7 +129,7 @@ impl Engine {
     /// Applies a stage policy to every reuse layer in the network. Dense
     /// layers are unaffected — a dense-only network simply has no dial.
     fn apply_policy(&mut self, policy: StagePolicy) {
-        for reuse in self.reuse_layers() {
+        for reuse in reuse_layers(&mut self.net) {
             match policy {
                 StagePolicy::Exact => reuse.exact_fallback(),
                 StagePolicy::Reuse { sub_vector_len, num_hashes, cluster_reuse } => {
@@ -137,13 +137,6 @@ impl Engine {
                 }
             }
         }
-    }
-
-    fn reuse_layers(&mut self) -> impl Iterator<Item = &mut ReuseConv2d> {
-        self.net
-            .layers_mut()
-            .iter_mut()
-            .filter_map(|layer| layer.as_any_mut()?.downcast_mut::<ReuseConv2d>())
     }
 
     /// Liveness/health probe: `false` once repeated batches stayed
@@ -206,7 +199,7 @@ pub(crate) mod tests {
     /// Cluster count and across-batch hit rate of the engine's reuse layer,
     /// as of its latest forward pass.
     fn clusters_and_hit_rate(engine: &mut Engine) -> (f64, f64) {
-        let reuse = engine.reuse_layers().next().unwrap();
+        let reuse = reuse_layers(&mut engine.net).next().unwrap();
         (reuse.stats().avg_clusters, reuse.mean_reuse_rate())
     }
 

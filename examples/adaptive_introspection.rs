@@ -15,8 +15,7 @@ use adaptive_deep_reuse::reuse::ReuseConv2d;
 
 fn inspect(name: &str, mut net: Network, batch_size: usize) {
     println!("=== {name} (batch {batch_size}) ===");
-    let controller =
-        AdaptiveController::for_network(&mut net, batch_size, 6, 8, 0.01, 20, false).unwrap();
+    let controller = AdaptiveController::for_network(&mut net, batch_size, 6, 8, 0.01, 20).unwrap();
     for plan in controller.plans() {
         // Pull the layer's geometry for context.
         let layer = &net.layers()[plan.layer_index];

@@ -13,6 +13,7 @@ use crate::prelude::*;
 use adr_core::trainer::BatchSource;
 use adr_obs::json::Json;
 use adr_obs::Recorder;
+use adr_reuse::reuse_layers;
 use std::path::Path;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,12 +84,9 @@ pub fn train_document() -> (Json, Vec<f32>) {
 
     let mut layers = Vec::new();
     let (mut actual_total, mut exact_total) = (0u64, 0u64);
-    for layer in net.layers_mut() {
-        let name = layer.name().to_string();
-        let (actual, exact) = (layer.flops().total(), layer.baseline_flops().total());
-        let Some(reuse) = layer.as_any_mut().and_then(|a| a.downcast_mut::<ReuseConv2d>()) else {
-            continue;
-        };
+    for reuse in reuse_layers(&mut net) {
+        let name = reuse.name().to_string();
+        let (actual, exact) = (reuse.flops().total(), reuse.baseline_flops().total());
         actual_total += actual;
         exact_total += exact;
         let phase_flops = ["hash", "centroid_gemm", "scatter"].map(|phase| {

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use adr_core::guardrails::{GuardrailConfig, GuardrailEvent, GuardrailEventKind};
     pub use adr_core::policy::{HRange, LRange};
     pub use adr_core::state::{StateError, TrainState};
-    pub use adr_core::strategy::{Strategy, StrategyKind};
+    pub use adr_core::strategy::Strategy;
     pub use adr_core::trainer::{
         CheckpointPolicy, TrainError, TrainOptions, Trainer, TrainerConfig,
     };

@@ -132,8 +132,7 @@ impl ShuffledSource {
         Self { dataset, batch_size, train_len, probe, order, cursor: 0, rng }
     }
 
-    /// Consumes the next shuffled batch (see also [`EpochBatcher`], the
-    /// plain iterator this mirrors for whole datasets).
+    /// Consumes the next shuffled batch.
     fn next_batch(&mut self) -> (Tensor4, Vec<usize>) {
         if self.cursor + self.batch_size > self.train_len {
             self.rng.shuffle(&mut self.order);
@@ -228,10 +227,6 @@ impl BatchSource for ShuffledSource {
         Ok(())
     }
 }
-
-/// Keep the simple [`Batcher`] reachable from the facade for users who want
-/// plain epoch iteration without the probe split.
-pub use adr_data::batcher::Batcher as EpochBatcher;
 
 #[cfg(test)]
 mod shuffled_tests {

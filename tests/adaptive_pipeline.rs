@@ -49,7 +49,7 @@ fn policy_ranges_for_cifarnet_layers_are_sane() {
 fn controller_covers_every_reuse_layer_of_vgg19() {
     let mut rng = AdrRng::seeded(1);
     let mut net = vgg19::bench_scale(4, ConvMode::reuse_default(), &mut rng);
-    let controller = AdaptiveController::for_network(&mut net, 8, 4, 4, 0.01, 0, false).unwrap();
+    let controller = AdaptiveController::for_network(&mut net, 8, 4, 4, 0.01, 0).unwrap();
     assert_eq!(controller.plans().len(), 16, "all 16 conv layers planned");
     // Every plan's schedule is non-trivial and monotone.
     for plan in controller.plans() {

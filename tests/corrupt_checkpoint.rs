@@ -230,6 +230,7 @@ fn corrupt_file_on_disk_fails_closed_via_load() {
 // ---------------------------------------------------------------------------
 
 use adaptive_deep_reuse::adaptive::controller::ControllerState;
+use adaptive_deep_reuse::adaptive::schedule::ScheduleState;
 use adaptive_deep_reuse::nn::metrics::PlateauState;
 
 fn poisoned_roundtrip(mutate: impl FnOnce(&mut TrainState)) -> StateError {
@@ -241,7 +242,7 @@ fn poisoned_roundtrip(mutate: impl FnOnce(&mut TrainState)) -> StateError {
 #[test]
 fn nan_plateau_smoothed_loss_is_typed() {
     let err = poisoned_roundtrip(|state| {
-        state.controller = Some(ControllerState {
+        state.schedule = ScheduleState::Adaptive(ControllerState {
             stage: 1,
             plateau: PlateauState { smoothed: Some(f32::NAN), best: 1.0, stale: 0, seen: 2 },
         });
@@ -253,8 +254,10 @@ fn nan_plateau_smoothed_loss_is_typed() {
 #[test]
 fn nan_plateau_best_loss_is_typed() {
     let err = poisoned_roundtrip(|state| {
-        state.cr_plateau =
-            Some(PlateauState { smoothed: Some(0.5), best: f32::NAN, stale: 1, seen: 3 });
+        state.schedule = ScheduleState::ClusterReuse {
+            plateau: PlateauState { smoothed: Some(0.5), best: f32::NAN, stale: 1, seen: 3 },
+            active: true,
+        };
     });
     assert!(matches!(err, StateError::Malformed(_)), "expected Malformed, got {err}");
 }
@@ -262,7 +265,7 @@ fn nan_plateau_best_loss_is_typed() {
 #[test]
 fn negative_infinite_plateau_best_is_typed() {
     let err = poisoned_roundtrip(|state| {
-        state.controller = Some(ControllerState {
+        state.schedule = ScheduleState::Adaptive(ControllerState {
             stage: 0,
             plateau: PlateauState {
                 smoothed: Some(0.5),
@@ -281,7 +284,49 @@ fn positive_infinite_plateau_best_still_roundtrips() {
     // starts from; rejecting it would break resuming an early checkpoint.
     let (_, _, mut state) = sample_state();
     let plateau = PlateauState { smoothed: None, best: f32::INFINITY, stale: 0, seen: 0 };
-    state.controller = Some(ControllerState { stage: 0, plateau });
+    state.schedule = ScheduleState::Adaptive(ControllerState { stage: 0, plateau });
     let restored = TrainState::from_bytes(&state.to_bytes()).unwrap();
-    assert_eq!(restored.controller, Some(ControllerState { stage: 0, plateau }));
+    assert_eq!(restored.schedule, ScheduleState::Adaptive(ControllerState { stage: 0, plateau }));
+}
+
+/// Byte offset at which each of the nine sections starts (8-byte file
+/// header, then per section a 16-byte header — tag, length, CRC — and the
+/// payload).
+fn section_starts(bytes: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut pos = 8;
+    while pos < bytes.len() {
+        starts.push(pos);
+        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
+        pos += 16 + usize::try_from(len).unwrap();
+    }
+    starts
+}
+
+#[test]
+fn schedule_slots_that_spell_no_cursor_are_malformed() {
+    // No `TrainState` encodes these any more, so splice them from three that
+    // do: META..CTRL of one snapshot, CRPL..SRCS of another. Every section
+    // keeps a valid CRC; only the combination is wrong.
+    let plateau = PlateauState { smoothed: Some(0.5), best: 0.4, stale: 1, seen: 30 };
+    let (_, _, mut state) = sample_state();
+    let unset = state.to_bytes();
+    state.schedule = ScheduleState::Adaptive(ControllerState { stage: 1, plateau });
+    let adaptive = state.to_bytes();
+    state.schedule = ScheduleState::ClusterReuse { plateau, active: true };
+    let cluster_reuse = state.to_bytes();
+    let splice = |head: &[u8], tail: &[u8]| {
+        let crpl = 6; // META PRMS VELO STAT FLOP CTRL | CRPL EPOC SRCS
+        [&head[..section_starts(head)[crpl]], &tail[section_starts(tail)[crpl]..]].concat()
+    };
+    assert!(TrainState::from_bytes(&splice(&adaptive, &unset)).is_ok(), "the splice is sound");
+    for (name, bytes) in [
+        ("CTRL and CRPL both present", splice(&adaptive, &cluster_reuse)),
+        ("CR flag without its plateau window", splice(&cluster_reuse, &unset)),
+        ("plateau window without its CR flag", splice(&unset, &cluster_reuse)),
+    ] {
+        let err = TrainState::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, StateError::Malformed(_)), "{name}: expected Malformed, got {err}");
+        assert!(err.to_string().contains("schedule cursor"), "{name}: {err}");
+    }
 }

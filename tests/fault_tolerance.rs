@@ -199,27 +199,26 @@ fn nan_fault_rolls_back_tightens_and_still_learns() {
     assert!(report.final_accuracy > 0.6, "accuracy {}", report.final_accuracy);
 }
 
-/// A degenerate clustering (every row collapsed into one giant cluster)
-/// is detected from the reuse statistics; with no adaptive controller to
-/// tighten, recovery lands on the exact im2col GEMM fallback.
-#[test]
-fn degenerate_clustering_falls_back_to_exact() {
-    let trainer = quick_trainer(80);
+/// Trains `reuse_net(11)` under guardrails with every reuse layer's
+/// clustering collapsed into one giant cluster at iteration `at`.
+fn run_with_collapsed_clustering(
+    strategy: Strategy,
+    at: usize,
+    iterations: usize,
+) -> (adaptive_deep_reuse::adaptive::TrainReport, Network) {
     let mut net = reuse_net(11);
-    let mut sgd = Sgd::constant(0.05);
-    let mut source = toy_source(110);
     let mut plan = FaultPlan::new().inject_at(
-        30,
+        at,
         FaultKind::DegenerateClusters(
             adaptive_deep_reuse::reuse::DegenerateClustering::OneGiantCluster,
         ),
     );
-    let report = trainer
+    let report = quick_trainer(iterations)
         .train_with(
             &mut net,
-            Strategy::fixed(3, 6),
-            &mut source,
-            &mut sgd,
+            strategy,
+            &mut toy_source(110),
+            &mut Sgd::constant(0.05),
             TrainOptions {
                 guardrails: Some(GuardrailConfig { snapshot_every: 10, ..Default::default() }),
                 faults: Some(&mut plan),
@@ -227,6 +226,15 @@ fn degenerate_clustering_falls_back_to_exact() {
             },
         )
         .unwrap();
+    (report, net)
+}
+
+/// A degenerate clustering (every row collapsed into one giant cluster)
+/// is detected from the reuse statistics; with no adaptive controller to
+/// tighten, recovery lands on the exact im2col GEMM fallback.
+#[test]
+fn degenerate_clustering_falls_back_to_exact() {
+    let (report, _) = run_with_collapsed_clustering(Strategy::fixed(3, 6), 30, 80);
     let kinds: Vec<_> = report.guardrail_events.iter().map(|e| e.kind).collect();
     assert!(kinds.contains(&GuardrailEventKind::DegenerateClustering), "{kinds:?}");
     assert!(kinds.contains(&GuardrailEventKind::RolledBack), "{kinds:?}");
@@ -238,6 +246,38 @@ fn degenerate_clustering_falls_back_to_exact() {
     // the model must remain healthy and keep learning.
     assert!(report.final_loss.is_finite());
     assert!(report.final_accuracy > 0.6, "accuracy {}", report.final_accuracy);
+}
+
+/// The exact fallback is one-way for every strategy: Strategy 3's own
+/// `CR` switch, thirty iterations after the guardrails dropped its layers
+/// to the exact path, rewrites `{L, H, CR}` — and must not thereby hand the
+/// layers back to the clustering that was just found degenerate. Prints
+/// the event trace (`-- --nocapture`).
+#[test]
+fn strategy3_keeps_the_exact_fallback_through_its_cr_switch() {
+    let (report, mut net) = run_with_collapsed_clustering(Strategy::cluster_reuse(3, 6), 12, 200);
+    for e in &report.guardrail_events {
+        println!("G @{} {:?} {}", e.iteration, e.kind, e.detail);
+    }
+    for s in &report.switches {
+        println!("S @{} {}", s.iteration, s.description);
+    }
+    let fallback = report
+        .guardrail_events
+        .iter()
+        .find(|e| e.kind == GuardrailEventKind::ExactFallback)
+        .expect("the degenerate clustering must land on the exact fallback");
+    let switch = report
+        .switches
+        .iter()
+        .find(|s| s.description.contains("cluster reuse off"))
+        .expect("Strategy 3 must still take its CR switch");
+    assert!(fallback.iteration < switch.iteration, "{fallback:?} then {switch:?}");
+    for reuse in adaptive_deep_reuse::reuse::reuse_layers(&mut net) {
+        println!("(is_dense, config) = ({}, {:?})", reuse.is_dense(), reuse.config());
+        assert!(reuse.is_dense(), "the CR switch re-loosened the exact fallback");
+        assert!(!reuse.config().cluster_reuse, "the switch itself must still be applied");
+    }
 }
 
 /// Transient checkpoint-write failures are absorbed by the bounded retry;
