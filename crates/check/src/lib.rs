@@ -29,13 +29,6 @@
 //! allocation counts are asserted under a real allocator by the
 //! `counting_alloc` test suites. DESIGN.md §12 has the ownership table
 //! and each lint's accepted imprecision.
-//!
-//! Besides source lints, the crate hosts the static model-graph verifier
-//! ([`shapegraph`], exposed as `adr-check shapes`): it propagates
-//! `(N, C, H, W)` through every `NetSpec` in `crates/models` and rejects
-//! incompatible layer chains, invalid im2col factorizations (Eq. 5 needs
-//! `L | K`), and reuse configs whose `H` exceeds the 64-bit signature
-//! budget.
 
 // Tests assert on values they just constructed; unwrap there is the idiom.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -47,7 +40,6 @@ pub mod lints;
 pub mod parser;
 pub mod sarif;
 pub mod scan;
-pub mod shapegraph;
 
 use std::path::{Path, PathBuf};
 

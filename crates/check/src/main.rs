@@ -4,13 +4,11 @@
 //! cargo run -p adr-check                      # lint the current workspace
 //! cargo run -p adr-check -- --root some/workspace
 //! cargo run -p adr-check -- --format sarif > adr-check.sarif
-//! cargo run -p adr-check -- shapes            # verify the built-in model specs
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings, stale or uncategorized allowlist
 //! entries (hard failures — audits that match nothing must be pruned, and
-//! every audit must name its category), or shape violations, `2` usage or
-//! I/O error.
+//! every audit must name its category), `2` usage or I/O error.
 //!
 //! With `--format sarif`, findings (including allowlist staleness) are
 //! printed to stdout as a SARIF 2.1.0 document — validated before emission
@@ -20,12 +18,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1).peekable();
-    if args.peek().map(String::as_str) == Some("shapes") {
-        args.next();
-        return run_shapes(args);
-    }
-
+    let mut args = std::env::args().skip(1);
     let mut root = PathBuf::from(".");
     let mut sarif = false;
     while let Some(arg) = args.next() {
@@ -53,7 +46,6 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 println!("usage: adr-check [--root <workspace-root>] [--format human|sarif]");
-                println!("       adr-check shapes");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -104,42 +96,6 @@ fn main() -> ExitCode {
             report.bad_category.len(),
             report.files_scanned
         );
-        ExitCode::FAILURE
-    }
-}
-
-/// `adr-check shapes`: verifies the built-in model specs from `adr-models`.
-fn run_shapes(mut args: impl Iterator<Item = String>) -> ExitCode {
-    match args.next().as_deref() {
-        None => {}
-        Some("--help" | "-h") => {
-            println!("usage: adr-check shapes");
-            return ExitCode::SUCCESS;
-        }
-        Some(other) => {
-            eprintln!("error: unknown argument `{other}`");
-            return ExitCode::from(2);
-        }
-    }
-
-    let specs = adr_models::all_net_specs();
-    let mut failures = 0usize;
-    for spec in &specs {
-        let report = adr_check::shapegraph::verify(spec);
-        println!("shape-check {}", report.net);
-        for line in &report.trace {
-            println!("  {line}");
-        }
-        if let Some(err) = &report.error {
-            println!("error[adr::shape_graph]: {}/{}: {}", report.net, err.layer, err.message);
-            failures += 1;
-        }
-    }
-    if failures == 0 {
-        println!("adr-check shapes: {} spec(s) verified", specs.len());
-        ExitCode::SUCCESS
-    } else {
-        println!("adr-check shapes: {failures} of {} spec(s) failed", specs.len());
         ExitCode::FAILURE
     }
 }

@@ -134,13 +134,3 @@ fn sarif_mode_on_clean_workspace_emits_empty_results() {
         doc.get("runs").unwrap().as_arr().unwrap()[0].get("results").unwrap().as_arr().unwrap();
     assert!(results.is_empty(), "clean run must carry no results");
 }
-
-#[test]
-fn shapes_accepts_all_builtin_specs() {
-    let (code, text) = run_with_args(&["shapes"]);
-    assert_eq!(code, 0, "built-in specs must verify; output:\n{text}");
-    for net in ["cifarnet", "alexnet", "vgg19"] {
-        assert!(text.contains(&format!("shape-check {net}")), "missing {net} trace:\n{text}");
-    }
-    assert!(text.contains("3 spec(s) verified"), "unexpected summary:\n{text}");
-}

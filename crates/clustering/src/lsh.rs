@@ -158,7 +158,7 @@ impl LshTable {
     }
 }
 
-/// Recycled lookup state for [`cluster_from_signatures_into`]: the
+/// Recycled lookup state for [`cluster_scoped_signatures_into`]: the
 /// direct-index table of the narrow-signature path and the hash map of the
 /// wide one. Both keep their heap capacity between calls.
 #[derive(Debug, Default)]
@@ -169,57 +169,41 @@ pub struct GroupScratch {
 
 /// Groups a signature stream into a dense [`ClusterTable`]: equal
 /// signatures share a cluster, ids assigned in first-appearance order.
-/// Returns the table plus the forming signature of each cluster.
+/// Returns the table plus the forming signature of each cluster. The
+/// allocating, whole-stream form of [`cluster_scoped_signatures_into`].
 pub fn cluster_from_signatures(
     sigs: impl ExactSizeIterator<Item = u64>,
 ) -> (ClusterTable, Vec<u64>) {
-    cluster_from_signatures_with_bits(sigs, u64::BITS as usize)
-}
-
-/// [`cluster_from_signatures`] for signatures known to fit in `sig_bits`
-/// bits, which lets narrow signatures take the direct-index path of
-/// [`cluster_from_signatures_into`].
-///
-/// # Panics
-/// Panics (in debug builds) if a signature exceeds `sig_bits`.
-pub fn cluster_from_signatures_with_bits(
-    sigs: impl ExactSizeIterator<Item = u64>,
-    sig_bits: usize,
-) -> (ClusterTable, Vec<u64>) {
     let mut table = ClusterTable::new(Vec::with_capacity(sigs.len()));
     let mut cluster_sigs = Vec::with_capacity(sigs.len());
-    let mut scratch = GroupScratch::default();
-    cluster_from_signatures_into(sigs, sig_bits, &mut scratch, &mut table, &mut cluster_sigs);
+    let scope_rows = sigs.len().max(1);
+    cluster_scoped_signatures_into(
+        sigs,
+        u64::BITS as usize,
+        scope_rows,
+        &mut GroupScratch::default(),
+        &mut table,
+        &mut cluster_sigs,
+    );
     (table, cluster_sigs)
 }
 
-/// [`cluster_from_signatures_with_bits`] into caller-owned state: `table`
-/// is re-assigned in place, `cluster_sigs` is cleared and refilled with the
-/// forming signature of each cluster, and `scratch` carries the lookup
-/// tables — so a steady-state call allocates nothing.
+/// Groups a signature stream known to fit in `sig_bits` bits into
+/// caller-owned state: `table` is re-assigned in place, `cluster_sigs` is
+/// cleared and refilled with the forming signature of each cluster, and
+/// `scratch` carries the lookup tables — so a steady-state call allocates
+/// nothing.
 ///
-/// # Panics
-/// Panics (in debug builds) if a signature exceeds `sig_bits`.
-pub fn cluster_from_signatures_into(
-    sigs: impl ExactSizeIterator<Item = u64>,
-    sig_bits: usize,
-    scratch: &mut GroupScratch,
-    table: &mut ClusterTable,
-    cluster_sigs: &mut Vec<u64>,
-) {
-    let scope_rows = sigs.len().max(1);
-    cluster_scoped_signatures_into(sigs, sig_bits, scope_rows, scratch, table, cluster_sigs);
-}
-
-/// [`cluster_from_signatures_into`] with a *cluster scope*: the stream is
-/// cut into consecutive runs of `scope_rows` signatures (a short last run is
-/// allowed) and equal signatures share a cluster only within a run — the
-/// paper's single-input scope (§III-B) with one run per image. Each run is
-/// grouped on the pure signature with a freshly emptied lookup table while
-/// the id counter runs on, so ids are dense, in first-appearance order over
-/// the whole stream, and the key never has to carry the run index — any
-/// signature width up to 64 bits works. `cluster_sigs` then repeats a
-/// signature once per run it appears in.
+/// Grouping happens within a *cluster scope*: the stream is cut into
+/// consecutive runs of `scope_rows` signatures (a short last run is allowed)
+/// and equal signatures share a cluster only within a run — the paper's
+/// single-input scope (§III-B) with one run per image; a `scope_rows` of
+/// the stream's length groups it whole. Each run is grouped on the pure
+/// signature with a freshly emptied lookup table while the id counter runs
+/// on, so ids are dense, in first-appearance order over the whole stream,
+/// and the key never has to carry the run index — any signature width up to
+/// 64 bits works. `cluster_sigs` then repeats a signature once per run it
+/// appears in.
 ///
 /// Signatures of at most 16 bits use a direct-index table instead of a hash
 /// map, which is several times faster on the reuse hot path; wider ones (or
@@ -407,7 +391,14 @@ mod tests {
                 .map(|r| (r % (7 + round as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask)
                 .collect();
             let iter = sigs.iter().copied();
-            cluster_from_signatures_into(iter, bits, &mut scratch, &mut table, &mut cluster_sigs);
+            cluster_scoped_signatures_into(
+                iter,
+                bits,
+                sigs.len(),
+                &mut scratch,
+                &mut table,
+                &mut cluster_sigs,
+            );
             let (fresh_table, fresh_sigs) = cluster_from_signatures(sigs.iter().copied());
             assert_eq!(table, fresh_table, "round {round}");
             assert_eq!(cluster_sigs, fresh_sigs, "round {round}");

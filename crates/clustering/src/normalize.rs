@@ -5,29 +5,6 @@
 //! Sign-random-projection LSH is scale-invariant, so hashing does not need
 //! normalisation, but k-means (the verification clustering) does.
 
-use adr_tensor::Matrix;
-
-/// L2-normalises each row of `m` in place; zero rows are left untouched.
-pub fn normalize_rows(m: &mut Matrix) {
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let norm = row.iter().map(|v| v * v).sum::<f32>().sqrt();
-        if norm > 0.0 {
-            let inv = 1.0 / norm;
-            for v in row {
-                *v *= inv;
-            }
-        }
-    }
-}
-
-/// Returns a row-normalised copy of `m`.
-pub fn normalized(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    normalize_rows(&mut out);
-    out
-}
-
 /// Angular cosine distance between two vectors: `‖â − b̂‖₂`.
 ///
 /// Ranges from 0 (same direction) to 2 (opposite direction). Zero vectors
@@ -70,22 +47,6 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normalize_rows_gives_unit_norms() {
-        let mut m = Matrix::from_vec(2, 2, vec![3.0, 4.0, 0.0, 5.0]).unwrap();
-        normalize_rows(&mut m);
-        assert!((m.row(0)[0] - 0.6).abs() < 1e-6);
-        assert!((m.row(0)[1] - 0.8).abs() < 1e-6);
-        assert_eq!(m.row(1), &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn zero_rows_survive_normalisation() {
-        let mut m = Matrix::zeros(1, 3);
-        normalize_rows(&mut m);
-        assert_eq!(m.row(0), &[0.0, 0.0, 0.0]);
-    }
 
     #[test]
     fn angular_distance_of_parallel_vectors_is_zero() {

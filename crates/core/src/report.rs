@@ -68,19 +68,6 @@ impl TrainReport {
         1.0 - self.wall_time.as_secs_f64() / reference.as_secs_f64()
     }
 
-    /// One markdown table row: name, iterations, accuracy, savings, time.
-    pub fn markdown_row(&self) -> String {
-        format!(
-            "| {} | {} | {} | {:.3} | {:.1}% | {:.2}s |",
-            self.strategy,
-            self.iterations_run,
-            self.iterations_to_target.map_or_else(|| "-".to_string(), |i| i.to_string()),
-            self.final_accuracy,
-            self.flop_savings() * 100.0,
-            self.wall_time.as_secs_f64(),
-        )
-    }
-
     /// Multi-line human-readable summary.
     pub fn summary(&self) -> String {
         let mut s = format!(
@@ -147,14 +134,6 @@ mod tests {
         let r = report();
         assert!((r.time_savings_vs(Duration::from_secs(10)) - 0.5).abs() < 1e-12);
         assert_eq!(r.time_savings_vs(Duration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn markdown_row_contains_key_fields() {
-        let row = report().markdown_row();
-        assert!(row.contains("test"));
-        assert!(row.contains("80"));
-        assert!(row.contains("50.0%"));
     }
 
     #[test]

@@ -52,8 +52,7 @@ impl SynthConfig {
     }
 
     /// ImageNet stand-in at bench scale: 64×64×3, 100 classes by default.
-    /// (Full 224×224 is available through [`SynthConfig::imagenet_paper_scale`]
-    /// but is far too slow to *train* on a CPU; see DESIGN.md.)
+    /// (Full 224×224 is far too slow to *train* on a CPU; see DESIGN.md.)
     pub fn imagenet_like(num_images: usize, num_classes: usize) -> Self {
         Self {
             num_images,
@@ -64,21 +63,6 @@ impl SynthConfig {
             smoothing_passes: 4,
             noise_std: 0.05,
             max_shift: 5,
-            image_variability: 0.45,
-        }
-    }
-
-    /// Full 224×224×3 geometry matching the paper's AlexNet/VGG-19 inputs.
-    pub fn imagenet_paper_scale(num_images: usize, num_classes: usize) -> Self {
-        Self {
-            num_images,
-            num_classes,
-            height: 224,
-            width: 224,
-            channels: 3,
-            smoothing_passes: 5,
-            noise_std: 0.05,
-            max_shift: 10,
             image_variability: 0.45,
         }
     }

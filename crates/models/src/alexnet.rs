@@ -7,7 +7,7 @@ use adr_nn::Network;
 use adr_tensor::im2col::ConvGeom;
 use adr_tensor::rng::AdrRng;
 
-use crate::spec::{ConvSpec, LayerSpec, ModelSpec, NetSpec, ReuseSpec};
+use crate::spec::{ConvSpec, ModelSpec};
 use crate::ConvMode;
 
 /// Paper-scale geometry: the classic 224×224 AlexNet stack whose `K` runs
@@ -51,78 +51,6 @@ pub fn spec() -> ModelSpec {
                     .expect("model geometry constants are valid"),
                 out_channels: 256,
             },
-        ],
-    }
-}
-
-/// Whole-network architecture declaration for the static shape verifier:
-/// the classic stack conv1–5 with LRN after the first two convolutions,
-/// three 3×3/2 max pools, and the 4096/4096/1000 dense head behind dropout.
-///
-/// Reuse knobs follow Policy 1's `L = kw` start: conv1 declares `L = 11`
-/// (divides K = 363), the 5×5 and 3×3 convs declare `L = 5` / `L = 3`.
-///
-/// # Panics
-/// Never in practice: the geometry constants are validated at build time.
-pub fn net_spec() -> NetSpec {
-    let r = |l: usize| Some(ReuseSpec { sub_vector_len: l, num_hashes: 8 });
-    NetSpec {
-        name: "alexnet".into(),
-        input: (224, 224, 3),
-        layers: vec![
-            LayerSpec::Conv {
-                name: "conv1".into(),
-                geom: ConvGeom::new(224, 224, 3, 11, 11, 4, 0)
-                    .expect("model geometry constants are valid"),
-                out_channels: 64,
-                reuse: r(11),
-            },
-            LayerSpec::Relu { name: "relu1".into() },
-            LayerSpec::Lrn { name: "lrn1".into() },
-            LayerSpec::Pool { name: "pool1".into(), size: 3, stride: 2 }, // 54 -> 26
-            LayerSpec::Conv {
-                name: "conv2".into(),
-                geom: ConvGeom::new(26, 26, 64, 5, 5, 1, 2)
-                    .expect("model geometry constants are valid"),
-                out_channels: 192,
-                reuse: r(5),
-            },
-            LayerSpec::Relu { name: "relu2".into() },
-            LayerSpec::Lrn { name: "lrn2".into() },
-            LayerSpec::Pool { name: "pool2".into(), size: 3, stride: 2 }, // 26 -> 12
-            LayerSpec::Conv {
-                name: "conv3".into(),
-                geom: ConvGeom::new(12, 12, 192, 3, 3, 1, 1)
-                    .expect("model geometry constants are valid"),
-                out_channels: 384,
-                reuse: r(3),
-            },
-            LayerSpec::Relu { name: "relu3".into() },
-            LayerSpec::Conv {
-                name: "conv4".into(),
-                geom: ConvGeom::new(12, 12, 384, 3, 3, 1, 1)
-                    .expect("model geometry constants are valid"),
-                out_channels: 384,
-                reuse: r(3),
-            },
-            LayerSpec::Relu { name: "relu4".into() },
-            LayerSpec::Conv {
-                name: "conv5".into(),
-                geom: ConvGeom::new(12, 12, 384, 3, 3, 1, 1)
-                    .expect("model geometry constants are valid"),
-                out_channels: 256,
-                reuse: r(3),
-            },
-            LayerSpec::Relu { name: "relu5".into() },
-            LayerSpec::Pool { name: "pool5".into(), size: 3, stride: 2 }, // 12 -> 5
-            LayerSpec::Flatten,
-            LayerSpec::Dense { name: "fc6".into(), in_features: 5 * 5 * 256, out_features: 4096 },
-            LayerSpec::Relu { name: "relu6".into() },
-            LayerSpec::Dropout { name: "drop6".into(), rate: 0.5 },
-            LayerSpec::Dense { name: "fc7".into(), in_features: 4096, out_features: 4096 },
-            LayerSpec::Relu { name: "relu7".into() },
-            LayerSpec::Dropout { name: "drop7".into(), rate: 0.5 },
-            LayerSpec::Dense { name: "fc8".into(), in_features: 4096, out_features: 1000 },
         ],
     }
 }

@@ -11,7 +11,7 @@ use adr_nn::Network;
 use adr_tensor::im2col::ConvGeom;
 use adr_tensor::rng::AdrRng;
 
-use crate::spec::{ConvSpec, LayerSpec, ModelSpec, NetSpec, ReuseSpec};
+use crate::spec::{ConvSpec, ModelSpec};
 use crate::ConvMode;
 
 /// Paper-scale geometry (for Table II verification).
@@ -35,47 +35,6 @@ pub fn spec() -> ModelSpec {
                     .expect("model geometry constants are valid"),
                 out_channels: 64,
             },
-        ],
-    }
-}
-
-/// Whole-network architecture declaration for the static shape verifier.
-///
-/// Both convolutions declare the paper's Policy-1 starting point `L = kw`
-/// (= 5, which divides K = 75 and K = 1600 as Eq. 5 requires) and `H = 8`.
-///
-/// # Panics
-/// Never in practice: the geometry constants are validated at build time.
-pub fn net_spec() -> NetSpec {
-    let reuse = Some(ReuseSpec { sub_vector_len: 5, num_hashes: 8 });
-    NetSpec {
-        name: "cifarnet".into(),
-        input: (32, 32, 3),
-        layers: vec![
-            LayerSpec::Conv {
-                name: "conv1".into(),
-                geom: ConvGeom::new(32, 32, 3, 5, 5, 1, 2)
-                    .expect("model geometry constants are valid"),
-                out_channels: 64,
-                reuse,
-            },
-            LayerSpec::Relu { name: "relu1".into() },
-            LayerSpec::Pool { name: "pool1".into(), size: 3, stride: 2 }, // 32 -> 15
-            LayerSpec::Conv {
-                name: "conv2".into(),
-                geom: ConvGeom::new(15, 15, 64, 5, 5, 1, 2)
-                    .expect("model geometry constants are valid"),
-                out_channels: 64,
-                reuse,
-            },
-            LayerSpec::Relu { name: "relu2".into() },
-            LayerSpec::Pool { name: "pool2".into(), size: 3, stride: 2 }, // 15 -> 7
-            LayerSpec::Flatten,
-            LayerSpec::Dense { name: "fc3".into(), in_features: 7 * 7 * 64, out_features: 384 },
-            LayerSpec::Relu { name: "relu3".into() },
-            LayerSpec::Dense { name: "fc4".into(), in_features: 384, out_features: 192 },
-            LayerSpec::Relu { name: "relu4".into() },
-            LayerSpec::Dense { name: "logits".into(), in_features: 192, out_features: 10 },
         ],
     }
 }

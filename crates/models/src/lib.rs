@@ -30,13 +30,7 @@ use adr_reuse::{ReuseConfig, ReuseConv2d};
 use adr_tensor::im2col::ConvGeom;
 use adr_tensor::rng::AdrRng;
 
-pub use spec::{ConvSpec, LayerSpec, ModelSpec, NetSpec, ReuseSpec};
-
-/// Every shipped whole-network architecture declaration, in Table II order.
-/// The static shape verifier (`adr-check shapes`) iterates exactly this set.
-pub fn all_net_specs() -> Vec<NetSpec> {
-    vec![cifarnet::net_spec(), alexnet::net_spec(), vgg19::net_spec()]
-}
+pub use spec::{ConvSpec, ModelSpec};
 
 /// Whether convolutions are built dense or with deep reuse.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,9 +57,9 @@ impl ConvMode {
         }
     }
 
-    /// A sensible initial reuse mode: the most aggressive Policy-1 setting
-    /// is applied later by the controller, so layers start with `L = kw`,
-    /// `H = 8`, `CR = 0` merely as placeholders.
+    /// The initial reuse mode: `{L = 8, H = 8, CR = 0}`, the benchmark's
+    /// fixed setting, which the adaptive controller retunes later. `L` need
+    /// not divide a layer's `K` — the last sub-vector of a row is shorter.
     pub fn reuse_default() -> Self {
         ConvMode::Reuse(ReuseConfig::new(8, 8, false))
     }
@@ -84,5 +78,30 @@ mod tests {
         let reuse = ConvMode::reuse_default().build("r", geom, 4, &mut rng);
         assert_eq!(reuse.name(), "r");
         assert!(matches!(ConvMode::reuse_default(), ConvMode::Reuse(_)));
+    }
+
+    /// CifarNet's head with `conv2` declared for 8×8×64 where `pool1`
+    /// delivers 7×7×64: `Network::push` must refuse it, by layer name.
+    fn push_conv2_declared_for_the_wrong_input(mode: ConvMode) {
+        let mut rng = AdrRng::seeded(1);
+        let mut net = adr_nn::Network::new((16, 16, 3));
+        let g1 = ConvGeom::new(16, 16, 3, 5, 5, 1, 2).unwrap();
+        net.push(mode.build("conv1", g1, 64, &mut rng));
+        net.push(Box::new(adr_nn::relu::Relu::new("relu1")));
+        net.push(Box::new(adr_nn::pool::Pool2d::max("pool1", 3, 2))); // 16 -> 7
+        let g2 = ConvGeom::new(8, 8, 64, 5, 5, 1, 2).unwrap();
+        net.push(mode.build("conv2", g2, 64, &mut rng));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2: input shape mismatch")]
+    fn dense_conv_declared_for_the_wrong_input_panics_at_push() {
+        push_conv2_declared_for_the_wrong_input(ConvMode::Dense);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2: input shape mismatch")]
+    fn reuse_conv_declared_for_the_wrong_input_panics_at_push() {
+        push_conv2_declared_for_the_wrong_input(ConvMode::reuse_default());
     }
 }

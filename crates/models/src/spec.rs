@@ -1,18 +1,9 @@
-//! Paper-scale model geometry (no weights), for Table II verification and
-//! static shape checking.
+//! Paper-scale model geometry (no weights), for Table II verification.
 //!
-//! Two spec levels coexist:
-//!
-//! * [`ModelSpec`] — the conv-only view Table II talks about (K/M ranges);
-//! * [`NetSpec`]/[`LayerSpec`] — the *whole* layer chain including pools,
-//!   flatten and dense heads, consumed by `adr-check shapes` to propagate
-//!   `(N, C, H, W)` symbolically and reject inconsistent architectures
-//!   before any weight is allocated.
-//!
-//! [`ReuseSpec`] deliberately stores raw `{L, H}` integers rather than a
-//! validated `adr_reuse::ReuseConfig`: the static verifier must be able to
-//! *represent* an invalid declaration (H > 64, L ∤ K) in order to reject it
-//! with a diagnostic instead of panicking at construction time.
+//! One spec level: [`ModelSpec`] — the conv-only view Table II talks about
+//! (K/M ranges). Whole-network shape consistency is not declared here; it
+//! is enforced where a network is built, by `Network::push` →
+//! `Layer::output_shape`, layer by layer and by name.
 
 use adr_tensor::im2col::ConvGeom;
 
@@ -74,119 +65,6 @@ impl ModelSpec {
     }
 }
 
-/// Declared reuse knobs of one conv layer, in unvalidated form.
-///
-/// The shape verifier checks `L | K` (Eq. 5's sub-matrix factorization) and
-/// `1 ≤ H ≤ 64` (one packed `u64` signature per sub-vector).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReuseSpec {
-    /// Sub-vector length `L`.
-    pub sub_vector_len: usize,
-    /// Number of LSH hash functions `H`.
-    pub num_hashes: usize,
-}
-
-/// One layer of a whole-network architecture declaration.
-#[derive(Clone, Debug)]
-pub enum LayerSpec {
-    /// Convolution with a declared input geometry and output channel count.
-    Conv {
-        /// Layer name.
-        name: String,
-        /// Declared geometry (the verifier cross-checks it against the
-        /// propagated shape — a declared input that disagrees with the
-        /// previous layer's output is exactly the bug class this catches).
-        geom: ConvGeom,
-        /// Output channels `M`.
-        out_channels: usize,
-        /// Deep-reuse knobs, when this conv is declared as a reuse layer.
-        reuse: Option<ReuseSpec>,
-    },
-    /// Square max/avg pooling (kind is shape-irrelevant, so not recorded).
-    Pool {
-        /// Layer name.
-        name: String,
-        /// Window size.
-        size: usize,
-        /// Stride.
-        stride: usize,
-    },
-    /// Elementwise activation (shape-preserving).
-    Relu {
-        /// Layer name.
-        name: String,
-    },
-    /// Local response normalization (shape-preserving).
-    Lrn {
-        /// Layer name.
-        name: String,
-    },
-    /// Per-channel batch normalization.
-    BatchNorm {
-        /// Layer name.
-        name: String,
-        /// Declared channel count (must match the propagated `C`).
-        channels: usize,
-    },
-    /// Dropout (shape-preserving; rate must lie in `[0, 1)`).
-    Dropout {
-        /// Layer name.
-        name: String,
-        /// Drop probability.
-        rate: f32,
-    },
-    /// Collapse `(C, H, W)` into a feature vector.
-    Flatten,
-    /// Fully connected layer.
-    Dense {
-        /// Layer name.
-        name: String,
-        /// Declared input features (must match the flattened count).
-        in_features: usize,
-        /// Output features.
-        out_features: usize,
-    },
-}
-
-impl LayerSpec {
-    /// The layer's name (`"flatten"` for the anonymous flatten marker).
-    pub fn name(&self) -> &str {
-        match self {
-            LayerSpec::Conv { name, .. }
-            | LayerSpec::Pool { name, .. }
-            | LayerSpec::Relu { name }
-            | LayerSpec::Lrn { name }
-            | LayerSpec::BatchNorm { name, .. }
-            | LayerSpec::Dropout { name, .. }
-            | LayerSpec::Dense { name, .. } => name,
-            LayerSpec::Flatten => "flatten",
-        }
-    }
-}
-
-/// A whole network's declared architecture, input to the static verifier.
-#[derive(Clone, Debug)]
-pub struct NetSpec {
-    /// Network name.
-    pub name: String,
-    /// Input `(h, w, c)`.
-    pub input: (usize, usize, usize),
-    /// Layers in forward order.
-    pub layers: Vec<LayerSpec>,
-}
-
-impl NetSpec {
-    /// The conv layers of the chain, in order.
-    pub fn convs(&self) -> impl Iterator<Item = (&str, &ConvGeom, usize)> {
-        self.layers.iter().filter_map(|l| match l {
-            LayerSpec::Conv { name, geom, out_channels, .. } => {
-                Some((name.as_str(), geom, *out_channels))
-            }
-            _ => None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{alexnet, cifarnet, vgg19};
@@ -224,41 +102,6 @@ mod tests {
         assert_eq!(s.input, (224, 224, 3));
         assert_eq!(s.k_range(), (27, 4608));
         assert_eq!(s.m_range(), (64, 512));
-    }
-
-    /// The whole-network declarations must agree with the conv-only Table II
-    /// specs: same conv names, geometries, and channel counts, in order.
-    #[test]
-    fn net_specs_agree_with_conv_specs() {
-        for (net, model) in [
-            (cifarnet::net_spec(), cifarnet::spec()),
-            (alexnet::net_spec(), alexnet::spec()),
-            (vgg19::net_spec(), vgg19::spec()),
-        ] {
-            assert_eq!(net.name, model.name);
-            let net_convs: Vec<_> = net.convs().collect();
-            assert_eq!(net_convs.len(), model.convs.len(), "{}", net.name);
-            for ((name, geom, out_c), conv) in net_convs.iter().zip(&model.convs) {
-                assert_eq!(*name, conv.name);
-                assert_eq!(**geom, conv.geom);
-                assert_eq!(*out_c, conv.out_channels);
-            }
-        }
-    }
-
-    /// Every declared reuse knob in the shipped specs must satisfy the
-    /// verifier's contract up front: `L | K` and `H ≤ 64`.
-    #[test]
-    fn shipped_reuse_specs_are_valid() {
-        use crate::LayerSpec;
-        for net in crate::all_net_specs() {
-            for layer in &net.layers {
-                if let LayerSpec::Conv { name, geom, reuse: Some(r), .. } = layer {
-                    assert_eq!(geom.k() % r.sub_vector_len, 0, "{}/{name}", net.name);
-                    assert!((1..=64).contains(&r.num_hashes), "{}/{name}", net.name);
-                }
-            }
-        }
     }
 
     /// Spatial dimensions must chain: each conv/pool output feeds the next

@@ -7,7 +7,7 @@ use adr_nn::Network;
 use adr_tensor::im2col::ConvGeom;
 use adr_tensor::rng::AdrRng;
 
-use crate::spec::{ConvSpec, LayerSpec, ModelSpec, NetSpec, ReuseSpec};
+use crate::spec::{ConvSpec, ModelSpec};
 use crate::ConvMode;
 
 /// VGG-19 block structure: (convs in block, output channels).
@@ -36,48 +36,6 @@ pub fn spec() -> ModelSpec {
         size /= 2; // 2x2 stride-2 max pool after each block
     }
     ModelSpec { name: "vgg19", input: (224, 224, 3), convs }
-}
-
-/// Whole-network architecture declaration for the static shape verifier:
-/// all sixteen convolutions (each declaring Policy 1's `L = kw = 3`, which
-/// divides every `K = Ic·9`), a 2×2/2 max pool per block, and the
-/// 4096/4096/1000 dense head behind dropout.
-///
-/// # Panics
-/// Never in practice: the geometry constants are validated at build time.
-pub fn net_spec() -> NetSpec {
-    let reuse = Some(ReuseSpec { sub_vector_len: 3, num_hashes: 8 });
-    let mut layers = Vec::new();
-    let mut size = 224usize;
-    let mut in_c = 3usize;
-    for (b, &(count, channels)) in BLOCKS.iter().enumerate() {
-        for i in 0..count {
-            layers.push(LayerSpec::Conv {
-                name: format!("conv{}_{}", b + 1, i + 1),
-                geom: ConvGeom::new(size, size, in_c, 3, 3, 1, 1)
-                    .expect("model geometry constants are valid"),
-                out_channels: channels,
-                reuse,
-            });
-            layers.push(LayerSpec::Relu { name: format!("relu{}_{}", b + 1, i + 1) });
-            in_c = channels;
-        }
-        layers.push(LayerSpec::Pool { name: format!("pool{}", b + 1), size: 2, stride: 2 });
-        size /= 2;
-    }
-    layers.push(LayerSpec::Flatten); // 7·7·512 = 25088
-    layers.push(LayerSpec::Dense {
-        name: "fc6".into(),
-        in_features: size * size * in_c,
-        out_features: 4096,
-    });
-    layers.push(LayerSpec::Relu { name: "relu6".into() });
-    layers.push(LayerSpec::Dropout { name: "drop6".into(), rate: 0.5 });
-    layers.push(LayerSpec::Dense { name: "fc7".into(), in_features: 4096, out_features: 4096 });
-    layers.push(LayerSpec::Relu { name: "relu7".into() });
-    layers.push(LayerSpec::Dropout { name: "drop7".into(), rate: 0.5 });
-    layers.push(LayerSpec::Dense { name: "fc8".into(), in_features: 4096, out_features: 1000 });
-    NetSpec { name: "vgg19".into(), input: (224, 224, 3), layers }
 }
 
 /// A reduced 32×32 VGG-19 keeping all sixteen convolutions and the

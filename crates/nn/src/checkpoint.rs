@@ -159,11 +159,6 @@ impl Checkpoint {
         self.slots.len()
     }
 
-    /// Total scalar parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum()
-    }
-
     /// Number of non-learnable state buffers.
     pub fn num_state_buffers(&self) -> usize {
         self.state.len()
@@ -410,7 +405,6 @@ mod tests {
         snap.write_to(&mut buf).unwrap();
         let back = Checkpoint::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(snap, back);
-        assert_eq!(back.num_scalars(), snap.num_scalars());
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl Adam {
     pub fn with_defaults(lr: f32) -> Self {
         Self::new(lr, 0.9, 0.999, 1e-8)
     }
-
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
 }
 
 impl Optimizer for Adam {

@@ -1,31 +1,12 @@
-//! Exporters: Prometheus text and JSON-lines run logs, persisted through
+//! Exporter: JSON documents persisted through
 //! `adr_nn::durable::write_atomic` so a crash mid-export can never leave a
-//! truncated metrics file behind (the same temp + fsync + rename discipline
-//! as checkpoints; enforced by the `adr::durable_io` lint on this crate).
+//! truncated file behind (the same temp + fsync + rename discipline as
+//! checkpoints; enforced by the `adr::durable_io` lint on this crate).
 
 use crate::json::Json;
-use crate::sink::Recorder;
 use adr_nn::durable::write_atomic;
 use std::io;
 use std::path::Path;
-
-/// Atomically writes the recorder's Prometheus text exposition to `path`.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the atomic writer.
-pub fn write_prometheus(path: &Path, recorder: &Recorder) -> io::Result<()> {
-    write_atomic(path, recorder.to_prometheus().as_bytes())
-}
-
-/// Atomically writes the recorder's JSON-lines run log to `path`.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the atomic writer.
-pub fn write_json_lines(path: &Path, recorder: &Recorder, include_timing: bool) -> io::Result<()> {
-    write_atomic(path, recorder.to_json_lines(include_timing).as_bytes())
-}
 
 /// Atomically writes a pretty-rendered JSON document (the BENCH files).
 ///
@@ -41,28 +22,11 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
-    use crate::sink::MetricSink;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("adr_obs_{}_{name}", std::process::id()));
         p
-    }
-
-    #[test]
-    fn exports_land_on_disk_atomically() {
-        let rec = Recorder::new();
-        rec.counter_add("adr_train_steps", &[], 3);
-        let prom = temp_path("metrics.prom");
-        let jsonl = temp_path("run.jsonl");
-        write_prometheus(&prom, &rec).unwrap();
-        write_json_lines(&jsonl, &rec, false).unwrap();
-        let prom_text = std::fs::read_to_string(&prom).unwrap();
-        assert!(prom_text.contains("adr_train_steps 3"));
-        let jsonl_text = std::fs::read_to_string(&jsonl).unwrap();
-        assert!(jsonl_text.contains("\"value\":3"));
-        std::fs::remove_file(&prom).ok();
-        std::fs::remove_file(&jsonl).ok();
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! * [`span`] — scoped wall-time spans with the per-layer/per-phase
 //!   taxonomy (im2col, hash, cluster, centroid-GEMM, scatter).
 //! * [`sink`] — the [`MetricSink`] trait, the no-op [`NullSink`], and the
-//!   collecting [`Recorder`] (counters / gauges / histograms / span times).
-//! * [`export`] — Prometheus text format and JSON-lines run logs, written
-//!   through `adr_nn::durable`'s atomic writer.
+//!   collecting [`Recorder`] (counters / gauges / histograms / span times),
+//!   which renders Prometheus text and JSON-lines run logs.
+//! * [`export`] — JSON documents written through `adr_nn::durable`'s
+//!   atomic writer.
 //! * [`json`] — the byte-deterministic JSON value the exporters and the
 //!   golden `BENCH_*.json` counter documents render through.
 //!

@@ -156,11 +156,6 @@ impl DegradationLadder {
         self.cfg.stages.get(self.stage).copied().unwrap_or(StagePolicy::Exact)
     }
 
-    /// The policy of an arbitrary stage, if it exists.
-    pub fn policy_at(&self, stage: usize) -> Option<StagePolicy> {
-        self.cfg.stages.get(stage).copied()
-    }
-
     /// The smoothed pressure signal (0 until the first observation).
     pub fn pressure(&self) -> f32 {
         self.pressure.get().unwrap_or(0.0)

@@ -93,16 +93,6 @@ impl ConvGeom {
     pub fn rows_for_batch(&self, nb: usize) -> usize {
         nb * self.rows_per_image()
     }
-
-    /// Column index of kernel element `(channel, ki, kj)`.
-    ///
-    /// # Shape
-    /// `channel < in_c`, `ki < kernel_h`, `kj < kernel_w`; the result is a
-    /// column of the `N × K` unfolded matrix, `K = in_c·kh·kw`.
-    #[inline]
-    pub fn col_index(&self, channel: usize, ki: usize, kj: usize) -> usize {
-        (channel * self.kernel_h + ki) * self.kernel_w + kj
-    }
 }
 
 /// Unfolds an NHWC input batch into the paper's `N × K` matrix.

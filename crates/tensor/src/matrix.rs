@@ -164,15 +164,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies column `c` into a fresh vector.
-    ///
-    /// # Panics
-    /// Panics when `c >= cols`.
-    pub fn col_to_vec(&self, c: usize) -> Vec<f32> {
-        assert!(c < self.cols, "col {} out of bounds for {} cols", c, self.cols);
-        (0..self.rows).map(|r| self.data[r * self.cols + c]).collect()
-    }
-
     /// Returns a new matrix whose rows are `self`'s rows restricted to the
     /// half-open column range `[start, end)`.
     ///
@@ -333,17 +324,6 @@ impl Matrix {
         }
     }
 
-    /// `self += alpha * other`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-    }
-
     /// Multiplies every element by `alpha` in place.
     pub fn scale(&mut self, alpha: f32) {
         for a in self.data.iter_mut() {
@@ -371,11 +351,6 @@ impl Matrix {
         let mut sums = vec![0.0f32; self.cols];
         column_sums_into(&self.data, &mut sums);
         sums
-    }
-
-    /// The Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Maximum absolute element difference against another matrix.
@@ -704,10 +679,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale_compose() {
-        let mut a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::filled(2, 2, 2.0);
-        a.axpy(0.5, &b);
+    fn scale_multiplies_every_element() {
+        let mut a = Matrix::filled(2, 2, 2.0);
         a.scale(2.0);
         assert_eq!(a, Matrix::filled(2, 2, 4.0));
     }
@@ -717,11 +690,5 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 4.0, 5.0];
         let b = [2.0, 2.0, 2.0, 2.0, 2.0];
         assert_eq!(dot(&a, &b), 30.0);
-    }
-
-    #[test]
-    fn frobenius_norm_of_unit_rows() {
-        let m = Matrix::identity(4);
-        assert!((m.frobenius_norm() - 2.0).abs() < 1e-6);
     }
 }

@@ -1,7 +1,5 @@
 //! NHWC 4-D tensor used for images and activation maps.
 
-use crate::matrix::Matrix;
-
 /// A dense 4-D tensor with NHWC layout: `[batch, height, width, channels]`.
 ///
 /// NHWC keeps a pixel's channels contiguous, which matches the im2col row
@@ -147,28 +145,6 @@ impl Tensor4 {
         self.data
     }
 
-    /// Reinterprets the tensor as a `[n, h*w*c]` matrix (no copy of values,
-    /// but allocates the `Matrix` wrapper around a clone of the data).
-    ///
-    /// # Panics
-    /// Never in practice: the length always matches the tensor's own dims.
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_vec(self.n, self.h * self.w * self.c, self.data.clone())
-            .expect("shape arithmetic is consistent")
-    }
-
-    /// Builds an NHWC tensor from a `[n, h*w*c]` matrix.
-    ///
-    /// # Shape
-    /// `m: n × (h·w·c)` → output `n × h × w × c`.
-    ///
-    /// # Panics
-    /// Panics if the matrix shape disagrees with `n*h*w*c`.
-    pub fn from_matrix(m: &Matrix, h: usize, w: usize, c: usize) -> Self {
-        assert_eq!(m.cols(), h * w * c, "matrix cols do not match h*w*c");
-        Self { n: m.rows(), h, w, c, data: m.as_slice().to_vec() }
-    }
-
     /// Copies one image (all channels) out of the batch.
     ///
     /// # Panics
@@ -205,15 +181,6 @@ mod tests {
         let t = Tensor4::from_fn(2, 2, 2, 3, |n, y, x, c| (n * 1000 + y * 100 + x * 10 + c) as f32);
         assert_eq!(t.get(1, 0, 1, 2), 1012.0);
         assert_eq!(t.get(0, 1, 1, 0), 110.0);
-    }
-
-    #[test]
-    fn matrix_round_trip_preserves_values() {
-        let t = Tensor4::from_fn(3, 2, 2, 2, |n, y, x, c| (n + y + x + c) as f32 * 0.5);
-        let m = t.to_matrix();
-        assert_eq!(m.shape(), (3, 8));
-        let back = Tensor4::from_matrix(&m, 2, 2, 2);
-        assert_eq!(back, t);
     }
 
     #[test]

@@ -89,8 +89,8 @@ impl Args {
     }
 }
 
-/// A freshly built network plus its input shape and default batch size.
-type BuiltModel = (Network, (usize, usize, usize), usize);
+/// A freshly built network plus its default batch size.
+type BuiltModel = (Network, usize);
 
 /// What a wall time measured by this process ran on: the worker-pool width
 /// and which instantiation of the lane kernels the CPU selected. Printed at
@@ -107,9 +107,9 @@ fn build_model(
     rng: &mut AdrRng,
 ) -> Result<BuiltModel, String> {
     match name {
-        "cifarnet" => Ok((cifarnet::bench_scale(classes, mode, rng), (16, 16, 3), 16)),
-        "alexnet" => Ok((alexnet::bench_scale(classes, mode, rng), (64, 64, 3), 8)),
-        "vgg19" => Ok((vgg19::bench_scale(classes, mode, rng), (32, 32, 3), 8)),
+        "cifarnet" => Ok((cifarnet::bench_scale(classes, mode, rng), 16)),
+        "alexnet" => Ok((alexnet::bench_scale(classes, mode, rng), 8)),
+        "vgg19" => Ok((vgg19::bench_scale(classes, mode, rng), 8)),
         other => Err(format!("unknown model '{other}' (cifarnet | alexnet | vgg19)")),
     }
 }
@@ -164,9 +164,9 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     };
 
     let mut rng = AdrRng::seeded(seed);
-    let (mut net, input, default_batch) = build_model(&model, classes, mode, &mut rng)?;
+    let (mut net, default_batch) = build_model(&model, classes, mode, &mut rng)?;
     let batch: usize = args.get("batch", default_batch)?;
-    let mut source = make_source(input, classes, batch, seed);
+    let mut source = make_source(net.input_shape(), classes, batch, seed);
     let trainer = Trainer::new(TrainerConfig {
         max_iterations: iterations,
         eval_every: 10,
@@ -198,12 +198,12 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     let classes: usize = args.get("classes", 4)?;
     let seed: u64 = args.get("seed", 42)?;
     let mut rng = AdrRng::seeded(seed);
-    let (mut net, input, batch) = build_model(&model, classes, ConvMode::Dense, &mut rng)?;
+    let (mut net, batch) = build_model(&model, classes, ConvMode::Dense, &mut rng)?;
     Checkpoint::load(path)
         .map_err(|e| format!("loading {path}: {e}"))?
         .restore(&mut net)
         .map_err(|e| format!("restoring into {model}: {e}"))?;
-    let mut source = make_source(input, classes, batch, seed);
+    let mut source = make_source(net.input_shape(), classes, batch, seed);
     let (images, labels) = source.probe();
     let eval = net.evaluate(&images, &labels);
     println!("probe accuracy {:.3}, loss {:.4}", eval.accuracy, eval.loss);
@@ -417,7 +417,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let arch = model.clone();
         let factory: NetFactory = Box::new(move || {
             let mut rng = AdrRng::seeded(seed);
-            let (net, _, _) = build_model(&arch, classes, ConvMode::reuse_default(), &mut rng)
+            let (net, _) = build_model(&arch, classes, ConvMode::reuse_default(), &mut rng)
                 .expect("architecture name validated at startup");
             net
         });
