@@ -5,8 +5,10 @@
 //! sign-dot projection (`adr-reuse`'s packed hasher) bottom out in four
 //! slice-level **lane kernels**, built on [`crate::simd::F32x8`]:
 //!
-//! * [`gemm_rows`] — `c += a · b`, a [`saxpy`] per non-zero `a` element.
-//! * [`gemm_ta_rows`] — `c += aᵀ · b`, the weight-gradient shape, likewise.
+//! * [`gemm_rows`] — `c += a · b`: each row's non-zeros, compacted without
+//!   a branch, multiplied into register-resident tiles of the `c` row.
+//! * [`gemm_ta_rows`] — `c += aᵀ · b`, the weight-gradient shape, likewise
+//!   with the `b` row's tiles resident ([`gemm`]).
 //! * [`gemm_tb()`] — the register-blocked `a · bᵀ` micro-kernel behind the
 //!   backward pass's input delta: a tile of [`dot`]s sharing their loads.
 //! * [`project_signs`] — the register-blocked sign-projection micro-kernel
@@ -26,16 +28,16 @@
 //! compile the dispatch out or take the portable branch.
 //!
 //! The two instantiations are **bitwise identical**: same loop order, one
-//! IEEE multiply then one IEEE add per element ([`saxpy`]), the fixed
+//! IEEE multiply then one IEEE add per element ([`gemm`]), the fixed
 //! [`crate::simd::F32x8::hsum`] tree ([`dot`]) — only `avx` is enabled,
 //! never `fma`, so nothing is contracted. The one thing allowed to differ is
 //! the *payload* of a NaN (which operand's payload survives a NaN × NaN
 //! depends on the encoding's operand order); NaN-ness never does. The
 //! differential tests at the bottom of this file run both in one binary.
 //!
-//! [`saxpy`] and [`dot`] are `#[inline(always)]` for this reason: an
-//! out-of-line copy is compiled without `avx`, and a clone that *called* it
-//! would run 128-bit code behind a 256-bit name.
+//! [`dot`] and every helper of a kernel body are `#[inline(always)]` for
+//! this reason: an out-of-line copy is compiled without `avx`, and a clone
+//! that *called* it would run 128-bit code behind a 256-bit name.
 //!
 //! This module is the only library code where `unsafe` compiles: the
 //! workspace denies `unsafe_code` and `lib.rs` allows it on `kernels` alone.
@@ -84,37 +86,13 @@ pub fn lanes() -> &'static str {
     }
 }
 
-/// `c[j] += a * b[j]` over `min(c.len(), b.len())` elements.
-///
-/// Element-wise: every `c[j]` receives exactly one IEEE-754 multiply and one
-/// IEEE-754 add regardless of lane width, so the result is bitwise identical
-/// to the scalar loop — vectorization here changes throughput, not bits.
-///
-/// `#[inline(always)]` so that it compiles at the caller's instruction width
-/// (module docs).
-#[inline(always)]
-pub fn saxpy(c: &mut [f32], a: f32, b: &[f32]) {
-    let n = c.len().min(b.len());
-    let (c, b) = (&mut c[..n], &b[..n]);
-    let av = F32x8::splat(a);
-    let mut j = 0;
-    while j + LANES <= n {
-        let acc = F32x8::load(&c[j..]) + av * F32x8::load(&b[j..]);
-        acc.store(&mut c[j..]);
-        j += LANES;
-    }
-    for (cj, &bj) in c[j..].iter_mut().zip(b[j..].iter()) {
-        *cj += a * bj;
-    }
-}
-
 /// Dot product of `a` and `b` over `min(a.len(), b.len())` elements.
 ///
 /// Accumulates in an 8-lane vector (`acc += a8 * b8`, one IEEE multiply and
 /// one IEEE add per lane — never an FMA), reduces through the fixed-order
 /// [`F32x8::hsum`] tree, then folds the tail in order. The reduction shape
 /// never varies, so the value is bitwise reproducible across runs, thread
-/// counts, and instruction widths. `#[inline(always)]` like [`saxpy`].
+/// counts, and instruction widths. `#[inline(always)]` (module docs).
 #[inline(always)]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len().min(b.len());
@@ -138,22 +116,6 @@ mod tests {
 
     fn ramp(n: usize, scale: f32, shift: f32) -> Vec<f32> {
         (0..n).map(|i| (i as f32).mul_add(scale, shift).sin()).collect()
-    }
-
-    #[test]
-    fn saxpy_is_bitwise_scalar_at_every_edge_length() {
-        for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 23, 64, 100] {
-            let b = ramp(n, 0.37, 1.25);
-            let mut c = ramp(n, -0.91, 0.5);
-            let mut expect = c.clone();
-            for (ej, &bj) in expect.iter_mut().zip(b.iter()) {
-                *ej += -1.75 * bj;
-            }
-            saxpy(&mut c, -1.75, &b);
-            for j in 0..n {
-                assert_eq!(c[j].to_bits(), expect[j].to_bits(), "n={n} j={j}");
-            }
-        }
     }
 
     /// Scalar emulation of the exact lane schedule every dot-form kernel
@@ -184,14 +146,6 @@ mod tests {
             let b = ramp(n, -0.53, 2.1);
             assert_eq!(dot(&a, &b).to_bits(), lane_reference_dot(&a, &b).to_bits(), "n={n}");
         }
-    }
-
-    #[test]
-    fn saxpy_uses_shorter_of_the_two_slices() {
-        let b = [1.0f32, 2.0, 3.0];
-        let mut c = [10.0f32, 20.0, 30.0, 40.0];
-        saxpy(&mut c, 2.0, &b);
-        assert_eq!(c, [12.0, 24.0, 36.0, 40.0]);
     }
 
     // Differential tests: the portable body of each lane kernel against its
@@ -225,13 +179,13 @@ mod tests {
     }
 
     /// Bit equality, or NaN on both sides: a NaN's payload is the one thing
-    /// the two instantiations may disagree on (module docs).
-    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    /// the contract leaves open (module docs).
+    pub(crate) fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}");
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
             assert!(
                 g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                "{what}: element {i}: dispatched {g:e} vs portable {w:e}"
+                "{what}: element {i}: got {g:e}, want {w:e}"
             );
         }
     }

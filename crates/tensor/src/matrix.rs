@@ -257,8 +257,8 @@ impl Matrix {
 
     /// `out = self · other` without allocating.
     ///
-    /// Uses an `i-k-j` loop order with row blocking: the inner loop is a
-    /// saxpy over a contiguous row of `other`, which vectorises well.
+    /// Runs [`gemm_rows`]: `i-k-j` order with the `k` loop blocked, each
+    /// row's non-zeros multiplied into register tiles of the output row.
     ///
     /// # Panics
     /// Panics on any shape mismatch.

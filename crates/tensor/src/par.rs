@@ -45,6 +45,14 @@ use std::sync::OnceLock;
 //   worker therefore costs the first fan-out after an idle gap up to ~50 µs
 //   over serial, once per gap — the old `1 << 20` avoided that loss by also
 //   refusing every split below ~270 µs of work.
+//   Since the saxpy-form GEMMs compact their non-zeros into register tiles
+//   they retire 15–20 multiply–adds per nanosecond, so at this constant a
+//   GEMM lane gets ~7 µs and the smallest split no longer gains reliably
+//   (262144 MACs: 10.8–15.0 µs serial, 8.8–17.2 µs two-way polling); the
+//   gain is steady from ~2M MACs. The constant stays: the projection it
+//   also prices did not get faster, and `1 << 18` read the same
+//   `train_dense` and `train_vgg_reuse` `step_ms` within noise. A per-site
+//   price is the lever, not a second global constant.
 // * Memory-bound loops share one estimate across passes of very different
 //   weight per element: im2col moves an element in ~0.6 ns and, with its
 //   serial zero-fill, breaks even two-way only near 100K elements (74K:
