@@ -219,7 +219,9 @@ pub fn reuse_rate(net: &Network, layer_idx: usize) -> f64 {
 }
 
 /// Writes rows as a CSV file (creating parent directories), so experiment
-/// outputs can be plotted directly.
+/// outputs can be plotted directly. The file is replaced atomically
+/// ([`adr_nn::durable::write_atomic`]): a killed run leaves the previous
+/// table or the new one, never a torn one.
 ///
 /// # Errors
 /// Propagates I/O errors.
@@ -228,17 +230,16 @@ pub fn write_csv(
     headers: &[&str],
     rows: &[Vec<String>],
 ) -> std::io::Result<()> {
-    use std::io::Write as _;
     let path = path.as_ref();
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(file, "{}", headers.join(","))?;
+    let mut csv = headers.join(",") + "\n";
     for row in rows {
-        writeln!(file, "{}", row.join(","))?;
+        csv.push_str(&row.join(","));
+        csv.push('\n');
     }
-    Ok(())
+    adr_nn::durable::write_atomic(path, csv.as_bytes())
 }
 
 /// Prints an aligned text table.

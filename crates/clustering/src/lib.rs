@@ -22,6 +22,10 @@
 // Exact float `==`/`!=` outside tests is a bug: compare against a tolerance.
 // Typed, and `x == 0.0` IEEE special-case guards are exempt by clippy's design.
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
+// Library code does not panic by accident: each deliberate `expect` / `panic!`
+// carries an `#[expect(.., reason = "<category>: ..")]` on its item.
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod assign;
 pub mod hasher;

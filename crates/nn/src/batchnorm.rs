@@ -143,6 +143,10 @@ impl Layer for BatchNorm {
         out
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "layer-protocol: backward before a training forward is a training-loop bug (`Layer` contract)"
+    )]
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
         let norm =
             self.cached_norm.take().expect("backward called without a preceding training forward");

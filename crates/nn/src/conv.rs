@@ -177,6 +177,10 @@ impl Conv2d {
 
     /// Consumes the pending training forward and fills `∇W` and `∇b` from
     /// it; returns its batch size.
+    #[expect(
+        clippy::expect_used,
+        reason = "layer-protocol: backward before a training forward is a training-loop bug (`Layer` contract)"
+    )]
     fn param_grads(&mut self, grad_out: &Tensor4) -> usize {
         let batch =
             self.cached_batch.take().expect("backward called without a preceding training forward");
@@ -207,6 +211,10 @@ impl Layer for Conv2d {
         (self.geom.out_h(), self.geom.out_w(), self.out_channels)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "internal-invariant: the GEMM output has exactly the element count of the geometry passed beside it"
+    )]
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
         adr_tensor::checked_finite!(input.as_slice(), "conv {}: forward input", self.name);
         im2col_into(input, &self.geom, &mut self.unfolded);

@@ -93,6 +93,10 @@ impl Layer for Dense {
         (1, 1, self.units)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "internal-invariant: each `from_vec` length is computed from the dims passed beside it"
+    )]
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
         let (n, h, w, c) = input.shape();
         assert_eq!(h * w * c, self.in_features, "dense {}: feature mismatch", self.name);
@@ -110,6 +114,11 @@ impl Layer for Dense {
             .expect("shape arithmetic is consistent")
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "layer-protocol: backward before a training forward is a training-loop bug (`Layer` contract); \
+                  internal-invariant: the `from_vec` length is computed from the dims passed beside it"
+    )]
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
         let x =
             self.cached_input.take().expect("backward called without a preceding training forward");

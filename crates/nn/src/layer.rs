@@ -52,12 +52,10 @@ impl ParamRefMut<'_> {
 /// parameter gradients (if any). `backward` must follow a
 /// `forward(Mode::Train)` on the same batch.
 ///
-/// Every `impl Layer` in this crate that defines `forward` must be covered
-/// by a finite-difference gradient check: add the type name to a
-/// `// grad-check: ...` registry comment in `tests/gradient_checks.rs`, or
-/// place `// grad-check: exempt — <reason>` directly above the impl if the
-/// layer has nothing to differentiate. The `adr::grad_coverage` lint in
-/// `adr-check` enforces this.
+/// Every `impl Layer` in `adr-nn` and `adr-reuse` must be covered by a
+/// finite-difference gradient check: add the type name to a
+/// `// grad-check: ...` registry comment in `tests/gradient_checks.rs`.
+/// The test `every_layer_impl_is_gradient_checked` there enforces this.
 pub trait Layer {
     /// Short human-readable name used in reports (e.g. `"conv1"`).
     fn name(&self) -> &str;

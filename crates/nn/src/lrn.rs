@@ -86,6 +86,10 @@ impl Layer for Lrn {
         out
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "layer-protocol: backward before a training forward is a training-loop bug (`Layer` contract)"
+    )]
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
         let input =
             self.cached_input.take().expect("backward called without a preceding training forward");

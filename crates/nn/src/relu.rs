@@ -27,6 +27,10 @@ impl Layer for Relu {
         input
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "internal-invariant: the vector is collected from the input's own slice, so it has the element count of its shape"
+    )]
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
         let x = input.as_slice();
         // One branch-free select per element: NaN fails `<=` and passes
@@ -40,6 +44,10 @@ impl Layer for Relu {
         Tensor4::from_vec(n, h, w, c, out).expect("one output element per input element")
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "internal-invariant: collected from grad_out's own slice zipped with a mask asserted equally long above"
+    )]
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
         assert_eq!(
             grad_out.len(),

@@ -15,6 +15,10 @@
 // The `#[global_allocator]` below is one of the three `unsafe` sites outside
 // `adr_tensor::kernels`; the workspace denies `unsafe_code` everywhere else.
 #![allow(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "ordering-counter: the allocation counters publish no other data, so every access is Relaxed"
+)]
 //!
 //! One `#[test]` per binary: the counter is process-global, so parallel
 //! tests would double-count each other's allocations.

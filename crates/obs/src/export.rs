@@ -1,7 +1,7 @@
 //! Exporter: JSON documents persisted through
 //! `adr_nn::durable::write_atomic` so a crash mid-export can never leave a
 //! truncated file behind (the same temp + fsync + rename discipline as
-//! checkpoints; enforced by the `adr::durable_io` lint on this crate).
+//! checkpoints; clippy's `disallowed_methods` bans the bare writes).
 
 use crate::json::Json;
 use adr_nn::durable::write_atomic;

@@ -413,6 +413,10 @@ impl ReuseConv2d {
     /// layer's mode and, when `want_input`, leaves `δx` unfolded in
     /// `self.unfolded` for `col2im`. Meters what ran against what a dense
     /// layer would have run for the same request. Returns the batch size.
+    #[expect(
+        clippy::expect_used,
+        reason = "layer-protocol: backward before a training forward is a training-loop bug (`Layer` contract)"
+    )]
     fn backward_unfolded(&mut self, grad_out: &Tensor4, want_input: bool) -> usize {
         let batch =
             self.cached_batch.take().expect("backward called without a preceding training forward");
@@ -470,6 +474,11 @@ impl Layer for ReuseConv2d {
         (self.geom.out_h(), self.geom.out_w(), self.out_channels)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "internal-invariant: `rebuild_for_config` sets the hasher before the constructor returns, \
+                  and the output has exactly the element count of the geometry passed beside it"
+    )]
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
         // Telemetry: attribute the phase spans below (and those inside
         // `reuse_forward`) to this layer. No-op when no sink is installed.

@@ -15,6 +15,10 @@
 // The `#[global_allocator]` below is one of the three `unsafe` sites outside
 // `adr_tensor::kernels`; the workspace denies `unsafe_code` everywhere else.
 #![allow(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "ordering-counter: the allocation counters publish no other data, so every access is Relaxed"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -116,6 +116,10 @@ fn worker_loop(rx: Receiver<Job>) {
 
 impl WorkerPool {
     /// Spawns `workers.max(1)` threads, each owning one job channel.
+    #[expect(
+        clippy::expect_used,
+        reason = "internal-invariant: OS thread-spawn failure is a resource exhaustion the GEMM API cannot meaningfully surface"
+    )]
     fn spawn(workers: usize) -> Self {
         let workers = workers.max(1);
         let mut senders = Vec::with_capacity(workers);
@@ -144,6 +148,12 @@ impl WorkerPool {
     /// # Panics
     /// Re-raises the first panic payload from `inline` or any task after all
     /// tasks have completed, and panics if a worker disappears mid-run.
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "internal-invariant: workers only exit when the pool is dropped, and every dispatched job \
+                  sends exactly one completion token, even when the job panics"
+    )]
     pub fn scope_run<'env>(
         &self,
         tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
@@ -218,6 +228,11 @@ impl WorkerPool {
 }
 
 impl Drop for WorkerPool {
+    #[expect(
+        clippy::expect_used,
+        reason = "internal-invariant: worker_loop only unwinds on a completion-channel bug; job panics are caught \
+                  and replayed in scope_run"
+    )]
     fn drop(&mut self) {
         // Disconnect every job channel so `worker_loop` sees `Err` and
         // returns, then join so no thread outlives the pool (Miri fails the
@@ -262,6 +277,7 @@ pub fn shutdown_pool() {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "test: Relaxed completion counters")]
 mod tests {
     use super::*;
 

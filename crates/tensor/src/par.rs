@@ -13,6 +13,7 @@
 
 use crate::kernels::gemm_tb;
 use crate::matrix::{gemm_rows, gemm_ta_rows, Matrix};
+#[expect(clippy::disallowed_types, reason = "ordering-handoff: audited on THREAD_OVERRIDE")]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -96,6 +97,10 @@ pub fn hardware_threads() -> usize {
 /// so no interpretable problem size can reach the `COMPUTE_FLOPS_PER_THREAD`
 /// crossover — the concurrency tests force the parallel code paths on tiny
 /// inputs through this switch instead.
+#[expect(
+    clippy::disallowed_types,
+    reason = "ordering-handoff: the Release store in set_thread_override() pairs with the Acquire load in thread_override()"
+)]
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Forces every fan-out to use exactly `n` workers (`None` restores the
@@ -320,6 +325,7 @@ pub fn matmul_range_t_b_par(a: &Matrix, col_range: (usize, usize), b: &Matrix) -
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "test: a Relaxed visit counter")]
 mod tests {
     use super::*;
 

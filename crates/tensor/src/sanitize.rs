@@ -8,8 +8,9 @@
 //! cluster) that produced the first non-finite value, so a diverging run
 //! fails at the layer that broke rather than epochs later in the loss.
 //!
-//! The panics in this module are audited `adr::no_panic` allowlist entries:
-//! the whole point of the checked build is to fail fast and loudly.
+//! Each panic here carries an `#[expect(clippy::panic, ..)]` (the crate
+//! denies `clippy::panic` outside tests): the whole point of the checked
+//! build is to fail fast and loudly.
 
 /// First non-finite value in `data`, as `(flat index, value)`.
 pub fn first_non_finite(data: &[f32]) -> Option<(usize, f32)> {
@@ -23,6 +24,7 @@ pub fn first_non_finite(data: &[f32]) -> Option<(usize, f32)> {
 /// Panics when `data` contains a non-finite value — that is the feature.
 #[cfg(feature = "checked")]
 #[track_caller]
+#[expect(clippy::panic, reason = "checked-feature: failing loudly is the feature")]
 pub fn assert_finite(tag: &str, data: &[f32]) {
     if let Some((i, v)) = first_non_finite(data) {
         panic!(
@@ -45,6 +47,7 @@ pub fn assert_finite(_tag: &str, _data: &[f32]) {}
 /// Panics when `data` contains a non-finite value — that is the feature.
 #[cfg(feature = "checked")]
 #[track_caller]
+#[expect(clippy::panic, reason = "checked-feature: failing loudly is the feature")]
 pub fn assert_finite_rows(tag: &str, data: &[f32], cols: usize) {
     if let Some((i, v)) = first_non_finite(data) {
         let (r, c) = match i.checked_div(cols) {
@@ -69,6 +72,7 @@ pub fn assert_finite_rows(_tag: &str, _data: &[f32], _cols: usize) {}
 /// Panics when `actual != expected` — that is the feature.
 #[cfg(feature = "checked")]
 #[track_caller]
+#[expect(clippy::panic, reason = "checked-feature: failing loudly is the feature")]
 pub fn assert_shape<T: PartialEq + core::fmt::Debug>(tag: &str, actual: T, expected: T) {
     if actual != expected {
         panic!("shape contract: {tag}: got {actual:?}, expected {expected:?}");

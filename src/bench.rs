@@ -16,6 +16,7 @@ use adr_obs::Recorder;
 use adr_reuse::reuse_layers;
 use std::path::Path;
 use std::rc::Rc;
+#[expect(clippy::disallowed_types, reason = "ordering-counter: audited on ARTIFACT_SEQ")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // The pinned workload. Constants rather than options: a golden file has
@@ -154,6 +155,10 @@ pub fn serve_document() -> Result<Json, String> {
     // The registry loads artifacts from disk, so the seeded weights make a
     // round trip through a real checkpoint file — one per call, so bursts
     // running concurrently in one process never share (and delete) a path.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "ordering-counter: a Relaxed sequence number that only makes file names unique"
+    )]
     static ARTIFACT_SEQ: AtomicU64 = AtomicU64::new(0);
     let artifact = std::env::temp_dir().join(format!(
         "adr-bench-serve-{}-{}.adr1",

@@ -203,6 +203,7 @@ fn failed_train_state_restore_leaves_network_untouched() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test: tears the file on purpose")]
 fn corrupt_file_on_disk_fails_closed_via_load() {
     let (_, _, state) = sample_state();
     let dir = std::env::temp_dir().join("adr_corrupt_checkpoint");

@@ -1,9 +1,9 @@
 //! End-to-end determinism: two training runs from the same seed must be
 //! bitwise identical — losses, every learned weight, and the clustering
 //! behaviour of the reuse path. This is the runtime counterpart of the
-//! `adr::determinism` lint: the lint bans unseeded entropy and unordered
-//! map iteration in float paths, and this test catches anything the
-//! static pass cannot see.
+//! lints: `clippy.toml` bans `SystemTime` and clippy's `iter_over_hash_type`
+//! bans hash-order iteration, and this test catches anything a lint cannot
+//! see.
 
 // Test/example code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]

@@ -7,12 +7,11 @@
 //!
 //! # Registry
 //!
-//! This file doubles as the gradient-check registry consumed by
-//! `adr-check`'s `adr::grad_coverage` lint: every type implementing
-//! `Layer` with a `forward` in `crates/nn` or `crates/reuse` must be named
-//! in a `grad-check: <Type>` comment next to the test that exercises its
+//! This file doubles as the gradient-check registry: every type
+//! implementing `Layer` in `crates/nn` or `crates/reuse` must be named in a
+//! `grad-check: <Type>` comment next to the test that exercises its
 //! backward pass. Removing a marker (or adding a layer without one) fails
-//! the lint.
+//! `every_layer_impl_is_gradient_checked` at the end of this file.
 
 // Test/example code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]
@@ -289,4 +288,38 @@ fn lrn_standalone_gradient() {
     let mut xrng = AdrRng::seeded(18);
     let x = Tensor4::from_fn(1, 4, 4, 4, |_, _, _, _| xrng.gauss() * 0.5 + 1.0);
     check_input_gradient(&mut net, &x, &[1], 1e-2);
+}
+
+/// The registry is complete: each `impl Layer for T` under `crates/nn/src`
+/// and `crates/reuse/src` names `T` in a `// grad-check:` marker above.
+#[test]
+fn every_layer_impl_is_gradient_checked() {
+    let registry: Vec<&str> = include_str!("gradient_checks.rs")
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("// grad-check:"))
+        .flat_map(|names| names.split(',').map(str::trim))
+        .collect();
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.join("crates/nn/src"), root.join("crates/reuse/src")];
+    let (mut impls, mut missing) = (0, Vec::new());
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let source = std::fs::read_to_string(&path).unwrap();
+                for rest in source.split("impl Layer for ").skip(1) {
+                    let end = rest.find(|c: char| !c.is_alphanumeric() && c != '_');
+                    let ty = &rest[..end.unwrap_or(rest.len())];
+                    impls += 1;
+                    if !registry.contains(&ty) {
+                        missing.push(format!("{ty} ({})", path.display()));
+                    }
+                }
+            }
+        }
+    }
+    assert!(impls > 0, "no `impl Layer for` found: the scan is looking in the wrong place");
+    assert!(missing.is_empty(), "Layer impls without a `// grad-check:` marker: {missing:?}");
 }
