@@ -348,24 +348,18 @@ pub fn reuse_rate_growth(quick: bool) -> Vec<ReuseRateRow> {
     swap_in_reuse(&mut net, 0, ReuseConfig::new(5, 12, true), &mut rng);
 
     let num_batches = if quick { 6 } else { 24 };
-    for b in 0..num_batches {
-        let (images, labels) = adr_core::trainer::BatchSource::batch(&mut source, b % 8);
-        net.evaluate(&images, &labels);
-    }
-    // One more forward finalises the last batch's rate into the history.
-    let (images, labels) = adr_core::trainer::BatchSource::batch(&mut source, 0);
-    net.evaluate(&images, &labels);
-
-    let layer = net.layers()[0]
-        .as_any()
-        .and_then(|a| a.downcast_ref::<ReuseConv2d>())
-        .expect("layer 0 is the reuse conv");
-    layer
-        .reuse_rate_history()
-        .iter()
-        .take(num_batches)
-        .enumerate()
-        .map(|(batch, &reuse_rate)| ReuseRateRow { batch, reuse_rate })
+    (0..num_batches)
+        .map(|batch| {
+            let (images, labels) = adr_core::trainer::BatchSource::batch(&mut source, batch % 8);
+            net.evaluate(&images, &labels);
+            // The layer's rate is the in-flight batch's: this batch's.
+            let reuse_rate = net.layers()[0]
+                .as_any()
+                .and_then(|a| a.downcast_ref::<ReuseConv2d>())
+                .expect("layer 0 is the reuse conv")
+                .mean_reuse_rate();
+            ReuseRateRow { batch, reuse_rate }
+        })
         .collect()
 }
 

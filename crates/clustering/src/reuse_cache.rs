@@ -18,7 +18,10 @@ pub struct ReuseCache {
     out_width: usize,
     batch_hits: u64,
     batch_lookups: u64,
-    history: Vec<f64>,
+    /// Sum of the completed batches' reuse rates, added in batch order.
+    rate_sum: f64,
+    /// Completed batches that made at least one lookup.
+    batches: u64,
 }
 
 impl ReuseCache {
@@ -34,7 +37,8 @@ impl ReuseCache {
             out_width,
             batch_hits: 0,
             batch_lookups: 0,
-            history: Vec::new(),
+            rate_sum: 0.0,
+            batches: 0,
         }
     }
 
@@ -54,11 +58,13 @@ impl ReuseCache {
         self.map.is_empty()
     }
 
-    /// Marks the start of a new input batch: finalises the previous batch's
-    /// reuse rate into [`ReuseCache::history`].
+    /// Marks the start of a new input batch: folds the previous batch's
+    /// reuse rate into [`ReuseCache::mean_reuse_rate`]. Keeps no per-batch
+    /// record, so a cache that serves forever stays the same size.
     pub fn begin_batch(&mut self) {
         if self.batch_lookups > 0 {
-            self.history.push(self.batch_hits as f64 / self.batch_lookups as f64);
+            self.rate_sum += self.batch_hits as f64 / self.batch_lookups as f64;
+            self.batches += 1;
         }
         self.batch_hits = 0;
         self.batch_lookups = 0;
@@ -100,17 +106,13 @@ impl ReuseCache {
         (self.batch_lookups > 0).then(|| self.batch_hits as f64 / self.batch_lookups as f64)
     }
 
-    /// Per-batch reuse rates of completed batches, in order.
-    pub fn history(&self) -> &[f64] {
-        &self.history
-    }
-
-    /// Mean reuse rate over completed batches (the paper's `R`).
+    /// Mean reuse rate over completed batches (the paper's `R`); `0.0`
+    /// before the first one.
     pub fn mean_reuse_rate(&self) -> f64 {
-        if self.history.is_empty() {
+        if self.batches == 0 {
             0.0
         } else {
-            self.history.iter().sum::<f64>() / self.history.len() as f64
+            self.rate_sum / self.batches as f64
         }
     }
 
@@ -121,7 +123,8 @@ impl ReuseCache {
         self.outputs.clear();
         self.batch_hits = 0;
         self.batch_lookups = 0;
-        self.history.clear();
+        self.rate_sum = 0.0;
+        self.batches = 0;
     }
 
     /// Drops cached outputs but keeps reuse-rate statistics.
@@ -175,14 +178,40 @@ mod tests {
                 c.insert(sig, &[0.0]);
             }
         }
+        assert_eq!(c.current_batch_rate(), Some(0.0));
         // Batch 2: both hit.
         c.begin_batch();
         for sig in [1u64, 2] {
             assert!(c.probe(sig).is_some());
         }
+        assert_eq!(c.current_batch_rate(), Some(1.0));
         c.begin_batch();
-        assert_eq!(c.history(), &[0.0, 1.0]);
+        assert_eq!(c.current_batch_rate(), None);
         assert!((c.mean_reuse_rate() - 0.5).abs() < 1e-12);
+    }
+
+    /// The running sum is the per-batch rates summed in batch order, so the
+    /// mean has the bits of averaging a kept list of them.
+    #[test]
+    fn mean_reuse_rate_is_the_mean_of_the_batch_rates_bitwise() {
+        let mut c = ReuseCache::new(1);
+        let mut rates = Vec::new();
+        for batch in 0..40u64 {
+            c.begin_batch();
+            for item in 0..(3 + batch % 7) {
+                let sig = (item * 5 + batch * 3) % 23;
+                if c.probe(sig).is_none() {
+                    c.insert(sig, &[0.0]);
+                }
+            }
+            rates.push(c.current_batch_rate().unwrap());
+            // A batch without lookups leaves no rate behind.
+            c.begin_batch();
+        }
+        c.begin_batch();
+        let mean = rates.iter().sum::<f64>() / rates.len() as f64;
+        assert!(rates.iter().any(|&r| r > 0.0 && r < 1.0), "{rates:?}");
+        assert_eq!(c.mean_reuse_rate().to_bits(), mean.to_bits());
     }
 
     #[test]
@@ -190,6 +219,7 @@ mod tests {
         // Mirrors the paper's observation that R approaches ~0.98 after a
         // few batches when batches share content (§VI-B1).
         let mut c = ReuseCache::new(1);
+        let mut rates = Vec::new();
         for batch in 0..10 {
             c.begin_batch();
             for item in 0..100u64 {
@@ -198,11 +228,10 @@ mod tests {
                     c.insert(sig, &[batch as f32]);
                 }
             }
+            rates.push(c.current_batch_rate().unwrap());
         }
-        c.begin_batch();
-        let hist = c.history();
-        assert!(hist[0] < 0.6, "first batch mostly misses: {}", hist[0]);
-        assert_eq!(hist[9], 1.0, "later batches fully reuse");
+        assert!(rates[0] < 0.6, "first batch mostly misses: {}", rates[0]);
+        assert_eq!(rates[9], 1.0, "later batches fully reuse");
     }
 
     #[test]
@@ -211,9 +240,12 @@ mod tests {
         c.insert(5, &[1.0]);
         c.begin_batch();
         c.probe(5);
+        c.begin_batch();
+        assert!(c.mean_reuse_rate() > 0.0);
         c.clear();
         assert!(c.is_empty());
-        assert!(c.history().is_empty());
+        assert_eq!(c.mean_reuse_rate(), 0.0);
+        assert_eq!(c.current_batch_rate(), None);
         assert!(c.probe(5).is_none());
     }
 

@@ -327,6 +327,9 @@ impl Trainer {
         let start = Instant::now();
         let mut iterations_run = start_iter;
         let mut iter = start_iter;
+        // The latest probe evaluation, while no step has run since it: the
+        // net is then unchanged, so it is also the final evaluation.
+        let mut last_eval = None;
         while iter < cfg.max_iterations {
             iterations_run = iter + 1;
             adr_obs::begin_step();
@@ -345,6 +348,7 @@ impl Trainer {
             }
 
             let step = run.net.train_batch(&images, &labels, run.sgd);
+            last_eval = None;
             run.meter.record(step.loss, step.correct, step.batch_size);
             adr_obs::counter_add("adr_train_steps", &[], 1);
             adr_obs::gauge_set("adr_train_loss", &[], f64::from(step.loss));
@@ -402,6 +406,7 @@ impl Trainer {
             if boundary % cfg.eval_every == 0 {
                 let eval = run.net.evaluate(&probe.0, &probe.1);
                 accuracy_history.push((iter, eval.accuracy));
+                last_eval = Some(eval);
                 if let Some(target) = cfg.target_accuracy {
                     if eval.accuracy >= target && iterations_to_target.is_none() {
                         iterations_to_target = Some(boundary);
@@ -458,7 +463,7 @@ impl Trainer {
         }
         let wall_time = start.elapsed();
 
-        let final_eval = run.net.evaluate(&probe.0, &probe.1);
+        let final_eval = last_eval.unwrap_or_else(|| run.net.evaluate(&probe.0, &probe.1));
         Ok(TrainReport {
             strategy: strategy.name().to_string(),
             iterations_run,

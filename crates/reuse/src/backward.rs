@@ -163,6 +163,7 @@ pub fn reuse_backward(
 mod tests {
     use super::*;
     use adr_clustering::lsh::LshTable;
+    use adr_nn::layer::Mode;
     use adr_tensor::rng::AdrRng;
 
     use crate::forward::{reuse_forward, reuse_forward_with};
@@ -327,7 +328,8 @@ mod tests {
         let mut clusters = Vec::new();
         for x in [&x_coarse, &x_fine, &x_coarse] {
             let dy = Matrix::from_fn(40, 5, |_, _| rng.gauss());
-            reuse_forward_with(x, &w, &b, &split, &lsh, &hasher, None, None, &mut recycled);
+            let train = Mode::Train;
+            reuse_forward_with(x, &w, &b, &split, &lsh, &hasher, None, None, train, &mut recycled);
             clusters.push(recycled.sub_matrices()[0].table().num_clusters());
             let got = backward(&mut recycled, &split, &w, &dy);
             let (_, mut fresh) = reuse_forward(x, &w, &b, &split, &lsh, None, None);

@@ -3,50 +3,53 @@
 //! One streaming pass hashes every sub-vector of every row. Then, for each
 //! sub-matrix `x^(I)` of the unfolded input:
 //!
-//! 1. group rows with equal signatures into clusters,
-//! 2. compute the centroid matrix `x_c^(I)` (mean of raw member rows),
-//! 3. compute `y_c^(I) = x_c^(I) · W_I` — only `|C_I|` rows instead of `N`
-//!    (with `CR = 1`, rows whose signature was seen in an earlier batch are
-//!    fetched from the [`ReuseCache`] instead of computed),
+//! 1. group rows with equal signatures into clusters;
+//! 2. with `CR = 1`, probe the [`ReuseCache`] with every cluster's signature:
+//!    a hit's stored row *is* its `y_c^(I)` row, a miss is listed;
+//! 3. compute the centroid matrix `x_c^(I)` (mean of raw member rows) —
+//!    for every sub-matrix when a backward pass will read the clustering
+//!    (`∇W` needs every centroid), otherwise only where a product is still
+//!    owed: always without `CR`, and with it only for a sub-matrix that has
+//!    a miss;
+//! 4. compute `y_c^(I) = x_c^(I) · W_I` — only `|C_I|` rows instead of `N`,
+//!    and with `CR = 1` only the misses' rows, each inserted into the cache;
 //!
 //! and finally `y = Σ_I y^(I)` is reconstructed by adding each `y_c^(I)` row
 //! to all its member rows.
 //!
-//! Sub-matrices are independent until the reconstruction, so steps 1–3 run as
+//! Probing every cluster before inserting any sees exactly the hits of a
+//! probe-then-insert walk: with `CR = 1` the scope is the whole batch, so the
+//! signatures of one sub-matrix's clusters are distinct and an insert can
+//! never answer a later probe of the same batch. Inserts still run in
+//! ascending cluster order, so hit counts, cache contents and [`ReuseStats`]
+//! are those of the walk.
+//!
+//! Sub-matrices are independent until the reconstruction, so steps 1–4 run as
 //! **one fan-out over sub-matrices** on the persistent pool: a block owns a
 //! contiguous run of sub-matrices — a contiguous column band of the unfolded
 //! matrix — and accumulates all of their centroid sums in a single
 //! row-major sweep over that band, instead of walking the row-major matrix
-//! column-strided once per sub-matrix. The reconstruction is row-blocked for
-//! the same reason: a block of output rows visits each sub-matrix once.
-//! Both matter because clustering overhead is exactly what the paper's
-//! profitability condition `H << M(1 − r_c)` trades against. DESIGN.md §15.6
-//! has the ordering argument for why none of this changes a bit.
+//! column-strided once per sub-matrix. The reconstruction is row-parallel,
+//! and each output row is one [`sum_rows`] call: a tile of the row stays in
+//! registers while every sub-matrix's cluster row is added to it, and is
+//! stored once. Both matter because clustering overhead is exactly what the
+//! paper's profitability condition `H << M(1 − r_c)` trades against.
+//! DESIGN.md §15.6 has the ordering argument for why none of this changes a
+//! bit.
 
 use std::sync::OnceLock;
 
 use adr_clustering::assign::ClusterTable;
 use adr_clustering::lsh::{cluster_scoped_signatures_into, GroupScratch, LshTable};
 use adr_clustering::reuse_cache::ReuseCache;
+use adr_nn::layer::Mode;
+use adr_tensor::kernels::sum_rows;
 use adr_tensor::matrix::{gemm_rows, Matrix};
 use adr_tensor::par::{memory_threads, run_blocks, run_row_blocks};
 
 use crate::hashpack::PackedHasher;
 use crate::stats::ReuseStats;
 use crate::subvec::SubVecSplit;
-
-/// Output rows reconstructed together by [`reconstruct`]: for one block,
-/// each sub-matrix is visited once — its ids read as one contiguous slice,
-/// its gathered `y_c` rows added to the block — instead of once per row.
-///
-/// Measured on the conv2 shape of the bench-scale CifarNet (784 × 1600 · 1600
-/// × 64, `{L=8, H=8}`: 200 sub-matrices, two threads, whole forward pass,
-/// best of 300, two runs each): 1 row 4.17 / 4.17 ms, 4 rows 3.72 / 3.74,
-/// 8 rows 3.51 / 3.63, 16 rows 3.46 / 3.59, 32 rows 3.48 / 3.48, 64 rows
-/// 3.40 / 3.50 — flat from 8 up, where the block (16 × 64 floats = 4 KiB)
-/// still sits in L1 beside the `y_c` rows it gathers. conv1 (4096 × 75, ten
-/// sub-matrices) does not move with it (0.82–0.88 ms throughout).
-const SCATTER_ROWS: usize = 16;
 
 /// One sub-matrix's share of a layer's reuse state: its clustering, and the
 /// per-cluster blocks the forward and backward passes compute from it.
@@ -56,6 +59,9 @@ pub struct SubMatrix {
     pub(crate) table: ClusterTable,
     /// Forming signature of each cluster (what the CR cache keys on).
     cluster_sigs: Vec<u64>,
+    /// With `CR = 1`, the clusters whose signature missed the cache in the
+    /// latest forward pass, ascending.
+    misses: Vec<usize>,
     /// Centroid matrix `x_c^(I)` (`|C_I| × L_I`).
     pub(crate) centroids: Matrix,
     /// Cluster outputs `y_c^(I)` (`|C_I| × M`). Dead once the forward pass
@@ -92,8 +98,11 @@ impl SubMatrix {
 /// the signature matrix, one [`SubMatrix`] per sub-matrix — the unit both
 /// passes fan out over — and one grouping scratch per fan-out block. The
 /// clustering in the sub-matrix states is what
-/// [`crate::backward::reuse_backward`] consumes: it stays valid until the
-/// next forward pass through this arena.
+/// [`crate::backward::reuse_backward`] consumes: after a [`Mode::Train`]
+/// forward pass it stays valid until the next forward pass through this
+/// arena. A [`Mode::Eval`] pass, which no backward pass follows, frees it on
+/// the way out: holding it would only pin one batch's worth of tables per
+/// layer, and an evaluation batch is often several times the training batch.
 #[derive(Debug, Default)]
 pub struct ReuseArena {
     /// Row-major packed signatures, `N × num_subs`.
@@ -110,18 +119,6 @@ impl ReuseArena {
     /// forward pass through this arena.
     pub fn sub_matrices(&self) -> &[SubMatrix] {
         &self.subs
-    }
-
-    /// Frees the clustering (tables and centroids), keeping the scratch.
-    /// The clustering is state *for the backward pass*; after a forward
-    /// pass that none will follow — evaluation, serving — holding it only
-    /// pins one batch's worth of tables per layer in memory, and an
-    /// evaluation batch is often several times the training batch.
-    pub fn release_clustering(&mut self) {
-        for sub in &mut self.subs {
-            sub.table = ClusterTable::default();
-            sub.centroids = Matrix::default();
-        }
     }
 }
 
@@ -151,7 +148,8 @@ pub struct ForwardOutcome {
 ///   `None` is the single-batch scope.
 ///
 /// Returns the outcome together with the freshly built arena holding the
-/// clustering, ready for [`crate::backward::reuse_backward`].
+/// clustering of a [`Mode::Train`] pass, ready for
+/// [`crate::backward::reuse_backward`].
 ///
 /// # Panics
 /// Panics on any dimension disagreement between the inputs, or when
@@ -176,6 +174,7 @@ pub fn reuse_forward(
         &hasher,
         caches,
         rows_per_image,
+        Mode::Train,
         &mut arena,
     );
     (outcome, arena)
@@ -198,6 +197,11 @@ struct ForwardBlock<'a> {
 /// once per batch.
 ///
 /// `hasher` must be the packed form of exactly this `split`/`lsh` pair.
+/// `mode` says whether a backward pass will consume the clustering:
+/// [`Mode::Train`] forms every centroid and leaves the clustering in `arena`
+/// for it; [`Mode::Eval`] forms only the centroids a product still needs and
+/// frees the clustering before returning (module and [`ReuseArena`] docs).
+/// The output, the statistics and the caches are the same bits either way.
 ///
 /// # Panics
 /// Panics on any dimension disagreement between the inputs, when `hasher`
@@ -213,6 +217,7 @@ pub fn reuse_forward_with(
     hasher: &PackedHasher,
     mut caches: Option<&mut [ReuseCache]>,
     rows_per_image: Option<usize>,
+    mode: Mode,
     arena: &mut ReuseArena,
 ) -> ForwardOutcome {
     let (n, k) = x_unf.shape();
@@ -297,50 +302,81 @@ pub fn reuse_forward_with(
             let _ = gemm_span.set(adr_obs::span_phase(adr_obs::Phase::CentroidGemm));
         }
 
-        // (B) Size every centroid matrix exactly, zeroed.
-        for (sub, &(start, end)) in subs.iter_mut().zip(ranges) {
-            sub.centroids.reset(sub.table.num_clusters(), end - start);
-        }
-
-        // (C) One row-major sweep over this block's column band sums every
-        // sub-matrix's member rows. A cluster still receives its members in
-        // ascending row order, as in a per-sub-matrix walk.
-        let (col0, col1) = (ranges[0].0, ranges[ranges.len() - 1].1);
-        for r in 0..n {
-            let mut band = &x[r * k + col0..r * k + col1];
-            for sub in subs.iter_mut() {
-                let (src, rest) = band.split_at(sub.centroids.cols());
-                band = rest;
-                let dst = sub.centroids.row_mut(sub.table.cluster_of(r) as usize);
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d += s;
+        // (B) With CR, probe every cluster's signature in cluster order: a
+        // hit's stored row is its output row, a miss is listed. Every row of
+        // `y_c` is then a hit's copy or a miss's product, so it is not
+        // zero-filled first.
+        if let Some(caches) = caches.as_deref_mut() {
+            for (sub, cache) in subs.iter_mut().zip(caches.iter_mut()) {
+                let SubMatrix { cluster_sigs, misses, cluster_outputs: y_c, .. } = sub;
+                y_c.resize_for_overwrite(cluster_sigs.len(), m);
+                misses.clear();
+                for (c, &sig) in cluster_sigs.iter().enumerate() {
+                    match cache.probe(sig) {
+                        Some(row) => y_c.row_mut(c).copy_from_slice(row),
+                        None => misses.push(c),
+                    }
                 }
             }
         }
 
-        // (D) Sums to means, then `y_c = x_c · W_I` against the weight's
-        // `[start, end)` row band in place.
+        // (C) Size the centroid matrices this pass forms, zeroed: all of
+        // them for a backward pass or without CR, else those with a miss.
+        let cr = caches.is_some();
+        let formed = |sub: &SubMatrix| mode == Mode::Train || !cr || !sub.misses.is_empty();
+        for (sub, &(start, end)) in subs.iter_mut().zip(ranges) {
+            if formed(sub) {
+                sub.centroids.reset(sub.table.num_clusters(), end - start);
+            }
+        }
+
+        // (D) One row-major sweep over this block's column band sums the
+        // member rows of every formed centroid matrix. A cluster still
+        // receives its members in ascending row order, as in a
+        // per-sub-matrix walk.
+        if subs.iter().any(formed) {
+            for r in 0..n {
+                let row = &x[r * k..(r + 1) * k];
+                for (sub, &(start, end)) in subs.iter_mut().zip(ranges) {
+                    if !formed(sub) {
+                        continue;
+                    }
+                    let dst = sub.centroids.row_mut(sub.table.cluster_of(r) as usize);
+                    for (d, s) in dst.iter_mut().zip(&row[start..end]) {
+                        *d += s;
+                    }
+                }
+            }
+        }
+
+        // (E) Sums to means, then `y_c = x_c · W_I` against the weight's
+        // `[start, end)` row band in place — every cluster's row without CR,
+        // each miss's row (inserted into the cache) with it.
         for (j, (sub, &(start, end))) in subs.iter_mut().zip(ranges).enumerate() {
+            let sums = formed(sub);
             let SubMatrix {
                 table,
                 cluster_sigs,
+                misses,
                 centroids: cent,
                 cluster_outputs: y_c,
                 multiplied,
                 ..
             } = sub;
-            let (num_clusters, width) = cent.shape();
-            table.sums_to_means(cent);
-            adr_tensor::checked_finite_rows!(
-                cent.as_slice(),
-                width,
-                "reuse forward: sub-matrix {} centroids (row = cluster id)",
-                sub0 + j
-            );
+            let (num_clusters, width) = (table.num_clusters(), end - start);
+            if sums {
+                table.sums_to_means(cent);
+                adr_tensor::checked_finite_rows!(
+                    cent.as_slice(),
+                    width,
+                    "reuse forward: sub-matrix {} centroids (row = cluster id)",
+                    sub0 + j
+                );
+            }
             let w_band = &w[start * m..end * m];
-            y_c.reset(num_clusters, m);
             *multiplied = match caches.as_deref_mut() {
                 None => {
+                    y_c.reset(num_clusters, m);
                     gemm_rows(cent.as_slice(), w_band, y_c.as_mut_slice(), num_clusters, width, m);
                     num_clusters
                 }
@@ -349,18 +385,13 @@ pub fn reuse_forward_with(
                 // bits of batching all misses into one product.
                 Some(caches) => {
                     let cache = &mut caches[j];
-                    let mut misses = 0;
-                    for (c, &sig) in cluster_sigs.iter().enumerate() {
-                        match cache.probe(sig) {
-                            Some(row) => y_c.row_mut(c).copy_from_slice(row),
-                            None => {
-                                gemm_rows(cent.row(c), w_band, y_c.row_mut(c), 1, width, m);
-                                cache.insert(sig, y_c.row(c));
-                                misses += 1;
-                            }
-                        }
+                    for &c in misses.iter() {
+                        let y_row = y_c.row_mut(c);
+                        y_row.fill(0.0);
+                        gemm_rows(cent.row(c), w_band, y_row, 1, width, m);
+                        cache.insert(cluster_sigs[c], y_c.row(c));
                     }
-                    misses
+                    misses.len()
                 }
             };
             adr_tensor::checked_shape!(
@@ -402,33 +433,29 @@ pub fn reuse_forward_with(
         }
         stats.reuse_rate = reuse_rate_sum / num_subs as f64;
     }
+    if mode == Mode::Eval {
+        for sub in &mut arena.subs {
+            sub.table = ClusterTable::default();
+            sub.centroids = Matrix::default();
+        }
+    }
     ForwardOutcome { output, stats }
 }
 
 /// Sums the per-sub-matrix cluster outputs into the `N × M` layer output,
-/// parallelised over disjoint row chunks and, within a chunk, blocked over
-/// [`SCATTER_ROWS`] rows. Every output row is still `bias`, then one add per
-/// sub-matrix in ascending order.
+/// parallelised over disjoint row chunks: every output row is `bias`, then
+/// one add per sub-matrix in ascending order, in registers ([`sum_rows`]).
 fn reconstruct(n: usize, m: usize, bias: &[f32], subs: &[SubMatrix]) -> Matrix {
     let mut output = Matrix::zeros(n, m);
     // Gather-and-add over cluster rows — memory-bound, like col2im.
     let threads = memory_threads(n * m * subs.len());
     run_row_blocks(output.as_mut_slice(), m, n, threads, |row0, _, chunk| {
-        for (b, block) in chunk.chunks_mut(SCATTER_ROWS * m).enumerate() {
-            for dst in block.chunks_exact_mut(m) {
-                dst.copy_from_slice(bias);
-            }
-            let first = row0 + b * SCATTER_ROWS;
-            for sub in subs {
-                let ids = &sub.table.assignments()[first..first + block.len() / m];
-                let y_c = sub.cluster_outputs.as_slice();
-                for (dst, &id) in block.chunks_exact_mut(m).zip(ids) {
-                    let src = &y_c[id as usize * m..][..m];
-                    for (d, s) in dst.iter_mut().zip(src) {
-                        *d += s;
-                    }
-                }
-            }
+        for (r, dst) in (row0..).zip(chunk.chunks_exact_mut(m)) {
+            let rows = subs.iter().map(|sub| {
+                let id = sub.table.cluster_of(r) as usize;
+                &sub.cluster_outputs.as_slice()[id * m..][..m]
+            });
+            sum_rows(dst, bias, rows);
         }
     });
     output
@@ -572,8 +599,7 @@ mod tests {
         let (second, _) = reuse_forward(&x, &w, &b, &split, &lsh, Some(&mut caches), None);
         assert_eq!(second.stats.gemm_flops, 0, "all clusters reused");
         assert!(second.output.max_abs_diff(&first.output) < 1e-5);
-        caches[0].begin_batch();
-        assert!(caches[0].history().last().copied().unwrap() == 1.0);
+        assert_eq!(caches[0].current_batch_rate(), Some(1.0));
     }
 
     /// What the differential tests compare: everything a forward pass
@@ -685,7 +711,10 @@ mod tests {
     /// Runs `batches` in order through the fan-out at 1, 2 and 3 forced
     /// workers — one recycled arena and, with `cluster_reuse`, one set of
     /// caches per worker count — and through the reference, and demands
-    /// bitwise equality of everything after every batch.
+    /// bitwise equality of everything after every batch: output, stats and
+    /// caches in either `mode`; with [`Mode::Train`] also every table and
+    /// centroid matrix the backward pass reads, while a [`Mode::Eval`] pass
+    /// must leave no clustering behind.
     #[allow(clippy::too_many_arguments)]
     fn assert_matches_reference(
         case: &str,
@@ -696,6 +725,7 @@ mod tests {
         h: usize,
         cluster_reuse: bool,
         rows_per_image: Option<usize>,
+        mode: Mode,
     ) {
         let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let split = SubVecSplit::new(weight.rows(), l);
@@ -719,7 +749,7 @@ mod tests {
             let mut caches = fresh_caches();
             adr_tensor::par::set_thread_override(Some(workers));
             for (b, (x, want)) in batches.iter().zip(&want).enumerate() {
-                let what = format!("{case}: batch {b}, {workers} workers");
+                let what = format!("{case}: batch {b}, {workers} workers, {mode:?}");
                 caches.iter_mut().for_each(ReuseCache::begin_batch);
                 let got = reuse_forward_with(
                     x,
@@ -730,11 +760,17 @@ mod tests {
                     &hasher,
                     cluster_reuse.then_some(caches.as_mut_slice()),
                     rows_per_image,
+                    mode,
                     &mut arena,
                 );
                 assert_eq!(bits(got.output.as_slice()), bits(want.output.as_slice()), "{what}");
                 assert_eq!(arena.sub_matrices().len(), want.tables.len(), "{what}");
                 for (i, sub) in arena.sub_matrices().iter().enumerate() {
+                    if mode == Mode::Eval {
+                        assert_eq!(sub.table(), &ClusterTable::default(), "{what}: table {i}");
+                        assert_eq!(sub.centroids().shape(), (0, 0), "{what}: centroids {i}");
+                        continue;
+                    }
                     assert_eq!(sub.table(), &want.tables[i], "{what}: table {i}");
                     assert_eq!(sub.centroids().shape(), want.centroids[i].shape(), "{what}");
                     assert_eq!(
@@ -758,12 +794,15 @@ mod tests {
             }
             adr_tensor::par::set_thread_override(None);
             // The caches saw the same probes and inserts in the same order.
-            caches.iter_mut().for_each(ReuseCache::begin_batch);
             let mut twin = want_caches.clone();
-            twin.iter_mut().for_each(ReuseCache::begin_batch);
             for (i, (got, want)) in caches.iter_mut().zip(&mut twin).enumerate() {
-                let what = format!("{case}: cache {i}, {workers} workers");
-                assert_eq!(got.history(), want.history(), "{what}");
+                let what = format!("{case}: cache {i}, {workers} workers, {mode:?}");
+                let rate = |c: &ReuseCache| c.current_batch_rate().map(f64::to_bits);
+                assert_eq!(rate(got), rate(want), "{what}");
+                got.begin_batch();
+                want.begin_batch();
+                let mean = |c: &ReuseCache| c.mean_reuse_rate().to_bits();
+                assert_eq!(mean(got), mean(want), "{what}");
                 assert_eq!(got.len(), want.len(), "{what}");
                 for sig in 0..(1u64 << h.min(10)) {
                     assert_eq!(
@@ -807,7 +846,9 @@ mod tests {
         ] {
             let x = clustered_rows(n, k, 31);
             let (_, w, b) = random_problem(n, k, m, 32);
-            assert_matches_reference(case, &[&x], &w, &b, l, h, false, None);
+            for mode in [Mode::Train, Mode::Eval] {
+                assert_matches_reference(case, &[&x], &w, &b, l, h, false, None, mode);
+            }
         }
     }
 
@@ -826,37 +867,51 @@ mod tests {
         });
         let (_, w, b) = random_problem(40, 13, 5, 35);
         for h in [4usize, 20, 64] {
-            assert_matches_reference("single input", &[&x], &w, &b, 5, h, false, Some(10));
+            let case = "single input";
+            assert_matches_reference(case, &[&x], &w, &b, 5, h, false, Some(10), Mode::Train);
         }
     }
 
     #[test]
     fn fan_out_matches_the_serial_reference_across_cr_batches() {
         // All-miss (cold caches), mixed (half the rows are new), all-hit
-        // (the first batch again), then a second arena-recycling round.
+        // (the first batch again), partial (new columns in the middle
+        // sub-matrix only), then a second arena-recycling round.
         let first = clustered_rows(40, 13, 36);
         let fresh = clustered_rows(40, 13, 37);
         let mixed =
             Matrix::from_fn(40, 13, |r, c| if r % 2 == 0 { first[(r, c)] } else { fresh[(r, c)] });
+        let other = clustered_rows(40, 13, 39);
+        let partial = Matrix::from_fn(40, 13, |r, c| {
+            if r % 2 == 1 && (5..10).contains(&c) {
+                other[(r, c)]
+            } else {
+                first[(r, c)]
+            }
+        });
         let (_, w, b) = random_problem(40, 13, 5, 38);
-        for h in [4usize, 8, 20] {
-            let batches = [&first, &mixed, &first, &mixed];
-            assert_matches_reference("cluster reuse", &batches, &w, &b, 5, h, true, None);
+        // A forward pass no backward follows forms only the centroids of
+        // sub-matrices with a miss; nothing observable may differ.
+        for mode in [Mode::Train, Mode::Eval] {
+            for h in [4usize, 8, 20] {
+                let batches = [&first, &mixed, &first, &partial, &mixed];
+                assert_matches_reference("cluster reuse", &batches, &w, &b, 5, h, true, None, mode);
+            }
         }
-        // The sequence really is all-miss, mixed, all-hit.
+        // The sequence really is all-miss, mixed, all-hit, and then a miss
+        // in the middle sub-matrix alone.
         let split = SubVecSplit::new(13, 5);
         let lsh = lsh_families(&split, 8, 77);
         let mut caches: Vec<ReuseCache> = (0..3).map(|_| ReuseCache::new(5)).collect();
         let mut rates = Vec::new();
-        for x in [&first, &mixed, &first] {
+        for x in [&first, &mixed, &first, &partial] {
             caches.iter_mut().for_each(ReuseCache::begin_batch);
             reuse_forward(x, &w, &b, &split, &lsh, Some(&mut caches), None);
-            rates.push(caches[0].current_batch_rate().unwrap());
+            rates.push(caches.iter().map(|c| c.current_batch_rate().unwrap()).collect::<Vec<_>>());
         }
-        assert!(
-            rates[0] == 0.0 && rates[1] > 0.0 && rates[1] < 1.0 && rates[2] == 1.0,
-            "{rates:?}"
-        );
+        let r = |b: usize, i: usize| rates[b][i];
+        assert!(r(0, 0) == 0.0 && r(1, 0) > 0.0 && r(1, 0) < 1.0 && r(2, 0) == 1.0, "{rates:?}");
+        assert!(r(3, 0) == 1.0 && r(3, 1) < 1.0 && r(3, 2) == 1.0, "{rates:?}");
     }
 
     /// Metamorphic: appending a copy of a row moves only the centroids of

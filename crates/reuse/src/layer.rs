@@ -380,20 +380,6 @@ impl ReuseConv2d {
         sum / self.caches.len() as f64
     }
 
-    /// Per-batch reuse rates averaged across sub-matrix caches: entry `b` is
-    /// the mean hit fraction of completed batch `b`. Empty when CR = 0.
-    pub fn reuse_rate_history(&self) -> Vec<f64> {
-        if self.caches.is_empty() {
-            return Vec::new();
-        }
-        let len = self.caches.iter().map(|c| c.history().len()).min().unwrap_or(0);
-        (0..len)
-            .map(|b| {
-                self.caches.iter().map(|c| c.history()[b]).sum::<f64>() / self.caches.len() as f64
-            })
-            .collect()
-    }
-
     /// Borrows the weight matrix.
     pub fn weight(&self) -> &Matrix {
         &self.weight
@@ -535,6 +521,7 @@ impl Layer for ReuseConv2d {
                 self.hasher.as_ref().expect("families are built before any forward"),
                 caches,
                 rows_per_image,
+                mode,
                 &mut self.arena,
             );
             self.stats = outcome.stats;
@@ -543,9 +530,6 @@ impl Layer for ReuseConv2d {
         };
         self.record_telemetry(baseline);
         self.cached_batch = (mode == Mode::Train).then_some(input.batch());
-        if self.cached_batch.is_none() {
-            self.arena.release_clustering();
-        }
         Tensor4::from_vec(
             input.batch(),
             self.geom.out_h(),
@@ -749,6 +733,42 @@ mod tests {
         let second_gemm = layer.stats().gemm_flops;
         assert_eq!(second_gemm, 0, "second identical batch must fully reuse (first {first_gemm})");
         assert!(layer.mean_reuse_rate() > 0.9);
+    }
+
+    /// A forward pass no backward follows skips the centroids of all-hit
+    /// sub-matrices; the twin that trains must see the same bits, the same
+    /// statistics and end with the same caches.
+    #[test]
+    fn eval_and_train_forwards_agree_bitwise_under_cluster_reuse() {
+        let mut eval = reuse_layer(6, 8, true, 11);
+        let mut train = reuse_layer(6, 8, true, 11);
+        let mut rng = AdrRng::seeded(12);
+        let pixel = |y: usize, xx: usize, c: usize| ((y * 2 + xx + c) % 4) as f32;
+        let base = Tensor4::from_fn(2, 6, 6, 2, |_, y, xx, c| pixel(y, xx, c));
+        let noisy = Tensor4::from_fn(2, 6, 6, 2, |n, y, xx, c| {
+            pixel(y, xx, c) + if n == 1 { rng.gauss() } else { 0.0 }
+        });
+        let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Cold, then half new, then all hits.
+        let mut hit_rates = Vec::new();
+        for x in [&base, &noisy, &base] {
+            let (a, b) = (eval.forward(x, Mode::Eval), train.forward(x, Mode::Train));
+            assert_eq!(bits(&a), bits(&b));
+            let (sa, sb) = (eval.stats(), train.stats());
+            assert_eq!((sa.gemm_flops, sa.rows), (sb.gemm_flops, sb.rows));
+            let f64s = |s: ReuseStats| [s.avg_clusters, s.reuse_rate].map(f64::to_bits);
+            assert_eq!(f64s(sa), f64s(sb));
+            hit_rates.push(eval.mean_reuse_rate());
+        }
+        assert!(hit_rates[0] == 0.0 && hit_rates[1] > 0.0 && hit_rates[1] < 1.0, "{hit_rates:?}");
+        assert_eq!(hit_rates[2], 1.0);
+        let row_bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (a, b) in eval.caches.iter_mut().zip(&mut train.caches) {
+            assert_eq!(a.len(), b.len());
+            for sig in 0..256 {
+                assert_eq!(a.probe(sig).map(row_bits), b.probe(sig).map(row_bits));
+            }
+        }
     }
 
     #[test]

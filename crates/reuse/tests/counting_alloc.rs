@@ -174,7 +174,18 @@ fn steady_state_allocation_counts_match_the_budget() {
         for c in caches.iter_mut() {
             c.begin_batch();
         }
-        reuse_forward_with(&x_unf, &weight, &bias, &split, &lsh, &hasher, Some(caches), None, arena)
+        reuse_forward_with(
+            &x_unf,
+            &weight,
+            &bias,
+            &split,
+            &lsh,
+            &hasher,
+            Some(caches),
+            None,
+            Mode::Train,
+            arena,
+        )
     };
     for _ in 0..2 {
         let _ = reuse_step(&mut caches, &mut arena); // warmup: fills cache and arena

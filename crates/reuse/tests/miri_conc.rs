@@ -15,6 +15,7 @@
 use adr_clustering::assign::ClusterTable;
 use adr_clustering::lsh::LshTable;
 use adr_clustering::reuse_cache::ReuseCache;
+use adr_nn::layer::Mode;
 use adr_reuse::backward::reuse_backward;
 use adr_reuse::forward::{reuse_forward, reuse_forward_with, ReuseArena};
 use adr_reuse::hashpack::PackedHasher;
@@ -91,8 +92,18 @@ fn arena_forward_is_bitwise_equal_to_the_rebuilding_wrapper() {
     let mut arena = ReuseArena::default();
     set_thread_override(Some(2));
     for round in 0..2 {
-        let with_arena =
-            reuse_forward_with(&x, &w, &bias, &split, &lsh, &hasher, None, None, &mut arena);
+        let with_arena = reuse_forward_with(
+            &x,
+            &w,
+            &bias,
+            &split,
+            &lsh,
+            &hasher,
+            None,
+            None,
+            Mode::Train,
+            &mut arena,
+        );
         assert_eq!(with_arena.output.as_slice(), wrapper.output.as_slice(), "round {round}");
         let subs = arena.sub_matrices().iter().zip(wrapper_arena.sub_matrices());
         for (i, (a, b)) in subs.enumerate() {
@@ -117,12 +128,14 @@ fn forward_at(
     lsh: &[LshTable],
     caches: Option<&mut [ReuseCache]>,
     rows_per_image: Option<usize>,
+    mode: Mode,
     arena: &mut ReuseArena,
 ) -> ForwardState {
     let hasher = PackedHasher::new(split, lsh);
     let bias = vec![0.25f32; w.cols()];
     set_thread_override(Some(threads));
-    let out = reuse_forward_with(x, w, &bias, split, lsh, &hasher, caches, rows_per_image, arena);
+    let out =
+        reuse_forward_with(x, w, &bias, split, lsh, &hasher, caches, rows_per_image, mode, arena);
     set_thread_override(None);
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let subs = arena.sub_matrices();
@@ -142,11 +155,11 @@ fn forward_sweep(workers: &[usize], x: &Matrix, w: &Matrix, split: &SubVecSplit,
     let run = |threads: usize| {
         let mut arena = ReuseArena::default();
         let mut caches = fresh_caches();
-        let batch = forward_at(threads, x, w, split, lsh, None, None, &mut arena);
-        let image = forward_at(threads, x, w, split, lsh, None, Some(3), &mut arena);
+        let batch = forward_at(threads, x, w, split, lsh, None, None, Mode::Train, &mut arena);
+        let image = forward_at(threads, x, w, split, lsh, None, Some(3), Mode::Train, &mut arena);
         let mut with_cr = || {
             caches.iter_mut().for_each(ReuseCache::begin_batch);
-            forward_at(threads, x, w, split, lsh, Some(&mut caches), None, &mut arena)
+            forward_at(threads, x, w, split, lsh, Some(&mut caches), None, Mode::Train, &mut arena)
         };
         let (cold, warm) = (with_cr(), with_cr());
         assert!(cold.3 > 0 && warm.3 == 0, "second CR batch is all hits");
@@ -174,6 +187,53 @@ fn forward_fan_out_is_bitwise_serial_at_every_worker_count() {
     let w = Matrix::from_fn(11, 3, |_, _| rng.gauss() * 0.3);
     let split = SubVecSplit::new(11, 4); // widths 4,4,3
     forward_sweep(&[2, 5], &x, &w, &split, &families(&split, 6, 72));
+    shutdown();
+}
+
+#[test]
+fn forward_only_cr_fan_out_is_bitwise_the_serial_training_pass() {
+    // Cold, mixed, then all-hit batches through one set of caches: at two
+    // forced workers a forward pass no backward follows probes first and
+    // forms only the centroids of sub-matrices with a miss, so its blocks
+    // touch fewer buffers than a training pass's — and nothing observable
+    // may differ from the serial training pass: output, multiplied rows,
+    // cache rates and contents.
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut rng = AdrRng::seeded(91);
+    let protos = Matrix::from_fn(3, 11, |_, _| rng.gauss());
+    let cold = Matrix::from_fn(9, 11, |r, c| protos[(r % 3, c)]);
+    let fresh = Matrix::from_fn(9, 11, |_, _| rng.gauss());
+    let mixed = Matrix::from_fn(9, 11, |r, c| if r < 3 { cold[(r, c)] } else { fresh[(r, c)] });
+    let w = Matrix::from_fn(11, 3, |_, _| rng.gauss() * 0.3);
+    let split = SubVecSplit::new(11, 4); // widths 4,4,3
+    let lsh = families(&split, 6, 92);
+    let run = |threads: usize, mode: Mode| {
+        let mut arena = ReuseArena::default();
+        let mut caches: Vec<ReuseCache> =
+            (0..split.num_sub_vectors()).map(|_| ReuseCache::new(w.cols())).collect();
+        let mut seen = Vec::new();
+        for x in [&cold, &mixed, &cold] {
+            caches.iter_mut().for_each(ReuseCache::begin_batch);
+            let (out, _, _, gemm_flops) =
+                forward_at(threads, x, &w, &split, &lsh, Some(&mut caches), None, mode, &mut arena);
+            let rates: Vec<Option<u64>> =
+                caches.iter().map(|c| c.current_batch_rate().map(f64::to_bits)).collect();
+            seen.push((out, gemm_flops, rates));
+        }
+        let stored: Vec<Vec<Option<Vec<u32>>>> = caches
+            .iter_mut()
+            .map(|c| {
+                (0..64u64)
+                    .map(|sig| c.probe(sig).map(|row| row.iter().map(|v| v.to_bits()).collect()))
+                    .collect()
+            })
+            .collect();
+        (seen, stored)
+    };
+    let serial = run(1, Mode::Train);
+    let flops: Vec<u64> = serial.0.iter().map(|s| s.1).collect();
+    assert!(flops[0] > 0 && flops[1] > 0 && flops[2] == 0, "{flops:?}");
+    assert_eq!(run(2, Mode::Eval), serial);
     shutdown();
 }
 

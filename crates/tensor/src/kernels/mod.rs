@@ -1,9 +1,10 @@
 //! Hand-vectorized inner kernels for the hot paths, and the run-time choice
 //! of their instruction width.
 //!
-//! The three dense products ([`crate::matrix`], [`crate::par`]) and the LSH
-//! sign-dot projection (`adr-reuse`'s packed hasher) bottom out in four
-//! slice-level **lane kernels**, built on [`crate::simd::F32x8`]:
+//! The three dense products ([`crate::matrix`], [`crate::par`]), the LSH
+//! sign-dot projection (`adr-reuse`'s packed hasher) and the reuse forward
+//! pass's reconstruction bottom out in five slice-level **lane kernels**,
+//! built on [`crate::simd::F32x8`]:
 //!
 //! * [`gemm_rows`] — `c += a · b`: each row's non-zeros, compacted without
 //!   a branch, multiplied into register-resident tiles of the `c` row.
@@ -13,6 +14,8 @@
 //!   backward pass's input delta: a tile of [`dot`]s sharing their loads.
 //! * [`project_signs`] — the register-blocked sign-projection micro-kernel
 //!   behind LSH hashing ([`project`]).
+//! * [`sum_rows()`] — `dst = first + Σ rest` with each tile of the output
+//!   row held in registers across all sources ([`sum_rows`](mod@sum_rows)).
 //!
 //! # One body, two instantiations
 //!
@@ -41,7 +44,7 @@
 //!
 //! This module is the only library code where `unsafe` compiles: the
 //! workspace denies `unsafe_code` and `lib.rs` allows it on `kernels` alone.
-//! The four dispatch call sites here are the only `unsafe` in the
+//! The five dispatch call sites here are the only `unsafe` in the
 //! workspace's vector code; [`pool`] hosts the persistent worker pool
 //! behind the fan-out sites.
 
@@ -49,10 +52,12 @@ pub mod gemm;
 pub mod gemm_tb;
 pub mod pool;
 pub mod project;
+pub mod sum_rows;
 
 pub use gemm::{gemm_rows, gemm_ta_rows};
 pub use gemm_tb::gemm_tb;
 pub use project::project_signs;
+pub use sum_rows::sum_rows;
 
 use crate::simd::{F32x8, LANES};
 
@@ -285,6 +290,27 @@ mod tests {
                         );
                         assert_eq!(got, want, "h={h} cols={cols} rows={rows}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sum_rows_dispatched_equals_portable() {
+        for non_finite in [false, true] {
+            for m in [0usize, 1, 7, 8, 9, 17, 33, 64, 65, 130] {
+                for sources in [0usize, 1, 2, 5, 64] {
+                    // Every source is a window of one wider matrix, as the
+                    // cluster-output rows are.
+                    let stride = m + 3;
+                    let pool = seeded(sources * stride + 1, -0.53, m as f32, non_finite);
+                    let first = seeded(m + 2, 0.37, sources as f32, non_finite);
+                    let rows = (0..sources).map(|s| &pool[s * stride + 1..][..m]);
+                    let mut got = vec![7.0f32; m];
+                    let mut want = got.clone();
+                    sum_rows(&mut got, &first, rows.clone());
+                    sum_rows::sum_rows_portable(&mut want, &first, rows);
+                    assert_same_bits(&got, &want, &format!("m={m} sources={sources}"));
                 }
             }
         }
