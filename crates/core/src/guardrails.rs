@@ -12,9 +12,10 @@
 //! [`GuardrailEvent`] in the training report.
 
 use adr_nn::metrics::RunningMean;
-use adr_nn::Layer;
-use adr_nn::Network;
+use adr_nn::{Layer, Mode, Network};
 use adr_reuse::reuse_layers;
+use adr_tensor::sanitize::first_non_finite;
+use adr_tensor::Tensor4;
 
 /// Detection thresholds and rollback budget of a [`Guardrail`].
 #[derive(Clone, Debug)]
@@ -202,12 +203,31 @@ fn scan_params(net: &mut Network) -> Option<String> {
     for layer in net.layers_mut() {
         let name = layer.name().to_string();
         for p in layer.params_mut() {
-            if let Some((i, v)) = p.data.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+            if let Some((i, v)) = first_non_finite(p.data) {
                 return Some(format!("layer {name}: param[{i}] = {v}"));
             }
         }
     }
     None
+}
+
+/// Names where a batch first goes non-finite: the batch itself, else the
+/// first layer whose `Mode::Eval` output holds a NaN/∞, else neither. The
+/// trainer runs it on the batch a rollback discards, just before the
+/// restore that also discards what this forward touched (FLOP meters,
+/// cluster-reuse caches; the next training forward rewrites reuse stats).
+pub(crate) fn scan_forward(net: &mut Network, images: &Tensor4) -> String {
+    if let Some((i, v)) = first_non_finite(images.as_slice()) {
+        return format!("input[{i}] = {v}");
+    }
+    let mut x = images.clone();
+    for layer in net.layers_mut() {
+        x = layer.forward(&x, Mode::Eval);
+        if let Some((i, v)) = first_non_finite(x.as_slice()) {
+            return format!("layer {} output[{i}] = {v}", layer.name());
+        }
+    }
+    "forward finite".into()
 }
 
 #[cfg(test)]
@@ -250,6 +270,27 @@ mod tests {
         let (kind, detail) = g.check(0.5, &mut net).unwrap();
         assert_eq!(kind, GuardrailEventKind::NonFiniteParams);
         assert!(detail.contains("fc"), "{detail}");
+    }
+
+    #[test]
+    fn forward_scan_names_the_input_or_the_first_non_finite_layer() {
+        use adr_nn::conv::Conv2d;
+        use adr_nn::relu::Relu;
+        use adr_tensor::im2col::ConvGeom;
+        let mut rng = AdrRng::seeded(6);
+        let mut net = Network::new((4, 4, 1));
+        let geom = ConvGeom::new(4, 4, 1, 3, 3, 1, 0).unwrap();
+        net.push(Box::new(Conv2d::new("conv", geom, 2, &mut rng)));
+        net.push(Box::new(Relu::new("relu")));
+        net.push(Box::new(Dense::new("fc", 2 * 2 * 2, 3, &mut rng)));
+        let mut images = Tensor4::from_fn(2, 4, 4, 1, |n, y, x, _| (n + y * 4 + x) as f32 * 0.1);
+        assert_eq!(scan_forward(&mut net, &images), "forward finite");
+
+        net.layers_mut()[2].params_mut()[0].data.fill(f32::MAX);
+        assert_eq!(scan_forward(&mut net, &images), "layer fc output[0] = inf");
+
+        images.as_mut_slice()[5] = f32::NAN;
+        assert_eq!(scan_forward(&mut net, &images), "input[5] = NaN");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use adr_tensor::Tensor4;
 
 use crate::controller::ControllerError;
 use crate::faults::{FaultKind, FaultPlan};
-use crate::guardrails::{Guardrail, GuardrailEvent, GuardrailEventKind};
+use crate::guardrails::{scan_forward, Guardrail, GuardrailEvent, GuardrailEventKind};
 use crate::report::{SwitchEvent, TrainReport};
 use crate::schedule::Schedule;
 use crate::state::{StateError, TrainState};
@@ -375,12 +375,19 @@ impl Trainer {
                         }
                     } else if let Some(state) = last_good.take() {
                         g.note_rollback();
+                        // Name where the tripping batch went non-finite; the
+                        // restore below discards everything this forward
+                        // touches.
+                        let culprit = scan_forward(run.net, &images);
                         run.restore(&state)?;
                         adr_obs::counter_add("adr_train_rollbacks", &[], 1);
                         guardrail_events.push(GuardrailEvent {
                             iteration: iter,
                             kind: GuardrailEventKind::RolledBack,
-                            detail: format!("restored snapshot @ {}", state.iteration),
+                            detail: format!(
+                                "restored snapshot @ {}; rolled-back batch: {culprit}",
+                                state.iteration
+                            ),
                         });
                         // Tighten one stage toward exact computation.
                         let (kind, detail) = run.schedule.tighten(run.net);
@@ -826,10 +833,6 @@ mod tests {
         assert!(matches!(err, TrainError::Controller(ControllerError::ScheduleMismatch)), "{err}");
     }
 
-    // Under `--features checked` the invariant layer panics on the injected
-    // NaN before the guardrail can see it; the rollback path is exercised
-    // in the default configuration.
-    #[cfg(not(feature = "checked"))]
     #[test]
     fn guardrail_rolls_back_and_tightens_on_injected_nan() {
         let trainer = Trainer::new(TrainerConfig { max_iterations: 60, ..quick_config() });
@@ -865,6 +868,47 @@ mod tests {
         let recaptured = TrainState::capture(&mut net, &sgd, Strategy::fixed(3, 6), 0);
         assert!(recaptured.params.iter().flatten().all(|v| v.is_finite()));
         assert!(report.final_accuracy > 0.6, "accuracy {}", report.final_accuracy);
+    }
+
+    /// The premise of the rollback's forward scan: an eval forward between a
+    /// capture and its restore leaves no trace on the run that follows, even
+    /// with cluster-reuse caches live (the restore rebuilds them).
+    #[test]
+    fn restore_discards_what_an_eval_forward_touches() {
+        let strategy = Strategy::cluster_reuse(3, 6);
+        let run_with = |eval_forward: bool| {
+            let (mut net, mut sgd, mut source) =
+                (reuse_net(13), Sgd::constant(0.05), toy_source(130));
+            let schedule = Schedule::start(&mut net, strategy, &quick_config(), 6).unwrap();
+            let meter = EpochMeter::new();
+            let mut run = Run {
+                net: &mut net,
+                sgd: &mut sgd,
+                source: &mut source,
+                strategy,
+                schedule,
+                meter,
+            };
+            assert!(reuse_layers(run.net).all(|reuse| reuse.config().cluster_reuse));
+            let train = |run: &mut Run<'_>, steps: usize| {
+                for i in 0..steps {
+                    let (images, labels) = run.source.batch(i % run.source.num_batches());
+                    run.net.train_batch(&images, &labels, run.sgd);
+                }
+            };
+            let state = run.capture(0);
+            train(&mut run, 3);
+            if eval_forward {
+                run.net.forward(&make_batch(7).0, adr_nn::Mode::Eval);
+            }
+            run.restore(&state).unwrap();
+            train(&mut run, 5);
+            TrainState::capture(run.net, run.sgd, strategy, 0)
+        };
+        let (plain, scanned) = (run_with(false), run_with(true));
+        assert_eq!(plain.params, scanned.params);
+        assert_eq!(plain.velocity, scanned.velocity);
+        assert_eq!(plain.flops, scanned.flops);
     }
 
     #[test]

@@ -24,13 +24,9 @@ use crate::layer::{Layer, Mode, ParamRefMut, Shape3};
 /// The dense forward product on an unfolded batch, `y = x·W + b` (Eq. 1),
 /// metering `N·K·M` multiply–adds as both actual and baseline work.
 ///
-/// `layer` names the calling layer in checked-build diagnostics.
-///
 /// # Shape
 /// `unfolded: N × K`, `weight: K × M`, `bias: M`; returns `N × M`.
-#[cfg_attr(not(feature = "checked"), allow(unused_variables))]
 pub fn gemm_forward(
-    layer: &str,
     unfolded: &Matrix,
     weight: &Matrix,
     bias: &[f32],
@@ -38,7 +34,6 @@ pub fn gemm_forward(
 ) -> Matrix {
     let mut y = matmul_par(unfolded, weight);
     y.add_row_bias(bias);
-    adr_tensor::checked_finite!(y.as_slice(), "conv {layer}: forward output");
     let work = (unfolded.rows() * unfolded.cols() * weight.cols()) as u64;
     meter.add_forward(work, work);
     y
@@ -66,9 +61,7 @@ pub fn gemm_backward_params(
     let (n, k) = unfolded.shape();
     let m = weight_grad.cols();
     assert_eq!(delta_y.len(), n * m, "conv {layer}: grad_out shape mismatch");
-    adr_tensor::checked_finite!(delta_y, "conv {layer}: backward grad_out");
     gemm_ta_par(unfolded.as_slice(), delta_y, weight_grad.as_mut_slice(), n, k, m);
-    adr_tensor::checked_finite!(weight_grad.as_slice(), "conv {layer}: weight gradient");
     column_sums_into(delta_y, bias_grad);
     let work = (n * k * m) as u64;
     meter.add_backward(work, work);
@@ -84,9 +77,7 @@ pub fn gemm_backward_params(
 ///
 /// # Panics
 /// Panics when `delta_y` is not `N × M`.
-#[cfg_attr(not(feature = "checked"), allow(unused_variables))]
 pub fn gemm_backward_input(
-    layer: &str,
     delta_y: &[f32],
     weight: &Matrix,
     unfolded: &mut Matrix,
@@ -95,7 +86,6 @@ pub fn gemm_backward_input(
     let (n, k) = unfolded.shape();
     let m = weight.cols();
     gemm_tb_par(delta_y, weight.as_slice(), unfolded.as_mut_slice(), n, m, k);
-    adr_tensor::checked_finite!(unfolded.as_slice(), "conv {layer}: input delta");
     let work = (n * k * m) as u64;
     meter.add_backward(work, work);
 }
@@ -216,16 +206,8 @@ impl Layer for Conv2d {
         reason = "internal-invariant: the GEMM output has exactly the element count of the geometry passed beside it"
     )]
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
-        adr_tensor::checked_finite!(input.as_slice(), "conv {}: forward input", self.name);
         im2col_into(input, &self.geom, &mut self.unfolded);
-        let (n, k) = self.unfolded.shape();
-        adr_tensor::checked_shape!(
-            (n, k),
-            (self.geom.rows_for_batch(input.batch()), self.geom.k()),
-            "conv {}: unfolded input vs geometry",
-            self.name
-        );
-        let y = gemm_forward(&self.name, &self.unfolded, &self.weight, &self.bias, &mut self.meter);
+        let y = gemm_forward(&self.unfolded, &self.weight, &self.bias, &mut self.meter);
         self.cached_batch = (mode == Mode::Train).then_some(input.batch());
         if self.cached_batch.is_none() {
             // No backward pass will read the buffer: an eval forward (probe,
@@ -246,7 +228,7 @@ impl Layer for Conv2d {
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
         let batch = self.param_grads(grad_out);
         let delta_y = grad_out.as_slice();
-        gemm_backward_input(&self.name, delta_y, &self.weight, &mut self.unfolded, &mut self.meter);
+        gemm_backward_input(delta_y, &self.weight, &mut self.unfolded, &mut self.meter);
         col2im(&self.unfolded, &self.geom, batch)
     }
 

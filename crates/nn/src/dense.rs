@@ -100,12 +100,10 @@ impl Layer for Dense {
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
         let (n, h, w, c) = input.shape();
         assert_eq!(h * w * c, self.in_features, "dense {}: feature mismatch", self.name);
-        adr_tensor::checked_finite!(input.as_slice(), "dense {}: forward input", self.name);
         let x = Matrix::from_vec(n, self.in_features, input.as_slice().to_vec())
             .expect("shape arithmetic is consistent");
         let mut y = matmul_par(&x, &self.weight);
         y.add_row_bias(&self.bias);
-        adr_tensor::checked_finite!(y.as_slice(), "dense {}: forward output", self.name);
         let work = (n * self.in_features * self.units) as u64;
         self.meter.add_forward(work, work);
         self.in_shape = (h, w, c);
@@ -125,20 +123,13 @@ impl Layer for Dense {
         let n = x.rows();
         let delta_y = grad_out.as_slice();
         assert_eq!(delta_y.len(), n * self.units, "dense {}: grad_out shape mismatch", self.name);
-        adr_tensor::checked_finite!(delta_y, "dense {}: backward grad_out", self.name);
         // ∇W = xᵀ · δy and ∇b = Σ_rows δy, into the long-lived gradients.
         let weight_grad = self.weight_grad.as_mut_slice();
         gemm_ta_par(x.as_slice(), delta_y, weight_grad, n, self.in_features, self.units);
-        adr_tensor::checked_finite!(
-            self.weight_grad.as_slice(),
-            "dense {}: weight gradient",
-            self.name
-        );
         column_sums_into(delta_y, &mut self.bias_grad);
         // δx = δy · Wᵀ, straight into the buffer the returned tensor owns.
         let mut delta_x = vec![0.0f32; n * self.in_features];
         gemm_tb_par(delta_y, self.weight.as_slice(), &mut delta_x, n, self.units, self.in_features);
-        adr_tensor::checked_finite!(&delta_x, "dense {}: input delta", self.name);
         let work = (2 * n * self.in_features * self.units) as u64;
         self.meter.add_backward(work, work);
         let (h, w, c) = self.in_shape;

@@ -62,7 +62,6 @@ pub fn reuse_backward(
     assert_eq!(arena.subs.len(), num_subs, "one sub-matrix state per sub-matrix required");
     let n = arena.subs[0].table.num_rows();
     assert_eq!(delta_y.len(), n * m, "delta_y shape disagrees with the forward clustering");
-    adr_tensor::checked_finite!(delta_y, "reuse backward: delta_y");
 
     // One task per sub-matrix: its band of ∇W and its state, every buffer
     // sized here, before dispatch. Sub-vectors are `L` wide except a shorter
@@ -111,11 +110,6 @@ pub fn reuse_backward(
                 width,
                 m,
             );
-            adr_tensor::checked_finite_rows!(
-                &**w_grad_band,
-                m,
-                "reuse backward: sub-matrix {i} weight-gradient block"
-            );
 
             if !want_input {
                 continue;
@@ -128,16 +122,10 @@ pub fn reuse_backward(
             let (start, end) = split.ranges()[i];
             let w_band = &weight.as_slice()[start * m..end * m];
             gemm_tb_rows(dy.as_slice(), w_band, dx_c.as_mut_slice(), num_clusters, m, width);
-            adr_tensor::checked_finite_rows!(
-                dx_c.as_slice(),
-                width,
-                "reuse backward: sub-matrix {i} centroid input-gradients (row = cluster id)"
-            );
         }
     });
     drop(tasks);
     column_sums_into(delta_y, bias_grad);
-    adr_tensor::checked_finite!(weight_grad.as_slice(), "reuse backward: weight gradient");
 
     // Phase 2, row-parallel: every member inherits its cluster centroid's
     // input gradient, one whole contiguous row of δx at a time.
@@ -154,7 +142,6 @@ pub fn reuse_backward(
                 }
             }
         });
-        adr_tensor::checked_finite!(delta_x_unf.as_slice(), "reuse backward: input delta");
     }
     flops
 }

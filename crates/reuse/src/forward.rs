@@ -238,8 +238,6 @@ pub fn reuse_forward_with(
     if let Some(p) = rows_per_image {
         assert!(p > 0 && n % p == 0, "rows_per_image must evenly divide N");
     }
-    adr_tensor::checked_finite!(x_unf.as_slice(), "reuse forward: unfolded input");
-    adr_tensor::checked_finite!(weight.as_slice(), "reuse forward: weight");
 
     // Exactly one state per sub-matrix: a retune to fewer sub-matrices must
     // not leave stale clusterings behind for the backward pass to find.
@@ -366,12 +364,6 @@ pub fn reuse_forward_with(
             let (num_clusters, width) = (table.num_clusters(), end - start);
             if sums {
                 table.sums_to_means(cent);
-                adr_tensor::checked_finite_rows!(
-                    cent.as_slice(),
-                    width,
-                    "reuse forward: sub-matrix {} centroids (row = cluster id)",
-                    sub0 + j
-                );
             }
             let w_band = &w[start * m..end * m];
             *multiplied = match caches.as_deref_mut() {
@@ -394,18 +386,6 @@ pub fn reuse_forward_with(
                     misses.len()
                 }
             };
-            adr_tensor::checked_shape!(
-                y_c.shape(),
-                (num_clusters, m),
-                "reuse forward: sub-matrix {} cluster-output shape",
-                sub0 + j
-            );
-            adr_tensor::checked_finite_rows!(
-                y_c.as_slice(),
-                m,
-                "reuse forward: sub-matrix {} cluster outputs (row = cluster id)",
-                sub0 + j
-            );
         }
     });
     drop(gemm_span);
@@ -414,7 +394,6 @@ pub fn reuse_forward_with(
     let scatter_span = adr_obs::span_phase(adr_obs::Phase::Scatter);
     let output = reconstruct(n, m, bias, &arena.subs);
     drop(scatter_span);
-    adr_tensor::checked_finite!(output.as_slice(), "reuse forward: reconstructed output");
 
     let mut stats = ReuseStats { rows: n, num_sub_vectors: num_subs, ..Default::default() };
     let mut cluster_total = 0usize;

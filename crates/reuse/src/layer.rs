@@ -418,13 +418,7 @@ impl ReuseConv2d {
                 &mut self.meter,
             );
             if want_input {
-                gemm_backward_input(
-                    &self.name,
-                    delta_y,
-                    &self.weight,
-                    &mut self.unfolded,
-                    &mut self.meter,
-                );
+                gemm_backward_input(delta_y, &self.weight, &mut self.unfolded, &mut self.meter);
             }
         } else {
             let flops = reuse_backward(
@@ -498,7 +492,7 @@ impl Layer for ReuseConv2d {
                 gemm_flops: baseline,
                 ..ReuseStats::default()
             };
-            gemm_forward(&self.name, &self.unfolded, &self.weight, &self.bias, &mut self.meter)
+            gemm_forward(&self.unfolded, &self.weight, &self.bias, &mut self.meter)
         } else {
             let caches = if self.config.cluster_reuse {
                 for c in &mut self.caches {

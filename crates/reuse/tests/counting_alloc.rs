@@ -8,10 +8,8 @@
 //! exactly the per-step allocation count pinned in the `*_STEP` consts
 //! below — a new allocation in the inner loop fails here.
 //!
-//! The pins describe the *default* build: the `checked` sanitizer layer
-//! deliberately trades allocations for diagnostics, so this harness is
-//! compiled out under that feature.
-#![cfg(not(feature = "checked"))]
+//! One `#[test]` per binary: the counter is process-global, so parallel
+//! tests would double-count each other's allocations.
 // The `#[global_allocator]` below is one of the three `unsafe` sites outside
 // `adr_tensor::kernels`; the workspace denies `unsafe_code` everywhere else.
 #![allow(unsafe_code)]
@@ -19,9 +17,6 @@
     clippy::disallowed_types,
     reason = "ordering-counter: the allocation counters publish no other data, so every access is Relaxed"
 )]
-//!
-//! One `#[test]` per binary: the counter is process-global, so parallel
-//! tests would double-count each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -7,11 +7,6 @@
 //! micro-batch on the exact path (ladder stage 0, healthy traffic, no
 //! faults) must perform exactly the pinned number of heap allocations —
 //! i.e. zero allocations that the budget does not account for.
-//!
-//! The pins describe the *default* build: the `checked` sanitizer layer
-//! deliberately trades allocations for diagnostics, so this harness is
-//! compiled out under that feature.
-#![cfg(not(feature = "checked"))]
 // The `#[global_allocator]` below is one of the three `unsafe` sites outside
 // `adr_tensor::kernels`; the workspace denies `unsafe_code` everywhere else.
 #![allow(unsafe_code)]

@@ -19,8 +19,8 @@
 //!   hand-vectorized lane kernels every hot inner loop bottoms out in: one
 //!   portable source each, compiled at 128 and at 256 bits and picked from
 //!   the CPU observed at run time ([`kernels::lanes`] says which).
-//! * [`sanitize`] — the feature-gated (`checked`) NaN/Inf sanitizer and
-//!   shape-contract checks threaded through the layer implementations.
+//! * [`sanitize`] — the first-non-finite scan that serving's admission and
+//!   output quarantine and the trainer's guardrails report through.
 //!
 //! The paper's notation (N, K, M, L, H, ...) is used throughout the
 //! workspace; see the crate-level docs of `adr-reuse` for the mapping.

@@ -1,7 +1,7 @@
 //! The BENCH gate: both counter documents, rendered in-process, must equal
 //! the committed `BENCH_train.json` / `BENCH_serve.json` byte for byte
 //! (DESIGN.md §11.4). Equality subsumes schema and tolerance checks, and —
-//! run under the default and `checked` builds, on AVX hosts and (CI's
+//! run in the debug and release profiles, on AVX hosts and (CI's
 //! `test-portable` job) on one without — pins that both instantiations of
 //! the lane kernels produce the counters of the commit that wrote the files.
 

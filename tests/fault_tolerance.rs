@@ -158,9 +158,6 @@ fn kill_and_resume_is_bitwise_identical() {
 
 /// Injected NaN triggers detection, rollback to the last good snapshot,
 /// and reuse tightening — and the run still learns the toy task.
-/// (Gated off under `--features checked`: the invariant layer panics on
-/// the injected NaN before the guardrail can see it, by design.)
-#[cfg(not(feature = "checked"))]
 #[test]
 fn nan_fault_rolls_back_tightens_and_still_learns() {
     let trainer = quick_trainer(120);
@@ -197,6 +194,50 @@ fn nan_fault_rolls_back_tightens_and_still_learns() {
     let state = TrainState::capture(&mut net, &sgd, Strategy::adaptive(), 0);
     assert!(state.params.iter().flatten().all(|v| v.is_finite()), "weights must be clean again");
     assert!(report.final_accuracy > 0.6, "accuracy {}", report.final_accuracy);
+}
+
+/// A rollback's report names where the batch it discarded went non-finite,
+/// so a poisoned input and poisoned weights read differently.
+#[test]
+fn rollback_names_where_the_rolled_back_batch_went_non_finite() {
+    let cases = [
+        (FaultKind::NanActivations, "input[0] = NaN"),
+        (FaultKind::InfActivations, "input[0] = inf"),
+        (FaultKind::NanWeights, "layer conv1 output"),
+    ];
+    for strategy in [Strategy::fixed(3, 6), Strategy::cluster_reuse(3, 6)] {
+        for (fault, expected) in cases {
+            let mut net = reuse_net(9);
+            let mut sgd = Sgd::constant(0.05);
+            let mut plan = FaultPlan::new().inject_at(30, fault);
+            let report = quick_trainer(60)
+                .train_with(
+                    &mut net,
+                    strategy,
+                    &mut toy_source(90),
+                    &mut sgd,
+                    TrainOptions {
+                        guardrails: Some(GuardrailConfig {
+                            snapshot_every: 10,
+                            ..Default::default()
+                        }),
+                        faults: Some(&mut plan),
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+            let detail = report
+                .guardrail_events
+                .iter()
+                .find(|e| e.kind == GuardrailEventKind::RolledBack)
+                .map(|e| e.detail.as_str())
+                .unwrap_or_else(|| panic!("{fault:?} under {strategy:?}: no rollback"));
+            println!("{} {fault:?}: {detail}", strategy.name());
+            assert!(detail.contains(expected), "{fault:?} under {strategy:?}: {detail}");
+            let state = TrainState::capture(&mut net, &sgd, strategy, 0);
+            assert!(state.params.iter().flatten().all(|v| v.is_finite()), "{fault:?}");
+        }
+    }
 }
 
 /// Trains `reuse_net(11)` under guardrails with every reuse layer's

@@ -309,10 +309,6 @@ fn injected_output_poison_is_quarantined_and_retried_on_the_exact_path() {
     std::fs::remove_file(&path).ok();
 }
 
-/// (Gated off under `--features checked`: the invariant layer panics on
-/// the NaN inside the dense forward before the engine's output sanitizer
-/// can quarantine it, by design.)
-#[cfg(not(feature = "checked"))]
 #[test]
 fn persistent_weight_poison_fails_batches_typed_and_flips_the_health_probe() {
     let dataset = synth_dataset(14, 8);
