@@ -18,12 +18,13 @@
 //! overwritten by whatever follows it. `0.0` and `-0.0` compare equal to
 //! zero and drop out; NaN does not and stays. The list is then multiplied
 //! into the output one column tile at a time, in tiers: tiles of `BLOCK`
-//! columns (eight [`F32x8`] registers) while they fit, then at most one
-//! tile each of 32, 16 and 8 columns, then a scalar tail. Every whole lane
-//! chunk of a row thus sits in a tile of several independent registers
-//! where the row has them: with only 64-column tiles and 8-column ones, the
-//! 16-, 32- and 48-wide outputs of the VGG geometry ran slower than the
-//! branchy loop (a single-register tile is one dependent add chain).
+//! columns (eight [`F32x8`] values: eight 256-bit or four 512-bit
+//! registers) while they fit, then at most one tile each of 32, 16 and 8
+//! columns, then a scalar tail. Every whole lane chunk of a row thus sits
+//! in a tile of several independent registers where the row has them: with
+//! only 64-column tiles and 8-column ones, the 16-, 32- and 48-wide outputs
+//! of the VGG geometry ran slower than the branchy loop (a single-register
+//! tile is one dependent add chain).
 //!
 //! * [`gemm_rows`] holds the *output* tile in registers: a tile of the `c`
 //!   row is loaded once per `k` block, receives every term's `b` tile, and
@@ -46,9 +47,19 @@
 //! accumulates along `k` through a fixed reduction tree and skips nothing,
 //! so it has no branch to remove.
 //!
-//! Each kernel is one portable body instantiated twice and picked at run
-//! time (see [`super`]); every output element sees the same multiply–adds in
-//! the same order in both, so the two are bitwise identical.
+//! # One body, three instantiations
+//!
+//! Each kernel is one portable body instantiated three times and picked at
+//! run time (see [`super`]): as is, in a 256-bit `avx` clone, and in a
+//! 512-bit `avx512f` clone; the entry point runs the widest one the CPU has.
+//! A 16-wide row is then one zmm add chain instead of two ymm ones, but
+//! each term still adds once to each chain, so no chain gets longer and
+//! narrow rows are no slower (DESIGN.md §15.1). Every output element sees
+//! the same multiply–adds in the same order in all three, so they are
+//! bitwise identical. Enabling `avx512f` makes fused multiply–add
+//! encodable, but nothing in the source asks for one: Rust never contracts
+//! a separate `*` and `+`, `clippy.toml` rejects `mul_add`, and CI counts
+//! `vfmadd` in the release binary (0).
 
 use crate::simd::{F32x8, LANES};
 
@@ -198,6 +209,12 @@ fn scatter_row(c: &mut [f32], b_row: &[f32], terms: &Terms) {
 /// many elements.
 pub fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
+    if super::avx512_detected() {
+        // SAFETY: `avx512_detected` has just observed the `avx512f` CPU
+        // feature, the only precondition of the clone.
+        return unsafe { gemm_rows_avx512(a, b, c, m, k, n) };
+    }
+    #[cfg(target_arch = "x86_64")]
     if super::avx_detected() {
         // SAFETY: `avx_detected` has just observed the `avx` CPU feature,
         // the only precondition of the clone.
@@ -210,6 +227,13 @@ pub fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 fn gemm_rows_avx(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_rows_portable(a, b, c, m, k, n);
+}
+
+/// [`gemm_rows`] compiled with 512-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_rows_avx512(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     gemm_rows_portable(a, b, c, m, k, n);
 }
 
@@ -265,6 +289,12 @@ pub fn gemm_ta_rows(
     n: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
+    if super::avx512_detected() {
+        // SAFETY: `avx512_detected` has just observed the `avx512f` CPU
+        // feature, the only precondition of the clone.
+        return unsafe { gemm_ta_rows_avx512(a, a_stride, b, c, rows, m, n) };
+    }
+    #[cfg(target_arch = "x86_64")]
     if super::avx_detected() {
         // SAFETY: `avx_detected` has just observed the `avx` CPU feature,
         // the only precondition of the clone.
@@ -277,6 +307,21 @@ pub fn gemm_ta_rows(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 fn gemm_ta_rows_avx(
+    a: &[f32],
+    a_stride: usize,
+    b: &[f32],
+    c: &mut [f32],
+    rows: usize,
+    m: usize,
+    n: usize,
+) {
+    gemm_ta_rows_portable(a, a_stride, b, c, rows, m, n);
+}
+
+/// [`gemm_ta_rows`] compiled with 512-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_ta_rows_avx512(
     a: &[f32],
     a_stride: usize,
     b: &[f32],
@@ -316,10 +361,79 @@ pub(crate) fn gemm_ta_rows_portable(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::kernels::tests::assert_same_bits;
     use crate::rng::AdrRng;
+
+    /// `c0 += a · b` in each instantiation of [`gemm_rows`] this host can
+    /// run, by name: the portable body always, each clone where the CPU has
+    /// its feature — so an AVX-512 host, whose entry point never runs the
+    /// `avx` clone, still holds that clone to the bits.
+    pub(crate) fn gemm_rows_each(
+        a: &[f32],
+        b: &[f32],
+        c0: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<(&'static str, Vec<f32>)> {
+        let mut c = c0.to_vec();
+        gemm_rows_portable(a, b, &mut c, m, k, n);
+        let mut runs = vec![("portable", c)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if crate::kernels::avx_detected() {
+                let mut c = c0.to_vec();
+                // SAFETY: `avx_detected` has just observed the `avx` CPU
+                // feature, the only precondition of the clone.
+                unsafe { gemm_rows_avx(a, b, &mut c, m, k, n) };
+                runs.push(("avx", c));
+            }
+            if crate::kernels::avx512_detected() {
+                let mut c = c0.to_vec();
+                // SAFETY: `avx512_detected` has just observed the `avx512f`
+                // CPU feature, the only precondition of the clone.
+                unsafe { gemm_rows_avx512(a, b, &mut c, m, k, n) };
+                runs.push(("avx512", c));
+            }
+        }
+        runs
+    }
+
+    /// `c0 += aᵀ · b` in each instantiation of [`gemm_ta_rows`] this host can
+    /// run, by name, as [`gemm_rows_each`].
+    pub(crate) fn gemm_ta_rows_each(
+        a: &[f32],
+        a_stride: usize,
+        b: &[f32],
+        c0: &[f32],
+        rows: usize,
+        m: usize,
+        n: usize,
+    ) -> Vec<(&'static str, Vec<f32>)> {
+        let mut c = c0.to_vec();
+        gemm_ta_rows_portable(a, a_stride, b, &mut c, rows, m, n);
+        let mut runs = vec![("portable", c)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if crate::kernels::avx_detected() {
+                let mut c = c0.to_vec();
+                // SAFETY: `avx_detected` has just observed the `avx` CPU
+                // feature, the only precondition of the clone.
+                unsafe { gemm_ta_rows_avx(a, a_stride, b, &mut c, rows, m, n) };
+                runs.push(("avx", c));
+            }
+            if crate::kernels::avx512_detected() {
+                let mut c = c0.to_vec();
+                // SAFETY: `avx512_detected` has just observed the `avx512f`
+                // CPU feature, the only precondition of the clone.
+                unsafe { gemm_ta_rows_avx512(a, a_stride, b, &mut c, rows, m, n) };
+                runs.push(("avx512", c));
+            }
+        }
+        runs
+    }
 
     /// The loop [`gemm_rows`] replaced, scalar: one multiply–add per output
     /// element per non-zero `a` entry, `k` blocked, zeros skipped by a branch.
@@ -405,7 +519,7 @@ mod tests {
     }
 
     /// Output widths on every side of the 8- and 64-column tiers.
-    const N_GRID: [usize; 11] = [1, 7, 8, 9, 31, 32, 63, 64, 65, 96, 130];
+    const N_GRID: [usize; 12] = [1, 7, 8, 9, 31, 32, 63, 64, 65, 96, 128, 130];
     /// Compaction-window lengths on every side of `BLOCK`.
     const K_GRID: [usize; 6] = [1, 63, 64, 65, 75, 200];
 
@@ -423,9 +537,9 @@ mod tests {
                 let mut got = c0.clone();
                 gemm_rows(&a, &b, &mut got, m, k, n);
                 assert_same_bits(&got, &want, &format!("dispatched, n={n} k={k}"));
-                let mut got = c0;
-                gemm_rows_portable(&a, &b, &mut got, m, k, n);
-                assert_same_bits(&got, &want, &format!("portable, n={n} k={k}"));
+                for (lanes, got) in gemm_rows_each(&a, &b, &c0, m, k, n) {
+                    assert_same_bits(&got, &want, &format!("{lanes}, n={n} k={k}"));
+                }
             }
         }
     }
@@ -446,9 +560,9 @@ mod tests {
                 let mut got = c0.clone();
                 gemm_ta_rows(&a[i0..], a_stride, &b, &mut got, rows, m, n);
                 assert_same_bits(&got, &want, &format!("dispatched, n={n} m={m}"));
-                let mut got = c0;
-                gemm_ta_rows_portable(&a[i0..], a_stride, &b, &mut got, rows, m, n);
-                assert_same_bits(&got, &want, &format!("portable, n={n} m={m}"));
+                for (lanes, got) in gemm_ta_rows_each(&a[i0..], a_stride, &b, &c0, rows, m, n) {
+                    assert_same_bits(&got, &want, &format!("{lanes}, n={n} m={m}"));
+                }
             }
         }
     }

@@ -166,6 +166,10 @@ mod tests {
     use super::*;
     use crate::kernels::tests::lane_reference_dot;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-data: a smooth operand; its own rounding is never compared"
+    )]
     fn wave(n: usize, scale: f32, shift: f32) -> Vec<f32> {
         (0..n).map(|i| (i as f32).mul_add(scale, shift).sin()).collect()
     }

@@ -17,36 +17,42 @@
 //! * [`sum_rows()`] — `dst = first + Σ rest` with each tile of the output
 //!   row held in registers across all sources ([`sum_rows`](mod@sum_rows)).
 //!
-//! # One body, two instantiations
+//! # One body, two or three instantiations
 //!
 //! Each lane kernel is **one** `#[inline(always)]` body in safe Rust
-//! (`*_portable`), compiled twice: once as is — 128-bit SSE2 pairs on
-//! x86-64, NEON on aarch64 — and once inlined into a
+//! (`*_portable`), compiled at least twice: once as is — 128-bit SSE2 pairs
+//! on x86-64, NEON on aarch64 — and once inlined into a
 //! `#[target_feature(enable = "avx")]` clone (`*_avx`), where LLVM
-//! vectorises the same `[f32; 8]` source at 256 bits. The public entry point
-//! asks `avx_detected` which one this process may run. That question is
-//! answered by the platform alone (`is_x86_feature_detected!`, cached by
-//! `std`): no cargo feature, environment variable, config field or test hook
-//! takes part, and [`lanes`] reports the answer. Other targets, and Miri,
-//! compile the dispatch out or take the portable branch.
+//! vectorises the same `[f32; 8]` source at 256 bits. The two saxpy-form
+//! GEMMs have a third, `#[target_feature(enable = "avx512f")]` clone
+//! (`*_avx512`, 512 bits). The public entry point asks `avx512_detected` /
+//! `avx_detected` which one this process may run and runs the widest. That
+//! question is answered by the platform alone (`is_x86_feature_detected!`,
+//! cached by `std`): no cargo feature, environment variable, config field
+//! or test hook takes part, and [`lanes`] reports the answer. Other
+//! targets, and Miri, compile the dispatch out or take the portable branch.
 //!
-//! The two instantiations are **bitwise identical**: same loop order, one
-//! IEEE multiply then one IEEE add per element ([`gemm`]), the fixed
-//! [`crate::simd::F32x8::hsum`] tree ([`dot`]) — only `avx` is enabled,
-//! never `fma`, so nothing is contracted. The one thing allowed to differ is
-//! the *payload* of a NaN (which operand's payload survives a NaN × NaN
-//! depends on the encoding's operand order); NaN-ness never does. The
-//! differential tests at the bottom of this file run both in one binary.
+//! The instantiations are **bitwise identical**: same loop order, one IEEE
+//! multiply then one IEEE add per element ([`gemm`]), the fixed
+//! [`crate::simd::F32x8::hsum`] tree ([`dot`]). `avx512f` implies LLVM's
+//! `fma` feature, so a fused multiply–add is encodable in the 512-bit
+//! clones, but nothing asks for one: Rust never contracts a separate `*` and
+//! `+`, `clippy.toml` disallows `mul_add`, and CI fails if the release
+//! binary holds a `vfmadd`. The one thing allowed to differ is the *payload*
+//! of a NaN (which operand's payload survives a NaN × NaN depends on the
+//! encoding's operand order); NaN-ness never does. The differential tests
+//! at the bottom of this file run every instantiation the host supports in
+//! one binary.
 //!
 //! [`dot`] and every helper of a kernel body are `#[inline(always)]` for
 //! this reason: an out-of-line copy is compiled without `avx`, and a clone
-//! that *called* it would run 128-bit code behind a 256-bit name.
+//! that *called* it would run 128-bit code behind a wider name.
 //!
 //! This module is the only library code where `unsafe` compiles: the
 //! workspace denies `unsafe_code` and `lib.rs` allows it on `kernels` alone.
-//! The five dispatch call sites here are the only `unsafe` in the
-//! workspace's vector code; [`pool`] hosts the persistent worker pool
-//! behind the fan-out sites.
+//! The seven dispatch call sites here (and the test helpers that run each
+//! clone on its own) are the only `unsafe` in the workspace's vector code;
+//! [`pool`] hosts the persistent worker pool behind the fan-out sites.
 
 pub mod gemm;
 pub mod gemm_tb;
@@ -78,13 +84,33 @@ fn avx_detected() -> bool {
     }
 }
 
-/// Which instantiation of the lane kernels this process runs: `"avx"` (eight
-/// lanes per instruction) or `"portable"` (whatever the target's baseline
-/// gives the same source). The dispatcher's own answer — print it beside
-/// [`crate::par::hardware_threads`] wherever a wall time is reported, and
-/// nowhere that is compared across hosts: the bits do not depend on it.
+/// True when this process may run the 512-bit instantiation of
+/// [`gemm_rows`] and [`gemm_ta_rows`]: `std` observes an x86-64 CPU and OS
+/// that support `avx512f` (which implies `avx`). Cached like
+/// [`avx_detected`]; other targets and Miri say `false`.
+#[inline]
+fn avx512_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The widest instantiation of the lane kernels this process runs:
+/// `"avx512"` (sixteen lanes per instruction in the two saxpy-form GEMMs,
+/// eight everywhere else), `"avx"` (eight lanes) or `"portable"` (whatever
+/// the target's baseline gives the same source). The dispatcher's own
+/// answer — print it beside [`crate::par::hardware_threads`] wherever a wall
+/// time is reported, and nowhere that is compared across hosts: the bits do
+/// not depend on it.
 pub fn lanes() -> &'static str {
-    if avx_detected() {
+    if avx512_detected() {
+        "avx512"
+    } else if avx_detected() {
         "avx"
     } else {
         "portable"
@@ -119,6 +145,10 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 mod tests {
     use super::*;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-data: a smooth operand; its own rounding is never compared"
+    )]
     fn ramp(n: usize, scale: f32, shift: f32) -> Vec<f32> {
         (0..n).map(|i| (i as f32).mul_add(scale, shift).sin()).collect()
     }
@@ -154,15 +184,23 @@ mod tests {
     }
 
     // Differential tests: the portable body of each lane kernel against its
-    // dispatched entry point, in one binary. On an AVX host the entry runs
-    // the 256-bit clone, so these fail if the two instantiations ever
-    // diverge; anywhere else they compare the portable body with itself
-    // (CI's `test-portable` job runs the whole suite on such a host).
+    // dispatched entry point, in one binary. The entry runs the widest clone
+    // the CPU has: the 512-bit one for the two saxpy-form GEMMs on an
+    // AVX-512 host, the 256-bit one for every other kernel on an AVX host.
+    // So these fail if the instantiations ever diverge; on a host without
+    // AVX they compare the portable body with itself (CI's `test-portable`
+    // job runs the whole suite on such a host).
 
     #[test]
     fn the_dispatcher_follows_the_cpu_and_nothing_else() {
         #[cfg(target_arch = "x86_64")]
-        let expect = if std::is_x86_feature_detected!("avx") { "avx" } else { "portable" };
+        let expect = if std::is_x86_feature_detected!("avx512f") {
+            "avx512"
+        } else if std::is_x86_feature_detected!("avx") {
+            "avx"
+        } else {
+            "portable"
+        };
         #[cfg(not(target_arch = "x86_64"))]
         let expect = "portable";
         assert_eq!(lanes(), expect);
@@ -198,19 +236,31 @@ mod tests {
     /// Inner dimensions on every side of `LANES` and of the GEMM's `BLOCK`.
     const K_GRID: [usize; 7] = [1, 7, 8, 9, 64, 75, 100];
 
+    /// Output widths of the two saxpy-form GEMMs: lane tails, and both
+    /// sides of the `BLOCK`-column tile.
+    const GEMM_N_GRID: [usize; 10] = [0, 1, 7, 8, 9, 17, 63, 64, 65, 128];
+
+    // The two saxpy-form GEMMs have two clones on an AVX-512 host, and the
+    // entry point runs only the wider one, so each clone the host supports
+    // is also run on its own.
+
     #[test]
     fn gemm_rows_dispatched_equals_portable() {
         for non_finite in [false, true] {
             for k in K_GRID {
                 for m in [0usize, 1, 3, 9] {
-                    for n in [0usize, 1, 7, 8, 9, 17] {
+                    for n in GEMM_N_GRID {
                         let a = seeded(m * k, 0.37, k as f32, non_finite);
                         let b = seeded(k * n, -0.53, m as f32, non_finite);
-                        let mut got = seeded(m * n, 0.11, n as f32, false);
-                        let mut want = got.clone();
+                        let c0 = seeded(m * n, 0.11, n as f32, false);
+                        let mut got = c0.clone();
                         gemm_rows(&a, &b, &mut got, m, k, n);
-                        gemm::gemm_rows_portable(&a, &b, &mut want, m, k, n);
-                        assert_same_bits(&got, &want, &format!("k={k} m={m} n={n}"));
+                        let runs = gemm::tests::gemm_rows_each(&a, &b, &c0, m, k, n);
+                        let want = &runs[0].1;
+                        assert_same_bits(&got, want, &format!("dispatched, k={k} m={m} n={n}"));
+                        for (lanes, got) in &runs[1..] {
+                            assert_same_bits(got, want, &format!("{lanes}, k={k} m={m} n={n}"));
+                        }
                     }
                 }
             }
@@ -222,17 +272,21 @@ mod tests {
         for non_finite in [false, true] {
             for rows in [0usize, 1, 7, 9, 64, 75] {
                 for m in [1usize, 3, 8] {
-                    for n in [0usize, 1, 7, 8, 9, 17] {
+                    for n in GEMM_N_GRID {
                         // `a` is a column band of a wider matrix.
                         let (a_stride, a_off) = (m + 3, 2);
                         let a = seeded(rows * a_stride + a_off, 0.37, m as f32, non_finite);
                         let b = seeded(rows * n, -0.53, rows as f32, non_finite);
-                        let mut got = seeded(m * n, 0.11, n as f32, false);
-                        let mut want = got.clone();
-                        gemm_ta_rows(&a[a_off..], a_stride, &b, &mut got, rows, m, n);
+                        let c0 = seeded(m * n, 0.11, n as f32, false);
                         let a = &a[a_off..];
-                        gemm::gemm_ta_rows_portable(a, a_stride, &b, &mut want, rows, m, n);
-                        assert_same_bits(&got, &want, &format!("rows={rows} m={m} n={n}"));
+                        let mut got = c0.clone();
+                        gemm_ta_rows(a, a_stride, &b, &mut got, rows, m, n);
+                        let runs = gemm::tests::gemm_ta_rows_each(a, a_stride, &b, &c0, rows, m, n);
+                        let (want, what) = (&runs[0].1, format!("rows={rows} m={m} n={n}"));
+                        assert_same_bits(&got, want, &format!("dispatched, {what}"));
+                        for (lanes, got) in &runs[1..] {
+                            assert_same_bits(got, want, &format!("{lanes}, {what}"));
+                        }
                     }
                 }
             }

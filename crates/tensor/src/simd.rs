@@ -5,8 +5,9 @@
 //! safe Rust with no `core::arch` intrinsic. LLVM turns those loops into
 //! whatever vector instructions the *enclosing function* may use — 128-bit
 //! SSE2 pairs in an ordinary x86-64 function, one 256-bit operation inside a
-//! `#[target_feature(enable = "avx")]` function. The lane kernels exploit
-//! exactly that: one source body, compiled twice, picked at run time
+//! `#[target_feature(enable = "avx")]` function, and 512-bit operations over
+//! pairs of them inside an `avx512f` one. The lane kernels exploit exactly
+//! that: one source body, compiled two or three times, picked at run time
 //! ([`crate::kernels`], DESIGN.md §15.1).
 //!
 //! # Determinism contract
@@ -18,15 +19,18 @@
 //!
 //! * Lane-wise `add`/`mul` are single IEEE-754 operations per element —
 //!   `addps`/`vaddps`/`mulps`/`vmulps` all round exactly like scalar
-//!   `+`/`*` — and Rust never contracts a separate `*` and `+` into an FMA
-//!   (nor does any instantiation enable the `fma` target feature).
+//!   `+`/`*` — and Rust never contracts a separate `*` and `+` into an FMA.
+//!   The `avx512f` instantiation implies the `fma` target feature, so a
+//!   fused instruction is encodable there; nothing asks for one
+//!   (`clippy.toml` disallows `mul_add`), and CI's count of `vfmadd` in the
+//!   release binary must stay 0.
 //! * [`F32x8::hsum`] always reduces through the same fixed-shape tree
 //!   (`((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`), so the horizontal reduction
 //!   order is part of the source, not of the code generator.
 //!
 //! This module contains no `unsafe`; the only `unsafe` in the workspace's
-//! vector code is the five run-time-dispatch call sites under
-//! `crates/tensor/src/kernels/`.
+//! vector code is the seven run-time-dispatch call sites under
+//! `crates/tensor/src/kernels/` and their tests.
 
 /// Number of `f32` lanes in [`F32x8`].
 pub const LANES: usize = 8;
