@@ -59,7 +59,7 @@ pub use guardrails::{Guardrail, GuardrailConfig, GuardrailEvent, GuardrailEventK
 pub use policy::{HRange, LRange};
 pub use report::TrainReport;
 pub use schedule::ScheduleState;
-pub use state::{StateError, TrainState};
+pub use state::TrainState;
 pub use strategy::Strategy;
 pub use trainer::{
     BatchSource, CheckpointPolicy, FnBatchSource, TrainError, TrainOptions, Trainer, TrainerConfig,

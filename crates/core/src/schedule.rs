@@ -2,7 +2,7 @@
 //!
 //! The paper's contribution *is* a schedule: Strategy 1 sets `{L, H}` once,
 //! Strategy 2 walks `{L, H}` on loss plateaus, Strategy 3 flips `CR` off
-//! once (§V). A [`Schedule`] owns that — plus the guardrails' one-way drop
+//! once (§V). A `Schedule` owns that — plus the guardrails' one-way drop
 //! to exact computation — so the training loop never writes a reuse knob
 //! itself: it starts a schedule, feeds it each step's loss, asks it to
 //! tighten after a rollback, and snapshots / restores its cursor

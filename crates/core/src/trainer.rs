@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use adr_nn::durable::{IoFault, NoFaults, RetryPolicy};
 use adr_nn::metrics::EpochMeter;
-use adr_nn::{Network, Sgd};
+use adr_nn::{CheckpointError, Network, Sgd};
 use adr_reuse::reuse_layers;
 use adr_tensor::Tensor4;
 
@@ -17,7 +17,7 @@ use crate::faults::{FaultKind, FaultPlan};
 use crate::guardrails::{scan_forward, Guardrail, GuardrailEvent, GuardrailEventKind};
 use crate::report::{SwitchEvent, TrainReport};
 use crate::schedule::Schedule;
-use crate::state::{StateError, TrainState};
+use crate::state::TrainState;
 use crate::strategy::Strategy;
 
 /// Supplies labelled training batches plus a held-out probe batch.
@@ -179,9 +179,19 @@ pub struct TrainOptions<'a> {
 pub enum TrainError {
     /// The strategy's schedule could not be built or restored.
     Controller(ControllerError),
-    /// The resume state was rejected (wrong strategy, architecture
-    /// mismatch, or a batch source that refused its cursor).
-    Resume(StateError),
+    /// The resume state does not fit the network (different architecture).
+    Resume(CheckpointError),
+    /// The resume state was captured under another strategy: resuming a
+    /// fixed-`{L, H}` snapshot under the adaptive schedule (or vice versa)
+    /// would silently train a different experiment.
+    StrategyMismatch {
+        /// Strategy the resuming run is using.
+        expected: Strategy,
+        /// Strategy recorded in the snapshot.
+        found: Strategy,
+    },
+    /// The batch source rejected the resume state's cursor.
+    SourceState(String),
 }
 
 impl std::fmt::Display for TrainError {
@@ -189,6 +199,14 @@ impl std::fmt::Display for TrainError {
         match self {
             Self::Controller(e) => write!(f, "controller setup failed: {e}"),
             Self::Resume(e) => write!(f, "resume rejected: {e}"),
+            Self::StrategyMismatch { expected, found } => write!(
+                f,
+                "resume rejected: train state was captured under strategy {found:?}, resuming \
+                 run uses {expected:?}"
+            ),
+            Self::SourceState(e) => {
+                write!(f, "resume rejected: batch source rejected its recorded state: {e}")
+            }
         }
     }
 }
@@ -198,6 +216,7 @@ impl std::error::Error for TrainError {
         match self {
             Self::Controller(e) => Some(e),
             Self::Resume(e) => Some(e),
+            Self::StrategyMismatch { .. } | Self::SourceState(_) => None,
         }
     }
 }
@@ -233,13 +252,16 @@ impl Run<'_> {
     /// knobs), meter and source cursor back to `state`. The strategy is
     /// checked before the first write.
     fn restore(&mut self, state: &TrainState) -> Result<(), TrainError> {
-        state.verify_strategy(self.strategy).map_err(TrainError::Resume)?;
+        if state.strategy != self.strategy {
+            return Err(TrainError::StrategyMismatch {
+                expected: self.strategy,
+                found: state.strategy,
+            });
+        }
         state.restore_model(self.net, self.sgd).map_err(TrainError::Resume)?;
         self.schedule.restore(self.net, &state.schedule).map_err(TrainError::Controller)?;
         self.meter.restore(&state.meter);
-        self.source
-            .restore_state(&state.source_state)
-            .map_err(|e| TrainError::Resume(StateError::SourceState(e)))
+        self.source.restore_state(&state.source_state).map_err(TrainError::SourceState)
     }
 }
 
@@ -284,9 +306,10 @@ impl Trainer {
     /// # Errors
     /// Returns [`TrainError::Controller`] when an adaptive strategy is
     /// used on a network without reuse layers or a resume state carries
-    /// another strategy's schedule cursor, and [`TrainError::Resume`]
-    /// when `options.resume` does not fit the run (strategy mismatch,
-    /// different architecture, or a rejected batch-source cursor).
+    /// another strategy's schedule cursor, and [`TrainError::Resume`],
+    /// [`TrainError::StrategyMismatch`] or [`TrainError::SourceState`] when
+    /// `options.resume` does not fit the run (different architecture,
+    /// another strategy, or a rejected batch-source cursor).
     #[allow(clippy::too_many_lines)]
     pub fn train_with(
         &self,
@@ -803,7 +826,7 @@ mod tests {
         // Bitwise-identical weights and FLOP counters.
         let w_full = TrainState::capture(&mut net_a, &sgd_a, strategy, total);
         let w_res = TrainState::capture(&mut net_c, &sgd_c, strategy, total);
-        assert_eq!(w_full.params, w_res.params);
+        assert_eq!(w_full.model.params, w_res.model.params);
         assert_eq!(w_full.velocity, w_res.velocity);
         assert_eq!(w_full.flops, w_res.flops);
         std::fs::remove_dir_all(&dir).ok();
@@ -822,7 +845,7 @@ mod tests {
                 .unwrap_err()
         };
         let err = resume(Strategy::baseline(), state.clone());
-        assert!(matches!(err, TrainError::Resume(StateError::StrategyMismatch { .. })), "{err}");
+        assert!(matches!(err, TrainError::StrategyMismatch { .. }), "{err}");
 
         // The right strategy carrying another strategy's schedule cursor is
         // refused as well, typed, rather than resumed with the cursor skipped.
@@ -831,6 +854,16 @@ mod tests {
         let foreign = ScheduleState::ClusterReuse { plateau, active: true };
         let err = resume(Strategy::fixed(3, 6), TrainState { schedule: foreign, ..state });
         assert!(matches!(err, TrainError::Controller(ControllerError::ScheduleMismatch)), "{err}");
+
+        // The refusal names the strategy the resuming run asked for.
+        let mut net = reuse_net(9);
+        let state = TrainState::capture(&mut net, &sgd, Strategy::fixed(3, 6), 10);
+        let options = TrainOptions { resume: Some(state), ..Default::default() };
+        let err = trainer
+            .train_with(&mut net, Strategy::adaptive(), &mut toy_source(90), &mut sgd, options)
+            .unwrap_err();
+        assert!(matches!(err, TrainError::StrategyMismatch { .. }), "{err}");
+        assert!(err.to_string().contains("AdaptiveLh"), "{err}");
     }
 
     #[test]
@@ -866,7 +899,7 @@ mod tests {
         );
         // The run recovered: weights are finite and the model still learned.
         let recaptured = TrainState::capture(&mut net, &sgd, Strategy::fixed(3, 6), 0);
-        assert!(recaptured.params.iter().flatten().all(|v| v.is_finite()));
+        assert!(recaptured.model.params.iter().flatten().all(|v| v.is_finite()));
         assert!(report.final_accuracy > 0.6, "accuracy {}", report.final_accuracy);
     }
 
@@ -906,7 +939,7 @@ mod tests {
             TrainState::capture(run.net, run.sgd, strategy, 0)
         };
         let (plain, scanned) = (run_with(false), run_with(true));
-        assert_eq!(plain.params, scanned.params);
+        assert_eq!(plain.model.params, scanned.model.params);
         assert_eq!(plain.velocity, scanned.velocity);
         assert_eq!(plain.flops, scanned.flops);
     }

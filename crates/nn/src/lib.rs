@@ -53,5 +53,5 @@ pub use checkpoint::{Checkpoint, CheckpointError};
 pub use flops::{FlopMeter, FlopReport};
 pub use layer::{Layer, Mode, ParamRefMut, Shape3};
 pub use network::Network;
-pub use optimizer::{Adam, Optimizer};
+pub use optimizer::Optimizer;
 pub use sgd::{LrSchedule, Sgd};

@@ -137,7 +137,7 @@ impl Network {
         self.train_batch_with(images, labels, sgd)
     }
 
-    /// [`Network::train_batch`] with any [`Optimizer`] (SGD, Adam, ...).
+    /// [`Network::train_batch`] with any [`Optimizer`].
     ///
     /// Nothing reads the gradient with respect to the images, so the first
     /// layer runs [`Layer::backward_params_only`]; every weight update is

@@ -8,6 +8,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let a hostile line of
+/// brackets overflow the stack; every document this crate writes nests at
+/// most 4 deep.
+const MAX_DEPTH: usize = 64;
+
 /// A JSON value. Numbers are split into [`Json::Uint`] (exact u64 counters,
 /// FLOP totals) and [`Json::Num`] (ratios, seconds) so counter values
 /// round-trip without floating-point loss.
@@ -167,11 +173,12 @@ impl Json {
     /// # Errors
     ///
     /// Returns a human-readable message (with a byte offset) when the input
-    /// is not valid JSON of the subset this module writes.
+    /// is not valid JSON of the subset this module writes, or nests arrays
+    /// and objects deeper than 64 levels.
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -224,8 +231,12 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -241,7 +252,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -269,7 +280,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -405,6 +416,18 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("123 tail").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("at byte 64"), "{err}");
+        let err = Json::parse(&"{\"a\":".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let one_more = format!("[{deepest}]");
+        assert!(Json::parse(&one_more).is_err());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! matrix — and accumulates all of their centroid sums in a single
 //! row-major sweep over that band, instead of walking the row-major matrix
 //! column-strided once per sub-matrix. The reconstruction is row-parallel,
-//! and each output row is one [`sum_rows`] call: a tile of the row stays in
+//! and each output row is one [`sum_rows()`] call: a tile of the row stays in
 //! registers while every sub-matrix's cluster row is added to it, and is
 //! stored once. Both matter because clustering overhead is exactly what the
 //! paper's profitability condition `H << M(1 − r_c)` trades against.

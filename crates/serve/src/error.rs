@@ -9,7 +9,6 @@
 use std::fmt;
 use std::time::Duration;
 
-use adr_core::state::StateError;
 use adr_nn::checkpoint::CheckpointError;
 use adr_nn::layer::Shape3;
 
@@ -128,10 +127,9 @@ impl std::error::Error for RequestError {}
 /// Why the engine could not be built or a checkpoint could not be loaded.
 #[derive(Debug)]
 pub enum EngineError {
-    /// The parameter checkpoint (`ADR1`) failed to load or restore.
+    /// The artifact (`ADR1` checkpoint or `ADRS` train state) failed to
+    /// load or restore.
     Checkpoint(CheckpointError),
-    /// The full train-state snapshot (`ADRS`) failed to load or restore.
-    State(StateError),
     /// The degradation ladder has no stages.
     EmptyLadder,
     /// A ladder stage carries an invalid reuse configuration.
@@ -150,7 +148,6 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Checkpoint(e) => write!(f, "checkpoint load failed: {e}"),
-            Self::State(e) => write!(f, "train-state load failed: {e}"),
             Self::EmptyLadder => write!(f, "degradation ladder has no stages"),
             Self::BadStage { stage, reason } => write!(f, "ladder stage {stage}: {reason}"),
             Self::BadConfig(msg) => write!(f, "invalid engine config: {msg}"),
@@ -162,7 +159,6 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Checkpoint(e) => Some(e),
-            Self::State(e) => Some(e),
             _ => None,
         }
     }
@@ -171,12 +167,6 @@ impl std::error::Error for EngineError {
 impl From<CheckpointError> for EngineError {
     fn from(e: CheckpointError) -> Self {
         Self::Checkpoint(e)
-    }
-}
-
-impl From<StateError> for EngineError {
-    fn from(e: StateError) -> Self {
-        Self::State(e)
     }
 }
 

@@ -78,7 +78,7 @@ impl ModelRegistry {
     ///
     /// # Errors
     /// [`EngineError::BadConfig`] for a duplicate name; load/restore
-    /// failures as [`EngineError::Checkpoint`] / [`EngineError::State`].
+    /// failures as [`EngineError::Checkpoint`].
     pub fn register(
         &mut self,
         name: &str,

@@ -1,6 +1,6 @@
 //! Per-tenant admission policy: token buckets and tenant configuration.
 //!
-//! The gateway isolates tenants at two layers. The [`TokenBucket`] here is
+//! The gateway isolates tenants at two layers. The `TokenBucket` here is
 //! the first: a classic rate limiter run on the gateway's [`ServeClock`],
 //! so a bursting tenant is rejected with a typed
 //! [`crate::error::RequestError::RateLimited`] *before* it can occupy queue

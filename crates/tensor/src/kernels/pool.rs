@@ -10,8 +10,8 @@
 //! # Handoff
 //!
 //! Both waits of a fan-out — a worker's for its next job, the caller's for
-//! its completion tokens — go through [`recv_spinning`]: poll the channel
-//! for [`SPIN_WINDOW`], then block on it. A thread blocked in `recv` is
+//! its completion tokens — go through `recv_spinning`: poll the channel
+//! for `SPIN_WINDOW`, then block on it. A thread blocked in `recv` is
 //! parked, and waking it goes through the kernel to a halted core: 35–40 µs
 //! for an empty two-way round trip on the benchmark host back to back, 55–110
 //! after 2 ms idle. A polling thread sees the message as soon as it is

@@ -8,7 +8,7 @@
 //!   ([`Matrix::matmul_t_a`], [`Matrix::matmul_t_b`]) that the backward pass
 //!   of a convolutional layer needs.
 //! * [`Tensor4`] — an NHWC 4-D tensor used for images and activation maps.
-//! * [`im2col`] — the unfold/fold pair that turns a convolution into a GEMM,
+//! * [`mod@im2col`] — the unfold/fold pair that turns a convolution into a GEMM,
 //!   with the channel-major-by-row layout that makes the paper's
 //!   *neuron vectors* (length-`kw` kernel-row segments) contiguous.
 //! * [`rng`] — deterministic, seedable random sources (uniform and Gaussian)

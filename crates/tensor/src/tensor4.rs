@@ -3,7 +3,7 @@
 /// A dense 4-D tensor with NHWC layout: `[batch, height, width, channels]`.
 ///
 /// NHWC keeps a pixel's channels contiguous, which matches the im2col row
-/// layout used throughout the workspace (see [`crate::im2col`]).
+/// layout used throughout the workspace (see [`mod@crate::im2col`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Tensor4 {
     n: usize,

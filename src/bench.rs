@@ -51,7 +51,7 @@ fn bench_net() -> Network {
 }
 
 /// Trains the bench-scale CifarNet at the default reuse setting on the
-/// structured synthetic templates for [`TRAIN_STEPS`] steps under a
+/// structured synthetic templates for `TRAIN_STEPS` steps under a
 /// [`Recorder`] and assembles `BENCH_train.json`: per reuse layer the
 /// actual and exact FLOPs, the forward FLOPs by phase as the telemetry
 /// sink saw them, `r_c`, cluster count, reuse rate, and the paper's

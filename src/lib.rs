@@ -19,7 +19,7 @@
 //!   degradation ladder per lane, and hot-swappable model replicas.
 //! * [`obs`] — deterministic telemetry: metric sinks, span timers,
 //!   Prometheus/JSON exporters.
-//! * [`bench`] — the two seeded workloads behind the golden counter
+//! * [`mod@bench`] — the two seeded workloads behind the golden counter
 //!   documents `BENCH_train.json` / `BENCH_serve.json` (no times: wall
 //!   time is `benchmark/`'s job).
 //!
@@ -60,7 +60,7 @@ pub mod prelude {
     pub use adr_core::faults::{FaultKind, FaultPlan, ServeFaultKind, ServeFaultPlan};
     pub use adr_core::guardrails::{GuardrailConfig, GuardrailEvent, GuardrailEventKind};
     pub use adr_core::policy::{HRange, LRange};
-    pub use adr_core::state::{StateError, TrainState};
+    pub use adr_core::state::TrainState;
     pub use adr_core::strategy::Strategy;
     pub use adr_core::trainer::{
         CheckpointPolicy, TrainError, TrainOptions, Trainer, TrainerConfig,
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use adr_data::synth::{SynthConfig, SynthDataset};
     pub use adr_models::{alexnet, cifarnet, vgg19};
     pub use adr_nn::{
-        Adam, Checkpoint, CheckpointError, Layer, LrSchedule, Mode, Network, Optimizer, Sgd,
+        Checkpoint, CheckpointError, Layer, LrSchedule, Mode, Network, Optimizer, Sgd,
     };
     pub use adr_reuse::layer::ReuseConv2d;
     pub use adr_reuse::{ClusterScope, ReuseConfig};

@@ -23,6 +23,7 @@ fn reuse_net(seed: u64) -> Network {
 fn weight_bits(net: &mut Network) -> Vec<Vec<u32>> {
     let sgd = Sgd::constant(0.01);
     TrainState::capture(net, &sgd, Strategy::baseline(), 0)
+        .model
         .params
         .iter()
         .map(|s| s.iter().map(|v| v.to_bits()).collect())
@@ -138,7 +139,7 @@ fn train_state_truncations_are_typed() {
     for cut in [2, 6, 20, bytes.len() / 2 + 1, bytes.len() - 3] {
         let err = TrainState::from_bytes(&bytes[..cut]).unwrap_err();
         assert!(
-            matches!(err, StateError::Truncated(_)),
+            matches!(err, CheckpointError::Truncated(_)),
             "cut at {cut}: expected truncation, got {err}"
         );
     }
@@ -150,12 +151,12 @@ fn train_state_bad_magic_and_version_are_typed() {
     let bytes = state.to_bytes();
     let mut bad = bytes.clone();
     bad[2] ^= 0x20;
-    assert!(matches!(TrainState::from_bytes(&bad).unwrap_err(), StateError::BadMagic));
+    assert!(matches!(TrainState::from_bytes(&bad).unwrap_err(), CheckpointError::BadMagic));
     let mut bad = bytes;
     bad[4] = 77;
     assert!(matches!(
         TrainState::from_bytes(&bad).unwrap_err(),
-        StateError::UnsupportedVersion(77)
+        CheckpointError::UnsupportedVersion(77)
     ));
 }
 
@@ -184,7 +185,7 @@ fn train_state_trailing_bytes_are_rejected() {
     let (_, _, state) = sample_state();
     let mut bytes = state.to_bytes();
     bytes.push(0);
-    assert!(matches!(TrainState::from_bytes(&bytes).unwrap_err(), StateError::TrailingBytes));
+    assert!(matches!(TrainState::from_bytes(&bytes).unwrap_err(), CheckpointError::TrailingBytes));
 }
 
 #[test]
@@ -197,7 +198,7 @@ fn failed_train_state_restore_leaves_network_untouched() {
     let before = weight_bits(&mut other);
     let step_before = sgd.step_count();
     let err = state.restore_model(&mut other, &mut sgd).unwrap_err();
-    assert!(matches!(err, StateError::LayerCountMismatch { .. }), "{err}");
+    assert!(matches!(err, CheckpointError::LayerCountMismatch { .. }), "{err}");
     assert_eq!(weight_bits(&mut other), before, "no partial writes on failure");
     assert_eq!(sgd.step_count(), step_before, "optimiser untouched on failure");
 }
@@ -220,7 +221,7 @@ fn corrupt_file_on_disk_fails_closed_via_load() {
 
     // Missing file: typed I/O error, not a panic.
     let missing = dir.join("does_not_exist.bin");
-    assert!(matches!(TrainState::load(&missing).unwrap_err(), StateError::Io(_)));
+    assert!(matches!(TrainState::load(&missing).unwrap_err(), CheckpointError::Io(_)));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -234,7 +235,7 @@ use adaptive_deep_reuse::adaptive::controller::ControllerState;
 use adaptive_deep_reuse::adaptive::schedule::ScheduleState;
 use adaptive_deep_reuse::nn::metrics::PlateauState;
 
-fn poisoned_roundtrip(mutate: impl FnOnce(&mut TrainState)) -> StateError {
+fn poisoned_roundtrip(mutate: impl FnOnce(&mut TrainState)) -> CheckpointError {
     let (_, _, mut state) = sample_state();
     mutate(&mut state);
     TrainState::from_bytes(&state.to_bytes()).unwrap_err()
@@ -248,7 +249,7 @@ fn nan_plateau_smoothed_loss_is_typed() {
             plateau: PlateauState { smoothed: Some(f32::NAN), best: 1.0, stale: 0, seen: 2 },
         });
     });
-    assert!(matches!(err, StateError::Malformed(_)), "expected Malformed, got {err}");
+    assert!(matches!(err, CheckpointError::Malformed(_)), "expected Malformed, got {err}");
     assert!(err.to_string().contains("not finite"), "unexpected message: {err}");
 }
 
@@ -260,7 +261,7 @@ fn nan_plateau_best_loss_is_typed() {
             active: true,
         };
     });
-    assert!(matches!(err, StateError::Malformed(_)), "expected Malformed, got {err}");
+    assert!(matches!(err, CheckpointError::Malformed(_)), "expected Malformed, got {err}");
 }
 
 #[test]
@@ -276,7 +277,7 @@ fn negative_infinite_plateau_best_is_typed() {
             },
         });
     });
-    assert!(matches!(err, StateError::Malformed(_)), "expected Malformed, got {err}");
+    assert!(matches!(err, CheckpointError::Malformed(_)), "expected Malformed, got {err}");
 }
 
 #[test]
@@ -327,7 +328,61 @@ fn schedule_slots_that_spell_no_cursor_are_malformed() {
         ("plateau window without its CR flag", splice(&unset, &cluster_reuse)),
     ] {
         let err = TrainState::from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, StateError::Malformed(_)), "{name}: expected Malformed, got {err}");
+        assert!(
+            matches!(err, CheckpointError::Malformed(_)),
+            "{name}: expected Malformed, got {err}"
+        );
         assert!(err.to_string().contains("schedule cursor"), "{name}: {err}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Exhaustive sweep: every truncation and every single-bit flip of a small
+// artifact, in both formats, fails closed.
+// ---------------------------------------------------------------------------
+
+/// Decodes every strict prefix of `bytes` and every copy with one bit
+/// flipped; each must be an `Err` (a panic fails the test as well).
+/// Returns the number of mutations tried.
+fn assert_every_mutation_fails<T>(
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, CheckpointError>,
+) -> usize {
+    for cut in 0..bytes.len() {
+        assert!(decode(&bytes[..cut]).is_err(), "a {cut}-byte prefix decoded");
+    }
+    let mut flipped = bytes.to_vec();
+    for pos in 0..bytes.len() {
+        for bit in 0..8 {
+            flipped[pos] ^= 1 << bit;
+            assert!(decode(&flipped).is_err(), "bit {bit} of byte {pos} flipped went undetected");
+            flipped[pos] ^= 1 << bit;
+        }
+    }
+    bytes.len() * 9
+}
+
+#[test]
+fn every_truncation_and_bit_flip_fails_closed() {
+    let mut rng = AdrRng::seeded(90);
+    let mut net = Network::new((2, 3, 1));
+    net.push(Box::new(Dense::new("fc", 6, 6, &mut rng)));
+    let adr1 = Checkpoint::capture(&mut net).to_bytes();
+    let mut mutations = assert_every_mutation_fails(&adr1, Checkpoint::from_bytes);
+
+    let plateau = PlateauState { smoothed: Some(0.5), best: 0.4, stale: 1, seen: 30 };
+    let mut state = TrainState::capture(&mut net, &Sgd::constant(0.05), Strategy::fixed(3, 6), 3);
+    state.source_state = vec![4, 2];
+    for schedule in [
+        ScheduleState::Unset,
+        ScheduleState::Adaptive(ControllerState { stage: 1, plateau }),
+        ScheduleState::ClusterReuse { plateau, active: true },
+        ScheduleState::ClusterReuse { plateau, active: false },
+    ] {
+        state.schedule = schedule;
+        mutations += assert_every_mutation_fails(&state.to_bytes(), TrainState::from_bytes);
+    }
+    // 212 bytes of ADR1 and 2 787 of ADRS, each byte cut once and flipped
+    // eight times.
+    assert_eq!(mutations, 26_991);
 }

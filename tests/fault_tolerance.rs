@@ -76,7 +76,7 @@ fn trace(net: &mut Network, sgd: &Sgd) -> RunTrace {
         }
     }
     RunTrace {
-        weight_bits: to_bits(&state.params),
+        weight_bits: to_bits(&state.model.params),
         velocity_bits: to_bits(&state.velocity),
         cluster_bits,
         flops,
@@ -192,7 +192,10 @@ fn nan_fault_rolls_back_tightens_and_still_learns() {
         "rollback must tighten the reuse knobs: {kinds:?}"
     );
     let state = TrainState::capture(&mut net, &sgd, Strategy::adaptive(), 0);
-    assert!(state.params.iter().flatten().all(|v| v.is_finite()), "weights must be clean again");
+    assert!(
+        state.model.params.iter().flatten().all(|v| v.is_finite()),
+        "weights must be clean again"
+    );
     assert!(report.final_accuracy > 0.6, "accuracy {}", report.final_accuracy);
 }
 
@@ -235,7 +238,7 @@ fn rollback_names_where_the_rolled_back_batch_went_non_finite() {
             println!("{} {fault:?}: {detail}", strategy.name());
             assert!(detail.contains(expected), "{fault:?} under {strategy:?}: {detail}");
             let state = TrainState::capture(&mut net, &sgd, strategy, 0);
-            assert!(state.params.iter().flatten().all(|v| v.is_finite()), "{fault:?}");
+            assert!(state.model.params.iter().flatten().all(|v| v.is_finite()), "{fault:?}");
         }
     }
 }

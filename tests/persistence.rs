@@ -42,9 +42,7 @@ fn reuse_model_checkpoint_round_trips_through_bytes() {
         net.train_batch(&x, &y, &mut sgd);
     }
     let snap = Checkpoint::capture(&mut net);
-    let mut bytes = Vec::new();
-    snap.write_to(&mut bytes).unwrap();
-    let loaded = Checkpoint::read_from(&mut bytes.as_slice()).unwrap();
+    let loaded = Checkpoint::from_bytes(&snap.to_bytes()).unwrap();
     assert_eq!(loaded, snap);
 
     // A freshly initialised twin gives identical logits after restore.
@@ -80,7 +78,7 @@ fn batchnorm_running_state_survives_checkpoint() {
         net.train_batch(&x, &[0, 1, 0, 1, 0, 1, 0, 1], &mut sgd);
     }
     let snap = Checkpoint::capture(&mut net);
-    assert_eq!(snap.num_state_buffers(), 2, "bn running mean + var");
+    assert_eq!(snap.state.len(), 2, "bn running mean + var");
 
     let mut fresh = build(9);
     snap.restore(&mut fresh).unwrap();
