@@ -11,13 +11,14 @@
 //! # Compaction, then register tiles
 //!
 //! The skip is not a branch. A window of at most `BLOCK` consecutive `a`
-//! entries — a `k` block of one `a` row in [`gemm_rows`], a stretch of one
-//! `a` row in [`gemm_ta_rows`] — is first *compacted* into a stack list of
+//! entries — a `k` block of one `a` row in [`gemm_rows`], a run of one `a`
+//! *column* (at most `BLOCK` rows, read through the row stride) in
+//! [`gemm_ta_rows`] — is first *compacted* into a stack list of
 //! `(row offset, value)` terms: every entry is stored at the next free slot
 //! and the slot advances by `(value != 0.0) as usize`, so a zero is simply
 //! overwritten by whatever follows it. `0.0` and `-0.0` compare equal to
 //! zero and drop out; NaN does not and stays. The list is then multiplied
-//! into the output one column tile at a time, in tiers: tiles of `BLOCK`
+//! into one `c` row one column tile at a time, in tiers: tiles of `BLOCK`
 //! columns (eight [`F32x8`] values: eight 256-bit or four 512-bit
 //! registers) while they fit, then at most one tile each of 32, 16 and 8
 //! columns, then a scalar tail. Every whole lane chunk of a row thus sits
@@ -26,12 +27,13 @@
 //! of the VGG geometry ran slower than the branchy loop (a single-register
 //! tile is one dependent add chain).
 //!
-//! * [`gemm_rows`] holds the *output* tile in registers: a tile of the `c`
-//!   row is loaded once per `k` block, receives every term's `b` tile, and
-//!   is stored once, not once per non-zero.
-//! * [`gemm_ta_rows`] holds the *`b`* tile in registers: the terms of one
-//!   `a` row address different rows of `c`, so each is a load, a lane
-//!   multiply–add against the resident `b` tile, and a store.
+//! Both kernels hold the *output* tile in registers: a tile of the `c` row
+//! is loaded once per window, receives every term's `b` tile while the `b`
+//! rows stream, and is stored once, not once per non-zero. [`gemm_ta_rows`]
+//! is [`gemm_rows`]'s loop run over the transposed view `aᵀ`: output row
+//! `i` takes its terms from column `i` of `a`, one block of `BLOCK` rows at
+//! a time, and they name rows of `b` exactly as a `k` block of
+//! [`gemm_rows`] does.
 //!
 //! # Why no bit moves
 //!
@@ -42,10 +44,6 @@
 //! flight beside it, changes no operation and no order. So the zero-skip
 //! contract and every pin downstream hold; the branchy loops the kernels
 //! replaced stay below as the tests' scalar oracle.
-//!
-//! The dot-form product `a · bᵀ` ([`super::gemm_tb()`]) is out of scope: it
-//! accumulates along `k` through a fixed reduction tree and skips nothing,
-//! so it has no branch to remove.
 //!
 //! # One body, three instantiations
 //!
@@ -72,8 +70,7 @@ pub(crate) const BLOCK: usize = 64;
 
 /// The non-zero entries of a window of at most [`BLOCK`] `a` entries, in
 /// order: `offsets[t]` is the row offset (`index · stride`) of the `b` row
-/// (in [`gemm_rows`]) or `c` row (in [`gemm_ta_rows`]) that `values[t]`
-/// multiplies.
+/// that `values[t]` multiplies.
 struct Terms {
     offsets: [usize; BLOCK],
     values: [f32; BLOCK],
@@ -86,15 +83,21 @@ impl Terms {
         Self { offsets: [0; BLOCK], values: [0.0; BLOCK], len: 0 }
     }
 
-    /// Replaces the list with the non-zero entries of `window`, entry `t`
-    /// at offset `(first + t) · stride`.
+    /// Replaces the list with the non-zero entries of `window` (at most
+    /// [`BLOCK`] of them: a run of an `a` row or a strided column window),
+    /// entry `t` at offset `(first + t) · stride`.
     ///
     /// Branch-free: each entry lands in the next free slot, which advances
     /// only past a non-zero one. `0.0` and `-0.0` drop out, NaN stays.
     #[inline(always)]
-    fn compact(&mut self, window: &[f32], first: usize, stride: usize) {
+    fn compact<'w>(
+        &mut self,
+        window: impl IntoIterator<Item = &'w f32>,
+        first: usize,
+        stride: usize,
+    ) {
         let mut len = 0;
-        for (t, &v) in window.iter().enumerate() {
+        for (t, &v) in window.into_iter().enumerate() {
             self.offsets[len] = (first + t) * stride;
             self.values[len] = v;
             len += usize::from(v != 0.0);
@@ -155,46 +158,6 @@ fn accumulate_row(c_row: &mut [f32], b: &[f32], terms: &Terms) {
     for (j, cj) in c_row.iter_mut().enumerate().skip(j) {
         for (off, a) in terms.iter() {
             *cj += a * b[off + j];
-        }
-    }
-}
-
-/// Columns `[j, j + 8·V)` of `b_row`, for every `j` from `j0` on that fits:
-/// `c[off + j'] += a · b_row[j']` per term, the `b` tile held in `V`
-/// registers across all of them. Returns where the tiles stopped.
-#[inline(always)]
-fn scatter_tiles<const V: usize>(c: &mut [f32], b_row: &[f32], terms: &Terms, j0: usize) -> usize {
-    let mut j = j0;
-    while j + V * LANES <= b_row.len() {
-        let b_tile = &b_row[j..j + V * LANES];
-        let mut bv = [F32x8::splat(0.0); V];
-        for (q, bv) in bv.iter_mut().enumerate() {
-            *bv = F32x8::load(&b_tile[q * LANES..]);
-        }
-        for (off, a) in terms.iter() {
-            let a = F32x8::splat(a);
-            let tile = &mut c[off + j..][..V * LANES];
-            for (q, bv) in bv.iter().enumerate() {
-                let cq = &mut tile[q * LANES..];
-                (F32x8::load(cq) + a * *bv).store(cq);
-            }
-        }
-        j += V * LANES;
-    }
-    j
-}
-
-/// `c[off + j] += a · b_row[j]` for every term, in the column tiers of
-/// [`accumulate_row`].
-#[inline(always)]
-fn scatter_row(c: &mut [f32], b_row: &[f32], terms: &Terms) {
-    let mut j = scatter_tiles::<{ BLOCK / LANES }>(c, b_row, terms, 0);
-    j = scatter_tiles::<4>(c, b_row, terms, j);
-    j = scatter_tiles::<2>(c, b_row, terms, j);
-    j = scatter_tiles::<1>(c, b_row, terms, j);
-    for (j, &bj) in b_row.iter().enumerate().skip(j) {
-        for (off, a) in terms.iter() {
-            c[off + j] += a * bj;
         }
     }
 }
@@ -333,9 +296,11 @@ fn gemm_ta_rows_avx512(
     gemm_ta_rows_portable(a, a_stride, b, c, rows, m, n);
 }
 
-/// The one body of [`gemm_ta_rows`]: per `a` row and window of it, the
-/// non-zeros are compacted and the matching `b` row, held in register
-/// tiles, is added into the `c` rows they name.
+/// The one body of [`gemm_ta_rows`]: [`gemm_rows`]'s loop over the
+/// transposed view. Per block of at most `BLOCK` rows of `a` (fewer for
+/// outputs wider than `BLOCK`) and per output row `i`, the column window
+/// `a[r0.., i]` is compacted and multiplied into register-resident tiles of
+/// the `c` row, while the block's `b` rows stream.
 #[inline(always)]
 pub(crate) fn gemm_ta_rows_portable(
     a: &[f32],
@@ -349,13 +314,17 @@ pub(crate) fn gemm_ta_rows_portable(
     debug_assert!(rows == 0 || a.len() >= (rows - 1) * a_stride + m);
     debug_assert_eq!(b.len(), rows * n);
     debug_assert_eq!(c.len(), m * n);
+    // The block's `b` rows are streamed once per output row, so they must
+    // stay in L1: at most `BLOCK × BLOCK` values (16 KB). With a full
+    // `BLOCK` rows at `n` = 256 and 512 (VGG's reuse `∇W`) they are 64 and
+    // 128 KB, and the kernel ran 1.15–1.6× slower than the one it replaced.
+    let block = (BLOCK * BLOCK / n.max(1)).clamp(LANES, BLOCK);
     let mut terms = Terms::new();
-    for r in 0..rows {
-        let a_row = &a[r * a_stride..][..m];
-        let b_row = &b[r * n..(r + 1) * n];
-        for i0 in (0..m).step_by(BLOCK) {
-            terms.compact(&a_row[i0..(i0 + BLOCK).min(m)], i0, n);
-            scatter_row(c, b_row, &terms);
+    for r0 in (0..rows).step_by(block) {
+        let r_end = (r0 + block).min(rows);
+        for i in 0..m {
+            terms.compact((r0..r_end).map(|r| &a[r * a_stride + i]), r0, n);
+            accumulate_row(&mut c[i * n..(i + 1) * n], b, &terms);
         }
     }
 }
@@ -547,21 +516,26 @@ pub(crate) mod tests {
     #[test]
     fn gemm_ta_rows_band_form_is_the_branchy_scalar_loop_bit_for_bit() {
         let mut rng = AdrRng::seeded(62);
-        for n in N_GRID {
-            for m in K_GRID {
-                // Output rows [i0, i0 + m) of a wider product: `a` is read
-                // as a column band through the wide row stride.
-                let (rows, i0, a_stride) = (9, 3, m + 5);
-                let a = sparse_rows(&mut rng, rows, a_stride);
-                let b = non_finite_rows(&mut rng, rows, n);
-                let c0 = accumulator(&mut rng, m * n);
-                let mut want = c0.clone();
-                reference_ta_rows(&a[i0..], a_stride, &b, &mut want, rows, m, n);
-                let mut got = c0.clone();
-                gemm_ta_rows(&a[i0..], a_stride, &b, &mut got, rows, m, n);
-                assert_same_bits(&got, &want, &format!("dispatched, n={n} m={m}"));
-                for (lanes, got) in gemm_ta_rows_each(&a[i0..], a_stride, &b, &c0, rows, m, n) {
-                    assert_same_bits(&got, &want, &format!("{lanes}, n={n} m={m}"));
+        // 128 and 129 rows are two compaction blocks (more at `n` > 64), and
+        // a one-row tail.
+        for rows in [9, 128, 129] {
+            for n in N_GRID {
+                for m in K_GRID {
+                    // Output rows [i0, i0 + m) of a wider product: `a` is read
+                    // as a column band through the wide row stride.
+                    let (i0, a_stride) = (3, m + 5);
+                    let a = sparse_rows(&mut rng, rows, a_stride);
+                    let b = non_finite_rows(&mut rng, rows, n);
+                    let c0 = accumulator(&mut rng, m * n);
+                    let mut want = c0.clone();
+                    reference_ta_rows(&a[i0..], a_stride, &b, &mut want, rows, m, n);
+                    let mut got = c0.clone();
+                    gemm_ta_rows(&a[i0..], a_stride, &b, &mut got, rows, m, n);
+                    let what = format!("rows={rows} n={n} m={m}");
+                    assert_same_bits(&got, &want, &format!("dispatched, {what}"));
+                    for (lanes, got) in gemm_ta_rows_each(&a[i0..], a_stride, &b, &c0, rows, m, n) {
+                        assert_same_bits(&got, &want, &format!("{lanes}, {what}"));
+                    }
                 }
             }
         }

@@ -8,10 +8,13 @@
 //!
 //! * [`gemm_rows`] — `c += a · b`: each row's non-zeros, compacted without
 //!   a branch, multiplied into register-resident tiles of the `c` row.
-//! * [`gemm_ta_rows`] — `c += aᵀ · b`, the weight-gradient shape, likewise
-//!   with the `b` row's tiles resident ([`gemm`]).
-//! * [`gemm_tb()`] — the register-blocked `a · bᵀ` micro-kernel behind the
-//!   backward pass's input delta: a tile of [`dot`]s sharing their loads.
+//! * [`gemm_ta_rows`] — `c += aᵀ · b`, the weight-gradient shape: the same
+//!   loop over the transposed view, each `a` column's non-zeros compacted
+//!   ([`gemm`]).
+//! * [`gemm_tb()`] — the register-tiled `a · bᵀ` kernel behind the backward
+//!   pass's input delta: [`dot`]'s lane sums split across output columns
+//!   for tall, wide products, a tile of [`dot`]s sharing their loads for
+//!   the rest.
 //! * [`project_signs`] — the register-blocked sign-projection micro-kernel
 //!   behind LSH hashing ([`project`]).
 //! * [`sum_rows()`] — `dst = first + Σ rest` with each tile of the output
@@ -23,8 +26,8 @@
 //! (`*_portable`), compiled at least twice: once as is — 128-bit SSE2 pairs
 //! on x86-64, NEON on aarch64 — and once inlined into a
 //! `#[target_feature(enable = "avx")]` clone (`*_avx`), where LLVM
-//! vectorises the same `[f32; 8]` source at 256 bits. The two saxpy-form
-//! GEMMs have a third, `#[target_feature(enable = "avx512f")]` clone
+//! vectorises the same `[f32; 8]` source at 256 bits. The three dense
+//! products have a third, `#[target_feature(enable = "avx512f")]` clone
 //! (`*_avx512`, 512 bits). The public entry point asks `avx512_detected` /
 //! `avx_detected` which one this process may run and runs the widest. That
 //! question is answered by the platform alone (`is_x86_feature_detected!`,
@@ -50,7 +53,7 @@
 //!
 //! This module is the only library code where `unsafe` compiles: the
 //! workspace denies `unsafe_code` and `lib.rs` allows it on `kernels` alone.
-//! The seven dispatch call sites here (and the test helpers that run each
+//! The eight dispatch call sites here (and the test helpers that run each
 //! clone on its own) are the only `unsafe` in the workspace's vector code;
 //! [`pool`] hosts the persistent worker pool behind the fan-out sites.
 
@@ -85,9 +88,9 @@ fn avx_detected() -> bool {
 }
 
 /// True when this process may run the 512-bit instantiation of
-/// [`gemm_rows`] and [`gemm_ta_rows`]: `std` observes an x86-64 CPU and OS
-/// that support `avx512f` (which implies `avx`). Cached like
-/// [`avx_detected`]; other targets and Miri say `false`.
+/// [`gemm_rows`], [`gemm_ta_rows`] and [`gemm_tb()`]: `std` observes an
+/// x86-64 CPU and OS that support `avx512f` (which implies `avx`). Cached
+/// like [`avx_detected`]; other targets and Miri say `false`.
 #[inline]
 fn avx512_detected() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -101,7 +104,7 @@ fn avx512_detected() -> bool {
 }
 
 /// The widest instantiation of the lane kernels this process runs:
-/// `"avx512"` (sixteen lanes per instruction in the two saxpy-form GEMMs,
+/// `"avx512"` (sixteen lanes per instruction in the three dense products,
 /// eight everywhere else), `"avx"` (eight lanes) or `"portable"` (whatever
 /// the target's baseline gives the same source). The dispatcher's own
 /// answer — print it beside [`crate::par::hardware_threads`] wherever a wall
@@ -185,7 +188,7 @@ mod tests {
 
     // Differential tests: the portable body of each lane kernel against its
     // dispatched entry point, in one binary. The entry runs the widest clone
-    // the CPU has: the 512-bit one for the two saxpy-form GEMMs on an
+    // the CPU has: the 512-bit one for the three dense products on an
     // AVX-512 host, the 256-bit one for every other kernel on an AVX host.
     // So these fail if the instantiations ever diverge; on a host without
     // AVX they compare the portable body with itself (CI's `test-portable`
@@ -210,7 +213,7 @@ mod tests {
     /// values two encodings of one loop could plausibly treat differently:
     /// signed zeros (the GEMM zero skip), denormals, magnitudes whose
     /// products overflow — and, when `non_finite`, infinities and NaN.
-    fn seeded(n: usize, scale: f32, shift: f32, non_finite: bool) -> Vec<f32> {
+    pub(crate) fn seeded(n: usize, scale: f32, shift: f32, non_finite: bool) -> Vec<f32> {
         const SPECIALS: [f32; 9] =
             [0.0, -0.0, 1e-40, -1e-40, 1e30, -1e30, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
         let cycle = if non_finite { SPECIALS.len() } else { 6 };
@@ -240,7 +243,7 @@ mod tests {
     /// sides of the `BLOCK`-column tile.
     const GEMM_N_GRID: [usize; 10] = [0, 1, 7, 8, 9, 17, 63, 64, 65, 128];
 
-    // The two saxpy-form GEMMs have two clones on an AVX-512 host, and the
+    // The three dense products have two clones on an AVX-512 host, and the
     // entry point runs only the wider one, so each clone the host supports
     // is also run on its own.
 
@@ -270,7 +273,7 @@ mod tests {
     #[test]
     fn gemm_ta_rows_dispatched_equals_portable() {
         for non_finite in [false, true] {
-            for rows in [0usize, 1, 7, 9, 64, 75] {
+            for rows in [0usize, 1, 7, 9, 64, 75, 128, 129] {
                 for m in [1usize, 3, 8] {
                     for n in GEMM_N_GRID {
                         // `a` is a column band of a wider matrix.
@@ -297,8 +300,8 @@ mod tests {
     fn gemm_tb_dispatched_equals_portable() {
         for non_finite in [false, true] {
             for k in K_GRID {
-                for m in [0usize, 1, 3, 8, 9, 17] {
-                    for n in [0usize, 1, 3, 6] {
+                for m in [0].into_iter().chain(gemm_tb::tests::M_GRID) {
+                    for n in [0].into_iter().chain(gemm_tb::tests::N_GRID) {
                         // `a` is a column window of a wider matrix, `b` a row
                         // band of a larger one, `c` a window of a wider output.
                         let (a_stride, a_off) = (k + 5, 3);
@@ -307,12 +310,25 @@ mod tests {
                         let a = seeded(m * a_stride + a_off, 0.37, k as f32, non_finite);
                         let b = seeded((n + 3) * b_stride, -0.53, m as f32, non_finite);
                         let (a, b) = (&a[a_off..], &b[b_off..]);
-                        let mut got = vec![7.0f32; m * c_stride + c_off];
-                        let mut want = got.clone();
+                        let c0 = vec![7.0f32; m * c_stride + c_off];
+                        let mut got = c0.clone();
                         gemm_tb(a, a_stride, b, b_stride, &mut got[c_off..], c_stride, m, k, n);
-                        let c = &mut want[c_off..];
-                        gemm_tb::gemm_tb_portable(a, a_stride, b, b_stride, c, c_stride, m, k, n);
-                        assert_same_bits(&got, &want, &format!("k={k} m={m} n={n}"));
+                        let runs = gemm_tb::tests::gemm_tb_each(
+                            a,
+                            a_stride,
+                            b,
+                            b_stride,
+                            &c0[c_off..],
+                            c_stride,
+                            m,
+                            k,
+                            n,
+                        );
+                        let (want, what) = (&runs[0].1, format!("k={k} m={m} n={n}"));
+                        assert_same_bits(&got[c_off..], want, &format!("dispatched, {what}"));
+                        for (lanes, got) in &runs[1..] {
+                            assert_same_bits(got, want, &format!("{lanes}, {what}"));
+                        }
                     }
                 }
             }

@@ -17,8 +17,9 @@
 //!   the persistent worker pool in [`kernels::pool`].
 //! * [`simd`] / [`kernels`] — the 8-lane `f32` vector type and the
 //!   hand-vectorized lane kernels every hot inner loop bottoms out in: one
-//!   portable source each, compiled at 128 and at 256 bits and picked from
-//!   the CPU observed at run time ([`kernels::lanes`] says which).
+//!   portable source each, compiled at 128 and 256 bits (and at 512 for the
+//!   three dense products) and picked from the CPU observed at run time
+//!   ([`kernels::lanes`] says which).
 //! * [`sanitize`] — the first-non-finite scan that serving's admission and
 //!   output quarantine and the trainer's guardrails report through.
 //!

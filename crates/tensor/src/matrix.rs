@@ -394,9 +394,8 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 
 /// `c[m x n] = a · bᵀ` over raw row-major slices — the input-delta shape
 /// `δx = δy · Wᵀ` (Eq. 3/17): every output element is bitwise one [`dot`],
-/// computed eight rows at a time by the register-blocked
-/// [`crate::kernels::gemm_tb()`]; `b` can be a row band of a larger matrix
-/// read in place.
+/// computed by the register-tiled [`crate::kernels::gemm_tb()`]; `b` can be
+/// a row band of a larger matrix read in place.
 ///
 /// Serial by design, like [`gemm_ta_rows`]: the reuse backward pass calls
 /// both from inside pool tasks. [`crate::par::gemm_tb_par`] is the pooled

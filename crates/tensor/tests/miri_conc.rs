@@ -212,6 +212,24 @@ fn matmul_t_b_forced_parallel_is_bitwise_serial_at_every_worker_count() {
     }
 }
 
+/// A tall, wide `δx` takes the lane-split tile (`kernels::gemm_tb`) in every
+/// row block: 48 rows are 24 per block at two workers and 16 at three, and
+/// 75 output columns are a 64-column tile, an 8-column tile and three
+/// single dots. `k` = 9 is one lane chunk and a one-element tail.
+#[test]
+fn matmul_t_b_lane_split_tile_forced_parallel_is_bitwise_serial() {
+    let mut dy = Matrix::from_fn(48, 9, |r, c| (((r * 13 + c * 7) % 17) as f32 - 8.0) * 0.125);
+    dy[(20, 3)] = f32::INFINITY;
+    let w = Matrix::from_fn(75, 9, |r, c| (((r * 5 + c * 3) % 11) as f32 - 5.0) * 0.25);
+    for workers in [2usize, 3] {
+        let (serial, forced) =
+            serial_vs_forced(workers, || dy.matmul_t_b(&w), || dy.matmul_t_b(&w));
+        for (f, s) in forced.as_slice().iter().zip(serial.as_slice()) {
+            assert_eq!(f.to_bits(), s.to_bits(), "{workers} workers");
+        }
+    }
+}
+
 #[test]
 fn im2col_forced_parallel_is_bitwise_serial() {
     let geom = small_geom();
