@@ -12,6 +12,13 @@
 //! This makes the paper's neuron-vector granularities natural column slices:
 //! Policy 1's `Lmin = kw` is one kernel row, and the default granularity
 //! ("the channel size") is a whole per-channel block of `kh·kw` columns.
+//!
+//! The same layout makes the stride-1 unfold a slide: the receptive field of
+//! output pixel `(oy, ox + 1)` is that of `(oy, ox)` moved one input column
+//! right, so its row is the left neighbour's row shifted left by one element
+//! — every `kw`-run moves along by one tap — plus the kernel's new
+//! right-hand column `kj = kw − 1`. `im2col_into` writes every element
+//! itself (padding taps as `+0.0`) and needs no zero-filled buffer.
 
 use crate::matrix::Matrix;
 use crate::tensor4::Tensor4;
@@ -108,12 +115,15 @@ pub fn im2col(input: &Tensor4, geom: &ConvGeom) -> Matrix {
     out
 }
 
-/// [`im2col`] into a caller-owned matrix, which is reshaped (heap capacity
-/// reused) and zeroed first — the arena variant the reuse layer uses so the
-/// unfold of every training step after the first allocates nothing.
+/// [`im2col`] into a caller-owned matrix, which is reshaped with its heap
+/// capacity reused — the arena variant the layers use so the unfold of
+/// every training step after the first allocates nothing.
 ///
-/// The zero-reset is load-bearing: `unfold_one` writes only in-bounds taps
-/// and relies on padding positions already holding zero.
+/// `out` is not zeroed first: every element is written, padding taps as
+/// `+0.0`, so whatever the buffer held before (a larger or smaller shape,
+/// NaN) cannot show. At stride 1 each row after the first of an output
+/// line is its left neighbour shifted by one column plus the kernel's new
+/// right-hand column (module docs).
 ///
 /// # Panics
 /// Panics if the input tensor's spatial/channel shape disagrees with `geom`.
@@ -126,12 +136,14 @@ pub fn im2col_into(input: &Tensor4, geom: &ConvGeom, out: &mut Matrix) {
     let (oh, ow, k) = (geom.out_h(), geom.out_w(), geom.k());
     let nb = input.batch();
     let n = geom.rows_for_batch(nb);
-    out.reset(n, k);
+    out.resize_for_overwrite(n, k);
     let per_image_rows = oh * ow;
     let data = input.as_slice();
     let per_image_len = geom.in_h * geom.in_w * geom.in_c;
     // Each image's unfolded rows form a contiguous block of `out`, so the
     // batch parallelises with no synchronisation (one "row" per image).
+    // A block is whole images and starts at `ox = 0`: no row slides from a
+    // neighbour another worker writes.
     let threads = crate::par::memory_threads(n * k);
     crate::par::run_row_blocks(
         out.as_mut_slice(),
@@ -148,34 +160,59 @@ pub fn im2col_into(input: &Tensor4, geom: &ConvGeom, out: &mut Matrix) {
     );
 }
 
-/// Unfolds one NHWC image into its `Oh·Ow × K` block.
+/// Unfolds one NHWC image into its `Oh·Ow × K` block, writing every
+/// element: padding taps are stored as `+0.0`, so `block` may hold anything.
+///
+/// At stride 1 with `kw > 1`, row `(oy, ox + 1)` is row `(oy, ox)` one
+/// input column further right: tap `(c, ki, kj)` of the new row is tap
+/// `(c, ki, kj + 1)` of its left neighbour. One copy shifts the neighbour
+/// left by one element, which moves every `kw`-run of the channel-major
+/// layout along by one tap, and the loop then writes only the kernel's new
+/// right-hand column `kj = kw − 1` (`ic · kh` stores instead of
+/// `ic · kh · kw`). The elements the shift carries across a run boundary
+/// are exactly that column, so every one is overwritten. The first row of
+/// each output line, every row at stride > 1 and every row of a `kw = 1`
+/// kernel start the same loop at `kj = 0`.
 fn unfold_one(image: &[f32], geom: &ConvGeom, block: &mut [f32]) {
     let (oh, ow, k) = (geom.out_h(), geom.out_w(), geom.k());
     let (ih, iw, ic) = (geom.in_h, geom.in_w, geom.in_c);
     let (kh, kw) = (geom.kernel_h, geom.kernel_w);
     let pad = geom.padding as isize;
+    let slides = geom.stride == 1 && kw > 1;
     for oy in 0..oh {
+        let y0 = (oy * geom.stride) as isize - pad;
         for ox in 0..ow {
-            let row = &mut block[(oy * ow + ox) * k..(oy * ow + ox + 1) * k];
-            let y0 = (oy * geom.stride) as isize - pad;
+            let (done, rest) = block.split_at_mut((oy * ow + ox) * k);
+            let row = &mut rest[..k];
+            let first_kj = if slides && ox > 0 {
+                row[..k - 1].copy_from_slice(&done[done.len() - k + 1..]);
+                kw - 1
+            } else {
+                0
+            };
             let x0 = (ox * geom.stride) as isize - pad;
             for ki in 0..kh {
                 let y = y0 + ki as isize;
-                if y < 0 || y >= ih as isize {
-                    continue; // padding row stays zero
-                }
-                let in_row = &image[y as usize * iw * ic..(y as usize + 1) * iw * ic];
-                for kj in 0..kw {
+                let in_row = (0..ih as isize)
+                    .contains(&y)
+                    .then(|| &image[y as usize * iw * ic..(y as usize + 1) * iw * ic]);
+                for kj in first_kj..kw {
                     let x = x0 + kj as isize;
-                    if x < 0 || x >= iw as isize {
-                        continue;
-                    }
-                    let pixel = &in_row[x as usize * ic..(x as usize + 1) * ic];
                     // Column layout: (c * kh + ki) * kw + kj.
                     let mut col = ki * kw + kj;
-                    for &v in pixel {
-                        row[col] = v;
-                        col += kh * kw;
+                    match in_row.filter(|_| (0..iw as isize).contains(&x)) {
+                        Some(in_row) => {
+                            for &v in &in_row[x as usize * ic..(x as usize + 1) * ic] {
+                                row[col] = v;
+                                col += kh * kw;
+                            }
+                        }
+                        None => {
+                            for _ in 0..ic {
+                                row[col] = 0.0;
+                                col += kh * kw;
+                            }
+                        }
                     }
                 }
             }
@@ -352,6 +389,105 @@ mod tests {
         let folded = col2im(&ymat, &g, 2);
         let rhs: f32 = x.as_slice().iter().zip(folded.as_slice().iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0), "lhs={lhs} rhs={rhs}");
+    }
+
+    /// The unfold by its definition, one element at a time: column
+    /// `(c·kh + ki)·kw + kj` of row `(b, oy, ox)` is input pixel
+    /// `(oy·s + ki − p, ox·s + kj − p)` of channel `c`, or `+0.0` in padding.
+    fn unfold_by_definition(input: &Tensor4, g: &ConvGeom) -> Vec<f32> {
+        let mut out = Vec::new();
+        for b in 0..input.batch() {
+            for oy in 0..g.out_h() {
+                for ox in 0..g.out_w() {
+                    for c in 0..g.in_c {
+                        for ki in 0..g.kernel_h {
+                            for kj in 0..g.kernel_w {
+                                let y = (oy * g.stride + ki).checked_sub(g.padding);
+                                let x = (ox * g.stride + kj).checked_sub(g.padding);
+                                out.push(match (y, x) {
+                                    (Some(y), Some(x)) if y < g.in_h && x < g.in_w => {
+                                        input.get(b, y, x, c)
+                                    }
+                                    _ => 0.0,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Smallest input extent ≥ 1 with `out` output positions, if one exists.
+    fn extent_for(out: usize, kernel: usize, stride: usize, padding: usize) -> Option<usize> {
+        let extent = ((out - 1) * stride + kernel).checked_sub(2 * padding)?.max(1);
+        ((extent + 2 * padding).checked_sub(kernel)? / stride + 1 == out).then_some(extent)
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn unfold_matches_its_definition_bit_for_bit_on_dirty_buffers() {
+        let kernels = [(1, 1), (1, 3), (3, 1), (2, 2), (3, 3), (5, 5)];
+        let mut cases = 0;
+        for stride in 1..=3 {
+            for padding in 0..=2 {
+                for (kh, kw) in kernels {
+                    for ic in [1, 3, 16] {
+                        for ow in [1, 2, 5, 7] {
+                            let (Some(ih), Some(iw)) = (
+                                extent_for(3, kh, stride, padding),
+                                extent_for(ow, kw, stride, padding),
+                            ) else {
+                                continue;
+                            };
+                            for nb in [1, 3] {
+                                let g = geom(ih, iw, ic, kh, kw, stride, padding);
+                                // NaN, ±inf and −0.0 among the pixels: a copy
+                                // keeps their bits, a padding tap is +0.0.
+                                let input = Tensor4::from_fn(nb, ih, iw, ic, |n, y, x, c| {
+                                    match (n * 131 + y * 31 + x * 7 + c * 3) % 29 {
+                                        0 => f32::NAN,
+                                        1 => f32::INFINITY,
+                                        2 => f32::NEG_INFINITY,
+                                        3 => -0.0,
+                                        v => (v as f32 - 14.0) * 0.25,
+                                    }
+                                });
+                                let what = format!(
+                                    "s={stride} p={padding} k={kh}x{kw} ic={ic} {ih}x{iw} nb={nb}"
+                                );
+                                let want = unfold_by_definition(&input, &g);
+                                let fresh = im2col(&input, &g);
+                                assert_eq!(fresh.shape(), (g.rows_for_batch(nb), g.k()), "{what}");
+                                assert_bits_eq(fresh.as_slice(), &want, &what);
+                                let n = g.rows_for_batch(nb);
+                                for (rows, cols) in [(n + 3, g.k() + 1), (n.div_ceil(2), g.k())] {
+                                    let mut dirty = Matrix::filled(rows, cols, f32::NAN);
+                                    im2col_into(&input, &g, &mut dirty);
+                                    assert_eq!(dirty.shape(), fresh.shape(), "{what}");
+                                    assert_bits_eq(
+                                        dirty.as_slice(),
+                                        fresh.as_slice(),
+                                        &format!("{what}, into NaN {rows}x{cols}"),
+                                    );
+                                }
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // `extent_for` skips the widths a geometry cannot reach; the grid
+        // must not be silently emptied by it (1 074 cases today).
+        assert!(cases > 1000, "{cases} cases");
     }
 
     #[test]

@@ -55,17 +55,18 @@ use std::sync::OnceLock;
 //   `train_dense` and `train_vgg_reuse` `step_ms` within noise. A per-site
 //   price is the lever, not a second global constant.
 // * Memory-bound loops share one estimate across passes of very different
-//   weight per element: im2col moves an element in ~0.6 ns and, with its
-//   serial zero-fill, breaks even two-way only near 100K elements (74K:
-//   45 → 48 µs; 147K: 112 → 80 µs), while the same `N · K` also sizes the
-//   reuse forward's sub-matrix fan-out (group, centroid sweep, centroid
-//   GEMM) and the backward row gather, and a reuse layer as a whole spends
-//   ~9 ns per element of it. `1 << 14` is set by those: a whole VGG conv4
-//   layer (`N · K` = 74K) reads 657 → 428 µs forward + backward two-way,
-//   conv3 (221K) 1278 → 814 µs; the few µs im2col gives back between 32K
-//   and 100K are inside those figures. One step lower would pool conv5 (`N · K` = 18K),
-//   where im2col loses outright (8 → 13 µs) and the layer as a whole is a
-//   wash (214 → 173 and 222 → 242 µs in two sessions).
+//   weight per element: im2col, whose stride-1 rows slide from their left
+//   neighbour, moves an element in ~0.4 ns serially (~0.7 ns at three
+//   input channels) and gains two-way at VGG block 4 already (74K:
+//   30–37 → 19–20 µs; 147K: 63–69 → 36–39 µs), while the same `N · K` also
+//   sizes the reuse forward's sub-matrix fan-out (group, centroid sweep,
+//   centroid GEMM) and the backward row gather, and a reuse layer as a
+//   whole spends ~9 ns per element of it. `1 << 14` is set by those: a
+//   whole VGG conv4 layer (`N · K` = 74K) reads 657 → 428 µs forward +
+//   backward two-way, conv3 (221K) 1278 → 814 µs. One step lower would
+//   pool conv5 (`N · K` = 18K), where the unfold alone gains too
+//   (9–11 → 7–8 µs) but the layer as a whole is a wash (214 → 173 and
+//   222 → 242 µs in two sessions).
 //
 // End to end the step is what decides (`train_vgg_reuse` `step_ms`, the
 // handoff already polling): 28.5 at the old constants, 24.0 at ÷4, 23.3 at

@@ -15,7 +15,7 @@
 // Test code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]
 
-use adr_tensor::im2col::{col2im, im2col, ConvGeom};
+use adr_tensor::im2col::{col2im, im2col, im2col_into, ConvGeom};
 use adr_tensor::matrix::{gemm_ta_rows, gemm_tb_rows, Matrix};
 use adr_tensor::par::{matmul_par, matmul_range_t_b_par, set_thread_override};
 use adr_tensor::tensor4::Tensor4;
@@ -232,10 +232,23 @@ fn matmul_t_b_lane_split_tile_forced_parallel_is_bitwise_serial() {
 
 #[test]
 fn im2col_forced_parallel_is_bitwise_serial() {
+    // `ow = 5` at stride 1: every image block a worker takes starts a fresh
+    // output line and then slides rows from neighbours in its own block.
     let geom = small_geom();
     let input = small_input();
     let (serial, forced) = serial_vs_forced(2, || im2col(&input, &geom), || im2col(&input, &geom));
     assert_eq!(serial.as_slice(), forced.as_slice());
+    // The arena form writes every element of a dirty buffer itself.
+    for workers in [2usize, 3] {
+        let into_nan = || {
+            let mut out = Matrix::filled(3, 7, f32::NAN);
+            im2col_into(&input, &geom, &mut out);
+            out
+        };
+        let (serial_nan, forced_nan) = serial_vs_forced(workers, into_nan, into_nan);
+        assert_eq!(serial_nan.as_slice(), serial.as_slice(), "{workers} workers");
+        assert_eq!(forced_nan.as_slice(), serial.as_slice(), "{workers} workers");
+    }
 }
 
 #[test]

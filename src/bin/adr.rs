@@ -33,6 +33,7 @@
 //! Everything is deterministic given `--seed`.
 
 use std::io::{BufRead, Write};
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -78,15 +79,33 @@ impl Args {
     }
 
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| format!("option --{key}: cannot parse '{raw}'")),
-        }
+        Ok(self.get_opt(key)?.unwrap_or(default))
+    }
+
+    fn get_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.options
+            .get(key)
+            .map(|raw| raw.parse().map_err(|_| format!("option --{key}: cannot parse '{raw}'")))
+            .transpose()
     }
 
     fn get_str(&self, key: &str, default: &str) -> String {
         self.options.get(key).cloned().unwrap_or_else(|| default.to_string())
     }
+}
+
+/// Checks a numeric knob against the range the library asserts, so that an
+/// out-of-range value is a usage error before anything is built from it.
+fn in_range(key: &str, value: usize, valid: RangeInclusive<usize>) -> Result<usize, String> {
+    if valid.contains(&value) {
+        return Ok(value);
+    }
+    let (lo, hi) = valid.into_inner();
+    Err(if hi == usize::MAX {
+        format!("option --{key}: must be at least {lo}, got {value}")
+    } else {
+        format!("option --{key}: must be in {lo}..={hi}, got {value}")
+    })
 }
 
 /// A freshly built network plus its default batch size.
@@ -138,12 +157,13 @@ fn make_source(
 fn cmd_train(args: &Args) -> Result<(), String> {
     let model = args.get_str("model", "cifarnet");
     let strategy_name = args.get_str("strategy", "adaptive");
-    let iterations: usize = args.get("iterations", 300)?;
-    let classes: usize = args.get("classes", 4)?;
+    let iterations = in_range("iterations", args.get("iterations", 300)?, 1..=usize::MAX)?;
+    let classes = in_range("classes", args.get("classes", 4)?, 1..=usize::MAX)?;
+    let batch = args.get_opt("batch")?.map(|b| in_range("batch", b, 1..=usize::MAX)).transpose()?;
     let lr: f32 = args.get("lr", 0.02)?;
     let seed: u64 = args.get("seed", 42)?;
-    let fixed_l: usize = args.get("sub-vector", 10)?;
-    let fixed_h: usize = args.get("hashes", 10)?;
+    let fixed_l = in_range("sub-vector", args.get("sub-vector", 10)?, 1..=usize::MAX)?;
+    let fixed_h = in_range("hashes", args.get("hashes", 10)?, 1..=64)?;
 
     let (mode, strategy) = match strategy_name.as_str() {
         "baseline" => (ConvMode::Dense, Strategy::baseline()),
@@ -165,7 +185,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
 
     let mut rng = AdrRng::seeded(seed);
     let (mut net, default_batch) = build_model(&model, classes, mode, &mut rng)?;
-    let batch: usize = args.get("batch", default_batch)?;
+    let batch = batch.unwrap_or(default_batch);
     let mut source = make_source(net.input_shape(), classes, batch, seed);
     let trainer = Trainer::new(TrainerConfig {
         max_iterations: iterations,
@@ -211,8 +231,8 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_similarity(args: &Args) -> Result<(), String> {
-    let h: usize = args.get("hashes", 10)?;
-    let l: usize = args.get("sub-vector", 75)?;
+    let h = in_range("hashes", args.get("hashes", 10)?, 1..=64)?;
+    let l = in_range("sub-vector", args.get("sub-vector", 75)?, 1..=usize::MAX)?;
     let seed: u64 = args.get("seed", 42)?;
     let mut rng = AdrRng::seeded(seed);
     let cfg = SynthConfig {
@@ -231,7 +251,7 @@ fn cmd_similarity(args: &Args) -> Result<(), String> {
     let geom = ConvGeom::new(24, 24, 3, 5, 5, 1, 0).expect("demo geometry constants are valid");
     let unfolded = im2col(&images, &geom);
     let l = l.min(unfolded.cols());
-    let lsh = LshTable::new(l, h.clamp(1, 64), &mut rng);
+    let lsh = LshTable::new(l, h, &mut rng);
     let (table, _) = lsh.cluster_range(&unfolded, 0);
     println!(
         "{} neuron vectors (window length {l}, H = {h}): |C| = {}, remaining ratio r_c = {:.4}",
