@@ -1,5 +1,6 @@
 //! Row→cluster assignment tables and centroid construction.
 
+use adr_tensor::kernels::sum_clusters;
 use adr_tensor::Matrix;
 
 /// The result of clustering the `N` rows of a matrix into `|C|` clusters.
@@ -162,14 +163,39 @@ impl ClusterTable {
         assert_eq!(data.rows(), self.num_rows(), "centroids: row count mismatch");
         assert!(start <= end && end <= data.cols(), "centroid window out of bounds");
         sums.reset(self.num_clusters(), end - start);
-        for (row, &c) in self.assignments.iter().enumerate() {
-            let src = &data.row(row)[start..end];
-            let dst = sums.row_mut(c as usize);
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d += s;
-            }
-        }
+        self.add_member_rows(data.as_slice(), data.cols(), start, 0..self.num_rows(), sums);
         self.sums_to_means(sums);
+    }
+
+    /// Adds the column window `[start, start + sums.cols())` of each listed
+    /// row of `data` (row-major, `stride` elements per row) into its
+    /// cluster's row of `sums`, in the listed order — the one member sum
+    /// behind the centroids, the cluster gradients and the reuse forward's
+    /// blocked sweep. The running cluster row stays in registers while
+    /// consecutive listed rows share a cluster ([`sum_clusters`]); each
+    /// element of `sums` receives one IEEE add per listed member, in order.
+    ///
+    /// `rows` is walked once per 64 columns: pass a range or a slice
+    /// iterator, never a collected list.
+    ///
+    /// # Panics
+    /// Panics when `sums` does not have one row per cluster, the window
+    /// overruns `stride`, or a listed row is out of range.
+    pub fn add_member_rows<I>(
+        &self,
+        data: &[f32],
+        stride: usize,
+        start: usize,
+        rows: I,
+        sums: &mut Matrix,
+    ) where
+        I: Iterator<Item = usize> + Clone,
+    {
+        let width = sums.cols();
+        assert_eq!(sums.rows(), self.num_clusters(), "member sums: one row per cluster");
+        assert!(start + width <= stride, "member sums: window overruns the row stride");
+        let members = rows.map(|r| (&data[r * stride + start..], self.assignments[r] as usize));
+        sum_clusters(sums.as_mut_slice(), width, members);
     }
 
     /// Turns per-cluster row sums into per-cluster means in place: row `c`
@@ -229,12 +255,42 @@ impl ClusterTable {
     pub fn gather_sum_into(&self, data: &[f32], cols: usize, out: &mut Matrix) {
         assert_eq!(data.len(), self.num_rows() * cols, "gather: row count mismatch");
         out.reset(self.num_clusters(), cols);
-        for (row, &c) in self.assignments.iter().enumerate() {
-            let src = &data[row * cols..(row + 1) * cols];
-            for (d, s) in out.row_mut(c as usize).iter_mut().zip(src) {
-                *d += s;
-            }
+        self.add_member_rows(data, cols, 0, 0..self.num_rows(), out);
+    }
+
+    /// [`ClusterTable::gather_sum_into`] with each cluster's members summed
+    /// consecutively, so each cluster row is loaded and stored once per
+    /// window of 64 columns: a stable counting sort of the rows by cluster (the
+    /// first `N` entries of `scratch`, with the next `|C|` as its cursors),
+    /// then the member sums in that order. Each cluster still receives its
+    /// members in ascending row order, so the bits are `gather_sum_into`'s.
+    /// Allocates nothing; `scratch`'s contents are unspecified afterwards.
+    ///
+    /// # Panics
+    /// Panics when `data` does not hold exactly `num_rows()` rows, or
+    /// `scratch` holds fewer than `num_rows() + num_clusters()` entries.
+    pub fn gather_sum_members_into(
+        &self,
+        data: &[f32],
+        cols: usize,
+        scratch: &mut [u32],
+        out: &mut Matrix,
+    ) {
+        assert_eq!(data.len(), self.num_rows() * cols, "gather: row count mismatch");
+        let (order, next) = scratch.split_at_mut(self.num_rows());
+        let next = &mut next[..self.num_clusters()];
+        let mut first = 0;
+        for (next, &count) in next.iter_mut().zip(&self.counts) {
+            *next = first;
+            first += count;
         }
+        for (row, &c) in (0u32..).zip(&self.assignments) {
+            let slot = &mut next[c as usize];
+            order[*slot as usize] = row;
+            *slot += 1;
+        }
+        out.reset(self.num_clusters(), cols);
+        self.add_member_rows(data, cols, 0, order.iter().map(|&r| r as usize), out);
     }
 
     /// Gathers member rows into per-cluster *means* — the paper's
@@ -284,6 +340,30 @@ mod tests {
         assert_eq!(out, t.centroids_range(&data, 2, 5));
         t.gather_sum_into(data.as_slice(), 6, &mut out);
         assert_eq!(out, t.gather_sum(&data));
+    }
+
+    #[test]
+    fn member_order_gather_is_the_row_order_gather_bit_for_bit() {
+        let t = ClusterTable::new(vec![2, 0, 1, 0, 2, 2, 1, 0, 3]);
+        let data = Matrix::from_fn(9, 11, |r, c| ((r * 11 + c) as f32 * 0.37).sin() * 1e3);
+        let mut want = Matrix::default();
+        t.gather_sum_into(data.as_slice(), 11, &mut want);
+        let mut scratch = vec![u32::MAX; 9 + 4 + 3];
+        let mut got = Matrix::filled(2, 2, f32::NAN);
+        t.gather_sum_members_into(data.as_slice(), 11, &mut scratch, &mut got);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.shape(), (4, 11));
+        assert_eq!(bits(&got), bits(&want));
+        // The sort: cluster 0's rows, then cluster 1's, …, each ascending.
+        assert_eq!(scratch[..9], [1, 3, 7, 2, 6, 0, 4, 5, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_short_member_scratch_panics() {
+        let t = table();
+        let data = Matrix::zeros(5, 2);
+        t.gather_sum_members_into(data.as_slice(), 2, &mut [0; 6], &mut Matrix::default());
     }
 
     #[test]

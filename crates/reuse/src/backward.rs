@@ -14,11 +14,14 @@
 //! Sub-matrices are independent until the very end, so the pass runs as two
 //! fan-outs over the persistent pool: one over sub-matrices (cluster sums,
 //! `∇W_I`, `δx_{c,I}`), then one over rows (every member row of `δx`
-//! gathers its cluster's gradient). All buffers either phase writes are
-//! sized on the dispatching thread first — pool workers never allocate.
+//! gathers its cluster's gradient). The cluster sums walk each sub-matrix's
+//! rows in member order — a counting sort by cluster — so each cluster's
+//! running `δy` row stays in registers across all its members. All buffers
+//! either phase writes, the sort's scratch included, are sized on the
+//! dispatching thread first — pool workers never allocate.
 
 use adr_tensor::matrix::{column_sums_into, gemm_ta_rows, gemm_tb_rows, Matrix};
-use adr_tensor::par::{compute_threads, memory_threads, run_row_blocks};
+use adr_tensor::par::{compute_threads, memory_threads, run_blocks, run_row_blocks};
 
 use crate::forward::{ReuseArena, SubMatrix};
 use crate::subvec::SubVecSplit;
@@ -86,18 +89,29 @@ pub fn reuse_backward(
         tasks.push((w_grad_band, sub));
     }
 
-    // Phase 1, sub-matrix-parallel.
+    // Phase 1, sub-matrix-parallel: blocks are contiguous runs of tasks,
+    // each with its own member-order scratch (N row indices and at most N
+    // cluster cursors), sized here.
     let threads = compute_threads(usize::try_from(flops).unwrap_or(usize::MAX));
-    run_row_blocks(&mut tasks, 1, num_subs, threads, |sub0, _, block| {
+    let per_block = num_subs.div_ceil(threads.clamp(1, num_subs));
+    let num_blocks = num_subs.div_ceil(per_block);
+    if arena.members.len() < num_blocks {
+        arena.members.resize_with(num_blocks, Vec::new);
+    }
+    for scratch in &mut arena.members[..num_blocks] {
+        scratch.resize(2 * n, 0);
+    }
+    let blocks = tasks.chunks_mut(per_block).zip(&mut arena.members).enumerate();
+    run_blocks(blocks, |(b, (block, members))| {
         for (offset, (w_grad_band, sub)) in block.iter_mut().enumerate() {
-            let i = sub0 + offset;
+            let i = b * per_block + offset;
             let SubMatrix {
                 table, centroids: cent, cluster_outputs: dy, centroid_grads: dx_c, ..
             } = &mut **sub;
             let (num_clusters, width) = cent.shape();
 
-            // δy_{c,s}: per-cluster sums of δy rows (Eq. 8).
-            table.gather_sum_into(delta_y, m, dy);
+            // δy_{c,s}: per-cluster sums of δy rows (Eq. 8), in member order.
+            table.gather_sum_members_into(delta_y, m, members, dy);
 
             // ∇W_I = x_{c,I}ᵀ · δy_{c,I,s} (Eq. 10).
             w_grad_band.fill(0.0);

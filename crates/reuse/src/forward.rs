@@ -27,13 +27,17 @@
 //! Sub-matrices are independent until the reconstruction, so steps 1–4 run as
 //! **one fan-out over sub-matrices** on the persistent pool: a block owns a
 //! contiguous run of sub-matrices — a contiguous column band of the unfolded
-//! matrix — and accumulates all of their centroid sums in a single
-//! row-major sweep over that band, instead of walking the row-major matrix
-//! column-strided once per sub-matrix. The reconstruction is row-parallel,
-//! and each output row is one [`sum_rows()`] call: a tile of the row stays in
-//! registers while every sub-matrix's cluster row is added to it, and is
-//! stored once. Both matter because clustering overhead is exactly what the
-//! paper's profitability condition `H << M(1 − r_c)` trades against.
+//! matrix — and accumulates all of their centroid sums in one sweep over
+//! that band in cache-resident blocks of 64 rows, instead of walking the
+//! whole row-major matrix column-strided once per sub-matrix; inside a
+//! block each sub-matrix's running cluster rows stay in registers while
+//! neighbouring rows share a cluster
+//! ([`sum_clusters`](adr_tensor::kernels::sum_clusters)). The
+//! reconstruction is row-parallel, and each output row is one
+//! [`sum_rows()`] call: a tile of the row stays in registers while every
+//! sub-matrix's cluster row is added to it, and is stored once. All of it
+//! matters because clustering overhead is exactly what the paper's
+//! profitability condition `H << M(1 − r_c)` trades against.
 //! DESIGN.md §15.6 has the ordering argument for why none of this changes a
 //! bit.
 
@@ -112,6 +116,9 @@ pub struct ReuseArena {
     /// Signature → cluster lookup tables of the grouping step, one per
     /// block of the sub-matrix fan-out.
     group: Vec<GroupScratch>,
+    /// Member-order scratch of the backward pass's cluster sums, one per
+    /// block of its sub-matrix fan-out ([`ClusterTable::gather_sum_members_into`]).
+    pub(crate) members: Vec<Vec<u32>>,
 }
 
 impl ReuseArena {
@@ -179,6 +186,11 @@ pub fn reuse_forward(
     );
     (outcome, arena)
 }
+
+/// Rows per block of the centroid sweep (step (D) of the sub-matrix
+/// fan-out): a block's column band of 64 rows stays in cache while each of
+/// its sub-matrices walks it.
+const SWEEP_ROWS: usize = 64;
 
 /// What one block of the sub-matrix fan-out owns: a contiguous run of
 /// sub-matrix states starting at `sub0`, the CR caches of the same run, and
@@ -328,20 +340,18 @@ pub fn reuse_forward_with(
             }
         }
 
-        // (D) One row-major sweep over this block's column band sums the
-        // member rows of every formed centroid matrix. A cluster still
-        // receives its members in ascending row order, as in a
-        // per-sub-matrix walk.
+        // (D) One sweep over this block's column band, in cache-resident
+        // blocks of `SWEEP_ROWS` rows, sums the member rows of every formed
+        // centroid matrix: inside a row block one sub-matrix at a time, its
+        // rows in order, so a run of neighbouring rows in one cluster keeps
+        // the running sum in registers. A cluster still receives its
+        // members in ascending row order, as in a per-sub-matrix walk.
         if subs.iter().any(formed) {
-            for r in 0..n {
-                let row = &x[r * k..(r + 1) * k];
-                for (sub, &(start, end)) in subs.iter_mut().zip(ranges) {
-                    if !formed(sub) {
-                        continue;
-                    }
-                    let dst = sub.centroids.row_mut(sub.table.cluster_of(r) as usize);
-                    for (d, s) in dst.iter_mut().zip(&row[start..end]) {
-                        *d += s;
+            for r0 in (0..n).step_by(SWEEP_ROWS) {
+                let rows = r0..n.min(r0 + SWEEP_ROWS);
+                for (sub, &(start, _)) in subs.iter_mut().zip(ranges) {
+                    if formed(sub) {
+                        sub.table.add_member_rows(x, k, start, rows.clone(), &mut sub.centroids);
                     }
                 }
             }

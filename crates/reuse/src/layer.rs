@@ -676,6 +676,44 @@ mod tests {
         assert_eq!(layer.backward(&Tensor4::zeros(2, 4, 4, 4)).shape(), (2, 6, 6, 2));
     }
 
+    /// The adaptive trainer's probe: an `Eval` forward at 4× the batch
+    /// between two training steps. It frees the tables and centroids and
+    /// leaves the other recycled buffers (signatures, cluster outputs)
+    /// sized and filled for the larger batch, so the next training step must
+    /// rewrite all it reads: its ∇W, ∇b and δx are bitwise those of a twin
+    /// that skipped the probe.
+    #[test]
+    fn a_probe_between_two_training_steps_leaves_the_next_gradients_unchanged() {
+        let mut rng = AdrRng::seeded(50);
+        let pixel = |n: usize, y: usize, xx: usize, c: usize| ((n + y * 2 + xx + c) % 4) as f32;
+        let mut batch = |images: usize, noise: f32| {
+            Tensor4::from_fn(images, 6, 6, 2, |n, y, xx, c| {
+                pixel(n, y, xx, c) + noise * rng.gauss()
+            })
+        };
+        // A noisy probe clusters into many more, smaller clusters.
+        let (x1, probe, x2) = (batch(2, 0.1), batch(8, 2.0), batch(2, 0.1));
+        let g1 = Tensor4::from_fn(2, 4, 4, 4, |n, y, xx, c| (n + y + xx + c) as f32 * 0.1 - 0.5);
+        let g2 = Tensor4::from_fn(2, 4, 4, 4, |n, y, xx, c| (n * y + xx * c) as f32 * 0.07 - 0.3);
+        let mut probed = reuse_layer(6, 8, false, 51);
+        let mut twin = reuse_layer(6, 8, false, 51);
+        for layer in [&mut probed, &mut twin] {
+            layer.forward(&x1, Mode::Train);
+            layer.backward(&g1);
+        }
+        probed.forward(&probe, Mode::Eval);
+        assert!(probed.stats().avg_clusters > 2.0 * twin.stats().avg_clusters, "precondition");
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let [got, want] = [&mut probed, &mut twin].map(|layer| {
+            layer.forward(&x2, Mode::Train);
+            let dx = layer.backward(&g2);
+            (bits(layer.weight_grad.as_slice()), bits(&layer.bias_grad), bits(dx.as_slice()))
+        });
+        assert_eq!(got.0, want.0, "∇W");
+        assert_eq!(got.1, want.1, "∇b");
+        assert_eq!(got.2, want.2, "δx");
+    }
+
     #[test]
     fn backward_gradient_approximates_dense_gradient() {
         // With near-singleton clusters, the reuse gradients approximate the

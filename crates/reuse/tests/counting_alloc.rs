@@ -111,7 +111,8 @@ const REUSE_FORWARD_STEP: u64 = 1;
 /// The one allocation is the per-sub-matrix task list (a band of the weight
 /// gradient paired with its scratch), built on the dispatching thread;
 /// cluster sums, centroid gradients and all three gradients land in
-/// recycled or caller-owned buffers.
+/// recycled or caller-owned buffers, and the member-order scratch of each
+/// fan-out block is recycled in the arena, grown on the dispatching thread.
 const REUSE_BACKWARD_STEP: u64 = 1;
 
 #[test]

@@ -268,23 +268,32 @@ fn backward_at(
 #[test]
 fn backward_fan_out_is_bitwise_serial_at_every_worker_count() {
     // Both phases of the backward pass — sub-matrix tasks, then the row
-    // scatter — at one worker, two, and more workers than sub-matrices (and
-    // than rows per block): every block owns disjoint bands and scratch, so
-    // the gradients may not differ in a single bit.
+    // scatter — at one worker, two, three, and more workers than
+    // sub-matrices (and than rows per block): every block owns disjoint
+    // bands and its own member-order scratch, so the gradients may not
+    // differ in a single bit.
     let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut rng = AdrRng::seeded(51);
-    // Few distinct rows, so clusters have several members each.
-    let protos = Matrix::from_fn(3, 11, |_, _| rng.gauss());
-    let x = Matrix::from_fn(9, 11, |r, c| protos[(r % 3, c)]);
-    let w = Matrix::from_fn(11, 3, |_, _| rng.gauss() * 0.3);
-    let dy = Matrix::from_fn(9, 3, |_, _| rng.gauss());
-    let split = SubVecSplit::new(11, 4); // widths 4,4,3
+    // Few distinct rows, so clusters have several members each; every
+    // column band picks its prototypes in its own pattern, so clusters are
+    // ragged and their number differs between sub-matrices — a worker with
+    // two or three sub-matrices re-sorts its scratch for each shape.
+    let protos = Matrix::from_fn(4, 19, |_, _| rng.gauss());
+    let x = Matrix::from_fn(12, 19, |r, c| protos[((r * (c / 4 + 1) + r / 5) % 4, c)]);
+    let w = Matrix::from_fn(19, 3, |_, _| rng.gauss() * 0.3);
+    let dy = Matrix::from_fn(12, 3, |_, _| rng.gauss());
+    let split = SubVecSplit::new(19, 4); // widths 4,4,4,4,3
     let lsh = families(&split, 6, 52);
     set_thread_override(None);
     let (_, mut arena) = reuse_forward(&x, &w, &[0.0; 3], &split, &lsh, None, None);
-    assert!(arena.sub_matrices()[0].table().num_clusters() < 9, "precondition: shared clusters");
+    let tables: Vec<&ClusterTable> = arena.sub_matrices().iter().map(|s| s.table()).collect();
+    let ragged = |t: &ClusterTable| t.counts().iter().min() != t.counts().iter().max();
+    assert!(tables.iter().all(|t| t.num_clusters() < 12), "precondition: shared clusters");
+    assert!(tables.iter().any(|t| ragged(t)), "precondition: ragged clusters");
+    let sizes: Vec<usize> = tables.iter().map(|t| t.num_clusters()).collect();
+    assert!(sizes.iter().any(|&c| c != sizes[0]), "precondition: cluster counts differ");
     let serial = backward_at(1, &mut arena, &split, &w, &dy);
-    for workers in [2usize, 5] {
+    for workers in [2usize, 3, 7] {
         assert_eq!(backward_at(workers, &mut arena, &split, &w, &dy), serial, "{workers} workers");
     }
     shutdown();

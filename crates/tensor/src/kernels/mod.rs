@@ -2,9 +2,9 @@
 //! of their instruction width.
 //!
 //! The three dense products ([`crate::matrix`], [`crate::par`]), the LSH
-//! sign-dot projection (`adr-reuse`'s packed hasher) and the reuse forward
-//! pass's reconstruction bottom out in five slice-level **lane kernels**,
-//! built on [`crate::simd::F32x8`]:
+//! sign-dot projection (`adr-reuse`'s packed hasher), the reuse forward
+//! pass's reconstruction and the member sums of a clustering bottom out in
+//! six slice-level **lane kernels**, built on [`crate::simd::F32x8`]:
 //!
 //! * [`gemm_rows`] — `c += a · b`: each row's non-zeros, compacted without
 //!   a branch, multiplied into register-resident tiles of the `c` row.
@@ -19,6 +19,9 @@
 //!   behind LSH hashing ([`project`]).
 //! * [`sum_rows()`] — `dst = first + Σ rest` with each tile of the output
 //!   row held in registers across all sources ([`sum_rows`](mod@sum_rows)).
+//! * [`sum_clusters`] — `dst[id] += src` over a list of `(src, id)` pairs,
+//!   the running cluster row held in registers until the id changes: the
+//!   reuse forward's centroid sums and the backward's `δy_{c,s}` (Eq. 8).
 //!
 //! # One body, two or three instantiations
 //!
@@ -53,7 +56,7 @@
 //!
 //! This module is the only library code where `unsafe` compiles: the
 //! workspace denies `unsafe_code` and `lib.rs` allows it on `kernels` alone.
-//! The eight dispatch call sites here (and the test helpers that run each
+//! The nine dispatch call sites here (and the test helpers that run each
 //! clone on its own) are the only `unsafe` in the workspace's vector code;
 //! [`pool`] hosts the persistent worker pool behind the fan-out sites.
 
@@ -66,7 +69,7 @@ pub mod sum_rows;
 pub use gemm::{gemm_rows, gemm_ta_rows};
 pub use gemm_tb::gemm_tb;
 pub use project::project_signs;
-pub use sum_rows::sum_rows;
+pub use sum_rows::{sum_clusters, sum_rows};
 
 use crate::simd::{F32x8, LANES};
 
@@ -381,6 +384,50 @@ mod tests {
                     sum_rows(&mut got, &first, rows.clone());
                     sum_rows::sum_rows_portable(&mut want, &first, rows);
                     assert_same_bits(&got, &want, &format!("m={m} sources={sources}"));
+                }
+            }
+        }
+    }
+
+    /// `sum_clusters` in every instantiation the host runs (the dispatched
+    /// entry and the portable body) against the scalar `*d += s` loop over
+    /// the same `(row, id)` list, bit for bit: rows in row order and in
+    /// member order (a stable sort by id), ragged clusters, one-row
+    /// clusters and one giant cluster, each source a window at a non-zero
+    /// column offset of a wider row.
+    #[test]
+    fn sum_clusters_every_instantiation_is_the_scalar_loop() {
+        let n = 40usize;
+        let ragged = |r: usize| if r % 4 == 3 { r * 3 % 7 } else { r / 3 * 5 % 7 };
+        let layouts: [(&str, &dyn Fn(usize) -> usize); 3] =
+            [("ragged", &ragged), ("one-row clusters", &|r| r), ("one cluster", &|_| 0)];
+        for non_finite in [false, true] {
+            for width in [1usize, 3, 5, 8, 10, 16, 20, 32, 40, 64, 68, 72, 130] {
+                let (stride, off) = (width + 5, 3);
+                let src = seeded(n * stride + off, -0.53, width as f32, non_finite);
+                for (layout, id_of) in layouts {
+                    let ids: Vec<usize> = (0..n).map(id_of).collect();
+                    let clusters = ids.iter().max().map_or(0, |&c| c + 1);
+                    let mut member_order: Vec<usize> = (0..n).collect();
+                    member_order.sort_by_key(|&r| ids[r]);
+                    let dst0 = seeded(clusters * width, 0.11, n as f32, false);
+                    for (order, rows) in [("row", (0..n).collect()), ("member", member_order)] {
+                        let what = format!("{layout}, {order} order, width={width}");
+                        let pairs = rows.iter().map(|&r| (&src[off + r * stride..], ids[r]));
+                        let mut want = dst0.clone();
+                        for (row, id) in pairs.clone() {
+                            let dst = &mut want[id * width..][..width];
+                            for (d, s) in dst.iter_mut().zip(row) {
+                                *d += s;
+                            }
+                        }
+                        let mut got = dst0.clone();
+                        sum_clusters(&mut got, width, pairs.clone());
+                        assert_same_bits(&got, &want, &format!("dispatched, {what}"));
+                        let mut got = dst0.clone();
+                        sum_rows::sum_clusters_portable(&mut got, width, pairs);
+                        assert_same_bits(&got, &want, &format!("portable, {what}"));
+                    }
                 }
             }
         }

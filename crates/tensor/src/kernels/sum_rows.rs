@@ -1,25 +1,86 @@
-//! `dst = first + Σ rest`, one output row held in registers — the
-//! reconstruction `y[r] = b + Σ_I y_c^(I)[id_I(r)]` of the deep-reuse forward
-//! pass (Fig. 2), where every source is a different sub-matrix's cluster
-//! output row.
+//! Row sums held in registers, in two shapes:
 //!
-//! The loop it replaces wrote `dst = first`, then `dst += src` once per
-//! source: each of the (often hundreds of) sources cost a load *and a store*
-//! of the whole destination row. Here a tile of the row is loaded from
-//! `first` once, receives every source's tile in order, and is stored once —
-//! in the column tiers of [`super::gemm`]: tiles of 64 columns (eight
-//! [`F32x8`] registers) while they fit, then at most one tile each of 32, 16
-//! and 8 columns, then a scalar tail.
+//! * [`sum_rows`]: `dst = first + Σ rest` — the reconstruction `y[r] = b +
+//!   Σ_I y_c^(I)[id_I(r)]` of the deep-reuse forward pass (Fig. 2), where
+//!   every source is a different sub-matrix's cluster output row.
+//! * [`sum_clusters`]: `dst[id] += src` over a list of `(src, id)` pairs —
+//!   the member sums of a clustering: the forward pass's centroid sums and
+//!   the backward pass's cluster gradients `δy_{c,s}` (Eq. 8).
+//!
+//! The loops they replace wrote one destination row per source: each source
+//! cost a load *and a store* of the whole destination row, and the next
+//! source into the same row waited on that store. Here a tile of the
+//! destination row is loaded once, receives its sources' tiles in order,
+//! and is stored once — [`sum_rows`] across all sources, [`sum_clusters`]
+//! across each run of consecutive sources with one cluster id.
+//! [`sum_rows`] cuts the row into the column tiers of [`super::gemm`]:
+//! tiles of 64 columns (eight [`F32x8`] registers) while they fit, then at
+//! most one tile each of 32, 16 and 8 columns, then a scalar tail.
+//! [`sum_clusters`] walks its source list once per window, so it cuts the
+//! row into as few windows as it can: at most 64 columns (one to eight
+//! registers) each, the last register of a window ending at the window's
+//! end and overlapping its neighbour, and rows narrower than one register
+//! in scalar registers. A cluster change mid-walk costs a store and a load
+//! of the window; an extra walk costs one per source row, and a scalar
+//! tail column would be a walk of its own.
 //!
 //! # Why no bit moves
 //!
-//! Every output element is `((first + s_0) + s_1) + …` — one IEEE add per
-//! source, in the sources' order, starting from `first` — exactly the
-//! additions of the loop it replaced. Which register holds the running sum
-//! changes no operation and no order. The kernel is one portable body
-//! instantiated twice and picked at run time (see [`super`]).
+//! Every output element of [`sum_rows`] is `((first + s_0) + s_1) + …` —
+//! one IEEE add per source, in the sources' order, starting from `first` —
+//! and every element of a [`sum_clusters`] row is its value on entry plus
+//! one IEEE add per source with that row's id, in the sources' order:
+//! exactly the additions of the loops they replaced. Which register holds
+//! the running sum, and when it goes back to memory, changes no operation
+//! and no order; a column two overlapping registers share gets the same
+//! operations in both and is stored twice with one value. Each kernel is
+//! one portable body instantiated twice and picked at run time (see
+//! [`super`]).
 
 use crate::simd::{F32x8, LANES};
+
+/// Where register `q` of a `V`-register window over columns `[a, b)` sits:
+/// eight columns apart from `a`, except the last, which ends at `b`. A
+/// window narrower than `8·V` thus overlaps its last two registers instead
+/// of leaving a scalar tail: the shared columns are loaded together, receive
+/// the same adds and are stored with the same value twice.
+#[inline(always)]
+fn column<const V: usize>(q: usize, a: usize, b: usize) -> usize {
+    if q + 1 == V {
+        b - LANES
+    } else {
+        a + q * LANES
+    }
+}
+
+/// The `V` registers of columns `[a, b)` of `row`.
+#[inline(always)]
+fn load_window<const V: usize>(row: &[f32], a: usize, b: usize) -> [F32x8; V] {
+    let row = &row[..b];
+    let mut acc = [F32x8::splat(0.0); V];
+    for (q, acc) in acc.iter_mut().enumerate() {
+        *acc = F32x8::load(&row[column::<V>(q, a, b)..]);
+    }
+    acc
+}
+
+/// `acc += ` the `V` registers of columns `[a, b)` of `row`.
+#[inline(always)]
+fn add_window<const V: usize>(acc: &mut [F32x8; V], row: &[f32], a: usize, b: usize) {
+    let row = &row[..b];
+    for (q, acc) in acc.iter_mut().enumerate() {
+        *acc = *acc + F32x8::load(&row[column::<V>(q, a, b)..]);
+    }
+}
+
+/// Stores `V` registers into columns `[a, b)` of `row`.
+#[inline(always)]
+fn store_window<const V: usize>(acc: &[F32x8; V], row: &mut [f32], a: usize, b: usize) {
+    let row = &mut row[..b];
+    for (q, acc) in acc.iter().enumerate() {
+        acc.store(&mut row[column::<V>(q, a, b)..]);
+    }
+}
 
 /// Columns `[j, j + 8·V)` of `dst`, for every `j` from `j0` on that fits:
 /// `first`'s tile plus every source's tile, in order, held in `V` registers.
@@ -31,20 +92,13 @@ where
 {
     let mut j = j0;
     while j + V * LANES <= dst.len() {
-        let mut acc = [F32x8::splat(0.0); V];
-        for (q, acc) in acc.iter_mut().enumerate() {
-            *acc = F32x8::load(&first[j + q * LANES..]);
-        }
+        let b = j + V * LANES;
+        let mut acc = load_window::<V>(first, j, b);
         for src in rest.clone() {
-            let tile = &src[j..j + V * LANES];
-            for (q, acc) in acc.iter_mut().enumerate() {
-                *acc = *acc + F32x8::load(&tile[q * LANES..]);
-            }
+            add_window(&mut acc, src, j, b);
         }
-        for (q, acc) in acc.iter().enumerate() {
-            acc.store(&mut dst[j + q * LANES..]);
-        }
-        j += V * LANES;
+        store_window(&acc, dst, j, b);
+        j = b;
     }
     j
 }
@@ -105,6 +159,164 @@ where
     }
 }
 
+/// One walk of `rows` over columns `[a, b)` of the cluster rows, where
+/// `8·(V − 1) < b − a ≤ 8·V`: the running cluster window stays in `V`
+/// registers and is stored, and the next cluster's loaded, only when the id
+/// changes.
+#[inline(always)]
+fn cluster_window<'a, const V: usize, S>(
+    dst: &mut [f32],
+    width: usize,
+    mut rows: S,
+    a: usize,
+    b: usize,
+) where
+    S: Iterator<Item = (&'a [f32], usize)>,
+{
+    let Some((src, first)) = rows.next() else { return };
+    let mut id = first;
+    let mut acc = load_window::<V>(&dst[id * width..], a, b);
+    add_window(&mut acc, src, a, b);
+    for (src, next) in rows {
+        if next != id {
+            store_window(&acc, &mut dst[id * width..], a, b);
+            id = next;
+            acc = load_window(&dst[id * width..], a, b);
+        }
+        add_window(&mut acc, src, a, b);
+    }
+    store_window(&acc, &mut dst[id * width..], a, b);
+}
+
+/// [`cluster_window`] for rows of `1 ≤ width < 8` columns, in seven scalar
+/// registers: register `t` holds column `min(t, width − 1)`, so the last
+/// column may be held several times over, always with the same value.
+#[inline(always)]
+fn cluster_narrow<'a, S>(dst: &mut [f32], width: usize, mut rows: S)
+where
+    S: Iterator<Item = (&'a [f32], usize)>,
+{
+    const W: usize = LANES - 1;
+    let mut col = [0usize; W];
+    for (t, col) in col.iter_mut().enumerate() {
+        *col = t.min(width - 1);
+    }
+    let Some((src, first)) = rows.next() else { return };
+    let mut id = first;
+    let mut acc = [0.0f32; W];
+    let row = &dst[id * width..][..width];
+    for (acc, &c) in acc.iter_mut().zip(&col) {
+        *acc = row[c] + src[c];
+    }
+    for (src, next) in rows {
+        if next != id {
+            let row = &mut dst[id * width..][..width];
+            for (&acc, &c) in acc.iter().zip(&col) {
+                row[c] = acc;
+            }
+            id = next;
+            let row = &dst[id * width..][..width];
+            for (acc, &c) in acc.iter_mut().zip(&col) {
+                *acc = row[c];
+            }
+        }
+        let src = &src[..width];
+        for (acc, &c) in acc.iter_mut().zip(&col) {
+            *acc += src[c];
+        }
+    }
+    let row = &mut dst[id * width..][..width];
+    for (&acc, &c) in acc.iter().zip(&col) {
+        row[c] = acc;
+    }
+}
+
+/// `dst[id] += src` for every `(src, id)` of `rows`, in that order: each
+/// cluster row of `dst` receives its sources' first `width` elements, one
+/// IEEE add each, in the order `rows` lists them.
+///
+/// `rows` is walked once per window of up to 64 columns, so it must be
+/// cheap to clone — a range or slice iterator or a `map` over one, never a
+/// collected list. A source may be a window of a wider row (a column band
+/// of a strided matrix): only its first `width` elements are read. Listing
+/// each cluster's sources consecutively (member order) loads and stores
+/// each cluster row once per window; any order gives the same bits as the
+/// scalar `dst[id][j] += src[j]` loop over the same list.
+///
+/// # Shape
+/// `dst` is `|C| × width`, row-major; every id is below `|C|` and every
+/// source holds at least `width` elements.
+///
+/// # Panics
+/// Panics when `dst` is not a whole number of `width`-wide rows, an id is
+/// out of range or a source is shorter than `width`.
+pub fn sum_clusters<'a, S>(dst: &mut [f32], width: usize, rows: S)
+where
+    S: Iterator<Item = (&'a [f32], usize)> + Clone,
+{
+    assert!(
+        dst.len().is_multiple_of(width),
+        "cluster rows: {} elements are not whole rows of {width}",
+        dst.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    if super::avx_detected() {
+        // SAFETY: `avx_detected` has just observed the `avx` CPU feature,
+        // the only precondition of the clone.
+        return unsafe { sum_clusters_avx(dst, width, rows) };
+    }
+    sum_clusters_portable(dst, width, rows);
+}
+
+/// [`sum_clusters`] compiled with 256-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn sum_clusters_avx<'a, S>(dst: &mut [f32], width: usize, rows: S)
+where
+    S: Iterator<Item = (&'a [f32], usize)> + Clone,
+{
+    sum_clusters_portable(dst, width, rows);
+}
+
+/// The one body of [`sum_clusters`]: one walk of `rows` per window of at
+/// most 64 columns, in one to eight registers. A row narrower
+/// than one register is walked in scalar registers; otherwise every window
+/// is at least eight columns wide — the last two windows are cut so — and
+/// ends in overlapping registers, never a scalar tail.
+#[inline(always)]
+pub(crate) fn sum_clusters_portable<'a, S>(dst: &mut [f32], width: usize, rows: S)
+where
+    S: Iterator<Item = (&'a [f32], usize)> + Clone,
+{
+    const WIDE: usize = 8 * LANES;
+    if width < LANES {
+        if width > 0 {
+            cluster_narrow(dst, width, rows);
+        }
+        return;
+    }
+    let mut a = 0;
+    while a < width {
+        let b = match width - a {
+            rest if rest <= WIDE => width,
+            rest if rest - WIDE < LANES => a + WIDE - LANES,
+            _ => a + WIDE,
+        };
+        let rows = rows.clone();
+        match (b - a).div_ceil(LANES) {
+            1 => cluster_window::<1, S>(dst, width, rows, a, b),
+            2 => cluster_window::<2, S>(dst, width, rows, a, b),
+            3 => cluster_window::<3, S>(dst, width, rows, a, b),
+            4 => cluster_window::<4, S>(dst, width, rows, a, b),
+            5 => cluster_window::<5, S>(dst, width, rows, a, b),
+            6 => cluster_window::<6, S>(dst, width, rows, a, b),
+            7 => cluster_window::<7, S>(dst, width, rows, a, b),
+            _ => cluster_window::<8, S>(dst, width, rows, a, b),
+        }
+        a = b;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +371,13 @@ mod tests {
                 assert_same_bits(&got, &want, &format!("portable, {what}"));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn an_out_of_range_cluster_id_panics() {
+        let mut dst = [0.0f32; 16];
+        sum_clusters(&mut dst, 8, [(&[1.0f32; 8][..], 2)].into_iter());
     }
 
     #[test]

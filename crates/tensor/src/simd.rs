@@ -29,7 +29,7 @@
 //!   order is part of the source, not of the code generator.
 //!
 //! This module contains no `unsafe`; the only `unsafe` in the workspace's
-//! vector code is the eight run-time-dispatch call sites under
+//! vector code is the nine run-time-dispatch call sites under
 //! `crates/tensor/src/kernels/` and their tests.
 
 /// Number of `f32` lanes in [`F32x8`].
