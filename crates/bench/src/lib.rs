@@ -6,9 +6,9 @@
 //! synthetic datasets, model training to a checkpoint, layer surgery
 //! (swapping a dense conv for a reuse conv), and the k-means reference
 //! forward used by the Fig. 7 verification; batches come through the
-//! facade's `DatasetSource`, the same adapter `adr train` reads. [`timing`]
-//! serves the three ablation sweeps under `benches/` — it ranks
-//! configurations and is not a performance record (that is `benchmark/`).
+//! facade's `DatasetSource`, the same adapter `adr train` reads. Kernel and
+//! step times are measured by the repository benchmark (`benchmark/`), not
+//! here; `table4` only reports the run reports' wall time.
 //!
 //! | Binary | Paper artefact |
 //! |---|---|
@@ -23,4 +23,3 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod timing;

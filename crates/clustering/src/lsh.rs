@@ -7,8 +7,7 @@
 //! equivalent to hashing the normalised vectors the paper's similarity
 //! metric prescribes.
 
-use adr_tensor::matrix::{dot, Matrix};
-use adr_tensor::par::matmul_range_t_b_par;
+use adr_tensor::matrix::Matrix;
 use adr_tensor::rng::AdrRng;
 
 use crate::assign::ClusterTable;
@@ -66,63 +65,27 @@ impl LshTable {
 
     /// Hashes one vector to its `H`-bit signature.
     ///
+    /// Each projection is the scalar loop `acc += x[j] · v[j]` from `0.0` in
+    /// ascending `j` — the order the packed batch hasher
+    /// (`adr_reuse::hashpack::PackedHasher`) computes on every lane, so the
+    /// two agree bit for bit and this is its oracle.
+    ///
     /// # Panics
     /// Panics if `x.len() != dim()`.
     pub fn signature(&self, x: &[f32]) -> u64 {
         assert_eq!(x.len(), self.dim(), "signature: vector length mismatch");
         let mut sig = 0u64;
         for h in 0..self.num_hashes() {
+            let mut acc = 0.0f32;
+            for (&xv, &pv) in x.iter().zip(self.hyperplanes.row(h)) {
+                acc += xv * pv;
+            }
             // Eq. 4: h_v(x) = 1 if v·x > 0 else 0.
-            if dot(self.hyperplanes.row(h), x) > 0.0 {
+            if acc > 0.0 {
                 sig |= 1 << h;
             }
         }
         sig
-    }
-
-    /// Hashes every row of `data`, returning per-row signatures.
-    ///
-    /// Large batches are projected with one blocked parallel GEMM
-    /// (`data · Pᵀ`), then sign-packed; tiny batches fall back to per-row
-    /// dot products to avoid GEMM setup costs. The two paths may round
-    /// differently for projections that are exactly at the hyperplane, but
-    /// Eq. 4 only looks at signs, so agreement holds for any vector not on
-    /// a hyperplane (probability 1 for continuous data).
-    ///
-    /// # Panics
-    /// Panics when `data`'s column count differs from the hash dimension.
-    pub fn signatures(&self, data: &Matrix) -> Vec<u64> {
-        assert_eq!(data.cols(), self.dim(), "signatures: column count mismatch");
-        self.signatures_range(data, 0)
-    }
-
-    /// Hashes the column window `[start, start + L)` of every row of `data`
-    /// without copying the sub-matrix out — the hot path of the sub-vector
-    /// forward pass.
-    ///
-    /// # Panics
-    /// Panics when the window exceeds `data`'s width.
-    pub fn signatures_range(&self, data: &Matrix, start: usize) -> Vec<u64> {
-        let n = data.rows();
-        let end = start + self.dim();
-        assert!(end <= data.cols(), "signature window out of bounds");
-        if n < 64 {
-            return (0..n).map(|r| self.signature(&data.row(r)[start..end])).collect();
-        }
-        let proj = matmul_range_t_b_par(data, (start, end), &self.hyperplanes);
-        let h = self.num_hashes();
-        let mut sigs = Vec::with_capacity(n);
-        for r in 0..n {
-            let row = proj.row(r);
-            let mut sig = 0u64;
-            for (bit, &v) in row.iter().enumerate().take(h) {
-                if v > 0.0 {
-                    sig |= 1 << bit;
-                }
-            }
-            sigs.push(sig);
-        }
-        sigs
     }
 
     /// Borrows the `H × L` hyperplane matrix (row `h` = hyperplane `h`).
@@ -131,24 +94,6 @@ impl LshTable {
     /// families into one streaming pass (see `adr-reuse`).
     pub fn hyperplanes(&self) -> &Matrix {
         &self.hyperplanes
-    }
-
-    /// Clusters the rows of `data` by signature equality.
-    ///
-    /// Returns the dense [`ClusterTable`] plus, for each cluster, the
-    /// signature that formed it (needed by the across-batch reuse cache).
-    ///
-    /// # Panics
-    /// Panics when `data`'s column count differs from the hash dimension.
-    pub fn cluster(&self, data: &Matrix) -> (ClusterTable, Vec<u64>) {
-        assert_eq!(data.cols(), self.dim(), "cluster: column count mismatch");
-        self.cluster_range(data, 0)
-    }
-
-    /// [`LshTable::cluster`] over the column window `[start, start + L)`
-    /// of `data`, avoiding the sub-matrix copy.
-    pub fn cluster_range(&self, data: &Matrix, start: usize) -> (ClusterTable, Vec<u64>) {
-        cluster_from_signatures(self.signatures_range(data, start).iter().copied())
     }
 
     /// Multiply–adds needed to hash `n` rows: `n · L · H` (the paper's
@@ -271,6 +216,11 @@ mod tests {
         LshTable::new(dim, h, &mut AdrRng::seeded(seed))
     }
 
+    /// Groups the rows of `data` by their per-row [`LshTable::signature`].
+    fn cluster(t: &LshTable, data: &Matrix) -> (ClusterTable, Vec<u64>) {
+        cluster_from_signatures((0..data.rows()).map(|r| t.signature(data.row(r))))
+    }
+
     #[test]
     fn identical_vectors_share_signatures() {
         let t = table(8, 16, 1);
@@ -318,8 +268,8 @@ mod tests {
     fn more_hashes_give_finer_clusters() {
         let mut rng = AdrRng::seeded(5);
         let data = Matrix::from_fn(200, 8, |_, _| rng.gauss());
-        let coarse = table(8, 2, 6).cluster(&data).0.num_clusters();
-        let fine = table(8, 20, 6).cluster(&data).0.num_clusters();
+        let coarse = cluster(&table(8, 2, 6), &data).0.num_clusters();
+        let fine = cluster(&table(8, 20, 6), &data).0.num_clusters();
         assert!(fine > coarse, "fine {fine} vs coarse {coarse}");
     }
 
@@ -332,7 +282,7 @@ mod tests {
                 data[(r, c)] = ((r % 2) * 10 + c) as f32 + 1.0;
             }
         }
-        let (tab, sigs) = table(6, 12, 7).cluster(&data);
+        let (tab, sigs) = cluster(&table(6, 12, 7), &data);
         assert_eq!(tab.cluster_of(0), tab.cluster_of(2));
         assert_eq!(tab.cluster_of(1), tab.cluster_of(3));
         assert_eq!(sigs.len(), tab.num_clusters());
@@ -343,7 +293,7 @@ mod tests {
     fn signature_count_matches_cluster_count() {
         let mut rng = AdrRng::seeded(8);
         let data = Matrix::from_fn(64, 4, |_, _| rng.gauss());
-        let (tab, sigs) = table(4, 10, 9).cluster(&data);
+        let (tab, sigs) = cluster(&table(4, 10, 9), &data);
         assert_eq!(sigs.len(), tab.num_clusters());
         // Signatures listed per cluster must be unique.
         let mut uniq = sigs.clone();
@@ -369,13 +319,9 @@ mod tests {
         let mut rng = AdrRng::seeded(12);
         let data = Matrix::from_fn(100, 6, |_, _| rng.gauss());
         let t = LshTable::constant(6, 10);
-        let (tab, sigs) = t.cluster(&data);
+        let (tab, sigs) = cluster(&t, &data);
         assert_eq!(tab.num_clusters(), 1);
         assert_eq!(sigs, vec![0]);
-        // Both sign paths (per-row dot and blocked GEMM) agree: > 0.0
-        // fails for an exactly-zero projection.
-        let big = Matrix::from_fn(200, 6, |_, _| 1.0);
-        assert!(t.signatures(&big).iter().all(|&s| s == 0));
     }
 
     #[test]

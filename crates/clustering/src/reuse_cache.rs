@@ -138,12 +138,6 @@ impl ReuseCache {
         self.map.clear();
         self.outputs.clear();
     }
-
-    /// Approximate heap footprint in bytes (for memory reporting).
-    pub fn memory_bytes(&self) -> usize {
-        self.outputs.len() * std::mem::size_of::<f32>()
-            + self.map.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
-    }
 }
 
 #[cfg(test)]
@@ -247,14 +241,6 @@ mod tests {
         assert_eq!(c.mean_reuse_rate(), 0.0);
         assert_eq!(c.current_batch_rate(), None);
         assert!(c.probe(5).is_none());
-    }
-
-    #[test]
-    fn memory_accounting_grows_with_inserts() {
-        let mut c = ReuseCache::new(4);
-        let before = c.memory_bytes();
-        c.insert(1, &[0.0; 4]);
-        assert!(c.memory_bytes() > before);
     }
 
     #[test]

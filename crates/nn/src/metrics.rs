@@ -116,11 +116,6 @@ impl PlateauDetector {
         self.seen > self.warmup && self.stale >= self.patience
     }
 
-    /// Consecutive non-improving observations so far.
-    pub fn stale_count(&self) -> usize {
-        self.stale
-    }
-
     /// Clears all state (new phase), including the warmup window.
     pub fn reset(&mut self) {
         self.smoothed.reset();
@@ -321,7 +316,7 @@ mod tests {
             d.observe(1.0);
         }
         d.reset();
-        assert_eq!(d.stale_count(), 0);
+        assert_eq!(d.snapshot().stale, 0);
         assert!(!d.observe(0.5));
     }
 
@@ -346,7 +341,7 @@ mod tests {
         // Both detectors must now agree on every future observation.
         for _ in 0..6 {
             assert_eq!(a.observe(1.7), b.observe(1.7));
-            assert_eq!(a.stale_count(), b.stale_count());
+            assert_eq!(a.snapshot(), b.snapshot());
         }
     }
 

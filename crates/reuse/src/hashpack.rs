@@ -82,9 +82,8 @@ impl PackedHasher {
     /// Hashes every row of `x` against every sub-matrix family in one pass.
     ///
     /// Returns row-major signatures: `out[r · num_subs + i]` is row `r`'s
-    /// signature in sub-matrix `i`. Results equal calling
-    /// `lsh[i].signature` on the corresponding row window (up to
-    /// floating-point summation order at exact hyperplane boundaries).
+    /// signature in sub-matrix `i`, bit for bit [`LshTable::signature`] of
+    /// `lsh[i]` on the corresponding row window.
     ///
     /// # Panics
     /// Panics if `x.cols() != K`.
@@ -133,31 +132,17 @@ mod tests {
         split.ranges().iter().map(|&(a, b)| LshTable::new(b - a, h, &mut rng)).collect()
     }
 
-    /// The scalar sign-dot loop of Eq. 4 — `acc += x · v` from `0.0` in
-    /// ascending column order — which the packed kernel must reproduce bit
-    /// for bit on every lane, block and chunk shape.
-    fn scalar_signature(family: &LshTable, window: &[f32]) -> u64 {
-        let mut sig = 0u64;
-        for j in 0..family.num_hashes() {
-            let mut acc = 0.0f32;
-            for (&xv, &pv) in window.iter().zip(family.hyperplanes().row(j)) {
-                acc += xv * pv;
-            }
-            if acc > 0.0 {
-                sig |= 1 << j;
-            }
-        }
-        sig
-    }
-
-    fn assert_matches_scalar(x: &Matrix, split: &SubVecSplit, lsh: &[LshTable], what: &str) {
+    /// The packed kernel must reproduce [`LshTable::signature`] — the scalar
+    /// sign-dot loop of Eq. 4 — bit for bit on every lane, block and chunk
+    /// shape.
+    fn assert_matches_oracle(x: &Matrix, split: &SubVecSplit, lsh: &[LshTable], what: &str) {
         let hasher = PackedHasher::new(split, lsh);
         let all = hasher.hash_all(x);
         let subs = split.num_sub_vectors();
         assert_eq!(all.len(), x.rows() * subs, "{what}");
         for r in 0..x.rows() {
             for (i, &(a, b)) in split.ranges().iter().enumerate() {
-                let expect = scalar_signature(&lsh[i], &x.row(r)[a..b]);
+                let expect = lsh[i].signature(&x.row(r)[a..b]);
                 assert_eq!(all[r * subs + i], expect, "{what}: row {r} sub {i}");
             }
         }
@@ -179,13 +164,22 @@ mod tests {
         for rows in [1usize, 3, 4, 7, 13] {
             let x = Matrix::from_fn(rows, K, |_, _| rng.gauss());
             for h in [1usize, 5, 8, 9, 16, 33, 64] {
-                // L = 3 and L = 8 leave a short tail sub-vector (K % L != 0).
+                // L = 3 and L = 8 leave a short tail sub-vector (K % L != 0);
+                // L = K is one family over the whole row.
                 for l in [1usize, 3, 8, K] {
                     let split = SubVecSplit::new(K, l);
                     let lsh = families(&split, h, (h * 100 + l) as u64);
-                    assert_matches_scalar(&x, &split, &lsh, &format!("rows={rows} H={h} L={l}"));
+                    assert_matches_oracle(&x, &split, &lsh, &format!("rows={rows} H={h} L={l}"));
                 }
             }
+        }
+        // Many row blocks over a wider K whose tail sub-vector is short
+        // (widths 7, 7, 7, 2), and the same rows under one whole-row family.
+        let x = Matrix::from_fn(40, 23, |_, _| rng.gauss());
+        for (l, h) in [(7usize, 9usize), (23, 12)] {
+            let split = SubVecSplit::new(23, l);
+            let lsh = families(&split, h, 2);
+            assert_matches_oracle(&x, &split, &lsh, &format!("rows=40 K=23 H={h} L={l}"));
         }
     }
 
@@ -198,36 +192,8 @@ mod tests {
             let lsh: Vec<LshTable> =
                 split.ranges().iter().map(|&(a, b)| LshTable::constant(b - a, h)).collect();
             assert!(PackedHasher::new(&split, &lsh).hash_all(&x).iter().all(|&s| s == 0));
-            assert_matches_scalar(&x, &split, &lsh, &format!("constant family H={h}"));
+            assert_matches_oracle(&x, &split, &lsh, &format!("constant family H={h}"));
         }
-    }
-
-    #[test]
-    fn matches_per_family_signatures() {
-        let mut rng = AdrRng::seeded(1);
-        let x = Matrix::from_fn(40, 23, |_, _| rng.gauss());
-        let split = SubVecSplit::new(23, 7); // widths 7,7,7,2
-        let lsh = families(&split, 9, 2);
-        let packed = PackedHasher::new(&split, &lsh);
-        let all = packed.hash_all(&x);
-        for (i, &(a, _)) in split.ranges().iter().enumerate() {
-            let expect = lsh[i].signatures_range(&x, a);
-            for r in 0..40 {
-                assert_eq!(all[r * split.num_sub_vectors() + i], expect[r], "row {r} sub {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_sub_matrix_degenerates_to_whole_row() {
-        let mut rng = AdrRng::seeded(3);
-        let x = Matrix::from_fn(10, 8, |_, _| rng.gauss());
-        let split = SubVecSplit::new(8, 8);
-        let lsh = families(&split, 12, 4);
-        let packed = PackedHasher::new(&split, &lsh);
-        let all = packed.hash_all(&x);
-        let expect = lsh[0].signatures(&x);
-        assert_eq!(all, expect);
     }
 
     #[test]

@@ -28,15 +28,6 @@ impl ReuseStats {
     pub fn total_forward_flops(&self) -> u64 {
         self.hash_flops + self.gemm_flops + self.add_flops
     }
-
-    /// Fraction of the dense forward cost that remains, given the dense
-    /// baseline `N·K·M`.
-    pub fn forward_cost_fraction(&self, baseline: u64) -> f64 {
-        if baseline == 0 {
-            return 0.0;
-        }
-        self.total_forward_flops() as f64 / baseline as f64
-    }
 }
 
 #[cfg(test)]
@@ -47,11 +38,5 @@ mod tests {
     fn totals_add_up() {
         let s = ReuseStats { hash_flops: 10, gemm_flops: 20, add_flops: 5, ..Default::default() };
         assert_eq!(s.total_forward_flops(), 35);
-        assert!((s.forward_cost_fraction(70) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_baseline_is_safe() {
-        assert_eq!(ReuseStats::default().forward_cost_fraction(0), 0.0);
     }
 }

@@ -1,6 +1,5 @@
 //! Register-tiled `a · bᵀ` kernel — the input-delta product `δx = δy · Wᵀ`
-//! (Eq. 3/17) behind every backward pass, and the tall-skinny projection
-//! `a[:, cols] · bᵀ` of the clustering crate's LSH tables.
+//! (Eq. 3/17) behind every backward pass.
 //!
 //! Every output element is a dot product of one row of `a` with one row of
 //! `b`. Computed one at a time that is a short, latency-bound chain: `k / 8`
@@ -18,8 +17,8 @@
 //!   and the row is stored contiguously. The lanes run along output
 //!   columns, so the 512-bit instantiation does 16 columns per instruction.
 //! * **The dot tile** serves everything else: the reuse backward's
-//!   per-sub-matrix `δx_c` (8 columns wide), fc3's `δx` (`k` = 96 does not
-//!   fit the panel) and the LSH projections. It walks [`ROW_TILE`] rows of
+//!   per-sub-matrix `δx_c` (8 columns wide) and fc3's `δx` (`k` = 96 does
+//!   not fit the panel). It walks [`ROW_TILE`] rows of
 //!   `a` against one row of `b` at once — eight independent [`F32x8`]
 //!   accumulator chains that share each `b` lane load, reduced together in
 //!   the epilogue by `hsum_rows`, whose adds run lane-parallel across the

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 // Serial/parallel crossover thresholds, shared by every pooled fan-out in the
-// workspace (the three GEMMs and the LSH projection here and in
+// workspace (the three GEMMs here, the LSH projection in
 // `adr_reuse::hashpack`; im2col/col2im in `im2col.rs`; the sub-matrix fan-out
 // and the scatter of `adr_reuse::forward`; both phases of
 // `adr_reuse::backward`).
@@ -77,7 +77,7 @@ use std::sync::OnceLock;
 // by `crossovers_pool_vgg_blocks_three_and_four_and_leave_block_five_serial`.
 
 /// Minimum per-thread work, in multiply–adds, for compute-bound fan-outs
-/// (GEMM row blocks, LSH signature projections).
+/// (GEMM row blocks, the packed LSH signature projection).
 pub const COMPUTE_FLOPS_PER_THREAD: usize = 1 << 17;
 
 /// Minimum per-thread work, in elements moved, for memory-bound fan-outs
@@ -293,75 +293,10 @@ pub fn gemm_ta_par(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, m: usize, n
     });
 }
 
-/// `a[:, cols] · bᵀ`, parallelised over row chunks of `a` — the tall-skinny
-/// product used for LSH projections (`n = b.rows()` is small, so the blocked
-/// saxpy kernel of [`matmul_par`] cannot vectorise its inner loop; the
-/// row-dot micro-kernel [`crate::kernels::gemm_tb()`], reading the column
-/// window of `a` in place through its row stride, is much faster here).
-///
-/// `col_range` selects the slice of each `a` row to use; `b` must have that
-/// many columns.
-///
-/// # Shape
-/// `a: m × k` restricted to columns `[start, end)`, `b: n × (end − start)`
-/// → output `m × n` (i.e. `a[:, start..end] · bᵀ`).
-///
-/// # Panics
-/// Panics when the column range is out of bounds or widths disagree.
-pub fn matmul_range_t_b_par(a: &Matrix, col_range: (usize, usize), b: &Matrix) -> Matrix {
-    let (start, end) = col_range;
-    assert!(start <= end && end <= a.cols(), "column range out of bounds");
-    let width = end - start;
-    assert_eq!(b.cols(), width, "b width disagrees with column range");
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.rows();
-    let mut out = Matrix::zeros(m, n);
-    let threads = compute_threads(m * width * n);
-    let a_data = a.as_slice();
-    run_row_blocks(out.as_mut_slice(), n, m, threads, |row0, rows_here, chunk| {
-        let window = &a_data[row0 * k + start..];
-        gemm_tb(window, k, b.as_slice(), width, chunk, n, rows_here, width, n);
-    });
-    out
-}
-
 #[cfg(test)]
 #[expect(clippy::disallowed_types, reason = "test: a Relaxed visit counter")]
 mod tests {
     use super::*;
-
-    #[test]
-    fn range_t_b_matches_reference() {
-        let a = Matrix::from_fn(100, 10, |r, c| ((r * 7 + c * 3) % 11) as f32 - 5.0);
-        let b = Matrix::from_fn(6, 4, |r, c| ((r + c * 2) % 5) as f32 - 2.0);
-        let got = matmul_range_t_b_par(&a, (3, 7), &b);
-        let sliced = a.column_slice(3, 7);
-        let expect = sliced.matmul_t_b(&b);
-        assert!(got.max_abs_diff(&expect) < 1e-4);
-    }
-
-    #[test]
-    fn range_t_b_full_width() {
-        let a = Matrix::from_fn(300, 16, |r, c| ((r + c) % 13) as f32 * 0.25 - 1.0);
-        let b = Matrix::from_fn(8, 16, |r, c| ((r * c + 1) % 7) as f32 * 0.5 - 1.5);
-        let got = matmul_range_t_b_par(&a, (0, 16), &b);
-        let expect = a.matmul_t_b(&b);
-        assert!(got.max_abs_diff(&expect) < 1e-4);
-    }
-
-    #[test]
-    fn range_t_b_is_bitwise_the_per_element_dot() {
-        // Row and chunk remainders on every side of the 8-row tile.
-        let a = Matrix::from_fn(21, 19, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.37 - 1.7);
-        let b = Matrix::from_fn(5, 11, |r, c| ((r * 5 + c * 2) % 7) as f32 * 0.21 - 0.6);
-        let got = matmul_range_t_b_par(&a, (4, 15), &b);
-        for r in 0..21 {
-            for j in 0..5 {
-                let expect = crate::kernels::dot(&a.row(r)[4..15], b.row(j));
-                assert_eq!(got[(r, j)].to_bits(), expect.to_bits(), "r={r} j={j}");
-            }
-        }
-    }
 
     #[test]
     fn transposed_products_overwrite_a_recycled_output() {
@@ -423,14 +358,6 @@ mod tests {
             let want = if fans_out { two_way } else { 1 };
             assert_eq!(memory_threads(elems).min(2), want, "{what}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "column range out of bounds")]
-    fn range_t_b_rejects_bad_range() {
-        let a = Matrix::zeros(4, 4);
-        let b = Matrix::zeros(2, 3);
-        matmul_range_t_b_par(&a, (2, 7), &b);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use adr_tensor::im2col::{col2im, im2col, im2col_into, ConvGeom};
 use adr_tensor::matrix::{gemm_ta_rows, gemm_tb_rows, Matrix};
-use adr_tensor::par::{matmul_par, matmul_range_t_b_par, set_thread_override};
+use adr_tensor::par::{matmul_par, set_thread_override};
 use adr_tensor::tensor4::Tensor4;
 use std::sync::Mutex;
 
@@ -153,20 +153,6 @@ fn run_blocks_dispatches_zipped_chunks_of_several_buffers() {
         assert_eq!(halves, want, "{per_block} per block");
     }
     adr_tensor::kernels::pool::shutdown_pool();
-}
-
-#[test]
-fn matmul_range_t_b_par_forced_two_threads_is_bitwise_serial() {
-    let a = Matrix::from_fn(8, 10, |r, c| (((r * 19 + c * 3) % 21) as f32 - 10.0) * 0.125);
-    let b = Matrix::from_fn(3, 4, |r, c| (((r * 5 + c * 7) % 11) as f32 - 5.0) * 0.25);
-    // The serial closure runs with the override cleared, so `threads <= 1`
-    // takes the inline per-row path; the forced closure spawns two workers.
-    let (serial, forced) = serial_vs_forced(
-        2,
-        || matmul_range_t_b_par(&a, (2, 6), &b),
-        || matmul_range_t_b_par(&a, (2, 6), &b),
-    );
-    assert_eq!(serial.as_slice(), forced.as_slice());
 }
 
 /// `∇W = xᵀ·δy` fans out over bands of output rows (column bands of `x`):

@@ -8,9 +8,11 @@
 #![allow(clippy::unwrap_used)]
 
 use adaptive_deep_reuse::clustering::kmeans::{kmeans, KMeansConfig};
-use adaptive_deep_reuse::clustering::lsh::LshTable;
+use adaptive_deep_reuse::clustering::lsh::{cluster_from_signatures, LshTable};
 use adaptive_deep_reuse::clustering::normalize::cosine_similarity;
 use adaptive_deep_reuse::prelude::*;
+use adaptive_deep_reuse::reuse::hashpack::PackedHasher;
+use adaptive_deep_reuse::reuse::subvec::SubVecSplit;
 use adaptive_deep_reuse::tensor::im2col::{im2col, ConvGeom};
 
 fn main() {
@@ -71,7 +73,8 @@ fn main() {
     println!();
     for h in [4, 8, 12, 16] {
         let lsh = LshTable::new(k, h, &mut rng);
-        let (table, _) = lsh.cluster(&unfolded);
+        let hasher = PackedHasher::new(&SubVecSplit::new(k, k), std::slice::from_ref(&lsh));
+        let (table, _) = cluster_from_signatures(hasher.hash_all(&unfolded).into_iter());
         println!(
             "LSH H={h:<2} -> |C| = {:<5} remaining ratio r_c = {:.4} (hash cost {} madds)",
             table.num_clusters(),

@@ -39,10 +39,13 @@ use std::time::Duration;
 
 use adaptive_deep_reuse::adaptive::trainer::{BatchSource, Trainer, TrainerConfig};
 use adaptive_deep_reuse::adaptive::Strategy;
+use adaptive_deep_reuse::clustering::lsh::cluster_from_signatures;
 use adaptive_deep_reuse::models::{alexnet, cifarnet, vgg19, ConvMode};
 use adaptive_deep_reuse::nn::checkpoint::Checkpoint;
 use adaptive_deep_reuse::nn::{LrSchedule, Network, Sgd};
 use adaptive_deep_reuse::prelude::*;
+use adaptive_deep_reuse::reuse::hashpack::PackedHasher;
+use adaptive_deep_reuse::reuse::subvec::SubVecSplit;
 use adaptive_deep_reuse::reuse::ReuseConfig;
 use adaptive_deep_reuse::source::DatasetSource;
 use adaptive_deep_reuse::tensor::im2col::{im2col, ConvGeom};
@@ -252,7 +255,10 @@ fn cmd_similarity(args: &Args) -> Result<(), String> {
     let unfolded = im2col(&images, &geom);
     let l = l.min(unfolded.cols());
     let lsh = LshTable::new(l, h, &mut rng);
-    let (table, _) = lsh.cluster_range(&unfolded, 0);
+    // One family over the first `l` columns: a packed hasher of one sub-matrix.
+    let hasher = PackedHasher::new(&SubVecSplit::new(l, l), std::slice::from_ref(&lsh));
+    let (table, _) =
+        cluster_from_signatures(hasher.hash_all(&unfolded.column_slice(0, l)).into_iter());
     println!(
         "{} neuron vectors (window length {l}, H = {h}): |C| = {}, remaining ratio r_c = {:.4}",
         unfolded.rows(),

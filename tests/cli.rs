@@ -1,6 +1,7 @@
 //! The `adr` binary's argument checks: a numeric knob outside the range the
 //! library asserts is a usage error (`error: …` plus the usage text, exit
-//! code 1) and never reaches the assertion (a panic exits with 101).
+//! code 1) and never reaches the assertion (a panic exits with 101). Plus
+//! one happy path: `adr similarity`'s pinned remaining ratio.
 
 // Test code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]
@@ -28,4 +29,20 @@ fn out_of_range_knobs_are_usage_errors_not_panics() {
         assert!(stderr.contains("usage: adr"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} built something before failing");
     }
+}
+
+/// `adr similarity` hashes the default seed's unfolded batch with the packed
+/// hasher and groups it; the cluster count is pinned, so any change to the
+/// signatures shows here.
+#[test]
+fn similarity_prints_the_pinned_remaining_ratio() {
+    let out = Command::new(env!("CARGO_BIN_EXE_adr"))
+        .args(["similarity", "--hashes", "10"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let want =
+        "3200 neuron vectors (window length 75, H = 10): |C| = 760, remaining ratio r_c = 0.2375";
+    assert!(stdout.lines().any(|line| line == want), "{stdout}");
 }
