@@ -13,10 +13,10 @@
 //! protocol in [`adr_nn::durable`]; its restore validates every length
 //! before mutating anything.
 //!
-//! Known non-goals (documented, deliberate): dropout RNG streams and the
-//! across-batch cluster-reuse caches (`CR = 1`) are *not* captured — both
-//! are transient acceleration state whose loss changes timing, not
-//! correctness, and the kill-and-resume determinism guarantee is stated
+//! Known non-goals (documented, deliberate): the across-batch cluster-reuse
+//! caches (`CR = 1`) are *not* captured — they are transient acceleration
+//! state whose loss changes timing, not correctness, and the
+//! kill-and-resume determinism guarantee is stated
 //! for `CR = 0` strategies. Nor is what the guardrails learned in one
 //! process: their rollback budget and loss EMA, and the schedule's one-way
 //! exact-fallback bit. A resumed run starts with fresh guardrails and its

@@ -1,12 +1,13 @@
 //! The snapshot codec: parameter checkpoints (`ADR1`) and the pieces the
 //! full train state (`ADRS`, `adr_core::state`) is built from.
 //!
-//! A [`Checkpoint`] saves and restores the learnable parameters and layer
-//! state of a network whose architecture is reconstructed by code (the
-//! model builders in `adr-models` are deterministic, so architecture is
-//! never serialised — only the parameter values). Its file is magic,
-//! version, two f32 slot lists (parameters, then layer state) and a CRC32
-//! over everything after the header, so bit rot and partial copies fail
+//! A [`Checkpoint`] saves and restores the learnable parameters of a
+//! network whose architecture is reconstructed by code (the model builders
+//! in `adr-models` are deterministic, so architecture is never serialised —
+//! only the parameter values). Its file is magic, version, two f32 slot
+//! lists (parameters, then layer state — the latter empty for every network
+//! this workspace builds, kept so both byte layouts are unchanged) and a
+//! CRC32 over everything after the header, so bit rot and partial copies fail
 //! loudly instead of restoring garbage. The `ADRS` train state writes the
 //! same two slot lists as its `PRMS` and `STAT` sections, reads them with
 //! the same [`Fields`] reader, and restores them through
@@ -14,7 +15,7 @@
 //! format is one [`CheckpointError`].
 //!
 //! Failure handling is transactional on both axes: [`Checkpoint::restore`]
-//! validates every slot and state-buffer length before mutating anything,
+//! validates every slot length and the state slot count before mutating anything,
 //! and [`Checkpoint::save`] goes through the atomic-rename protocol in
 //! [`crate::durable`], so neither a mismatched file nor a crash mid-save
 //! can leave a half-written network or checkpoint behind.
@@ -142,18 +143,20 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// A snapshot of every learnable parameter of a network (in layer order)
-/// plus non-learnable layer state (batch-norm running statistics, ...).
+/// A snapshot of every learnable parameter of a network, in layer order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
     /// Learnable parameters, one slot per `ParamRefMut` in layer order.
     pub params: Vec<Vec<f32>>,
-    /// Non-learnable layer state, one slot per state buffer in layer order.
+    /// Non-learnable layer state: empty for every network this workspace
+    /// builds; kept so both byte layouts are unchanged. A snapshot that
+    /// carries state fails to restore with
+    /// [`CheckpointError::SlotCountMismatch`].
     pub state: Vec<Vec<f32>>,
 }
 
 impl Checkpoint {
-    /// Captures the current parameters and layer state of `net`.
+    /// Captures the current parameters of `net` (and an empty state list).
     pub fn capture(net: &mut Network) -> Self {
         let params = net
             .layers_mut()
@@ -161,37 +164,26 @@ impl Checkpoint {
             .flat_map(|l| l.params_mut())
             .map(|p| p.data.to_vec())
             .collect();
-        let state = net
-            .layers_mut()
-            .iter_mut()
-            .flat_map(|l| l.state_buffers())
-            .map(|s| s.to_vec())
-            .collect();
-        Self { params, state }
+        Self { params, state: Vec::new() }
     }
 
     /// Restores the captured parameters into `net`, transactionally: every
-    /// slot and state-buffer length is validated before the first write, so
-    /// a mismatched checkpoint never leaves `net` partially restored.
+    /// slot length, and the state list against zero live buffers, is
+    /// validated before the first write, so a mismatched checkpoint never
+    /// leaves `net` partially restored.
     ///
     /// # Errors
-    /// Returns a mismatch variant when the network's parameter slots or
-    /// state buffers disagree with the checkpoint (different architecture).
+    /// Returns a mismatch variant when the network's parameter slots
+    /// disagree with the checkpoint (different architecture) or the
+    /// checkpoint carries layer state.
     pub fn restore(&self, net: &mut Network) -> Result<(), CheckpointError> {
         let param_lens =
             net.layers_mut().iter_mut().flat_map(|l| l.params_mut()).map(|p| p.data.len());
         check_lens("params", &self.params, param_lens.collect())?;
-        let state_lens =
-            net.layers_mut().iter_mut().flat_map(|l| l.state_buffers()).map(|s| s.len());
-        check_lens("state", &self.state, state_lens.collect())?;
+        check_lens("state", &self.state, Vec::new())?;
         for (p, saved) in net.layers_mut().iter_mut().flat_map(|l| l.params_mut()).zip(&self.params)
         {
             p.data.copy_from_slice(saved);
-        }
-        for (s, saved) in
-            net.layers_mut().iter_mut().flat_map(|l| l.state_buffers()).zip(&self.state)
-        {
-            s.copy_from_slice(saved);
         }
         Ok(())
     }

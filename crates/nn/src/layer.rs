@@ -9,8 +9,8 @@ pub type Shape3 = (usize, usize, usize);
 
 /// Whether a forward pass is part of training or evaluation.
 ///
-/// Training mode enables dropout and lets reuse layers record the clustering
-/// needed by the backward pass; evaluation mode disables dropout.
+/// Training mode lets reuse layers record the clustering needed by the
+/// backward pass; evaluation mode is inference only and skips that work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
     /// Forward pass that will be followed by a backward pass.
@@ -106,13 +106,6 @@ pub trait Layer {
     /// reports the same cumulative work as an uninterrupted one. Layers
     /// without meters keep the no-op default.
     fn restore_flops(&mut self, _actual: FlopReport, _baseline: FlopReport) {}
-
-    /// Non-learnable state that must survive checkpointing (e.g. batch
-    /// normalisation's running statistics). Buffers must be returned in a
-    /// stable order. Stateless layers keep the empty default.
-    fn state_buffers(&mut self) -> Vec<&mut [f32]> {
-        Vec::new()
-    }
 
     /// Downcast hook so controllers can retune concrete layer types living
     /// behind `Box<dyn Layer>` (the adaptive controller uses this to reach

@@ -31,16 +31,13 @@
 #![cfg_attr(not(test), deny(clippy::expect_used, clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
-pub mod batchnorm;
 pub mod checkpoint;
 pub mod conv;
 pub mod dense;
-pub mod dropout;
 pub mod durable;
 pub mod flops;
 pub mod init;
 pub mod layer;
-pub mod lrn;
 pub mod metrics;
 pub mod network;
 pub mod optimizer;

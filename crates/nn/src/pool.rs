@@ -1,33 +1,24 @@
-//! Spatial pooling layers.
+//! Spatial max pooling.
 
 use adr_tensor::Tensor4;
 
 use crate::layer::{Layer, Mode, Shape3};
 
-/// Pooling operator choice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PoolKind {
-    /// Maximum over the window; backward routes gradient to the argmax.
-    Max,
-    /// Mean over the window; backward spreads gradient uniformly.
-    Avg,
-}
-
-/// A 2-D pooling layer with square window and stride.
+/// A 2-D max-pooling layer with square window and stride; backward routes
+/// each output's gradient to its window's argmax.
 pub struct Pool2d {
     name: String,
-    kind: PoolKind,
     window: usize,
     stride: usize,
-    /// For max pooling: flat input index chosen per output element (`u32`:
-    /// the forward pass checks the input has fewer than 2³² elements).
+    /// Flat input index chosen per output element (`u32`: the forward pass
+    /// checks the input has fewer than 2³² elements).
     argmax: Vec<u32>,
     in_shape: Shape3,
     batch: usize,
 }
 
 impl Pool2d {
-    /// Creates a pooling layer.
+    /// Creates a max-pooling layer.
     ///
     /// # Shape
     /// Pools `window × window` patches at stride `stride`, mapping
@@ -36,33 +27,16 @@ impl Pool2d {
     ///
     /// # Panics
     /// Panics if `window == 0 || stride == 0`.
-    pub fn new(name: impl Into<String>, kind: PoolKind, window: usize, stride: usize) -> Self {
+    pub fn max(name: impl Into<String>, window: usize, stride: usize) -> Self {
         assert!(window > 0 && stride > 0, "pool window/stride must be positive");
         Self {
             name: name.into(),
-            kind,
             window,
             stride,
             argmax: Vec::new(),
             in_shape: (0, 0, 0),
             batch: 0,
         }
-    }
-
-    /// Max pooling constructor shorthand.
-    ///
-    /// # Shape
-    /// As in [`Pool2d::new`]: `window × window` patches at stride `stride`.
-    pub fn max(name: impl Into<String>, window: usize, stride: usize) -> Self {
-        Self::new(name, PoolKind::Max, window, stride)
-    }
-
-    /// Average pooling constructor shorthand.
-    ///
-    /// # Shape
-    /// As in [`Pool2d::new`]: `window × window` patches at stride `stride`.
-    pub fn avg(name: impl Into<String>, window: usize, stride: usize) -> Self {
-        Self::new(name, PoolKind::Avg, window, stride)
     }
 
     fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
@@ -94,11 +68,8 @@ impl Layer for Pool2d {
         self.in_shape = (h, w, c);
         self.batch = n;
         let mut out = Tensor4::zeros(n, oh, ow, c);
-        if self.kind == PoolKind::Max {
-            self.argmax.clear();
-            self.argmax.resize(n * oh * ow * c, 0);
-        }
-        let inv_area = 1.0 / (self.window * self.window) as f32;
+        self.argmax.clear();
+        self.argmax.resize(n * oh * ow * c, 0);
         let x = input.as_slice();
         assert!(
             u32::try_from(x.len()).is_ok(),
@@ -107,45 +78,30 @@ impl Layer for Pool2d {
         );
         // Per output pixel, the window is swept tap by tap with the channel
         // loop innermost: NHWC keeps a tap's channels contiguous, and the
-        // output row (with, for max, its argmax row) is the running state.
+        // output row with its argmax row is the running state.
         for (pixel, out_row) in out.as_mut_slice().chunks_exact_mut(c.max(1)).enumerate() {
             let (b, oy, ox) = (pixel / (oh * ow), pixel / ow % oh, pixel % ow);
             let taps = (0..self.window * self.window).map(|t| {
                 let (ky, kx) = (t / self.window, t % self.window);
                 input.offset(b, oy * self.stride + ky, ox * self.stride + kx, 0)
             });
-            match self.kind {
-                PoolKind::Max => {
-                    // The first maximum in (ky, kx) order wins (strict `>`);
-                    // a window with nothing above -inf keeps index 0.
-                    let idx_row = &mut self.argmax[pixel * c..(pixel + 1) * c];
-                    out_row.fill(f32::NEG_INFINITY);
-                    for base in taps {
-                        let tap =
-                            out_row.iter_mut().zip(idx_row.iter_mut()).zip(&x[base..base + c]);
-                        // `base + c <= x.len()` fits u32 (asserted above).
-                        #[allow(clippy::cast_possible_truncation)]
-                        for (at, ((best, idx), &v)) in (base as u32..).zip(tap) {
-                            // A bit-mask blend, not `if take { v } else { *best }`:
-                            // LLVM turns a select that keeps the old value
-                            // into one conditional store per lane (pool1,
-                            // 16×16×16×64, 3×3/2: 1.33 ms against 0.11 ms; the
-                            // per-output scan this replaces took 0.38 ms).
-                            let mask = u32::from(v > *best).wrapping_neg();
-                            *best = f32::from_bits((v.to_bits() & mask) | (best.to_bits() & !mask));
-                            *idx = (at & mask) | (*idx & !mask);
-                        }
-                    }
-                }
-                PoolKind::Avg => {
-                    for base in taps {
-                        for (sum, &v) in out_row.iter_mut().zip(&x[base..base + c]) {
-                            *sum += v;
-                        }
-                    }
-                    for sum in out_row {
-                        *sum *= inv_area;
-                    }
+            // The first maximum in (ky, kx) order wins (strict `>`);
+            // a window with nothing above -inf keeps index 0.
+            let idx_row = &mut self.argmax[pixel * c..(pixel + 1) * c];
+            out_row.fill(f32::NEG_INFINITY);
+            for base in taps {
+                let tap = out_row.iter_mut().zip(idx_row.iter_mut()).zip(&x[base..base + c]);
+                // `base + c <= x.len()` fits u32 (asserted above).
+                #[allow(clippy::cast_possible_truncation)]
+                for (at, ((best, idx), &v)) in (base as u32..).zip(tap) {
+                    // A bit-mask blend, not `if take { v } else { *best }`:
+                    // LLVM turns a select that keeps the old value
+                    // into one conditional store per lane (pool1,
+                    // 16×16×16×64, 3×3/2: 1.33 ms against 0.11 ms; the
+                    // per-output scan this replaces took 0.38 ms).
+                    let mask = u32::from(v > *best).wrapping_neg();
+                    *best = f32::from_bits((v.to_bits() & mask) | (best.to_bits() & !mask));
+                    *idx = (at & mask) | (*idx & !mask);
                 }
             }
         }
@@ -155,41 +111,14 @@ impl Layer for Pool2d {
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
         let (h, w, c) = self.in_shape;
         let mut grad_in = Tensor4::zeros(self.batch, h, w, c);
-        match self.kind {
-            PoolKind::Max => {
-                assert_eq!(
-                    grad_out.len(),
-                    self.argmax.len(),
-                    "pool {}: backward shape mismatch",
-                    self.name
-                );
-                for (out_idx, &g) in grad_out.as_slice().iter().enumerate() {
-                    grad_in.as_mut_slice()[self.argmax[out_idx] as usize] += g;
-                }
-            }
-            PoolKind::Avg => {
-                let (n, oh, ow, _) = grad_out.shape();
-                let inv_area = 1.0 / (self.window * self.window) as f32;
-                for b in 0..n {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            for ch in 0..c {
-                                let g = grad_out.get(b, oy, ox, ch) * inv_area;
-                                for ky in 0..self.window {
-                                    for kx in 0..self.window {
-                                        *grad_in.get_mut(
-                                            b,
-                                            oy * self.stride + ky,
-                                            ox * self.stride + kx,
-                                            ch,
-                                        ) += g;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        assert_eq!(
+            grad_out.len(),
+            self.argmax.len(),
+            "pool {}: backward shape mismatch",
+            self.name
+        );
+        for (out_idx, &g) in grad_out.as_slice().iter().enumerate() {
+            grad_in.as_mut_slice()[self.argmax[out_idx] as usize] += g;
         }
         grad_in
     }
@@ -216,16 +145,6 @@ mod tests {
         let g = Tensor4::from_vec(1, 1, 1, 1, vec![7.0]).unwrap();
         let gx = pool.backward(&g);
         assert_eq!(gx.as_slice(), &[0.0, 7.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn avg_pool_averages_and_spreads() {
-        let mut pool = Pool2d::avg("p", 2, 2);
-        let x = Tensor4::from_vec(1, 2, 2, 1, vec![1.0, 2.0, 3.0, 6.0]).unwrap();
-        let y = pool.forward(&x, Mode::Train);
-        assert_eq!(y.as_slice(), &[3.0]);
-        let gx = pool.backward(&Tensor4::from_vec(1, 1, 1, 1, vec![4.0]).unwrap());
-        assert_eq!(gx.as_slice(), &[1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -263,20 +182,17 @@ mod tests {
         let (oh, ow) = pool.out_hw(h, w);
         let mut out = Tensor4::zeros(n, oh, ow, c);
         let mut argmax = vec![0u32; n * oh * ow * c];
-        let inv_area = 1.0 / (pool.window * pool.window) as f32;
         for b in 0..n {
             for oy in 0..oh {
                 for ox in 0..ow {
                     for ch in 0..c {
                         let mut best = f32::NEG_INFINITY;
                         let mut best_idx = 0usize;
-                        let mut sum = 0.0f32;
                         for ky in 0..pool.window {
                             for kx in 0..pool.window {
                                 let (y, x) = (oy * pool.stride + ky, ox * pool.stride + kx);
                                 let idx = input.offset(b, y, x, ch);
                                 let v = input.as_slice()[idx];
-                                sum += v;
                                 if v > best {
                                     best = v;
                                     best_idx = idx;
@@ -284,13 +200,8 @@ mod tests {
                             }
                         }
                         let out_idx = out.offset(b, oy, ox, ch);
-                        match pool.kind {
-                            PoolKind::Max => {
-                                out.as_mut_slice()[out_idx] = best;
-                                argmax[out_idx] = u32::try_from(best_idx).unwrap();
-                            }
-                            PoolKind::Avg => out.as_mut_slice()[out_idx] = sum * inv_area,
-                        }
+                        out.as_mut_slice()[out_idx] = best;
+                        argmax[out_idx] = u32::try_from(best_idx).unwrap();
                     }
                 }
             }
@@ -300,7 +211,7 @@ mod tests {
 
     /// Output bits, argmax indices (tie-break: first maximum in `(ky, kx)`
     /// order) and the all-NaN / all-`-inf` window results must equal the
-    /// per-element scan, for max and avg, 3×3/2 and 2×2/2.
+    /// per-element scan, at 3×3/2 and 2×2/2.
     #[test]
     fn forward_matches_the_per_element_scan_bitwise() {
         let mut rng = adr_tensor::rng::AdrRng::seeded(17);
@@ -324,18 +235,14 @@ mod tests {
         for (what, input) in
             [("random", &random), ("tied", &tied), ("sprinkled", &sprinkled), ("blanked", &blanked)]
         {
-            for kind in [PoolKind::Max, PoolKind::Avg] {
-                for (window, stride) in [(3, 2), (2, 2)] {
-                    let mut pool = Pool2d::new("p", kind, window, stride);
-                    let (want, want_argmax) = scan_per_element(&pool, input);
-                    let got = pool.forward(input, Mode::Train);
-                    let case = format!("{what} {kind:?} {window}x{window}/{stride}");
-                    assert_eq!(got.shape(), want.shape(), "{case}");
-                    assert_eq!(bits(&got), bits(&want), "{case}");
-                    if kind == PoolKind::Max {
-                        assert_eq!(pool.argmax, want_argmax, "{case}");
-                    }
-                }
+            for (window, stride) in [(3, 2), (2, 2)] {
+                let mut pool = Pool2d::max("p", window, stride);
+                let (want, want_argmax) = scan_per_element(&pool, input);
+                let got = pool.forward(input, Mode::Train);
+                let case = format!("{what} {window}x{window}/{stride}");
+                assert_eq!(got.shape(), want.shape(), "{case}");
+                assert_eq!(bits(&got), bits(&want), "{case}");
+                assert_eq!(pool.argmax, want_argmax, "{case}");
             }
         }
         // A fully NaN window yields -inf at index 0, as the scan always did.

@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn exact_when_clusters_are_singletons() {
         let (x, w, b, split, lsh) = setup(12, 8, 4, 8, 40, 1);
-        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None);
         assert_eq!(fwd.sub_matrices()[0].table().num_clusters(), 12, "need singleton clusters");
         let mut rng = AdrRng::seeded(2);
         let dy = Matrix::from_fn(12, 4, |_, _| rng.gauss());
@@ -240,7 +240,7 @@ mod tests {
         let b = vec![0.0; 5];
         let split = SubVecSplit::new(6, 6);
         let lsh = vec![LshTable::new(6, 12, &mut rng)];
-        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None);
         assert_eq!(fwd.sub_matrices()[0].table().num_clusters(), 3);
         let dy = Matrix::from_fn(30, 5, |_, _| rng.gauss());
         let out = backward(&mut fwd, &split, &w, &dy);
@@ -258,7 +258,7 @@ mod tests {
         let w = Matrix::from_fn(8, 3, |_, _| rng.gauss());
         let split = SubVecSplit::new(8, 8);
         let lsh = vec![LshTable::new(8, 14, &mut rng)];
-        let (_, mut fwd) = reuse_forward(&x, &w, &[0.0; 3], &split, &lsh, None, None);
+        let (_, mut fwd) = reuse_forward(&x, &w, &[0.0; 3], &split, &lsh, None);
         let dy = Matrix::from_fn(20, 3, |_, _| rng.gauss());
         let out = backward(&mut fwd, &split, &w, &dy);
         let dense_dx = dy.matmul_t_b(&w);
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn sub_vector_blocks_fill_whole_weight_gradient() {
         let (x, w, b, split, lsh) = setup(16, 12, 4, 5, 30, 5);
-        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None);
         let mut rng = AdrRng::seeded(6);
         let dy = Matrix::from_fn(16, 4, |_, _| rng.gauss());
         let out = backward(&mut fwd, &split, &w, &dy);
@@ -301,11 +301,11 @@ mod tests {
     #[test]
     fn flops_scale_with_cluster_count() {
         let (x, w, b, split, lsh) = setup(64, 8, 4, 8, 2, 7);
-        let (_, mut fwd_coarse) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (_, mut fwd_coarse) = reuse_forward(&x, &w, &b, &split, &lsh, None);
         let dy = Matrix::filled(64, 4, 1.0);
         let coarse = backward(&mut fwd_coarse, &split, &w, &dy);
         let (x2, w2, b2, split2, lsh2) = setup(64, 8, 4, 8, 40, 7);
-        let (_, mut fwd_fine) = reuse_forward(&x2, &w2, &b2, &split2, &lsh2, None, None);
+        let (_, mut fwd_fine) = reuse_forward(&x2, &w2, &b2, &split2, &lsh2, None);
         let fine = backward(&mut fwd_fine, &split2, &w2, &dy);
         assert!(
             fwd_coarse.sub_matrices()[0].table().num_clusters()
@@ -330,10 +330,10 @@ mod tests {
         for x in [&x_coarse, &x_fine, &x_coarse] {
             let dy = Matrix::from_fn(40, 5, |_, _| rng.gauss());
             let train = Mode::Train;
-            reuse_forward_with(x, &w, &b, &split, &lsh, &hasher, None, None, train, &mut recycled);
+            reuse_forward_with(x, &w, &b, &split, &lsh, &hasher, None, train, &mut recycled);
             clusters.push(recycled.sub_matrices()[0].table().num_clusters());
             let got = backward(&mut recycled, &split, &w, &dy);
-            let (_, mut fresh) = reuse_forward(x, &w, &b, &split, &lsh, None, None);
+            let (_, mut fresh) = reuse_forward(x, &w, &b, &split, &lsh, None);
             let want = backward(&mut fresh, &split, &w, &dy);
             assert_eq!(got.weight_grad.as_slice(), want.weight_grad.as_slice());
             assert_eq!(got.delta_x_unf.as_slice(), want.delta_x_unf.as_slice());
@@ -347,7 +347,7 @@ mod tests {
     #[should_panic(expected = "one sub-matrix state per sub-matrix")]
     fn wrong_table_count_panics() {
         let (x, w, b, split, lsh) = setup(8, 8, 2, 4, 8, 9);
-        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (_, mut fwd) = reuse_forward(&x, &w, &b, &split, &lsh, None);
         let dy = Matrix::zeros(8, 2);
         backward(&mut fwd, &SubVecSplit::new(8, 8), &w, &dy);
     }

@@ -2,8 +2,9 @@
 //!
 //! All quantities are *relative* costs: multiply–adds divided by the dense
 //! cost `N·K·M`, so a value of `1.0` means "as expensive as the baseline".
-//! These are Eqs. 5, 6, 12, 20 of the paper, plus the candidate-ordering
-//! deltas of Eqs. 22/23 used by Policy 3.
+//! These are Eqs. 5, 6, 12 and 20 of the paper, plus the candidate-ordering
+//! deltas of Eqs. 22/23 used by Policy 3 (Eq. 21's expected-time proxy is
+//! Eq. 5, [`forward_cost`], whose differences they are).
 
 /// Inputs to the cost model for one convolutional layer.
 #[derive(Clone, Copy, Debug)]
@@ -66,13 +67,6 @@ pub fn first_layer_step_cost(p: &CostParams, cluster_reuse: bool) -> f64 {
     forward_and_weight_cost(p, cluster_reuse) / 2.0
 }
 
-/// Eq. 21 — the expected-time proxy used when ordering candidates:
-/// `E_f(t) ∼ H/M + r_c + 1/L` (identical to Eq. 5; the controller only
-/// needs *differences*, where the unknown `r_c` cancels).
-pub fn expected_time(p: &CostParams) -> f64 {
-    forward_cost(p)
-}
-
 /// Eq. 22 — change in expected time when only `L` changes: `1/L₂ − 1/L₁`.
 pub fn delta_e_l(l1: usize, l2: usize) -> f64 {
     1.0 / l2 as f64 - 1.0 / l1 as f64
@@ -81,13 +75,6 @@ pub fn delta_e_l(l1: usize, l2: usize) -> f64 {
 /// Eq. 23 — change in expected time when only `H` changes: `(H₂ − H₁)/M`.
 pub fn delta_e_h(h1: usize, h2: usize, m: usize) -> f64 {
     (h2 as f64 - h1 as f64) / m as f64
-}
-
-/// The paper's profitability condition for LSH (§III-B): hashing pays off
-/// only when `H << M·(1 − r_c)`. Returns the slack `M·(1−r_c) − H`
-/// (positive = profitable).
-pub fn profitability_slack(p: &CostParams) -> f64 {
-    p.m as f64 * (1.0 - p.rc) - p.h as f64
 }
 
 #[cfg(test)]
@@ -152,9 +139,9 @@ mod tests {
         let m = 64;
         let p1 = params(40, 10, 0.1);
         let p2 = CostParams { l: 20, ..p1 };
-        assert!((delta_e_l(40, 20) - (expected_time(&p2) - expected_time(&p1))).abs() < 1e-12);
+        assert!((delta_e_l(40, 20) - (forward_cost(&p2) - forward_cost(&p1))).abs() < 1e-12);
         let p3 = CostParams { h: 25, ..p1 };
-        assert!((delta_e_h(10, 25, m) - (expected_time(&p3) - expected_time(&p1))).abs() < 1e-12);
+        assert!((delta_e_h(10, 25, m) - (forward_cost(&p3) - forward_cost(&p1))).abs() < 1e-12);
     }
 
     #[test]
@@ -174,12 +161,6 @@ mod tests {
         let diff = without - with_cr;
         let fwd_diff = (forward_cost(&p) - forward_cost_with_reuse(&p)) / 3.0;
         assert!((diff - fwd_diff).abs() < 1e-12);
-    }
-
-    #[test]
-    fn profitability_slack_sign() {
-        assert!(profitability_slack(&params(40, 5, 0.1)) > 0.0);
-        assert!(profitability_slack(&params(40, 63, 0.9)) < 0.0);
     }
 
     #[test]

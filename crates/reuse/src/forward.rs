@@ -18,7 +18,7 @@
 //! to all its member rows.
 //!
 //! Probing every cluster before inserting any sees exactly the hits of a
-//! probe-then-insert walk: with `CR = 1` the scope is the whole batch, so the
+//! probe-then-insert walk: clusters form over the whole batch, so the
 //! signatures of one sub-matrix's clusters are distinct and an insert can
 //! never answer a later probe of the same batch. Inserts still run in
 //! ascending cluster order, so hit counts, cache contents and [`ReuseStats`]
@@ -44,7 +44,7 @@
 use std::sync::OnceLock;
 
 use adr_clustering::assign::ClusterTable;
-use adr_clustering::lsh::{cluster_scoped_signatures_into, GroupScratch, LshTable};
+use adr_clustering::lsh::{cluster_signatures_into, GroupScratch, LshTable};
 use adr_clustering::reuse_cache::ReuseCache;
 use adr_nn::layer::Mode;
 use adr_tensor::kernels::sum_rows;
@@ -150,17 +150,13 @@ pub struct ForwardOutcome {
 /// * `caches` — `Some` enables across-batch cluster reuse (Algorithm 1);
 ///   must hold one cache per sub-matrix. The caller is responsible for
 ///   calling [`ReuseCache::begin_batch`] once per batch.
-/// * `rows_per_image` — `Some(p)` restricts clusters to single-input scope:
-///   rows `i` and `j` may only share a cluster when `i/p == j/p` (§III-B).
-///   `None` is the single-batch scope.
 ///
 /// Returns the outcome together with the freshly built arena holding the
 /// clustering of a [`Mode::Train`] pass, ready for
 /// [`crate::backward::reuse_backward`].
 ///
 /// # Panics
-/// Panics on any dimension disagreement between the inputs, or when
-/// single-input scope is combined with caches (contradictory scopes).
+/// Panics on any dimension disagreement between the inputs.
 pub fn reuse_forward(
     x_unf: &Matrix,
     weight: &Matrix,
@@ -168,7 +164,6 @@ pub fn reuse_forward(
     split: &SubVecSplit,
     lsh: &[LshTable],
     caches: Option<&mut [ReuseCache]>,
-    rows_per_image: Option<usize>,
 ) -> (ForwardOutcome, ReuseArena) {
     let hasher = PackedHasher::new(split, lsh);
     let mut arena = ReuseArena::default();
@@ -180,7 +175,6 @@ pub fn reuse_forward(
         lsh,
         &hasher,
         caches,
-        rows_per_image,
         Mode::Train,
         &mut arena,
     );
@@ -216,9 +210,8 @@ struct ForwardBlock<'a> {
 /// The output, the statistics and the caches are the same bits either way.
 ///
 /// # Panics
-/// Panics on any dimension disagreement between the inputs, when `hasher`
-/// disagrees with the split, or when single-input scope is combined with
-/// caches (contradictory scopes).
+/// Panics on any dimension disagreement between the inputs, or when `hasher`
+/// disagrees with the split.
 #[allow(clippy::too_many_arguments)]
 pub fn reuse_forward_with(
     x_unf: &Matrix,
@@ -228,7 +221,6 @@ pub fn reuse_forward_with(
     lsh: &[LshTable],
     hasher: &PackedHasher,
     mut caches: Option<&mut [ReuseCache]>,
-    rows_per_image: Option<usize>,
     mode: Mode,
     arena: &mut ReuseArena,
 ) -> ForwardOutcome {
@@ -242,13 +234,6 @@ pub fn reuse_forward_with(
     assert_eq!(hasher.num_subs(), split.num_sub_vectors(), "hasher disagrees with split");
     if let Some(ref c) = caches {
         assert_eq!(c.len(), split.num_sub_vectors(), "one cache per sub-matrix required");
-        assert!(
-            rows_per_image.is_none(),
-            "single-input scope conflicts with across-batch cluster reuse"
-        );
-    }
-    if let Some(p) = rows_per_image {
-        assert!(p > 0 && n % p == 0, "rows_per_image must evenly divide N");
     }
 
     // Exactly one state per sub-matrix: a retune to fewer sub-matrices must
@@ -264,9 +249,6 @@ pub fn reuse_forward_with(
     }
     let sig_all = &arena.sig_all;
     let h_bits = hasher.num_hashes();
-    // Single-input scope groups each image's rows apart; the signature stays
-    // the pure LSH output either way (what the CR cache keys on).
-    let scope_rows = rows_per_image.unwrap_or(n).max(1);
     let (x, w) = (x_unf.as_slice(), weight.as_slice());
 
     // The sub-matrix fan-out. Grouping and the centroid sweep touch every
@@ -298,10 +280,9 @@ pub fn reuse_forward_with(
         // (A) Group equal signatures, one sub-matrix at a time.
         let cluster_span = adr_obs::span_phase(adr_obs::Phase::Cluster);
         for (i, sub) in (sub0..).zip(subs.iter_mut()) {
-            cluster_scoped_signatures_into(
+            cluster_signatures_into(
                 sig_all.iter().skip(i).step_by(num_subs).copied(),
                 h_bits,
-                scope_rows,
                 group,
                 &mut sub.table,
                 &mut sub.cluster_sigs,
@@ -475,7 +456,7 @@ mod tests {
         let (x, w, b) = random_problem(24, 12, 5, 1);
         let split = SubVecSplit::new(12, 12);
         let lsh = lsh_families(&split, 40, 2);
-        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None);
         let mut dense = x.matmul(&w);
         dense.add_row_bias(&b);
         // Random Gaussian rows almost surely land in distinct clusters.
@@ -493,7 +474,7 @@ mod tests {
         let w = Matrix::from_fn(8, 6, |_, _| rng.gauss());
         let split = SubVecSplit::new(8, 8);
         let lsh = lsh_families(&split, 16, 4);
-        let (out, arena) = reuse_forward(&x, &w, &[0.0; 6], &split, &lsh, None, None);
+        let (out, arena) = reuse_forward(&x, &w, &[0.0; 6], &split, &lsh, None);
         assert_eq!(arena.sub_matrices()[0].table().num_clusters(), 4);
         assert!((out.stats.avg_remaining_ratio - 4.0 / 32.0).abs() < 1e-12);
         // Exactness: centroids of identical rows are the rows themselves.
@@ -507,7 +488,7 @@ mod tests {
         let (x, w, b) = random_problem(16, 10, 4, 5);
         let split = SubVecSplit::new(10, 4); // ranges 0..4, 4..8, 8..10
         let lsh = lsh_families(&split, 40, 6);
-        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None);
         let mut dense = x.matmul(&w);
         dense.add_row_bias(&b);
         if arena.sub_matrices().iter().all(|s| s.table().num_clusters() == 16) {
@@ -525,7 +506,7 @@ mod tests {
         let (x, w, b) = random_problem(512, 24, 16, 13);
         let split = SubVecSplit::new(24, 8);
         let lsh = lsh_families(&split, 48, 14);
-        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None);
         let mut dense = x.matmul(&w);
         dense.add_row_bias(&b);
         if arena.sub_matrices().iter().all(|s| s.table().num_clusters() == 512) {
@@ -549,7 +530,7 @@ mod tests {
         let split = SubVecSplit::new(16, 16);
         let err = |h: usize| {
             let lsh = lsh_families(&split, h, 11);
-            let (out, _) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+            let (out, _) = reuse_forward(&x, &w, &b, &split, &lsh, None);
             out.output.max_abs_diff(&dense)
         };
         let coarse = err(2);
@@ -562,7 +543,7 @@ mod tests {
         let (x, w, b) = random_problem(20, 12, 6, 8);
         let split = SubVecSplit::new(12, 4);
         let lsh = lsh_families(&split, 8, 9);
-        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None);
         // hash: N * K * H  (all sub-matrices together hash every element).
         assert_eq!(out.stats.hash_flops, (20 * 12 * 8) as u64);
         // adds: N * M per sub-matrix.
@@ -580,12 +561,12 @@ mod tests {
         let lsh = lsh_families(&split, 10, 11);
         let mut caches = vec![ReuseCache::new(5)];
         caches[0].begin_batch();
-        let (first, _) = reuse_forward(&x, &w, &b, &split, &lsh, Some(&mut caches), None);
+        let (first, _) = reuse_forward(&x, &w, &b, &split, &lsh, Some(&mut caches));
         let first_gemm = first.stats.gemm_flops;
         assert!(first_gemm > 0);
         // Same batch again: every signature is cached.
         caches[0].begin_batch();
-        let (second, _) = reuse_forward(&x, &w, &b, &split, &lsh, Some(&mut caches), None);
+        let (second, _) = reuse_forward(&x, &w, &b, &split, &lsh, Some(&mut caches));
         assert_eq!(second.stats.gemm_flops, 0, "all clusters reused");
         assert!(second.output.max_abs_diff(&first.output) < 1e-5);
         assert_eq!(caches[0].current_batch_rate(), Some(1.0));
@@ -603,9 +584,7 @@ mod tests {
     /// The serial per-sub-matrix loop the fan-out replaced — group, average
     /// the window's member rows, multiply (with `CR = 1`: probe, batch the
     /// misses into one product, insert), then reconstruct row by row —
-    /// written against the allocating clustering and matrix API. Grouping
-    /// keys on the `(image, signature)` pair, so single-input scope is right
-    /// at every `H`.
+    /// written against the allocating clustering and matrix API.
     fn reference_forward(
         x_unf: &Matrix,
         weight: &Matrix,
@@ -613,7 +592,6 @@ mod tests {
         split: &SubVecSplit,
         lsh: &[LshTable],
         mut caches: Option<&mut [ReuseCache]>,
-        rows_per_image: Option<usize>,
     ) -> Reference {
         let (n, m) = (x_unf.rows(), weight.cols());
         let num_subs = split.num_sub_vectors();
@@ -623,13 +601,11 @@ mod tests {
         let mut cluster_total = 0usize;
         let mut reuse_rate_sum = 0.0f64;
         for (i, &(start, end)) in split.ranges().iter().enumerate() {
-            let keys: Vec<(usize, u64)> = (0..n)
-                .map(|r| (rows_per_image.map_or(0, |p| r / p), sig_all[r * num_subs + i]))
-                .collect();
+            let keys: Vec<u64> = (0..n).map(|r| sig_all[r * num_subs + i]).collect();
             let table = ClusterTable::from_sparse_ids(&keys);
             let mut sigs = vec![0u64; table.num_clusters()];
             for r in (0..n).rev() {
-                sigs[table.cluster_of(r) as usize] = keys[r].1;
+                sigs[table.cluster_of(r) as usize] = keys[r];
             }
             stats.hash_flops += lsh[i].hashing_flops(n);
             let cent = table.centroids_range(x_unf, start, end);
@@ -713,7 +689,6 @@ mod tests {
         l: usize,
         h: usize,
         cluster_reuse: bool,
-        rows_per_image: Option<usize>,
         mode: Mode,
     ) {
         let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -730,7 +705,7 @@ mod tests {
             .map(|x| {
                 want_caches.iter_mut().for_each(ReuseCache::begin_batch);
                 let caches = cluster_reuse.then_some(want_caches.as_mut_slice());
-                reference_forward(x, weight, bias, &split, &lsh, caches, rows_per_image)
+                reference_forward(x, weight, bias, &split, &lsh, caches)
             })
             .collect();
         for workers in [1usize, 2, 3] {
@@ -748,7 +723,6 @@ mod tests {
                     &lsh,
                     &hasher,
                     cluster_reuse.then_some(caches.as_mut_slice()),
-                    rows_per_image,
                     mode,
                     &mut arena,
                 );
@@ -836,28 +810,8 @@ mod tests {
             let x = clustered_rows(n, k, 31);
             let (_, w, b) = random_problem(n, k, m, 32);
             for mode in [Mode::Train, Mode::Eval] {
-                assert_matches_reference(case, &[&x], &w, &b, l, h, false, None, mode);
+                assert_matches_reference(case, &[&x], &w, &b, l, h, false, mode);
             }
-        }
-    }
-
-    #[test]
-    fn fan_out_matches_the_serial_reference_under_single_input_scope() {
-        // Four images of ten rows; images 1 and 3 repeat image 0, so batch
-        // scope would merge what single-input scope must keep apart.
-        let one = clustered_rows(10, 13, 33);
-        let other = clustered_rows(10, 13, 34);
-        let x = Matrix::from_fn(40, 13, |r, c| {
-            if r / 10 == 2 {
-                other[(r % 10, c)]
-            } else {
-                one[(r % 10, c)]
-            }
-        });
-        let (_, w, b) = random_problem(40, 13, 5, 35);
-        for h in [4usize, 20, 64] {
-            let case = "single input";
-            assert_matches_reference(case, &[&x], &w, &b, 5, h, false, Some(10), Mode::Train);
         }
     }
 
@@ -884,7 +838,7 @@ mod tests {
         for mode in [Mode::Train, Mode::Eval] {
             for h in [4usize, 8, 20] {
                 let batches = [&first, &mixed, &first, &partial, &mixed];
-                assert_matches_reference("cluster reuse", &batches, &w, &b, 5, h, true, None, mode);
+                assert_matches_reference("cluster reuse", &batches, &w, &b, 5, h, true, mode);
             }
         }
         // The sequence really is all-miss, mixed, all-hit, and then a miss
@@ -895,7 +849,7 @@ mod tests {
         let mut rates = Vec::new();
         for x in [&first, &mixed, &first, &partial] {
             caches.iter_mut().for_each(ReuseCache::begin_batch);
-            reuse_forward(x, &w, &b, &split, &lsh, Some(&mut caches), None);
+            reuse_forward(x, &w, &b, &split, &lsh, Some(&mut caches));
             rates.push(caches.iter().map(|c| c.current_batch_rate().unwrap()).collect::<Vec<_>>());
         }
         let r = |b: usize, i: usize| rates[b][i];
@@ -919,10 +873,10 @@ mod tests {
         let (_, w, b) = random_problem(n, k, m, 41);
         let split = SubVecSplit::new(k, 4);
         let lsh = lsh_families(&split, 12, 42);
-        let (base, base_arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (base, base_arena) = reuse_forward(&x, &w, &b, &split, &lsh, None);
         for dup in [4usize, n - 1] {
             let grown = Matrix::from_fn(n + 1, k, |r, c| x[(if r == n { dup } else { r }, c)]);
-            let (out, _) = reuse_forward(&grown, &w, &b, &split, &lsh, None, None);
+            let (out, _) = reuse_forward(&grown, &w, &b, &split, &lsh, None);
             let tables = base_arena.sub_matrices().iter().map(SubMatrix::table);
             let related: Vec<bool> = (0..n)
                 .map(|r| {
@@ -957,7 +911,7 @@ mod tests {
         let (x, w, b) = random_problem(48, 24, 6, 43);
         let split = SubVecSplit::new(24, 8);
         let lsh = lsh_families(&split, 48, 44);
-        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let (out, arena) = reuse_forward(&x, &w, &b, &split, &lsh, None);
         assert!(arena.sub_matrices().iter().all(|s| s.table().num_clusters() == 48));
         let mut dense = x.matmul(&w);
         dense.add_row_bias(&b);
@@ -970,6 +924,6 @@ mod tests {
         let (x, w, b) = random_problem(4, 8, 2, 12);
         let split = SubVecSplit::new(8, 4);
         let lsh = lsh_families(&SubVecSplit::new(8, 8), 4, 13);
-        let _ = reuse_forward(&x, &w, &b, &split, &lsh, None, None);
+        let _ = reuse_forward(&x, &w, &b, &split, &lsh, None);
     }
 }

@@ -18,7 +18,7 @@ use crate::forward::{reuse_forward_with, ReuseArena};
 use crate::hashpack::PackedHasher;
 use crate::stats::ReuseStats;
 use crate::subvec::SubVecSplit;
-use crate::{ClusterScope, DegenerateClustering, ReuseConfig};
+use crate::{DegenerateClustering, ReuseConfig};
 
 /// Training batches between cache invalidations when `CR = 1`. Cached
 /// outputs reflect the weights at insertion time; unbounded reuse (a faithful
@@ -502,10 +502,6 @@ impl Layer for ReuseConv2d {
             } else {
                 None
             };
-            let rows_per_image = match self.config.scope {
-                ClusterScope::SingleInput => Some(self.geom.rows_per_image()),
-                ClusterScope::SingleBatch => None,
-            };
             let outcome = reuse_forward_with(
                 &self.unfolded,
                 &self.weight,
@@ -514,7 +510,6 @@ impl Layer for ReuseConv2d {
                 &self.lsh,
                 self.hasher.as_ref().expect("families are built before any forward"),
                 caches,
-                rows_per_image,
                 mode,
                 &mut self.arena,
             );
@@ -801,93 +796,6 @@ mod tests {
                 assert_eq!(a.probe(sig).map(row_bits), b.probe(sig).map(row_bits));
             }
         }
-    }
-
-    #[test]
-    fn single_input_scope_never_clusters_across_images() {
-        use crate::ClusterScope;
-        // Two identical images: batch scope merges their clusters, input
-        // scope keeps them separate, so input scope has ~2x the clusters.
-        let mut rng = AdrRng::seeded(21);
-        let one = Tensor4::from_fn(1, 6, 6, 2, |_, _, _, _| rng.gauss());
-        let mut two = Tensor4::zeros(2, 6, 6, 2);
-        let per = one.len();
-        two.as_mut_slice()[..per].copy_from_slice(one.as_slice());
-        two.as_mut_slice()[per..].copy_from_slice(one.as_slice());
-
-        let mut batch_scope = reuse_layer(9, 14, false, 22);
-        batch_scope.forward(&two, Mode::Eval);
-        let batch_clusters = batch_scope.stats().avg_clusters;
-
-        let mut input_scope = ReuseConv2d::new(
-            "rc",
-            geom(),
-            4,
-            ReuseConfig::new(9, 14, false).with_scope(ClusterScope::SingleInput),
-            &mut AdrRng::seeded(22),
-        );
-        input_scope.forward(&two, Mode::Eval);
-        let input_clusters = input_scope.stats().avg_clusters;
-        // Duplicated images: batch scope dedups across them, input scope
-        // cannot, so it keeps twice the clusters.
-        assert!(
-            input_clusters > batch_clusters * 1.5,
-            "input {input_clusters} vs batch {batch_clusters}"
-        );
-
-        // Wide signatures: the scope is kept by grouping each image's rows
-        // apart, not by widening the key with the image index — which had no
-        // bits left for it at H = 63 (images 0/2 and 1/3 silently merged: 32
-        // clusters) and overflowed the shift at H = 64.
-        let mut four = Tensor4::zeros(4, 6, 6, 2);
-        for image in four.as_mut_slice().chunks_exact_mut(per) {
-            image.copy_from_slice(one.as_slice());
-        }
-        for h in [62usize, 63, 64] {
-            let mut layer = ReuseConv2d::new(
-                "rc",
-                geom(),
-                4,
-                ReuseConfig::new(9, h, false).with_scope(ClusterScope::SingleInput),
-                &mut AdrRng::seeded(22),
-            );
-            layer.forward(&four, Mode::Train);
-            // 16 distinct rows per image, four images, nothing shared.
-            assert_eq!(layer.stats().avg_clusters, 64.0, "H = {h}");
-            for sub in layer.arena.sub_matrices() {
-                let ids = sub.table().assignments();
-                let images: Vec<&[u32]> = ids.chunks(16).collect();
-                for (a, ids_a) in images.iter().enumerate() {
-                    for ids_b in &images[a + 1..] {
-                        assert!(ids_a.iter().all(|id| !ids_b.contains(id)), "H = {h}: shared id");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn single_input_scope_trains_and_backprops() {
-        use crate::ClusterScope;
-        let mut layer = ReuseConv2d::new(
-            "rc",
-            geom(),
-            4,
-            ReuseConfig::new(6, 10, false).with_scope(ClusterScope::SingleInput),
-            &mut AdrRng::seeded(23),
-        );
-        let mut rng = AdrRng::seeded(24);
-        let x = Tensor4::from_fn(3, 6, 6, 2, |_, _, _, _| rng.gauss());
-        layer.forward(&x, Mode::Train);
-        let dx = layer.backward(&Tensor4::zeros(3, 4, 4, 4));
-        assert_eq!(dx.shape(), (3, 6, 6, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "conflicts with single-input scope")]
-    fn cluster_reuse_with_single_input_scope_panics() {
-        use crate::ClusterScope;
-        let _ = ReuseConfig::new(5, 8, true).with_scope(ClusterScope::SingleInput);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   [`layer::ReuseConv2d::set_config`], with a dense mode
 //!   ([`layer::ReuseConv2d::exact_fallback`]) that runs `Conv2d`'s own GEMMs
 //!   where exactness is wanted and hashing cannot pay.
-//! * [`cost`] — the paper's complexity model (Eqs. 5, 6, 12, 20–23) used by
+//! * [`cost`] — the paper's complexity model (Eqs. 5, 6, 12, 20, 22, 23) used by
 //!   the adaptive controller to order candidate `{L, H}` settings.
 //! * [`stats`] — per-layer observability: remaining ratio `r_c`, cluster
 //!   counts, reuse rate `R`, and FLOP breakdowns.
@@ -79,21 +79,10 @@ pub enum DegenerateClustering {
     OneGiantCluster,
 }
 
-/// Clustering scope (§III-B "Cluster Scope"): which pool of neuron vectors
-/// may share a cluster. The across-batch level is reached by additionally
-/// setting the `CR` flag on the single-batch scope (Algorithm 1).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ClusterScope {
-    /// Vectors may only cluster with vectors from the same input image.
-    SingleInput,
-    /// Vectors cluster across the whole mini-batch (the paper's default).
-    #[default]
-    SingleBatch,
-}
-
 /// Runtime-tunable knobs of a deep-reuse convolution — the parameters the
-/// adaptive strategies adjust (§V): sub-vector length `L`, hash count `H`,
-/// the cluster-reuse flag `CR`, plus the clustering scope.
+/// adaptive strategies adjust (§V): sub-vector length `L`, hash count `H`
+/// and the cluster-reuse flag `CR`. Clusters form over the whole mini-batch
+/// (§III-B), and `CR` widens that scope across batches (Algorithm 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReuseConfig {
     /// Neuron (sub-)vector length `L`; clamped to `K` by the layer.
@@ -102,34 +91,16 @@ pub struct ReuseConfig {
     pub num_hashes: usize,
     /// Across-batch cluster reuse flag `CR`.
     pub cluster_reuse: bool,
-    /// Clustering scope; [`ClusterScope::SingleBatch`] unless overridden
-    /// with [`ReuseConfig::with_scope`].
-    pub scope: ClusterScope,
 }
 
 impl ReuseConfig {
-    /// Creates a single-batch-scope config.
+    /// Creates a config.
     ///
     /// # Panics
     /// Panics if `sub_vector_len == 0` or `num_hashes` is outside `1..=64`.
     pub fn new(sub_vector_len: usize, num_hashes: usize, cluster_reuse: bool) -> Self {
         assert!(sub_vector_len > 0, "sub-vector length must be positive");
         assert!((1..=64).contains(&num_hashes), "num_hashes must be in 1..=64, got {num_hashes}");
-        Self { sub_vector_len, num_hashes, cluster_reuse, scope: ClusterScope::SingleBatch }
-    }
-
-    /// Overrides the clustering scope.
-    ///
-    /// # Panics
-    /// Panics when combining [`ClusterScope::SingleInput`] with cluster
-    /// reuse: the across-batch cache is a *larger* scope, which contradicts
-    /// restricting clusters to one image.
-    pub fn with_scope(mut self, scope: ClusterScope) -> Self {
-        assert!(
-            !(self.cluster_reuse && scope == ClusterScope::SingleInput),
-            "cluster reuse (across-batch scope) conflicts with single-input scope"
-        );
-        self.scope = scope;
-        self
+        Self { sub_vector_len, num_hashes, cluster_reuse }
     }
 }

@@ -178,7 +178,6 @@ fn steady_state_allocation_counts_match_the_budget() {
             &lsh,
             &hasher,
             Some(caches),
-            None,
             Mode::Train,
             arena,
         )

@@ -87,23 +87,13 @@ fn arena_forward_is_bitwise_equal_to_the_rebuilding_wrapper() {
     let split = SubVecSplit::new(12, 5); // widths 5,5,2
     let lsh = families(&split, 8, 42);
     set_thread_override(None);
-    let (wrapper, wrapper_arena) = reuse_forward(&x, &w, &bias, &split, &lsh, None, None);
+    let (wrapper, wrapper_arena) = reuse_forward(&x, &w, &bias, &split, &lsh, None);
     let hasher = PackedHasher::new(&split, &lsh);
     let mut arena = ReuseArena::default();
     set_thread_override(Some(2));
     for round in 0..2 {
-        let with_arena = reuse_forward_with(
-            &x,
-            &w,
-            &bias,
-            &split,
-            &lsh,
-            &hasher,
-            None,
-            None,
-            Mode::Train,
-            &mut arena,
-        );
+        let with_arena =
+            reuse_forward_with(&x, &w, &bias, &split, &lsh, &hasher, None, Mode::Train, &mut arena);
         assert_eq!(with_arena.output.as_slice(), wrapper.output.as_slice(), "round {round}");
         let subs = arena.sub_matrices().iter().zip(wrapper_arena.sub_matrices());
         for (i, (a, b)) in subs.enumerate() {
@@ -127,15 +117,13 @@ fn forward_at(
     split: &SubVecSplit,
     lsh: &[LshTable],
     caches: Option<&mut [ReuseCache]>,
-    rows_per_image: Option<usize>,
     mode: Mode,
     arena: &mut ReuseArena,
 ) -> ForwardState {
     let hasher = PackedHasher::new(split, lsh);
     let bias = vec![0.25f32; w.cols()];
     set_thread_override(Some(threads));
-    let out =
-        reuse_forward_with(x, w, &bias, split, lsh, &hasher, caches, rows_per_image, mode, arena);
+    let out = reuse_forward_with(x, w, &bias, split, lsh, &hasher, caches, mode, arena);
     set_thread_override(None);
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let subs = arena.sub_matrices();
@@ -147,7 +135,7 @@ fn forward_at(
     )
 }
 
-/// One forward pass per scope and, with cluster reuse, two batches through
+/// One forward pass without cluster reuse and, with it, two batches through
 /// the same caches (cold, then all hits), at each worker count in turn.
 fn forward_sweep(workers: &[usize], x: &Matrix, w: &Matrix, split: &SubVecSplit, lsh: &[LshTable]) {
     let fresh_caches =
@@ -155,19 +143,17 @@ fn forward_sweep(workers: &[usize], x: &Matrix, w: &Matrix, split: &SubVecSplit,
     let run = |threads: usize| {
         let mut arena = ReuseArena::default();
         let mut caches = fresh_caches();
-        let batch = forward_at(threads, x, w, split, lsh, None, None, Mode::Train, &mut arena);
-        let image = forward_at(threads, x, w, split, lsh, None, Some(3), Mode::Train, &mut arena);
+        let batch = forward_at(threads, x, w, split, lsh, None, Mode::Train, &mut arena);
         let mut with_cr = || {
             caches.iter_mut().for_each(ReuseCache::begin_batch);
-            forward_at(threads, x, w, split, lsh, Some(&mut caches), None, Mode::Train, &mut arena)
+            forward_at(threads, x, w, split, lsh, Some(&mut caches), Mode::Train, &mut arena)
         };
         let (cold, warm) = (with_cr(), with_cr());
         assert!(cold.3 > 0 && warm.3 == 0, "second CR batch is all hits");
-        [batch, image, cold, warm]
+        [batch, cold, warm]
     };
     let serial = run(1);
     assert!(serial[0].1[0].num_clusters() < x.rows(), "precondition: shared clusters");
-    assert!(serial[1].1[0].num_clusters() > serial[0].1[0].num_clusters(), "scopes differ");
     for &threads in workers {
         assert_eq!(run(threads), serial, "{threads} workers");
     }
@@ -215,7 +201,7 @@ fn forward_only_cr_fan_out_is_bitwise_the_serial_training_pass() {
         for x in [&cold, &mixed, &cold] {
             caches.iter_mut().for_each(ReuseCache::begin_batch);
             let (out, _, _, gemm_flops) =
-                forward_at(threads, x, &w, &split, &lsh, Some(&mut caches), None, mode, &mut arena);
+                forward_at(threads, x, &w, &split, &lsh, Some(&mut caches), mode, &mut arena);
             let rates: Vec<Option<u64>> =
                 caches.iter().map(|c| c.current_batch_rate().map(f64::to_bits)).collect();
             seen.push((out, gemm_flops, rates));
@@ -285,7 +271,7 @@ fn backward_fan_out_is_bitwise_serial_at_every_worker_count() {
     let split = SubVecSplit::new(19, 4); // widths 4,4,4,4,3
     let lsh = families(&split, 6, 52);
     set_thread_override(None);
-    let (_, mut arena) = reuse_forward(&x, &w, &[0.0; 3], &split, &lsh, None, None);
+    let (_, mut arena) = reuse_forward(&x, &w, &[0.0; 3], &split, &lsh, None);
     let tables: Vec<&ClusterTable> = arena.sub_matrices().iter().map(|s| s.table()).collect();
     let ragged = |t: &ClusterTable| t.counts().iter().min() != t.counts().iter().max();
     assert!(tables.iter().all(|t| t.num_clusters() < 12), "precondition: shared clusters");
@@ -343,7 +329,7 @@ mod miri_only {
         let split = SubVecSplit::new(7, 2); // widths 2,2,2,1
         let lsh = families(&split, 3, 62);
         set_thread_override(None);
-        let (_, mut arena) = reuse_forward(&x, &w, &[0.0; 2], &split, &lsh, None, None);
+        let (_, mut arena) = reuse_forward(&x, &w, &[0.0; 2], &split, &lsh, None);
         let reference = backward_at(1, &mut arena, &split, &w, &dy);
         for workers in [2usize, 3, 4, 7] {
             assert_eq!(backward_at(workers, &mut arena, &split, &w, &dy), reference);

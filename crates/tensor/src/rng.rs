@@ -1,7 +1,7 @@
 //! Deterministic random sources.
 //!
 //! Every stochastic component in the workspace (weight init, dataset
-//! synthesis, LSH hyperplanes, shuffling, dropout) draws from a seeded
+//! synthesis, LSH hyperplanes, shuffling) draws from a seeded
 //! [`AdrRng`], so whole experiments replay bit-for-bit. The generator is a
 //! self-contained xoshiro256** seeded through SplitMix64 (the reference
 //! seeding procedure), so the workspace carries no external RNG dependency;

@@ -10,7 +10,6 @@
 
 use adaptive_deep_reuse::adaptive::trainer::BatchSource;
 use adaptive_deep_reuse::models::ConvMode;
-use adaptive_deep_reuse::nn::batchnorm::BatchNorm;
 use adaptive_deep_reuse::nn::checkpoint::Checkpoint;
 use adaptive_deep_reuse::nn::dense::Dense;
 use adaptive_deep_reuse::nn::relu::Relu;
@@ -24,9 +23,6 @@ fn build(seed: u64) -> Network {
     let mut net = Network::new((16, 16, 3));
     let g1 = ConvGeom::new(16, 16, 3, 5, 5, 1, 2).unwrap();
     net.push(ConvMode::Reuse(ReuseConfig::new(5, 12, false)).build("conv1", g1, 16, &mut rng));
-    // Batch norm carries non-learnable running statistics — captured and
-    // restored by the TrainState like everything else.
-    net.push(Box::new(BatchNorm::new("bn1", 16)));
     net.push(Box::new(Relu::new("relu1")));
     let g2 = ConvGeom::new(16, 16, 16, 3, 3, 2, 1).unwrap();
     net.push(ConvMode::Reuse(ReuseConfig::new(8, 10, false)).build("conv2", g2, 16, &mut rng));

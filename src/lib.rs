@@ -71,7 +71,7 @@ pub mod prelude {
         Checkpoint, CheckpointError, Layer, LrSchedule, Mode, Network, Optimizer, Sgd,
     };
     pub use adr_reuse::layer::ReuseConv2d;
-    pub use adr_reuse::{ClusterScope, ReuseConfig};
+    pub use adr_reuse::ReuseConfig;
     pub use adr_serve::{
         ArtifactKind, EngineError, Gateway, GatewayConfig, InferResponse, LadderConfig,
         ManualClock, ModelRegistry, MonotonicClock, NetFactory, RequestError, ServeEventKind,

@@ -5,6 +5,7 @@
 // Test code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]
 
+use adaptive_deep_reuse::models::ConvMode;
 use adaptive_deep_reuse::nn::dense::Dense;
 use adaptive_deep_reuse::nn::relu::Relu;
 use adaptive_deep_reuse::prelude::*;
@@ -114,6 +115,31 @@ fn failed_checkpoint_restore_leaves_network_untouched() {
     let err = checkpoint.restore(&mut other).unwrap_err();
     assert!(matches!(err, CheckpointError::SlotCountMismatch { .. }), "{err}");
     assert_eq!(weight_bits(&mut other), before, "no partial writes on failure");
+}
+
+#[test]
+fn stale_state_slot_fails_closed() {
+    // A checkpoint written by a network with non-learnable layer state (a
+    // batch-norm layer's running statistics) still decodes, but no network
+    // built here has a state buffer to take it: restore must refuse it
+    // before writing a single parameter.
+    let mut donor = cifarnet::bench_scale(4, ConvMode::Dense, &mut AdrRng::seeded(8));
+    let mut stale = Checkpoint::capture(&mut donor);
+    stale.state.push(vec![0.5; 16]);
+    let stale = Checkpoint::from_bytes(&stale.to_bytes()).unwrap();
+    assert_eq!(stale.state.len(), 1, "the state slot survives the byte round trip");
+
+    let mut net = cifarnet::bench_scale(4, ConvMode::Dense, &mut AdrRng::seeded(80));
+    let before = weight_bits(&mut net);
+    let err = stale.restore(&mut net).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CheckpointError::SlotCountMismatch { section: "state", expected: 1, found: 0 }
+        ),
+        "{err}"
+    );
+    assert_eq!(weight_bits(&mut net), before, "no partial writes on failure");
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@
 
 use adaptive_deep_reuse::nn::conv::Conv2d;
 use adaptive_deep_reuse::nn::dense::Dense;
-use adaptive_deep_reuse::nn::lrn::Lrn;
 use adaptive_deep_reuse::nn::pool::Pool2d;
 use adaptive_deep_reuse::nn::relu::Relu;
 use adaptive_deep_reuse::nn::softmax::softmax_cross_entropy;
@@ -142,21 +141,6 @@ fn two_conv_chain_with_padding_and_stride() {
     check_input_gradient(&mut net, &x, &[1], 2e-2);
 }
 
-// grad-check: Lrn
-#[test]
-fn chain_with_lrn_and_avg_pool() {
-    let mut rng = AdrRng::seeded(5);
-    let mut net = Network::new((6, 6, 3));
-    let geom = ConvGeom::new(6, 6, 3, 3, 3, 1, 0).unwrap();
-    net.push(Box::new(Conv2d::new("conv", geom, 4, &mut rng)));
-    net.push(Box::new(Lrn::new("lrn", 1, 0.5, 0.75, 2.0)));
-    net.push(Box::new(Pool2d::avg("pool", 2, 2)));
-    net.push(Box::new(Dense::new("fc", 2 * 2 * 4, 3, &mut rng)));
-    let mut xrng = AdrRng::seeded(6);
-    let x = Tensor4::from_fn(1, 6, 6, 3, |_, _, _, _| xrng.gauss() * 0.4);
-    check_input_gradient(&mut net, &x, &[2], 3e-2);
-}
-
 #[test]
 fn weight_gradients_of_composed_network() {
     let mut rng = AdrRng::seeded(7);
@@ -170,124 +154,6 @@ fn weight_gradients_of_composed_network() {
     let labels = [0usize, 1];
 
     check_weight_gradients(&mut net, &x, &labels, 3e-2);
-}
-
-#[test]
-fn dropout_eval_gradient_is_exact() {
-    // With dropout in eval mode the network is deterministic, so gradients
-    // must check out exactly like any other chain.
-    use adaptive_deep_reuse::nn::dropout::Dropout;
-    let mut rng = AdrRng::seeded(9);
-    let mut net = Network::new((4, 4, 2));
-    net.push(Box::new(Dense::new("fc1", 32, 8, &mut rng)));
-    net.push(Box::new(Relu::new("relu")));
-    net.push(Box::new(Dropout::new("drop", 0.0, AdrRng::seeded(10))));
-    net.push(Box::new(Dense::new("fc2", 8, 2, &mut rng)));
-    let mut xrng = AdrRng::seeded(11);
-    let x = Tensor4::from_fn(2, 4, 4, 2, |_, _, _, _| xrng.gauss() * 0.5);
-    check_input_gradient(&mut net, &x, &[0, 1], 2e-2);
-}
-
-/// Loss of a network on a fixed batch using *training-mode* forwards (for
-/// layers whose train path differs from eval: batch statistics, live masks).
-fn train_loss_of(net: &mut Network, x: &Tensor4, labels: &[usize]) -> f32 {
-    let logits = net.forward(x, Mode::Train);
-    softmax_cross_entropy(&logits, labels).loss
-}
-
-// grad-check: BatchNorm
-#[test]
-fn chain_with_batchnorm_train_mode() {
-    // BatchNorm's training forward normalises with *batch* statistics, so
-    // the finite-difference probe must also run in training mode: the
-    // statistics are a deterministic function of the input, and perturbing
-    // one input cell legitimately moves the whole channel's mean/variance —
-    // the analytic backward accounts for exactly that coupling.
-    use adaptive_deep_reuse::nn::batchnorm::BatchNorm;
-    let mut rng = AdrRng::seeded(12);
-    let mut net = Network::new((6, 6, 2));
-    let geom = ConvGeom::new(6, 6, 2, 3, 3, 1, 0).unwrap();
-    net.push(Box::new(Conv2d::new("conv", geom, 4, &mut rng)));
-    net.push(Box::new(BatchNorm::new("bn", 4)));
-    net.push(Box::new(Relu::new("relu")));
-    net.push(Box::new(Dense::new("fc", 4 * 4 * 4, 3, &mut rng)));
-    let mut xrng = AdrRng::seeded(13);
-    let x = Tensor4::from_fn(2, 6, 6, 2, |_, _, _, _| xrng.gauss() * 0.5);
-    let labels = [0usize, 2];
-
-    let logits = net.forward(&x, Mode::Train);
-    let out = softmax_cross_entropy(&logits, &labels);
-    let dx = net.backward(&out.grad);
-    let base = out.loss;
-    let eps = 1e-2;
-    let stride = (x.len() / 7).max(1);
-    for idx in (0..x.len()).step_by(stride) {
-        let mut xp = x.clone();
-        xp.as_mut_slice()[idx] += eps;
-        let lp = train_loss_of(&mut net, &xp, &labels);
-        let numeric = (lp - base) / eps;
-        let analytic = dx.as_slice()[idx];
-        assert!(
-            (numeric - analytic).abs() < 3e-2,
-            "input idx {idx}: numeric {numeric} vs analytic {analytic}"
-        );
-    }
-}
-
-// grad-check: Dropout
-#[test]
-fn dropout_train_gradient_replays_the_mask() {
-    // Training-mode dropout draws a fresh mask per forward, so the probe
-    // cannot reuse one network. Instead the whole network is rebuilt from
-    // identical seeds for every loss evaluation: AdrRng is deterministic,
-    // so each rebuild replays the same weights AND the same mask, making
-    // the perturbed losses differentiable against the recorded backward.
-    use adaptive_deep_reuse::nn::dropout::Dropout;
-    let build = || {
-        let mut rng = AdrRng::seeded(14);
-        let mut net = Network::new((4, 4, 2));
-        net.push(Box::new(Dense::new("fc1", 32, 12, &mut rng)));
-        net.push(Box::new(Relu::new("relu")));
-        net.push(Box::new(Dropout::new("drop", 0.3, AdrRng::seeded(15))));
-        net.push(Box::new(Dense::new("fc2", 12, 3, &mut rng)));
-        net
-    };
-    let mut xrng = AdrRng::seeded(16);
-    let x = Tensor4::from_fn(2, 4, 4, 2, |_, _, _, _| xrng.gauss() * 0.5);
-    let labels = [1usize, 2];
-
-    let mut net = build();
-    let logits = net.forward(&x, Mode::Train);
-    let out = softmax_cross_entropy(&logits, &labels);
-    let dx = net.backward(&out.grad);
-    let base = out.loss;
-    let eps = 1e-2;
-    let stride = (x.len() / 9).max(1);
-    for idx in (0..x.len()).step_by(stride) {
-        let mut xp = x.clone();
-        xp.as_mut_slice()[idx] += eps;
-        let lp = train_loss_of(&mut build(), &xp, &labels);
-        let numeric = (lp - base) / eps;
-        let analytic = dx.as_slice()[idx];
-        assert!(
-            (numeric - analytic).abs() < 2e-2,
-            "input idx {idx}: numeric {numeric} vs analytic {analytic}"
-        );
-    }
-}
-
-#[test]
-fn lrn_standalone_gradient() {
-    // LRN alone (radius spanning several channels) in front of a dense
-    // head, complementing the avg-pool chain test above with a sharper
-    // tolerance on the cross-channel terms.
-    let mut rng = AdrRng::seeded(17);
-    let mut net = Network::new((4, 4, 4));
-    net.push(Box::new(Lrn::new("lrn", 2, 1e-2, 0.75, 1.0)));
-    net.push(Box::new(Dense::new("fc", 4 * 4 * 4, 3, &mut rng)));
-    let mut xrng = AdrRng::seeded(18);
-    let x = Tensor4::from_fn(1, 4, 4, 4, |_, _, _, _| xrng.gauss() * 0.5 + 1.0);
-    check_input_gradient(&mut net, &x, &[1], 1e-2);
 }
 
 /// The registry is complete: each `impl Layer for T` under `crates/nn/src`

@@ -4,7 +4,6 @@
 // Test/example code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]
 
-use adaptive_deep_reuse::nn::batchnorm::BatchNorm;
 use adaptive_deep_reuse::nn::pool::Pool2d;
 use adaptive_deep_reuse::nn::relu::Relu;
 use adaptive_deep_reuse::nn::softmax::{softmax, softmax_cross_entropy};
@@ -43,20 +42,6 @@ fn relu_is_idempotent() {
 }
 
 #[test]
-fn max_pool_dominates_avg_pool() {
-    for_cases(48, |case, rng| {
-        let x = small_tensor(rng, 2, 6, 2);
-        let mut maxp = Pool2d::max("m", 2, 2);
-        let mut avgp = Pool2d::avg("a", 2, 2);
-        let ym = maxp.forward(&x, Mode::Eval);
-        let ya = avgp.forward(&x, Mode::Eval);
-        for (m, a) in ym.as_slice().iter().zip(ya.as_slice()) {
-            assert!(m >= a, "case {case}: max {m} < avg {a}");
-        }
-    });
-}
-
-#[test]
 fn max_pool_is_monotone() {
     for_cases(48, |case, rng| {
         let x = small_tensor(rng, 1, 6, 2);
@@ -70,26 +55,6 @@ fn max_pool_is_monotone() {
         let lifted = pool.forward(&shifted, Mode::Eval);
         for (b, l) in base.as_slice().iter().zip(lifted.as_slice()) {
             assert!(l >= b, "case {case}: pooling must preserve pointwise ordering");
-        }
-    });
-}
-
-#[test]
-fn batchnorm_output_is_input_scale_invariant() {
-    for_cases(48, |case, rng| {
-        let x = small_tensor(rng, 2, 4, 3);
-        let scale = rng.uniform_in(0.5, 20.0);
-        // Training-mode batch norm normalises away a global positive scale.
-        let mut bn1 = BatchNorm::new("a", x.channels());
-        let mut bn2 = BatchNorm::new("b", x.channels());
-        let y1 = bn1.forward(&x, Mode::Train);
-        let mut scaled = x.clone();
-        for v in scaled.as_mut_slice() {
-            *v *= scale;
-        }
-        let y2 = bn2.forward(&scaled, Mode::Train);
-        for (a, b) in y1.as_slice().iter().zip(y2.as_slice()) {
-            assert!((a - b).abs() < 2e-2, "case {case}: {a} vs {b} (scale {scale})");
         }
     });
 }

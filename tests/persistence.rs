@@ -1,16 +1,12 @@
-//! Checkpoint persistence across model kinds, including reuse layers and
-//! batch-norm running state.
+//! Checkpoint persistence across model kinds, including reuse layers.
 
 // Test/example code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]
 
 use adaptive_deep_reuse::adaptive::trainer::BatchSource;
 use adaptive_deep_reuse::models::{cifarnet, ConvMode};
-use adaptive_deep_reuse::nn::batchnorm::BatchNorm;
 use adaptive_deep_reuse::nn::checkpoint::Checkpoint;
-use adaptive_deep_reuse::nn::dense::Dense;
-use adaptive_deep_reuse::nn::relu::Relu;
-use adaptive_deep_reuse::nn::{LrSchedule, Network, Sgd};
+use adaptive_deep_reuse::nn::{LrSchedule, Sgd};
 use adaptive_deep_reuse::prelude::*;
 use adaptive_deep_reuse::reuse::ReuseConfig;
 use adaptive_deep_reuse::source::DatasetSource;
@@ -58,34 +54,6 @@ fn reuse_model_checkpoint_round_trips_through_bytes() {
     // parameters instead: capture again and require bit equality.
     assert_eq!(Checkpoint::capture(&mut twin), snap);
     let _ = probe;
-}
-
-#[test]
-fn batchnorm_running_state_survives_checkpoint() {
-    let build = |seed: u64| {
-        let mut rng = AdrRng::seeded(seed);
-        let mut net = Network::new((4, 4, 2));
-        net.push(Box::new(BatchNorm::new("bn", 2)));
-        net.push(Box::new(Relu::new("relu")));
-        net.push(Box::new(Dense::new("fc", 32, 2, &mut rng)));
-        net
-    };
-    let mut net = build(1);
-    let mut xrng = AdrRng::seeded(3);
-    let x = Tensor4::from_fn(8, 4, 4, 2, |_, _, _, _| xrng.gauss() * 3.0 + 1.0);
-    let mut sgd = Sgd::constant(0.01);
-    for _ in 0..10 {
-        net.train_batch(&x, &[0, 1, 0, 1, 0, 1, 0, 1], &mut sgd);
-    }
-    let snap = Checkpoint::capture(&mut net);
-    assert_eq!(snap.state.len(), 2, "bn running mean + var");
-
-    let mut fresh = build(9);
-    snap.restore(&mut fresh).unwrap();
-    // Eval logits must match exactly: running stats were restored too.
-    let a = net.forward(&x, Mode::Eval);
-    let b = fresh.forward(&x, Mode::Eval);
-    assert_eq!(a.as_slice(), b.as_slice());
 }
 
 #[test]
