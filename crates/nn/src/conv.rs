@@ -13,7 +13,7 @@
 
 use adr_tensor::im2col::{col2im, im2col_into, ConvGeom};
 use adr_tensor::matrix::{column_sums_into, Matrix};
-use adr_tensor::par::{gemm_ta_par, gemm_tb_par, matmul_par};
+use adr_tensor::par::{gemm_rows_par, gemm_ta_par, gemm_tb_par};
 use adr_tensor::rng::AdrRng;
 use adr_tensor::Tensor4;
 
@@ -25,16 +25,23 @@ use crate::layer::{Layer, Mode, ParamRefMut, Shape3};
 /// metering `N·K·M` multiply–adds as both actual and baseline work.
 ///
 /// # Shape
-/// `unfolded: N × K`, `weight: K × M`, `bias: M`; returns `N × M`.
+/// `unfolded: N × K` row-major, `weight: K × M`, `bias: M`; returns `N × M`.
+///
+/// # Panics
+/// Panics when `unfolded` is not a whole number of `K`-wide rows.
 pub fn gemm_forward(
-    unfolded: &Matrix,
+    unfolded: &[f32],
     weight: &Matrix,
     bias: &[f32],
     meter: &mut FlopMeter,
 ) -> Matrix {
-    let mut y = matmul_par(unfolded, weight);
+    let (k, m) = weight.shape();
+    assert!(k > 0 && unfolded.len().is_multiple_of(k), "unfolded input is not N x K (K = {k})");
+    let n = unfolded.len() / k;
+    let mut y = Matrix::zeros(n, m);
+    gemm_rows_par(unfolded, weight.as_slice(), y.as_mut_slice(), n, k, m);
     y.add_row_bias(bias);
-    let work = (unfolded.rows() * unfolded.cols() * weight.cols()) as u64;
+    let work = (n * k * m) as u64;
     meter.add_forward(work, work);
     y
 }
@@ -207,7 +214,7 @@ impl Layer for Conv2d {
     )]
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
         im2col_into(input, &self.geom, &mut self.unfolded);
-        let y = gemm_forward(&self.unfolded, &self.weight, &self.bias, &mut self.meter);
+        let y = gemm_forward(self.unfolded.as_slice(), &self.weight, &self.bias, &mut self.meter);
         self.cached_batch = (mode == Mode::Train).then_some(input.batch());
         if self.cached_batch.is_none() {
             // No backward pass will read the buffer: an eval forward (probe,

@@ -11,25 +11,32 @@
 //!   multiplied by `W_Iᵀ` to get centroid input-gradients, which every
 //!   member of the cluster then shares.
 //!
-//! Sub-matrices are independent until the very end, so the pass runs as two
-//! fan-outs over the persistent pool: one over sub-matrices (cluster sums,
-//! `∇W_I`, `δx_{c,I}`), then one over rows (every member row of `δx`
-//! gathers its cluster's gradient). The cluster sums walk each sub-matrix's
-//! rows in member order — a counting sort by cluster — so each cluster's
-//! running `δy` row stays in registers across all its members. All buffers
-//! either phase writes, the sort's scratch included, are sized on the
+//! Sub-matrices are independent, so [`reuse_backward`] is one fan-out over
+//! sub-matrices on the persistent pool (cluster sums, `∇W_I`, `δx_{c,I}`),
+//! and it stops at the centroid gradients. The `N × K` input delta is never
+//! stored: every one of its rows only copies one `δx_c` row per sub-matrix,
+//! so [`fold_input_grad`] gathers one image's rows at a time
+//! ([`input_grad_row`]) into the thread's unfold scratch — dead between
+//! forward passes — and folds them into the input gradient, in `col2im`'s
+//! order. The cluster sums walk each sub-matrix's rows in member order — a
+//! counting sort by cluster — so each cluster's running `δy` row stays in
+//! registers across all its members. Every buffer either fan-out writes,
+//! the sort's scratch and the fold's rows included, is sized on the
 //! dispatching thread first — pool workers never allocate.
 
+use adr_tensor::im2col::{col2im_gathered, ConvGeom};
 use adr_tensor::matrix::{column_sums_into, gemm_ta_rows, gemm_tb_rows, Matrix};
-use adr_tensor::par::{compute_threads, memory_threads, run_blocks, run_row_blocks};
+use adr_tensor::par::{compute_threads, run_blocks};
+use adr_tensor::Tensor4;
 
 use crate::forward::{ReuseArena, SubMatrix};
+use crate::scratch;
 use crate::subvec::SubVecSplit;
 
 /// Runs the reuse backward pass from the forward clustering held in `arena`
 /// (left there by [`crate::forward::reuse_forward_with`]), writing the
-/// gradients into caller-owned buffers so a steady-state step allocates no
-/// matrix.
+/// parameter gradients into caller-owned buffers so a steady-state step
+/// allocates no matrix.
 ///
 /// * `split` — the same sub-vector partition used forward.
 /// * `weight` — the `K × M` weight matrix; its row bands are read in place.
@@ -37,10 +44,10 @@ use crate::subvec::SubVecSplit;
 /// * `weight_grad` — receives the `K × M` weight gradient (every element
 ///   overwritten).
 /// * `bias_grad` — receives the length-`M` bias gradient.
-/// * `delta_x_unf` — reshaped to `N × K` and overwritten with the gradient
-///   w.r.t. the unfolded input (fold with `col2im`); `None` when nobody will
-///   read it (a training step's first layer), which skips the cluster means,
-///   the `δx_c` products and the whole row fan-out.
+/// * `want_input` — also compute the centroid input-gradients `δx_c` into
+///   the arena, for [`fold_input_grad`] (or [`input_grad_row`]) to read;
+///   `false` when nobody will read the input gradient (a training step's
+///   first layer), which skips the cluster means and the `δx_c` products.
 ///
 /// Returns the multiply–adds actually performed.
 ///
@@ -54,7 +61,7 @@ pub fn reuse_backward(
     delta_y: &[f32],
     weight_grad: &mut Matrix,
     bias_grad: &mut [f32],
-    delta_x_unf: Option<&mut Matrix>,
+    want_input: bool,
 ) -> u64 {
     let (k, m) = weight.shape();
     let num_subs = split.num_sub_vectors();
@@ -72,7 +79,6 @@ pub fn reuse_backward(
     // `K × M` gradient. The cluster gradients δy_c land in the forward
     // pass's cluster-output blocks: same `|C_I| × M` shape, and dead since
     // the forward scatter.
-    let want_input = delta_x_unf.is_some();
     let bands = weight_grad.as_mut_slice().chunks_mut(split.l() * m);
     let mut tasks = Vec::with_capacity(num_subs);
     let mut flops = 0u64;
@@ -89,9 +95,9 @@ pub fn reuse_backward(
         tasks.push((w_grad_band, sub));
     }
 
-    // Phase 1, sub-matrix-parallel: blocks are contiguous runs of tasks,
-    // each with its own member-order scratch (N row indices and at most N
-    // cluster cursors), sized here.
+    // Sub-matrix-parallel: blocks are contiguous runs of tasks, each with
+    // its own member-order scratch (N row indices and at most N cluster
+    // cursors), sized here.
     let threads = compute_threads(usize::try_from(flops).unwrap_or(usize::MAX));
     let per_block = num_subs.div_ceil(threads.clamp(1, num_subs));
     let num_blocks = num_subs.div_ceil(per_block);
@@ -140,24 +146,62 @@ pub fn reuse_backward(
     });
     drop(tasks);
     column_sums_into(delta_y, bias_grad);
-
-    // Phase 2, row-parallel: every member inherits its cluster centroid's
-    // input gradient, one whole contiguous row of δx at a time.
-    if let Some(delta_x_unf) = delta_x_unf {
-        delta_x_unf.resize_for_overwrite(n, k);
-        let subs = &arena.subs;
-        let threads = memory_threads(n * k);
-        run_row_blocks(delta_x_unf.as_mut_slice(), k, n, threads, |row0, rows_here, chunk| {
-            for r in 0..rows_here {
-                let dst = &mut chunk[r * k..(r + 1) * k];
-                for (sub, &(start, end)) in subs.iter().zip(split.ranges()) {
-                    let dx_c = sub.centroid_grads.row(sub.table.cluster_of(row0 + r) as usize);
-                    dst[start..end].copy_from_slice(dx_c);
-                }
-            }
-        });
-    }
     flops
+}
+
+/// Row `r` of the unfolded input gradient `δx` (`N × K`) into `dst`: every
+/// member of a cluster inherits its centroid's gradient (Eq. 13), so
+/// columns `[start, end)` of sub-matrix `I` are the `δx_{c,I}` row of `r`'s
+/// cluster. Reads what the latest [`reuse_backward`] with `want_input` left
+/// in `arena`. The one definition of `δx` that the fold and its tests share.
+///
+/// # Panics
+/// Panics if `dst.len() != K`, if `r` is not a row of the clustering, or if
+/// the arena holds no centroid gradients for it.
+pub fn input_grad_row(arena: &ReuseArena, split: &SubVecSplit, r: usize, dst: &mut [f32]) {
+    assert_eq!(dst.len(), split.k(), "an input-gradient row is K wide");
+    gather_row(&arena.subs, split, r, dst);
+}
+
+/// [`input_grad_row`] over the sub-matrix states.
+fn gather_row(subs: &[SubMatrix], split: &SubVecSplit, r: usize, dst: &mut [f32]) {
+    for (sub, &(start, end)) in subs.iter().zip(split.ranges()) {
+        dst[start..end].copy_from_slice(sub.centroid_grads.row(sub.table.cluster_of(r) as usize));
+    }
+}
+
+/// The input gradient of a batch of `batch` images: `col2im` of the `N × K`
+/// matrix whose rows are [`input_grad_row`], with no such matrix stored.
+/// Each block of the image fan-out gathers one image's rows at a time into
+/// a slice of the thread's unfold scratch — dead between forward passes,
+/// and already at least `N × K` long after this layer's forward on this
+/// thread — and folds them in `col2im`'s order, so the result is bit for
+/// bit `col2im` of the gathered matrix (`tensor::im2col::col2im_gathered`).
+///
+/// # Panics
+/// Panics if `geom` disagrees with `split`, if the clustering in `arena` is
+/// not of `batch` images under `geom`, or if the latest [`reuse_backward`]
+/// left no centroid gradients (it ran without `want_input`).
+pub fn fold_input_grad(
+    arena: &ReuseArena,
+    split: &SubVecSplit,
+    geom: &ConvGeom,
+    batch: usize,
+) -> Tensor4 {
+    assert_eq!(geom.k(), split.k(), "geometry disagrees with split");
+    let subs = &arena.subs;
+    assert_eq!(subs.len(), split.num_sub_vectors(), "one sub-matrix state per sub-matrix required");
+    for (i, sub) in subs.iter().enumerate() {
+        let table = &sub.table;
+        assert_eq!(table.num_rows(), geom.rows_for_batch(batch), "table {i} is not of this batch");
+        assert_eq!(
+            sub.centroid_grads.shape(),
+            (table.num_clusters(), split.width(i)),
+            "sub-matrix {i} holds no centroid gradients of this clustering"
+        );
+    }
+    let mut rows = scratch::unfolded(geom.rows_for_batch(batch) * geom.k());
+    col2im_gathered(geom, batch, &mut rows, |r, row| gather_row(subs, split, r, row))
 }
 
 #[cfg(test)]
@@ -165,6 +209,7 @@ mod tests {
     use super::*;
     use adr_clustering::lsh::LshTable;
     use adr_nn::layer::Mode;
+    use adr_tensor::im2col::{col2im, im2col};
     use adr_tensor::rng::AdrRng;
 
     use crate::forward::{reuse_forward, reuse_forward_with};
@@ -174,6 +219,7 @@ mod tests {
     struct Grads {
         weight_grad: Matrix,
         bias_grad: Vec<f32>,
+        /// The unfolded input gradient, assembled row by row.
         delta_x_unf: Matrix,
         flops: u64,
     }
@@ -181,17 +227,20 @@ mod tests {
     fn backward(arena: &mut ReuseArena, split: &SubVecSplit, w: &Matrix, dy: &Matrix) -> Grads {
         let mut weight_grad = Matrix::filled(w.rows(), w.cols(), f32::NAN);
         let mut bias_grad = vec![f32::NAN; w.cols()];
-        let mut delta_x_unf = Matrix::default();
-        let flops = reuse_backward(
-            arena,
-            split,
-            w,
-            dy.as_slice(),
-            &mut weight_grad,
-            &mut bias_grad,
-            Some(&mut delta_x_unf),
-        );
+        let flops =
+            reuse_backward(arena, split, w, dy.as_slice(), &mut weight_grad, &mut bias_grad, true);
+        let delta_x_unf = gathered(arena, split);
         Grads { weight_grad, bias_grad, delta_x_unf, flops }
+    }
+
+    /// The `N × K` input gradient, every row from [`input_grad_row`].
+    fn gathered(arena: &ReuseArena, split: &SubVecSplit) -> Matrix {
+        let n = arena.sub_matrices()[0].table().num_rows();
+        let mut delta_x_unf = Matrix::filled(n, split.k(), f32::NAN);
+        for r in 0..n {
+            input_grad_row(arena, split, r, delta_x_unf.row_mut(r));
+        }
+        delta_x_unf
     }
 
     fn setup(
@@ -330,7 +379,8 @@ mod tests {
         for x in [&x_coarse, &x_fine, &x_coarse] {
             let dy = Matrix::from_fn(40, 5, |_, _| rng.gauss());
             let train = Mode::Train;
-            reuse_forward_with(x, &w, &b, &split, &lsh, &hasher, None, train, &mut recycled);
+            let x_unf = x.as_slice();
+            reuse_forward_with(x_unf, &w, &b, &split, &lsh, &hasher, None, train, &mut recycled);
             clusters.push(recycled.sub_matrices()[0].table().num_clusters());
             let got = backward(&mut recycled, &split, &w, &dy);
             let (_, mut fresh) = reuse_forward(x, &w, &b, &split, &lsh, None);
@@ -341,6 +391,59 @@ mod tests {
             assert_eq!(got.flops, want.flops);
         }
         assert!(clusters[0] < clusters[1], "precondition: cluster counts change ({clusters:?})");
+    }
+
+    /// The fold never stores `δx`, and must give bit for bit `col2im` of the
+    /// rows [`input_grad_row`] assembles: stride 1 and 2, padding 0–2,
+    /// 1×1, 3×3 and 5×5 kernels, `K` never a multiple of `L` (tails of 1, 7
+    /// and 3 columns), one to three images.
+    #[test]
+    fn fold_is_col2im_of_the_gathered_rows_across_geometries() {
+        let mut cases = 0;
+        for stride in 1..=2 {
+            for padding in 0..=2 {
+                for kernel in [1, 3, 5] {
+                    let Some(geom) = ConvGeom::new(7, 6, 3, kernel, kernel, stride, padding) else {
+                        continue;
+                    };
+                    let k = geom.k();
+                    let l = match k {
+                        3 => 2,
+                        27 => 10,
+                        _ => 9,
+                    };
+                    let split = SubVecSplit::new(k, l);
+                    assert!(k % l != 0 && k % l < 8, "precondition: a narrow tail");
+                    for batch in 1..=3 {
+                        let mut rng = AdrRng::seeded((stride * 100 + padding * 10 + kernel) as u64);
+                        let input = Tensor4::from_fn(batch, 7, 6, 3, |b, y, x, c| {
+                            ((b + y * 2 + x + c) % 3) as f32 + 0.01 * rng.gauss()
+                        });
+                        let x_unf = im2col(&input, &geom);
+                        let w = Matrix::from_fn(k, 4, |_, _| rng.gauss() * 0.2);
+                        let lsh: Vec<LshTable> = split
+                            .ranges()
+                            .iter()
+                            .map(|&(a, b)| LshTable::new(b - a, 6, &mut rng))
+                            .collect();
+                        let (_, mut arena) =
+                            reuse_forward(&x_unf, &w, &[0.0; 4], &split, &lsh, None);
+                        let dy = Matrix::from_fn(x_unf.rows(), 4, |_, _| rng.gauss());
+                        let out = backward(&mut arena, &split, &w, &dy);
+                        let want = col2im(&out.delta_x_unf, &geom, batch);
+                        let got = fold_input_grad(&arena, &split, &geom, batch);
+                        let what = format!("s={stride} p={padding} k={kernel} nb={batch}");
+                        assert_eq!(got.shape(), want.shape(), "{what}");
+                        let bits = |t: &Tensor4| {
+                            t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                        };
+                        assert_eq!(bits(&got), bits(&want), "{what}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases >= 45, "{cases} cases");
     }
 
     #[test]

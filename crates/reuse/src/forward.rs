@@ -52,6 +52,7 @@ use adr_tensor::matrix::{gemm_rows, Matrix};
 use adr_tensor::par::{memory_threads, run_blocks, run_row_blocks};
 
 use crate::hashpack::PackedHasher;
+use crate::scratch;
 use crate::stats::ReuseStats;
 use crate::subvec::SubVecSplit;
 
@@ -97,11 +98,18 @@ impl SubMatrix {
 ///
 /// Every buffer here is sized on first use and *reused* — heap capacity kept,
 /// contents reset — on every later call, so a steady-state training step's
-/// hash/cluster/centroid/scatter machinery allocates nothing; the one thing a
+/// cluster/centroid/scatter machinery allocates nothing; the one thing a
 /// forward pass still allocates is the output it returns. The arena holds
-/// the signature matrix, one [`SubMatrix`] per sub-matrix — the unit both
-/// passes fan out over — and one grouping scratch per fan-out block. The
-/// clustering in the sub-matrix states is what
+/// one [`SubMatrix`] per sub-matrix — the unit both passes fan out over —
+/// one grouping scratch per block of the forward fan-out and one
+/// member-order scratch per block of the backward one. It holds nothing of
+/// batch size `N × K` or `N × ⌈K/L⌉`: the unfolded input and its signatures
+/// are dead once the sub-matrix fan-out has grouped and summed them, so
+/// they live in a per-thread scratch every layer shares (`crate::scratch`),
+/// and the input gradient is folded straight from the centroid gradients
+/// ([`crate::backward::fold_input_grad`]).
+///
+/// The clustering in the sub-matrix states is what
 /// [`crate::backward::reuse_backward`] consumes: after a [`Mode::Train`]
 /// forward pass it stays valid until the next forward pass through this
 /// arena. A [`Mode::Eval`] pass, which no backward pass follows, frees it on
@@ -109,8 +117,6 @@ impl SubMatrix {
 /// layer, and an evaluation batch is often several times the training batch.
 #[derive(Debug, Default)]
 pub struct ReuseArena {
-    /// Row-major packed signatures, `N × num_subs`.
-    sig_all: Vec<u64>,
     /// Per-sub-matrix state of the latest forward pass.
     pub(crate) subs: Vec<SubMatrix>,
     /// Signature → cluster lookup tables of the grouping step, one per
@@ -168,7 +174,7 @@ pub fn reuse_forward(
     let hasher = PackedHasher::new(split, lsh);
     let mut arena = ReuseArena::default();
     let outcome = reuse_forward_with(
-        x_unf,
+        x_unf.as_slice(),
         weight,
         bias,
         split,
@@ -202,6 +208,10 @@ struct ForwardBlock<'a> {
 /// layer does) pays those allocations once per reconfiguration instead of
 /// once per batch.
 ///
+/// `x_unf` is the `N × K` unfolded input as a row-major slice, `K =
+/// split.k()`: the layer lends it a prefix of its thread's unfold scratch.
+/// The signatures go to a prefix of the thread's signature scratch, so the
+/// arena keeps nothing of size `N × ⌈K/L⌉`.
 /// `hasher` must be the packed form of exactly this `split`/`lsh` pair.
 /// `mode` says whether a backward pass will consume the clustering:
 /// [`Mode::Train`] forms every centroid and leaves the clustering in `arena`
@@ -210,11 +220,12 @@ struct ForwardBlock<'a> {
 /// The output, the statistics and the caches are the same bits either way.
 ///
 /// # Panics
-/// Panics on any dimension disagreement between the inputs, or when `hasher`
+/// Panics on any dimension disagreement between the inputs (including an
+/// `x_unf` that is not a whole number of `K`-wide rows), or when `hasher`
 /// disagrees with the split.
 #[allow(clippy::too_many_arguments)]
 pub fn reuse_forward_with(
-    x_unf: &Matrix,
+    x_unf: &[f32],
     weight: &Matrix,
     bias: &[f32],
     split: &SubVecSplit,
@@ -224,9 +235,9 @@ pub fn reuse_forward_with(
     mode: Mode,
     arena: &mut ReuseArena,
 ) -> ForwardOutcome {
-    let (n, k) = x_unf.shape();
-    let m = weight.cols();
-    assert_eq!(k, split.k(), "split width disagrees with input");
+    let k = split.k();
+    assert_eq!(x_unf.len() % k, 0, "split width disagrees with input");
+    let (n, m) = (x_unf.len() / k, weight.cols());
     assert_eq!(weight.rows(), k, "weight rows disagree with K");
     assert!(m > 0, "a reuse layer has at least one filter");
     assert_eq!(bias.len(), m, "bias length disagrees with M");
@@ -242,14 +253,16 @@ pub fn reuse_forward_with(
     arena.subs.resize_with(num_subs, SubMatrix::default);
 
     // One streaming pass produces every sub-vector signature (row-major:
-    // sig_all[r * num_subs + i]).
+    // sig_all[r * num_subs + i]) into the thread's signature scratch: only
+    // the grouping below reads them.
+    let mut sig_all = scratch::signatures(n * num_subs);
     {
         let _span = adr_obs::span_phase(adr_obs::Phase::Hash);
-        hasher.hash_all_into(x_unf, &mut arena.sig_all);
+        hasher.hash_into(x_unf, &mut sig_all);
     }
-    let sig_all = &arena.sig_all;
+    let sig_all = &*sig_all;
     let h_bits = hasher.num_hashes();
-    let (x, w) = (x_unf.as_slice(), weight.as_slice());
+    let (x, w) = (x_unf, weight.as_slice());
 
     // The sub-matrix fan-out. Grouping and the centroid sweep touch every
     // element of the unfolded matrix and its signature once — memory-bound,
@@ -716,7 +729,7 @@ mod tests {
                 let what = format!("{case}: batch {b}, {workers} workers, {mode:?}");
                 caches.iter_mut().for_each(ReuseCache::begin_batch);
                 let got = reuse_forward_with(
-                    x,
+                    x.as_slice(),
                     weight,
                     bias,
                     &split,

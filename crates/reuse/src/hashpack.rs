@@ -94,17 +94,29 @@ impl PackedHasher {
     }
 
     /// [`Self::hash_all`] into a caller-owned signature buffer, which is
-    /// resized (heap capacity reused) first — the arena variant the reuse
-    /// forward pass uses so steady-state hashing allocates nothing.
+    /// resized (heap capacity reused) first.
     ///
     /// # Panics
     /// Panics if `x.cols() != K`.
     pub fn hash_all_into(&self, x: &Matrix, out: &mut Vec<u64>) {
         assert_eq!(x.cols(), self.k, "hash_all: column count mismatch");
-        let n = x.rows();
+        out.resize(x.rows() * self.num_subs(), 0);
+        self.hash_into(x.as_slice(), out);
+    }
+
+    /// Hashes the row-major `N × K` rows of `x` into `out`, which holds
+    /// exactly `N · num_subs` signatures laid out as [`Self::hash_all`]'s and
+    /// is overwritten, not cleared first — the entry point of the reuse
+    /// forward pass, which lends it a prefix of its thread's scratch.
+    ///
+    /// # Panics
+    /// Panics if `x` is not a whole number of `K`-wide rows, or if `out` does
+    /// not hold one signature per row and sub-matrix.
+    pub fn hash_into(&self, x: &[f32], out: &mut [u64]) {
+        assert_eq!(x.len() % self.k, 0, "hash_into: input is not a whole number of K-wide rows");
+        let n = x.len() / self.k;
         let subs = self.num_subs();
-        out.clear();
-        out.resize(n * subs, 0);
+        assert_eq!(out.len(), n * subs, "hash_into: signature buffer is not N x num_subs");
         // Hashing is a dense projection — compute-bound, like GEMM.
         let threads = adr_tensor::par::compute_threads(n * self.k * self.h);
         adr_tensor::par::run_row_blocks(out, subs, n, threads, |row0, rows_here, chunk| {
@@ -112,12 +124,13 @@ impl PackedHasher {
         });
     }
 
-    /// Hashes rows `[row0, row0 + count)` into `out` (length `count · subs`):
-    /// one kernel call per row block, which walks a register block of rows
-    /// across all sub-matrices before moving down, so `x` streams through
-    /// the cache once and every row of the block is a sequential read.
-    fn hash_rows(&self, x: &Matrix, row0: usize, count: usize, out: &mut [u64]) {
-        let x = &x.as_slice()[row0 * self.k..(row0 + count) * self.k];
+    /// Hashes rows `[row0, row0 + count)` of the row-major `x` into `out`
+    /// (length `count · subs`): one kernel call per row block, which walks a
+    /// register block of rows across all sub-matrices before moving down, so
+    /// `x` streams through the cache once and every row of the block is a
+    /// sequential read.
+    fn hash_rows(&self, x: &[f32], row0: usize, count: usize, out: &mut [u64]) {
+        let x = &x[row0 * self.k..(row0 + count) * self.k];
         project_signs(x, self.k, count, &self.ranges, &self.packed, self.lanes / LANES, out);
     }
 }
@@ -151,7 +164,7 @@ mod tests {
         if x.rows() > 2 {
             let (row0, count) = (1, x.rows() - 2);
             let mut block = vec![u64::MAX; count * subs];
-            hasher.hash_rows(x, row0, count, &mut block);
+            hasher.hash_rows(x.as_slice(), row0, count, &mut block);
             assert_eq!(block, all[row0 * subs..][..count * subs], "{what}: block at row {row0}");
         }
     }
@@ -230,9 +243,19 @@ mod tests {
         let split = SubVecSplit::new(10, 4); // widths 4,4,2
         let lsh = families(&split, 6, 12);
         let packed = PackedHasher::new(&split, &lsh);
-        let mut arena = vec![u64::MAX; 99]; // stale garbage must be cleared
-        packed.hash_all_into(&x, &mut arena);
-        assert_eq!(arena, packed.hash_all(&x));
+        let want = packed.hash_all(&x);
+        // Stale garbage of a longer and of a shorter buffer is overwritten.
+        for len in [99usize, 5] {
+            let mut arena = vec![u64::MAX; len];
+            packed.hash_all_into(&x, &mut arena);
+            assert_eq!(arena, want, "buffer of {len}");
+        }
+        // The forward pass's form: a prefix of a longer scratch, whose tail
+        // the hasher leaves alone.
+        let mut scratch = vec![u64::MAX; want.len() + 7];
+        packed.hash_into(x.as_slice(), &mut scratch[..want.len()]);
+        assert_eq!(scratch[..want.len()], want[..]);
+        assert!(scratch[want.len()..].iter().all(|&s| s == u64::MAX));
     }
 
     #[test]

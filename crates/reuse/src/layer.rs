@@ -7,15 +7,16 @@ use adr_nn::flops::{FlopMeter, FlopReport};
 use adr_nn::init::Init;
 use adr_nn::layer::{Layer, Mode, ParamRefMut, Shape3};
 use adr_nn::Network;
-use adr_tensor::im2col::{col2im, im2col_into, ConvGeom};
+use adr_tensor::im2col::{col2im, im2col_into, unfold_into, ConvGeom};
 use adr_tensor::matrix::Matrix;
 use adr_tensor::rng::AdrRng;
 use adr_tensor::Tensor4;
 
-use crate::backward::reuse_backward;
+use crate::backward::{fold_input_grad, reuse_backward};
 use crate::cost::{first_layer_step_cost, training_step_cost, CostParams};
 use crate::forward::{reuse_forward_with, ReuseArena};
 use crate::hashpack::PackedHasher;
+use crate::scratch;
 use crate::stats::ReuseStats;
 use crate::subvec::SubVecSplit;
 use crate::{DegenerateClustering, ReuseConfig};
@@ -87,14 +88,18 @@ pub struct ReuseConv2d {
     /// families are (config retune, degenerate-clustering injection, repair).
     /// `None` only during construction, before the first family build.
     hasher: Option<PackedHasher>,
-    /// Recycled forward and backward buffers (signatures, one state per
-    /// sub-matrix — clustering, centroids, cluster outputs, cluster
-    /// gradients — and the grouping scratch) — steady-state steps reuse its
-    /// heap capacity.
+    /// Recycled forward and backward buffers (one state per sub-matrix —
+    /// clustering, centroids, cluster outputs, cluster gradients — and the
+    /// per-block scratch of each fan-out) — steady-state steps reuse its
+    /// heap capacity. Nothing in it is `N × K` or `N × ⌈K/L⌉`.
     arena: ReuseArena,
-    /// Recycled `N × K` buffer: the im2col output in the forward pass and,
-    /// once the clustering has replaced it, the unfolded input gradient in
-    /// the backward pass. Sized on the first forward, reused after.
+    /// The one batch-sized buffer the layer owns, and only in dense mode
+    /// after a training forward: the unfolded input, which the dense
+    /// backward reads for `∇W` and then overwrites with `δx` for `col2im`.
+    /// Every other forward unfolds into the thread's shared scratch
+    /// (`crate::scratch`), and a reuse-mode forward empties this buffer.
+    /// A dense-mode eval forward leaves it as it is, so that the guardrails'
+    /// dense fallback does not re-fault it after every probe.
     unfolded: Matrix,
     meter: FlopMeter,
     stats: ReuseStats,
@@ -396,9 +401,11 @@ impl ReuseConv2d {
     }
 
     /// Consumes the pending training forward: fills `∇W` and `∇b` in the
-    /// layer's mode and, when `want_input`, leaves `δx` unfolded in
-    /// `self.unfolded` for `col2im`. Meters what ran against what a dense
-    /// layer would have run for the same request. Returns the batch size.
+    /// layer's mode and, when `want_input`, leaves what the fold reads —
+    /// `δx` unfolded in `self.unfolded` in dense mode, the centroid
+    /// gradients `δx_c` in the arena in reuse mode. Meters what ran against
+    /// what a dense layer would have run for the same request. Returns the
+    /// batch size.
     #[expect(
         clippy::expect_used,
         reason = "layer-protocol: backward before a training forward is a training-loop bug (`Layer` contract)"
@@ -428,7 +435,7 @@ impl ReuseConv2d {
                 delta_y,
                 &mut self.weight_grad,
                 &mut self.bias_grad,
-                want_input.then_some(&mut self.unfolded),
+                want_input,
             );
             let products = if want_input { 2 } else { 1 };
             let n = self.geom.rows_for_batch(batch);
@@ -436,6 +443,57 @@ impl ReuseConv2d {
             self.meter.add_backward(flops, baseline);
         }
         batch
+    }
+
+    /// The layer's product on the unfolded batch `x_unf` (`N × K`,
+    /// row-major): `Conv2d`'s GEMM in dense mode, the clustered pass
+    /// otherwise. Records the statistics, meters and telemetry of the pass.
+    #[expect(
+        clippy::expect_used,
+        reason = "internal-invariant: `rebuild_for_config` sets the hasher before the constructor returns"
+    )]
+    fn multiply(&mut self, x_unf: &[f32], mode: Mode) -> Matrix {
+        let n = x_unf.len() / self.geom.k();
+        let baseline = (x_unf.len() * self.out_channels) as u64;
+        let output = if self.dense {
+            let _span = adr_obs::span_phase(adr_obs::Phase::CentroidGemm);
+            // Every row is its own "cluster": r_c = 1, nothing hashed,
+            // nothing scattered.
+            self.stats = ReuseStats {
+                rows: n,
+                num_sub_vectors: 1,
+                avg_clusters: n as f64,
+                avg_remaining_ratio: 1.0,
+                gemm_flops: baseline,
+                ..ReuseStats::default()
+            };
+            gemm_forward(x_unf, &self.weight, &self.bias, &mut self.meter)
+        } else {
+            let caches = if self.config.cluster_reuse {
+                for c in &mut self.caches {
+                    c.begin_batch();
+                }
+                Some(self.caches.as_mut_slice())
+            } else {
+                None
+            };
+            let outcome = reuse_forward_with(
+                x_unf,
+                &self.weight,
+                &self.bias,
+                &self.split,
+                &self.lsh,
+                self.hasher.as_ref().expect("families are built before any forward"),
+                caches,
+                mode,
+                &mut self.arena,
+            );
+            self.stats = outcome.stats;
+            self.meter.add_forward(self.stats.total_forward_flops(), baseline);
+            outcome.output
+        };
+        self.record_telemetry(baseline);
+        output
     }
 }
 
@@ -456,19 +514,12 @@ impl Layer for ReuseConv2d {
 
     #[expect(
         clippy::expect_used,
-        reason = "internal-invariant: `rebuild_for_config` sets the hasher before the constructor returns, \
-                  and the output has exactly the element count of the geometry passed beside it"
+        reason = "internal-invariant: the output has exactly the element count of the geometry passed beside it"
     )]
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
         // Telemetry: attribute the phase spans below (and those inside
         // `reuse_forward`) to this layer. No-op when no sink is installed.
         adr_obs::enter_layer(&self.name);
-        {
-            let _span = adr_obs::span_phase(adr_obs::Phase::Im2col);
-            im2col_into(input, &self.geom, &mut self.unfolded);
-        }
-        let (n, k) = self.unfolded.shape();
-        let baseline = (n * k * self.out_channels) as u64;
         if self.config.cluster_reuse && mode == Mode::Train {
             // Weights move with every training step, dense or not, so dense
             // batches age the cached outputs too.
@@ -480,44 +531,28 @@ impl Layer for ReuseConv2d {
                 }
             }
         }
-        let output = if self.dense {
-            let _span = adr_obs::span_phase(adr_obs::Phase::CentroidGemm);
-            // Every row is its own "cluster": r_c = 1, nothing hashed,
-            // nothing scattered.
-            self.stats = ReuseStats {
-                rows: n,
-                num_sub_vectors: 1,
-                avg_clusters: n as f64,
-                avg_remaining_ratio: 1.0,
-                gemm_flops: baseline,
-                ..ReuseStats::default()
-            };
-            gemm_forward(&self.unfolded, &self.weight, &self.bias, &mut self.meter)
+        let output = if self.dense && mode == Mode::Train {
+            // The dense backward reads this unfold for ∇W: the layer keeps it.
+            let mut unfolded = std::mem::take(&mut self.unfolded);
+            {
+                let _span = adr_obs::span_phase(adr_obs::Phase::Im2col);
+                im2col_into(input, &self.geom, &mut unfolded);
+            }
+            let output = self.multiply(unfolded.as_slice(), mode);
+            self.unfolded = unfolded;
+            output
         } else {
-            let caches = if self.config.cluster_reuse {
-                for c in &mut self.caches {
-                    c.begin_batch();
-                }
-                Some(self.caches.as_mut_slice())
-            } else {
-                None
-            };
-            let outcome = reuse_forward_with(
-                &self.unfolded,
-                &self.weight,
-                &self.bias,
-                &self.split,
-                &self.lsh,
-                self.hasher.as_ref().expect("families are built before any forward"),
-                caches,
-                mode,
-                &mut self.arena,
-            );
-            self.stats = outcome.stats;
-            self.meter.add_forward(self.stats.total_forward_flops(), baseline);
-            outcome.output
+            if !self.dense {
+                self.unfolded = Matrix::default();
+            }
+            let len = self.geom.rows_for_batch(input.batch()) * self.geom.k();
+            let mut unfolded = scratch::unfolded(len);
+            {
+                let _span = adr_obs::span_phase(adr_obs::Phase::Im2col);
+                unfold_into(input, &self.geom, &mut unfolded);
+            }
+            self.multiply(&unfolded, mode)
         };
-        self.record_telemetry(baseline);
         self.cached_batch = (mode == Mode::Train).then_some(input.batch());
         Tensor4::from_vec(
             input.batch(),
@@ -531,7 +566,11 @@ impl Layer for ReuseConv2d {
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
         let batch = self.backward_unfolded(grad_out, true);
-        col2im(&self.unfolded, &self.geom, batch)
+        if self.dense {
+            col2im(&self.unfolded, &self.geom, batch)
+        } else {
+            fold_input_grad(&self.arena, &self.split, &self.geom, batch)
+        }
     }
 
     fn backward_params_only(&mut self, grad_out: &Tensor4) {
@@ -707,6 +746,73 @@ mod tests {
         assert_eq!(got.0, want.0, "∇W");
         assert_eq!(got.1, want.1, "∇b");
         assert_eq!(got.2, want.2, "δx");
+    }
+
+    /// Every output, `∇W`, `∇b` and folded `δx` of `layer` on `x` (one
+    /// training step), against the allocating oracles: `reuse_forward` on a
+    /// fresh unfold, `reuse_backward`, the row gather and `col2im`.
+    fn assert_step_matches_oracles(layer: &mut ReuseConv2d, x: &Tensor4, g: &Tensor4, what: &str) {
+        use crate::backward::input_grad_row;
+        use crate::forward::reuse_forward;
+        use adr_tensor::im2col::im2col;
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let x_unf = im2col(x, &layer.geom);
+        let (want, mut arena) =
+            reuse_forward(&x_unf, &layer.weight, &layer.bias, &layer.split, &layer.lsh, None);
+        assert_eq!(bits(layer.forward(x, Mode::Train).as_slice()), bits(want.output.as_slice()));
+        assert_eq!(layer.unfolded.shape(), (0, 0), "{what}: a reuse layer owns no unfold");
+        let (k, m) = layer.weight.shape();
+        let (mut weight_grad, mut bias_grad) = (Matrix::zeros(k, m), vec![0.0; m]);
+        let split = &layer.split;
+        reuse_backward(
+            &mut arena,
+            split,
+            &layer.weight,
+            g.as_slice(),
+            &mut weight_grad,
+            &mut bias_grad,
+            true,
+        );
+        let mut delta_x_unf = Matrix::zeros(x_unf.rows(), k);
+        for r in 0..x_unf.rows() {
+            input_grad_row(&arena, split, r, delta_x_unf.row_mut(r));
+        }
+        let delta_x = col2im(&delta_x_unf, &layer.geom, x.batch());
+        assert_eq!(bits(layer.backward(g).as_slice()), bits(delta_x.as_slice()), "{what}: δx");
+        assert_eq!(bits(layer.weight_grad.as_slice()), bits(weight_grad.as_slice()), "{what}: ∇W");
+        assert_eq!(bits(&layer.bias_grad), bits(&bias_grad), "{what}: ∇b");
+    }
+
+    /// Two reuse layers of different `(N, K)` share the thread's unfold and
+    /// signature scratch, with an `Eval` forward at 4× the batch between two
+    /// training steps — the adaptive trainer's probe — growing it: every
+    /// pass reads only the prefix it wrote.
+    #[test]
+    fn layers_sharing_the_thread_scratch_match_the_allocating_oracles() {
+        // `a`: N = 16 per image, K = 18; `b` on its output: N = 4, K = 36.
+        let geom_b = ConvGeom::new(4, 4, 4, 3, 3, 2, 1).unwrap();
+        let mut a = reuse_layer(5, 6, false, 60);
+        let config = ReuseConfig::new(8, 6, false);
+        let mut b = ReuseConv2d::new("b", geom_b, 3, config, &mut AdrRng::seeded(61));
+        let mut rng = AdrRng::seeded(62);
+        let mut images = |n: usize| {
+            Tensor4::from_fn(n, 6, 6, 2, |i, y, xx, c| {
+                ((i + y * 2 + xx + c) % 4) as f32 + 0.1 * rng.gauss()
+            })
+        };
+        let (x1, probe, x2) = (images(2), images(8), images(2));
+        let g_a = Tensor4::from_fn(2, 4, 4, 4, |i, y, xx, c| ((i * y + xx + c) % 5) as f32 * 0.1);
+        let g_b = Tensor4::from_fn(2, 2, 2, 3, |i, y, xx, c| (i + y * 2 + xx + c) as f32 * 0.1);
+        for (step, x) in [&x1, &x2].into_iter().enumerate() {
+            if step == 1 {
+                let h = a.forward(&probe, Mode::Eval);
+                b.forward(&h, Mode::Eval);
+                assert_eq!(a.unfolded.shape(), (0, 0), "an eval forward leaves no unfold either");
+            }
+            let h = a.forward(x, Mode::Eval);
+            assert_step_matches_oracles(&mut b, &h, &g_b, &format!("b, step {step}"));
+            assert_step_matches_oracles(&mut a, x, &g_a, &format!("a, step {step}"));
+        }
     }
 
     #[test]

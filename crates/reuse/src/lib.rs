@@ -10,9 +10,10 @@
 //!   centroid outputs back to all members (Fig. 2/3), optionally through the
 //!   across-batch cluster-reuse cache (Algorithm 1).
 //! * [`backward`] — consumes the *forward* clustering to compute the weight
-//!   gradient `∇W_I = x_{c,I}ᵀ · δy_{c,I,s}` (Eq. 9/10) and the input delta
-//!   `δx_{c,I} = δy_{c,I,sa} · W_Iᵀ` (Eq. 17/18) without re-clustering —
-//!   the paper's key efficiency claim (§IV).
+//!   gradient `∇W_I = x_{c,I}ᵀ · δy_{c,I,s}` (Eq. 9/10) and the centroid
+//!   input deltas `δx_{c,I} = δy_{c,I,sa} · W_Iᵀ` (Eq. 17/18) without
+//!   re-clustering — the paper's key efficiency claim (§IV) — and folds the
+//!   input gradient straight from `δx_c`, never storing the `N × K` `δx`.
 //! * [`layer::ReuseConv2d`] — a drop-in replacement for `adr_nn::conv::Conv2d`
 //!   implementing `adr_nn::Layer`, retunable at runtime via
 //!   [`layer::ReuseConv2d::set_config`], with a dense mode
@@ -58,6 +59,7 @@ pub mod cost;
 pub mod forward;
 pub mod hashpack;
 pub mod layer;
+mod scratch;
 pub mod stats;
 pub mod subvec;
 

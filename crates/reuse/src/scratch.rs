@@ -1,0 +1,78 @@
+//! Per-thread scratch for what a reuse forward pass needs only while it
+//! runs: the unfolded input (`N × K` f32) and its signatures (`N × ⌈K/L⌉`
+//! u64).
+//!
+//! Both are dead once the sub-matrix fan-out has grouped and summed them —
+//! the backward pass reads the clustering and the centroids, never these —
+//! so no layer owns them: every [`crate::ReuseConv2d`] on a thread borrows
+//! the thread's one buffer of each. Between forward passes the unfold
+//! buffer also lends the input-gradient fold its rows
+//! ([`crate::backward::fold_input_grad`]). A buffer only grows. A pass borrows a
+//! prefix of exactly its own length, so layers of different shapes taking
+//! turns neither reallocate nor zero-fill again once the buffer has reached
+//! the largest pass the thread has run. Pool workers never touch them: the
+//! dispatching thread lends its prefix to the fan-out.
+
+use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
+use std::thread::LocalKey;
+
+thread_local! {
+    static UNFOLDED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static SIGNATURES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The first `len` elements of this thread's unfold scratch, until dropped.
+/// Contents are whatever the last pass left: the unfold overwrites them.
+pub(crate) fn unfolded(len: usize) -> Scratch<f32> {
+    Scratch::borrow(&UNFOLDED, len)
+}
+
+/// The first `len` elements of this thread's signature scratch, until
+/// dropped. Contents are whatever the last pass left: the hasher overwrites
+/// them.
+pub(crate) fn signatures(len: usize) -> Scratch<u64> {
+    Scratch::borrow(&SIGNATURES, len)
+}
+
+/// A thread's scratch buffer, taken out of its slot and handed back on drop.
+/// A second borrow of the same slot while one is out finds it empty and
+/// grows a buffer of its own; whichever is dropped last stays.
+pub(crate) struct Scratch<T: 'static> {
+    home: &'static LocalKey<RefCell<Vec<T>>>,
+    buf: Vec<T>,
+    len: usize,
+}
+
+impl<T: Copy + Default> Scratch<T> {
+    fn borrow(home: &'static LocalKey<RefCell<Vec<T>>>, len: usize) -> Self {
+        let mut buf = home.take();
+        if buf.len() < len {
+            buf.resize(len, T::default());
+        }
+        Self { home, buf, len }
+    }
+}
+
+impl<T> Deref for Scratch<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.buf[..self.len]
+    }
+}
+
+impl<T> DerefMut for Scratch<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.buf[..self.len]
+    }
+}
+
+impl<T> Drop for Scratch<T> {
+    fn drop(&mut self) {
+        let buf = std::mem::take(&mut self.buf);
+        // During thread teardown the slot may be gone; the buffer is then
+        // simply freed.
+        let _ = self.home.try_with(|slot| slot.replace(buf));
+    }
+}

@@ -4,9 +4,13 @@
 //! are pinned to one (so no fan-out allocations), and no metrics sink is
 //! attached (so spans take the allocation-free disabled path). After
 //! warmup, every additional step of the exact forward, reuse forward,
-//! reuse backward and layer-level dense-mode forward paths must perform
-//! exactly the per-step allocation count pinned in the `*_STEP` consts
-//! below — a new allocation in the inner loop fails here.
+//! reuse backward, input-gradient fold and layer-level dense-mode forward
+//! paths must perform exactly the per-step allocation count pinned in the
+//! `*_STEP` consts below — a new allocation in the inner loop fails here.
+//! Each reuse pin is measured after an `Eval` forward at 4× the batch, the
+//! adaptive trainer's probe: the thread's shared unfold and signature
+//! scratch only grows, so the smaller steps after it borrow a prefix and
+//! allocate nothing new.
 //!
 //! One `#[test]` per binary: the counter is process-global, so parallel
 //! tests would double-count each other's allocations.
@@ -24,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use adr_clustering::lsh::LshTable;
 use adr_clustering::reuse_cache::ReuseCache;
 use adr_nn::layer::{Layer, Mode};
-use adr_reuse::backward::reuse_backward;
+use adr_reuse::backward::{fold_input_grad, reuse_backward};
 use adr_reuse::forward::{reuse_forward_with, ReuseArena};
 use adr_reuse::hashpack::PackedHasher;
 use adr_reuse::subvec::SubVecSplit;
@@ -110,10 +114,14 @@ const DENSE_MODE_FORWARD_STEP: u64 = 1;
 const REUSE_FORWARD_STEP: u64 = 1;
 /// The one allocation is the per-sub-matrix task list (a band of the weight
 /// gradient paired with its scratch), built on the dispatching thread;
-/// cluster sums, centroid gradients and all three gradients land in
+/// cluster sums, centroid gradients and both parameter gradients land in
 /// recycled or caller-owned buffers, and the member-order scratch of each
 /// fan-out block is recycled in the arena, grown on the dispatching thread.
 const REUSE_BACKWARD_STEP: u64 = 1;
+/// The fold of the input gradient from the centroid gradients allocates only
+/// the tensor it returns: no `N × K` matrix; it gathers rows into the
+/// thread's unfold scratch.
+const REUSE_FOLD_STEP: u64 = 1;
 
 #[test]
 fn steady_state_allocation_counts_match_the_budget() {
@@ -165,26 +173,37 @@ fn steady_state_allocation_counts_match_the_budget() {
     let hasher = PackedHasher::new(&split, &lsh);
     let mut arena = ReuseArena::default();
     let mut caches: Vec<ReuseCache> = (0..num_subs).map(|_| ReuseCache::new(4)).collect();
+    // The probe: an `Eval` forward at 4× the batch, whose signatures grow
+    // the thread's scratch past what the training steps need.
+    let probe = Tensor4::from_fn(8, 8, 8, 2, |n, y, x, c| ((n + y * 3 + x + c) % 5) as f32 * 0.2);
+    let probe_unf = im2col(&probe, &geom);
 
+    let forward_step =
+        |x: &Matrix, mode: Mode, caches: &mut Vec<ReuseCache>, arena: &mut ReuseArena| {
+            for c in caches.iter_mut() {
+                c.begin_batch();
+            }
+            reuse_forward_with(
+                x.as_slice(),
+                &weight,
+                &bias,
+                &split,
+                &lsh,
+                &hasher,
+                Some(caches),
+                mode,
+                arena,
+            )
+        };
     let reuse_step = |caches: &mut Vec<ReuseCache>, arena: &mut ReuseArena| {
-        for c in caches.iter_mut() {
-            c.begin_batch();
-        }
-        reuse_forward_with(
-            &x_unf,
-            &weight,
-            &bias,
-            &split,
-            &lsh,
-            &hasher,
-            Some(caches),
-            Mode::Train,
-            arena,
-        )
+        forward_step(&x_unf, Mode::Train, caches, arena)
     };
     for _ in 0..2 {
         let _ = reuse_step(&mut caches, &mut arena); // warmup: fills cache and arena
     }
+    let _ = forward_step(&probe_unf, Mode::Eval, &mut caches, &mut arena);
+    // Re-forms the clustering the probe freed (module docs of `forward`).
+    let _ = reuse_step(&mut caches, &mut arena);
     let expected = REUSE_FORWARD_STEP;
     for step in 0..3 {
         let before = allocs();
@@ -205,7 +224,6 @@ fn steady_state_allocation_counts_match_the_budget() {
     let delta_y = Matrix::from_fn(n, 4, |r, c| (r * 4 + c) as f32 * 0.001 - 0.1);
     let mut weight_grad = Matrix::zeros(geom.k(), 4);
     let mut bias_grad = [0.0f32; 4];
-    let mut delta_x_unf = Matrix::default();
     let mut backward_step = |arena: &mut ReuseArena| {
         reuse_backward(
             arena,
@@ -214,11 +232,12 @@ fn steady_state_allocation_counts_match_the_budget() {
             delta_y.as_slice(),
             &mut weight_grad,
             &mut bias_grad,
-            Some(&mut delta_x_unf),
+            true,
         )
     };
     for _ in 0..2 {
         backward_step(&mut arena); // warmup: sizes the gradient scratch
+        let _ = fold_input_grad(&arena, &split, &geom, 2); // and the fold's rows
     }
     let expected = REUSE_BACKWARD_STEP;
     for step in 0..3 {
@@ -233,15 +252,29 @@ fn steady_state_allocation_counts_match_the_budget() {
              `REUSE_BACKWARD_STEP`"
         );
     }
+    let expected = REUSE_FOLD_STEP;
+    for step in 0..3 {
+        let before = allocs();
+        let delta_x = fold_input_grad(&arena, &split, &geom, 2);
+        let after = allocs();
+        assert!(delta_x.as_slice().iter().all(|v| v.is_finite()));
+        assert_eq!(
+            after - before,
+            expected,
+            "input-gradient fold step {step}: allocation count drifted from `REUSE_FOLD_STEP`"
+        );
+    }
 
     // Dense mode, at layer level: `ReuseConv2d` after `exact_fallback` runs
-    // the free-function baseline above on its own buffers, and because it
-    // recycles the unfolded input the one allocation left is the output.
+    // the free-function baseline above, unfolding into the thread's shared
+    // scratch, so the one allocation left is the output — also after a
+    // probe at 4× the batch has grown the scratch.
     let mut layer = ReuseConv2d::new("rc", geom, 4, ReuseConfig::new(9, 6, false), &mut rng);
     layer.exact_fallback();
     for _ in 0..2 {
-        let _ = layer.forward(&input, Mode::Eval); // warmup: sizes the unfolded buffer
+        let _ = layer.forward(&input, Mode::Eval); // warmup
     }
+    let _ = layer.forward(&probe, Mode::Eval);
     let expected = DENSE_MODE_FORWARD_STEP;
     for step in 0..3 {
         let before = allocs();
@@ -259,14 +292,18 @@ fn steady_state_allocation_counts_match_the_budget() {
     // Two workers: every fan-out of the reuse step now crosses to the pool.
     // What a pool worker allocates per dispatch is the dispatcher's own
     // completion message (calibrated on an empty fan-out, not assumed); the
-    // tasks themselves — grouping, sweep, GEMM, CR probes, scatter; cluster
-    // sums and both backward products — must add nothing to it, because every
-    // buffer they touch was sized in an earlier step or on this thread.
+    // tasks themselves — hashing, grouping, sweep, GEMM, CR probes,
+    // scatter; cluster sums and both backward products; the fold's gather
+    // and fold — must add nothing to it, because every buffer they touch
+    // was sized in an earlier step or on this thread.
     set_thread_override(Some(2));
     for _ in 0..2 {
         let _ = reuse_step(&mut caches, &mut arena); // warmup: spawns the pool
         backward_step(&mut arena);
+        let _ = fold_input_grad(&arena, &split, &geom, 2);
     }
+    let _ = forward_step(&probe_unf, Mode::Eval, &mut caches, &mut arena);
+    let _ = reuse_step(&mut caches, &mut arena);
     let before = worker_allocs();
     run_row_blocks(&mut [0u8; 2], 1, 2, 2, |_, _, _| {});
     let per_dispatch = worker_allocs() - before;
@@ -276,6 +313,8 @@ fn steady_state_allocation_counts_match_the_budget() {
         let after_forward = worker_allocs();
         backward_step(&mut arena);
         let after_backward = worker_allocs();
+        let _ = fold_input_grad(&arena, &split, &geom, 2);
+        let after_fold = worker_allocs();
         assert_eq!(out.stats.gemm_flops, 0, "steady state must be all cache hits");
         assert_eq!(
             after_forward - before,
@@ -285,9 +324,15 @@ fn steady_state_allocation_counts_match_the_budget() {
         );
         assert_eq!(
             after_backward - after_forward,
-            2 * per_dispatch,
-            "reuse backward step {step}: a task of the sub-matrix or row fan-out allocated \
-             on a pool worker"
+            per_dispatch,
+            "reuse backward step {step}: a task of the sub-matrix fan-out allocated on a pool \
+             worker"
+        );
+        assert_eq!(
+            after_fold - after_backward,
+            per_dispatch,
+            "input-gradient fold step {step}: a block of the image fan-out allocated on a pool \
+             worker"
         );
     }
     set_thread_override(None);

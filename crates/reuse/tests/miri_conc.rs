@@ -1,5 +1,5 @@
-//! Concurrency tests for the packed-hashing, reuse-forward and
-//! reuse-backward fan-outs,
+//! Concurrency tests for the packed-hashing, reuse-forward, reuse-backward
+//! and input-gradient-fold fan-outs,
 //! curated for `cargo miri test`: tiny inputs, with the parallel path forced
 //! through [`adr_tensor::par::set_thread_override`] because no interpretable
 //! problem size reaches the compute crossover under Miri.
@@ -16,13 +16,15 @@ use adr_clustering::assign::ClusterTable;
 use adr_clustering::lsh::LshTable;
 use adr_clustering::reuse_cache::ReuseCache;
 use adr_nn::layer::Mode;
-use adr_reuse::backward::reuse_backward;
+use adr_reuse::backward::{fold_input_grad, input_grad_row, reuse_backward};
 use adr_reuse::forward::{reuse_forward, reuse_forward_with, ReuseArena};
 use adr_reuse::hashpack::PackedHasher;
 use adr_reuse::subvec::SubVecSplit;
+use adr_tensor::im2col::{col2im, im2col, ConvGeom};
 use adr_tensor::matrix::Matrix;
 use adr_tensor::par::set_thread_override;
 use adr_tensor::rng::AdrRng;
+use adr_tensor::tensor4::Tensor4;
 use std::sync::Mutex;
 
 /// The override is process-global; serialise the tests that flip it.
@@ -92,8 +94,17 @@ fn arena_forward_is_bitwise_equal_to_the_rebuilding_wrapper() {
     let mut arena = ReuseArena::default();
     set_thread_override(Some(2));
     for round in 0..2 {
-        let with_arena =
-            reuse_forward_with(&x, &w, &bias, &split, &lsh, &hasher, None, Mode::Train, &mut arena);
+        let with_arena = reuse_forward_with(
+            x.as_slice(),
+            &w,
+            &bias,
+            &split,
+            &lsh,
+            &hasher,
+            None,
+            Mode::Train,
+            &mut arena,
+        );
         assert_eq!(with_arena.output.as_slice(), wrapper.output.as_slice(), "round {round}");
         let subs = arena.sub_matrices().iter().zip(wrapper_arena.sub_matrices());
         for (i, (a, b)) in subs.enumerate() {
@@ -123,7 +134,7 @@ fn forward_at(
     let hasher = PackedHasher::new(split, lsh);
     let bias = vec![0.25f32; w.cols()];
     set_thread_override(Some(threads));
-    let out = reuse_forward_with(x, w, &bias, split, lsh, &hasher, caches, mode, arena);
+    let out = reuse_forward_with(x.as_slice(), w, &bias, split, lsh, &hasher, caches, mode, arena);
     set_thread_override(None);
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let subs = arena.sub_matrices();
@@ -223,7 +234,8 @@ fn forward_only_cr_fan_out_is_bitwise_the_serial_training_pass() {
     shutdown();
 }
 
-/// Flattened gradients of one backward pass at the given forced worker count.
+/// Flattened gradients of one backward pass at the given forced worker
+/// count: `∇W`, `∇b` and every row of `δx` the centroid gradients give.
 fn backward_at(
     threads: usize,
     arena: &mut ReuseArena,
@@ -233,31 +245,31 @@ fn backward_at(
 ) -> Vec<u32> {
     let mut weight_grad = Matrix::filled(w.rows(), w.cols(), f32::NAN);
     let mut bias_grad = vec![f32::NAN; w.cols()];
-    let mut delta_x_unf = Matrix::default();
     set_thread_override(Some(threads));
-    let flops = reuse_backward(
-        arena,
-        split,
-        w,
-        dy.as_slice(),
-        &mut weight_grad,
-        &mut bias_grad,
-        Some(&mut delta_x_unf),
-    );
+    let flops =
+        reuse_backward(arena, split, w, dy.as_slice(), &mut weight_grad, &mut bias_grad, true);
     set_thread_override(None);
     assert!(flops > 0);
-    assert_eq!(delta_x_unf.shape(), (dy.rows(), w.rows()));
+    let delta_x_unf = gathered(arena, split, dy.rows());
     let all = weight_grad.as_slice().iter().chain(&bias_grad).chain(delta_x_unf.as_slice());
     all.map(|v| v.to_bits()).collect()
 }
 
+/// The `n × K` input gradient, every row from [`input_grad_row`].
+fn gathered(arena: &ReuseArena, split: &SubVecSplit, n: usize) -> Matrix {
+    let mut delta_x_unf = Matrix::filled(n, split.k(), f32::NAN);
+    for r in 0..n {
+        input_grad_row(arena, split, r, delta_x_unf.row_mut(r));
+    }
+    delta_x_unf
+}
+
 #[test]
 fn backward_fan_out_is_bitwise_serial_at_every_worker_count() {
-    // Both phases of the backward pass — sub-matrix tasks, then the row
-    // scatter — at one worker, two, three, and more workers than
-    // sub-matrices (and than rows per block): every block owns disjoint
-    // bands and its own member-order scratch, so the gradients may not
-    // differ in a single bit.
+    // The sub-matrix tasks of the backward pass at one worker, two, three,
+    // and more workers than sub-matrices: every block owns disjoint bands
+    // and its own member-order scratch, so the gradients may not differ in
+    // a single bit.
     let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut rng = AdrRng::seeded(51);
     // Few distinct rows, so clusters have several members each; every
@@ -281,6 +293,40 @@ fn backward_fan_out_is_bitwise_serial_at_every_worker_count() {
     let serial = backward_at(1, &mut arena, &split, &w, &dy);
     for workers in [2usize, 3, 7] {
         assert_eq!(backward_at(workers, &mut arena, &split, &w, &dy), serial, "{workers} workers");
+    }
+    shutdown();
+}
+
+#[test]
+fn fold_fan_out_is_col2im_of_the_gathered_rows_at_every_worker_count() {
+    // The input-gradient fold at one, two and three workers, over three
+    // images (so three workers own one image each), stride 1 and 2 with
+    // padding: each block folds its own images through its own row buffer,
+    // so the result may not differ in a single bit from `col2im` of the
+    // gathered rows.
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut rng = AdrRng::seeded(53);
+    let input = Tensor4::from_fn(3, 4, 4, 2, |b, y, x, c| {
+        ((b + y * 2 + x + c) % 3) as f32 + 0.01 * rng.gauss()
+    });
+    for stride in [1usize, 2] {
+        let geom = ConvGeom::new(4, 4, 2, 3, 3, stride, 1).unwrap();
+        let x = im2col(&input, &geom);
+        let w = Matrix::from_fn(18, 3, |_, _| rng.gauss() * 0.3);
+        let dy = Matrix::from_fn(x.rows(), 3, |_, _| rng.gauss());
+        let split = SubVecSplit::new(18, 4); // widths 4,4,4,4,2
+        let lsh = families(&split, 6, 54);
+        set_thread_override(None);
+        let (_, mut arena) = reuse_forward(&x, &w, &[0.0; 3], &split, &lsh, None);
+        backward_at(1, &mut arena, &split, &w, &dy);
+        let want = col2im(&gathered(&arena, &split, x.rows()), &geom, 3);
+        for workers in [1usize, 2, 3] {
+            set_thread_override(Some(workers));
+            let got = fold_input_grad(&arena, &split, &geom, 3);
+            set_thread_override(None);
+            let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "stride {stride}, {workers} workers");
+        }
     }
     shutdown();
 }

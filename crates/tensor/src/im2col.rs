@@ -128,6 +128,19 @@ pub fn im2col(input: &Tensor4, geom: &ConvGeom) -> Matrix {
 /// # Panics
 /// Panics if the input tensor's spatial/channel shape disagrees with `geom`.
 pub fn im2col_into(input: &Tensor4, geom: &ConvGeom, out: &mut Matrix) {
+    out.resize_for_overwrite(geom.rows_for_batch(input.batch()), geom.k());
+    unfold_into(input, geom, out.as_mut_slice());
+}
+
+/// [`im2col`] into a caller-owned row-major slice of exactly `N · K`
+/// elements — for a scratch buffer that is longer than any one layer's
+/// matrix and lends each unfold a prefix of itself. Every element is
+/// written, as by [`im2col_into`].
+///
+/// # Panics
+/// Panics if the input tensor's spatial/channel shape disagrees with `geom`,
+/// or if `out.len()` is not `rows_for_batch(batch) · K`.
+pub fn unfold_into(input: &Tensor4, geom: &ConvGeom, out: &mut [f32]) {
     assert_eq!(
         (input.height(), input.width(), input.channels()),
         (geom.in_h, geom.in_w, geom.in_c),
@@ -136,7 +149,7 @@ pub fn im2col_into(input: &Tensor4, geom: &ConvGeom, out: &mut Matrix) {
     let (oh, ow, k) = (geom.out_h(), geom.out_w(), geom.k());
     let nb = input.batch();
     let n = geom.rows_for_batch(nb);
-    out.resize_for_overwrite(n, k);
+    assert_eq!(out.len(), n * k, "unfold buffer length disagrees with ConvGeom/batch");
     let per_image_rows = oh * ow;
     let data = input.as_slice();
     let per_image_len = geom.in_h * geom.in_w * geom.in_c;
@@ -145,19 +158,13 @@ pub fn im2col_into(input: &Tensor4, geom: &ConvGeom, out: &mut Matrix) {
     // A block is whole images and starts at `ox = 0`: no row slides from a
     // neighbour another worker writes.
     let threads = crate::par::memory_threads(n * k);
-    crate::par::run_row_blocks(
-        out.as_mut_slice(),
-        per_image_rows * k,
-        nb,
-        threads,
-        |b0, _count, chunk| {
-            for (i, block) in chunk.chunks_mut(per_image_rows * k).enumerate() {
-                let b = b0 + i;
-                let image = &data[b * per_image_len..(b + 1) * per_image_len];
-                unfold_one(image, geom, block);
-            }
-        },
-    );
+    crate::par::run_row_blocks(out, per_image_rows * k, nb, threads, |b0, _count, chunk| {
+        for (i, block) in chunk.chunks_mut(per_image_rows * k).enumerate() {
+            let b = b0 + i;
+            let image = &data[b * per_image_len..(b + 1) * per_image_len];
+            unfold_one(image, geom, block);
+        }
+    });
 }
 
 /// Unfolds one NHWC image into its `Oh·Ow × K` block, writing every
@@ -256,8 +263,52 @@ pub fn col2im(cols: &Matrix, geom: &ConvGeom, batch: usize) -> Tensor4 {
     out
 }
 
+/// [`col2im`] of an `N × K` matrix that is never stored: `gather(r, row)`
+/// writes row `r` into a `K`-wide slice. The fan-out hands each block whole
+/// images and one image's worth of rows (`Oh·Ow × K`) of `scratch`; a block
+/// gathers an image's rows in ascending order and then folds them with
+/// `col2im`'s own loop, so the result is bit for bit `col2im` of the
+/// gathered matrix at every worker count. Whatever `scratch` held before
+/// cannot show: every row is gathered before it is folded.
+///
+/// Gathering a whole image before folding it reads faster than gathering
+/// and folding one row at a time (the two loops each run back to back).
+///
+/// # Panics
+/// Panics if `scratch` is shorter than `N · K` elements (it needs one
+/// image's rows per block, and there are never more blocks than images).
+pub fn col2im_gathered<F>(geom: &ConvGeom, batch: usize, scratch: &mut [f32], gather: F) -> Tensor4
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    let (per_image_rows, k) = (geom.rows_per_image(), geom.k());
+    assert!(
+        scratch.len() >= geom.rows_for_batch(batch) * k,
+        "col2im_gathered: scratch holds fewer than N x K elements"
+    );
+    let mut out = Tensor4::zeros(batch, geom.in_h, geom.in_w, geom.in_c);
+    let per_image_len = geom.in_h * geom.in_w * geom.in_c;
+    // The same split as `col2im`: whole images, sized by the elements moved.
+    let threads = crate::par::memory_threads(geom.rows_for_batch(batch) * k).clamp(1, batch.max(1));
+    let per_block = batch.div_ceil(threads).max(1);
+    let images = out.as_mut_slice().chunks_mut((per_block * per_image_len).max(1));
+    let rows = scratch.chunks_mut((per_image_rows * k).max(1));
+    crate::par::run_blocks(images.zip(rows).enumerate(), |(i, (chunk, rows))| {
+        for (j, image) in chunk.chunks_mut(per_image_len).enumerate() {
+            let first = (i * per_block + j) * per_image_rows;
+            for (r, row) in (first..).zip(rows.chunks_exact_mut(k)) {
+                gather(r, row);
+            }
+            fold_one(rows, geom, image);
+        }
+    });
+    out
+}
+
 /// Folds one image's `Oh·Ow × K` gradient block back to NHWC, accumulating
-/// overlaps.
+/// overlaps. Inlined, so `col2im` and `col2im_gathered` each keep the loop
+/// in their own body.
+#[inline]
 fn fold_one(block: &[f32], geom: &ConvGeom, image: &mut [f32]) {
     let (oh, ow, k) = (geom.out_h(), geom.out_w(), geom.k());
     let (ih, iw, ic) = (geom.in_h, geom.in_w, geom.in_c);
@@ -488,6 +539,33 @@ mod tests {
         // `extent_for` skips the widths a geometry cannot reach; the grid
         // must not be silently emptied by it (1 074 cases today).
         assert!(cases > 1000, "{cases} cases");
+    }
+
+    /// The gathered fold is `col2im` of the gathered matrix, bit for bit,
+    /// whatever its scratch held before (NaN, longer than `N · K`).
+    #[test]
+    fn gathered_fold_is_col2im_of_the_gathered_rows() {
+        for stride in 1..=2 {
+            for padding in 0..=2 {
+                for kernel in [1, 3, 5] {
+                    let Some(g) = ConvGeom::new(6, 5, 3, kernel, kernel, stride, padding) else {
+                        continue;
+                    };
+                    for batch in 1..=3 {
+                        let cols = Matrix::from_fn(g.rows_for_batch(batch), g.k(), |r, c| {
+                            ((r * 37 + c * 11) % 23) as f32 * 0.125 - 1.375
+                        });
+                        let mut scratch = vec![f32::NAN; cols.as_slice().len() + 5];
+                        let got = col2im_gathered(&g, batch, &mut scratch, |r, row| {
+                            row.copy_from_slice(cols.row(r));
+                        });
+                        let what = format!("s={stride} p={padding} k={kernel} nb={batch}");
+                        let want = col2im(&cols, &g, batch);
+                        assert_bits_eq(got.as_slice(), want.as_slice(), &what);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

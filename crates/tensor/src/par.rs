@@ -19,9 +19,9 @@ use std::sync::OnceLock;
 
 // Serial/parallel crossover thresholds, shared by every pooled fan-out in the
 // workspace (the three GEMMs here, the LSH projection in
-// `adr_reuse::hashpack`; im2col/col2im in `im2col.rs`; the sub-matrix fan-out
-// and the scatter of `adr_reuse::forward`; both phases of
-// `adr_reuse::backward`).
+// `adr_reuse::hashpack`; im2col/col2im and the gathered fold in `im2col.rs`;
+// the sub-matrix fan-outs of `adr_reuse::forward` and `adr_reuse::backward`
+// and the forward's scatter).
 //
 // Measurement rationale (x86-64, release profile, the 2-vCPU benchmark host;
 // tables and method in DESIGN.md §15.7). What a fan-out pays is a dispatch on
@@ -60,7 +60,7 @@ use std::sync::OnceLock;
 //   input channels) and gains two-way at VGG block 4 already (74K:
 //   30–37 → 19–20 µs; 147K: 63–69 → 36–39 µs), while the same `N · K` also
 //   sizes the reuse forward's sub-matrix fan-out (group, centroid sweep,
-//   centroid GEMM) and the backward row gather, and a reuse layer as a
+//   centroid GEMM) and the backward's gathered fold, and a reuse layer as a
 //   whole spends ~9 ns per element of it. `1 << 14` is set by those: a
 //   whole VGG conv4 layer (`N · K` = 74K) reads 657 → 428 µs forward +
 //   backward two-way, conv3 (221K) 1278 → 814 µs. One step lower would
@@ -228,18 +228,32 @@ pub fn matmul_par(a: &Matrix, b: &Matrix) -> Matrix {
         b.cols()
     );
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let threads = compute_threads(m * k * n);
-    if threads <= 1 || m < 2 {
-        return a.matmul(b);
-    }
     let mut out = Matrix::zeros(m, n);
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    run_row_blocks(out.as_mut_slice(), n, m, threads, |row0, rows_here, chunk| {
-        let a_block = &a_data[row0 * k..(row0 + rows_here) * k];
-        gemm_rows(a_block, b_data, chunk, rows_here, k, n);
-    });
+    gemm_rows_par(a.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
     out
+}
+
+/// `c[m × n] += a · b` over raw row-major slices, parallelised over row
+/// blocks of `a` — [`matmul_par`] on an operand that lives in a longer
+/// buffer (the reuse layers' shared unfold scratch). `c` is accumulated
+/// into, so a product wants it zeroed.
+///
+/// Bit-identical at every thread count: each output row is one
+/// [`gemm_rows`] call whichever block computes it.
+///
+/// # Shape
+/// `a: m × k`, `b: k × n`, `c: m × n`, all row-major slices of exactly that
+/// many elements.
+///
+/// # Panics
+/// Panics when a slice length disagrees with its shape.
+pub fn gemm_rows_par(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "gemm_rows_par: left operand is not m x k");
+    assert_eq!(b.len(), k * n, "gemm_rows_par: right operand is not k x n");
+    let threads = compute_threads(m * k * n);
+    run_row_blocks(c, n, m, threads, |row0, rows_here, chunk| {
+        gemm_rows(&a[row0 * k..(row0 + rows_here) * k], b, chunk, rows_here, k, n);
+    });
 }
 
 /// `c[m × n] = a · bᵀ` over raw row-major slices, parallelised over row
@@ -344,7 +358,7 @@ mod tests {
             assert_eq!(compute_threads(flops).min(2), want, "{what}");
         }
         // `N · K` sizes im2col, col2im, the reuse forward's sub-matrix
-        // fan-out and the reuse backward's row gather; `N · M · K/L` the
+        // fan-out and the reuse backward's gathered fold; `N · M · K/L` the
         // reuse forward's scatter.
         let memory = [
             ("vgg conv3_1 N*K", 512 * 288, true),
