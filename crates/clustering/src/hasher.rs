@@ -54,9 +54,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed by LSH signatures.
 pub type SignatureMap<V> = std::collections::HashMap<u64, V, FxBuildHasher>;
 
-/// A `HashSet` of LSH signatures.
-pub type SignatureSet = std::collections::HashSet<u64, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

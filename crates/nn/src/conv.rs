@@ -5,97 +5,25 @@
 //! The layer meters exactly `N·K·M` forward and `2·N·K·M` backward
 //! multiply–adds, matching the paper's complexity accounting (§II).
 //!
-//! The arithmetic between `im2col` and `col2im` lives in three free
-//! functions, [`gemm_forward`], [`gemm_backward_params`] and
-//! [`gemm_backward_input`], which `adr_reuse::ReuseConv2d`'s dense mode calls
-//! on its own buffers: the exact path of a reuse layer is this layer's code,
-//! not an emulation of it.
+//! `adr_reuse::ReuseConv2d` wraps one [`Conv2d`]: its dense mode *is* this
+//! layer's forward and backward, and its reuse mode reads this layer's
+//! weights and writes its gradients ([`Conv2d::weight_and_grads`]).
+//!
+//! Only a training forward keeps its unfolded input, in the layer: the
+//! backward reads it for `∇W` and then overwrites it with `δx`. An eval
+//! forward first drops that buffer, then unfolds into the thread's
+//! [`scratch`], which every convolution on the thread shares.
 
-use adr_tensor::im2col::{col2im, im2col_into, ConvGeom};
+use adr_tensor::im2col::{col2im, im2col_into, unfold_into, ConvGeom};
 use adr_tensor::matrix::{column_sums_into, Matrix};
 use adr_tensor::par::{gemm_rows_par, gemm_ta_par, gemm_tb_par};
 use adr_tensor::rng::AdrRng;
+use adr_tensor::scratch;
 use adr_tensor::Tensor4;
 
 use crate::flops::{FlopMeter, FlopReport};
 use crate::init::Init;
 use crate::layer::{Layer, Mode, ParamRefMut, Shape3};
-
-/// The dense forward product on an unfolded batch, `y = x·W + b` (Eq. 1),
-/// metering `N·K·M` multiply–adds as both actual and baseline work.
-///
-/// # Shape
-/// `unfolded: N × K` row-major, `weight: K × M`, `bias: M`; returns `N × M`.
-///
-/// # Panics
-/// Panics when `unfolded` is not a whole number of `K`-wide rows.
-pub fn gemm_forward(
-    unfolded: &[f32],
-    weight: &Matrix,
-    bias: &[f32],
-    meter: &mut FlopMeter,
-) -> Matrix {
-    let (k, m) = weight.shape();
-    assert!(k > 0 && unfolded.len().is_multiple_of(k), "unfolded input is not N x K (K = {k})");
-    let n = unfolded.len() / k;
-    let mut y = Matrix::zeros(n, m);
-    gemm_rows_par(unfolded, weight.as_slice(), y.as_mut_slice(), n, k, m);
-    y.add_row_bias(bias);
-    let work = (n * k * m) as u64;
-    meter.add_forward(work, work);
-    y
-}
-
-/// The dense parameter gradients (Eq. 2) from the unfolded input a training
-/// [`gemm_forward`] read: `∇W = xᵀ·δy` and `∇b = Σ_rows δy` overwrite the
-/// caller's long-lived gradients. Meters `N·K·M` multiply–adds as both
-/// actual and baseline work.
-///
-/// # Shape
-/// `delta_y: N × M` row-major, `unfolded: N × K`, `weight_grad: K × M`,
-/// `bias_grad: M`.
-///
-/// # Panics
-/// Panics when `delta_y` is not `N × M`.
-pub fn gemm_backward_params(
-    layer: &str,
-    delta_y: &[f32],
-    unfolded: &Matrix,
-    weight_grad: &mut Matrix,
-    bias_grad: &mut [f32],
-    meter: &mut FlopMeter,
-) {
-    let (n, k) = unfolded.shape();
-    let m = weight_grad.cols();
-    assert_eq!(delta_y.len(), n * m, "conv {layer}: grad_out shape mismatch");
-    gemm_ta_par(unfolded.as_slice(), delta_y, weight_grad.as_mut_slice(), n, k, m);
-    column_sums_into(delta_y, bias_grad);
-    let work = (n * k * m) as u64;
-    meter.add_backward(work, work);
-}
-
-/// The dense input delta (Eq. 3), after [`gemm_backward_params`] on the same
-/// `delta_y`: `δx = δy·Wᵀ` overwrites `unfolded` — same shape, dead once
-/// `∇W` is taken — ready for `col2im`. Meters another `N·K·M`. A layer whose
-/// input gradient nobody reads skips this call and the fold after it.
-///
-/// # Shape
-/// `delta_y: N × M` row-major, `weight: K × M`, `unfolded: N × K`.
-///
-/// # Panics
-/// Panics when `delta_y` is not `N × M`.
-pub fn gemm_backward_input(
-    delta_y: &[f32],
-    weight: &Matrix,
-    unfolded: &mut Matrix,
-    meter: &mut FlopMeter,
-) {
-    let (n, k) = unfolded.shape();
-    let m = weight.cols();
-    gemm_tb_par(delta_y, weight.as_slice(), unfolded.as_mut_slice(), n, m, k);
-    let work = (n * k * m) as u64;
-    meter.add_backward(work, work);
-}
 
 /// A standard 2-D convolution computed as im2col + GEMM.
 pub struct Conv2d {
@@ -110,9 +38,10 @@ pub struct Conv2d {
     bias: Vec<f32>,
     bias_grad: Vec<f32>,
     bias_vel: Vec<f32>,
-    /// Layer-owned `N × K` buffer, recycled across training steps: forward
-    /// unfolds the input into it, backward reads it for `∇W` and then
-    /// overwrites it with `δx` before folding. Released by an eval forward.
+    /// Layer-owned `N × K` buffer, recycled across training steps: a
+    /// training forward unfolds the input into it, backward reads it for
+    /// `∇W` and then overwrites it with `δx` before folding. Dropped by an
+    /// eval forward and by [`Conv2d::drop_pending_batch`].
     unfolded: Matrix,
     /// Batch size of the latest training forward pass, until backward
     /// consumes it; `None` after an eval forward.
@@ -172,8 +101,22 @@ impl Conv2d {
         &self.bias
     }
 
-    /// Consumes the pending training forward and fills `∇W` and `∇b` from
-    /// it; returns its batch size.
+    /// `(W, ∇W, ∇b)`: the weights beside the gradients, for a backward pass
+    /// other than this layer's — the reuse pass of `adr_reuse::ReuseConv2d`.
+    pub fn weight_and_grads(&mut self) -> (&Matrix, &mut Matrix, &mut [f32]) {
+        (&self.weight, &mut self.weight_grad, &mut self.bias_grad)
+    }
+
+    /// Forgets the pending training forward and frees its unfolded input:
+    /// a backward before the next training forward panics.
+    pub fn drop_pending_batch(&mut self) {
+        self.cached_batch = None;
+        self.unfolded = Matrix::default();
+    }
+
+    /// Consumes the pending training forward and fills `∇W = xᵀ·δy` and
+    /// `∇b = Σ_rows δy` (Eq. 2) from it; returns its batch size. Meters
+    /// `N·K·M` multiply–adds.
     #[expect(
         clippy::expect_used,
         reason = "layer-protocol: backward before a training forward is a training-loop bug (`Layer` contract)"
@@ -181,14 +124,14 @@ impl Conv2d {
     fn param_grads(&mut self, grad_out: &Tensor4) -> usize {
         let batch =
             self.cached_batch.take().expect("backward called without a preceding training forward");
-        gemm_backward_params(
-            &self.name,
-            grad_out.as_slice(),
-            &self.unfolded,
-            &mut self.weight_grad,
-            &mut self.bias_grad,
-            &mut self.meter,
-        );
+        let (n, k) = self.unfolded.shape();
+        let m = self.out_channels;
+        let delta_y = grad_out.as_slice();
+        assert_eq!(delta_y.len(), n * m, "conv {}: grad_out shape mismatch", self.name);
+        gemm_ta_par(self.unfolded.as_slice(), delta_y, self.weight_grad.as_mut_slice(), n, k, m);
+        column_sums_into(delta_y, &mut self.bias_grad);
+        let work = (n * k * m) as u64;
+        self.meter.add_backward(work, work);
         batch
     }
 }
@@ -213,29 +156,39 @@ impl Layer for Conv2d {
         reason = "internal-invariant: the GEMM output has exactly the element count of the geometry passed beside it"
     )]
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
-        im2col_into(input, &self.geom, &mut self.unfolded);
-        let y = gemm_forward(self.unfolded.as_slice(), &self.weight, &self.bias, &mut self.meter);
+        let (k, m) = (self.geom.k(), self.out_channels);
+        let n = self.geom.rows_for_batch(input.batch());
+        let mut borrowed;
+        let unfolded: &[f32] = if mode == Mode::Train {
+            im2col_into(input, &self.geom, &mut self.unfolded);
+            self.unfolded.as_slice()
+        } else {
+            // No backward pass will read this unfold: it goes to the thread's
+            // scratch, and no training unfold stays pinned beside it.
+            self.drop_pending_batch();
+            borrowed = scratch::unfolded(n * k);
+            unfold_into(input, &self.geom, &mut borrowed);
+            &borrowed
+        };
+        let mut y = Matrix::zeros(n, m);
+        gemm_rows_par(unfolded, self.weight.as_slice(), y.as_mut_slice(), n, k, m);
+        y.add_row_bias(&self.bias);
+        let work = (n * k * m) as u64;
+        self.meter.add_forward(work, work);
         self.cached_batch = (mode == Mode::Train).then_some(input.batch());
-        if self.cached_batch.is_none() {
-            // No backward pass will read the buffer: an eval forward (probe,
-            // serving) hands its memory back instead of pinning a batch's
-            // worth of unfolded input per layer.
-            self.unfolded = Matrix::default();
-        }
-        Tensor4::from_vec(
-            input.batch(),
-            self.geom.out_h(),
-            self.geom.out_w(),
-            self.out_channels,
-            y.into_vec(),
-        )
-        .expect("output shape arithmetic is consistent")
+        Tensor4::from_vec(input.batch(), self.geom.out_h(), self.geom.out_w(), m, y.into_vec())
+            .expect("output shape arithmetic is consistent")
     }
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
         let batch = self.param_grads(grad_out);
-        let delta_y = grad_out.as_slice();
-        gemm_backward_input(delta_y, &self.weight, &mut self.unfolded, &mut self.meter);
+        // `δx = δy·Wᵀ` (Eq. 3) overwrites the unfolded input — same shape,
+        // dead once `∇W` is taken — and `col2im` folds it.
+        let (n, k) = self.unfolded.shape();
+        let (m, delta_y) = (self.out_channels, grad_out.as_slice());
+        gemm_tb_par(delta_y, self.weight.as_slice(), self.unfolded.as_mut_slice(), n, m, k);
+        let work = (n * k * m) as u64;
+        self.meter.add_backward(work, work);
         col2im(&self.unfolded, &self.geom, batch)
     }
 
@@ -413,6 +366,8 @@ mod tests {
     #[test]
     fn eval_forward_does_not_cache() {
         let mut conv = small_conv(1);
+        conv.forward(&Tensor4::zeros(1, 4, 4, 2), Mode::Train);
+        assert_eq!((conv.cached_batch, conv.unfolded.shape()), (Some(1), (4, 18)));
         conv.forward(&Tensor4::zeros(1, 4, 4, 2), Mode::Eval);
         assert!(conv.cached_batch.is_none());
         assert_eq!(conv.unfolded.shape(), (0, 0));

@@ -1,4 +1,4 @@
-//! The dense baseline's backward allocation budget, under a real allocator.
+//! The dense baseline's allocation budget, under a real allocator.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and threads
 //! are pinned to one (so no fan-out allocations). After warmup, every
@@ -6,7 +6,8 @@
 //! the count pinned in `DENSE_BACKWARD_STEP` below: the gradients land in the layer's long-lived
 //! buffers, so the input-gradient tensor the layer returns is the only
 //! allocation — a `to_vec` or a fresh gradient matrix creeping back into
-//! the pass fails here.
+//! the pass fails here. Every further `Mode::Eval` [`Conv2d::forward`] must
+//! perform `CONV_EVAL_FORWARD_STEP`: its unfold is the thread's scratch.
 //!
 //! One `#[test]` per binary: the counter is process-global, so parallel
 //! tests would double-count each other's allocations.
@@ -75,6 +76,13 @@ fn allocs() -> u64 {
 /// layer returns.
 const DENSE_BACKWARD_STEP: u64 = 1;
 
+/// Steady-state allocations of one `Conv2d` `Mode::Eval` forward: the
+/// unfold borrows the thread's grow-only scratch, so the one allocation is
+/// the output the layer returns — also after a probe at 4× the batch has
+/// grown the scratch, and also between training steps, whose unfold the
+/// layer keeps for its backward until an eval forward drops it.
+const CONV_EVAL_FORWARD_STEP: u64 = 1;
+
 /// Warms `layer` up with two training steps, then asserts that each of
 /// three more backward passes allocates exactly `expected` times.
 fn assert_steady_backward(layer: &mut dyn Layer, input: &Tensor4, grad: &Tensor4, expected: u64) {
@@ -113,8 +121,31 @@ fn dense_backward_allocation_count_matches_the_budget() {
         (n * 17 + y * 5 + x * 3 + c) as f32 * 0.002 - 0.1
     });
     assert_steady_backward(&mut conv, &input, &grad, DENSE_BACKWARD_STEP);
+    assert_steady_eval_forward(&mut conv, &input);
 
     let mut fc = Dense::new("fc", 8 * 8 * 2, 5, &mut rng);
     let grad = Tensor4::from_fn(2, 1, 1, 5, |n, _, _, c| (n * 5 + c) as f32 * 0.01 - 0.02);
     assert_steady_backward(&mut fc, &input, &grad, DENSE_BACKWARD_STEP);
+}
+
+/// Grows the thread's scratch with an eval forward at 4× the batch, then
+/// asserts that each of three more eval forwards of `input` allocates
+/// exactly `CONV_EVAL_FORWARD_STEP` times, the first one right after a
+/// training step.
+fn assert_steady_eval_forward(conv: &mut Conv2d, input: &Tensor4) {
+    let (batch, h, w, c) = input.shape();
+    let probe = Tensor4::from_fn(4 * batch, h, w, c, |n, y, x, c| ((n + y * 3 + x + c) % 5) as f32);
+    conv.forward(&probe, Mode::Eval);
+    conv.forward(input, Mode::Train);
+    for step in 0..3 {
+        let before = allocs();
+        let y = conv.forward(input, Mode::Eval);
+        let after = allocs();
+        assert!(y.as_slice().iter().all(|v| v.is_finite()));
+        assert_eq!(
+            after - before,
+            CONV_EVAL_FORWARD_STEP,
+            "conv eval forward step {step}: allocation count drifted from `CONV_EVAL_FORWARD_STEP`"
+        );
+    }
 }

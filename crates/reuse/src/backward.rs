@@ -27,10 +27,10 @@
 use adr_tensor::im2col::{col2im_gathered, ConvGeom};
 use adr_tensor::matrix::{column_sums_into, gemm_ta_rows, gemm_tb_rows, Matrix};
 use adr_tensor::par::{compute_threads, run_blocks};
+use adr_tensor::scratch;
 use adr_tensor::Tensor4;
 
 use crate::forward::{ReuseArena, SubMatrix};
-use crate::scratch;
 use crate::subvec::SubVecSplit;
 
 /// Runs the reuse backward pass from the forward clustering held in `arena`

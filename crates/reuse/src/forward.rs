@@ -50,9 +50,9 @@ use adr_nn::layer::Mode;
 use adr_tensor::kernels::sum_rows;
 use adr_tensor::matrix::{gemm_rows, Matrix};
 use adr_tensor::par::{memory_threads, run_blocks, run_row_blocks};
+use adr_tensor::scratch;
 
 use crate::hashpack::PackedHasher;
-use crate::scratch;
 use crate::stats::ReuseStats;
 use crate::subvec::SubVecSplit;
 
@@ -105,7 +105,7 @@ impl SubMatrix {
 /// member-order scratch per block of the backward one. It holds nothing of
 /// batch size `N × K` or `N × ⌈K/L⌉`: the unfolded input and its signatures
 /// are dead once the sub-matrix fan-out has grouped and summed them, so
-/// they live in a per-thread scratch every layer shares (`crate::scratch`),
+/// they live in a per-thread scratch every layer shares ([`adr_tensor::scratch`]),
 /// and the input gradient is folded straight from the centroid gradients
 /// ([`crate::backward::fold_input_grad`]).
 ///

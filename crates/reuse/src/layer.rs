@@ -1,22 +1,23 @@
-//! `ReuseConv2d` — a drop-in deep-reuse replacement for `Conv2d`.
+//! `ReuseConv2d` — a drop-in deep-reuse replacement for `Conv2d`, and an
+//! overlay on one: the layer owns the `Conv2d` whose weights it clusters
+//! against, and its dense mode is that convolution.
 
 use adr_clustering::lsh::LshTable;
 use adr_clustering::reuse_cache::ReuseCache;
-use adr_nn::conv::{gemm_backward_input, gemm_backward_params, gemm_forward};
+use adr_nn::conv::Conv2d;
 use adr_nn::flops::{FlopMeter, FlopReport};
-use adr_nn::init::Init;
 use adr_nn::layer::{Layer, Mode, ParamRefMut, Shape3};
 use adr_nn::Network;
-use adr_tensor::im2col::{col2im, im2col_into, unfold_into, ConvGeom};
+use adr_tensor::im2col::{unfold_into, ConvGeom};
 use adr_tensor::matrix::Matrix;
 use adr_tensor::rng::AdrRng;
+use adr_tensor::scratch;
 use adr_tensor::Tensor4;
 
 use crate::backward::{fold_input_grad, reuse_backward};
 use crate::cost::{first_layer_step_cost, training_step_cost, CostParams};
 use crate::forward::{reuse_forward_with, ReuseArena};
 use crate::hashpack::PackedHasher;
-use crate::scratch;
 use crate::stats::ReuseStats;
 use crate::subvec::SubVecSplit;
 use crate::{DegenerateClustering, ReuseConfig};
@@ -37,33 +38,30 @@ pub fn reuse_layers(net: &mut Network) -> impl Iterator<Item = &mut ReuseConv2d>
 
 /// A convolutional layer that applies adaptive deep reuse.
 ///
-/// Functionally equivalent to `adr_nn::conv::Conv2d` but computes the
-/// im2col GEMM through LSH clustering and centroid reuse, and computes both
-/// backward products from the forward clustering. The three knobs `{L, H,
-/// CR}` can be retuned at any time with [`ReuseConv2d::set_config`]; the
-/// adaptive controller in `adr-core` does exactly that between training
-/// stages.
+/// The layer wraps an `adr_nn::conv::Conv2d`, which holds its name,
+/// geometry, weights, gradients, velocities and bias. In reuse mode the
+/// layer computes the im2col GEMM through LSH clustering and centroid reuse
+/// against the conv's weights, and both backward products from the forward
+/// clustering into the conv's gradients. The three knobs `{L, H, CR}` can
+/// be retuned at any time with [`ReuseConv2d::set_config`]; the adaptive
+/// controller in `adr-core` does exactly that between training stages.
 ///
 /// The layer also has a *dense mode* ([`ReuseConv2d::exact_fallback`]) in
-/// which it bypasses hashing and clustering altogether and runs `Conv2d`'s
-/// own forward and backward GEMMs on its weights — the exact path, where
-/// reuse cannot pay (`H ≪ M·(1 − r_c)` fails at `r_c = 1`).
+/// which `forward`, `backward` and `backward_params_only` are the wrapped
+/// conv's own — the exact path, where reuse cannot pay (`H ≪ M·(1 − r_c)`
+/// fails at `r_c = 1`). The layer then only records its statistics and
+/// telemetry for the pass.
 pub struct ReuseConv2d {
-    name: String,
-    geom: ConvGeom,
-    out_channels: usize,
-    weight: Matrix,
-    weight_grad: Matrix,
-    weight_vel: Matrix,
-    bias: Vec<f32>,
-    bias_grad: Vec<f32>,
-    bias_vel: Vec<f32>,
+    /// The baseline convolution: parameters, their gradients and velocities,
+    /// and everything dense mode runs on — its training unfold and its FLOP
+    /// meter.
+    conv: Conv2d,
     config: ReuseConfig,
-    /// Dense mode: forward and backward run `adr_nn::conv`'s GEMM pair
-    /// instead of the reuse machinery. Entered by
-    /// [`ReuseConv2d::exact_fallback`], left by [`ReuseConv2d::set_config`];
-    /// `config`, the families, the hasher and the CR caches sit untouched
-    /// underneath, so a visit costs nothing to enter or leave.
+    /// Dense mode: forward and backward are `conv`'s instead of the reuse
+    /// machinery's. Entered by [`ReuseConv2d::exact_fallback`], left by
+    /// [`ReuseConv2d::set_config`]; `config`, the families, the hasher and
+    /// the CR caches sit untouched underneath, so a visit costs nothing to
+    /// enter or leave.
     dense: bool,
     split: SubVecSplit,
     lsh: Vec<LshTable>,
@@ -75,10 +73,11 @@ pub struct ReuseConv2d {
     /// Training batches since the CR caches were last invalidated (see
     /// [`CACHE_REFRESH_EVERY`]).
     train_batches_since_refresh: usize,
-    /// Batch size of the latest *training* forward pass, whose clustering
-    /// the arena holds for the backward pass (§IV: the backward pass reuses
-    /// the forward clustering instead of re-clustering). `None` once the
-    /// backward pass consumed it, or when the families changed under it.
+    /// Batch size of the latest reuse-mode *training* forward pass, whose
+    /// clustering the arena holds for the backward pass (§IV: the backward
+    /// pass reuses the forward clustering instead of re-clustering). `None`
+    /// once the backward pass consumed it, or when the families changed
+    /// under it. Dense mode's pending batch is the conv's.
     cached_batch: Option<usize>,
     /// Whether the latest backward pass was [`Layer::backward_params_only`],
     /// so that [`ReuseConv2d::modelled_step_cost`] models the products the
@@ -91,16 +90,10 @@ pub struct ReuseConv2d {
     /// Recycled forward and backward buffers (one state per sub-matrix —
     /// clustering, centroids, cluster outputs, cluster gradients — and the
     /// per-block scratch of each fan-out) — steady-state steps reuse its
-    /// heap capacity. Nothing in it is `N × K` or `N × ⌈K/L⌉`.
+    /// heap capacity. Nothing in it is `N × K` or `N × ⌈K/L⌉`: the unfold
+    /// and the signatures are the thread's [`scratch`].
     arena: ReuseArena,
-    /// The one batch-sized buffer the layer owns, and only in dense mode
-    /// after a training forward: the unfolded input, which the dense
-    /// backward reads for `∇W` and then overwrites with `δx` for `col2im`.
-    /// Every other forward unfolds into the thread's shared scratch
-    /// (`crate::scratch`), and a reuse-mode forward empties this buffer.
-    /// A dense-mode eval forward leaves it as it is, so that the guardrails'
-    /// dense fallback does not re-fault it after every probe.
-    unfolded: Matrix,
+    /// The reuse passes' work; dense passes meter in `conv`.
     meter: FlopMeter,
     stats: ReuseStats,
 }
@@ -114,23 +107,13 @@ impl ReuseConv2d {
         config: ReuseConfig,
         rng: &mut AdrRng,
     ) -> Self {
-        let k = geom.k();
-        let mut weight = Matrix::zeros(k, out_channels);
-        Init::HeNormal.fill(weight.as_mut_slice(), k, out_channels, rng);
+        let conv = Conv2d::new(name, geom, out_channels, rng);
         let lsh_seed = rng.next_u64();
         let mut layer = Self {
-            name: name.into(),
-            geom,
-            out_channels,
-            weight,
-            weight_grad: Matrix::zeros(k, out_channels),
-            weight_vel: Matrix::zeros(k, out_channels),
-            bias: vec![0.0; out_channels],
-            bias_grad: vec![0.0; out_channels],
-            bias_vel: vec![0.0; out_channels],
+            conv,
             config,
             dense: false,
-            split: SubVecSplit::new(k, config.sub_vector_len),
+            split: SubVecSplit::new(geom.k(), config.sub_vector_len),
             lsh: Vec::new(),
             lsh_seed,
             caches: Vec::new(),
@@ -139,7 +122,6 @@ impl ReuseConv2d {
             input_delta_skipped: false,
             hasher: None,
             arena: ReuseArena::default(),
-            unfolded: Matrix::zeros(0, 0),
             meter: FlopMeter::new(),
             stats: ReuseStats::default(),
         };
@@ -150,7 +132,7 @@ impl ReuseConv2d {
     /// Builds a `ReuseConv2d` taking geometry, weights and bias from an
     /// existing dense convolution (used to apply reuse to a trained model,
     /// as the inference experiments of §VI-A/§VI-B1 do).
-    pub fn from_dense(conv: &adr_nn::conv::Conv2d, config: ReuseConfig, rng: &mut AdrRng) -> Self {
+    pub fn from_dense(conv: &Conv2d, config: ReuseConfig, rng: &mut AdrRng) -> Self {
         let mut layer = Self::new(
             format!("{}-reuse", conv.name()),
             *conv.geom(),
@@ -158,14 +140,15 @@ impl ReuseConv2d {
             config,
             rng,
         );
-        layer.weight = conv.weight().clone();
-        layer.bias = conv.bias().to_vec();
+        let sources = [conv.weight().as_slice(), conv.bias()];
+        for (param, source) in layer.conv.params_mut().into_iter().zip(sources) {
+            param.data.copy_from_slice(source);
+        }
         layer
     }
 
     fn rebuild_for_config(&mut self) {
-        let k = self.geom.k();
-        self.split = SubVecSplit::new(k, self.config.sub_vector_len);
+        self.split = SubVecSplit::new(self.conv.geom().k(), self.config.sub_vector_len);
         self.lsh = self
             .split
             .ranges()
@@ -182,13 +165,18 @@ impl ReuseConv2d {
                 LshTable::new(b - a, self.config.num_hashes, &mut AdrRng::seeded(mix))
             })
             .collect();
-        self.caches = if self.config.cluster_reuse {
-            (0..self.split.num_sub_vectors()).map(|_| ReuseCache::new(self.out_channels)).collect()
-        } else {
-            Vec::new()
-        };
+        self.caches = self.fresh_caches();
         self.hasher = Some(PackedHasher::new(&self.split, &self.lsh));
         self.cached_batch = None;
+    }
+
+    /// One empty CR cache per sub-matrix when `CR = 1`, none otherwise.
+    fn fresh_caches(&self) -> Vec<ReuseCache> {
+        if !self.config.cluster_reuse {
+            return Vec::new();
+        }
+        let m = self.conv.out_channels();
+        (0..self.split.num_sub_vectors()).map(|_| ReuseCache::new(m)).collect()
     }
 
     /// The active reuse configuration.
@@ -202,7 +190,7 @@ impl ReuseConv2d {
     /// a new family); the configuration the families were built for keeps
     /// both, so returning from [`ReuseConv2d::exact_fallback`] is free.
     pub fn set_config(&mut self, mut config: ReuseConfig) {
-        config.sub_vector_len = config.sub_vector_len.min(self.geom.k());
+        config.sub_vector_len = config.sub_vector_len.min(self.conv.geom().k());
         self.set_dense(false);
         if config == self.config {
             return;
@@ -213,17 +201,14 @@ impl ReuseConv2d {
 
     /// Flips between the reuse and dense code paths. A training forward of
     /// one mode cannot feed the other mode's backward, so a real change
-    /// drops the pending batch, as a family rebuild does.
+    /// drops the pending batch of both, and the conv's training unfold with
+    /// it.
     fn set_dense(&mut self, dense: bool) {
         if self.dense != dense {
             self.dense = dense;
             self.cached_batch = None;
+            self.conv.drop_pending_batch();
         }
-    }
-
-    /// Convenience wrapper over [`ReuseConv2d::set_config`].
-    pub fn set_reuse_params(&mut self, l: usize, h: usize, cluster_reuse: bool) {
-        self.set_config(ReuseConfig::new(l, h, cluster_reuse));
     }
 
     /// Rebuilds the LSH families and caches from the current config — the
@@ -265,19 +250,15 @@ impl ReuseConv2d {
         // the packed hasher must track them — forgetting it here would keep
         // hashing with the healthy families, hiding the injected fault.
         self.hasher = Some(PackedHasher::new(&self.split, &self.lsh));
-        self.caches = if self.config.cluster_reuse {
-            (0..self.split.num_sub_vectors()).map(|_| ReuseCache::new(self.out_channels)).collect()
-        } else {
-            Vec::new()
-        };
+        self.caches = self.fresh_caches();
         self.cached_batch = None;
     }
 
     /// Drops to the exact im2col GEMM path by entering dense mode: from the
-    /// next pass on the layer *is* a `Conv2d` over the same weights, bit for
-    /// bit, at exactly the dense FLOP count — serving's stage 0, the
-    /// sanitizer's retry, and the guardrails' last resort when tightening
-    /// runs out of reuse stages. A pure flip: `{L, H, CR}`, the LSH
+    /// next pass on, the layer's passes *are* its `Conv2d`'s, at exactly the
+    /// dense FLOP count — serving's stage 0, the sanitizer's retry, and the
+    /// guardrails' last resort when tightening runs out of reuse stages. A
+    /// pure flip: `{L, H, CR}`, the LSH
     /// families and the CR caches are kept for [`ReuseConv2d::set_config`]
     /// to return to (use [`ReuseConv2d::rebuild_families`] to scrub them).
     pub fn exact_fallback(&mut self) {
@@ -292,12 +273,12 @@ impl ReuseConv2d {
 
     /// The layer's convolution geometry.
     pub fn geom(&self) -> &ConvGeom {
-        &self.geom
+        self.conv.geom()
     }
 
     /// Number of weight filters `M`.
     pub fn out_channels(&self) -> usize {
-        self.out_channels
+        self.conv.out_channels()
     }
 
     /// Observability snapshot from the latest forward pass.
@@ -320,7 +301,7 @@ impl ReuseConv2d {
             return Some(1.0);
         }
         let p = CostParams {
-            m: self.out_channels,
+            m: self.conv.out_channels(),
             l: self.split.l(),
             h: self.config.num_hashes,
             rc: self.stats.avg_remaining_ratio,
@@ -339,7 +320,7 @@ impl ReuseConv2d {
         if !adr_obs::is_active() {
             return;
         }
-        let layer = self.name.as_str();
+        let layer = self.conv.name();
         let labels = [("layer", layer)];
         adr_obs::counter_add("adr_reuse_batches", &labels, 1);
         adr_obs::gauge_set("adr_reuse_rc", &labels, self.stats.avg_remaining_ratio);
@@ -387,74 +368,112 @@ impl ReuseConv2d {
 
     /// Borrows the weight matrix.
     pub fn weight(&self) -> &Matrix {
-        &self.weight
-    }
-
-    /// Mutably borrows the weight matrix (tests / model surgery).
-    pub fn weight_mut(&mut self) -> &mut Matrix {
-        &mut self.weight
+        self.conv.weight()
     }
 
     /// Borrows the bias.
     pub fn bias(&self) -> &[f32] {
-        &self.bias
+        self.conv.bias()
     }
 
-    /// Consumes the pending training forward: fills `∇W` and `∇b` in the
-    /// layer's mode and, when `want_input`, leaves what the fold reads —
-    /// `δx` unfolded in `self.unfolded` in dense mode, the centroid
-    /// gradients `δx_c` in the arena in reuse mode. Meters what ran against
+    /// The clustered forward pass (Figs. 2/3): unfolds into the thread's
+    /// scratch, clusters and multiplies through [`reuse_forward_with`], and
+    /// meters what ran against `baseline`.
+    #[expect(
+        clippy::expect_used,
+        reason = "internal-invariant: `rebuild_for_config` sets the hasher before the constructor returns, and the output has exactly the element count of the geometry passed beside it"
+    )]
+    fn clustered_forward(&mut self, input: &Tensor4, mode: Mode, baseline: u64) -> Tensor4 {
+        let geom = *self.conv.geom();
+        let mut unfolded = scratch::unfolded(geom.rows_for_batch(input.batch()) * geom.k());
+        {
+            let _span = adr_obs::span_phase(adr_obs::Phase::Im2col);
+            unfold_into(input, &geom, &mut unfolded);
+        }
+        let caches = if self.config.cluster_reuse {
+            for c in &mut self.caches {
+                c.begin_batch();
+            }
+            Some(self.caches.as_mut_slice())
+        } else {
+            None
+        };
+        let outcome = reuse_forward_with(
+            &unfolded,
+            self.conv.weight(),
+            self.conv.bias(),
+            &self.split,
+            &self.lsh,
+            self.hasher.as_ref().expect("families are built before any forward"),
+            caches,
+            mode,
+            &mut self.arena,
+        );
+        self.stats = outcome.stats;
+        self.meter.add_forward(self.stats.total_forward_flops(), baseline);
+        self.cached_batch = (mode == Mode::Train).then_some(input.batch());
+        let (out_h, out_w, m) = (geom.out_h(), geom.out_w(), self.conv.out_channels());
+        Tensor4::from_vec(input.batch(), out_h, out_w, m, outcome.output.into_vec())
+            .expect("output shape arithmetic is consistent")
+    }
+
+    /// Consumes the pending reuse-mode training forward: fills `∇W` and
+    /// `∇b` from its clustering and, when `want_input`, leaves the centroid
+    /// gradients `δx_c` in the arena for the fold. Meters what ran against
     /// what a dense layer would have run for the same request. Returns the
     /// batch size.
     #[expect(
         clippy::expect_used,
         reason = "layer-protocol: backward before a training forward is a training-loop bug (`Layer` contract)"
     )]
-    fn backward_unfolded(&mut self, grad_out: &Tensor4, want_input: bool) -> usize {
+    fn clustered_backward(&mut self, grad_out: &Tensor4, want_input: bool) -> usize {
         let batch =
             self.cached_batch.take().expect("backward called without a preceding training forward");
-        self.input_delta_skipped = !want_input;
-        let delta_y = grad_out.as_slice();
-        if self.dense {
-            gemm_backward_params(
-                &self.name,
-                delta_y,
-                &self.unfolded,
-                &mut self.weight_grad,
-                &mut self.bias_grad,
-                &mut self.meter,
-            );
-            if want_input {
-                gemm_backward_input(delta_y, &self.weight, &mut self.unfolded, &mut self.meter);
-            }
-        } else {
-            let flops = reuse_backward(
-                &mut self.arena,
-                &self.split,
-                &self.weight,
-                delta_y,
-                &mut self.weight_grad,
-                &mut self.bias_grad,
-                want_input,
-            );
-            let products = if want_input { 2 } else { 1 };
-            let n = self.geom.rows_for_batch(batch);
-            let baseline = (products * n * self.geom.k() * self.out_channels) as u64;
-            self.meter.add_backward(flops, baseline);
-        }
+        let (weight, weight_grad, bias_grad) = self.conv.weight_and_grads();
+        let flops = reuse_backward(
+            &mut self.arena,
+            &self.split,
+            weight,
+            grad_out.as_slice(),
+            weight_grad,
+            bias_grad,
+            want_input,
+        );
+        let products = if want_input { 2 } else { 1 };
+        let (geom, m) = (self.conv.geom(), self.conv.out_channels());
+        let baseline = (products * geom.rows_for_batch(batch) * geom.k() * m) as u64;
+        self.meter.add_backward(flops, baseline);
         batch
     }
+}
 
-    /// The layer's product on the unfolded batch `x_unf` (`N × K`,
-    /// row-major): `Conv2d`'s GEMM in dense mode, the clustered pass
-    /// otherwise. Records the statistics, meters and telemetry of the pass.
-    #[expect(
-        clippy::expect_used,
-        reason = "internal-invariant: `rebuild_for_config` sets the hasher before the constructor returns"
-    )]
-    fn multiply(&mut self, x_unf: &[f32], mode: Mode) -> Matrix {
-        let n = x_unf.len() / self.geom.k();
-        let baseline = (x_unf.len() * self.out_channels) as u64;
+impl Layer for ReuseConv2d {
+    fn name(&self) -> &str {
+        self.conv.name()
+    }
+
+    fn output_shape(&self, input: Shape3) -> Shape3 {
+        self.conv.output_shape(input)
+    }
+
+    fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
+        // Telemetry: attribute the phase spans below (and those inside
+        // `reuse_forward`) to this layer. No-op when no sink is installed.
+        adr_obs::enter_layer(self.conv.name());
+        if self.config.cluster_reuse && mode == Mode::Train {
+            // Weights move with every training step, dense or not, so dense
+            // batches age the cached outputs too.
+            self.train_batches_since_refresh += 1;
+            if self.train_batches_since_refresh >= CACHE_REFRESH_EVERY {
+                self.train_batches_since_refresh = 0;
+                for c in &mut self.caches {
+                    c.invalidate_outputs();
+                }
+            }
+        }
+        let geom = *self.conv.geom();
+        let n = geom.rows_for_batch(input.batch());
+        let baseline = (n * geom.k() * self.conv.out_channels()) as u64;
         let output = if self.dense {
             let _span = adr_obs::span_phase(adr_obs::Phase::CentroidGemm);
             // Every row is its own "cluster": r_c = 1, nothing hashed,
@@ -467,144 +486,53 @@ impl ReuseConv2d {
                 gemm_flops: baseline,
                 ..ReuseStats::default()
             };
-            gemm_forward(x_unf, &self.weight, &self.bias, &mut self.meter)
+            self.conv.forward(input, mode)
         } else {
-            let caches = if self.config.cluster_reuse {
-                for c in &mut self.caches {
-                    c.begin_batch();
-                }
-                Some(self.caches.as_mut_slice())
-            } else {
-                None
-            };
-            let outcome = reuse_forward_with(
-                x_unf,
-                &self.weight,
-                &self.bias,
-                &self.split,
-                &self.lsh,
-                self.hasher.as_ref().expect("families are built before any forward"),
-                caches,
-                mode,
-                &mut self.arena,
-            );
-            self.stats = outcome.stats;
-            self.meter.add_forward(self.stats.total_forward_flops(), baseline);
-            outcome.output
+            self.clustered_forward(input, mode, baseline)
         };
         self.record_telemetry(baseline);
         output
     }
-}
-
-impl Layer for ReuseConv2d {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn output_shape(&self, input: Shape3) -> Shape3 {
-        assert_eq!(
-            input,
-            (self.geom.in_h, self.geom.in_w, self.geom.in_c),
-            "reuse conv {}: input shape mismatch",
-            self.name
-        );
-        (self.geom.out_h(), self.geom.out_w(), self.out_channels)
-    }
-
-    #[expect(
-        clippy::expect_used,
-        reason = "internal-invariant: the output has exactly the element count of the geometry passed beside it"
-    )]
-    fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
-        // Telemetry: attribute the phase spans below (and those inside
-        // `reuse_forward`) to this layer. No-op when no sink is installed.
-        adr_obs::enter_layer(&self.name);
-        if self.config.cluster_reuse && mode == Mode::Train {
-            // Weights move with every training step, dense or not, so dense
-            // batches age the cached outputs too.
-            self.train_batches_since_refresh += 1;
-            if self.train_batches_since_refresh >= CACHE_REFRESH_EVERY {
-                self.train_batches_since_refresh = 0;
-                for c in &mut self.caches {
-                    c.invalidate_outputs();
-                }
-            }
-        }
-        let output = if self.dense && mode == Mode::Train {
-            // The dense backward reads this unfold for ∇W: the layer keeps it.
-            let mut unfolded = std::mem::take(&mut self.unfolded);
-            {
-                let _span = adr_obs::span_phase(adr_obs::Phase::Im2col);
-                im2col_into(input, &self.geom, &mut unfolded);
-            }
-            let output = self.multiply(unfolded.as_slice(), mode);
-            self.unfolded = unfolded;
-            output
-        } else {
-            if !self.dense {
-                self.unfolded = Matrix::default();
-            }
-            let len = self.geom.rows_for_batch(input.batch()) * self.geom.k();
-            let mut unfolded = scratch::unfolded(len);
-            {
-                let _span = adr_obs::span_phase(adr_obs::Phase::Im2col);
-                unfold_into(input, &self.geom, &mut unfolded);
-            }
-            self.multiply(&unfolded, mode)
-        };
-        self.cached_batch = (mode == Mode::Train).then_some(input.batch());
-        Tensor4::from_vec(
-            input.batch(),
-            self.geom.out_h(),
-            self.geom.out_w(),
-            self.out_channels,
-            output.into_vec(),
-        )
-        .expect("output shape arithmetic is consistent")
-    }
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let batch = self.backward_unfolded(grad_out, true);
+        self.input_delta_skipped = false;
         if self.dense {
-            col2im(&self.unfolded, &self.geom, batch)
-        } else {
-            fold_input_grad(&self.arena, &self.split, &self.geom, batch)
+            return self.conv.backward(grad_out);
         }
+        let batch = self.clustered_backward(grad_out, true);
+        fold_input_grad(&self.arena, &self.split, self.conv.geom(), batch)
     }
 
     fn backward_params_only(&mut self, grad_out: &Tensor4) {
-        self.backward_unfolded(grad_out, false);
+        self.input_delta_skipped = true;
+        if self.dense {
+            self.conv.backward_params_only(grad_out);
+        } else {
+            self.clustered_backward(grad_out, false);
+        }
     }
 
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
-        vec![
-            ParamRefMut {
-                data: self.weight.as_mut_slice(),
-                grad: self.weight_grad.as_mut_slice(),
-                velocity: self.weight_vel.as_mut_slice(),
-            },
-            ParamRefMut {
-                data: &mut self.bias,
-                grad: &mut self.bias_grad,
-                velocity: &mut self.bias_vel,
-            },
-        ]
+        self.conv.params_mut()
     }
 
     fn flops(&self) -> FlopReport {
-        self.meter.actual()
+        self.conv.flops().merged(&self.meter.actual())
     }
 
     fn baseline_flops(&self) -> FlopReport {
-        self.meter.baseline()
+        self.conv.baseline_flops().merged(&self.meter.baseline())
     }
 
     fn reset_flops(&mut self) {
+        self.conv.reset_flops();
         self.meter.reset();
     }
 
+    /// Restores the merged counts into the reuse meter and zeroes the
+    /// conv's, so [`Layer::flops`] reads back exactly what was saved.
     fn restore_flops(&mut self, actual: FlopReport, baseline: FlopReport) {
+        self.conv.reset_flops();
         self.meter.restore(actual, baseline);
     }
 
@@ -620,7 +548,6 @@ impl Layer for ReuseConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adr_nn::conv::Conv2d;
 
     fn geom() -> ConvGeom {
         ConvGeom::new(6, 6, 2, 3, 3, 1, 0).unwrap()
@@ -628,6 +555,12 @@ mod tests {
 
     fn reuse_layer(l: usize, h: usize, cr: bool, seed: u64) -> ReuseConv2d {
         ReuseConv2d::new("rc", geom(), 4, ReuseConfig::new(l, h, cr), &mut AdrRng::seeded(seed))
+    }
+
+    /// `(∇W, ∇b)` as the optimizer reads them.
+    fn grads(layer: &mut ReuseConv2d) -> (Vec<f32>, Vec<f32>) {
+        let params = layer.params_mut();
+        (params[0].grad.to_vec(), params[1].grad.to_vec())
     }
 
     #[test]
@@ -688,9 +621,10 @@ mod tests {
         let g = Tensor4::from_vec(1, 4, 4, 4, vec![1.0; 64]).unwrap();
         let dx = layer.backward(&g);
         assert_eq!(dx.shape(), (1, 6, 6, 2));
-        let wnorm: f32 = layer.weight_grad.as_slice().iter().map(|v| v * v).sum();
+        let (weight_grad, bias_grad) = grads(&mut layer);
+        let wnorm: f32 = weight_grad.iter().map(|v| v * v).sum();
         assert!(wnorm > 0.0);
-        assert!(layer.bias_grad.iter().all(|&b| (b - 16.0).abs() < 1e-4));
+        assert!(bias_grad.iter().all(|&b| (b - 16.0).abs() < 1e-4));
     }
 
     #[test]
@@ -741,7 +675,8 @@ mod tests {
         let [got, want] = [&mut probed, &mut twin].map(|layer| {
             layer.forward(&x2, Mode::Train);
             let dx = layer.backward(&g2);
-            (bits(layer.weight_grad.as_slice()), bits(&layer.bias_grad), bits(dx.as_slice()))
+            let (weight_grad, bias_grad) = grads(layer);
+            (bits(&weight_grad), bits(&bias_grad), bits(dx.as_slice()))
         });
         assert_eq!(got.0, want.0, "∇W");
         assert_eq!(got.1, want.1, "∇b");
@@ -754,20 +689,20 @@ mod tests {
     fn assert_step_matches_oracles(layer: &mut ReuseConv2d, x: &Tensor4, g: &Tensor4, what: &str) {
         use crate::backward::input_grad_row;
         use crate::forward::reuse_forward;
-        use adr_tensor::im2col::im2col;
+        use adr_tensor::im2col::{col2im, im2col};
         let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let x_unf = im2col(x, &layer.geom);
+        let geom = *layer.geom();
+        let x_unf = im2col(x, &geom);
         let (want, mut arena) =
-            reuse_forward(&x_unf, &layer.weight, &layer.bias, &layer.split, &layer.lsh, None);
+            reuse_forward(&x_unf, layer.weight(), layer.bias(), &layer.split, &layer.lsh, None);
         assert_eq!(bits(layer.forward(x, Mode::Train).as_slice()), bits(want.output.as_slice()));
-        assert_eq!(layer.unfolded.shape(), (0, 0), "{what}: a reuse layer owns no unfold");
-        let (k, m) = layer.weight.shape();
+        let (k, m) = layer.weight().shape();
         let (mut weight_grad, mut bias_grad) = (Matrix::zeros(k, m), vec![0.0; m]);
         let split = &layer.split;
         reuse_backward(
             &mut arena,
             split,
-            &layer.weight,
+            layer.weight(),
             g.as_slice(),
             &mut weight_grad,
             &mut bias_grad,
@@ -777,10 +712,11 @@ mod tests {
         for r in 0..x_unf.rows() {
             input_grad_row(&arena, split, r, delta_x_unf.row_mut(r));
         }
-        let delta_x = col2im(&delta_x_unf, &layer.geom, x.batch());
+        let delta_x = col2im(&delta_x_unf, &geom, x.batch());
         assert_eq!(bits(layer.backward(g).as_slice()), bits(delta_x.as_slice()), "{what}: δx");
-        assert_eq!(bits(layer.weight_grad.as_slice()), bits(weight_grad.as_slice()), "{what}: ∇W");
-        assert_eq!(bits(&layer.bias_grad), bits(&bias_grad), "{what}: ∇b");
+        let (got_weight_grad, got_bias_grad) = grads(layer);
+        assert_eq!(bits(&got_weight_grad), bits(weight_grad.as_slice()), "{what}: ∇W");
+        assert_eq!(bits(&got_bias_grad), bits(&bias_grad), "{what}: ∇b");
     }
 
     /// Two reuse layers of different `(N, K)` share the thread's unfold and
@@ -807,7 +743,6 @@ mod tests {
             if step == 1 {
                 let h = a.forward(&probe, Mode::Eval);
                 b.forward(&h, Mode::Eval);
-                assert_eq!(a.unfolded.shape(), (0, 0), "an eval forward leaves no unfold either");
             }
             let h = a.forward(x, Mode::Eval);
             assert_step_matches_oracles(&mut b, &h, &g_b, &format!("b, step {step}"));
@@ -851,7 +786,7 @@ mod tests {
         let x = Tensor4::from_fn(1, 6, 6, 2, |_, _, _, _| 1.0);
         layer.forward(&x, Mode::Eval);
         assert!(!layer.caches.is_empty());
-        layer.set_reuse_params(10_000, 12, true);
+        layer.set_config(ReuseConfig::new(10_000, 12, true));
         assert_eq!(layer.config().sub_vector_len, 18); // clamped to K
         assert!(layer.caches.iter().all(|c| c.is_empty()));
     }
@@ -999,18 +934,39 @@ mod tests {
         assert_eq!(second.gemm_flops, 0, "the caches survived the dense visit");
         // A different configuration still rebuilds and starts cold.
         layer.exact_fallback();
-        layer.set_reuse_params(9, 6, true);
+        layer.set_config(ReuseConfig::new(9, 6, true));
         layer.forward(&x, Mode::Eval);
         assert!(layer.stats().gemm_flops > 0);
     }
 
+    /// A training forward of one mode never feeds the other mode's backward,
+    /// nor the same mode's after a visit to the other: both pending batches
+    /// are dropped on every real mode change.
     #[test]
-    #[should_panic(expected = "backward called without")]
     fn a_mode_change_between_forward_and_backward_drops_the_pending_batch() {
-        let mut layer = reuse_layer(6, 10, false, 4);
-        layer.forward(&Tensor4::zeros(1, 6, 6, 2), Mode::Train);
-        layer.exact_fallback();
-        layer.backward(&Tensor4::zeros(1, 4, 4, 4));
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (x, g) = (Tensor4::zeros(1, 6, 6, 2), Tensor4::zeros(1, 4, 4, 4));
+        let backward_panic = |dense_first: bool| {
+            let mut layer = reuse_layer(6, 10, false, 4);
+            if dense_first {
+                // Dense forward, a free round trip through reuse mode under
+                // the same configuration, back to dense: the conv's batch is
+                // stale.
+                layer.exact_fallback();
+                layer.forward(&x, Mode::Train);
+                layer.set_config(layer.config());
+            } else {
+                layer.forward(&x, Mode::Train);
+            }
+            layer.exact_fallback();
+            let payload = catch_unwind(AssertUnwindSafe(|| layer.backward(&g))).unwrap_err();
+            let message = payload.downcast_ref::<&str>().map(ToString::to_string);
+            message.or_else(|| payload.downcast_ref::<String>().cloned()).unwrap_or_default()
+        };
+        for dense_first in [false, true] {
+            let message = backward_panic(dense_first);
+            assert!(message.contains("backward called without"), "{dense_first}: {message:?}");
+        }
     }
 
     #[test]
@@ -1058,8 +1014,8 @@ mod tests {
             full.backward(&g);
             skip.backward_params_only(&g);
             let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(skip.weight_grad.as_slice()), bits(full.weight_grad.as_slice()));
-            assert_eq!(bits(&skip.bias_grad), bits(&full.bias_grad));
+            let ((skip_w, skip_b), (full_w, full_b)) = (grads(&mut skip), grads(&mut full));
+            assert_eq!((bits(&skip_w), bits(&skip_b)), (bits(&full_w), bits(&full_b)));
             assert_eq!(full.baseline_flops().backward, 2 * nkm, "dense = {dense}");
             assert_eq!(skip.baseline_flops().backward, nkm, "dense = {dense}");
             // What left the actual side is the product that did not run:
@@ -1068,7 +1024,8 @@ mod tests {
             let skipped = if dense { nkm } else { full.stats().gemm_flops };
             assert_eq!(full.flops().backward - skip.flops().backward, skipped, "dense = {dense}");
             assert!(skip.modelled_step_cost() >= full.modelled_step_cost(), "dense = {dense}");
-            // The pending batch is consumed either way.
+            // The pending batch is consumed either way (in dense mode it is
+            // the conv's, whose own tests pin that).
             assert!(skip.cached_batch.is_none());
         }
     }

@@ -16,9 +16,14 @@
 //!   input gradient straight from `δx_c`, never storing the `N × K` `δx`.
 //! * [`layer::ReuseConv2d`] — a drop-in replacement for `adr_nn::conv::Conv2d`
 //!   implementing `adr_nn::Layer`, retunable at runtime via
-//!   [`layer::ReuseConv2d::set_config`], with a dense mode
-//!   ([`layer::ReuseConv2d::exact_fallback`]) that runs `Conv2d`'s own GEMMs
-//!   where exactness is wanted and hashing cannot pay.
+//!   [`layer::ReuseConv2d::set_config`]. It is an overlay on the `Conv2d` it
+//!   owns, which holds the weights and gradients: its dense mode
+//!   ([`layer::ReuseConv2d::exact_fallback`]), for where exactness is wanted
+//!   and hashing cannot pay, is that conv's own forward and backward.
+//!
+//! The unfolded input and the signatures of a reuse forward live in the
+//! thread's grow-only scratch ([`adr_tensor::scratch`]), which every
+//! convolution on the thread shares.
 //! * [`cost`] — the paper's complexity model (Eqs. 5, 6, 12, 20, 22, 23) used by
 //!   the adaptive controller to order candidate `{L, H}` settings.
 //! * [`stats`] — per-layer observability: remaining ratio `r_c`, cluster
@@ -59,7 +64,6 @@ pub mod cost;
 pub mod forward;
 pub mod hashpack;
 pub mod layer;
-mod scratch;
 pub mod stats;
 pub mod subvec;
 

@@ -105,8 +105,8 @@ fn worker_allocs() -> u64 {
 /// the output.
 const EXACT_FORWARD_STEP: u64 = 2;
 /// `ReuseConv2d` in dense mode (`exact_fallback`), `Eval` forward, at layer
-/// level: the same GEMM, but the layer recycles its unfolded buffer, so the
-/// only allocation is the output it returns.
+/// level: its `Conv2d`'s forward, which unfolds into the thread's scratch,
+/// so the only allocation is the output it returns.
 const DENSE_MODE_FORWARD_STEP: u64 = 1;
 /// Signatures, lookup tables, cluster tables, centroids and cluster outputs
 /// are all recycled in the `ReuseArena`, so a steady-state (all-hit) step
@@ -266,9 +266,9 @@ fn steady_state_allocation_counts_match_the_budget() {
     }
 
     // Dense mode, at layer level: `ReuseConv2d` after `exact_fallback` runs
-    // the free-function baseline above, unfolding into the thread's shared
-    // scratch, so the one allocation left is the output — also after a
-    // probe at 4× the batch has grown the scratch.
+    // its `Conv2d`'s forward, unfolding into the thread's shared scratch, so
+    // the one allocation left is the output — also after a probe at 4× the
+    // batch has grown the scratch.
     let mut layer = ReuseConv2d::new("rc", geom, 4, ReuseConfig::new(9, 6, false), &mut rng);
     layer.exact_fallback();
     for _ in 0..2 {

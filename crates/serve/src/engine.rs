@@ -12,7 +12,7 @@
 
 use adr_nn::layer::Shape3;
 use adr_nn::network::Network;
-use adr_reuse::{reuse_layers, ReuseConv2d};
+use adr_reuse::{reuse_layers, ReuseConfig, ReuseConv2d};
 use adr_tensor::sanitize::first_non_finite;
 use adr_tensor::Tensor4;
 
@@ -133,7 +133,7 @@ impl Engine {
             match policy {
                 StagePolicy::Exact => reuse.exact_fallback(),
                 StagePolicy::Reuse { sub_vector_len, num_hashes, cluster_reuse } => {
-                    reuse.set_reuse_params(sub_vector_len, num_hashes, cluster_reuse);
+                    reuse.set_config(ReuseConfig::new(sub_vector_len, num_hashes, cluster_reuse));
                 }
             }
         }

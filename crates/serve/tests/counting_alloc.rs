@@ -73,9 +73,10 @@ fn allocs() -> u64 {
 /// single-request batch on the exact path, pinned where it is asserted: the
 /// admission-time image copy into the lane, the pending list, the batch
 /// tensor, the forward pass's own buffers, the logits row and the result
-/// vector. (`Network::forward` lends the first layer the batch tensor, and
-/// the round-robin cursor is a lane position, not a key.)
-const GATEWAY_REQUEST: u64 = 10;
+/// vector. (`Network::forward` lends the first layer the batch tensor, the
+/// conv's eval forward unfolds into the thread's scratch, and the
+/// round-robin cursor is a lane position, not a key.)
+const GATEWAY_REQUEST: u64 = 9;
 
 fn tiny_net(seed: u64) -> Network {
     let mut rng = AdrRng::seeded(seed);

@@ -20,6 +20,8 @@
 //!   portable source each, compiled at 128 and 256 bits (and at 512 for the
 //!   three dense products) and picked from the CPU observed at run time
 //!   ([`kernels::lanes`] says which).
+//! * [`scratch`] — the per-thread, grow-only unfold and signature buffers
+//!   that every convolution pass not followed by a backward borrows.
 //! * [`sanitize`] — the first-non-finite scan that serving's admission and
 //!   output quarantine and the trainer's guardrails report through.
 //!
@@ -47,6 +49,7 @@ pub mod matrix;
 pub mod par;
 pub mod rng;
 pub mod sanitize;
+pub mod scratch;
 pub mod simd;
 pub mod tensor4;
 

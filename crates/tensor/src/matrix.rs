@@ -247,30 +247,20 @@ impl Matrix {
 
     /// `self · other`, allocating the result.
     ///
-    /// # Panics
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// `out = self · other` without allocating.
-    ///
     /// Runs [`gemm_rows`]: `i-k-j` order with the `k` loop blocked, each
     /// row's non-zeros multiplied into register tiles of the output row.
     ///
     /// # Panics
-    /// Panics on any shape mismatch.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+    /// Panics if `self.cols != other.rows`.
+    pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} . {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        assert_eq!((out.rows, out.cols), (self.rows, other.cols), "matmul output shape mismatch");
-        out.data.fill(0.0);
+        let mut out = Matrix::zeros(self.rows, other.cols);
         gemm_rows(&self.data, &other.data, &mut out.data, self.rows, self.cols, other.cols);
+        out
     }
 
     /// `selfᵀ · other`, allocating the result.

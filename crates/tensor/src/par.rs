@@ -1,8 +1,10 @@
 //! Row-block parallelism for the GEMM kernels, on the persistent worker pool.
 //!
-//! The baseline convolution and the dense mode of the reuse layer bottom out
-//! in [`matmul_par`]; every dense backward pass bottoms out in the two
-//! transposed products [`gemm_ta_par`] and [`gemm_tb_par`]. Work is split
+//! The baseline convolution — also the dense mode of the reuse layer, which
+//! wraps one — bottoms out in [`gemm_rows_par`] over its unfolded input, and
+//! the fully connected layer in [`matmul_par`]; every dense backward pass
+//! bottoms out in the two transposed products [`gemm_ta_par`] and
+//! [`gemm_tb_par`]. Work is split
 //! into contiguous row blocks of the *output* via [`run_row_blocks`]; each
 //! block writes a disjoint `split_at_mut` slice, so no synchronisation is
 //! needed beyond the completion barrier. Blocks are dispatched by

@@ -1,13 +1,14 @@
-//! Per-thread scratch for what a reuse forward pass needs only while it
-//! runs: the unfolded input (`N × K` f32) and its signatures (`N × ⌈K/L⌉`
-//! u64).
+//! Per-thread scratch for what a convolution pass needs only while it runs:
+//! the unfolded input (`N × K` f32) and, in a reuse layer, its LSH
+//! signatures (`N × ⌈K/L⌉` u64).
 //!
-//! Both are dead once the sub-matrix fan-out has grouped and summed them —
-//! the backward pass reads the clustering and the centroids, never these —
-//! so no layer owns them: every [`crate::ReuseConv2d`] on a thread borrows
-//! the thread's one buffer of each. Between forward passes the unfold
-//! buffer also lends the input-gradient fold its rows
-//! ([`crate::backward::fold_input_grad`]). A buffer only grows. A pass borrows a
+//! An eval forward of `adr_nn::conv::Conv2d` reads its unfold once, for
+//! the one GEMM; a reuse forward's are dead once its sub-matrix fan-out has
+//! grouped and summed them. So no layer owns them: every convolution on a
+//! thread borrows the thread's one buffer of each. The one unfold a layer
+//! keeps is a training forward's, which its backward reads for `∇W`.
+//! Between forward passes the unfold buffer also lends the reuse backward's
+//! input-gradient fold its rows. A buffer only grows. A pass borrows a
 //! prefix of exactly its own length, so layers of different shapes taking
 //! turns neither reallocate nor zero-fill again once the buffer has reached
 //! the largest pass the thread has run. Pool workers never touch them: the
@@ -24,21 +25,21 @@ thread_local! {
 
 /// The first `len` elements of this thread's unfold scratch, until dropped.
 /// Contents are whatever the last pass left: the unfold overwrites them.
-pub(crate) fn unfolded(len: usize) -> Scratch<f32> {
+pub fn unfolded(len: usize) -> Scratch<f32> {
     Scratch::borrow(&UNFOLDED, len)
 }
 
 /// The first `len` elements of this thread's signature scratch, until
 /// dropped. Contents are whatever the last pass left: the hasher overwrites
 /// them.
-pub(crate) fn signatures(len: usize) -> Scratch<u64> {
+pub fn signatures(len: usize) -> Scratch<u64> {
     Scratch::borrow(&SIGNATURES, len)
 }
 
 /// A thread's scratch buffer, taken out of its slot and handed back on drop.
 /// A second borrow of the same slot while one is out finds it empty and
 /// grows a buffer of its own; whichever is dropped last stays.
-pub(crate) struct Scratch<T: 'static> {
+pub struct Scratch<T: 'static> {
     home: &'static LocalKey<RefCell<Vec<T>>>,
     buf: Vec<T>,
     len: usize,

@@ -141,7 +141,7 @@ fn retuning_mid_stream_keeps_layer_functional() {
     let (_, mut reuse) = twins(geom, 4, 18, 12, 13);
     let x = gaussian_input(1, 8, 8, 2, 14);
     for (l, h, cr) in [(18, 12, false), (6, 8, true), (3, 15, false), (18, 4, true)] {
-        reuse.set_reuse_params(l, h, cr);
+        reuse.set_config(ReuseConfig::new(l, h, cr));
         let y = reuse.forward(&x, Mode::Train);
         assert_eq!(y.shape(), (1, 6, 6, 4));
         assert!(y.as_slice().iter().all(|v| v.is_finite()));
