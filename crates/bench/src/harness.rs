@@ -263,21 +263,21 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Exercise: verifies the dense column of an experiment is reproducible by
-/// re-running with the same seed. Mostly used from tests.
-pub fn checkpointed_cifarnet(seed: u64, train_iters: usize) -> (Network, DatasetSource) {
-    let mut rng = AdrRng::seeded(seed);
-    let dataset = synth_for((16, 16, 3), 160, 4, &mut rng);
-    let mut source = DatasetSource::new(dataset, 16, 32);
-    let mut net = adr_models::cifarnet::bench_scale(4, adr_models::ConvMode::Dense, &mut rng);
-    train_dense(&mut net, &mut source, train_iters, 0.03);
-    (net, source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use adr_nn::Layer as _;
+
+    /// A bench-scale dense CifarNet trained `train_iters` steps on 160
+    /// seeded synthetic images, with its data source.
+    fn trained_dense_cifarnet(seed: u64, train_iters: usize) -> (Network, DatasetSource) {
+        let mut rng = AdrRng::seeded(seed);
+        let dataset = synth_for((16, 16, 3), 160, 4, &mut rng);
+        let mut source = DatasetSource::new(dataset, 16, 32);
+        let mut net = adr_models::cifarnet::bench_scale(4, adr_models::ConvMode::Dense, &mut rng);
+        train_dense(&mut net, &mut source, train_iters, 0.03);
+        (net, source)
+    }
 
     #[test]
     fn dataset_source_separates_probe_from_training() {
@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn swap_in_reuse_then_retune_round_trips() {
-        let (mut net, mut source) = checkpointed_cifarnet(4, 10);
+        let (mut net, mut source) = trained_dense_cifarnet(4, 10);
         swap_in_reuse(&mut net, 0, ReuseConfig::new(5, 8, false), &mut AdrRng::seeded(5));
         let (images, labels) = source.probe();
         net.evaluate(&images, &labels);
@@ -350,7 +350,7 @@ mod tests {
 
     #[test]
     fn train_dense_improves_over_initial() {
-        let (mut net, mut source) = checkpointed_cifarnet(6, 120);
+        let (mut net, mut source) = trained_dense_cifarnet(6, 120);
         let (images, labels) = source.probe();
         let acc = net.evaluate(&images, &labels).accuracy;
         assert!(acc > 0.5, "trained probe accuracy {acc}");

@@ -375,7 +375,6 @@ impl Trainer {
             run.meter.record(step.loss, step.correct, step.batch_size);
             adr_obs::counter_add("adr_train_steps", &[], 1);
             adr_obs::gauge_set("adr_train_loss", &[], f64::from(step.loss));
-            adr_obs::histogram_record("adr_train_loss_per_step", &[], f64::from(step.loss));
             if iter % history_stride == 0 {
                 loss_history.push((iter, step.loss));
             }

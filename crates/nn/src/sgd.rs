@@ -7,15 +7,6 @@ use crate::layer::ParamRefMut;
 pub enum LrSchedule {
     /// Constant rate.
     Constant(f32),
-    /// `base · decay^(step / period)` with integer division (staircase).
-    StepDecay {
-        /// Initial rate.
-        base: f32,
-        /// Multiplicative factor applied every `period` steps.
-        decay: f32,
-        /// Steps between decays.
-        period: usize,
-    },
     /// `base / (1 + rate · step)` — smooth inverse decay.
     InverseTime {
         /// Initial rate.
@@ -30,12 +21,6 @@ impl LrSchedule {
     pub fn at(&self, step: usize) -> f32 {
         match *self {
             LrSchedule::Constant(lr) => lr,
-            LrSchedule::StepDecay { base, decay, period } => {
-                // powi takes i32; step/period counts stay far below 2^31.
-                #[allow(clippy::cast_possible_truncation)]
-                let periods = (step / period.max(1)) as i32;
-                base * decay.powi(periods)
-            }
             LrSchedule::InverseTime { base, rate } => base / (1.0 + rate * step as f32),
         }
     }
@@ -166,15 +151,6 @@ mod tests {
         let mut vel = [0.0f32];
         param_step(&mut sgd, &mut data, &mut grad, &mut vel);
         assert!(data[0] < 2.0);
-    }
-
-    #[test]
-    fn step_decay_is_staircase() {
-        let s = LrSchedule::StepDecay { base: 1.0, decay: 0.5, period: 10 };
-        assert_eq!(s.at(0), 1.0);
-        assert_eq!(s.at(9), 1.0);
-        assert_eq!(s.at(10), 0.5);
-        assert_eq!(s.at(25), 0.25);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Metric sinks: the [`MetricSink`] trait, the no-op [`NullSink`], and the
-//! collecting [`Recorder`].
+//! The [`Recorder`]: the one store instrumented code records into, once
+//! installed with [`crate::install`].
 //!
-//! Determinism contract: every *value* metric (counters, gauges, histograms)
-//! a `Recorder` collects is bitwise-reproducible across two identical seeded
+//! Determinism contract: every *value* metric (counters and gauges) a
+//! `Recorder` collects is bitwise-reproducible across two identical seeded
 //! runs, because the instrumented code records them in program order on one
 //! thread. Wall-clock *timing* metrics are stored in a separate map and are
 //! explicitly excluded from the deterministic export
@@ -12,82 +12,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
-
-/// Upper bounds of the value-histogram buckets (decades spanning the loss /
-/// ratio / count magnitudes the trainer emits); one overflow bucket follows.
-pub const VALUE_BUCKET_BOUNDS: [f64; 10] = [0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6];
-
-/// Where instrumented code sends its measurements.
-///
-/// Implementations take `&self` so a sink handle can be shared; the
-/// [`Recorder`] uses interior mutability. Methods must not panic — telemetry
-/// failure must never take down a training run.
-pub trait MetricSink {
-    /// Adds `delta` to a monotonic counter.
-    fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64);
-    /// Sets a gauge to its latest value.
-    fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64);
-    /// Records one observation into a value histogram.
-    fn histogram_record(&self, name: &str, labels: &[(&str, &str)], value: f64);
-    /// Records elapsed wall time for a span. Kept separate from the value
-    /// metrics so deterministic exports can exclude it.
-    fn time_ns(&self, name: &str, labels: &[(&str, &str)], nanos: u64);
-    /// Whether span guards should bother reading the clock at all.
-    fn wants_timing(&self) -> bool {
-        true
-    }
-}
-
-/// A sink that drops everything; the compiled-in default when no recorder is
-/// installed. Exists as a named type so callers can install "explicitly
-/// nothing"; uninstrumented code pays only a thread-local `None` check.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl MetricSink for NullSink {
-    fn counter_add(&self, _name: &str, _labels: &[(&str, &str)], _delta: u64) {}
-    fn gauge_set(&self, _name: &str, _labels: &[(&str, &str)], _value: f64) {}
-    fn histogram_record(&self, _name: &str, _labels: &[(&str, &str)], _value: f64) {}
-    fn time_ns(&self, _name: &str, _labels: &[(&str, &str)], _nanos: u64) {}
-    fn wants_timing(&self) -> bool {
-        false
-    }
-}
-
-/// A fixed-bucket histogram of f64 observations.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ValueHistogram {
-    counts: [u64; VALUE_BUCKET_BOUNDS.len() + 1],
-    sum: f64,
-    total: u64,
-}
-
-impl ValueHistogram {
-    fn record(&mut self, value: f64) {
-        let bucket = VALUE_BUCKET_BOUNDS
-            .iter()
-            .position(|&bound| value <= bound)
-            .unwrap_or(VALUE_BUCKET_BOUNDS.len());
-        self.counts[bucket] += 1;
-        self.sum += value;
-        self.total += 1;
-    }
-
-    /// Per-bucket counts; the last entry is the overflow bucket.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Sum of all observations (recorded in program order, so deterministic).
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-}
 
 /// Accumulated wall time of one span key.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -104,13 +28,13 @@ pub struct TimeStat {
 struct RecorderState {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, ValueHistogram>,
     times: BTreeMap<String, TimeStat>,
 }
 
-/// A collecting sink. Cloning produces a handle to the same underlying
-/// store, so the caller can keep one handle for export while the clone is
-/// installed as the active sink.
+/// The telemetry store: counters, gauges and span times, each under a
+/// `name{label="value",…}` key. Cloning produces a handle to the same underlying store,
+/// so the caller can keep one handle for export while the clone is
+/// installed.
 ///
 /// Single-threaded by design (`Rc` + `RefCell`): instrumentation runs on the
 /// orchestration thread only — never inside scoped compute workers — which
@@ -120,10 +44,10 @@ pub struct Recorder {
     state: Rc<RefCell<RecorderState>>,
 }
 
-/// Canonical metric key: `name{k1="v1",k2="v2"}` (Prometheus sample syntax),
-/// or just `name` without labels. Label order is the caller's order, which
-/// instrumented code keeps fixed.
-pub fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
+/// Canonical metric key: `name{k1="v1",k2="v2"}`, or just `name` without
+/// labels. Label order is the caller's order, which instrumented code keeps
+/// fixed.
+fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return name.to_string();
     }
@@ -147,9 +71,34 @@ impl Recorder {
     }
 
     fn with_state<R>(&self, f: impl FnOnce(&mut RecorderState) -> R) -> Option<R> {
-        // try_borrow_mut: a sink must never panic, even if a re-entrant
+        // try_borrow_mut: recording must never panic, even if a re-entrant
         // record happens while an export borrow is live.
         self.state.try_borrow_mut().ok().map(|mut s| f(&mut s))
+    }
+
+    /// Adds `delta` to a monotonic counter.
+    pub(crate) fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
+        let key = metric_key(name, labels);
+        self.with_state(|s| *s.counters.entry(key).or_insert(0) += delta);
+    }
+
+    /// Sets a gauge to its latest value.
+    pub(crate) fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+        let key = metric_key(name, labels);
+        self.with_state(|s| {
+            s.gauges.insert(key, value);
+        });
+    }
+
+    /// Adds one span's elapsed wall time to its key's [`TimeStat`].
+    pub(crate) fn time_ns(&self, name: &str, labels: &[(&str, &str)], nanos: u64) {
+        let key = metric_key(name, labels);
+        self.with_state(|s| {
+            let stat = s.times.entry(key).or_default();
+            stat.count += 1;
+            stat.total_ns += nanos;
+            stat.max_ns = stat.max_ns.max(nanos);
+        });
     }
 
     /// Current value of a counter, if it was ever touched.
@@ -186,11 +135,6 @@ impl Recorder {
             .unwrap_or_default()
     }
 
-    /// Drops every recorded metric, keeping the handle installed.
-    pub fn reset(&self) {
-        self.with_state(|s| *s = RecorderState::default());
-    }
-
     /// JSON-lines export: one compact JSON object per line, keys sorted
     /// (BTreeMap order). With `include_timing = false` the output contains
     /// only value metrics and is bitwise-identical across two identical
@@ -219,20 +163,6 @@ impl Recorder {
             out.push_str(&line.render());
             out.push('\n');
         }
-        for (key, hist) in &state.histograms {
-            let line = Json::Obj(vec![
-                ("kind".to_string(), Json::Str("histogram".to_string())),
-                ("key".to_string(), Json::Str(key.clone())),
-                ("total".to_string(), Json::Uint(hist.total())),
-                ("sum".to_string(), Json::Num(hist.sum())),
-                (
-                    "buckets".to_string(),
-                    Json::Arr(hist.counts().iter().map(|&c| Json::Uint(c)).collect()),
-                ),
-            ]);
-            out.push_str(&line.render());
-            out.push('\n');
-        }
         if include_timing {
             for (key, stat) in &state.times {
                 let line = Json::Obj(vec![
@@ -247,109 +177,6 @@ impl Recorder {
             }
         }
         out
-    }
-
-    /// Prometheus text exposition format (counters, gauges, histograms, and
-    /// span times as `<name>_ns` counters).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let Ok(state) = self.state.try_borrow() else {
-            return out;
-        };
-        let mut typed = std::collections::BTreeSet::new();
-        for (key, value) in &state.counters {
-            type_line(&mut out, &mut typed, key, "counter");
-            let _ = writeln!(out, "{key} {value}");
-        }
-        for (key, value) in &state.gauges {
-            type_line(&mut out, &mut typed, key, "gauge");
-            let _ = writeln!(out, "{key} {value}");
-        }
-        for (key, hist) in &state.histograms {
-            type_line(&mut out, &mut typed, key, "histogram");
-            let mut cumulative = 0u64;
-            for (i, &count) in hist.counts().iter().enumerate() {
-                cumulative += count;
-                let le = match VALUE_BUCKET_BOUNDS.get(i) {
-                    Some(bound) => format!("{bound}"),
-                    None => "+Inf".to_string(),
-                };
-                let _ = writeln!(out, "{} {cumulative}", with_label(key, "le", &le));
-            }
-            let _ = writeln!(out, "{} {}", suffixed(key, "_sum"), hist.sum());
-            let _ = writeln!(out, "{} {}", suffixed(key, "_count"), hist.total());
-        }
-        for (key, stat) in &state.times {
-            type_line(&mut out, &mut typed, key, "counter");
-            let _ = writeln!(out, "{key} {}", stat.total_ns);
-        }
-        out
-    }
-}
-
-/// Metric base name of a canonical key (the part before any `{`).
-fn base_name(key: &str) -> &str {
-    key.split('{').next().unwrap_or(key)
-}
-
-fn type_line(
-    out: &mut String,
-    typed: &mut std::collections::BTreeSet<String>,
-    key: &str,
-    kind: &str,
-) {
-    let name = base_name(key);
-    if typed.insert(name.to_string()) {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-    }
-}
-
-/// Appends a suffix to the base name, preserving any label set:
-/// `x{a="b"}` + `_sum` → `x_sum{a="b"}`.
-fn suffixed(key: &str, suffix: &str) -> String {
-    match key.find('{') {
-        Some(brace) => format!("{}{suffix}{}", &key[..brace], &key[brace..]),
-        None => format!("{key}{suffix}"),
-    }
-}
-
-/// Adds one label to a canonical key: `x{a="b"}` + `le=1` → `x_bucket{a="b",le="1"}`.
-fn with_label(key: &str, label: &str, value: &str) -> String {
-    let bucketed = suffixed(key, "_bucket");
-    match bucketed.rfind('}') {
-        Some(close) => {
-            format!("{},{label}=\"{value}\"}}", &bucketed[..close])
-        }
-        None => format!("{bucketed}{{{label}=\"{value}\"}}"),
-    }
-}
-
-impl MetricSink for Recorder {
-    fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let key = metric_key(name, labels);
-        self.with_state(|s| *s.counters.entry(key).or_insert(0) += delta);
-    }
-
-    fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let key = metric_key(name, labels);
-        self.with_state(|s| {
-            s.gauges.insert(key, value);
-        });
-    }
-
-    fn histogram_record(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let key = metric_key(name, labels);
-        self.with_state(|s| s.histograms.entry(key).or_default().record(value));
-    }
-
-    fn time_ns(&self, name: &str, labels: &[(&str, &str)], nanos: u64) {
-        let key = metric_key(name, labels);
-        self.with_state(|s| {
-            let stat = s.times.entry(key).or_default();
-            stat.count += 1;
-            stat.total_ns += nanos;
-            stat.max_ns = stat.max_ns.max(nanos);
-        });
     }
 }
 
@@ -393,27 +220,6 @@ mod tests {
         let with = rec.to_json_lines(true);
         assert!(with.contains("phase_ns"));
         assert!(with.contains("\"total_ns\":999"));
-    }
-
-    #[test]
-    fn prometheus_export_renders_histograms_cumulatively() {
-        let rec = Recorder::new();
-        rec.histogram_record("loss", &[("run", "a")], 0.05);
-        rec.histogram_record("loss", &[("run", "a")], 5.0);
-        let text = rec.to_prometheus();
-        assert!(text.contains("# TYPE loss histogram"));
-        assert!(text.contains("loss_bucket{run=\"a\",le=\"0.1\"} 1"));
-        assert!(text.contains("loss_bucket{run=\"a\",le=\"+Inf\"} 2"));
-        assert!(text.contains("loss_sum{run=\"a\"} 5.05"));
-        assert!(text.contains("loss_count{run=\"a\"} 2"));
-    }
-
-    #[test]
-    fn null_sink_reports_no_timing_interest() {
-        assert!(!NullSink.wants_timing());
-        // And its methods are callable no-ops.
-        NullSink.counter_add("x", &[], 1);
-        NullSink.gauge_set("x", &[], 1.0);
     }
 
     #[test]

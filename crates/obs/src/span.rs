@@ -1,10 +1,9 @@
 //! Scoped span timers with the reuse-phase taxonomy.
 //!
 //! A [`SpanGuard`] reads `Instant::now()` on creation and records elapsed
-//! nanoseconds into the installed sink on drop — but only when a sink is
-//! installed *and* it wants timing ([`crate::sink::MetricSink::wants_timing`]).
-//! With no sink installed the guard is a zero-field no-op, which is what
-//! keeps the NullSink overhead under the 2% budget.
+//! nanoseconds into the installed [`crate::Recorder`] on drop — but only
+//! when one is installed. Without one the guard holds `None` and reads no
+//! clock, which is what keeps the untraced path under the 2% budget.
 //!
 //! Wall times are timing metrics: they land in the recorder's separate time
 //! map and never participate in the deterministic value export.
@@ -95,7 +94,7 @@ mod tests {
     }
 
     #[test]
-    fn span_records_into_the_installed_sink() {
+    fn span_records_into_the_installed_recorder() {
         let rec = Recorder::new();
         {
             let _guard = crate::install(Rc::new(rec.clone()));
@@ -109,7 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn span_is_inert_without_a_sink() {
+    fn span_is_inert_without_a_recorder() {
         // Must not panic or allocate a label set; nothing to observe beyond
         // "it runs".
         let _span = crate::span_phase(Phase::Scatter);

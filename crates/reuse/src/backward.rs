@@ -380,7 +380,7 @@ mod tests {
             let dy = Matrix::from_fn(40, 5, |_, _| rng.gauss());
             let train = Mode::Train;
             let x_unf = x.as_slice();
-            reuse_forward_with(x_unf, &w, &b, &split, &lsh, &hasher, None, train, &mut recycled);
+            reuse_forward_with(x_unf, &w, &b, &split, &hasher, None, train, &mut recycled);
             clusters.push(recycled.sub_matrices()[0].table().num_clusters());
             let got = backward(&mut recycled, &split, &w, &dy);
             let (_, mut fresh) = reuse_forward(x, &w, &b, &split, &lsh, None);

@@ -178,7 +178,6 @@ pub fn reuse_forward(
         weight,
         bias,
         split,
-        lsh,
         &hasher,
         caches,
         Mode::Train,
@@ -212,7 +211,8 @@ struct ForwardBlock<'a> {
 /// split.k()`: the layer lends it a prefix of its thread's unfold scratch.
 /// The signatures go to a prefix of the thread's signature scratch, so the
 /// arena keeps nothing of size `N × ⌈K/L⌉`.
-/// `hasher` must be the packed form of exactly this `split`/`lsh` pair.
+/// `hasher` is the packed form of the split's LSH families (one per
+/// sub-matrix): the only description of them this pass reads.
 /// `mode` says whether a backward pass will consume the clustering:
 /// [`Mode::Train`] forms every centroid and leaves the clustering in `arena`
 /// for it; [`Mode::Eval`] forms only the centroids a product still needs and
@@ -229,7 +229,6 @@ pub fn reuse_forward_with(
     weight: &Matrix,
     bias: &[f32],
     split: &SubVecSplit,
-    lsh: &[LshTable],
     hasher: &PackedHasher,
     mut caches: Option<&mut [ReuseCache]>,
     mode: Mode,
@@ -241,7 +240,6 @@ pub fn reuse_forward_with(
     assert_eq!(weight.rows(), k, "weight rows disagree with K");
     assert!(m > 0, "a reuse layer has at least one filter");
     assert_eq!(bias.len(), m, "bias length disagrees with M");
-    assert_eq!(lsh.len(), split.num_sub_vectors(), "one LSH family per sub-matrix required");
     assert_eq!(hasher.num_subs(), split.num_sub_vectors(), "hasher disagrees with split");
     if let Some(ref c) = caches {
         assert_eq!(c.len(), split.num_sub_vectors(), "one cache per sub-matrix required");
@@ -283,7 +281,7 @@ pub fn reuse_forward_with(
             group,
         },
     );
-    // Worker threads have no telemetry sink, so the phase spans are the
+    // Worker threads have no telemetry recorder, so the phase spans are the
     // dispatching thread's: `Cluster` around its own block's grouping,
     // `CentroidGemm` from there until every block is done.
     let gemm_span = OnceLock::new();
@@ -399,11 +397,15 @@ pub fn reuse_forward_with(
     let output = reconstruct(n, m, bias, &arena.subs);
     drop(scatter_span);
 
-    let mut stats = ReuseStats { rows: n, num_sub_vectors: num_subs, ..Default::default() };
+    let mut stats = ReuseStats {
+        rows: n,
+        num_sub_vectors: num_subs,
+        hash_flops: hasher.hashing_flops(n),
+        ..Default::default()
+    };
     let mut cluster_total = 0usize;
     for (i, sub) in arena.subs.iter().enumerate() {
         cluster_total += sub.table.num_clusters();
-        stats.hash_flops += lsh[i].hashing_flops(n);
         stats.gemm_flops += (sub.multiplied * split.width(i) * m) as u64;
         stats.add_flops += (n * m) as u64;
     }
@@ -733,7 +735,6 @@ mod tests {
                     weight,
                     bias,
                     &split,
-                    &lsh,
                     &hasher,
                     cluster_reuse.then_some(caches.as_mut_slice()),
                     mode,

@@ -79,6 +79,12 @@ impl PackedHasher {
         self.h
     }
 
+    /// Multiply–adds needed to hash `n` rows: the paper's `N·K·H`, which is
+    /// [`LshTable::hashing_flops`] summed over the packed families.
+    pub fn hashing_flops(&self, n: usize) -> u64 {
+        (n * self.k * self.h) as u64
+    }
+
     /// Hashes every row of `x` against every sub-matrix family in one pass.
     ///
     /// Returns row-major signatures: `out[r · num_subs + i]` is row `r`'s

@@ -59,12 +59,11 @@ pub struct ReuseConv2d {
     config: ReuseConfig,
     /// Dense mode: forward and backward are `conv`'s instead of the reuse
     /// machinery's. Entered by [`ReuseConv2d::exact_fallback`], left by
-    /// [`ReuseConv2d::set_config`]; `config`, the families, the hasher and
-    /// the CR caches sit untouched underneath, so a visit costs nothing to
+    /// [`ReuseConv2d::set_config`]; `config`, the hasher (the LSH families)
+    /// and the CR caches sit untouched underneath, so a visit costs nothing to
     /// enter or leave.
     dense: bool,
     split: SubVecSplit,
-    lsh: Vec<LshTable>,
     /// Base seed from which LSH families are derived; families are a pure
     /// function of `(seed, L, H)`, so identical configs hash identically —
     /// a requirement of across-batch cluster reuse (§III-B).
@@ -83,10 +82,10 @@ pub struct ReuseConv2d {
     /// so that [`ReuseConv2d::modelled_step_cost`] models the products the
     /// meters counted.
     input_delta_skipped: bool,
-    /// Packed form of the current `(split, lsh)` pair, rebuilt whenever the
-    /// families are (config retune, degenerate-clustering injection, repair).
-    /// `None` only during construction, before the first family build.
-    hasher: Option<PackedHasher>,
+    /// The current LSH families, one per sub-matrix of `split`, packed for
+    /// one hashing pass; rebuilt whenever the families are (config retune,
+    /// degenerate-clustering injection, repair).
+    hasher: PackedHasher,
     /// Recycled forward and backward buffers (one state per sub-matrix —
     /// clustering, centroids, cluster outputs, cluster gradients — and the
     /// per-block scratch of each fan-out) — steady-state steps reuse its
@@ -96,6 +95,24 @@ pub struct ReuseConv2d {
     /// The reuse passes' work; dense passes meter in `conv`.
     meter: FlopMeter,
     stats: ReuseStats,
+}
+
+/// The LSH families of `config` over `split`, one per sub-matrix, each
+/// derived deterministically from `(lsh_seed, L, H, i)`.
+fn config_families(split: &SubVecSplit, config: ReuseConfig, lsh_seed: u64) -> Vec<LshTable> {
+    split
+        .ranges()
+        .iter()
+        .enumerate()
+        .map(|(i, &(a, b))| {
+            let mix = lsh_seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add((config.sub_vector_len as u64) << 32)
+                .wrapping_add((config.num_hashes as u64) << 16)
+                .wrapping_add(i as u64);
+            LshTable::new(b - a, config.num_hashes, &mut AdrRng::seeded(mix))
+        })
+        .collect()
 }
 
 impl ReuseConv2d {
@@ -109,23 +126,24 @@ impl ReuseConv2d {
     ) -> Self {
         let conv = Conv2d::new(name, geom, out_channels, rng);
         let lsh_seed = rng.next_u64();
+        let split = SubVecSplit::new(geom.k(), config.sub_vector_len);
+        let hasher = PackedHasher::new(&split, &config_families(&split, config, lsh_seed));
         let mut layer = Self {
             conv,
             config,
             dense: false,
-            split: SubVecSplit::new(geom.k(), config.sub_vector_len),
-            lsh: Vec::new(),
+            split,
             lsh_seed,
             caches: Vec::new(),
             train_batches_since_refresh: 0,
             cached_batch: None,
             input_delta_skipped: false,
-            hasher: None,
+            hasher,
             arena: ReuseArena::default(),
             meter: FlopMeter::new(),
             stats: ReuseStats::default(),
         };
-        layer.rebuild_for_config();
+        layer.caches = layer.fresh_caches();
         layer
     }
 
@@ -149,24 +167,9 @@ impl ReuseConv2d {
 
     fn rebuild_for_config(&mut self) {
         self.split = SubVecSplit::new(self.conv.geom().k(), self.config.sub_vector_len);
-        self.lsh = self
-            .split
-            .ranges()
-            .iter()
-            .enumerate()
-            .map(|(i, &(a, b))| {
-                // Derive a family deterministically from (seed, L, H, i).
-                let mix = self
-                    .lsh_seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add((self.config.sub_vector_len as u64) << 32)
-                    .wrapping_add((self.config.num_hashes as u64) << 16)
-                    .wrapping_add(i as u64);
-                LshTable::new(b - a, self.config.num_hashes, &mut AdrRng::seeded(mix))
-            })
-            .collect();
+        let families = config_families(&self.split, self.config, self.lsh_seed);
+        self.hasher = PackedHasher::new(&self.split, &families);
         self.caches = self.fresh_caches();
-        self.hasher = Some(PackedHasher::new(&self.split, &self.lsh));
         self.cached_batch = None;
     }
 
@@ -228,7 +231,7 @@ impl ReuseConv2d {
     /// configured family) and one-giant via a collapsed remaining ratio.
     /// Repair with [`ReuseConv2d::rebuild_families`].
     pub fn inject_degenerate_clustering(&mut self, mode: DegenerateClustering) {
-        self.lsh = self
+        let families: Vec<LshTable> = self
             .split
             .ranges()
             .iter()
@@ -246,10 +249,8 @@ impl ReuseConv2d {
                 }
             })
             .collect();
-        // Old signatures are meaningless under the corrupted families, and
-        // the packed hasher must track them — forgetting it here would keep
-        // hashing with the healthy families, hiding the injected fault.
-        self.hasher = Some(PackedHasher::new(&self.split, &self.lsh));
+        // Old signatures are meaningless under the corrupted families.
+        self.hasher = PackedHasher::new(&self.split, &families);
         self.caches = self.fresh_caches();
         self.cached_batch = None;
     }
@@ -313,9 +314,9 @@ impl ReuseConv2d {
     }
 
     /// Pushes the latest forward pass's reuse statistics into the installed
-    /// telemetry sink (DESIGN.md §11): per-layer `r_c`, cluster counts, the
+    /// telemetry recorder (DESIGN.md §11): per-layer `r_c`, cluster counts, the
     /// across-batch hit rate, and per-phase FLOP attribution whose sum is
-    /// exactly `ReuseStats::total_forward_flops()`. No-op without a sink.
+    /// exactly `ReuseStats::total_forward_flops()`. No-op without a recorder.
     fn record_telemetry(&self, baseline: u64) {
         if !adr_obs::is_active() {
             return;
@@ -324,14 +325,8 @@ impl ReuseConv2d {
         let labels = [("layer", layer)];
         adr_obs::counter_add("adr_reuse_batches", &labels, 1);
         adr_obs::gauge_set("adr_reuse_rc", &labels, self.stats.avg_remaining_ratio);
-        adr_obs::histogram_record(
-            "adr_reuse_rc_per_batch",
-            &labels,
-            self.stats.avg_remaining_ratio,
-        );
         adr_obs::gauge_set("adr_reuse_clusters_avg", &labels, self.stats.avg_clusters);
         adr_obs::gauge_set("adr_reuse_hit_rate", &labels, self.stats.reuse_rate);
-        adr_obs::histogram_record("adr_reuse_hit_rate_per_batch", &labels, self.stats.reuse_rate);
         // Per-phase FLOP attribution: im2col and cluster grouping perform no
         // multiply–adds, so hash + centroid-GEMM + scatter cover the total.
         let phases = [
@@ -381,7 +376,7 @@ impl ReuseConv2d {
     /// meters what ran against `baseline`.
     #[expect(
         clippy::expect_used,
-        reason = "internal-invariant: `rebuild_for_config` sets the hasher before the constructor returns, and the output has exactly the element count of the geometry passed beside it"
+        reason = "internal-invariant: the output has exactly the element count of the geometry passed beside it"
     )]
     fn clustered_forward(&mut self, input: &Tensor4, mode: Mode, baseline: u64) -> Tensor4 {
         let geom = *self.conv.geom();
@@ -403,8 +398,7 @@ impl ReuseConv2d {
             self.conv.weight(),
             self.conv.bias(),
             &self.split,
-            &self.lsh,
-            self.hasher.as_ref().expect("families are built before any forward"),
+            &self.hasher,
             caches,
             mode,
             &mut self.arena,
@@ -458,7 +452,7 @@ impl Layer for ReuseConv2d {
 
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
         // Telemetry: attribute the phase spans below (and those inside
-        // `reuse_forward`) to this layer. No-op when no sink is installed.
+        // `reuse_forward`) to this layer. No-op when no recorder is installed.
         adr_obs::enter_layer(self.conv.name());
         if self.config.cluster_reuse && mode == Mode::Train {
             // Weights move with every training step, dense or not, so dense
@@ -693,8 +687,9 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let geom = *layer.geom();
         let x_unf = im2col(x, &geom);
+        let families = config_families(&layer.split, layer.config, layer.lsh_seed);
         let (want, mut arena) =
-            reuse_forward(&x_unf, layer.weight(), layer.bias(), &layer.split, &layer.lsh, None);
+            reuse_forward(&x_unf, layer.weight(), layer.bias(), &layer.split, &families, None);
         assert_eq!(bits(layer.forward(x, Mode::Train).as_slice()), bits(want.output.as_slice()));
         let (k, m) = layer.weight().shape();
         let (mut weight_grad, mut bias_grad) = (Matrix::zeros(k, m), vec![0.0; m]);

@@ -178,23 +178,15 @@ fn steady_state_allocation_counts_match_the_budget() {
     let probe = Tensor4::from_fn(8, 8, 8, 2, |n, y, x, c| ((n + y * 3 + x + c) % 5) as f32 * 0.2);
     let probe_unf = im2col(&probe, &geom);
 
-    let forward_step =
-        |x: &Matrix, mode: Mode, caches: &mut Vec<ReuseCache>, arena: &mut ReuseArena| {
-            for c in caches.iter_mut() {
-                c.begin_batch();
-            }
-            reuse_forward_with(
-                x.as_slice(),
-                &weight,
-                &bias,
-                &split,
-                &lsh,
-                &hasher,
-                Some(caches),
-                mode,
-                arena,
-            )
-        };
+    let forward_step = |x: &Matrix,
+                        mode: Mode,
+                        caches: &mut Vec<ReuseCache>,
+                        arena: &mut ReuseArena| {
+        for c in caches.iter_mut() {
+            c.begin_batch();
+        }
+        reuse_forward_with(x.as_slice(), &weight, &bias, &split, &hasher, Some(caches), mode, arena)
+    };
     let reuse_step = |caches: &mut Vec<ReuseCache>, arena: &mut ReuseArena| {
         forward_step(&x_unf, Mode::Train, caches, arena)
     };

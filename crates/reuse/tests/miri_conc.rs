@@ -99,7 +99,6 @@ fn arena_forward_is_bitwise_equal_to_the_rebuilding_wrapper() {
             &w,
             &bias,
             &split,
-            &lsh,
             &hasher,
             None,
             Mode::Train,
@@ -134,7 +133,7 @@ fn forward_at(
     let hasher = PackedHasher::new(split, lsh);
     let bias = vec![0.25f32; w.cols()];
     set_thread_override(Some(threads));
-    let out = reuse_forward_with(x.as_slice(), w, &bias, split, lsh, &hasher, caches, mode, arena);
+    let out = reuse_forward_with(x.as_slice(), w, &bias, split, &hasher, caches, mode, arena);
     set_thread_override(None);
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let subs = arena.sub_matrices();

@@ -296,48 +296,6 @@ impl ServeReport {
         totals
     }
 
-    /// Re-exports this report through the unified telemetry schema
-    /// (DESIGN.md §11): every tenant and model counter becomes an
-    /// `adr_gateway_<name>` counter under a `tenant` / `model` label, plus
-    /// per-stage request attribution, cumulative latency buckets, and the
-    /// generation and FLOP-savings gauges.
-    ///
-    /// Counters are *added* to the installed sink, so call this once per
-    /// report against a fresh recorder; calling it twice double-counts. No-op without an installed sink.
-    pub fn export_metrics(&self) {
-        if !adr_obs::is_active() {
-            return;
-        }
-        for (tenant, c) in &self.tenants {
-            for (name, value) in c.counters() {
-                adr_obs::counter_add(&format!("adr_gateway_{name}"), &[("tenant", tenant)], value);
-            }
-            for (stage, &count) in c.requests_per_stage.iter().enumerate() {
-                let stage = stage.to_string();
-                adr_obs::counter_add(
-                    "adr_gateway_requests",
-                    &[("tenant", tenant), ("stage", &stage)],
-                    count,
-                );
-            }
-        }
-        for (model, m) in &self.models {
-            let labels = [("model", model.as_str())];
-            for (name, value) in m.counters() {
-                adr_obs::counter_add(&format!("adr_gateway_{name}"), &labels, value);
-            }
-            adr_obs::gauge_set("adr_gateway_generation", &labels, m.generation as f64);
-            adr_obs::gauge_set("adr_gateway_flop_savings", &labels, m.flop_savings());
-        }
-        for (i, &count) in self.latency.counts().iter().enumerate() {
-            let le = match LATENCY_BUCKET_BOUNDS_MS.get(i) {
-                Some(bound) => bound.to_string(),
-                None => "+Inf".to_string(),
-            };
-            adr_obs::counter_add("adr_gateway_latency_ms_bucket", &[("le", &le)], count);
-        }
-    }
-
     /// Multi-line human-readable summary, one line per tenant and model.
     pub fn summary(&self) -> String {
         let mut out = String::new();

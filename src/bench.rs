@@ -53,8 +53,8 @@ fn bench_net() -> Network {
 /// Trains the bench-scale CifarNet at the default reuse setting on the
 /// structured synthetic templates for `TRAIN_STEPS` steps under a
 /// [`Recorder`] and assembles `BENCH_train.json`: per reuse layer the
-/// actual and exact FLOPs, the forward FLOPs by phase as the telemetry
-/// sink saw them, `r_c`, cluster count, reuse rate, and the paper's
+/// actual and exact FLOPs, the forward FLOPs by phase as the recorder saw
+/// them, `r_c`, cluster count, reuse rate, and the paper's
 /// modelled step cost (Eqs. 5/6/12/20) beside the metered FLOP ratio.
 ///
 /// Also returns every step's loss so the caller can check the pinned run

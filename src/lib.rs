@@ -17,8 +17,8 @@
 //! * [`serve`] — deadline-aware inference serving through one gateway:
 //!   per-tenant admission, micro-batching, load-shedding, a reuse
 //!   degradation ladder per lane, and hot-swappable model replicas.
-//! * [`obs`] — deterministic telemetry: metric sinks, span timers,
-//!   Prometheus/JSON exporters.
+//! * [`obs`] — deterministic telemetry: one `Recorder` of counters, gauges
+//!   and span times, exported as JSON lines.
 //! * [`mod@bench`] — the two seeded workloads behind the golden counter
 //!   documents `BENCH_train.json` / `BENCH_serve.json` (no times: wall
 //!   time is `benchmark/`'s job).

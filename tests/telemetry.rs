@@ -1,6 +1,6 @@
-//! Integration tests for the unified telemetry layer (DESIGN.md §11):
-//! the per-phase FLOP attribution identity, the serving report export, and
-//! the determinism contract of recorded values.
+//! Integration tests for the telemetry layer (DESIGN.md §11): the
+//! per-phase FLOP attribution identity, the determinism contract of
+//! recorded values, and the schema of the run log a trainer emits.
 
 // Test code asserts on values it just constructed; unwrap is the idiom.
 #![allow(clippy::unwrap_used)]
@@ -8,10 +8,8 @@
 use std::rc::Rc;
 
 use adaptive_deep_reuse::models::{cifarnet, ConvMode};
-use adaptive_deep_reuse::obs::{self, Recorder};
+use adaptive_deep_reuse::obs::{self, Json, Recorder};
 use adaptive_deep_reuse::prelude::*;
-use adaptive_deep_reuse::serve::report::LATENCY_BUCKET_BOUNDS_MS;
-use adaptive_deep_reuse::serve::{ModelCounters, TenantCounters};
 
 /// Trains a small reuse net for `steps` with a recorder installed and
 /// returns the recorder plus the trained network. `exact` first drops every
@@ -116,64 +114,10 @@ fn exported_values_are_bitwise_identical_across_runs() {
     let lines_b = b.to_json_lines(false);
     assert!(!lines_a.is_empty(), "instrumented run exported nothing");
     assert_eq!(lines_a, lines_b, "value telemetry diverged between identical runs");
-    // The Prometheus rendering additionally carries wall-clock counters,
-    // which are expected to differ; everything else must not.
-    let strip_times = |text: String| -> String {
-        text.lines().filter(|l| !l.contains(obs::PHASE_TIME_METRIC)).collect::<Vec<_>>().join("\n")
-    };
-    assert_eq!(strip_times(a.to_prometheus()), strip_times(b.to_prometheus()));
 }
 
-/// `ServeReport::export_metrics` mirrors every tenant and model counter,
-/// per-stage count, and latency bucket into the installed sink under
-/// `adr_gateway_*` names, labelled by the tenant or model they belong to.
-#[test]
-fn serve_report_export_matches_the_report() {
-    let mut report = ServeReport { batches: 3, ..ServeReport::default() };
-    let tenant = TenantCounters {
-        admitted: 10,
-        completed: 7,
-        shed_overloaded: 2,
-        deadline_missed: 1,
-        degraded_steps: 2,
-        requests_per_stage: vec![4, 3],
-        ..TenantCounters::default()
-    };
-    let model =
-        ModelCounters { batches: 3, flops_actual: 25, flops_exact: 100, ..Default::default() };
-    report.tenants.insert("default".into(), tenant.clone());
-    report.models.insert("cifarnet".into(), model.clone());
-    let recorder = Recorder::new();
-    {
-        let _guard = obs::install(Rc::new(recorder.clone()));
-        report.export_metrics();
-    }
-    let by_tenant = [("tenant", "default")];
-    for (name, value) in tenant.counters() {
-        let exported = recorder.counter(&format!("adr_gateway_{name}"), &by_tenant);
-        assert_eq!(exported, Some(value), "tenant counter {name} not mirrored");
-    }
-    let by_model = [("model", "cifarnet")];
-    for (name, value) in model.counters() {
-        let exported = recorder.counter(&format!("adr_gateway_{name}"), &by_model);
-        assert_eq!(exported, Some(value), "model counter {name} not mirrored");
-    }
-    let stage = |s| [("tenant", "default"), ("stage", s)];
-    assert_eq!(recorder.counter("adr_gateway_requests", &stage("0")), Some(4));
-    assert_eq!(recorder.counter("adr_gateway_requests", &stage("1")), Some(3));
-    let first_bound = LATENCY_BUCKET_BOUNDS_MS[0].to_string();
-    assert_eq!(
-        recorder.counter("adr_gateway_latency_ms_bucket", &[("le", first_bound.as_str())]),
-        Some(0),
-        "empty buckets are still exported so scrapes have a stable shape"
-    );
-    assert_eq!(recorder.counter("adr_gateway_latency_ms_bucket", &[("le", "+Inf")]), Some(0));
-    let savings = recorder.gauge("adr_gateway_flop_savings", &by_model).unwrap();
-    assert!((savings - 0.75).abs() < 1e-12);
-}
-
-/// Without an installed sink every instrumentation call is a silent no-op:
-/// training and report export proceed normally and record nothing.
+/// Without an installed recorder every instrumentation call is a silent
+/// no-op: training proceeds normally and records nothing.
 #[test]
 fn telemetry_is_a_noop_without_a_sink() {
     assert!(!obs::is_active());
@@ -187,10 +131,80 @@ fn telemetry_is_a_noop_without_a_sink() {
     obs::begin_step();
     let step = net.train_batch(&images, &[0, 1], &mut sgd);
     assert!(step.loss.is_finite());
-    ServeReport::default().export_metrics();
 
     // A recorder created but never installed stays empty.
     let recorder = Recorder::new();
     assert!(recorder.counters().is_empty());
     assert!(recorder.to_json_lines(true).is_empty());
+}
+
+/// The run log's schema: every `(kind, key)` pair a short seeded adaptive
+/// `Trainer::train` of bench-scale CifarNet emits through
+/// `to_json_lines(false)`, parsed back line by line. A metric added or
+/// dropped changes this list.
+#[test]
+fn trainer_run_log_emits_the_pinned_schema() {
+    let mut rng = AdrRng::seeded(5);
+    let config = SynthConfig {
+        num_images: 64,
+        num_classes: 4,
+        height: 16,
+        width: 16,
+        channels: 3,
+        smoothing_passes: 2,
+        noise_std: 0.08,
+        max_shift: 2,
+        image_variability: 0.4,
+    };
+    let dataset = SynthDataset::generate(&config, &mut rng.split(1));
+    let mut source = DatasetSource::new(dataset, 8, 16);
+    let mut net = cifarnet::bench_scale(4, ConvMode::reuse_default(), &mut rng);
+    let trainer =
+        Trainer::new(TrainerConfig { max_iterations: 6, eval_every: 3, ..Default::default() });
+    let mut sgd = Sgd::new(LrSchedule::Constant(0.02), 0.9, 0.0);
+    let recorder = Recorder::new();
+    {
+        let _guard = obs::install(Rc::new(recorder.clone()));
+        trainer.train(&mut net, Strategy::adaptive(), &mut source, &mut sgd).unwrap();
+    }
+    let mut schema: Vec<(String, String)> = recorder
+        .to_json_lines(false)
+        .lines()
+        .map(|line| {
+            let Json::Obj(fields) = Json::parse(line).unwrap() else {
+                panic!("run-log line is not an object: {line}");
+            };
+            let text = |name: &str| match fields.iter().find(|(k, _)| k == name) {
+                Some((_, Json::Str(s))) => s.clone(),
+                other => panic!("field {name} of {line} is {other:?}"),
+            };
+            (text("kind"), text("key"))
+        })
+        .collect();
+    schema.sort();
+    let want = [
+        ("counter", r#"adr_reuse_batches{layer="conv1"}"#),
+        ("counter", r#"adr_reuse_batches{layer="conv2"}"#),
+        ("counter", r#"adr_reuse_flops_actual{layer="conv1"}"#),
+        ("counter", r#"adr_reuse_flops_actual{layer="conv2"}"#),
+        ("counter", r#"adr_reuse_flops_exact{layer="conv1"}"#),
+        ("counter", r#"adr_reuse_flops_exact{layer="conv2"}"#),
+        ("counter", r#"adr_reuse_phase_flops{layer="conv1",phase="centroid_gemm"}"#),
+        ("counter", r#"adr_reuse_phase_flops{layer="conv1",phase="hash"}"#),
+        ("counter", r#"adr_reuse_phase_flops{layer="conv1",phase="scatter"}"#),
+        ("counter", r#"adr_reuse_phase_flops{layer="conv2",phase="centroid_gemm"}"#),
+        ("counter", r#"adr_reuse_phase_flops{layer="conv2",phase="hash"}"#),
+        ("counter", r#"adr_reuse_phase_flops{layer="conv2",phase="scatter"}"#),
+        ("counter", "adr_train_steps"),
+        ("gauge", r#"adr_reuse_clusters_avg{layer="conv1"}"#),
+        ("gauge", r#"adr_reuse_clusters_avg{layer="conv2"}"#),
+        ("gauge", r#"adr_reuse_hit_rate{layer="conv1"}"#),
+        ("gauge", r#"adr_reuse_hit_rate{layer="conv2"}"#),
+        ("gauge", r#"adr_reuse_rc{layer="conv1"}"#),
+        ("gauge", r#"adr_reuse_rc{layer="conv2"}"#),
+        ("gauge", "adr_train_loss"),
+    ];
+    let want: Vec<(String, String)> =
+        want.iter().map(|&(kind, key)| (kind.to_string(), key.to_string())).collect();
+    assert_eq!(schema, want, "the run log's (kind, key) pairs changed");
 }
