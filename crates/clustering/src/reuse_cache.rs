@@ -73,15 +73,27 @@ impl ReuseCache {
     /// Probes the cache (counting the lookup); returns the stored output row
     /// on a hit.
     pub fn probe(&mut self, signature: u64) -> Option<&[f32]> {
+        self.probe_slot(signature).map(|slot| self.stored(slot))
+    }
+
+    /// [`ReuseCache::probe`] that returns where the hit's row is stored
+    /// instead of the row, for [`ReuseCache::stored`] to read later: a slot
+    /// stays valid until [`ReuseCache::clear`] or
+    /// [`ReuseCache::invalidate_outputs`], whatever is inserted meanwhile.
+    pub fn probe_slot(&mut self, signature: u64) -> Option<u32> {
         self.batch_lookups += 1;
-        match self.map.get(&signature) {
-            Some(&idx) => {
-                self.batch_hits += 1;
-                let start = idx as usize * self.out_width;
-                Some(&self.outputs[start..start + self.out_width])
-            }
-            None => None,
-        }
+        let slot = self.map.get(&signature).copied();
+        self.batch_hits += u64::from(slot.is_some());
+        slot
+    }
+
+    /// The output row stored in `slot`, as [`ReuseCache::probe_slot`]
+    /// returned it.
+    ///
+    /// # Panics
+    /// Panics if `slot` holds no row.
+    pub fn stored(&self, slot: u32) -> &[f32] {
+        &self.outputs[slot as usize * self.out_width..][..self.out_width]
     }
 
     /// Inserts a computed output row for a signature. Idempotent: an already
@@ -151,6 +163,18 @@ mod tests {
         c.insert(42, &[1.0, 2.0, 3.0]);
         assert_eq!(c.probe(42).unwrap(), &[1.0, 2.0, 3.0]);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn a_slot_keeps_its_row_across_later_inserts() {
+        let mut c = ReuseCache::new(2);
+        c.insert(5, &[1.0, 2.0]);
+        c.begin_batch();
+        let slot = c.probe_slot(5).unwrap();
+        assert_eq!(c.probe_slot(6), None);
+        c.insert(6, &[3.0, 4.0]);
+        assert_eq!(c.stored(slot), &[1.0, 2.0]);
+        assert_eq!(c.current_batch_rate(), Some(0.5));
     }
 
     #[test]

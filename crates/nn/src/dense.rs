@@ -5,7 +5,7 @@
 //! `(n, 1, 1, units)`.
 
 use adr_tensor::matrix::{column_sums_into, Matrix};
-use adr_tensor::par::{gemm_ta_par, gemm_tb_par, matmul_par};
+use adr_tensor::par::{gemm_rows_par, gemm_ta_par, gemm_tb_par};
 use adr_tensor::rng::AdrRng;
 use adr_tensor::Tensor4;
 
@@ -25,7 +25,13 @@ pub struct Dense {
     bias: Vec<f32>,
     bias_grad: Vec<f32>,
     bias_vel: Vec<f32>,
-    cached_input: Option<Matrix>,
+    /// The flattened input of the latest training forward, which the
+    /// backward reads for `∇W`. Grow-only: a training forward copies into a
+    /// prefix of it, and an eval forward multiplies straight from its input.
+    input: Vec<f32>,
+    /// Batch size of the pending training forward, whose input `input`
+    /// holds; `None` once the backward consumed it or an eval forward ran.
+    cached_batch: Option<usize>,
     in_shape: Shape3,
     meter: FlopMeter,
 }
@@ -54,7 +60,8 @@ impl Dense {
             bias: vec![0.0; units],
             bias_grad: vec![0.0; units],
             bias_vel: vec![0.0; units],
-            cached_input: None,
+            input: Vec::new(),
+            cached_batch: None,
             in_shape: (0, 0, 0),
             meter: FlopMeter::new(),
         }
@@ -95,19 +102,23 @@ impl Layer for Dense {
 
     #[expect(
         clippy::expect_used,
-        reason = "internal-invariant: each `from_vec` length is computed from the dims passed beside it"
+        reason = "internal-invariant: the `from_vec` length is computed from the dims passed beside it"
     )]
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
         let (n, h, w, c) = input.shape();
         assert_eq!(h * w * c, self.in_features, "dense {}: feature mismatch", self.name);
-        let x = Matrix::from_vec(n, self.in_features, input.as_slice().to_vec())
-            .expect("shape arithmetic is consistent");
-        let mut y = matmul_par(&x, &self.weight);
+        let x = input.as_slice();
+        if mode == Mode::Train {
+            self.input.clear();
+            self.input.extend_from_slice(x);
+        }
+        let mut y = Matrix::zeros(n, self.units);
+        gemm_rows_par(x, self.weight.as_slice(), y.as_mut_slice(), n, self.in_features, self.units);
         y.add_row_bias(&self.bias);
         let work = (n * self.in_features * self.units) as u64;
         self.meter.add_forward(work, work);
         self.in_shape = (h, w, c);
-        self.cached_input = (mode == Mode::Train).then_some(x);
+        self.cached_batch = (mode == Mode::Train).then_some(n);
         Tensor4::from_vec(n, 1, 1, self.units, y.into_vec())
             .expect("shape arithmetic is consistent")
     }
@@ -118,14 +129,13 @@ impl Layer for Dense {
                   internal-invariant: the `from_vec` length is computed from the dims passed beside it"
     )]
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let x =
-            self.cached_input.take().expect("backward called without a preceding training forward");
-        let n = x.rows();
+        let n =
+            self.cached_batch.take().expect("backward called without a preceding training forward");
         let delta_y = grad_out.as_slice();
         assert_eq!(delta_y.len(), n * self.units, "dense {}: grad_out shape mismatch", self.name);
         // ∇W = xᵀ · δy and ∇b = Σ_rows δy, into the long-lived gradients.
         let weight_grad = self.weight_grad.as_mut_slice();
-        gemm_ta_par(x.as_slice(), delta_y, weight_grad, n, self.in_features, self.units);
+        gemm_ta_par(&self.input, delta_y, weight_grad, n, self.in_features, self.units);
         column_sums_into(delta_y, &mut self.bias_grad);
         // δx = δy · Wᵀ, straight into the buffer the returned tensor owns.
         let mut delta_x = vec![0.0f32; n * self.in_features];

@@ -8,6 +8,8 @@
 //! allocation — a `to_vec` or a fresh gradient matrix creeping back into
 //! the pass fails here. Every further `Mode::Eval` [`Conv2d::forward`] must
 //! perform `CONV_EVAL_FORWARD_STEP`: its unfold is the thread's scratch.
+//! Every further [`Dense::forward`], in either mode, must perform
+//! `DENSE_FORWARD_STEP`: it multiplies straight from its input.
 //!
 //! One `#[test]` per binary: the counter is process-global, so parallel
 //! tests would double-count each other's allocations.
@@ -83,6 +85,12 @@ const DENSE_BACKWARD_STEP: u64 = 1;
 /// layer keeps for its backward until an eval forward drops it.
 const CONV_EVAL_FORWARD_STEP: u64 = 1;
 
+/// Steady-state allocations of one `Dense` forward, `Mode::Train` or
+/// `Mode::Eval`: an eval forward multiplies straight from the input tensor
+/// and a training forward copies it into the layer's grow-only buffer for
+/// the backward, so the one allocation is the output the layer returns.
+const DENSE_FORWARD_STEP: u64 = 1;
+
 /// Warms `layer` up with two training steps, then asserts that each of
 /// three more backward passes allocates exactly `expected` times.
 fn assert_steady_backward(layer: &mut dyn Layer, input: &Tensor4, grad: &Tensor4, expected: u64) {
@@ -126,6 +134,30 @@ fn dense_backward_allocation_count_matches_the_budget() {
     let mut fc = Dense::new("fc", 8 * 8 * 2, 5, &mut rng);
     let grad = Tensor4::from_fn(2, 1, 1, 5, |n, _, _, c| (n * 5 + c) as f32 * 0.01 - 0.02);
     assert_steady_backward(&mut fc, &input, &grad, DENSE_BACKWARD_STEP);
+    assert_steady_dense_forward(&mut fc, &input);
+}
+
+/// Asserts that each of three more `Dense` forwards of `input` in each mode
+/// allocates exactly `DENSE_FORWARD_STEP` times, after a probe at 4× the
+/// batch.
+fn assert_steady_dense_forward(fc: &mut Dense, input: &Tensor4) {
+    let (batch, h, w, c) = input.shape();
+    let probe = Tensor4::from_fn(4 * batch, h, w, c, |n, y, x, c| ((n + y * 3 + x + c) % 5) as f32);
+    fc.forward(&probe, Mode::Train);
+    for mode in [Mode::Train, Mode::Eval] {
+        for step in 0..3 {
+            let before = allocs();
+            let y = fc.forward(input, mode);
+            let after = allocs();
+            assert!(y.as_slice().iter().all(|v| v.is_finite()));
+            assert_eq!(
+                after - before,
+                DENSE_FORWARD_STEP,
+                "dense {mode:?} forward step {step}: allocation count drifted from \
+                 `DENSE_FORWARD_STEP`"
+            );
+        }
+    }
 }
 
 /// Grows the thread's scratch with an eval forward at 4× the batch, then

@@ -20,9 +20,12 @@
 //! forward passes — and folds them into the input gradient, in `col2im`'s
 //! order. The cluster sums walk each sub-matrix's rows in member order — a
 //! counting sort by cluster — so each cluster's running `δy` row stays in
-//! registers across all its members. Every buffer either fan-out writes,
-//! the sort's scratch and the fold's rows included, is sized on the
-//! dispatching thread first — pool workers never allocate.
+//! registers across all its members. A block sums one sub-matrix's cluster
+//! gradients `δy_c` at a time into its own buffer, which only that
+//! sub-matrix's `∇W_I` and `δx_c` products read, so no `|C_I| × M` matrix
+//! per sub-matrix is kept. Every buffer either fan-out writes, the sort's
+//! scratch, the `δy_c` buffers and the fold's rows included, is sized on
+//! the dispatching thread first — pool workers never allocate.
 
 use adr_tensor::im2col::{col2im_gathered, ConvGeom};
 use adr_tensor::matrix::{column_sums_into, gemm_ta_rows, gemm_tb_rows, Matrix};
@@ -76,9 +79,7 @@ pub fn reuse_backward(
     // One task per sub-matrix: its band of ∇W and its state, every buffer
     // sized here, before dispatch. Sub-vectors are `L` wide except a shorter
     // tail, which is exactly how `chunks_mut` cuts the row bands of the
-    // `K × M` gradient. The cluster gradients δy_c land in the forward
-    // pass's cluster-output blocks: same `|C_I| × M` shape, and dead since
-    // the forward scatter.
+    // `K × M` gradient.
     let bands = weight_grad.as_mut_slice().chunks_mut(split.l() * m);
     let mut tasks = Vec::with_capacity(num_subs);
     let mut flops = 0u64;
@@ -86,7 +87,6 @@ pub fn reuse_backward(
         let (num_clusters, width) = (sub.table.num_clusters(), split.width(i));
         assert_eq!(sub.table.num_rows(), n, "table {i} row count disagrees with delta_y");
         assert_eq!(sub.centroids.shape(), (num_clusters, width), "centroid {i} shape mismatch");
-        sub.cluster_outputs.resize_for_overwrite(num_clusters, m);
         flops += ((n - num_clusters) * m + num_clusters * width * m) as u64;
         if want_input {
             sub.centroid_grads.resize_for_overwrite(num_clusters, width);
@@ -97,23 +97,31 @@ pub fn reuse_backward(
 
     // Sub-matrix-parallel: blocks are contiguous runs of tasks, each with
     // its own member-order scratch (N row indices and at most N cluster
-    // cursors), sized here.
+    // cursors) and its own cluster-gradient buffer, as large as the block's
+    // largest `|C_I| × M`, so that reshaping it to each of its sub-matrices
+    // in turn never allocates; both sized here.
     let threads = compute_threads(usize::try_from(flops).unwrap_or(usize::MAX));
     let per_block = num_subs.div_ceil(threads.clamp(1, num_subs));
     let num_blocks = num_subs.div_ceil(per_block);
     if arena.members.len() < num_blocks {
         arena.members.resize_with(num_blocks, Vec::new);
     }
+    if arena.cluster_grads.len() < num_blocks {
+        arena.cluster_grads.resize_with(num_blocks, Matrix::default);
+    }
+    for (block, dy) in tasks.chunks(per_block).zip(&mut arena.cluster_grads) {
+        let most = block.iter().map(|(_, sub)| sub.table.num_clusters()).max().unwrap_or(0);
+        dy.resize_for_overwrite(most, m);
+    }
     for scratch in &mut arena.members[..num_blocks] {
         scratch.resize(2 * n, 0);
     }
-    let blocks = tasks.chunks_mut(per_block).zip(&mut arena.members).enumerate();
-    run_blocks(blocks, |(b, (block, members))| {
+    let scratch = arena.members.iter_mut().zip(&mut arena.cluster_grads);
+    let blocks = tasks.chunks_mut(per_block).zip(scratch).enumerate();
+    run_blocks(blocks, |(b, (block, (members, dy)))| {
         for (offset, (w_grad_band, sub)) in block.iter_mut().enumerate() {
             let i = b * per_block + offset;
-            let SubMatrix {
-                table, centroids: cent, cluster_outputs: dy, centroid_grads: dx_c, ..
-            } = &mut **sub;
+            let SubMatrix { table, centroids: cent, centroid_grads: dx_c, .. } = &mut **sub;
             let (num_clusters, width) = cent.shape();
 
             // δy_{c,s}: per-cluster sums of δy rows (Eq. 8), in member order.

@@ -5,26 +5,28 @@
 //!
 //! 1. group rows with equal signatures into clusters;
 //! 2. with `CR = 1`, probe the [`ReuseCache`] with every cluster's signature:
-//!    a hit's stored row *is* its `y_c^(I)` row, a miss is listed;
+//!    a hit's cache slot holds its `y_c^(I)` row, a miss is counted;
 //! 3. compute the centroid matrix `x_c^(I)` (mean of raw member rows) —
 //!    for every sub-matrix when a backward pass will read the clustering
 //!    (`∇W` needs every centroid), otherwise only where a product is still
 //!    owed: always without `CR`, and with it only for a sub-matrix that has
 //!    a miss;
 //! 4. compute `y_c^(I) = x_c^(I) · W_I` — only `|C_I|` rows instead of `N`,
-//!    and with `CR = 1` only the misses' rows, each inserted into the cache;
+//!    and with `CR = 1` only the misses' rows, each inserted into the cache,
+//!    while each hit's row is copied from its slot;
 //!
-//! and finally `y = Σ_I y^(I)` is reconstructed by adding each `y_c^(I)` row
-//! to all its member rows.
+//! and `y = Σ_I y^(I)` is reconstructed by adding each `y_c^(I)` row to all
+//! its member rows.
 //!
 //! Probing every cluster before inserting any sees exactly the hits of a
 //! probe-then-insert walk: clusters form over the whole batch, so the
 //! signatures of one sub-matrix's clusters are distinct and an insert can
 //! never answer a later probe of the same batch. Inserts still run in
 //! ascending cluster order, so hit counts, cache contents and [`ReuseStats`]
-//! are those of the walk.
+//! are those of the walk. A slot keeps its row whatever is inserted after
+//! the probe ([`ReuseCache::probe_slot`]).
 //!
-//! Sub-matrices are independent until the reconstruction, so steps 1–4 run as
+//! Sub-matrices are independent until the reconstruction, so steps 1–3 run as
 //! **one fan-out over sub-matrices** on the persistent pool: a block owns a
 //! contiguous run of sub-matrices — a contiguous column band of the unfolded
 //! matrix — and accumulates all of their centroid sums in one sweep over
@@ -32,12 +34,25 @@
 //! whole row-major matrix column-strided once per sub-matrix; inside a
 //! block each sub-matrix's running cluster rows stay in registers while
 //! neighbouring rows share a cluster
-//! ([`sum_clusters`](adr_tensor::kernels::sum_clusters)). The
-//! reconstruction is row-parallel, and each output row is one
-//! [`sum_rows()`] call: a tile of the row stays in registers while every
-//! sub-matrix's cluster row is added to it, and is stored once. All of it
-//! matters because clustering overhead is exactly what the paper's
-//! profitability condition `H << M(1 − r_c)` trades against.
+//! ([`sum_clusters`](adr_tensor::kernels::sum_clusters)).
+//!
+//! Step 4 and the reconstruction run **band by band**. A band is a run of
+//! consecutive sub-matrices whose cluster outputs, `Σ |C_I| · M` floats,
+//! fit in the larger of `BAND` floats (about half a core's L2) and the
+//! layer's own `N × M` output; a sub-matrix larger than that is a band of
+//! its own. One fan-out over the band's sub-matrices computes their
+//! `y_c^(I)` into the dispatching thread's cluster-row scratch
+//! ([`adr_tensor::scratch::cluster_rows`]). Then a row-parallel pass adds
+//! them to the output: each output row is one [`sum_rows()`] call from the
+//! bias in the first band and one [`add_rows`] call on the stored partial
+//! row in every later band, a tile of the row held in registers while the
+//! band's cluster rows are added to it. So no layer keeps a `|C_I| × M`
+//! matrix per sub-matrix: the cluster outputs of one band at a time are
+//! alive, in a buffer every layer on the thread shares. All of it matters
+//! because clustering overhead is exactly what the paper's profitability
+//! condition `H << M(1 − r_c)` trades against. Every output element is
+//! `((b + y^(0)) + y^(1)) + …` in ascending sub-matrix order whatever the
+//! bands, since storing a partial sum between two bands rounds nothing;
 //! DESIGN.md §15.6 has the ordering argument for why none of this changes a
 //! bit.
 
@@ -47,9 +62,9 @@ use adr_clustering::assign::ClusterTable;
 use adr_clustering::lsh::{cluster_signatures_into, GroupScratch, LshTable};
 use adr_clustering::reuse_cache::ReuseCache;
 use adr_nn::layer::Mode;
-use adr_tensor::kernels::sum_rows;
+use adr_tensor::kernels::{add_rows, sum_rows};
 use adr_tensor::matrix::{gemm_rows, Matrix};
-use adr_tensor::par::{memory_threads, run_blocks, run_row_blocks};
+use adr_tensor::par::{compute_threads, memory_threads, run_blocks, run_row_blocks};
 use adr_tensor::scratch;
 
 use crate::hashpack::PackedHasher;
@@ -57,27 +72,28 @@ use crate::stats::ReuseStats;
 use crate::subvec::SubVecSplit;
 
 /// One sub-matrix's share of a layer's reuse state: its clustering, and the
-/// per-cluster blocks the forward and backward passes compute from it.
+/// per-cluster blocks the forward and backward passes compute from it. Its
+/// cluster outputs `y_c^(I)` are not among them: they live in a band's
+/// scratch only until the reconstruction has added them (module docs).
 #[derive(Debug, Default)]
 pub struct SubMatrix {
     /// Clustering of the input rows under this sub-matrix's LSH family.
     pub(crate) table: ClusterTable,
     /// Forming signature of each cluster (what the CR cache keys on).
     cluster_sigs: Vec<u64>,
-    /// With `CR = 1`, the clusters whose signature missed the cache in the
-    /// latest forward pass, ascending.
-    misses: Vec<usize>,
+    /// With `CR = 1`, each cluster's cache slot as the latest forward pass
+    /// probed it: a hit's stored row is its `y_c^(I)` row, `None` a miss.
+    slots: Vec<Option<u32>>,
     /// Centroid matrix `x_c^(I)` (`|C_I| × L_I`).
     pub(crate) centroids: Matrix,
-    /// Cluster outputs `y_c^(I)` (`|C_I| × M`). Dead once the forward pass
-    /// has scattered them, so the backward pass gathers the same-shaped
-    /// cluster gradients `δy_c^(I)` into this buffer.
-    pub(crate) cluster_outputs: Matrix,
     /// Centroid input-gradients `δx_c^(I)` (`|C_I| × L_I`).
     pub(crate) centroid_grads: Matrix,
     /// Centroid rows the latest forward pass multiplied by `W_I`: every
     /// cluster, or with `CR = 1` only those that missed the cache.
     multiplied: usize,
+    /// Where this sub-matrix's `y_c^(I)` rows start in its band's
+    /// cluster-row scratch, as of the latest forward pass.
+    band_offset: usize,
 }
 
 impl SubMatrix {
@@ -100,14 +116,17 @@ impl SubMatrix {
 /// contents reset — on every later call, so a steady-state training step's
 /// cluster/centroid/scatter machinery allocates nothing; the one thing a
 /// forward pass still allocates is the output it returns. The arena holds
-/// one [`SubMatrix`] per sub-matrix — the unit both passes fan out over —
-/// one grouping scratch per block of the forward fan-out and one
-/// member-order scratch per block of the backward one. It holds nothing of
-/// batch size `N × K` or `N × ⌈K/L⌉`: the unfolded input and its signatures
-/// are dead once the sub-matrix fan-out has grouped and summed them, so
-/// they live in a per-thread scratch every layer shares ([`adr_tensor::scratch`]),
-/// and the input gradient is folded straight from the centroid gradients
-/// ([`crate::backward::fold_input_grad`]).
+/// one [`SubMatrix`] per sub-matrix — the unit both passes fan out over,
+/// band offsets included — one grouping scratch per block of the forward
+/// fan-out, and one member-order scratch and one cluster-gradient buffer
+/// per block of the backward one. It holds nothing of batch size `N × K`,
+/// `N × ⌈K/L⌉` or `Σ_I |C_I| × M`: the unfolded input, its signatures and
+/// the cluster outputs are dead once the sub-matrix fan-out has grouped and
+/// summed them or the reconstruction has added them, so they live in a
+/// per-thread scratch every layer shares ([`adr_tensor::scratch`]); the
+/// backward pass sums one sub-matrix's cluster gradients `δy_c^(I)` at a
+/// time into its block's buffer, and the input gradient is folded straight
+/// from the centroid gradients ([`crate::backward::fold_input_grad`]).
 ///
 /// The clustering in the sub-matrix states is what
 /// [`crate::backward::reuse_backward`] consumes: after a [`Mode::Train`]
@@ -125,6 +144,10 @@ pub struct ReuseArena {
     /// Member-order scratch of the backward pass's cluster sums, one per
     /// block of its sub-matrix fan-out ([`ClusterTable::gather_sum_members_into`]).
     pub(crate) members: Vec<Vec<u32>>,
+    /// The backward pass's cluster gradients `δy_c^(I)` of one sub-matrix at
+    /// a time, one buffer per block of its sub-matrix fan-out, each as large
+    /// as the block's largest `|C_I| × M`.
+    pub(crate) cluster_grads: Vec<Matrix>,
 }
 
 impl ReuseArena {
@@ -191,6 +214,10 @@ pub fn reuse_forward(
 /// its sub-matrices walks it.
 const SWEEP_ROWS: usize = 64;
 
+/// Floats of cluster outputs one band may hold, unless the layer's `N × M`
+/// output is larger (module docs): 1 MiB, about half a core's L2.
+const BAND: usize = 1 << 18;
+
 /// What one block of the sub-matrix fan-out owns: a contiguous run of
 /// sub-matrix states starting at `sub0`, the CR caches of the same run, and
 /// a grouping scratch.
@@ -210,7 +237,8 @@ struct ForwardBlock<'a> {
 /// `x_unf` is the `N × K` unfolded input as a row-major slice, `K =
 /// split.k()`: the layer lends it a prefix of its thread's unfold scratch.
 /// The signatures go to a prefix of the thread's signature scratch, so the
-/// arena keeps nothing of size `N × ⌈K/L⌉`.
+/// arena keeps nothing of size `N × ⌈K/L⌉`, and each band's cluster outputs
+/// to a prefix of its cluster-row scratch.
 /// `hasher` is the packed form of the split's LSH families (one per
 /// sub-matrix): the only description of them this pass reads.
 /// `mode` says whether a backward pass will consume the clustering:
@@ -230,9 +258,27 @@ pub fn reuse_forward_with(
     bias: &[f32],
     split: &SubVecSplit,
     hasher: &PackedHasher,
+    caches: Option<&mut [ReuseCache]>,
+    mode: Mode,
+    arena: &mut ReuseArena,
+) -> ForwardOutcome {
+    let budget = BAND.max(x_unf.len() / split.k() * weight.cols());
+    forward_in_bands(x_unf, weight, bias, split, hasher, caches, mode, arena, budget)
+}
+
+/// [`reuse_forward_with`] with the band budget, in floats of cluster
+/// outputs, as a parameter: the tests cut bands of every size through it.
+#[allow(clippy::too_many_arguments)]
+fn forward_in_bands(
+    x_unf: &[f32],
+    weight: &Matrix,
+    bias: &[f32],
+    split: &SubVecSplit,
+    hasher: &PackedHasher,
     mut caches: Option<&mut [ReuseCache]>,
     mode: Mode,
     arena: &mut ReuseArena,
+    budget: usize,
 ) -> ForwardOutcome {
     let k = split.k();
     assert_eq!(x_unf.len() % k, 0, "split width disagrees with input");
@@ -264,9 +310,9 @@ pub fn reuse_forward_with(
 
     // The sub-matrix fan-out. Grouping and the centroid sweep touch every
     // element of the unfolded matrix and its signature once — memory-bound,
-    // like the scatter — so that is what sizes the split. Each block takes a
-    // contiguous run of sub-matrix states, the same run of caches and one
-    // grouping scratch: all cut here, on the dispatching thread.
+    // like the reconstruction — so that is what sizes the split. Each block
+    // takes a contiguous run of sub-matrix states, the same run of caches
+    // and one grouping scratch: all cut here, on the dispatching thread.
     let threads = memory_threads(n * k).clamp(1, num_subs);
     let per_block = num_subs.div_ceil(threads);
     if arena.group.len() < threads {
@@ -285,7 +331,7 @@ pub fn reuse_forward_with(
     // dispatching thread's: `Cluster` around its own block's grouping,
     // `CentroidGemm` from there until every block is done.
     let gemm_span = OnceLock::new();
-    run_blocks(blocks, |ForwardBlock { sub0, subs, mut caches, group }| {
+    run_blocks(blocks, |ForwardBlock { sub0, subs, caches, group }| {
         let ranges = &split.ranges()[sub0..sub0 + subs.len()];
 
         // (A) Group equal signatures, one sub-matrix at a time.
@@ -304,28 +350,28 @@ pub fn reuse_forward_with(
             let _ = gemm_span.set(adr_obs::span_phase(adr_obs::Phase::CentroidGemm));
         }
 
-        // (B) With CR, probe every cluster's signature in cluster order: a
-        // hit's stored row is its output row, a miss is listed. Every row of
-        // `y_c` is then a hit's copy or a miss's product, so it is not
-        // zero-filled first.
-        if let Some(caches) = caches.as_deref_mut() {
-            for (sub, cache) in subs.iter_mut().zip(caches.iter_mut()) {
-                let SubMatrix { cluster_sigs, misses, cluster_outputs: y_c, .. } = sub;
-                y_c.resize_for_overwrite(cluster_sigs.len(), m);
-                misses.clear();
-                for (c, &sig) in cluster_sigs.iter().enumerate() {
-                    match cache.probe(sig) {
-                        Some(row) => y_c.row_mut(c).copy_from_slice(row),
-                        None => misses.push(c),
-                    }
+        // (B) With CR, probe every cluster's signature in cluster order and
+        // keep its slot: a hit's stored row is its output row, and only the
+        // misses are multiplied. Without CR every cluster is.
+        let cr = caches.is_some();
+        match caches {
+            Some(caches) => {
+                for (sub, cache) in subs.iter_mut().zip(caches.iter_mut()) {
+                    sub.slots.clear();
+                    sub.slots.extend(sub.cluster_sigs.iter().map(|&sig| cache.probe_slot(sig)));
+                    sub.multiplied = sub.slots.iter().filter(|slot| slot.is_none()).count();
+                }
+            }
+            None => {
+                for sub in subs.iter_mut() {
+                    sub.multiplied = sub.table.num_clusters();
                 }
             }
         }
 
         // (C) Size the centroid matrices this pass forms, zeroed: all of
         // them for a backward pass or without CR, else those with a miss.
-        let cr = caches.is_some();
-        let formed = |sub: &SubMatrix| mode == Mode::Train || !cr || !sub.misses.is_empty();
+        let formed = |sub: &SubMatrix| mode == Mode::Train || !cr || sub.multiplied > 0;
         for (sub, &(start, end)) in subs.iter_mut().zip(ranges) {
             if formed(sub) {
                 sub.centroids.reset(sub.table.num_clusters(), end - start);
@@ -349,53 +395,31 @@ pub fn reuse_forward_with(
             }
         }
 
-        // (E) Sums to means, then `y_c = x_c · W_I` against the weight's
-        // `[start, end)` row band in place — every cluster's row without CR,
-        // each miss's row (inserted into the cache) with it.
-        for (j, (sub, &(start, end))) in subs.iter_mut().zip(ranges).enumerate() {
-            let sums = formed(sub);
-            let SubMatrix {
-                table,
-                cluster_sigs,
-                misses,
-                centroids: cent,
-                cluster_outputs: y_c,
-                multiplied,
-                ..
-            } = sub;
-            let (num_clusters, width) = (table.num_clusters(), end - start);
-            if sums {
-                table.sums_to_means(cent);
-            }
-            let w_band = &w[start * m..end * m];
-            *multiplied = match caches.as_deref_mut() {
-                None => {
-                    y_c.reset(num_clusters, m);
-                    gemm_rows(cent.as_slice(), w_band, y_c.as_mut_slice(), num_clusters, width, m);
-                    num_clusters
-                }
-                // Every output row of the GEMM depends on its own centroid
-                // row alone, so a miss is multiplied where it stands — the
-                // bits of batching all misses into one product.
-                Some(caches) => {
-                    let cache = &mut caches[j];
-                    for &c in misses.iter() {
-                        let y_row = y_c.row_mut(c);
-                        y_row.fill(0.0);
-                        gemm_rows(cent.row(c), w_band, y_row, 1, width, m);
-                        cache.insert(cluster_sigs[c], y_c.row(c));
-                    }
-                    misses.len()
-                }
-            };
+        // (E) Sums to means.
+        for sub in subs.iter_mut().filter(|sub| formed(sub)) {
+            sub.table.sums_to_means(&mut sub.centroids);
         }
     });
     drop(gemm_span);
 
-    // Row-parallel reconstruction: out[r] = bias + Σ_I y_c^(I)[cluster_I(r)].
-    let scatter_span = adr_obs::span_phase(adr_obs::Phase::Scatter);
-    let output = reconstruct(n, m, bias, &arena.subs);
-    drop(scatter_span);
+    // The bands: products, then out[r] (+)= Σ_{I in band} y_c^(I)[cluster_I(r)].
+    let mut output = Matrix::zeros(n, m);
+    let mut s0 = 0;
+    while s0 < num_subs {
+        let s1 = s0 + lay_out_band(&mut arena.subs[s0..], m, budget);
+        let subs = &arena.subs[s0..s1];
+        let last = &subs[subs.len() - 1];
+        let mut y_c = scratch::cluster_rows(last.band_offset + last.table.num_clusters() * m);
+        {
+            let _span = adr_obs::span_phase(adr_obs::Phase::CentroidGemm);
+            let caches = caches.as_deref_mut().map(|c| &mut c[s0..s1]);
+            band_products(subs, &split.ranges()[s0..s1], w, m, caches, &mut y_c);
+        }
+        let _span = adr_obs::span_phase(adr_obs::Phase::Scatter);
+        let bias = (s0 == 0).then_some(bias);
+        add_band(output.as_mut_slice(), n, m, bias, subs, &y_c);
+        s0 = s1;
+    }
 
     let mut stats = ReuseStats {
         rows: n,
@@ -427,23 +451,105 @@ pub fn reuse_forward_with(
     ForwardOutcome { output, stats }
 }
 
-/// Sums the per-sub-matrix cluster outputs into the `N × M` layer output,
-/// parallelised over disjoint row chunks: every output row is `bias`, then
-/// one add per sub-matrix in ascending order, in registers ([`sum_rows`]).
-fn reconstruct(n: usize, m: usize, bias: &[f32], subs: &[SubMatrix]) -> Matrix {
-    let mut output = Matrix::zeros(n, m);
+/// Lays out the band that starts at `subs[0]`: as many sub-matrices as
+/// their `|C_I| × M` cluster outputs fit in `budget` floats, and at least
+/// one. Sets each one's offset in the band's cluster rows and returns how
+/// many the band holds.
+fn lay_out_band(subs: &mut [SubMatrix], m: usize, budget: usize) -> usize {
+    let mut len = 0;
+    for (count, sub) in subs.iter_mut().enumerate() {
+        let rows = sub.table.num_clusters() * m;
+        if count > 0 && len + rows > budget {
+            return count;
+        }
+        sub.band_offset = len;
+        len += rows;
+    }
+    subs.len()
+}
+
+/// Step 4 for one band: `y_c^(I) = x_c^(I) · W_I` of each of its
+/// sub-matrices (`ranges` their column ranges) into `y_c`, one after the
+/// other from offset 0, against the weight's row band in place — every
+/// cluster's row without CR; with it, each hit's row copied from its slot
+/// and each miss's row multiplied and inserted into the cache, in cluster
+/// order. A fan-out over the band's sub-matrices, sized by its products:
+/// every block owns a contiguous run of them, the matching run of caches
+/// and of `y_c`, all cut here.
+fn band_products(
+    subs: &[SubMatrix],
+    ranges: &[(usize, usize)],
+    w: &[f32],
+    m: usize,
+    caches: Option<&mut [ReuseCache]>,
+    y_c: &mut [f32],
+) {
+    let flops = subs.iter().zip(ranges).map(|(sub, &(a, b))| sub.multiplied * (b - a) * m).sum();
+    let per_block = subs.len().div_ceil(compute_threads(flops).clamp(1, subs.len()));
+    let mut cache_runs = caches.map(|c| c.chunks_mut(per_block));
+    let mut rest = y_c;
+    let blocks = subs.chunks(per_block).zip(ranges.chunks(per_block)).map(|(subs, ranges)| {
+        let len = subs.iter().map(|sub| sub.table.num_clusters() * m).sum();
+        let (y_c, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        (subs, ranges, y_c, cache_runs.as_mut().and_then(Iterator::next))
+    });
+    run_blocks(blocks, |(subs, ranges, mut y_c, mut caches)| {
+        for (j, (sub, &(start, end))) in subs.iter().zip(ranges).enumerate() {
+            let num_clusters = sub.table.num_clusters();
+            let (y, tail) = std::mem::take(&mut y_c).split_at_mut(num_clusters * m);
+            y_c = tail;
+            let (w_band, width) = (&w[start * m..end * m], end - start);
+            let Some(caches) = caches.as_deref_mut() else {
+                y.fill(0.0);
+                gemm_rows(sub.centroids.as_slice(), w_band, y, num_clusters, width, m);
+                continue;
+            };
+            // Every output row of the GEMM depends on its own centroid row
+            // alone, so a miss is multiplied where it stands — the bits of
+            // batching all misses into one product.
+            let cache = &mut caches[j];
+            for (c, (slot, y_row)) in sub.slots.iter().zip(y.chunks_exact_mut(m)).enumerate() {
+                match *slot {
+                    Some(slot) => y_row.copy_from_slice(cache.stored(slot)),
+                    None => {
+                        y_row.fill(0.0);
+                        gemm_rows(sub.centroids.row(c), w_band, y_row, 1, width, m);
+                        cache.insert(sub.cluster_sigs[c], y_row);
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// Adds one band's cluster outputs `y_c` into the `n × M` output,
+/// parallelised over disjoint row chunks: every output row gets one add per
+/// sub-matrix of the band, in ascending order, in registers — from `bias`
+/// in the first band ([`sum_rows`]), and from the partial sum the earlier
+/// bands stored in every later one ([`add_rows`]).
+fn add_band(
+    output: &mut [f32],
+    n: usize,
+    m: usize,
+    bias: Option<&[f32]>,
+    subs: &[SubMatrix],
+    y_c: &[f32],
+) {
     // Gather-and-add over cluster rows — memory-bound, like col2im.
     let threads = memory_threads(n * m * subs.len());
-    run_row_blocks(output.as_mut_slice(), m, n, threads, |row0, _, chunk| {
+    run_row_blocks(output, m, n, threads, |row0, _, chunk| {
         for (r, dst) in (row0..).zip(chunk.chunks_exact_mut(m)) {
             let rows = subs.iter().map(|sub| {
                 let id = sub.table.cluster_of(r) as usize;
-                &sub.cluster_outputs.as_slice()[id * m..][..m]
+                &y_c[sub.band_offset + id * m..][..m]
             });
-            sum_rows(dst, bias, rows);
+            match bias {
+                Some(bias) => sum_rows(dst, bias, rows),
+                None => add_rows(dst, rows),
+            }
         }
     });
-    output
 }
 
 #[cfg(test)]
@@ -612,7 +718,7 @@ mod tests {
         let num_subs = split.num_sub_vectors();
         let sig_all = PackedHasher::new(split, lsh).hash_all(x_unf);
         let mut stats = ReuseStats { rows: n, num_sub_vectors: num_subs, ..Default::default() };
-        let (mut tables, mut centroids, mut cluster_outputs) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut tables, mut centroids, mut products) = (Vec::new(), Vec::new(), Vec::new());
         let mut cluster_total = 0usize;
         let mut reuse_rate_sum = 0.0f64;
         for (i, &(start, end)) in split.ranges().iter().enumerate() {
@@ -661,13 +767,13 @@ mod tests {
             stats.add_flops += (n * m) as u64;
             tables.push(table);
             centroids.push(cent);
-            cluster_outputs.push(y_c);
+            products.push(y_c);
         }
         let mut output = Matrix::zeros(n, m);
         for r in 0..n {
             let dst = output.row_mut(r);
             dst.copy_from_slice(bias);
-            for (table, y_c) in tables.iter().zip(&cluster_outputs) {
+            for (table, y_c) in tables.iter().zip(&products) {
                 for (d, s) in dst.iter_mut().zip(y_c.row(table.cluster_of(r) as usize)) {
                     *d += s;
                 }
@@ -869,6 +975,132 @@ mod tests {
         let r = |b: usize, i: usize| rates[b][i];
         assert!(r(0, 0) == 0.0 && r(1, 0) > 0.0 && r(1, 0) < 1.0 && r(2, 0) == 1.0, "{rates:?}");
         assert!(r(3, 0) == 1.0 && r(3, 1) < 1.0 && r(3, 2) == 1.0, "{rates:?}");
+    }
+
+    /// How many bands the forward pass cuts `arena`'s clustering into at
+    /// `budget` floats of cluster outputs.
+    fn band_count(arena: &mut ReuseArena, m: usize, budget: usize) -> usize {
+        let (mut s0, mut bands) = (0, 0);
+        while s0 < arena.subs.len() {
+            s0 += lay_out_band(&mut arena.subs[s0..], m, budget);
+            bands += 1;
+        }
+        bands
+    }
+
+    /// The banded pass at one band, two bands and one sub-matrix per band —
+    /// a budget of one float, which every sub-matrix's `y_c` alone exceeds
+    /// — against the one-band `reuse_forward` oracle, bit for bit: output
+    /// and statistics in `Train` and `Eval`, with CR off and on over an
+    /// all-miss, a mixed and an all-hit batch (then also every cache's hit
+    /// rate and stored rows), at 1 and 2 forced workers. `K` = 13 at `L` =
+    /// 3 leaves a tail sub-matrix one column wide. After each `Train`
+    /// forward, a backward pass from the same `δy` gives the oracle's `∇W`,
+    /// `∇b` and input-gradient rows.
+    #[test]
+    fn bands_match_the_one_band_oracle_bitwise() {
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (n, k, m, l, h) = (12usize, 13usize, 4usize, 3usize, 8usize);
+        let first = clustered_rows(n, k, 51);
+        let fresh = clustered_rows(n, k, 52);
+        let mixed =
+            Matrix::from_fn(n, k, |r, c| if r % 2 == 0 { first[(r, c)] } else { fresh[(r, c)] });
+        let (_, w, b) = random_problem(n, k, m, 53);
+        let mut rng = AdrRng::seeded(54);
+        let delta_y = Matrix::from_fn(n, m, |_, _| rng.gauss());
+        let split = SubVecSplit::new(k, l);
+        assert_eq!(split.width(split.num_sub_vectors() - 1), 1, "precondition: a narrow tail");
+        let lsh = lsh_families(&split, h, 55);
+        let hasher = PackedHasher::new(&split, &lsh);
+        let fresh_caches = || -> Vec<ReuseCache> {
+            (0..split.num_sub_vectors()).map(|_| ReuseCache::new(m)).collect()
+        };
+
+        let (_, mut probe) = reuse_forward(&first, &w, &b, &split, &lsh, None);
+        let sizes: Vec<usize> =
+            probe.sub_matrices().iter().map(|sub| sub.table().num_clusters() * m).collect();
+        let total: usize = sizes.iter().sum();
+        let two = total - sizes[sizes.len() - 1];
+        for (budget, bands) in [(total, 1), (two, 2), (1, split.num_sub_vectors())] {
+            assert_eq!(band_count(&mut probe, m, budget), bands, "precondition: budget {budget}");
+        }
+
+        let grads = |arena: &mut ReuseArena| {
+            let mut weight_grad = Matrix::filled(k, m, f32::NAN);
+            let mut bias_grad = vec![f32::NAN; m];
+            let ws = (&mut weight_grad, &mut bias_grad[..]);
+            crate::backward::reuse_backward(
+                arena,
+                &split,
+                &w,
+                delta_y.as_slice(),
+                ws.0,
+                ws.1,
+                true,
+            );
+            let mut rows = vec![f32::NAN; n * k];
+            for (r, row) in rows.chunks_exact_mut(k).enumerate() {
+                crate::backward::input_grad_row(arena, &split, r, row);
+            }
+            (bits(weight_grad.as_slice()), bits(&bias_grad), bits(&rows))
+        };
+        for (budget, case) in [(total, "one band"), (two, "two bands"), (1, "one per band")] {
+            for (mode, cr, workers) in [Mode::Train, Mode::Eval]
+                .into_iter()
+                .flat_map(|mode| [(mode, false), (mode, true)])
+                .flat_map(|(mode, cr)| [(mode, cr, 1usize), (mode, cr, 2)])
+            {
+                let (mut want_caches, mut got_caches) = (fresh_caches(), fresh_caches());
+                let mut arena = ReuseArena::default();
+                let mut seen: Vec<Vec<u64>> = vec![Vec::new(); split.num_sub_vectors()];
+                for (batch, x) in [&first, &mixed, &first].into_iter().enumerate() {
+                    let what =
+                        format!("{case}: {mode:?}, CR {cr}, {workers} workers, batch {batch}");
+                    want_caches.iter_mut().for_each(ReuseCache::begin_batch);
+                    got_caches.iter_mut().for_each(ReuseCache::begin_batch);
+                    let caches = cr.then_some(want_caches.as_mut_slice());
+                    let (want, mut want_arena) = reuse_forward(x, &w, &b, &split, &lsh, caches);
+                    adr_tensor::par::set_thread_override(Some(workers));
+                    let caches = cr.then_some(got_caches.as_mut_slice());
+                    let x = x.as_slice();
+                    let got = forward_in_bands(
+                        x, &w, &b, &split, &hasher, caches, mode, &mut arena, budget,
+                    );
+                    adr_tensor::par::set_thread_override(None);
+                    assert_eq!(bits(got.output.as_slice()), bits(want.output.as_slice()), "{what}");
+                    let (g, o) = (got.stats, want.stats);
+                    assert_eq!(
+                        (g.rows, g.num_sub_vectors, g.hash_flops, g.gemm_flops, g.add_flops),
+                        (o.rows, o.num_sub_vectors, o.hash_flops, o.gemm_flops, o.add_flops),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        [g.avg_clusters, g.avg_remaining_ratio, g.reuse_rate].map(f64::to_bits),
+                        [o.avg_clusters, o.avg_remaining_ratio, o.reuse_rate].map(f64::to_bits),
+                        "{what}"
+                    );
+                    for (seen, sub) in seen.iter_mut().zip(&arena.subs) {
+                        seen.extend(&sub.cluster_sigs);
+                    }
+                    if mode == Mode::Train {
+                        assert_eq!(grads(&mut arena), grads(&mut want_arena), "{what}: gradients");
+                    }
+                }
+                if cr {
+                    let what = format!("{case}: {mode:?}, {workers} workers");
+                    for (i, (got, want)) in got_caches.iter_mut().zip(&mut want_caches).enumerate()
+                    {
+                        let rate = |c: &ReuseCache| c.current_batch_rate().map(f64::to_bits);
+                        assert_eq!(rate(got), rate(want), "{what}: cache {i}");
+                        assert_eq!(got.len(), want.len(), "{what}: cache {i}");
+                        for &sig in &seen[i] {
+                            let (got, want) = (got.probe(sig).map(bits), want.probe(sig).map(bits));
+                            assert_eq!(got, want, "{what}: cache {i}, signature {sig}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Metamorphic: appending a copy of a row moves only the centroids of

@@ -87,10 +87,12 @@ pub struct ReuseConv2d {
     /// degenerate-clustering injection, repair).
     hasher: PackedHasher,
     /// Recycled forward and backward buffers (one state per sub-matrix —
-    /// clustering, centroids, cluster outputs, cluster gradients — and the
-    /// per-block scratch of each fan-out) — steady-state steps reuse its
-    /// heap capacity. Nothing in it is `N × K` or `N × ⌈K/L⌉`: the unfold
-    /// and the signatures are the thread's [`scratch`].
+    /// clustering, cache slots, centroids, centroid gradients, band offset
+    /// — and the per-block scratch of each fan-out, the backward's cluster
+    /// gradients included) — steady-state steps reuse its heap capacity.
+    /// Nothing in it is `N × K`, `N × ⌈K/L⌉` or `Σ_I |C_I| × M`: the
+    /// unfold, the signatures and each band's cluster outputs are the
+    /// thread's [`scratch`].
     arena: ReuseArena,
     /// The reuse passes' work; dense passes meter in `conv`.
     meter: FlopMeter,
@@ -640,8 +642,9 @@ mod tests {
 
     /// The adaptive trainer's probe: an `Eval` forward at 4× the batch
     /// between two training steps. It frees the tables and centroids and
-    /// leaves the other recycled buffers (signatures, cluster outputs)
-    /// sized and filled for the larger batch, so the next training step must
+    /// leaves the other recycled buffers (signatures, the band's cluster
+    /// rows) sized and filled for the larger batch, so the next training
+    /// step must
     /// rewrite all it reads: its ∇W, ∇b and δx are bitwise those of a twin
     /// that skipped the probe.
     #[test]

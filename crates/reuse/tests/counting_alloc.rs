@@ -108,15 +108,17 @@ const EXACT_FORWARD_STEP: u64 = 2;
 /// level: its `Conv2d`'s forward, which unfolds into the thread's scratch,
 /// so the only allocation is the output it returns.
 const DENSE_MODE_FORWARD_STEP: u64 = 1;
-/// Signatures, lookup tables, cluster tables, centroids and cluster outputs
-/// are all recycled in the `ReuseArena`, so a steady-state (all-hit) step
-/// allocates only the output matrix it returns.
+/// Lookup tables, cluster tables, centroids, cache slots and band offsets
+/// are recycled in the `ReuseArena`, and the signatures and each band's
+/// cluster outputs borrow the thread's grow-only scratch, so a steady-state
+/// (all-hit) step allocates only the output matrix it returns.
 const REUSE_FORWARD_STEP: u64 = 1;
 /// The one allocation is the per-sub-matrix task list (a band of the weight
 /// gradient paired with its scratch), built on the dispatching thread;
 /// cluster sums, centroid gradients and both parameter gradients land in
-/// recycled or caller-owned buffers, and the member-order scratch of each
-/// fan-out block is recycled in the arena, grown on the dispatching thread.
+/// recycled or caller-owned buffers, and the member-order scratch and
+/// cluster-gradient buffer of each fan-out block are recycled in the arena,
+/// grown on the dispatching thread.
 const REUSE_BACKWARD_STEP: u64 = 1;
 /// The fold of the input gradient from the centroid gradients allocates only
 /// the tensor it returns: no `N × K` matrix; it gathers rows into the
@@ -284,10 +286,11 @@ fn steady_state_allocation_counts_match_the_budget() {
     // Two workers: every fan-out of the reuse step now crosses to the pool.
     // What a pool worker allocates per dispatch is the dispatcher's own
     // completion message (calibrated on an empty fan-out, not assumed); the
-    // tasks themselves — hashing, grouping, sweep, GEMM, CR probes,
-    // scatter; cluster sums and both backward products; the fold's gather
-    // and fold — must add nothing to it, because every buffer they touch
-    // was sized in an earlier step or on this thread.
+    // tasks themselves — hashing, grouping, sweep, CR probes, the band's
+    // products, cache copies and reconstruction; cluster sums and both
+    // backward products; the fold's gather and fold — must add nothing to
+    // it, because every buffer they touch was sized in an earlier step or
+    // on this thread.
     set_thread_override(Some(2));
     for _ in 0..2 {
         let _ = reuse_step(&mut caches, &mut arena); // warmup: spawns the pool
@@ -308,11 +311,13 @@ fn steady_state_allocation_counts_match_the_budget() {
         let _ = fold_input_grad(&arena, &split, &geom, 2);
         let after_fold = worker_allocs();
         assert_eq!(out.stats.gemm_flops, 0, "steady state must be all cache hits");
+        // Four fan-outs: hashing, the sub-matrix fan-out, and the one band's
+        // products and reconstruction.
         assert_eq!(
             after_forward - before,
-            3 * per_dispatch,
-            "reuse forward step {step}: a task of the hash, sub-matrix or scatter fan-out \
-             allocated on a pool worker"
+            4 * per_dispatch,
+            "reuse forward step {step}: a task of the hash, sub-matrix, band-product or \
+             reconstruction fan-out allocated on a pool worker"
         );
         assert_eq!(
             after_backward - after_forward,

@@ -74,9 +74,10 @@ fn allocs() -> u64 {
 /// admission-time image copy into the lane, the pending list, the batch
 /// tensor, the forward pass's own buffers, the logits row and the result
 /// vector. (`Network::forward` lends the first layer the batch tensor, the
-/// conv's eval forward unfolds into the thread's scratch, and the
-/// round-robin cursor is a lane position, not a key.)
-const GATEWAY_REQUEST: u64 = 9;
+/// conv's eval forward unfolds into the thread's scratch, the `Dense`
+/// layer multiplies straight from its input, and the round-robin cursor is
+/// a lane position, not a key.)
+const GATEWAY_REQUEST: u64 = 8;
 
 fn tiny_net(seed: u64) -> Network {
     let mut rng = AdrRng::seeded(seed);

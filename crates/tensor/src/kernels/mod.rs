@@ -18,7 +18,8 @@
 //! * [`project_signs`] — the register-blocked sign-projection micro-kernel
 //!   behind LSH hashing ([`project`]).
 //! * [`sum_rows()`] — `dst = first + Σ rest` with each tile of the output
-//!   row held in registers across all sources ([`sum_rows`](mod@sum_rows)).
+//!   row held in registers across all sources, and [`add_rows`], the same
+//!   body with `dst` as its own `first` ([`sum_rows`](mod@sum_rows)).
 //! * [`sum_clusters`] — `dst[id] += src` over a list of `(src, id)` pairs,
 //!   the running cluster row held in registers until the id changes: the
 //!   reuse forward's centroid sums and the backward's `δy_{c,s}` (Eq. 8).
@@ -56,7 +57,7 @@
 //!
 //! This module is the only library code where `unsafe` compiles: the
 //! workspace denies `unsafe_code` and `lib.rs` allows it on `kernels` alone.
-//! The nine dispatch call sites here (and the test helpers that run each
+//! The ten dispatch call sites here (and the test helpers that run each
 //! clone on its own) are the only `unsafe` in the workspace's vector code;
 //! [`pool`] hosts the persistent worker pool behind the fan-out sites.
 
@@ -69,7 +70,7 @@ pub mod sum_rows;
 pub use gemm::{gemm_rows, gemm_ta_rows};
 pub use gemm_tb::gemm_tb;
 pub use project::project_signs;
-pub use sum_rows::{sum_clusters, sum_rows};
+pub use sum_rows::{add_rows, sum_clusters, sum_rows};
 
 use crate::simd::{F32x8, LANES};
 
@@ -382,8 +383,13 @@ mod tests {
                     let mut got = vec![7.0f32; m];
                     let mut want = got.clone();
                     sum_rows(&mut got, &first, rows.clone());
-                    sum_rows::sum_rows_portable(&mut want, &first, rows);
+                    sum_rows::sum_rows_portable(&mut want, Some(&first), rows.clone());
                     assert_same_bits(&got, &want, &format!("m={m} sources={sources}"));
+                    let mut got = first[..m].to_vec();
+                    let mut want = got.clone();
+                    add_rows(&mut got, rows.clone());
+                    sum_rows::sum_rows_portable(&mut want, None, rows);
+                    assert_same_bits(&got, &want, &format!("in place, m={m} sources={sources}"));
                 }
             }
         }

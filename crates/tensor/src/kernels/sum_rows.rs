@@ -2,7 +2,9 @@
 //!
 //! * [`sum_rows`]: `dst = first + Σ rest` — the reconstruction `y[r] = b +
 //!   Σ_I y_c^(I)[id_I(r)]` of the deep-reuse forward pass (Fig. 2), where
-//!   every source is a different sub-matrix's cluster output row.
+//!   every source is a different sub-matrix's cluster output row; and
+//!   [`add_rows`], `dst += Σ rest`, which carries that sum on from the
+//!   partial row an earlier band of sub-matrices stored.
 //! * [`sum_clusters`]: `dst[id] += src` over a list of `(src, id)` pairs —
 //!   the member sums of a clustering: the forward pass's centroid sums and
 //!   the backward pass's cluster gradients `δy_{c,s}` (Eq. 8).
@@ -11,9 +13,10 @@
 //! cost a load *and a store* of the whole destination row, and the next
 //! source into the same row waited on that store. Here a tile of the
 //! destination row is loaded once, receives its sources' tiles in order,
-//! and is stored once — [`sum_rows`] across all sources, [`sum_clusters`]
-//! across each run of consecutive sources with one cluster id.
-//! [`sum_rows`] cuts the row into the column tiers of [`super::gemm`]:
+//! and is stored once — [`sum_rows`] and [`add_rows`] across all sources,
+//! [`sum_clusters`] across each run of consecutive sources with one cluster
+//! id. [`sum_rows`] and [`add_rows`] cut the row into the column tiers of
+//! [`super::gemm`]:
 //! tiles of 64 columns (eight [`F32x8`] registers) while they fit, then at
 //! most one tile each of 32, 16 and 8 columns, then a scalar tail.
 //! [`sum_clusters`] walks its source list once per window, so it cuts the
@@ -27,8 +30,9 @@
 //! # Why no bit moves
 //!
 //! Every output element of [`sum_rows`] is `((first + s_0) + s_1) + …` —
-//! one IEEE add per source, in the sources' order, starting from `first` —
-//! and every element of a [`sum_clusters`] row is its value on entry plus
+//! one IEEE add per source, in the sources' order, starting from `first`;
+//! [`add_rows`] starts from the element's own value instead — and every
+//! element of a [`sum_clusters`] row is its value on entry plus
 //! one IEEE add per source with that row's id, in the sources' order:
 //! exactly the additions of the loops they replaced. Which register holds
 //! the running sum, and when it goes back to memory, changes no operation
@@ -83,17 +87,22 @@ fn store_window<const V: usize>(acc: &[F32x8; V], row: &mut [f32], a: usize, b: 
 }
 
 /// Columns `[j, j + 8·V)` of `dst`, for every `j` from `j0` on that fits:
-/// `first`'s tile plus every source's tile, in order, held in `V` registers.
-/// Returns where the tiles stopped.
+/// `first`'s tile (`dst`'s own without one) plus every source's tile, in
+/// order, held in `V` registers. Returns where the tiles stopped.
 #[inline(always)]
-fn sum_tiles<'a, const V: usize, S>(dst: &mut [f32], first: &[f32], rest: &S, j0: usize) -> usize
+fn sum_tiles<'a, const V: usize, S>(
+    dst: &mut [f32],
+    first: Option<&[f32]>,
+    rest: &S,
+    j0: usize,
+) -> usize
 where
     S: Iterator<Item = &'a [f32]> + Clone,
 {
     let mut j = j0;
     while j + V * LANES <= dst.len() {
         let b = j + V * LANES;
-        let mut acc = load_window::<V>(first, j, b);
+        let mut acc = load_window::<V>(first.unwrap_or(dst), j, b);
         for src in rest.clone() {
             add_window(&mut acc, src, j, b);
         }
@@ -123,7 +132,7 @@ where
         // the only precondition of the clone.
         return unsafe { sum_rows_avx(dst, first, rest) };
     }
-    sum_rows_portable(dst, first, rest);
+    sum_rows_portable(dst, Some(first), rest);
 }
 
 /// [`sum_rows`] compiled with 256-bit lanes.
@@ -133,29 +142,60 @@ fn sum_rows_avx<'a, S>(dst: &mut [f32], first: &[f32], rest: S)
 where
     S: Iterator<Item = &'a [f32]> + Clone,
 {
-    sum_rows_portable(dst, first, rest);
+    sum_rows_portable(dst, Some(first), rest);
 }
 
-/// The one body of [`sum_rows`]: 64-column tiles while they fit, then at
-/// most one 32-, 16- and 8-column tile, then the scalar tail.
-#[inline(always)]
-pub(crate) fn sum_rows_portable<'a, S>(dst: &mut [f32], first: &[f32], rest: S)
+/// `dst[j] = dst[j] + rest_0[j] + rest_1[j] + …`, added in that order:
+/// [`sum_rows`] with `dst`'s own row as `first`.
+///
+/// `rest` is walked once per column tile, as in [`sum_rows`].
+///
+/// # Panics
+/// Panics when a source is shorter than `dst`.
+pub fn add_rows<'a, S>(dst: &mut [f32], rest: S)
 where
     S: Iterator<Item = &'a [f32]> + Clone,
 {
-    let first = &first[..dst.len()];
+    #[cfg(target_arch = "x86_64")]
+    if super::avx_detected() {
+        // SAFETY: `avx_detected` has just observed the `avx` CPU feature,
+        // the only precondition of the clone.
+        return unsafe { add_rows_avx(dst, rest) };
+    }
+    sum_rows_portable(dst, None, rest);
+}
+
+/// [`add_rows`] compiled with 256-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn add_rows_avx<'a, S>(dst: &mut [f32], rest: S)
+where
+    S: Iterator<Item = &'a [f32]> + Clone,
+{
+    sum_rows_portable(dst, None, rest);
+}
+
+/// The one body of [`sum_rows`] (`first` given) and [`add_rows`] (`None`:
+/// `dst` is its own first row): 64-column tiles while they fit, then at
+/// most one 32-, 16- and 8-column tile, then the scalar tail.
+#[inline(always)]
+pub(crate) fn sum_rows_portable<'a, S>(dst: &mut [f32], first: Option<&[f32]>, rest: S)
+where
+    S: Iterator<Item = &'a [f32]> + Clone,
+{
+    let first = first.map(|f| &f[..dst.len()]);
     let mut j = sum_tiles::<8, S>(dst, first, &rest, 0);
     j = sum_tiles::<4, S>(dst, first, &rest, j);
     j = sum_tiles::<2, S>(dst, first, &rest, j);
     j = sum_tiles::<1, S>(dst, first, &rest, j);
     // Indexed, not `enumerate().skip(j)`: that `nth` stays an out-of-line
     // call, compiled without `avx` (module docs of `super`).
-    for (t, (d, &f)) in dst[j..].iter_mut().zip(&first[j..]).enumerate() {
-        let mut v = f;
+    for t in j..dst.len() {
+        let mut v = first.map_or(dst[t], |f| f[t]);
         for src in rest.clone() {
-            v += src[j + t];
+            v += src[t];
         }
-        *d = v;
+        dst[t] = v;
     }
 }
 
@@ -324,7 +364,8 @@ mod tests {
     use crate::rng::AdrRng;
 
     /// The loop [`sum_rows`] replaced, scalar: `first`, then `+=` each
-    /// source row in order.
+    /// source row in order — also what [`add_rows`] does to a row that
+    /// holds `first`.
     fn reference(dst: &mut [f32], first: &[f32], rest: &[&[f32]]) {
         dst.copy_from_slice(&first[..dst.len()]);
         for src in rest {
@@ -367,8 +408,15 @@ mod tests {
                 sum_rows(&mut got, &first, rows.iter().copied());
                 assert_same_bits(&got, &want, &format!("dispatched, {what}"));
                 let mut got = vec![f32::NAN; m];
-                sum_rows_portable(&mut got, &first, rows.iter().copied());
+                sum_rows_portable(&mut got, Some(&first), rows.iter().copied());
                 assert_same_bits(&got, &want, &format!("portable, {what}"));
+                // In place: the row already holds `first`.
+                let mut got = first.clone();
+                add_rows(&mut got, rows.iter().copied());
+                assert_same_bits(&got, &want, &format!("in place, dispatched, {what}"));
+                let mut got = first.clone();
+                sum_rows_portable(&mut got, None, rows.iter().copied());
+                assert_same_bits(&got, &want, &format!("in place, portable, {what}"));
             }
         }
     }
@@ -385,5 +433,12 @@ mod tests {
     fn a_short_source_panics() {
         let mut dst = [0.0f32; 16];
         sum_rows(&mut dst, &[0.0; 16], [&[1.0f32; 9][..]].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_short_source_panics_in_place() {
+        let mut dst = [0.0f32; 16];
+        add_rows(&mut dst, [&[1.0f32; 9][..]].into_iter());
     }
 }

@@ -1,10 +1,13 @@
 //! Per-thread scratch for what a convolution pass needs only while it runs:
 //! the unfolded input (`N × K` f32) and, in a reuse layer, its LSH
-//! signatures (`N × ⌈K/L⌉` u64).
+//! signatures (`N × ⌈K/L⌉` u64) and the cluster outputs `y_c` of one band
+//! of sub-matrices (f32, at most the larger of the band budget and the
+//! layer's `N × M` output).
 //!
 //! An eval forward of `adr_nn::conv::Conv2d` reads its unfold once, for
 //! the one GEMM; a reuse forward's are dead once its sub-matrix fan-out has
-//! grouped and summed them. So no layer owns them: every convolution on a
+//! grouped and summed them, and a band's cluster outputs once they are
+//! added to the output rows. So no layer owns them: every convolution on a
 //! thread borrows the thread's one buffer of each. The one unfold a layer
 //! keeps is a training forward's, which its backward reads for `∇W`.
 //! Between forward passes the unfold buffer also lends the reuse backward's
@@ -21,6 +24,7 @@ use std::thread::LocalKey;
 thread_local! {
     static UNFOLDED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static SIGNATURES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static CLUSTER_ROWS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The first `len` elements of this thread's unfold scratch, until dropped.
@@ -34,6 +38,13 @@ pub fn unfolded(len: usize) -> Scratch<f32> {
 /// them.
 pub fn signatures(len: usize) -> Scratch<u64> {
     Scratch::borrow(&SIGNATURES, len)
+}
+
+/// The first `len` elements of this thread's cluster-row scratch, until
+/// dropped. Contents are whatever the last band left: the band's products
+/// and cache copies overwrite them.
+pub fn cluster_rows(len: usize) -> Scratch<f32> {
+    Scratch::borrow(&CLUSTER_ROWS, len)
 }
 
 /// A thread's scratch buffer, taken out of its slot and handed back on drop.
