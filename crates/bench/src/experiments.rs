@@ -526,7 +526,6 @@ fn run_one(case: &Table4Case, mode: ConvMode, strategy: Strategy, quick: bool) -
         plateau_min_delta: 0.01,
         plateau_warmup: 25,
         max_h_values: 5,
-        history_samples: 128,
     });
     let mut sgd = Sgd::new(LrSchedule::InverseTime { base: case.lr, rate: 0.005 }, 0.9, 0.0)
         .with_clip_norm(5.0);

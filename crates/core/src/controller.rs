@@ -155,6 +155,21 @@ impl AdaptiveController {
         ControllerState { stage: self.stage, plateau: self.plateau.snapshot() }
     }
 
+    /// Whether `state` fits this schedule, checked without moving anything.
+    ///
+    /// # Errors
+    /// Returns [`ControllerError::StageOutOfRange`] for a stage this
+    /// schedule does not reach.
+    pub(crate) fn check(&self, state: &ControllerState) -> Result<(), ControllerError> {
+        if state.stage > self.max_stage {
+            return Err(ControllerError::StageOutOfRange {
+                stage: state.stage,
+                max_stage: self.max_stage,
+            });
+        }
+        Ok(())
+    }
+
     /// Restores a snapshotted stage + plateau window and re-applies the
     /// stage's `{L, H}` to every planned layer.
     ///
@@ -166,12 +181,7 @@ impl AdaptiveController {
         net: &mut Network,
         state: &ControllerState,
     ) -> Result<(), ControllerError> {
-        if state.stage > self.max_stage {
-            return Err(ControllerError::StageOutOfRange {
-                stage: state.stage,
-                max_stage: self.max_stage,
-            });
-        }
+        self.check(state)?;
         self.stage = state.stage;
         self.plateau.restore(&state.plateau);
         self.apply_stage(net, self.stage);

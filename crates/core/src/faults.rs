@@ -88,12 +88,6 @@ impl FaultPlan {
         }
         due
     }
-
-    /// True when every scheduled fault has fired and no I/O failures
-    /// remain — the plan has nothing left to throw at the run.
-    pub fn exhausted(&self) -> bool {
-        self.io_failures_left == 0 && self.scheduled.iter().all(|s| s.fired)
-    }
 }
 
 impl IoFault for FaultPlan {
@@ -103,172 +97,6 @@ impl IoFault for FaultPlan {
         }
         self.io_failures_left -= 1;
         Some(io::Error::other("injected checkpoint fault"))
-    }
-}
-
-/// One kind of injectable serving failure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeFaultKind {
-    /// Stalls the micro-batch for the given wall-clock (or virtual-clock)
-    /// duration, driving the engine's latency pressure up.
-    SlowBatch {
-        /// How long the batch stalls, in milliseconds.
-        stall_ms: u64,
-    },
-    /// Overwrites the first logit of the batch output with NaN *after* the
-    /// forward pass, exercising the output sanitizer. (Poisoning inputs is
-    /// not enough: ReLU launders NaN, see [`FaultKind::NanActivations`].)
-    PoisonOutput,
-}
-
-/// A serving fault scheduled for a specific micro-batch.
-#[derive(Clone, Copy, Debug)]
-struct ScheduledServeFault {
-    at_batch: usize,
-    kind: ServeFaultKind,
-    fired: bool,
-}
-
-/// A tenant-scoped output poisoning: the next `left` batches served for
-/// `tenant` have their first logit overwritten with NaN after the forward
-/// pass, exercising the quarantine path for exactly one tenant while
-/// every other tenant's traffic stays clean.
-#[derive(Clone, Debug)]
-struct TenantPoison {
-    tenant: String,
-    left: usize,
-}
-
-/// A deterministic script of failures for one serving run — the serving
-/// counterpart of [`FaultPlan`], keyed by micro-batch index instead of
-/// training iteration. Same one-shot semantics: each scheduled fault fires
-/// exactly once.
-#[derive(Debug, Default)]
-pub struct ServeFaultPlan {
-    scheduled: Vec<ScheduledServeFault>,
-    poison_requests_left: usize,
-    corrupt_load_armed: bool,
-    corrupt_swap_armed: bool,
-    tenant_poisons: Vec<TenantPoison>,
-}
-
-impl ServeFaultPlan {
-    /// Creates an empty plan (injects nothing).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `kind` to fire once, while micro-batch `at_batch` runs.
-    #[must_use]
-    pub fn inject_at_batch(mut self, at_batch: usize, kind: ServeFaultKind) -> Self {
-        self.scheduled.push(ScheduledServeFault { at_batch, kind, fired: false });
-        self
-    }
-
-    /// Poisons the next `n` submitted requests with a NaN pixel *before*
-    /// admission validation sees them (exercising input rejection).
-    #[must_use]
-    pub fn poison_requests(mut self, n: usize) -> Self {
-        self.poison_requests_left = n;
-        self
-    }
-
-    /// Arms a one-shot corruption of the next checkpoint read: a byte in
-    /// the middle of the file is flipped before parsing (exercising the
-    /// loader's typed error path).
-    #[must_use]
-    pub fn corrupt_checkpoint_load(mut self) -> Self {
-        self.corrupt_load_armed = true;
-        self
-    }
-
-    /// Arms a one-shot `SwapCorruptArtifact` fault: the next artifact read
-    /// performed *by a hot swap* has a mid-file byte flipped before
-    /// parsing, exercising the gateway's verify-and-rollback path without
-    /// touching ordinary startup loads.
-    #[must_use]
-    pub fn corrupt_swap_artifact(mut self) -> Self {
-        self.corrupt_swap_armed = true;
-        self
-    }
-
-    /// Schedules a tenant-scoped `PoisonOutput`: the next `n` batches the
-    /// gateway serves for `tenant` get a NaN first logit after the forward
-    /// pass. Other tenants' batches are untouched, so isolation tests can
-    /// pin that quarantine and retry stay per-tenant.
-    #[must_use]
-    pub fn poison_tenant_output(mut self, tenant: &str, n: usize) -> Self {
-        self.tenant_poisons.push(TenantPoison { tenant: tenant.to_string(), left: n });
-        self
-    }
-
-    /// Returns the faults due at micro-batch `batch`, marking each fired.
-    pub fn take_due(&mut self, batch: usize) -> Vec<ServeFaultKind> {
-        let mut due = Vec::new();
-        for s in &mut self.scheduled {
-            if !s.fired && s.at_batch == batch {
-                s.fired = true;
-                due.push(s.kind);
-            }
-        }
-        due
-    }
-
-    /// Consumes one request poisoning if any remain.
-    pub fn take_request_poison(&mut self) -> bool {
-        if self.poison_requests_left == 0 {
-            return false;
-        }
-        self.poison_requests_left -= 1;
-        true
-    }
-
-    /// Flips one byte in the middle of `bytes` if the corruption is armed;
-    /// returns whether it fired. Empty inputs are left alone (truncation is
-    /// already its own failure).
-    pub fn corrupt_load(&mut self, bytes: &mut [u8]) -> bool {
-        if !self.corrupt_load_armed || bytes.is_empty() {
-            return false;
-        }
-        self.corrupt_load_armed = false;
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        true
-    }
-
-    /// The swap-window twin of [`ServeFaultPlan::corrupt_load`]: flips one
-    /// mid-file byte of a *hot-swap* artifact read if armed by
-    /// [`ServeFaultPlan::corrupt_swap_artifact`]. One-shot.
-    pub fn corrupt_swap(&mut self, bytes: &mut [u8]) -> bool {
-        if !self.corrupt_swap_armed || bytes.is_empty() {
-            return false;
-        }
-        self.corrupt_swap_armed = false;
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        true
-    }
-
-    /// Consumes one tenant-scoped output poisoning for `tenant`, if any
-    /// remain. The gateway calls this once per batch it serves for the
-    /// tenant.
-    pub fn take_tenant_poison(&mut self, tenant: &str) -> bool {
-        for p in &mut self.tenant_poisons {
-            if p.tenant == tenant && p.left > 0 {
-                p.left -= 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// True when every scheduled fault has fired and nothing remains armed.
-    pub fn exhausted(&self) -> bool {
-        self.poison_requests_left == 0
-            && !self.corrupt_load_armed
-            && !self.corrupt_swap_armed
-            && self.tenant_poisons.iter().all(|p| p.left == 0)
-            && self.scheduled.iter().all(|s| s.fired)
     }
 }
 
@@ -286,9 +114,8 @@ mod tests {
         assert_eq!(plan.take_due(3), vec![FaultKind::NanActivations, FaultKind::NanWeights]);
         // Replaying iteration 3 after a rollback: nothing fires again.
         assert!(plan.take_due(3).is_empty());
-        assert!(!plan.exhausted());
         assert_eq!(plan.take_due(7), vec![FaultKind::InfActivations]);
-        assert!(plan.exhausted());
+        assert!(plan.take_due(7).is_empty());
     }
 
     #[test]
@@ -297,69 +124,5 @@ mod tests {
         assert!(plan.inject_io_error().is_some());
         assert!(plan.inject_io_error().is_some());
         assert!(plan.inject_io_error().is_none());
-        assert!(plan.exhausted());
-    }
-
-    #[test]
-    fn serve_faults_fire_once_per_batch() {
-        let mut plan = ServeFaultPlan::new()
-            .inject_at_batch(1, ServeFaultKind::SlowBatch { stall_ms: 200 })
-            .inject_at_batch(1, ServeFaultKind::PoisonOutput)
-            .inject_at_batch(4, ServeFaultKind::SlowBatch { stall_ms: 50 });
-        assert!(plan.take_due(0).is_empty());
-        assert_eq!(
-            plan.take_due(1),
-            vec![ServeFaultKind::SlowBatch { stall_ms: 200 }, ServeFaultKind::PoisonOutput]
-        );
-        assert!(plan.take_due(1).is_empty(), "one-shot: nothing fires twice");
-        assert!(!plan.exhausted());
-        assert_eq!(plan.take_due(4), vec![ServeFaultKind::SlowBatch { stall_ms: 50 }]);
-        assert!(plan.exhausted());
-    }
-
-    #[test]
-    fn request_poison_is_bounded() {
-        let mut plan = ServeFaultPlan::new().poison_requests(2);
-        assert!(plan.take_request_poison());
-        assert!(plan.take_request_poison());
-        assert!(!plan.take_request_poison());
-        assert!(plan.exhausted());
-    }
-
-    #[test]
-    fn swap_corruption_is_independent_of_load_corruption() {
-        let mut plan = ServeFaultPlan::new().corrupt_swap_artifact();
-        let mut bytes = vec![0u8; 8];
-        assert!(!plan.corrupt_load(&mut bytes), "swap arming must not hit ordinary loads");
-        assert!(plan.corrupt_swap(&mut bytes));
-        assert_eq!(bytes[4], 0x40);
-        let mut again = vec![0u8; 8];
-        assert!(!plan.corrupt_swap(&mut again), "swap corruption is one-shot");
-        assert!(plan.exhausted());
-    }
-
-    #[test]
-    fn tenant_poison_is_scoped_and_bounded() {
-        let mut plan = ServeFaultPlan::new().poison_tenant_output("beta", 2);
-        assert!(!plan.take_tenant_poison("alpha"), "other tenants stay clean");
-        assert!(plan.take_tenant_poison("beta"));
-        assert!(!plan.exhausted());
-        assert!(plan.take_tenant_poison("beta"));
-        assert!(!plan.take_tenant_poison("beta"), "tenant poison is bounded");
-        assert!(plan.exhausted());
-    }
-
-    #[test]
-    fn checkpoint_corruption_flips_one_mid_byte_once() {
-        let mut plan = ServeFaultPlan::new().corrupt_checkpoint_load();
-        let mut empty: [u8; 0] = [];
-        assert!(!plan.corrupt_load(&mut empty), "empty input is left alone");
-        let mut bytes = vec![0u8; 8];
-        assert!(plan.corrupt_load(&mut bytes));
-        assert_eq!(bytes[4], 0x40);
-        assert_eq!(bytes.iter().filter(|&&b| b != 0).count(), 1);
-        let mut again = vec![0u8; 8];
-        assert!(!plan.corrupt_load(&mut again), "corruption is one-shot");
-        assert!(plan.exhausted());
     }
 }

@@ -17,6 +17,13 @@ use adr_reuse::reuse_layers;
 use adr_tensor::sanitize::first_non_finite;
 use adr_tensor::Tensor4;
 
+/// Minimum clustered rows before cluster-shape checks apply — tiny batches
+/// make both degenerate shapes legitimately possible.
+const MIN_CLUSTER_ROWS: usize = 32;
+
+/// `r_c` at or below this is treated as a one-giant-cluster collapse.
+const REMAINING_RATIO_FLOOR: f64 = 0.02;
+
 /// Detection thresholds and rollback budget of a [`Guardrail`].
 #[derive(Clone, Debug)]
 pub struct GuardrailConfig {
@@ -25,11 +32,6 @@ pub struct GuardrailConfig {
     /// Healthy observations required before spike detection arms
     /// (early-training losses legitimately jump around).
     pub spike_warmup: usize,
-    /// Minimum clustered rows before cluster-shape checks apply —
-    /// tiny batches make both degenerate shapes legitimately possible.
-    pub min_cluster_rows: usize,
-    /// `r_c` at or below this is treated as a one-giant-cluster collapse.
-    pub remaining_ratio_floor: f64,
     /// Take a rollback snapshot every this many iterations.
     pub snapshot_every: usize,
     /// After this many rollbacks the guardrail disarms instead of looping
@@ -39,14 +41,7 @@ pub struct GuardrailConfig {
 
 impl Default for GuardrailConfig {
     fn default() -> Self {
-        Self {
-            loss_spike_factor: 4.0,
-            spike_warmup: 10,
-            min_cluster_rows: 32,
-            remaining_ratio_floor: 0.02,
-            snapshot_every: 25,
-            max_rollbacks: 8,
-        }
+        Self { loss_spike_factor: 4.0, spike_warmup: 10, snapshot_every: 25, max_rollbacks: 8 }
     }
 }
 
@@ -141,7 +136,7 @@ impl Guardrail {
         if let Some(detail) = scan_params(net) {
             return Some((GuardrailEventKind::NonFiniteParams, detail));
         }
-        if let Some(detail) = self.scan_clusters(net) {
+        if let Some(detail) = scan_clusters(net) {
             return Some((GuardrailEventKind::DegenerateClustering, detail));
         }
         if self.observations > self.config.spike_warmup {
@@ -162,39 +157,42 @@ impl Guardrail {
         self.smoothed.update(loss);
         None
     }
+}
 
-    fn scan_clusters(&self, net: &mut Network) -> Option<String> {
-        for reuse in reuse_layers(net) {
-            let name = reuse.name().to_string();
-            // A dense-mode layer (the exact fallback) clusters nothing: its
-            // stats describe N rows at r_c = 1 under an untouched config.
-            if reuse.is_dense() {
-                continue;
-            }
-            let stats = reuse.stats();
-            if stats.rows < self.config.min_cluster_rows {
-                continue;
-            }
-            // More clusters than 2^H signatures can address means the
-            // live families disagree with the configured H — the
-            // all-singleton injection shape.
-            #[allow(clippy::cast_possible_truncation)]
-            let capacity = 2f64.powi(reuse.config().num_hashes.min(52) as i32);
-            if stats.avg_clusters > capacity {
-                return Some(format!(
-                    "layer {name}: {:.1} clusters exceeds 2^H = {capacity} (all-singleton)",
-                    stats.avg_clusters
-                ));
-            }
-            if stats.avg_remaining_ratio <= self.config.remaining_ratio_floor {
-                return Some(format!(
-                    "layer {name}: remaining ratio {:.4} at or below floor {} (one giant cluster)",
-                    stats.avg_remaining_ratio, self.config.remaining_ratio_floor
-                ));
-            }
+/// Checks every reuse layer that clustered for a degenerate shape; returns a
+/// description of the first offender.
+fn scan_clusters(net: &mut Network) -> Option<String> {
+    for reuse in reuse_layers(net) {
+        let name = reuse.name().to_string();
+        // A dense-mode layer (the exact fallback) clusters nothing: its
+        // stats describe N rows at r_c = 1 under an untouched config.
+        if reuse.is_dense() {
+            continue;
         }
-        None
+        let stats = reuse.stats();
+        if stats.rows < MIN_CLUSTER_ROWS {
+            continue;
+        }
+        // More clusters than 2^H signatures can address means the
+        // live families disagree with the configured H — the
+        // all-singleton injection shape.
+        #[allow(clippy::cast_possible_truncation)]
+        let capacity = 2f64.powi(reuse.config().num_hashes.min(52) as i32);
+        if stats.avg_clusters > capacity {
+            return Some(format!(
+                "layer {name}: {:.1} clusters exceeds 2^H = {capacity} (all-singleton)",
+                stats.avg_clusters
+            ));
+        }
+        if stats.avg_remaining_ratio <= REMAINING_RATIO_FLOOR {
+            return Some(format!(
+                "layer {name}: remaining ratio {:.4} at or below floor {REMAINING_RATIO_FLOOR} \
+                 (one giant cluster)",
+                stats.avg_remaining_ratio
+            ));
+        }
     }
+    None
 }
 
 /// Scans every learnable parameter for NaN/∞; returns a description of

@@ -26,13 +26,12 @@
 //!   FLOP/time/iteration accounting.
 //! * [`report`] — the per-run summary used to regenerate Table IV.
 //! * [`state`] — full-run snapshots (`TrainState`): crash-safe persistence
-//!   of parameters, momentum, the schedule cursor, FLOP totals and the
-//!   batch-source position, enabling bitwise-identical resume.
+//!   of parameters, momentum, the schedule cursor and FLOP totals,
+//!   enabling bitwise-identical resume.
 //! * [`guardrails`] — runtime health checks (non-finite loss/params, loss
 //!   spikes, degenerate clusterings) with rollback + stage tightening.
 //! * [`faults`] — a deterministic fault-injection harness for testing the
-//!   two modules above, plus serving-side injection points (slow batches,
-//!   poisoned outputs, corrupt checkpoint loads) for `adr_serve`.
+//!   two modules above.
 
 #![warn(missing_docs)]
 // Tests assert on values they just constructed; unwrap there is the idiom.
@@ -54,7 +53,7 @@ pub mod trainer;
 
 pub use candidates::CandidateList;
 pub use controller::{AdaptiveController, ControllerError, ControllerState};
-pub use faults::{FaultKind, FaultPlan, ServeFaultKind, ServeFaultPlan};
+pub use faults::{FaultKind, FaultPlan};
 pub use guardrails::{Guardrail, GuardrailConfig, GuardrailEvent, GuardrailEventKind};
 pub use policy::{HRange, LRange};
 pub use report::TrainReport;
@@ -62,5 +61,5 @@ pub use schedule::ScheduleState;
 pub use state::TrainState;
 pub use strategy::Strategy;
 pub use trainer::{
-    BatchSource, CheckpointPolicy, FnBatchSource, TrainError, TrainOptions, Trainer, TrainerConfig,
+    BatchSource, CheckpointPolicy, TrainError, TrainOptions, Trainer, TrainerConfig,
 };

@@ -44,9 +44,6 @@ pub struct TrainReport {
     /// Guardrail detections and reactions, in occurrence order (empty when
     /// guardrails were not armed or nothing went wrong).
     pub guardrail_events: Vec<GuardrailEvent>,
-    /// True when the run stopped at `halt_after` rather than finishing —
-    /// the kill-and-resume harness's signal that a resume is expected.
-    pub interrupted: bool,
 }
 
 impl TrainReport {
@@ -91,9 +88,6 @@ impl TrainReport {
         for ev in &self.guardrail_events {
             s.push_str(&format!("\n  guardrail @ {}: {:?} — {}", ev.iteration, ev.kind, ev.detail));
         }
-        if self.interrupted {
-            s.push_str("\n  run interrupted (resumable from its last checkpoint)");
-        }
         s
     }
 }
@@ -120,7 +114,6 @@ mod tests {
                 kind: crate::guardrails::GuardrailEventKind::RolledBack,
                 detail: "restored snapshot @ 25".into(),
             }],
-            interrupted: false,
         }
     }
 

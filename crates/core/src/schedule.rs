@@ -186,6 +186,22 @@ impl Schedule {
         }
     }
 
+    /// Whether [`Schedule::restore`] would accept `state`, checked without
+    /// moving anything.
+    ///
+    /// # Errors
+    /// [`ControllerError::ScheduleMismatch`] for a cursor of another
+    /// strategy, [`ControllerError::StageOutOfRange`] for a stage this
+    /// controller's schedule does not reach.
+    pub(crate) fn check(&self, state: &ScheduleState) -> Result<(), ControllerError> {
+        match (&self.plan, state) {
+            (_, ScheduleState::Unset)
+            | (Plan::ClusterReuse { .. }, ScheduleState::ClusterReuse { .. }) => Ok(()),
+            (Plan::Adaptive(ctrl), ScheduleState::Adaptive(cursor)) => ctrl.check(cursor),
+            _ => Err(ControllerError::ScheduleMismatch),
+        }
+    }
+
     /// Moves the schedule back to `state` and re-applies what that cursor
     /// means to the layers. The LSH families are re-derived from the
     /// restored configuration as well: they live outside every snapshot,
@@ -193,16 +209,15 @@ impl Schedule {
     /// `{L, H}`.
     ///
     /// # Errors
-    /// [`ControllerError::ScheduleMismatch`] for a cursor of another
-    /// strategy, [`ControllerError::StageOutOfRange`] for a stage this
-    /// controller's schedule does not reach; neither moves anything.
+    /// The errors of [`Schedule::check`], which runs first; neither moves
+    /// anything.
     pub(crate) fn restore(
         &mut self,
         net: &mut Network,
         state: &ScheduleState,
     ) -> Result<(), ControllerError> {
+        self.check(state)?;
         match (&mut self.plan, state) {
-            (_, ScheduleState::Unset) => {}
             (Plan::Adaptive(ctrl), ScheduleState::Adaptive(cursor)) => ctrl.restore(net, cursor)?,
             (
                 Plan::ClusterReuse { config, plateau },
@@ -211,7 +226,7 @@ impl Schedule {
                 plateau.restore(window);
                 config.cluster_reuse = *active;
             }
-            _ => return Err(ControllerError::ScheduleMismatch),
+            _ => {}
         }
         self.apply(net);
         reuse_layers(net).for_each(ReuseConv2d::rebuild_families);

@@ -4,14 +4,13 @@
 //! model but not to *resume* a run: bitwise-identical continuation also
 //! needs the optimiser's momentum buffers and step counter, the schedule's
 //! cursor ([`ScheduleState`]: Strategy 2's stage and plateau window, or
-//! Strategy 3's plateau window and `CR` flag), the epoch meter, the FLOP
-//! totals, and the batch source's position. [`TrainState`] is that
-//! checkpoint plus all of it. Its on-disk format is built from the
-//! checkpoint's codec — the same header check, field reader, f32 slot
-//! lists and [`CheckpointError`] — arranged as fixed-order tagged sections
-//! each protected by its own CRC32, written through the atomic-rename
-//! protocol in [`adr_nn::durable`]; its restore validates every length
-//! before mutating anything.
+//! Strategy 3's plateau window and `CR` flag), the epoch meter and the FLOP
+//! totals. [`TrainState`] is that checkpoint plus all of it. Its on-disk
+//! format is built from the checkpoint's codec — the same header check,
+//! field reader, f32 slot lists and [`CheckpointError`] — arranged as
+//! fixed-order tagged sections each protected by its own CRC32, written
+//! through the atomic-rename protocol in [`adr_nn::durable`]; its restore
+//! validates every length before mutating anything.
 //!
 //! Known non-goals (documented, deliberate): the across-batch cluster-reuse
 //! caches (`CR = 1`) are *not* captured — they are transient acceleration
@@ -48,8 +47,8 @@ pub struct LayerFlopState {
 
 /// Everything a training run needs to continue bitwise-identically after a
 /// crash: the model's [`Checkpoint`], SGD momentum and step counter, the
-/// schedule cursor, the epoch meter, per-layer FLOP totals, and the batch
-/// source's opaque cursor.
+/// schedule cursor, the epoch meter, per-layer FLOP totals, and an empty
+/// batch-source cursor.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrainState {
     /// Next training iteration to run (iterations completed so far).
@@ -69,14 +68,17 @@ pub struct TrainState {
     /// Running epoch meter (smoothed training accuracy feeds Amendment
     /// rule selection, so it must survive a restart).
     pub meter: EpochMeterState,
-    /// Opaque batch-source cursor from `BatchSource::snapshot_state`.
+    /// Batch-source cursor (the `SRCS` section). The trainer writes it
+    /// empty, because every batch is a function of its index, and a resume
+    /// refuses a non-empty one; the section stays so the byte layout does
+    /// not move.
     pub source_state: Vec<u64>,
 }
 
 impl TrainState {
     /// Captures the model-side state (checkpoint, velocity, FLOP totals,
     /// SGD step) of `net`. The trainer fills in the loop-side fields
-    /// (`schedule`, `meter`, `source_state`) before persisting.
+    /// (`schedule`, `meter`) before persisting.
     pub fn capture(net: &mut Network, sgd: &Sgd, strategy: Strategy, iteration: usize) -> Self {
         let velocity = net
             .layers_mut()

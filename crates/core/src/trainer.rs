@@ -24,7 +24,9 @@ use crate::strategy::Strategy;
 ///
 /// The trainer cycles `batch(0..num_batches)` repeatedly; `probe` must stay
 /// disjoint from the training stream so accuracy checks (the controller's
-/// Amendment tests and the target-accuracy stop rule) are honest.
+/// Amendment tests and the target-accuracy stop rule) are honest. A batch
+/// is a pure function of its index, so a resumed run sees the batches an
+/// uninterrupted one would: a snapshot stores no source cursor.
 pub trait BatchSource {
     /// Distinct training batches available.
     fn num_batches(&self) -> usize;
@@ -34,64 +36,11 @@ pub trait BatchSource {
 
     /// A fixed held-out batch for probing accuracy.
     fn probe(&mut self) -> (Tensor4, Vec<usize>);
-
-    /// Opaque cursor state persisted into training checkpoints. Sources
-    /// whose `batch(index)` is a pure function of `index` (the common
-    /// case) need no state and keep the empty default.
-    fn snapshot_state(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Restores a cursor previously returned by
-    /// [`BatchSource::snapshot_state`].
-    ///
-    /// # Errors
-    /// The default implementation accepts only the empty cursor; stateful
-    /// sources override both methods and validate their own layout.
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        if state.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "this batch source is stateless but the checkpoint carries {} cursor words",
-                state.len()
-            ))
-        }
-    }
 }
 
-/// Adapts a closure into a [`BatchSource`].
-pub struct FnBatchSource<F> {
-    num_batches: usize,
-    make_batch: F,
-    probe: (Tensor4, Vec<usize>),
-}
-
-impl<F: FnMut(usize) -> (Tensor4, Vec<usize>)> FnBatchSource<F> {
-    /// Creates a source from a batch-producing closure and a fixed probe.
-    ///
-    /// # Panics
-    /// Panics if `num_batches == 0` or the probe is empty.
-    pub fn new(num_batches: usize, make_batch: F, probe: (Tensor4, Vec<usize>)) -> Self {
-        assert!(num_batches > 0, "need at least one training batch");
-        assert!(!probe.1.is_empty(), "probe batch must be non-empty");
-        Self { num_batches, make_batch, probe }
-    }
-}
-
-impl<F: FnMut(usize) -> (Tensor4, Vec<usize>)> BatchSource for FnBatchSource<F> {
-    fn num_batches(&self) -> usize {
-        self.num_batches
-    }
-
-    fn batch(&mut self, index: usize) -> (Tensor4, Vec<usize>) {
-        (self.make_batch)(index)
-    }
-
-    fn probe(&mut self) -> (Tensor4, Vec<usize>) {
-        self.probe.clone()
-    }
-}
+/// Most `(iteration, loss)` samples a [`TrainReport`]'s `loss_history`
+/// keeps: every `max_iterations / HISTORY_SAMPLES`-th step's loss.
+const HISTORY_SAMPLES: usize = 256;
 
 /// Trainer knobs.
 #[derive(Clone, Debug)]
@@ -112,8 +61,6 @@ pub struct TrainerConfig {
     pub plateau_warmup: usize,
     /// Cap on distinct `H` candidates per layer (Strategy 2).
     pub max_h_values: usize,
-    /// Keep at most this many history samples.
-    pub history_samples: usize,
 }
 
 impl Default for TrainerConfig {
@@ -126,7 +73,6 @@ impl Default for TrainerConfig {
             plateau_min_delta: 0.005,
             plateau_warmup: 20,
             max_h_values: 6,
-            history_samples: 256,
         }
     }
 }
@@ -169,9 +115,6 @@ pub struct TrainOptions<'a> {
     pub guardrails: Option<crate::guardrails::GuardrailConfig>,
     /// Deterministic fault script (tests and chaos drills).
     pub faults: Option<&'a mut FaultPlan>,
-    /// Stop after this many iterations *of this invocation* and mark the
-    /// report interrupted — simulates a kill for crash-recovery tests.
-    pub halt_after: Option<usize>,
 }
 
 /// Why a training run could not start or continue.
@@ -190,8 +133,10 @@ pub enum TrainError {
         /// Strategy recorded in the snapshot.
         found: Strategy,
     },
-    /// The batch source rejected the resume state's cursor.
-    SourceState(String),
+    /// The resume state carries a batch-source cursor; no source here
+    /// keeps one (every batch is a function of its index), so a snapshot
+    /// that does was not written by this trainer.
+    SourceState(usize),
 }
 
 impl std::fmt::Display for TrainError {
@@ -204,9 +149,11 @@ impl std::fmt::Display for TrainError {
                 "resume rejected: train state was captured under strategy {found:?}, resuming \
                  run uses {expected:?}"
             ),
-            Self::SourceState(e) => {
-                write!(f, "resume rejected: batch source rejected its recorded state: {e}")
-            }
+            Self::SourceState(words) => write!(
+                f,
+                "resume rejected: the train state carries {words} batch-source cursor words, \
+                 and batch sources here are stateless"
+            ),
         }
     }
 }
@@ -232,25 +179,26 @@ pub struct Trainer {
 struct Run<'a> {
     net: &'a mut Network,
     sgd: &'a mut Sgd,
-    source: &'a mut dyn BatchSource,
     strategy: Strategy,
     schedule: Schedule,
     meter: EpochMeter,
 }
 
 impl Run<'_> {
-    /// Captures a complete [`TrainState`] for `iteration`.
+    /// Captures a complete [`TrainState`] for `iteration`; its
+    /// batch-source cursor stays empty.
     fn capture(&mut self, iteration: usize) -> TrainState {
         let mut state = TrainState::capture(self.net, self.sgd, self.strategy, iteration);
         state.schedule = self.schedule.snapshot();
         state.meter = self.meter.snapshot();
-        state.source_state = self.source.snapshot_state();
         state
     }
 
     /// Puts model, optimiser, schedule (and through it the reuse layers'
-    /// knobs), meter and source cursor back to `state`. The strategy is
-    /// checked before the first write.
+    /// knobs) and meter back to `state`. The strategy, the source cursor
+    /// and the schedule cursor are checked before the first write, and
+    /// `restore_model` checks the model half before its own, so a refused
+    /// state leaves the run as it was.
     fn restore(&mut self, state: &TrainState) -> Result<(), TrainError> {
         if state.strategy != self.strategy {
             return Err(TrainError::StrategyMismatch {
@@ -258,10 +206,14 @@ impl Run<'_> {
                 found: state.strategy,
             });
         }
+        if !state.source_state.is_empty() {
+            return Err(TrainError::SourceState(state.source_state.len()));
+        }
+        self.schedule.check(&state.schedule).map_err(TrainError::Controller)?;
         state.restore_model(self.net, self.sgd).map_err(TrainError::Resume)?;
         self.schedule.restore(self.net, &state.schedule).map_err(TrainError::Controller)?;
         self.meter.restore(&state.meter);
-        self.source.restore_state(&state.source_state).map_err(TrainError::SourceState)
+        Ok(())
     }
 }
 
@@ -309,7 +261,9 @@ impl Trainer {
     /// another strategy's schedule cursor, and [`TrainError::Resume`],
     /// [`TrainError::StrategyMismatch`] or [`TrainError::SourceState`] when
     /// `options.resume` does not fit the run (different architecture,
-    /// another strategy, or a rejected batch-source cursor).
+    /// another strategy, or a batch-source cursor). A refused resume
+    /// writes no parameter, velocity or FLOP meter; the reuse layers keep
+    /// the strategy's opening `{L, H, CR}`, applied before the check.
     #[allow(clippy::too_many_lines)]
     pub fn train_with(
         &self,
@@ -323,7 +277,7 @@ impl Trainer {
         let probe = source.probe();
         let schedule =
             Schedule::start(net, strategy, cfg, probe.1.len()).map_err(TrainError::Controller)?;
-        let mut run = Run { net, sgd, source, strategy, schedule, meter: EpochMeter::new() };
+        let mut run = Run { net, sgd, strategy, schedule, meter: EpochMeter::new() };
 
         let mut start_iter = 0;
         if let Some(state) = &options.resume {
@@ -338,8 +292,7 @@ impl Trainer {
         let mut accuracy_history = Vec::new();
         let mut iterations_to_target = None;
         let mut guardrail_events: Vec<GuardrailEvent> = Vec::new();
-        let mut interrupted = false;
-        let history_stride = (cfg.max_iterations / cfg.history_samples.max(1)).max(1);
+        let history_stride = (cfg.max_iterations / HISTORY_SAMPLES).max(1);
 
         let mut faults = options.faults;
         let mut guardrail = options.guardrails.map(Guardrail::new);
@@ -356,7 +309,7 @@ impl Trainer {
         while iter < cfg.max_iterations {
             iterations_run = iter + 1;
             adr_obs::begin_step();
-            let (mut images, labels) = run.source.batch(iter % run.source.num_batches());
+            let (mut images, labels) = source.batch(iter % source.num_batches());
 
             // Scheduled fault injection (one-shot per fault).
             if let Some(plan) = faults.as_deref_mut() {
@@ -482,12 +435,6 @@ impl Trainer {
                 }
             }
 
-            if let Some(halt) = options.halt_after {
-                if boundary - start_iter >= halt {
-                    interrupted = true;
-                    break;
-                }
-            }
             iter = boundary;
         }
         let wall_time = start.elapsed();
@@ -506,7 +453,6 @@ impl Trainer {
             loss_history,
             accuracy_history,
             guardrail_events,
-            interrupted,
         })
     }
 
@@ -552,11 +498,29 @@ mod tests {
     use adr_tensor::im2col::ConvGeom;
     use adr_tensor::rng::AdrRng;
 
-    /// Tiny 3-class problem: class = which image row band is bright.
-    fn toy_source(seed: u64) -> FnBatchSource<impl FnMut(usize) -> (Tensor4, Vec<usize>)> {
-        let make = move |index: usize| make_batch(seed + index as u64);
-        let probe = make_batch(seed + 1000);
-        FnBatchSource::new(4, make, probe)
+    /// Tiny 3-class problem: class = which image row band is bright. Batch
+    /// `index` is drawn from seed `seed + index`, the probe from
+    /// `seed + 1000`.
+    struct ToySource {
+        seed: u64,
+    }
+
+    impl BatchSource for ToySource {
+        fn num_batches(&self) -> usize {
+            4
+        }
+
+        fn batch(&mut self, index: usize) -> (Tensor4, Vec<usize>) {
+            make_batch(self.seed + index as u64)
+        }
+
+        fn probe(&mut self) -> (Tensor4, Vec<usize>) {
+            make_batch(self.seed + 1000)
+        }
+    }
+
+    fn toy_source(seed: u64) -> ToySource {
+        ToySource { seed }
     }
 
     fn make_batch(seed: u64) -> (Tensor4, Vec<usize>) {
@@ -607,38 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn fn_batch_source_cycles_and_probes() {
-        let mut calls = 0usize;
-        let probe = make_batch(999);
-        let mut source = FnBatchSource::new(
-            3,
-            move |index| {
-                calls += 1;
-                let _ = calls;
-                make_batch(index as u64)
-            },
-            probe.clone(),
-        );
-        assert_eq!(source.num_batches(), 3);
-        let (images, labels) = source.batch(1);
-        assert_eq!(images.batch(), labels.len());
-        let (p_images, p_labels) = source.probe();
-        assert_eq!(p_images.as_slice(), probe.0.as_slice());
-        assert_eq!(p_labels, probe.1);
-        // Stateless by default: empty cursor round-trips, non-empty fails.
-        assert!(source.snapshot_state().is_empty());
-        assert!(source.restore_state(&[]).is_ok());
-        assert!(source.restore_state(&[1]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one training batch")]
-    fn zero_batch_source_panics() {
-        let probe = make_batch(1);
-        let _ = FnBatchSource::new(0, |i| make_batch(i as u64), probe);
-    }
-
-    #[test]
     fn baseline_training_learns_toy_task() {
         let trainer = Trainer::new(quick_config());
         let mut net = dense_net(1);
@@ -649,7 +581,6 @@ mod tests {
         assert_eq!(report.actual_flops, report.baseline_flops);
         assert!(report.switches.is_empty());
         assert!(report.guardrail_events.is_empty());
-        assert!(!report.interrupted);
     }
 
     #[test]
@@ -745,10 +676,10 @@ mod tests {
     }
 
     #[test]
-    fn halt_after_interrupts_and_resume_matches_uninterrupted() {
+    fn killed_run_resumes_to_the_uninterrupted_result() {
         let cfg = TrainerConfig { max_iterations: 40, ..quick_config() };
-        halt_and_resume(dense_net, Strategy::baseline(), cfg, 20);
-        // Strategy 3 halted *after* its CR switch (iteration 71 with these
+        kill_and_resume(dense_net, Strategy::baseline(), cfg, 20);
+        // Strategy 3 killed *after* its CR switch (iteration 71 with these
         // seeds): the resume must put `CR = 0` back on the layers and not
         // report the switch again.
         let cfg = TrainerConfig {
@@ -757,28 +688,32 @@ mod tests {
             plateau_min_delta: 0.02,
             ..quick_config()
         };
-        halt_and_resume(reuse_net, Strategy::cluster_reuse(3, 6), cfg, 80);
+        kill_and_resume(reuse_net, Strategy::cluster_reuse(3, 6), cfg, 80);
     }
 
-    fn halt_and_resume(
+    /// Trains `cfg.max_iterations` in one run, and in a run killed at
+    /// `kill` (a first run whose budget ends there, checkpointing every 10)
+    /// plus a resume from its last checkpoint; the two must agree bitwise.
+    fn kill_and_resume(
         make_net: fn(u64) -> Network,
         strategy: Strategy,
         cfg: TrainerConfig,
-        halt: usize,
+        kill: usize,
     ) {
         let total = cfg.max_iterations;
+        let killed = Trainer::new(TrainerConfig { max_iterations: kill, ..cfg.clone() });
         let trainer = Trainer::new(cfg);
         let mut sgd_a = Sgd::constant(0.05);
         let mut net_a = make_net(8);
         let full = trainer.train(&mut net_a, strategy, &mut toy_source(80), &mut sgd_a).unwrap();
 
-        // Interrupted twin: halt, capture, resume to the end.
+        // Killed twin: stop, capture, resume to the end.
         let mut sgd_b = Sgd::constant(0.05);
         let mut net_b = make_net(8);
-        let dir = std::env::temp_dir().join(format!("adr_trainer_halt_resume_{}", full.strategy));
+        let dir = std::env::temp_dir().join(format!("adr_trainer_kill_resume_{}", full.strategy));
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("state.bin");
-        let first = trainer
+        let first = killed
             .train_with(
                 &mut net_b,
                 strategy,
@@ -786,18 +721,16 @@ mod tests {
                 &mut sgd_b,
                 TrainOptions {
                     checkpoint: Some(CheckpointPolicy::new(&ckpt, 10)),
-                    halt_after: Some(halt),
                     ..Default::default()
                 },
             )
             .unwrap();
-        assert!(first.interrupted);
-        assert_eq!(first.iterations_run, halt);
+        assert_eq!(first.iterations_run, kill);
         assert_eq!(first.switches, full.switches, "every switch precedes the halt");
 
         // Fresh process simulation: new net/sgd, state from disk.
         let state = TrainState::load(&ckpt).unwrap();
-        assert_eq!(state.iteration, halt);
+        assert_eq!(state.iteration, kill);
         let mut sgd_c = Sgd::constant(0.05);
         let mut net_c = make_net(8);
         let resumed = trainer
@@ -809,7 +742,6 @@ mod tests {
                 TrainOptions { resume: Some(state.clone()), ..Default::default() },
             )
             .unwrap();
-        assert!(!resumed.interrupted);
         assert_eq!(resumed.iterations_run, full.iterations_run);
         assert!(resumed.switches.is_empty(), "{:?}", resumed.switches);
         if let Strategy::ClusterReuseSchedule { .. } = strategy {
@@ -865,6 +797,77 @@ mod tests {
         assert!(err.to_string().contains("AdaptiveLh"), "{err}");
     }
 
+    /// A donor snapshot (another seed's weights and momentum, of the right
+    /// strategy) whose schedule cursor or source cursor does not fit leaves
+    /// every parameter, velocity and FLOP meter of the resuming run, and its
+    /// SGD step, as they were.
+    #[test]
+    fn a_refused_resume_leaves_the_network_and_optimiser_untouched() {
+        let trained = |seed: u64| {
+            let (mut net, mut sgd, mut source) =
+                (reuse_net(seed), Sgd::constant(0.05), toy_source(seed * 10));
+            for i in 0..3 {
+                let (images, labels) = source.batch(i);
+                net.train_batch(&images, &labels, &mut sgd);
+            }
+            (net, sgd)
+        };
+        let donor = |strategy| {
+            let (mut net, sgd) = trained(21);
+            TrainState::capture(&mut net, &sgd, strategy, 10)
+        };
+        let bits = |state: &TrainState| {
+            let to_bits = |slots: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                slots.iter().map(|s| s.iter().map(|v| v.to_bits()).collect()).collect()
+            };
+            (to_bits(&state.model.params), to_bits(&state.velocity), state.flops.clone())
+        };
+        let plateau =
+            adr_nn::metrics::PlateauState { smoothed: None, best: 1.0, stale: 0, seen: 1 };
+        let fixed = Strategy::fixed(3, 6);
+        let cases = [
+            (
+                fixed,
+                TrainState {
+                    schedule: ScheduleState::ClusterReuse { plateau, active: true },
+                    ..donor(fixed)
+                },
+            ),
+            (
+                Strategy::adaptive(),
+                TrainState {
+                    schedule: ScheduleState::Adaptive(crate::ControllerState {
+                        stage: 1_000,
+                        plateau,
+                    }),
+                    ..donor(Strategy::adaptive())
+                },
+            ),
+            (fixed, TrainState { source_state: vec![7], ..donor(fixed) }),
+        ];
+        let trainer = Trainer::new(quick_config());
+        for (case, (strategy, state)) in cases.into_iter().enumerate() {
+            let (mut net, mut sgd) = trained(22);
+            let before = TrainState::capture(&mut net, &sgd, strategy, 0);
+            let options = TrainOptions { resume: Some(state), ..Default::default() };
+            let err = trainer
+                .train_with(&mut net, strategy, &mut toy_source(220), &mut sgd, options)
+                .unwrap_err();
+            let refused = match case {
+                0 => matches!(err, TrainError::Controller(ControllerError::ScheduleMismatch)),
+                1 => matches!(
+                    err,
+                    TrainError::Controller(ControllerError::StageOutOfRange { stage: 1_000, .. })
+                ),
+                _ => matches!(err, TrainError::SourceState(1)),
+            };
+            assert!(refused, "case {case}: {err}");
+            let after = TrainState::capture(&mut net, &sgd, strategy, 0);
+            assert!(bits(&before) == bits(&after), "case {case}: the refused resume wrote");
+            assert_eq!(before.sgd_step, after.sgd_step, "case {case}");
+        }
+    }
+
     #[test]
     fn guardrail_rolls_back_and_tightens_on_injected_nan() {
         let trainer = Trainer::new(TrainerConfig { max_iterations: 60, ..quick_config() });
@@ -913,28 +916,21 @@ mod tests {
                 (reuse_net(13), Sgd::constant(0.05), toy_source(130));
             let schedule = Schedule::start(&mut net, strategy, &quick_config(), 6).unwrap();
             let meter = EpochMeter::new();
-            let mut run = Run {
-                net: &mut net,
-                sgd: &mut sgd,
-                source: &mut source,
-                strategy,
-                schedule,
-                meter,
-            };
+            let mut run = Run { net: &mut net, sgd: &mut sgd, strategy, schedule, meter };
             assert!(reuse_layers(run.net).all(|reuse| reuse.config().cluster_reuse));
-            let train = |run: &mut Run<'_>, steps: usize| {
+            let train = |run: &mut Run<'_>, source: &mut ToySource, steps: usize| {
                 for i in 0..steps {
-                    let (images, labels) = run.source.batch(i % run.source.num_batches());
+                    let (images, labels) = source.batch(i % source.num_batches());
                     run.net.train_batch(&images, &labels, run.sgd);
                 }
             };
             let state = run.capture(0);
-            train(&mut run, 3);
+            train(&mut run, &mut source, 3);
             if eval_forward {
                 run.net.forward(&make_batch(7).0, adr_nn::Mode::Eval);
             }
             run.restore(&state).unwrap();
-            train(&mut run, 5);
+            train(&mut run, &mut source, 5);
             TrainState::capture(run.net, run.sgd, strategy, 0)
         };
         let (plain, scanned) = (run_with(false), run_with(true));

@@ -6,7 +6,7 @@ use crate::flops::FlopReport;
 use crate::layer::{Layer, Mode, Shape3};
 use crate::optimizer::Optimizer;
 use crate::sgd::Sgd;
-use crate::softmax::{accuracy, softmax_cross_entropy};
+use crate::softmax::{accuracy, argmax, softmax_cross_entropy};
 
 /// The per-image shape of a batch disagrees with the network's input.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -189,16 +189,7 @@ impl Network {
     pub fn predict(&mut self, images: &Tensor4) -> Vec<usize> {
         let logits = self.forward(images, Mode::Eval);
         let (n, _, _, c) = logits.shape();
-        (0..n)
-            .map(|b| {
-                logits.as_slice()[b * c..(b + 1) * c]
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect()
+        (0..n).map(|b| argmax(&logits.as_slice()[b * c..(b + 1) * c])).collect()
     }
 
     /// Multiply–adds actually performed across all layers.

@@ -56,9 +56,7 @@ pub fn softmax_cross_entropy(logits: &Tensor4, labels: &[usize]) -> LossOutput {
     for (b, &label) in labels.iter().enumerate() {
         assert!(label < c, "label {label} out of range for {c} classes");
         let row = &probs.as_slice()[b * c..(b + 1) * c];
-        let pred =
-            row.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap_or(0);
-        predictions.push(pred);
+        predictions.push(argmax(row));
         loss -= row[label].max(1e-12).ln();
         let grow = &mut grad.as_mut_slice()[b * c..(b + 1) * c];
         grow[label] -= 1.0;
@@ -67,6 +65,13 @@ pub fn softmax_cross_entropy(logits: &Tensor4, labels: &[usize]) -> LossOutput {
         }
     }
     LossOutput { loss: loss * inv_n, grad, predictions }
+}
+
+/// The predicted class of one row of logits or probabilities: the index of
+/// its largest value under `f32::total_cmp` (the last of equal maxima), 0
+/// for an empty row.
+pub fn argmax(row: &[f32]) -> usize {
+    row.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map_or(0, |(i, _)| i)
 }
 
 /// Fraction of predictions matching labels.
@@ -125,6 +130,13 @@ mod tests {
         let out = softmax_cross_entropy(&z, &[0]);
         assert!(out.loss < 1e-3);
         assert_eq!(out.predictions, vec![0]);
+    }
+
+    #[test]
+    fn argmax_takes_the_last_of_equal_maxima_and_zero_when_empty() {
+        assert_eq!(argmax(&[0.1, 0.7, 0.2]), 1);
+        assert_eq!(argmax(&[0.5, 0.2, 0.5]), 2);
+        assert_eq!(argmax(&[]), 0);
     }
 
     #[test]

@@ -43,12 +43,13 @@ use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::time::Duration;
 
-use adr_core::faults::{ServeFaultKind, ServeFaultPlan};
+use adr_nn::softmax::argmax;
 use adr_tensor::sanitize::first_non_finite;
 use adr_tensor::Tensor4;
 
 use crate::clock::{MonotonicClock, ServeClock};
 use crate::error::{EngineError, RequestError, SwapError};
+use crate::faults::{ServeFaultKind, ServeFaultPlan};
 use crate::ladder::{DegradationLadder, LadderMove};
 use crate::registry::{ArtifactKind, ModelRegistry, NetFactory};
 use crate::report::{ModelCounters, ServeEvent, ServeEventKind, ServeReport, TenantCounters};
@@ -169,8 +170,6 @@ impl Gateway {
 
     /// Loads `path` as `kind` into a network built by `factory` and
     /// registers it under `name`, creating a lane for every known tenant.
-    /// An armed [`ServeFaultPlan::corrupt_checkpoint_load`] hits the bytes
-    /// of this load.
     ///
     /// # Errors
     /// Duplicate names and load failures, per
@@ -182,7 +181,7 @@ impl Gateway {
         path: impl AsRef<Path>,
         factory: NetFactory,
     ) -> Result<(), EngineError> {
-        self.registry.register(name, kind, path, factory, &mut self.faults)?;
+        self.registry.register(name, kind, path, factory)?;
         let mut lanes = BTreeMap::new();
         for (tenant, state) in &self.tenants {
             lanes.insert(
@@ -237,8 +236,7 @@ impl Gateway {
         Ok(())
     }
 
-    /// Installs a fault plan for subsequent loads, submissions, batches and
-    /// swaps.
+    /// Installs a fault plan for subsequent batches.
     pub fn set_fault_plan(&mut self, plan: ServeFaultPlan) {
         self.faults = plan;
     }
@@ -289,13 +287,6 @@ impl Gateway {
         if !self.tenants.contains_key(tenant) {
             self.event(ServeEventKind::RejectedInput, format!("unknown tenant '{tenant}'"));
             return Err(RequestError::UnknownTenant { tenant: tenant.to_string() });
-        }
-        let mut image = image.clone();
-        if self.faults.take_request_poison() {
-            if let Some(first) = image.as_mut_slice().first_mut() {
-                *first = f32::NAN;
-            }
-            self.event(ServeEventKind::PoisonFault, "request poisoned with NaN pixel".into());
         }
         let (n, h, w, c) = image.shape();
         if n != 1 {
@@ -360,7 +351,7 @@ impl Gateway {
         }
         let id = self.next_id;
         self.next_id += 1;
-        lane.queue.push_back(Pending { id, image, admitted_at: now, deadline });
+        lane.queue.push_back(Pending { id, image: image.clone(), admitted_at: now, deadline });
         if let Some(counters) = self.report.tenants.get_mut(tenant) {
             counters.admitted += 1;
         }
@@ -495,12 +486,7 @@ impl Gateway {
                         Err(RequestError::DeadlineExceeded { budget_ms, elapsed_ms })
                     } else {
                         let row = logits.as_slice()[i * classes..(i + 1) * classes].to_vec();
-                        let class = row
-                            .iter()
-                            .enumerate()
-                            .max_by(|a, b| a.1.total_cmp(b.1))
-                            .map(|(idx, _)| idx)
-                            .unwrap_or(0);
+                        let class = argmax(&row);
                         counters.completed += 1;
                         if let Some(count) = counters.requests_per_stage.get_mut(stage) {
                             *count += 1;
@@ -540,7 +526,7 @@ impl Gateway {
     /// error.
     pub fn swap(&mut self, model: &str, path: impl AsRef<Path>) -> Result<u64, SwapError> {
         self.event(ServeEventKind::SwapStarted, format!("model '{model}' swap requested"));
-        match self.registry.swap(model, path, &mut self.faults) {
+        match self.registry.swap(model, path) {
             Ok(generation) => {
                 if let Some(m) = self.report.models.get_mut(model) {
                     m.swaps_completed += 1;

@@ -8,7 +8,7 @@
 //! queue occupancy, folded through the same `RunningMean` EMA the trainer
 //! uses for loss smoothing — decides when to step:
 //!
-//! * pressure above `degrade_above` → step one stage toward aggressive
+//! * pressure above [`DEGRADE_ABOVE`] → step one stage toward aggressive
 //!   reuse (cheaper batches, the queue drains faster),
 //! * pressure below `recover_below` → step one stage back toward exact.
 //!
@@ -38,6 +38,10 @@ pub enum StagePolicy {
     },
 }
 
+/// Smoothed pressure above which the ladder degrades one stage: batches
+/// slower than the latency target, or a full queue.
+pub const DEGRADE_ABOVE: f32 = 1.0;
+
 /// Ladder shape and stepping thresholds.
 #[derive(Clone, Debug)]
 pub struct LadderConfig {
@@ -46,8 +50,6 @@ pub struct LadderConfig {
     pub stages: Vec<StagePolicy>,
     /// EMA smoothing factor for the pressure signal, in `(0, 1]`.
     pub alpha: f32,
-    /// Degrade one stage when smoothed pressure exceeds this.
-    pub degrade_above: f32,
     /// Recover one stage when smoothed pressure falls below this.
     pub recover_below: f32,
     /// Minimum batches between stage moves.
@@ -68,7 +70,6 @@ impl Default for LadderConfig {
                 StagePolicy::Reuse { sub_vector_len: 8, num_hashes: 8, cluster_reuse: true },
             ],
             alpha: 0.5,
-            degrade_above: 1.0,
             recover_below: 0.4,
             min_dwell: 2,
         }
@@ -173,7 +174,7 @@ impl DegradationLadder {
             return None;
         }
         let p = self.pressure.get().unwrap_or(0.0);
-        if p > self.cfg.degrade_above && self.stage + 1 < self.cfg.stages.len() {
+        if p > DEGRADE_ABOVE && self.stage + 1 < self.cfg.stages.len() {
             let from = self.stage;
             self.stage += 1;
             self.since_move = 0;

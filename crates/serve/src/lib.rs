@@ -50,7 +50,8 @@
 //! `burst` at `u64::MAX`), which is what `adr serve --checkpoint` builds.
 //!
 //! Determinism mirrors the training loop: with the [`clock::ManualClock`]
-//! and no injected faults, the same request stream against the same
+//! and no injected faults ([`faults::ServeFaultPlan`] scripts slow and
+//! poisoned batches for tests), the same request stream against the same
 //! checkpoint produces bitwise-identical outputs and an identical report
 //! (`tests/determinism.rs` pins this) — scheduling is round-robin over
 //! `BTreeMap`-ordered lanes and all time flows through the injected clock.
@@ -62,6 +63,7 @@
 pub mod clock;
 pub mod engine;
 pub mod error;
+pub mod faults;
 pub mod gateway;
 pub mod ladder;
 pub mod registry;

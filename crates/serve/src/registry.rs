@@ -22,7 +22,6 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use adr_core::faults::ServeFaultPlan;
 use adr_core::state::TrainState;
 use adr_nn::checkpoint::{Checkpoint, CheckpointError};
 use adr_nn::network::Network;
@@ -72,10 +71,6 @@ impl ModelRegistry {
     /// Loads `path` as `kind` into a network built by `factory` and
     /// registers it under `name` at generation 0.
     ///
-    /// `faults` is consulted for an armed
-    /// [`ServeFaultPlan::corrupt_checkpoint_load`], which flips a byte of
-    /// the artifact as read by this load.
-    ///
     /// # Errors
     /// [`EngineError::BadConfig`] for a duplicate name; load/restore
     /// failures as [`EngineError::Checkpoint`].
@@ -85,13 +80,11 @@ impl ModelRegistry {
         kind: ArtifactKind,
         path: impl AsRef<Path>,
         factory: NetFactory,
-        faults: &mut ServeFaultPlan,
     ) -> Result<(), EngineError> {
         if self.models.contains_key(name) {
             return Err(EngineError::BadConfig(format!("model '{name}' already registered")));
         }
-        let mut bytes = fs::read(path.as_ref()).map_err(CheckpointError::from)?;
-        faults.corrupt_load(&mut bytes);
+        let bytes = fs::read(path.as_ref()).map_err(CheckpointError::from)?;
         let net = restore_into(factory(), kind, &bytes)?;
         let (h, w, c) = net.input_shape();
         // Deterministic finite probe batch for warm-verifying future swaps.
@@ -107,28 +100,17 @@ impl ModelRegistry {
     /// Hot-swaps `name` to the artifact at `path`: load-new → warm-verify
     /// → atomic flip. Returns the new generation number.
     ///
-    /// `faults` is consulted for an armed
-    /// [`ServeFaultPlan::corrupt_swap_artifact`], which flips a byte of the
-    /// artifact *as read by this swap* — the chaos path for pinning
-    /// rollback.
-    ///
     /// # Errors
     /// Typed [`SwapError`]; on any error the previous generation is still
     /// registered and serving.
-    pub(crate) fn swap(
-        &mut self,
-        name: &str,
-        path: impl AsRef<Path>,
-        faults: &mut ServeFaultPlan,
-    ) -> Result<u64, SwapError> {
+    pub(crate) fn swap(&mut self, name: &str, path: impl AsRef<Path>) -> Result<u64, SwapError> {
         let Some(entry) = self.models.get_mut(name) else {
             return Err(SwapError::UnknownModel { model: name.to_string() });
         };
         // load-new: everything below operates on a candidate network; the
         // live engine in `entry` is not touched until the flip.
-        let mut bytes =
+        let bytes =
             fs::read(path.as_ref()).map_err(|e| EngineError::from(CheckpointError::from(e)))?;
-        faults.corrupt_swap(&mut bytes);
         let net = restore_into((entry.factory)(), entry.kind, &bytes)?;
         // warm-verify: the candidate must serve the probe batch the live
         // generation serves, with finite logits.

@@ -1,7 +1,7 @@
 //! Deterministic random sources.
 //!
 //! Every stochastic component in the workspace (weight init, dataset
-//! synthesis, LSH hyperplanes, shuffling) draws from a seeded
+//! synthesis, LSH hyperplanes) draws from a seeded
 //! [`AdrRng`], so whole experiments replay bit-for-bit. The generator is a
 //! self-contained xoshiro256** seeded through SplitMix64 (the reference
 //! seeding procedure), so the workspace carries no external RNG dependency;
@@ -14,17 +14,6 @@ pub struct AdrRng {
     state: [u64; 4],
     /// Cached second Box–Muller sample.
     spare_gauss: Option<f32>,
-}
-
-/// The full resumable position of an [`AdrRng`] stream: the xoshiro state
-/// words plus the cached Box–Muller spare. Restoring from a snapshot
-/// continues the stream bit-for-bit where the original left off.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RngState {
-    /// xoshiro256** state words.
-    pub words: [u64; 4],
-    /// Cached second Box–Muller sample, if one is pending.
-    pub spare_gauss: Option<f32>,
 }
 
 impl AdrRng {
@@ -118,24 +107,6 @@ impl AdrRng {
             *v = self.gauss();
         }
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i + 1);
-            xs.swap(i, j);
-        }
-    }
-
-    /// Captures the stream position for checkpointing.
-    pub fn snapshot(&self) -> RngState {
-        RngState { words: self.state, spare_gauss: self.spare_gauss }
-    }
-
-    /// Reconstructs an RNG at a previously snapshotted stream position.
-    pub fn from_snapshot(state: RngState) -> Self {
-        Self { state: state.words, spare_gauss: state.spare_gauss }
-    }
 }
 
 /// SplitMix64 finaliser, used to decorrelate derived seeds.
@@ -196,32 +167,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.05, "mean {}", mean);
         assert!((var - 1.0).abs() < 0.08, "var {}", var);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = AdrRng::seeded(5);
-        let mut xs: Vec<usize> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>(), "50 elements should not stay in place");
-    }
-
-    #[test]
-    fn snapshot_resumes_the_stream_bit_for_bit() {
-        let mut r = AdrRng::seeded(77);
-        // Consume an odd number of gauss samples so a spare is cached.
-        let _ = r.gauss();
-        let snap = r.snapshot();
-        let expect: Vec<f32> = (0..16).map(|_| r.gauss()).collect();
-        let mut resumed = AdrRng::from_snapshot(snap);
-        let got: Vec<f32> = (0..16).map(|_| resumed.gauss()).collect();
-        assert_eq!(
-            expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            got.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

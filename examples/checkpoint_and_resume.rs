@@ -49,18 +49,19 @@ fn make_source(seed: u64) -> DatasetSource {
 
 fn main() {
     println!("crash-safe training: checkpoint, kill, resume\n");
-    let trainer =
-        Trainer::new(TrainerConfig { max_iterations: 150, eval_every: 25, ..Default::default() });
+    let config = TrainerConfig { max_iterations: 150, eval_every: 25, ..Default::default() };
     let state_path = std::env::temp_dir().join("adr_example_train_state.adrs");
     std::fs::remove_file(&state_path).ok();
 
     // Phase 1: train under the adaptive strategy with full-state
-    // checkpoints every 25 iterations — and simulate a crash at 90.
+    // checkpoints every 25 iterations — and simulate a crash at 90: a run
+    // whose budget ends there writes the same checkpoints up to that point.
     let mut net = build(7);
     let mut sgd =
         Sgd::new(LrSchedule::InverseTime { base: 0.03, rate: 0.005 }, 0.9, 0.0).with_clip_norm(5.0);
     let mut source = make_source(5);
-    let interrupted = trainer
+    let killed = Trainer::new(TrainerConfig { max_iterations: 90, ..config.clone() });
+    let interrupted = killed
         .train_with(
             &mut net,
             Strategy::adaptive(),
@@ -68,7 +69,6 @@ fn main() {
             &mut sgd,
             TrainOptions {
                 checkpoint: Some(CheckpointPolicy::new(&state_path, 25)),
-                halt_after: Some(90),
                 ..Default::default()
             },
         )
@@ -81,8 +81,8 @@ fn main() {
     // Phase 2: a fresh process — rebuild network + optimiser + data from
     // the same seeds, load the TrainState, and continue. The resumed run
     // finishes exactly as an uninterrupted one would: parameters, SGD
-    // momentum, controller stage, FLOP counters, and the batch cursor all
-    // come back from the snapshot.
+    // momentum, controller stage and FLOP counters come back from the
+    // snapshot, and the source yields batch `i` for iteration `i` again.
     let state = TrainState::load(&state_path).expect("checkpoint written before the kill");
     println!(
         "\nresuming from {} (captured at iteration {})",
@@ -93,7 +93,7 @@ fn main() {
     let mut sgd2 =
         Sgd::new(LrSchedule::InverseTime { base: 0.03, rate: 0.005 }, 0.9, 0.0).with_clip_norm(5.0);
     let mut source2 = make_source(5);
-    let finished = trainer
+    let finished = Trainer::new(config)
         .train_with(
             &mut net2,
             Strategy::adaptive(),

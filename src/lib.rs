@@ -54,10 +54,10 @@ pub use adr_tensor as tensor;
 
 /// Convenient glob-import surface for examples and applications.
 pub mod prelude {
-    pub use crate::source::{DatasetSource, ShuffledSource};
+    pub use crate::source::DatasetSource;
     pub use adr_clustering::lsh::LshTable;
     pub use adr_core::controller::AdaptiveController;
-    pub use adr_core::faults::{FaultKind, FaultPlan, ServeFaultKind, ServeFaultPlan};
+    pub use adr_core::faults::{FaultKind, FaultPlan};
     pub use adr_core::guardrails::{GuardrailConfig, GuardrailEvent, GuardrailEventKind};
     pub use adr_core::policy::{HRange, LRange};
     pub use adr_core::state::TrainState;
@@ -72,6 +72,7 @@ pub mod prelude {
     };
     pub use adr_reuse::layer::ReuseConv2d;
     pub use adr_reuse::ReuseConfig;
+    pub use adr_serve::faults::{ServeFaultKind, ServeFaultPlan};
     pub use adr_serve::{
         ArtifactKind, EngineError, Gateway, GatewayConfig, InferResponse, LadderConfig,
         ManualClock, ModelRegistry, MonotonicClock, NetFactory, RequestError, ServeEventKind,

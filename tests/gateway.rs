@@ -12,6 +12,7 @@
 use std::time::Duration;
 
 use adaptive_deep_reuse::models::{cifarnet, ConvMode};
+use adaptive_deep_reuse::nn::durable::write_atomic;
 use adaptive_deep_reuse::prelude::*;
 use adaptive_deep_reuse::serve::LadderConfig;
 
@@ -274,9 +275,15 @@ fn token_bucket_rejections_are_deterministic_with_exact_retry_hints() {
 /// Acceptance (d) + chaos: a corrupt mid-swap artifact rolls back typed,
 /// the old generation keeps serving, and zero in-flight requests drop.
 #[test]
-fn corrupt_swap_artifact_rolls_back_typed_with_the_old_generation_serving() {
+fn corrupt_artifact_swap_rolls_back_typed_with_the_old_generation_serving() {
     let path_v0 = trained_checkpoint("adr_gateway_corrupt_v0.adr1", 6);
     let path_v1 = trained_checkpoint("adr_gateway_corrupt_v1.adr1", 12);
+    // The generation-1 artifact with one byte in the middle flipped.
+    let corrupt_v1 = std::env::temp_dir().join("adr_gateway_corrupt_v1_flipped.adr1");
+    let mut bytes = std::fs::read(&path_v1).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    write_atomic(&corrupt_v1, &bytes).unwrap();
     let dataset = synth_dataset(11, 16);
 
     let mut gw = manual_gateway(GatewayConfig::default());
@@ -289,9 +296,7 @@ fn corrupt_swap_artifact_rolls_back_typed_with_the_old_generation_serving() {
         ids.push(gw.submit("cifarnet", "alpha", &single_image(&dataset, i)).unwrap());
     }
 
-    // The fault plan corrupts the artifact bytes as read *by the swap*.
-    gw.set_fault_plan(ServeFaultPlan::new().corrupt_swap_artifact());
-    let err = gw.swap("cifarnet", &path_v1).unwrap_err();
+    let err = gw.swap("cifarnet", &corrupt_v1).unwrap_err();
     assert!(
         matches!(err, SwapError::Load(_)),
         "corruption surfaces as a typed load rollback, got {err}"
@@ -307,7 +312,7 @@ fn corrupt_swap_artifact_rolls_back_typed_with_the_old_generation_serving() {
         assert!(outcome.is_ok(), "request {id} failed after rollback: {outcome:?}");
     }
 
-    // The corruption was one-shot: the same swap now verifies and flips.
+    // The intact artifact now verifies and flips.
     assert_eq!(gw.swap("cifarnet", &path_v1).unwrap(), 1);
     assert_eq!(gw.report().models["cifarnet"].swaps_completed, 1);
     let after = gw.submit("cifarnet", "alpha", &single_image(&dataset, 5)).unwrap();
@@ -315,6 +320,7 @@ fn corrupt_swap_artifact_rolls_back_typed_with_the_old_generation_serving() {
     assert_eq!(served.len(), 1);
     assert_eq!(served[0].0, after);
     assert!(served[0].1.is_ok(), "generation 1 serves");
+    std::fs::remove_file(&corrupt_v1).ok();
 }
 
 /// Tenant-scoped poison hits exactly one tenant's batch, is quarantined

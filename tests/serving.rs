@@ -12,6 +12,7 @@
 use std::time::Duration;
 
 use adaptive_deep_reuse::models::{cifarnet, ConvMode};
+use adaptive_deep_reuse::nn::durable::write_atomic;
 use adaptive_deep_reuse::prelude::*;
 use adaptive_deep_reuse::serve::LadderConfig;
 
@@ -247,14 +248,15 @@ fn poisoned_and_malformed_requests_are_rejected_at_admission() {
     let dataset = synth_dataset(13, 8);
     let path = untrained_checkpoint("adr_serving_admission.adr1", 5, |_| {});
     let mut gw = single_tenant_gateway(&path, 5, ServeConfig::default());
-    // The fault plan poisons the next two submissions before validation.
-    gw.set_fault_plan(ServeFaultPlan::new().poison_requests(2));
 
+    // Two requests with a NaN first pixel.
+    let mut poisoned = single_image(&dataset, 0);
+    poisoned.as_mut_slice()[0] = f32::NAN;
     for _ in 0..2 {
-        let err = gw.submit(MODEL, TENANT, &single_image(&dataset, 0)).unwrap_err();
+        let err = gw.submit(MODEL, TENANT, &poisoned).unwrap_err();
         assert!(matches!(err, RequestError::NonFiniteInput { index: 0, .. }), "got {err:?}");
     }
-    // A directly poisoned pixel is caught the same way.
+    // An infinite pixel elsewhere is caught the same way.
     let mut nan_image = single_image(&dataset, 1);
     nan_image.as_mut_slice()[42] = f32::NEG_INFINITY;
     assert!(matches!(
@@ -281,7 +283,6 @@ fn poisoned_and_malformed_requests_are_rejected_at_admission() {
     assert_eq!(report.tenants[TENANT].admitted, 1);
     assert_eq!(report.tenants[TENANT].rejected_non_finite, 3);
     assert_eq!(report.tenants[TENANT].rejected_shape, 2);
-    assert_eq!(report.events_of(ServeEventKind::PoisonFault), 2);
     assert_eq!(report.events_of(ServeEventKind::RejectedInput), 5);
     std::fs::remove_file(&path).ok();
 }
@@ -347,18 +348,26 @@ fn persistent_weight_poison_fails_batches_typed_and_flips_the_health_probe() {
 #[test]
 fn corrupt_checkpoint_bytes_fail_the_load_with_a_typed_error() {
     let (path, _) = trained_checkpoint("adr_serving_corrupt.adr1", 5);
+    // The same artifact with one byte in the middle flipped.
+    let corrupt = std::env::temp_dir().join("adr_serving_corrupt_flipped.adr1");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    write_atomic(&corrupt, &bytes).unwrap();
+
     let mut gw =
         Gateway::with_clock(GatewayConfig::default(), Box::new(ManualClock::new())).unwrap();
-    gw.set_fault_plan(ServeFaultPlan::new().corrupt_checkpoint_load());
     let err = gw
-        .register_model(MODEL, ArtifactKind::Adr1, &path, reuse_factory(8))
+        .register_model(MODEL, ArtifactKind::Adr1, &corrupt, reuse_factory(8))
         .expect_err("a flipped byte must not load");
     assert!(matches!(err, EngineError::Checkpoint(_)), "got {err:?}");
+    assert!(!gw.ready(), "a failed load registers nothing");
 
-    // The same file loads fine without the fault: the corruption was
-    // injected (and one-shot), not real.
+    // The intact file loads under the same name: the failed load left
+    // nothing behind.
     assert!(gw.register_model(MODEL, ArtifactKind::Adr1, &path, reuse_factory(8)).is_ok());
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&corrupt).ok();
 }
 
 #[test]
@@ -494,6 +503,7 @@ fn most_aggressive_stage_loses_at_most_the_documented_accuracy_delta() {
 /// oscillation pinned to the boundary values is stable, not a flap.
 #[test]
 fn pressure_exactly_at_the_thresholds_never_moves_the_ladder() {
+    use adaptive_deep_reuse::serve::ladder::DEGRADE_ABOVE;
     use adaptive_deep_reuse::serve::{DegradationLadder, LadderMove};
     // alpha 1.0 makes the EMA track the latest observation; thresholds and
     // observations are all exactly representable (0.5, 1.0, 2.0), so the
@@ -501,10 +511,10 @@ fn pressure_exactly_at_the_thresholds_never_moves_the_ladder() {
     // exact and the test controls the smoothed pressure precisely.
     let cfg =
         LadderConfig { alpha: 1.0, min_dwell: 1, recover_below: 0.5, ..LadderConfig::default() };
-    assert_eq!(cfg.degrade_above, 1.0);
+    assert_eq!(DEGRADE_ABOVE, 1.0);
     let mut ladder = DegradationLadder::new(cfg.clone()).unwrap();
     for _ in 0..4 {
-        assert_eq!(ladder.observe(1.0, 0.0), None, "pressure == degrade_above holds");
+        assert_eq!(ladder.observe(1.0, 0.0), None, "pressure == DEGRADE_ABOVE holds");
     }
     assert_eq!(ladder.stage(), 0);
 
